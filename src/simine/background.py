@@ -11,9 +11,23 @@ number of absorbed-pattern updates applied in insertion order.  All
 multipliers live in logit space, so each absorbed pattern is a single
 additive shift on its pair block and leaves every other pair bit-identical.
 
-Fitting maximizes the Lagrangian dual by cyclic coordinate-wise Newton with
-step damping; pattern multipliers come from bracketed bisection on the
-monotone calibration residual.
+Every term depends on a vertex only through a small key: its degree (the
+(out, in) pair on directed graphs), its bin in each partition and its
+membership in each absorbed pattern's rows and columns.  Vertices with equal
+keys are interchangeable and the max-ent solution gives them equal
+multipliers (the tile-model argument of De Bie, DMKD 2011).  So the model is
+stored as a class id per vertex, one multiplier per class and a K x K table
+of class-pair probabilities, and fitting, scoring and absorption all work on
+classes:
+
+* fitting maximizes the Lagrangian dual by cyclic coordinate-wise Newton
+  with step damping, one coordinate per class weighted by class sizes
+  (O(K^2) per sweep);
+* pair sums are weighted sums of the table over the class histograms of the
+  two vertex sets (O(|R| + |C| + K_R * K_C));
+* a pattern multiplier comes from bracketed bisection on the monotone
+  calibration residual over class-pair weights; the updated model splits
+  classes by membership in the pattern's rows and columns.
 """
 
 from __future__ import annotations
@@ -30,7 +44,8 @@ log = logging.getLogger(__name__)
 
 LOGIT_CLAMP = 30.0
 PROB_EPS = 1e-12
-_CHUNK = 2_000_000  # max pair-grid cells materialized at once
+MODEL_VERSION = 2
+_TABLE_CELLS = 2_000_000  # max class-pair cells held in a table or built at once
 
 __all__ = [
     "FitError",
@@ -65,6 +80,16 @@ def _softplus(x):
 def _logit(p):
     p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
     return np.log(p) - np.log1p(-p)
+
+
+def _classes(columns):
+    """Class id per vertex: vertices with equal values in every column share one.
+
+    Returns ``(keys, cls)`` with one row of column values per class, in
+    lexicographic order.
+    """
+    keys, cls = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+    return keys, cls.ravel()
 
 
 @dataclass
@@ -108,49 +133,123 @@ class PatternUpdate:
 
 
 class BackgroundModel:
-    """Immutable product-of-Bernoulli edge model over all vertex pairs.
+    """Immutable product-of-Bernoulli edge model over vertex classes.
 
-    ``update_with_pattern`` returns a new model sharing the base multipliers;
-    probability reads are safe for concurrent use.
+    ``cls[u]`` is the class of vertex u and ``class_lam_row`` /
+    ``class_lam_col`` hold one multiplier per class (tied on undirected
+    graphs).  All vertices of a class share their bin in every partition and
+    their membership in every update's rows and columns, which the
+    constructor checks, so a pair probability depends on the two classes
+    alone.  ``update_with_pattern`` returns a new model; probability reads
+    are safe for concurrent use.
     """
 
-    def __init__(self, n, directed, offset=0.0, lam_row=None, lam_col=None,
+    def __init__(self, n, directed, offset=0.0, cls=None, lam_row=None, lam_col=None,
                  partitions=(), updates=(), prior="density", fit_info=None):
         self.n = int(n)
         self.directed = bool(directed)
         self.offset = float(offset)
-        self.lam_row = np.zeros(n) if lam_row is None else np.asarray(lam_row, dtype=np.float64)
-        if lam_col is None:
-            self.lam_col = self.lam_row if not directed else np.zeros(n)
+        self.cls = (np.zeros(self.n, dtype=np.int64) if cls is None
+                    else np.asarray(cls, dtype=np.int64))
+        self.class_lam_row = (np.zeros(1) if lam_row is None
+                              else np.asarray(lam_row, dtype=np.float64))
+        if not self.directed:
+            if lam_col is not None:
+                raise ValueError("undirected models tie column multipliers to row multipliers")
+            self.class_lam_col = self.class_lam_row
+        elif lam_col is None:
+            self.class_lam_col = np.zeros_like(self.class_lam_row)
         else:
-            self.lam_col = np.asarray(lam_col, dtype=np.float64)
+            self.class_lam_col = np.asarray(lam_col, dtype=np.float64)
         self.partitions = list(partitions)
         self.updates = list(updates)
         self.prior = prior
         self.fit_info = dict(fit_info or {})
+        self._check_and_index()
+        k = self.n_classes
+        self._P_off = self._P_diag = None  # class-pair table, diagonal split off
+        if k * k <= _TABLE_CELLS:
+            self._P_off = self._class_probs(np.arange(k), np.arange(k))
+            self._P_diag = np.diag(self._P_off).copy()
+            np.fill_diagonal(self._P_off, 0.0)
+
+    def _check_and_index(self):
+        """Validate shapes, ranges and finiteness; derive per-class bins and
+        memberships and check that they are constant within every class."""
+        n, k = self.n, self.class_lam_row.size
+        if self.cls.shape != (n,):
+            raise ValueError(f"class id array has {self.cls.size} entries, expected n={n}")
+        if self.class_lam_row.ndim != 1 or self.class_lam_col.shape != (k,):
+            raise ValueError("row and column multipliers need one entry per class")
+        if n and (self.cls.min() < 0 or self.cls.max() >= k):
+            raise ValueError(f"class ids must lie in [0, {k})")
+        if np.any(np.bincount(self.cls, minlength=k) == 0):
+            raise ValueError("every class needs at least one vertex")
+        finite = [self.offset, self.class_lam_row, self.class_lam_col]
+        finite += [p.gammas for p in self.partitions] + [u.lam for u in self.updates]
+        if not all(np.all(np.isfinite(x)) for x in finite):
+            raise ValueError("model multipliers must be finite")
+        rep = np.empty(k, dtype=np.int64)
+        rep[self.cls] = np.arange(n)  # any member represents its class
+
+        def per_class(values, what):
+            out = values[rep]
+            if not np.array_equal(out[self.cls], values):
+                raise ValueError(f"{what} differ within a vertex class")
+            return out
+
+        self._class_bins = []
+        for p in self.partitions:
+            nb = p.n_bins
+            if p.bins.shape != (n,) or (n and (p.bins.min() < 0 or p.bins.max() >= nb)):
+                raise ValueError(f"partition {p.attribute!r}: need n bins in [0, {nb})")
+            if p.gammas.shape != (nb, nb):
+                raise ValueError(f"partition {p.attribute!r}: gammas must be {nb}x{nb}")
+            self._class_bins.append(per_class(p.bins, f"bins of {p.attribute!r}"))
+        self._class_members = []
+        for u in self.updates:
+            for ids in (u.rows, u.cols):
+                if ids.size == 0 or ids.min() < 0 or ids.max() >= n:
+                    raise ValueError(f"update vertex ids must be non-empty and in [0, {n})")
+            rm, cm = u.masks(n)
+            self._class_members.append((per_class(rm, "update rows"),
+                                        per_class(cm, "update columns")))
+
+    @property
+    def n_classes(self) -> int:
+        return int(self.class_lam_row.size)
+
+    @property
+    def lam_row(self) -> np.ndarray:
+        """Row multiplier of every vertex."""
+        return self.class_lam_row[self.cls]
+
+    @property
+    def lam_col(self) -> np.ndarray:
+        """Column multiplier of every vertex (equal to ``lam_row`` if undirected)."""
+        return self.class_lam_col[self.cls]
 
     # -- probability queries -------------------------------------------------
 
-    def _pair_logits(self, rows, cols):
-        """Raw logit matrix for the rows x cols grid (diagonal NOT excluded)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        L = self.offset + self.lam_row[rows][:, None] + self.lam_col[cols][None, :]
-        for part in self.partitions:
-            L = L + part.gammas[part.bins[rows][:, None], part.bins[cols][None, :]]
-        for upd in self.updates:
-            rm, cm = upd.masks(self.n)
-            if self.directed:
-                member = rm[rows][:, None] & cm[cols][None, :]
-            else:
-                member = (rm[rows][:, None] & cm[cols][None, :]) \
-                    | (cm[rows][:, None] & rm[cols][None, :])
+    def _class_logits(self, a, b):
+        """Raw logit matrix for the class grid a x b (class ids)."""
+        L = self.offset + self.class_lam_row[a][:, None] + self.class_lam_col[b][None, :]
+        for part, cb in zip(self.partitions, self._class_bins):
+            L = L + part.gammas[cb[a][:, None], cb[b][None, :]]
+        for upd, (rm, cm) in zip(self.updates, self._class_members):
+            member = rm[a][:, None] & cm[b][None, :]
+            if not self.directed:
+                member = member | (cm[a][:, None] & rm[b][None, :])
             L = L + upd.lam * member
         return L
 
+    def _class_probs(self, a, b):
+        return np.clip(_sigmoid(self._class_logits(a, b)), PROB_EPS, 1.0 - PROB_EPS)
+
     def probabilities(self, rows, cols) -> np.ndarray:
-        """Clamped edge probabilities for the rows x cols grid."""
-        return np.clip(_sigmoid(self._pair_logits(rows, cols)), PROB_EPS, 1.0 - PROB_EPS)
+        """Clamped edge probabilities for the rows x cols grid (diagonal NOT excluded)."""
+        return self._class_probs(self.cls[np.asarray(rows, dtype=np.int64)],
+                                 self.cls[np.asarray(cols, dtype=np.int64)])
 
     def edge_probability(self, u: int, v: int) -> float:
         if u == v:
@@ -160,37 +259,72 @@ class BackgroundModel:
     def pair_sums(self, rows, cols):
         """Probability mass over the rows x cols grid, diagonal excluded.
 
-        Returns ``(ordered_sum, overlap_sum)`` where ``ordered_sum`` ranges
-        over all ordered grid pairs u != v and ``overlap_sum`` over ordered
-        pairs inside the row/column intersection.  The distinct (unordered)
-        pair total is ``ordered_sum - overlap_sum / 2``.
+        ``rows`` and ``cols`` are sets of distinct vertex ids.  Returns
+        ``(ordered_sum, overlap_sum)`` where ``ordered_sum`` ranges over all
+        ordered grid pairs u != v and ``overlap_sum`` over ordered pairs
+        inside the row/column intersection (0 for directed models).  The
+        distinct (unordered) pair total is ``ordered_sum - overlap_sum / 2``.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        ordered = self._masked_grid_sum(rows, cols)
+        h_r, h_c, h_o = self._histograms(rows, cols)
         if self.directed:
-            return ordered, 0.0
-        common = np.intersect1d(rows, cols)
-        overlap = self._masked_grid_sum(common, common) if common.size > 1 else 0.0
-        return ordered, overlap
+            return self._grid_sum(h_r, h_c, h_o), 0.0
+        if h_o is h_r:
+            ordered = self._grid_sum(h_r, h_r, h_r)
+            return ordered, ordered  # rows == cols: the overlap is the whole grid
+        differ = np.flatnonzero(h_r != h_c)
+        if differ.size and h_r[differ[0]] < h_c[differ[0]]:
+            h_r, h_c = h_c, h_r  # canonical order: mirrored sets give bit-equal sums
+        return (self._grid_sum(h_r, h_c, h_o),
+                self._grid_sum(h_o, h_o, h_o) if h_o.any() else 0.0)
 
-    def _masked_grid_sum(self, rows, cols):
-        if rows.size == 0 or cols.size == 0:
-            return 0.0
+    def _histograms(self, rows, cols):
+        """Class histograms (float) of ``rows``, ``cols`` and their intersection."""
+        k = self.n_classes
+        rows = np.asarray(rows, dtype=np.int64)
+        h_r = np.bincount(self.cls[rows], minlength=k).astype(np.float64)
+        if cols is rows:
+            return h_r, h_r, h_r
+        cols = np.asarray(cols, dtype=np.int64)
+        in_rows = np.zeros(self.n, dtype=bool)
+        in_rows[rows] = True
+        h_c = np.bincount(self.cls[cols], minlength=k).astype(np.float64)
+        h_o = np.bincount(self.cls[cols[in_rows[cols]]], minlength=k).astype(np.float64)
+        return h_r, h_c, h_o
+
+    def _grid_sum(self, h_a, h_b, h_o):
+        """Sum of p(u, v) over ordered pairs u != v, u in A, v in B.
+
+        Takes the class histograms of A, B and their intersection.  Pairs
+        between distinct classes come from the off-diagonal table; the
+        h_a*h_b - h_o pairs inside one class from its diagonal entry.  All
+        terms are non-negative, so nothing cancels.  Without a full table the
+        sub-table of the classes present is built in row chunks of at most
+        ``_TABLE_CELLS`` cells.
+        """
+        d = h_a * h_b - h_o
+        if self._P_off is not None:
+            return float(h_a @ (self._P_off @ h_b) + d @ self._P_diag)
+        ia, ib = np.flatnonzero(h_a), np.flatnonzero(h_b)
         total = 0.0
-        step = max(1, _CHUNK // max(1, cols.size))
-        for i in range(0, rows.size, step):
-            chunk = rows[i:i + step]
-            P = np.clip(_sigmoid(self._pair_logits(chunk, cols)), PROB_EPS, 1.0 - PROB_EPS)
-            diag = chunk[:, None] == cols[None, :]
-            if diag.any():
-                P = np.where(diag, 0.0, P)
-            total += float(P.sum())
+        step = max(1, _TABLE_CELLS // max(1, ib.size))
+        for i in range(0, ia.size, step):
+            a = ia[i:i + step]
+            P = self._class_probs(a, ib)
+            r, c = np.nonzero(a[:, None] == ib[None, :])
+            total += float(d[a[r]] @ P[r, c])
+            P[r, c] = 0.0
+            total += float(h_a[a] @ P @ h_b[ib])
         return total
 
     def copy_with_update(self, upd: PatternUpdate) -> "BackgroundModel":
-        return BackgroundModel(self.n, self.directed, self.offset, self.lam_row,
-                               None if (self.lam_col is self.lam_row) else self.lam_col,
+        """The model plus one absorbed pattern; classes split by membership in
+        the pattern's rows and columns."""
+        rm, cm = upd.masks(self.n)
+        keys, cls = _classes([self.cls, rm, cm])
+        parent = keys[:, 0]
+        return BackgroundModel(self.n, self.directed, self.offset, cls,
+                               self.class_lam_row[parent],
+                               self.class_lam_col[parent] if self.directed else None,
                                self.partitions, self.updates + [upd],
                                prior=self.prior, fit_info=self.fit_info)
 
@@ -199,14 +333,14 @@ class BackgroundModel:
     def to_dict(self) -> dict:
         return {
             "format": "simine-model",
-            "version": 1,
+            "version": MODEL_VERSION,
             "n": self.n,
             "directed": self.directed,
             "prior": self.prior,
             "offset": self.offset,
-            "lam_row": [float(x) for x in self.lam_row],
-            "lam_col": ("tied" if self.lam_col is self.lam_row
-                        else [float(x) for x in self.lam_col]),
+            "classes": [int(c) for c in self.cls],
+            "lam_row": [float(x) for x in self.class_lam_row],
+            "lam_col": ([float(x) for x in self.class_lam_col] if self.directed else None),
             "partitions": [{
                 "attribute": p.attribute,
                 "bin_values": list(p.bin_values),
@@ -225,20 +359,29 @@ class BackgroundModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BackgroundModel":
-        if d.get("format") != "simine-model" or d.get("version") != 1:
+        """Rebuild a model from :meth:`to_dict` output; malformed input raises
+        ValueError."""
+        if not isinstance(d, dict) or d.get("format") != "simine-model":
             raise ValueError("not a recognized model file")
-        parts = [PartitionGammas(p["attribute"],
-                                 np.asarray(p["bins"], dtype=np.int64),
-                                 list(p["bin_values"]),
-                                 np.asarray(p["gammas"], dtype=np.float64))
-                 for p in d["partitions"]]
-        upds = [PatternUpdate(np.asarray(u["rows"], dtype=np.int64),
-                              np.asarray(u["cols"], dtype=np.int64),
-                              float(u["lam"]), int(u["observed"]), int(u["n_pairs"]))
-                for u in d["updates"]]
-        lam_col = None if d["lam_col"] == "tied" else d["lam_col"]
-        return cls(d["n"], d["directed"], d["offset"], d["lam_row"], lam_col,
-                   parts, upds, prior=d["prior"], fit_info=d.get("fit_info"))
+        version = d.get("version")
+        if version != MODEL_VERSION:
+            raise ValueError(f"model file version {version!r} is not supported (this "
+                             f"simine reads version {MODEL_VERSION}); re-run `simine fit` "
+                             "to rebuild the model")
+        try:
+            parts = [PartitionGammas(p["attribute"], _ints(p["bins"], "bins"),
+                                     list(p["bin_values"]),
+                                     np.asarray(p["gammas"], dtype=np.float64))
+                     for p in d["partitions"]]
+            upds = [PatternUpdate(_ints(u["rows"], "update rows"),
+                                  _ints(u["cols"], "update columns"),
+                                  float(u["lam"]), int(u["observed"]), int(u["n_pairs"]))
+                    for u in d["updates"]]
+            return cls(int(d["n"]), bool(d["directed"]), float(d["offset"]),
+                       _ints(d["classes"], "class ids"), d["lam_row"], d["lam_col"],
+                       parts, upds, prior=d["prior"], fit_info=d.get("fit_info"))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed model file: {exc!r}") from None
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -251,6 +394,13 @@ class BackgroundModel:
             return cls.from_dict(json.load(fh))
 
 
+def _ints(values, what):
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers")
+    return arr.astype(np.int64)
+
+
 # -- priors -------------------------------------------------------------------
 
 
@@ -261,7 +411,7 @@ def fit_density_prior(g: AttributedGraph, density: float) -> BackgroundModel:
     return BackgroundModel(g.n, g.directed, offset=float(_logit(np.float64(density))),
                            prior=f"density:{density!r}",
                            fit_info={"prior": "density", "density": density,
-                                     "iterations": 0, "max_residual": 0.0})
+                                     "iterations": 0, "max_residual": 0.0, "classes": 1})
 
 
 def fit_degree_prior(g: AttributedGraph, tol: float = 1e-4,
@@ -300,138 +450,151 @@ def _partition_bins(g, attr):
     return bins, values
 
 
-def _coordinate_step(ell, target, t0):
-    """One damped Newton step of min_t sum(softplus(ell + t)) - target * t."""
-    p = _sigmoid(ell + t0)
-    grad = float(p.sum()) - target
-    hess = max(float((p * (1.0 - p)).sum()), 1e-12)
+def _dual(ell, w, s, target, t):
+    """Dual objective sum(w * softplus(ell + s*t)) - target * t."""
+    return float((w * _softplus(ell + s * t)).sum()) - target * t
+
+
+def _dual_grad(ell, w, s, target, t):
+    """Derivative of :func:`_dual` in t: the constraint's residual."""
+    return float((w * s * _sigmoid(ell + s * t)).sum()) - target
+
+
+def _coordinate_step(ell, w, s, target, t0):
+    """One damped Newton step of min_t ``_dual(ell, w, s, target, t)``."""
+    p = _sigmoid(ell + s * t0)
+    grad = float((w * s * p).sum()) - target
+    hess = max(float((w * s * s * p * (1.0 - p)).sum()), 1e-12)
     step = -grad / hess
-    f0 = float(_softplus(ell + t0).sum()) - target * t0
+    f0 = _dual(ell, w, s, target, t0)
     for _ in range(60):
         t1 = float(np.clip(t0 + step, -LOGIT_CLAMP, LOGIT_CLAMP))
-        f1 = float(_softplus(ell + t1).sum()) - target * t1
-        if f1 <= f0 + 1e-12 * max(1.0, abs(f0)):
+        if _dual(ell, w, s, target, t1) <= f0 + 1e-12 * max(1.0, abs(f0)):
             return t1
         step *= 0.5
     return t0
 
 
 class _MaxEntProblem:
-    """Joint degree/block dual for one graph; owns the working multipliers."""
+    """Joint degree/block dual for one graph; owns the working multipliers.
+
+    A class is the set of vertices sharing their degree (the (out, in) pair
+    when directed, because excluding the (u, u) pair makes a row multiplier
+    depend on u's in-degree too) and their bin in every partition.  Members
+    of a class face identical constraints, so the dual has one multiplier
+    per class and every sum over partners is a sum over classes weighted by
+    class sizes.
+    """
 
     def __init__(self, g, partition_attrs, with_degrees):
         self.g = g
-        self.n = g.n
         self.directed = g.directed
-        self.with_degrees = with_degrees
         self.parts = []
         for attr in partition_attrs:
             bins, values = _partition_bins(g, attr)
             self.parts.append(PartitionGammas(attr, bins, values,
                                               np.zeros((len(values), len(values)))))
-        if with_degrees:
-            if self.directed:
-                self.lam_row = 0.5 * _logit(g.out_degrees() / (self.n - 1))
-                self.lam_col = 0.5 * _logit(g.in_degrees() / (self.n - 1))
-            else:
-                self.lam_row = np.clip(_logit(g.degrees() / (self.n - 1)),
-                                       -LOGIT_CLAMP, LOGIT_CLAMP)
-                self.lam_col = self.lam_row
+        if not with_degrees:
+            degrees = []
+        elif self.directed:
+            degrees = [g.out_degrees(), g.in_degrees()]
         else:
-            self.lam_row = np.zeros(self.n)
-            self.lam_col = self.lam_row if not self.directed else np.zeros(self.n)
+            degrees = [g.degrees()]
+        keys, self.cls = _classes(degrees + [p.bins for p in self.parts])
+        self.k = len(keys)
+        self.sizes = np.bincount(self.cls, minlength=self.k).astype(np.float64)
+        self.rep = np.empty(self.k, dtype=np.int64)
+        self.rep[self.cls] = np.arange(g.n)
+        targets = keys[:, :len(degrees)].astype(np.float64).T
+        self.class_bins = [keys[:, len(degrees) + j] for j in range(len(self.parts))]
+        n1 = g.n - 1
+        if not with_degrees:
+            self.lam_row = np.zeros(self.k)
+            self.lam_col = self.lam_row if not self.directed else np.zeros(self.k)
+            self.targets = []
+        elif self.directed:
+            self.lam_row = 0.5 * _logit(targets[0] / n1)
+            self.lam_col = 0.5 * _logit(targets[1] / n1)
+            self.targets = [("out-degree", True, targets[0]), ("in-degree", False, targets[1])]
+        else:
+            self.lam_row = np.clip(_logit(targets[0] / n1), -LOGIT_CLAMP, LOGIT_CLAMP)
+            self.lam_col = self.lam_row
+            self.targets = [("degree", True, targets[0])]
         self._block_targets()
 
     def _block_targets(self):
-        """Observed edge counts and pair counts per block of each partition."""
-        g = self.g
+        """Observed edge counts and the classes on each side of every block."""
+        e0, e1 = self.g.edges[:, 0], self.g.edges[:, 1]
         self.block_info = []
-        e0, e1 = g.edges[:, 0], g.edges[:, 1]
-        for part in self.parts:
+        for part, cb in zip(self.parts, self.class_bins):
             nb = part.n_bins
-            ids = [np.flatnonzero(part.bins == b) for b in range(nb)]
-            sizes = [len(x) for x in ids]
+            obs = np.bincount(part.bins[e0] * nb + part.bins[e1],
+                              minlength=nb * nb).reshape(nb, nb)
+            if not self.directed:
+                obs = np.triu(obs + obs.T) - np.diag(np.diag(obs))
             blocks = []
-            pairs_iter = ([(b1, b2) for b1 in range(nb) for b2 in range(nb)]
-                          if self.directed else
-                          [(b1, b2) for b1 in range(nb) for b2 in range(b1, nb)])
-            b_e0 = part.bins[e0] if len(e0) else np.empty(0, np.int64)
-            b_e1 = part.bins[e1] if len(e1) else np.empty(0, np.int64)
-            for b1, b2 in pairs_iter:
-                if self.directed:
-                    n_pairs = sizes[b1] * sizes[b2] - (sizes[b1] if b1 == b2 else 0)
-                    observed = int(np.count_nonzero((b_e0 == b1) & (b_e1 == b2)))
-                elif b1 == b2:
-                    n_pairs = sizes[b1] * (sizes[b1] - 1) // 2
-                    observed = int(np.count_nonzero((b_e0 == b1) & (b_e1 == b1)))
-                else:
-                    n_pairs = sizes[b1] * sizes[b2]
-                    observed = int(np.count_nonzero(((b_e0 == b1) & (b_e1 == b2))
-                                                    | ((b_e0 == b2) & (b_e1 == b1))))
-                blocks.append({"b1": b1, "b2": b2, "ids1": ids[b1], "ids2": ids[b2],
-                               "pairs": n_pairs, "observed": observed})
+            for b1 in range(nb):
+                for b2 in (range(nb) if self.directed else range(b1, nb)):
+                    blocks.append({"b1": b1, "b2": b2, "observed": int(obs[b1, b2]),
+                                   "cls1": np.flatnonzero(cb == b1),
+                                   "cls2": np.flatnonzero(cb == b2)})
             self.block_info.append(blocks)
 
-    def _row_ell(self, u, use_row):
-        """Pair logits of u's n-1 partners, minus the coordinate's own multiplier.
+    def _degree_terms(self, a, use_row):
+        """``(ell, w, s)`` of the 1-D dual in class a's row (or column) multiplier.
 
-        ``use_row`` selects the row coordinate (pairs (u, v)); otherwise the
-        column coordinate (pairs (v, u)).
+        ``ell[b]`` is the logit of a pair between one member of a and one
+        member of b, minus the coordinate's own multiplier, and ``w[b]`` the
+        number of such partners per member.  On undirected graphs a pair
+        inside class a carries the multiplier at both ends, so it has slope
+        ``s = 2`` and half its weight goes to each endpoint.
         """
-        idx = np.concatenate([np.arange(u), np.arange(u + 1, self.n)])
-        if use_row:
-            ell = self.lam_col[idx].copy()
-            for part in self.parts:
-                ell += part.gammas[part.bins[u], part.bins[idx]]
-        else:
-            ell = self.lam_row[idx].copy()
-            for part in self.parts:
-                ell += part.gammas[part.bins[idx], part.bins[u]]
-        return ell
-
-    def _block_ell(self, part_i, block):
-        """Pair logits of one block, excluding that block's own gamma."""
-        ids1, ids2 = block["ids1"], block["ids2"]
-        if block["pairs"] == 0:
-            return np.empty(0)
-        L = self.lam_row[ids1][:, None] + self.lam_col[ids2][None, :]
-        for j, part in enumerate(self.parts):
-            if j == part_i:
-                continue
-            L = L + part.gammas[part.bins[ids1][:, None], part.bins[ids2][None, :]]
+        G = np.zeros(self.k)
+        for part, cb in zip(self.parts, self.class_bins):
+            G += part.gammas[cb[a], cb] if use_row else part.gammas[cb, cb[a]]
+        ell = (self.lam_col if use_row else self.lam_row) + G
+        w = self.sizes.copy()
+        w[a] -= 1.0
         if self.directed:
-            keep = ids1[:, None] != ids2[None, :]
-        elif block["b1"] == block["b2"]:
-            keep = ids1[:, None] < ids2[None, :]
-        else:
-            keep = np.ones(L.shape, dtype=bool)
-        return L[keep]
+            return ell, w, 1.0
+        ell[a] = G[a]
+        s = np.ones(self.k)
+        s[a] = 2.0
+        w[a] *= 0.5
+        return ell, w, s
+
+    def _block_terms(self, part_i, block):
+        """``(ell, w)``: logits of one block's class pairs, excluding that
+        block's own gamma, and the number of vertex pairs behind each."""
+        A, B = block["cls1"], block["cls2"]
+        w = np.outer(self.sizes[A], self.sizes[B])
+        if block["b1"] == block["b2"]:
+            w -= np.diag(self.sizes[A])  # u == v
+            if not self.directed:
+                w *= 0.5  # each unordered pair appears as (a, b) and (b, a)
+        L = self.lam_row[A][:, None] + self.lam_col[B][None, :]
+        for j, (part, cb) in enumerate(zip(self.parts, self.class_bins)):
+            if j != part_i:
+                L = L + part.gammas[cb[A][:, None], cb[B][None, :]]
+        return L.ravel(), w.ravel()
 
     def sweep(self):
-        if self.with_degrees:
-            if self.directed:
-                dout, din = self.g.out_degrees(), self.g.in_degrees()
-                for u in range(self.n):
-                    ell = self._row_ell(u, use_row=True)
-                    self.lam_row[u] = _coordinate_step(ell, float(dout[u]), self.lam_row[u])
-                for v in range(self.n):
-                    ell = self._row_ell(v, use_row=False)
-                    self.lam_col[v] = _coordinate_step(ell, float(din[v]), self.lam_col[v])
-            else:
-                deg = self.g.degrees()
-                for u in range(self.n):
-                    ell = self._row_ell(u, use_row=True)
-                    self.lam_row[u] = _coordinate_step(ell, float(deg[u]), self.lam_row[u])
+        for _name, use_row, target in self.targets:
+            lam = self.lam_row if use_row else self.lam_col
+            for a in range(self.k):
+                ell, w, s = self._degree_terms(a, use_row)
+                lam[a] = _coordinate_step(ell, w, s, float(target[a]), lam[a])
         for part_i, (part, blocks) in enumerate(zip(self.parts, self.block_info)):
             for block in blocks:
-                if block["pairs"] == 0:
+                ell, w = self._block_terms(part_i, block)
+                if not w.any():
                     continue  # empty block: gamma pinned at 0
-                ell = self._block_ell(part_i, block)
-                g0 = part.gammas[block["b1"], block["b2"]]
-                g1 = _coordinate_step(ell, float(block["observed"]), float(g0))
-                part.gammas[block["b1"], block["b2"]] = g1
+                b1, b2 = block["b1"], block["b2"]
+                g1 = _coordinate_step(ell, w, 1.0, float(block["observed"]),
+                                      float(part.gammas[b1, b2]))
+                part.gammas[b1, b2] = g1
                 if not self.directed:
-                    part.gammas[block["b2"], block["b1"]] = g1
+                    part.gammas[b2, b1] = g1
 
     @staticmethod
     def _saturated(residual, mult):
@@ -449,29 +612,24 @@ class _MaxEntProblem:
         (degree 0 / degree n-1 vertices, zero-edge blocks).
         """
         worst_name, worst, waived = "", 0.0, 0.0
-        if self.with_degrees:
-            if self.directed:
-                pairs = [("out-degree", self.g.out_degrees(), True),
-                         ("in-degree", self.g.in_degrees(), False)]
-            else:
-                pairs = [("degree", self.g.degrees(), True)]
-            for name, target, use_row in pairs:
-                for u in range(self.n):
-                    ell = self._row_ell(u, use_row=use_row)
-                    mult = self.lam_row[u] if use_row else self.lam_col[u]
-                    r = float(_sigmoid(ell + mult).sum()) - target[u]
-                    if self._saturated(r, mult):
-                        waived = max(waived, abs(r))
-                    elif abs(r) > worst:
-                        worst = abs(r)
-                        worst_name = f"{name} of vertex {self.g.vertex_label(u)!r}"
+        for name, use_row, target in self.targets:
+            lam = self.lam_row if use_row else self.lam_col
+            for a in range(self.k):
+                ell, w, s = self._degree_terms(a, use_row)
+                r = _dual_grad(ell, w, s, float(target[a]), lam[a])
+                if self._saturated(r, lam[a]):
+                    waived = max(waived, abs(r))
+                elif abs(r) > worst:
+                    worst = abs(r)
+                    label = self.g.vertex_label(int(self.rep[a]))
+                    worst_name = f"{name} of vertex {label!r}"
         for part_i, (part, blocks) in enumerate(zip(self.parts, self.block_info)):
             for block in blocks:
-                if block["pairs"] == 0:
+                ell, w = self._block_terms(part_i, block)
+                if not w.any():
                     continue
-                ell = self._block_ell(part_i, block)
                 mult = part.gammas[block["b1"], block["b2"]]
-                r = float(_sigmoid(ell + mult).sum()) - block["observed"]
+                r = _dual_grad(ell, w, 1.0, float(block["observed"]), mult)
                 if self._saturated(r, mult):
                     waived = max(waived, abs(r))
                 elif abs(r) > worst:
@@ -499,9 +657,8 @@ def _fit_max_ent(g, partitions, with_degrees, tol, max_iter, prior):
         sweeps += 1
         worst_name, worst, waived = prob.residuals()
 
-    clamped = [g.vertex_label(u) for u in range(g.n)
-               if abs(prob.lam_row[u]) >= LOGIT_CLAMP
-               or abs(prob.lam_col[u]) >= LOGIT_CLAMP]
+    pinned = (np.abs(prob.lam_row) >= LOGIT_CLAMP) | (np.abs(prob.lam_col) >= LOGIT_CLAMP)
+    clamped = [g.vertex_label(int(u)) for u in np.flatnonzero(pinned[prob.cls])]
     if clamped and with_degrees:
         log.warning("multipliers clamped at +/-%g for %d extremal-degree vertex(es): %s",
                     LOGIT_CLAMP, len(clamped), ", ".join(clamped[:5]))
@@ -509,39 +666,13 @@ def _fit_max_ent(g, partitions, with_degrees, tol, max_iter, prior):
         log.warning("saturated constraints left an irreducible residual of %.3g", waived)
     info = {"prior": prior, "iterations": sweeps, "max_residual": worst,
             "saturated_residual": waived, "worst_constraint": worst_name,
-            "tol": tol, "clamped": clamped}
-    tied = prob.lam_col is prob.lam_row
-    return BackgroundModel(g.n, g.directed, 0.0, prob.lam_row,
-                           None if tied else prob.lam_col,
+            "tol": tol, "clamped": clamped, "classes": prob.k}
+    return BackgroundModel(g.n, g.directed, 0.0, prob.cls, prob.lam_row,
+                           prob.lam_col if g.directed else None,
                            prob.parts, prior=prior, fit_info=info)
 
 
 # -- pattern absorption ----------------------------------------------------------
-
-
-def _pattern_pair_logits(model, rows, cols):
-    """Logits of every distinct pair in the pattern's scope (no diagonal)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    in_r = np.zeros(model.n, dtype=bool)
-    in_r[rows] = True
-    in_c = np.zeros(model.n, dtype=bool)
-    in_c[cols] = True
-    out = []
-    step = max(1, _CHUNK // max(1, cols.size))
-    for i in range(0, rows.size, step):
-        chunk = rows[i:i + step]
-        L = model._pair_logits(chunk, cols)
-        U = chunk[:, None]
-        V = cols[None, :]
-        if model.directed:
-            keep = U != V
-        else:
-            # list each unordered pair once: keep (u, v) with u < v, plus
-            # u > v when the mirrored orientation is not in the grid
-            keep = (U < V) | ((U > V) & ~(in_r[cols][None, :] & in_c[chunk][:, None]))
-        out.append(L[keep])
-    return np.concatenate(out) if out else np.empty(0)
 
 
 def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
@@ -558,15 +689,28 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
     observed = int(pattern.edges)
     if rows.size == 0 or cols.size == 0:
         raise ValueError("pattern update needs non-empty extensions")
-    ell = _pattern_pair_logits(model, rows, cols)
-    n_pairs = int(ell.size)
+    # distinct pairs per class pair: ordered pairs u != v, and on undirected
+    # graphs one orientation less of each pair inside the overlap
+    h_r, h_c, h_o = model._histograms(rows, cols)
+    ia, ib = np.flatnonzero(h_r), np.flatnonzero(h_c)
+    w = np.outer(h_r[ia], h_c[ib])
+    r, c = np.nonzero(ia[:, None] == ib[None, :])
+    if model.directed:
+        w[r, c] -= h_o[ia[r]]
+    else:
+        w -= 0.5 * np.outer(h_o[ia], h_o[ib])
+        w[r, c] -= 0.5 * h_o[ia[r]]
+    n_pairs = int(w.sum())
     if n_pairs == 0:
         raise ValueError("pattern update has an empty pair set")
+    keep = w > 0
+    ell = model._class_logits(ia, ib)[keep]
+    w = w[keep]
 
     cal_tol = 1e-9 * max(1, n_pairs)
 
     def resid(lam):
-        return float(_sigmoid(ell + lam).sum()) - observed
+        return float((w * _sigmoid(ell + lam)).sum()) - observed
 
     lam = 0.0
     if abs(resid(0.0)) > cal_tol:

@@ -221,17 +221,20 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
 
 def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
                  mask: np.ndarray, c: ScoreConstants,
-                 with_inter: bool = True) -> Pattern | None:
+                 with_inter: bool = True, edges: int | None = None) -> Pattern | None:
     """Score the single-subgroup pattern of a description's extension.
 
-    Returns None when the extension has fewer than 2 vertices.
+    ``edges`` is the number of edges inside the extension when the caller
+    has already counted it.  Returns None when the extension has fewer than
+    2 vertices.
     """
     ids = np.flatnonzero(mask)
     s = ids.size
     if s < 2:
         return None
     ordered_sum, overlap_sum = model.pair_sums(ids, ids)
-    edges = g.count_edges_between(mask, mask)
+    if edges is None:
+        edges = g.count_edges_between(mask, mask)
     if g.directed:
         slots = s * (s - 1)
         sum_distinct = ordered_sum
@@ -246,12 +249,15 @@ def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
     q = k_w / n_w
     ic = information_content(n_w, k_w, p_w)
     dl = description_length(len(desc), None, c)
+    # crossing edges from the degree sum: each inner edge adds 2 to it and each
+    # crossing edge 1, also when directed
+    inter = int(g.degrees()[ids].sum()) - 2 * edges if with_inter else None
     return Pattern(w1=desc, w2=None, direction=0 if q >= p_w else 1,
                    k_w=k_w, n_w=n_w, p_w=p_w, ic=ic, dl=dl, si=si_value(ic, dl),
                    size1=s, size2=s, overlap=s, edges=edges, pair_slots=slots,
                    expected_edges=p_w * slots, convention=conv, ext1_ids=ids,
                    ext2_ids=None,
-                   inter_edges=g.inter_edge_count(mask) if with_inter else None)
+                   inter_edges=inter)
 
 
 def score_bi(g: AttributedGraph, model: BackgroundModel, w1: Description,

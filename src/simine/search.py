@@ -210,8 +210,8 @@ def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
     the result merges all rounds' survivors, ranked by SI.
     """
     def scorer(cand):
-        desc, mask, _size = cand
-        return score_single(g, model, desc, mask, cfg.constants)
+        desc, mask, _size, edges = cand
+        return score_single(g, model, desc, mask, cfg.constants, edges=edges)
 
     return _single_engine(g, selectors, cfg, scorer, progress, cancel)
 
@@ -241,18 +241,22 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
                     edge_surplus_alpha: float = 1.0 / 3.0,
                     progress=None, cancel=None) -> list[BaselineResult]:
     """Beam search with one of the objective measures as the ranking score."""
+    deg = g.degrees()
+
     def scorer(cand):
-        desc, mask, size = cand
+        desc, mask, size, edges = cand
         vals = baseline_scores(g, mask, edge_surplus_alpha=edge_surplus_alpha)
         return BaselineResult(w=desc, measure=measure, value=vals[measure], size=size,
-                              edges=g.count_edges_between(mask, mask),
-                              inter_edges=g.inter_edge_count(mask))
+                              edges=edges, inter_edges=int(deg[mask].sum()) - 2 * edges)
 
     return _single_engine(g, selectors, cfg, scorer, progress, cancel)
 
 
 def _single_engine(g, selectors, cfg, scorer, progress, cancel):
+    """Level-wise beam search; ``scorer`` gets (description, mask, size, inner
+    edge count) per candidate."""
     masks = _selector_masks(g, selectors)
+    edges = g.edges
     min_size = max(2, cfg.min_extension_size)
     beam_rows = [(EMPTY_DESCRIPTION, np.ones(g.n, dtype=bool), g.n)]
     collected: dict[str, object] = {}
@@ -263,10 +267,16 @@ def _single_engine(g, selectors, cfg, scorer, progress, cancel):
         seen: set[str] = set()
         candidates = []
         for desc, mask, size in beam_rows:
-            candidates.extend(_expand(desc, mask, size, selectors, masks, min_size, seen))
+            # a child's inner edges are among its parent's: count over those
+            inner = edges[mask[edges[:, 0]] & mask[edges[:, 1]]]
+            e0, e1 = inner[:, 0], inner[:, 1]
+            for child, cmask, csize in _expand(desc, mask, size, selectors, masks,
+                                               min_size, seen):
+                candidates.append((child, cmask, csize,
+                                   int(np.count_nonzero(cmask[e0] & cmask[e1]))))
         results = _score_many(scorer, candidates, cfg.threads)
         beam = Beam(cfg.beam_width)
-        for (desc, mask, size), res in zip(candidates, results):
+        for (desc, mask, size, _edges), res in zip(candidates, results):
             if res is None:
                 continue
             scored_any = True

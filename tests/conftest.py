@@ -45,17 +45,58 @@ def star5():
     return AttributedGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
 
 
-def random_graph(seed, n=None, p=None, attrs=(("a", 2), ("b", 2), ("c", 2), ("d", 2))):
+def random_graph(seed, n=None, p=None, attrs=(("a", 2), ("b", 2), ("c", 2), ("d", 2)),
+                 directed=False):
     """Random G(n, p) with random nominal attributes; always has an edge."""
     rng = np.random.default_rng(seed)
     n = n or int(rng.integers(12, 41))
     p = p or float(rng.uniform(0.1, 0.4))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    edges = [(u, v) for u in range(n) for v in range(n)
+             if (u != v if directed else u < v) and rng.random() < p]
     if not edges:
         edges = [(0, 1)]
     cols = [AttributeColumn(name, "nominal", [f"v{x}" for x in rng.integers(0, k, size=n)])
             for name, k in attrs]
-    return AttributedGraph(n, edges, columns=cols)
+    return AttributedGraph(n, edges, directed=directed, columns=cols)
+
+
+def dense_probabilities(model, rows, cols):
+    """Reference edge probabilities for the rows x cols grid (diagonal
+    included), built per vertex from the model's raw multipliers, partition
+    bins and update ledger rather than from its class table."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    L = model.offset + model.lam_row[rows][:, None] + model.lam_col[cols][None, :]
+    for part in model.partitions:
+        L = L + part.gammas[part.bins[rows][:, None], part.bins[cols][None, :]]
+    for upd in model.updates:
+        r_in = np.isin(rows, upd.rows)
+        c_in = np.isin(cols, upd.cols)
+        member = r_in[:, None] & c_in[None, :]
+        if not model.directed:
+            member |= np.isin(rows, upd.cols)[:, None] & np.isin(cols, upd.rows)[None, :]
+        L = L + upd.lam * member
+    return np.clip(1.0 / (1.0 + np.exp(-L)), 1e-12, 1.0 - 1e-12)
+
+
+def dense_pair_sums(model, rows, cols):
+    """Reference for ``BackgroundModel.pair_sums`` by summing the dense grid."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    P = dense_probabilities(model, rows, cols)
+    ordered = float(P[rows[:, None] != cols[None, :]].sum())
+    if model.directed:
+        return ordered, 0.0
+    common = np.intersect1d(rows, cols)
+    Q = dense_probabilities(model, common, common)
+    return ordered, float(Q[common[:, None] != common[None, :]].sum())
+
+
+def distinct_pairs(rows, cols, directed):
+    """Every distinct vertex pair spanned by two vertex sets, listed once."""
+    pairs = {(int(u), int(v)) if directed else (min(int(u), int(v)), max(int(u), int(v)))
+             for u in rows for v in cols if u != v}
+    return sorted(pairs)
 
 
 def enumerate_descriptions(g, selectors, max_len, min_size):

@@ -298,6 +298,17 @@ class TestPatternUpdate:
         assert expect * n_w == pytest.approx(25, abs=1e-6 * n_w)
 
 
+def _shared_class_member(blob):
+    """A vertex whose class has another member."""
+    classes = blob["classes"]
+    return next(u for u, c in enumerate(classes) if classes.count(c) > 1)
+
+
+def _move_to_other_bin(blob, u):
+    bins = blob["partitions"][0]["bins"]
+    bins[u] = (bins[u] + 1) % len(blob["partitions"][0]["bin_values"])
+
+
 class TestSerialization:
     def test_replay_identical(self, tmp_path):
         g = random_graph(37, n=40, attrs=(("grp", 3), ("b", 2)))
@@ -310,6 +321,54 @@ class TestSerialization:
         ids = np.arange(g.n)
         assert np.array_equal(m.probabilities(ids, ids), m2.probabilities(ids, ids))
         assert m2.prior == m.prior
-        # the file itself is valid versioned JSON
+        # the file itself is valid versioned JSON with a class id per vertex
         blob = json.loads(path.read_text())
-        assert blob["format"] == "simine-model" and blob["version"] == 1
+        assert blob["format"] == "simine-model" and blob["version"] == 2
+        assert len(blob["classes"]) == g.n and len(blob["lam_row"]) == m.n_classes
+
+    def test_replay_identical_directed(self, tmp_path):
+        g = random_graph(41, n=30, directed=True)
+        m = fit_degree_prior(g, tol=1e-6)
+        m = update_with_pattern(m, FakePattern(np.arange(0, 12), np.arange(6, 20), edges=30))
+        path = tmp_path / "model.json"
+        m.save(path)
+        m2 = BackgroundModel.load(path)
+        ids = np.arange(g.n)
+        assert np.array_equal(m.probabilities(ids, ids), m2.probabilities(ids, ids))
+
+    @staticmethod
+    def _blob():
+        g = random_graph(43, n=20, attrs=(("grp", 3),))
+        m = fit_block_prior(g, ["grp"], with_degrees=True)
+        m = update_with_pattern(m, FakePattern(np.arange(0, 6), np.arange(4, 12), edges=9))
+        return json.loads(json.dumps(m.to_dict()))
+
+    def test_v1_file_rejected(self):
+        blob = self._blob()
+        blob["version"] = 1
+        with pytest.raises(ValueError, match=r"version 1 .*re-run `simine fit`"):
+            BackgroundModel.from_dict(blob)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda b: b.update(classes=b["classes"][:-1]), "expected n=20"),
+        (lambda b: b["classes"].__setitem__(0, len(b["lam_row"])), "class ids must lie"),
+        (lambda b: b["classes"].__setitem__(0, -1), "class ids must lie"),
+        (lambda b: b["classes"].__setitem__(0, 0.5), "class ids must be integers"),
+        (lambda b: b["lam_row"].append(0.0), "at least one vertex"),
+        (lambda b: b["partitions"][0]["bins"].__setitem__(0, 3), "need n bins in"),
+        (lambda b: b["partitions"][0].update(bins=b["partitions"][0]["bins"][:5]),
+         "need n bins in"),
+        (lambda b: b["lam_row"].__setitem__(0, float("nan")), "finite"),
+        (lambda b: b["partitions"][0]["gammas"][0].__setitem__(0, float("inf")), "finite"),
+        (lambda b: b["updates"][0].update(lam=float("nan")), "finite"),
+        (lambda b: b["updates"][0].update(rows=[25]), r"update vertex ids"),
+        (lambda b: b.update(lam_col=b["lam_row"]), "tie column multipliers"),
+        (lambda b: _move_to_other_bin(b, _shared_class_member(b)),
+         "differ within a vertex class"),
+        (lambda b: b.pop("classes"), "malformed model file"),
+    ])
+    def test_malformed_file_rejected(self, corrupt, message):
+        blob = self._blob()
+        corrupt(blob)
+        with pytest.raises(ValueError, match=message):
+            BackgroundModel.from_dict(blob)

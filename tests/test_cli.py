@@ -62,8 +62,24 @@ class TestFit:
         assert code == 0
         rec = records(out)[0]
         assert rec["type"] == "fit" and rec["max_residual"] <= 1e-4
+        # one vertex class per distinct degree
+        g = load_graph(synth_files + ".edges", synth_files + ".attrs.csv")
+        assert rec["classes"] == len(set(g.degrees().tolist()))
         model = BackgroundModel.load(model_path)
-        assert model.prior == "degree"
+        assert model.prior == "degree" and model.n_classes == rec["classes"]
+
+    def test_v1_model_file_rejected(self, synth_files, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        run_cli(capsys, "fit", "--edges", synth_files + ".edges",
+                "--attrs", synth_files + ".attrs.csv",
+                "--prior", "degree", "--output", str(model_path))
+        blob = json.loads(model_path.read_text())
+        blob["version"] = 1
+        model_path.write_text(json.dumps(blob))
+        code, _, err = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
+                               "--attrs", synth_files + ".attrs.csv",
+                               "--model", str(model_path), "--mode", "single")
+        assert code == 1 and "version 1" in err and "re-run `simine fit`" in err
 
     def test_density_prior(self, synth_files, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")

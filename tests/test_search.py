@@ -133,6 +133,20 @@ class TestSingleSearch:
         b = [(p.render(), p.si) for p in beam_search_single(g, model, sels, cfg)]
         assert a == b
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_counts_from_parent_edges(self, directed):
+        # depth-2 children count their edges over the parent's inner edges
+        # and derive inter-edges from degree sums; both match full scans
+        g = random_graph(29, n=40, directed=directed)
+        model = fit_degree_prior(g)
+        pats = beam_search_single(g, model, generate_selectors(g),
+                                  SearchConfig(beam_width=8, depth=2))
+        assert any(len(p.w1) == 2 for p in pats)
+        for p in pats:
+            mask = g.as_mask(p.ext1_ids)
+            assert p.edges == g.count_edges_between(mask, mask)
+            assert p.inter_edges == g.inter_edge_count(mask)
+
     def test_empty_when_extensions_tiny(self):
         g = attr_graph(4, [(0, 1), (2, 3)], b=["0", "1", "2", "3"])
         model = fit_density_prior(g, 0.5)
