@@ -7,22 +7,41 @@ from .graph import (AttributedGraph, AttributeColumn, GraphFormatError,
 from .descriptions import (Description, DescriptionError, EMPTY_DESCRIPTION,
                            EqualsSelector, RangeSelector, Selector,
                            SelectorConfig, extension, generate_selectors,
-                           parse_description, parse_selector, refine,
-                           selector_mask)
+                           parse_description, parse_selector, selector_mask)
 from .background import (BackgroundModel, FitError, PartitionGammas,
                          PatternUpdate, block_mean_probability,
                          fit_block_prior, fit_degree_prior, fit_density_prior,
-                         update_with_pattern)
+                         pair_universe, update_with_pattern)
 from .scores import (MEASURE_NAMES, Pattern, ScoreConstants, baseline_scores,
                      description_length, exact_tail_probability,
-                     information_content, kl_bernoulli, n_w_bi,
-                     n_w_bi_ordered, n_w_single, rescore, resolve_pair_counting,
-                     score_bi, score_single, score_single_counts, si_value,
+                     information_content, kl_bernoulli, rescore, score_bi,
+                     score_single, score_single_counts,
                      subjective_interestingness)
 from .search import (BaselineResult, Beam, BeamEntry, IterationResult,
-                     SearchCancelled, SearchConfig, add_if_required,
-                     baseline_search, beam_search_single, iterate,
-                     nested_beam_search)
+                     SearchConfig, baseline_search, beam_search_single,
+                     iterate, nested_beam_search)
 from .synth import PlantedBlock, SynthConfig, generate_synthetic
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # graphs and attributes
+    "AttributedGraph", "AttributeColumn", "GraphFormatError", "LoadOptions",
+    "NOMINAL", "NUMERIC", "load_graph", "save_graph",
+    # descriptions
+    "Description", "DescriptionError", "EMPTY_DESCRIPTION", "EqualsSelector",
+    "RangeSelector", "Selector", "SelectorConfig", "extension",
+    "generate_selectors", "parse_description", "parse_selector", "selector_mask",
+    # background models
+    "BackgroundModel", "FitError", "PartitionGammas", "PatternUpdate",
+    "block_mean_probability", "fit_block_prior", "fit_degree_prior",
+    "fit_density_prior", "pair_universe", "update_with_pattern",
+    # scoring
+    "MEASURE_NAMES", "Pattern", "ScoreConstants", "baseline_scores",
+    "description_length", "exact_tail_probability", "information_content",
+    "kl_bernoulli", "rescore", "score_bi", "score_single", "score_single_counts",
+    "subjective_interestingness",
+    # search
+    "BaselineResult", "Beam", "BeamEntry", "IterationResult", "SearchConfig",
+    "baseline_search", "beam_search_single", "iterate", "nested_beam_search",
+    # synthetic data
+    "PlantedBlock", "SynthConfig", "generate_synthetic",
+]

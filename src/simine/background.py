@@ -56,6 +56,7 @@ __all__ = [
     "fit_degree_prior",
     "fit_block_prior",
     "update_with_pattern",
+    "pair_universe",
     "block_mean_probability",
 ]
 
@@ -746,7 +747,26 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
     return model.copy_with_update(upd)
 
 
-def block_mean_probability(model: BackgroundModel, a, b, n_vertices=None):
+def pair_universe(a: int, b: int, overlap: int, convention: str) -> int:
+    """Number of vertex pairs u != v between two sets of sizes ``a`` and ``b``
+    that share ``overlap`` vertices.
+
+    A single set of size s is the case a == b == overlap == s.  "ordered"
+    counts ordered pairs, a*b - overlap; "unordered" counts each unordered
+    pair once, a*b - overlap*(overlap+1)/2.  Over the same pairs,
+    ``pair_sums`` gives the probability mass as ``ordered_sum`` and
+    ``ordered_sum - overlap_sum / 2`` respectively.
+    """
+    if not 0 <= overlap <= min(a, b):
+        raise ValueError("overlap cannot exceed either subgroup size")
+    if convention == "ordered":
+        return a * b - overlap
+    if convention == "unordered":
+        return a * b - overlap * (overlap + 1) // 2
+    raise ValueError(f"unknown convention {convention!r}")
+
+
+def block_mean_probability(model: BackgroundModel, a, b):
     """Mean probability over the distinct pairs spanned by vertex sets a, b.
 
     Returns ``(p_w, n_w)`` where ``n_w`` counts each unordered pair once for
@@ -754,13 +774,9 @@ def block_mean_probability(model: BackgroundModel, a, b, n_vertices=None):
     """
     rows = np.asarray(a, dtype=np.int64)
     cols = np.asarray(b, dtype=np.int64)
-    overlap = int(np.intersect1d(rows, cols).size)
-    if model.directed:
-        n_w = rows.size * cols.size - overlap
-    else:
-        n_w = rows.size * cols.size - overlap * (overlap + 1) // 2
+    n_w = pair_universe(rows.size, cols.size, int(np.intersect1d(rows, cols).size),
+                        "ordered" if model.directed else "unordered")
     if n_w <= 0:
         raise ValueError("pair universe is empty for the given sets")
     ordered, over = model.pair_sums(rows, cols)
-    total = ordered - over / 2.0
-    return total / n_w, int(n_w)
+    return (ordered - over / 2.0) / n_w, n_w

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 
@@ -74,14 +73,27 @@ def _add_search_args(p):
     p.add_argument("--disjoint", action="store_true",
                    help="require disjoint extensions")
     p.add_argument("--min-size", type=int, default=1)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("SIMINE_THREADS", "1")))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that keeps its own map from destination to action,
+    so a config file value can be typed by the action of its flag."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="simine",
-                                     description="Subjectively interesting subgroup "
-                                                 "patterns in attributed graphs")
+    """The ``simine`` parser and its subcommand parsers by name."""
+    parser = _Parser(prog="simine",
+                     description="Subjectively interesting subgroup patterns in "
+                                 "attributed graphs")
     parser.add_argument("--version", action="version", version=f"simine {__version__}")
     parser.add_argument("--config", default=None,
                         help="key=value config file; flags override it")
@@ -104,7 +116,6 @@ def build_parser():
     p.add_argument("--top", type=int, default=0, help="cap printed patterns (0 = all)")
     p.add_argument("--output", default="-")
     p.add_argument("--table", action="store_true", help="also print an aligned table")
-    p.add_argument("--seed", type=int, default=0, help="echoed into the report")
 
     p = sub.add_parser("baselines", help="rank subgroups by objective measures")
     _add_data_args(p)
@@ -115,7 +126,6 @@ def build_parser():
     p.add_argument("--top", type=int, default=4)
     p.add_argument("--output", default="-")
     p.add_argument("--table", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("synth", help="generate a synthetic planted-block dataset")
     p.add_argument("--n", type=int, default=400)
@@ -137,46 +147,61 @@ def build_parser():
     p.add_argument("--mode", default="single", help="single | bi")
     p.add_argument("--sizes", default="50,100,200,400")
     p.add_argument("--output", default="-")
-    p.add_argument("--seed", type=int, default=0)
-    return parser
+    return parser, sub.choices
 
 
 _CONFIG_BOOL = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
 
 
-def _apply_config_file(parser, argv):
+def _config_pairs(path):
+    """``(line number, key, value)`` of every ``key=value`` line of a config file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise InputError(f"{path}:{lineno}: expected key=value")
+            key, _, value = line.partition("=")
+            yield lineno, key.strip().replace("-", "_"), value.strip()
+
+
+def _config_defaults(parser, path, pairs):
+    """The config file's values for the flags of one parser, each typed and
+    stored by its flag's own action; keys the parser lacks are skipped."""
+    ns = argparse.Namespace()
+    for lineno, key, text in pairs:
+        action = parser.flags.get(key)
+        if action is None or action.default == argparse.SUPPRESS:
+            continue
+        where = f"{path}:{lineno}: {key}"
+        if action.nargs == 0:  # a switch such as --tab
+            if text.lower() not in _CONFIG_BOOL:
+                raise InputError(f"{where}: expected true or false, got {text!r}")
+            if _CONFIG_BOOL[text.lower()]:
+                action(parser, ns, None)
+            continue
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError:
+            raise InputError(f"{where}: invalid value {text!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise InputError(f"{where}: {value!r} is not one of {list(action.choices)}")
+        action(parser, ns, value)
+    return vars(ns)
+
+
+def _apply_config_file(parser, commands, argv):
     """Pre-scan for --config and install its key=value pairs as defaults."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return
-    defaults = {}
-    with open(known.config, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"{known.config}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if value.lower() in _CONFIG_BOOL:
-                defaults[key] = _CONFIG_BOOL[value.lower()]
-            else:
-                try:
-                    defaults[key] = int(value)
-                except ValueError:
-                    try:
-                        defaults[key] = float(value)
-                    except ValueError:
-                        defaults[key] = value
-    parser.set_defaults(**defaults)
-    for action in parser._subparsers._group_actions[0].choices.values():
-        action.set_defaults(**{k: v for k, v in defaults.items()
-                               if k in {a.dest for a in action._actions}})
+    pairs = list(_config_pairs(known.config))
+    for p in (parser, *commands.values()):
+        p.set_defaults(**_config_defaults(p, known.config, pairs))
 
 
 def _load_graph(args):
@@ -224,8 +249,7 @@ def _search_config(args):
                         require_disjoint_extensions=args.disjoint,
                         min_extension_size=args.min_size,
                         constants=ScoreConstants(alpha=args.alpha, beta=args.beta,
-                                                 pair_counting=args.pair_counting),
-                        threads=max(1, args.threads))
+                                                 pair_counting=args.pair_counting))
 
 
 class _Out:
@@ -291,9 +315,31 @@ def _run_header(args, g, model, extra=None):
     rec = {"type": "run", "command": args.command, "n": g.n, "m": g.m,
            "directed": g.directed, "prior": getattr(model, "prior", None),
            "alpha": args.alpha, "beta": args.beta,
-           "pair_counting": args.pair_counting, "seed": args.seed}
+           "pair_counting": args.pair_counting}
     rec.update(extra or {})
     return rec
+
+
+def _mine(args, g, model, selectors, cfg):
+    """Run the search ``--mode`` names; returns its header fields and the
+    ranked patterns of each round (one round unless iterating)."""
+    mode = args.mode
+    nested = {"x1": args.x1, "x2": args.x2, "depth": args.depth,
+              "selectors": len(selectors), "shared_attr": args.shared_attr,
+              "disjoint": args.disjoint}
+    if mode == "single":
+        return ({"width": args.width, "depth": args.depth, "selectors": len(selectors)},
+                [beam_search_single(g, model, selectors, cfg)])
+    if mode == "bi":
+        return nested, [nested_beam_search(g, model, selectors, cfg)]
+    if mode.startswith("iterate:"):
+        try:
+            rounds = int(mode.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"bad mode {mode!r}") from None
+        result = iterate(g, model, selectors, cfg, rounds=rounds, absorb=args.absorb)
+        return {"rounds": rounds, "absorb": args.absorb, **nested}, result.rounds
+    raise InputError(f"unknown mode {mode!r}")
 
 
 def cmd_mine(args):
@@ -302,62 +348,25 @@ def cmd_mine(args):
     selectors = generate_selectors(g, SelectorConfig(numeric_bins=args.numeric_bins))
     cfg = _search_config(args)
     out = _Out(args.output)
-    mode = args.mode
-    table_rows = []
     try:
-        if mode == "single":
-            patterns = beam_search_single(g, model, selectors, cfg)
-            out.record(_run_header(args, g, model,
-                                   {"mode": mode, "width": args.width,
-                                    "depth": args.depth, "selectors": len(selectors)}))
-            if args.top:
-                patterns = patterns[:args.top]
-            for i, pat in enumerate(patterns, start=1):
-                out.record(_pattern_record(pat, i))
-                table_rows.append([i, str(pat.w1), pat.size1, pat.direction,
-                                   pat.edges, f"{pat.expected_edges:.3f}", f"{pat.si:.3f}"])
-            if args.table:
-                _print_table(table_rows,
-                             ["rank", "w1", "size", "I", "k_w", "pw_nw", "si"])
-            return EXIT_OK if patterns else EXIT_EMPTY
-        if mode == "bi":
-            patterns = nested_beam_search(g, model, selectors, cfg)
-            out.record(_run_header(args, g, model,
-                                   {"mode": mode, "x1": args.x1, "x2": args.x2,
-                                    "depth": args.depth, "selectors": len(selectors),
-                                    "shared_attr": args.shared_attr,
-                                    "disjoint": args.disjoint}))
-            if args.top:
-                patterns = patterns[:args.top]
-            for i, pat in enumerate(patterns, start=1):
-                out.record(_pattern_record(pat, i))
-                table_rows.append([i, str(pat.w1), str(pat.w2), pat.size1, pat.size2,
-                                   pat.direction, pat.edges,
-                                   f"{pat.expected_edges:.3f}", f"{pat.si:.3f}"])
-            if args.table:
-                _print_table(table_rows, ["rank", "w1", "w2", "size1", "size2",
-                                          "I", "k_w", "pw_nw", "si"])
-            return EXIT_OK if patterns else EXIT_EMPTY
-        if mode.startswith("iterate:"):
-            try:
-                rounds = int(mode.split(":", 1)[1])
-            except ValueError:
-                raise InputError(f"bad mode {mode!r}") from None
-            result = iterate(g, model, selectors, cfg, rounds=rounds, absorb=args.absorb)
-            out.record(_run_header(args, g, model,
-                                   {"mode": mode, "rounds": rounds, "absorb": args.absorb,
-                                    "x1": args.x1, "x2": args.x2, "depth": args.depth,
-                                    "selectors": len(selectors),
-                                    "shared_attr": args.shared_attr,
-                                    "disjoint": args.disjoint}))
-            any_pattern = False
-            for t, patterns in enumerate(result.rounds, start=1):
-                shown = patterns[:args.top] if args.top else patterns
-                for i, pat in enumerate(shown, start=1):
-                    any_pattern = True
-                    out.record(_pattern_record(pat, i, round_no=t))
-            return EXIT_OK if any_pattern else EXIT_EMPTY
-        raise InputError(f"unknown mode {mode!r}")
+        fields, rounds = _mine(args, g, model, selectors, cfg)
+        out.record(_run_header(args, g, model, {"mode": args.mode, **fields}))
+        iterating = args.mode.startswith("iterate:")
+        single = args.mode == "single"
+        headers = (["rank", "w1"] + (["size"] if single else ["w2", "size1", "size2"])
+                   + ["I", "k_w", "pw_nw", "si"])
+        table_rows = []
+        for t, patterns in enumerate(rounds, start=1):
+            shown = patterns[:args.top] if args.top else patterns
+            for i, pat in enumerate(shown, start=1):
+                out.record(_pattern_record(pat, i, round_no=t if iterating else None))
+                sides = [pat.size1] if single else [str(pat.w2), pat.size1, pat.size2]
+                row = [i, str(pat.w1), *sides, pat.direction, pat.edges,
+                       f"{pat.expected_edges:.3f}", f"{pat.si:.3f}"]
+                table_rows.append([t, *row] if iterating else row)
+        if args.table:
+            _print_table(table_rows, ["round", *headers] if iterating else headers)
+        return EXIT_OK if table_rows else EXIT_EMPTY
     finally:
         out.close()
 
@@ -375,7 +384,7 @@ def cmd_baselines(args):
         out.record({"type": "run", "command": "baselines", "n": g.n, "m": g.m,
                     "measures": measures, "width": args.width, "depth": args.depth,
                     "edge_surplus_alpha": args.edge_surplus_alpha,
-                    "selectors": len(selectors), "seed": args.seed})
+                    "selectors": len(selectors)})
         any_row = False
         for measure in measures:
             results = baseline_search(g, selectors, cfg, measure,
@@ -443,7 +452,7 @@ def cmd_bench(args):
     try:
         out.record({"type": "run", "command": "bench", "mode": args.mode,
                     "sizes": sizes, "selectors_available": len(selectors),
-                    "width": args.width, "depth": args.depth, "seed": args.seed})
+                    "width": args.width, "depth": args.depth})
         prev = None
         for size in sizes:
             subset = selectors[:size]
@@ -470,9 +479,9 @@ def cmd_bench(args):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        _apply_config_file(parser, argv)
+        _apply_config_file(parser, commands, argv)
         args = parser.parse_args(argv)
         logging.basicConfig(stream=sys.stderr,
                             level=logging.INFO if args.verbose else logging.WARNING,

@@ -33,7 +33,6 @@ __all__ = [
     "extension",
     "selector_mask",
     "generate_selectors",
-    "refine",
     "parse_selector",
     "parse_description",
 ]
@@ -125,11 +124,6 @@ class Description:
 EMPTY_DESCRIPTION = Description(())
 
 
-def refine(d: Description, s: Selector) -> Description:
-    """``d AND s`` in canonical order; rejects a second selector on one attribute."""
-    return d.with_selector(s)
-
-
 def selector_mask(s: Selector, g: AttributedGraph) -> np.ndarray:
     """Boolean extension of a single selector; missing values never match."""
     col = g.column(s.attribute)
@@ -137,7 +131,7 @@ def selector_mask(s: Selector, g: AttributedGraph) -> np.ndarray:
         if col.kind != NOMINAL:
             raise DescriptionError(
                 f"equality selector on non-nominal attribute {s.attribute!r}")
-        return np.array([v == s.value for v in col.values], dtype=bool)
+        return np.asarray(col.values == s.value, dtype=bool)
     if isinstance(s, RangeSelector):
         if col.kind != NUMERIC:
             raise DescriptionError(

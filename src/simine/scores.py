@@ -13,12 +13,15 @@ same value serves both the dense and the sparse direction because
 KL(q || p) = KL(1-q || 1-p).  Subjective interestingness is IC divided by
 the description length alpha * (#selectors) + beta.
 
-Pair-counting conventions: directed graphs always count ordered pairs.
-For undirected graphs the default ("auto") scores single-subgroup patterns
-over ordered pairs, s*(s-1) with the count doubled to match, and
-bi-subgroup patterns over distinct unordered pairs,
-|e1|*|e2| - o*(o+1)/2 with o the extension overlap.  Both can be forced
-via ``ScoreConstants.pair_counting``.
+Pair counting: a single-subgroup pattern is the bi-subgroup pattern with
+W1 = W2, so both are scored over the pairs of two extensions of sizes a and
+b that share o vertices (``pair_universe``).  The ordered convention counts
+a*b - o pairs, both orientations of each edge and the ordered probability
+mass; the unordered convention counts a*b - o*(o+1)/2 pairs, each edge once
+and the distinct-pair mass.  Directed graphs always use the ordered
+convention.  For undirected graphs the default ("auto") scores
+single-subgroup patterns in the ordered convention and bi-subgroup patterns
+in the unordered one; ``ScoreConstants.pair_counting`` can force either.
 """
 
 from __future__ import annotations
@@ -28,21 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .background import BackgroundModel, PROB_EPS
+from .background import PROB_EPS, BackgroundModel, pair_universe
 from .descriptions import Description
 from .graph import AttributedGraph
 
 __all__ = [
     "ScoreConstants",
     "Pattern",
-    "resolve_pair_counting",
-    "n_w_single",
-    "n_w_bi",
-    "n_w_bi_ordered",
     "kl_bernoulli",
     "information_content",
     "description_length",
-    "si_value",
     "score_single_counts",
     "score_single",
     "score_bi",
@@ -71,13 +69,13 @@ class ScoreConstants:
         if self.pair_counting not in ("auto", "ordered", "unordered"):
             raise ValueError(f"unknown pair counting {self.pair_counting!r}")
 
-
-def resolve_pair_counting(c: ScoreConstants, single: bool, directed: bool) -> str:
-    if directed:
-        return "ordered"
-    if c.pair_counting == "auto":
-        return "ordered" if single else "unordered"
-    return c.pair_counting
+    def convention(self, single: bool, directed: bool) -> str:
+        """The convention a pattern is scored in."""
+        if directed:
+            return "ordered"
+        if self.pair_counting == "auto":
+            return "ordered" if single else "unordered"
+        return self.pair_counting
 
 
 @dataclass(eq=False)
@@ -130,34 +128,6 @@ class Pattern:
 # -- elementary quantities -----------------------------------------------------
 
 
-def n_w_single(size: int, convention: str = "unordered") -> int:
-    """Maximum pair count inside one subgroup of the given size."""
-    if size < 2:
-        raise ValueError("single-subgroup patterns need at least 2 vertices")
-    if convention == "ordered":
-        return size * (size - 1)
-    if convention == "unordered":
-        return size * (size - 1) // 2
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def n_w_bi(a: int, b: int, overlap: int) -> int:
-    """Maximum number of distinct unordered pairs between two subgroups."""
-    if overlap > min(a, b) or min(a, b) < 0:
-        raise ValueError("overlap cannot exceed either subgroup size")
-    value = a * b - overlap * (overlap + 1) // 2
-    if value < 0:
-        raise AssertionError("negative pair count")
-    return value
-
-
-def n_w_bi_ordered(a: int, b: int, overlap: int) -> int:
-    """Maximum number of distinct ordered pairs between two subgroups."""
-    if overlap > min(a, b) or min(a, b) < 0:
-        raise ValueError("overlap cannot exceed either subgroup size")
-    return a * b - overlap
-
-
 def kl_bernoulli(q: float, p: float) -> float:
     """KL divergence between Bernoulli(q) and Bernoulli(p), natural log.
 
@@ -191,10 +161,6 @@ def description_length(len1: int, len2: int | None, c: ScoreConstants) -> float:
     return c.alpha * (len1 + len2) + c.beta
 
 
-def si_value(ic: float, dl: float) -> float:
-    return ic / dl
-
-
 def score_single_counts(size: int, edges: int, expected_edges: float,
                         c: ScoreConstants | None = None, description_size: int = 1,
                         directed: bool = False) -> dict:
@@ -204,105 +170,86 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
     ``edges`` (distinct edge slots).  Returns the full score breakdown.
     """
     c = c or ScoreConstants()
-    slots = n_w_single(size, "ordered" if directed else "unordered")
-    q = edges / slots
+    if size < 2:
+        raise ValueError("single-subgroup patterns need at least 2 vertices")
+    conv = c.convention(single=True, directed=directed)
+    slots = pair_universe(size, size, size, "ordered" if directed else "unordered")
+    n_w = pair_universe(size, size, size, conv)
+    k_w = edges * (n_w // slots)  # both orientations of each edge when ordered
     p = expected_edges / slots
-    conv = resolve_pair_counting(c, single=True, directed=directed)
-    mult = 2 if (conv == "ordered" and not directed) else 1
-    ic = information_content(mult * slots, mult * edges, p)
+    ic = information_content(n_w, k_w, p)
     dl = description_length(description_size, None, c)
-    return {"n_w": mult * slots, "k_w": mult * edges, "p_w": p, "ic": ic,
-            "dl": dl, "si": si_value(ic, dl), "i": 0 if q >= p else 1,
-            "convention": conv}
+    return {"n_w": n_w, "k_w": k_w, "p_w": p, "ic": ic, "dl": dl, "si": ic / dl,
+            "i": 0 if edges / slots >= p else 1, "convention": conv}
 
 
 # -- pattern construction --------------------------------------------------------
 
 
+def _score(g, model, c, w1, mask1, w2, mask2, edges=None) -> Pattern | None:
+    """Score the pattern (W1, W2) with extensions ``mask1``, ``mask2``; a
+    single-subgroup pattern has ``w2 is None`` and ``mask2 is mask1``.
+
+    ``k_w``/``n_w``/``p_w`` are counted in the scoring convention,
+    ``edges``/``pair_slots``/``expected_edges`` over distinct pairs (ordered
+    when directed), the units a report prints.
+    """
+    single = w2 is None
+    ids1 = np.flatnonzero(mask1)
+    if single:
+        ids2, o = ids1, ids1.size
+    else:
+        ids2 = np.flatnonzero(mask2)
+        o = int(np.count_nonzero(mask1 & mask2))
+    a, b = ids1.size, ids2.size
+    distinct = "ordered" if g.directed else "unordered"
+    slots = pair_universe(a, b, o, distinct)
+    if slots == 0:
+        return None
+    ordered_sum, overlap_sum = model.pair_sums(ids1, ids2)
+    distinct_sum = ordered_sum - overlap_sum / 2.0
+    if edges is None:
+        edges = g.count_edges_between(mask1, mask2)
+    conv = c.convention(single, g.directed)
+    if conv == distinct:
+        n_w, k_w, p_w = slots, edges, distinct_sum / slots
+    else:
+        # ordered pairs of an undirected graph: both orientations of each edge
+        n_w = pair_universe(a, b, o, "ordered")
+        k_w = 2 * edges if single else g.count_edge_orientations(mask1, mask2)
+        p_w = ordered_sum / n_w
+    ic = information_content(n_w, k_w, p_w)
+    dl = description_length(len(w1), None if single else len(w2), c)
+    # reports print the distinct-pair mass of undirected bi patterns as it
+    # is, and that of the others as p_w * slots
+    expected = p_w * slots if single or g.directed else distinct_sum
+    # crossing edges from the degree sum: each inner edge adds 2 to it and each
+    # crossing edge 1, also when directed
+    inter = int(g.degrees()[ids1].sum()) - 2 * edges if single else None
+    return Pattern(w1=w1, w2=w2, direction=0 if k_w / n_w >= p_w else 1,
+                   k_w=k_w, n_w=n_w, p_w=p_w, ic=ic, dl=dl, si=ic / dl,
+                   size1=a, size2=b, overlap=o, edges=edges, pair_slots=slots,
+                   expected_edges=expected, convention=conv, ext1_ids=ids1,
+                   ext2_ids=None if single else ids2, inter_edges=inter)
+
+
 def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
                  mask: np.ndarray, c: ScoreConstants,
-                 with_inter: bool = True, edges: int | None = None) -> Pattern | None:
+                 edges: int | None = None) -> Pattern | None:
     """Score the single-subgroup pattern of a description's extension.
 
     ``edges`` is the number of edges inside the extension when the caller
     has already counted it.  Returns None when the extension has fewer than
     2 vertices.
     """
-    ids = np.flatnonzero(mask)
-    s = ids.size
-    if s < 2:
-        return None
-    ordered_sum, overlap_sum = model.pair_sums(ids, ids)
-    if edges is None:
-        edges = g.count_edges_between(mask, mask)
-    if g.directed:
-        slots = s * (s - 1)
-        sum_distinct = ordered_sum
-    else:
-        slots = s * (s - 1) // 2
-        sum_distinct = ordered_sum - overlap_sum / 2.0
-    p_w = sum_distinct / slots
-    conv = resolve_pair_counting(c, single=True, directed=g.directed)
-    mult = 2 if (conv == "ordered" and not g.directed) else 1
-    n_w = mult * slots
-    k_w = mult * edges
-    q = k_w / n_w
-    ic = information_content(n_w, k_w, p_w)
-    dl = description_length(len(desc), None, c)
-    # crossing edges from the degree sum: each inner edge adds 2 to it and each
-    # crossing edge 1, also when directed
-    inter = int(g.degrees()[ids].sum()) - 2 * edges if with_inter else None
-    return Pattern(w1=desc, w2=None, direction=0 if q >= p_w else 1,
-                   k_w=k_w, n_w=n_w, p_w=p_w, ic=ic, dl=dl, si=si_value(ic, dl),
-                   size1=s, size2=s, overlap=s, edges=edges, pair_slots=slots,
-                   expected_edges=p_w * slots, convention=conv, ext1_ids=ids,
-                   ext2_ids=None,
-                   inter_edges=inter)
+    return _score(g, model, c, desc, mask, None, mask, edges)
 
 
 def score_bi(g: AttributedGraph, model: BackgroundModel, w1: Description,
              mask1: np.ndarray, w2: Description, mask2: np.ndarray,
              c: ScoreConstants) -> Pattern | None:
     """Score a bi-subgroup pattern; returns None when the pair universe is empty."""
-    ids1 = np.flatnonzero(mask1)
-    ids2 = np.flatnonzero(mask2)
-    a, b = ids1.size, ids2.size
-    if a < 1 or b < 1:
-        return None
-    o = int(np.count_nonzero(mask1 & mask2))
-    conv = resolve_pair_counting(c, single=False, directed=g.directed)
-    if g.directed:
-        slots = n_w_bi_ordered(a, b, o)
-        if slots == 0:
-            return None
-        ordered_sum, _ = model.pair_sums(ids1, ids2)
-        n_w, k_w = slots, g.count_edges_between(mask1, mask2)
-        p_w = ordered_sum / slots
-        edges = k_w
-        expected = p_w * slots
-    else:
-        slots = n_w_bi(a, b, o)
-        if slots == 0:
-            return None
-        ordered_sum, overlap_sum = model.pair_sums(ids1, ids2)
-        edges = g.count_edges_between(mask1, mask2)
-        if conv == "ordered":
-            n_w = n_w_bi_ordered(a, b, o)
-            k_w = g.count_edge_orientations(mask1, mask2)
-            p_w = ordered_sum / n_w
-        else:
-            n_w = slots
-            k_w = edges
-            p_w = (ordered_sum - overlap_sum / 2.0) / slots
-        expected = ordered_sum - overlap_sum / 2.0
-    q = k_w / n_w
-    ic = information_content(n_w, k_w, p_w)
-    dl = description_length(len(w1), len(w2), c)
-    return Pattern(w1=w1, w2=w2, direction=0 if q >= p_w else 1,
-                   k_w=k_w, n_w=n_w, p_w=p_w, ic=ic, dl=dl, si=si_value(ic, dl),
-                   size1=a, size2=b, overlap=o, edges=edges, pair_slots=slots,
-                   expected_edges=expected, convention=conv,
-                   ext1_ids=ids1, ext2_ids=ids2)
+    return _score(g, model, c, w1, mask1, w2, mask2)
 
 
 def rescore(g: AttributedGraph, model: BackgroundModel, w1: Description,

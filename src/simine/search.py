@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,17 +28,11 @@ __all__ = [
     "Beam",
     "BeamEntry",
     "BaselineResult",
-    "SearchCancelled",
-    "add_if_required",
     "beam_search_single",
     "baseline_search",
     "nested_beam_search",
     "iterate",
 ]
-
-
-class SearchCancelled(RuntimeError):
-    pass
 
 
 @dataclass
@@ -60,7 +53,6 @@ class SearchConfig:
     require_disjoint_extensions: bool = False
     min_extension_size: int = 1
     constants: ScoreConstants = field(default_factory=ScoreConstants)
-    threads: int = 1
 
     def __post_init__(self):
         if min(self.beam_width, self.x1, self.x2, self.depth) < 1:
@@ -102,9 +94,6 @@ class Beam:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def min_key(self):
-        return self.entries[-1].key if self.entries else None
 
     def distinct_groups(self) -> int:
         return len(self._group_counts)
@@ -159,12 +148,6 @@ class Beam:
         return len(self._group_counts) - 1 >= self.floor
 
 
-def add_if_required(beam: Beam, entry: BeamEntry) -> Beam:
-    """Insert a scored candidate if the beam discipline calls for it."""
-    beam.try_add(entry)
-    return beam
-
-
 # -- candidate generation -------------------------------------------------------
 
 
@@ -191,29 +174,21 @@ def _expand(parent_desc, parent_mask, parent_size, selectors, masks, min_size, s
     return out
 
 
-def _score_many(score_one, candidates, threads):
-    if threads > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(score_one, candidates))
-    return [score_one(c) for c in candidates]
-
-
 # -- single-subgroup search -------------------------------------------------------
 
 
 def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
-                       cfg: SearchConfig, progress=None, cancel=None) -> list[Pattern]:
+                       cfg: SearchConfig) -> list[Pattern]:
     """Classic level-wise beam search over descriptions, scored by SI.
 
     Each of ``cfg.depth`` rounds refines every beam entry with every
     admissible selector and keeps the ``cfg.beam_width`` best refinements;
     the result merges all rounds' survivors, ranked by SI.
     """
-    def scorer(cand):
-        desc, mask, _size, edges = cand
+    def scorer(desc, mask, _size, edges):
         return score_single(g, model, desc, mask, cfg.constants, edges=edges)
 
-    return _single_engine(g, selectors, cfg, scorer, progress, cancel)
+    return _single_engine(g, selectors, cfg, scorer)
 
 
 @dataclass(eq=False)
@@ -238,21 +213,19 @@ class BaselineResult:
 
 
 def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: str,
-                    edge_surplus_alpha: float = 1.0 / 3.0,
-                    progress=None, cancel=None) -> list[BaselineResult]:
+                    edge_surplus_alpha: float = 1.0 / 3.0) -> list[BaselineResult]:
     """Beam search with one of the objective measures as the ranking score."""
     deg = g.degrees()
 
-    def scorer(cand):
-        desc, mask, size, edges = cand
+    def scorer(desc, mask, size, edges):
         vals = baseline_scores(g, mask, edge_surplus_alpha=edge_surplus_alpha)
         return BaselineResult(w=desc, measure=measure, value=vals[measure], size=size,
                               edges=edges, inter_edges=int(deg[mask].sum()) - 2 * edges)
 
-    return _single_engine(g, selectors, cfg, scorer, progress, cancel)
+    return _single_engine(g, selectors, cfg, scorer)
 
 
-def _single_engine(g, selectors, cfg, scorer, progress, cancel):
+def _single_engine(g, selectors, cfg, scorer):
     """Level-wise beam search; ``scorer`` gets (description, mask, size, inner
     edge count) per candidate."""
     masks = _selector_masks(g, selectors)
@@ -261,29 +234,22 @@ def _single_engine(g, selectors, cfg, scorer, progress, cancel):
     beam_rows = [(EMPTY_DESCRIPTION, np.ones(g.n, dtype=bool), g.n)]
     collected: dict[str, object] = {}
     scored_any = False
-    for depth in range(cfg.depth):
-        if cancel and cancel():
-            raise SearchCancelled(f"cancelled before round {depth}")
+    for _ in range(cfg.depth):
         seen: set[str] = set()
-        candidates = []
+        beam = Beam(cfg.beam_width)
         for desc, mask, size in beam_rows:
             # a child's inner edges are among its parent's: count over those
             inner = edges[mask[edges[:, 0]] & mask[edges[:, 1]]]
             e0, e1 = inner[:, 0], inner[:, 1]
             for child, cmask, csize in _expand(desc, mask, size, selectors, masks,
                                                min_size, seen):
-                candidates.append((child, cmask, csize,
-                                   int(np.count_nonzero(cmask[e0] & cmask[e1]))))
-        results = _score_many(scorer, candidates, cfg.threads)
-        beam = Beam(cfg.beam_width)
-        for (desc, mask, size, _edges), res in zip(candidates, results):
-            if res is None:
-                continue
-            scored_any = True
-            beam.try_add(BeamEntry(res.sort_key(), str(desc), group=str(desc),
-                                   payload=(res, desc, mask, size)))
-        if progress:
-            progress("single", depth + 1, cfg.depth)
+                res = scorer(child, cmask, csize,
+                             int(np.count_nonzero(cmask[e0] & cmask[e1])))
+                if res is None:
+                    continue
+                scored_any = True
+                beam.try_add(BeamEntry(res.sort_key(), str(child), group=str(child),
+                                       payload=(res, child, cmask, csize)))
         if not len(beam):
             break
         beam_rows = [(e.payload[1], e.payload[2], e.payload[3]) for e in beam]
@@ -314,7 +280,7 @@ def _pair_constraints_ok(z1, z2, mask1, mask2, cfg):
 
 
 def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
-                       cfg: SearchConfig, progress=None, cancel=None) -> list[Pattern]:
+                       cfg: SearchConfig) -> list[Pattern]:
     """Nested beam search for bi-subgroup patterns.
 
     The outer beam explores W1 refinements; each refined W1 runs a fresh
@@ -349,8 +315,6 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
 
     expanded_any = False
     for depth in range(cfg.depth):
-        if cancel and cancel():
-            raise SearchCancelled(f"cancelled before round {depth}")
         if depth == 0:
             frontier = [(EMPTY_DESCRIPTION, full, g.n)]
         else:
@@ -362,18 +326,14 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
                     named.add(ident)
                     frontier.append(w1_masks[ident])
         seen1: set[str] = set()
-        z1_list = []
         for desc, mask, size in frontier:
-            z1_list.extend(_expand(desc, mask, size, selectors, masks, min_size, seen1))
-        inner_results = _score_many(lambda t: inner_search(t[0], t[1]), z1_list, cfg.threads)
-        for idx, ((z1, m1, s1), pats) in enumerate(zip(z1_list, inner_results)):
-            expanded_any = expanded_any or bool(pats)
-            w1_masks.setdefault(str(z1), (z1, m1, s1))
-            for pat in pats:
-                outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
-                                        group=str(pat.w1), payload=pat))
-            if progress:
-                progress("nested", idx + 1, len(z1_list))
+            for z1, m1, s1 in _expand(desc, mask, size, selectors, masks, min_size, seen1):
+                pats = inner_search(z1, m1)
+                expanded_any = expanded_any or bool(pats)
+                w1_masks.setdefault(str(z1), (z1, m1, s1))
+                for pat in pats:
+                    outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
+                                            group=str(pat.w1), payload=pat))
     if not expanded_any:
         log.warning("nested search produced no admissible (W1, W2) candidate "
                     "under the active constraints")
@@ -393,16 +353,14 @@ class IterationResult:
 
 
 def iterate(g: AttributedGraph, model0: BackgroundModel, selectors,
-            cfg: SearchConfig, rounds: int, absorb: int = 1,
-            progress=None, cancel=None) -> IterationResult:
+            cfg: SearchConfig, rounds: int, absorb: int = 1) -> IterationResult:
     """Iterative mining: absorb each round's top patterns, then mine again."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     model = model0
     out = IterationResult(rounds=[], models=[model0])
     for t in range(rounds):
-        patterns = nested_beam_search(g, model, selectors, cfg,
-                                      progress=progress, cancel=cancel)
+        patterns = nested_beam_search(g, model, selectors, cfg)
         if not patterns:
             log.warning("iteration %d returned no patterns; stopping early", t + 1)
             break

@@ -159,7 +159,7 @@ class TestMine:
     def test_byte_identical_reruns(self, synth_files, capsys):
         args = ["mine", "--edges", synth_files + ".edges",
                 "--attrs", synth_files + ".attrs.csv", "--prior", "degree",
-                "--mode", "bi", "--x1", "3", "--x2", "2", "--seed", "4"]
+                "--mode", "bi", "--x1", "3", "--x2", "2"]
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
@@ -172,6 +172,22 @@ class TestMine:
         assert code == 0
         rounds = {r["round"] for r in records(out) if r["type"] == "pattern"}
         assert rounds == {1, 2}
+
+    def test_iterate_mode_table(self, synth_files, capsys):
+        code, out, err = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
+                                 "--attrs", synth_files + ".attrs.csv",
+                                 "--prior", "degree", "--mode", "iterate:2",
+                                 "--x1", "3", "--x2", "2", "--top", "2", "--table")
+        assert code == 0
+        pats = [r for r in records(out) if r["type"] == "pattern"]
+        lines = err.strip().splitlines()
+        assert lines[0].split() == ["round", "rank", "w1", "w2", "size1", "size2",
+                                    "I", "k_w", "pw_nw", "si"]
+        rows = [line.split() for line in lines[1:]]
+        assert len(rows) == len(pats) == 4
+        # the table's round, rank, W1 and SI columns follow the report
+        assert [(r[0], r[1], r[2], r[-1]) for r in rows] == [
+            (str(p["round"]), str(p["rank"]), p["w1"], f"{p['si']:.3f}") for p in pats]
 
     def test_empty_exit_code(self, synth_files, capsys):
         code, out, _ = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
@@ -211,6 +227,32 @@ class TestMine:
         assert code == 0
         head = records(out)[0]
         assert head["x1"] == 3 and head["x2"] == 2  # flag wins, config fills
+        assert "seed" not in head
+
+    def test_config_values_typed_by_flag(self, synth_files, tmp_path, capsys):
+        # 1 and 0 are integers for integer flags and switch values for switches
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode=bi\nx1=1\nx2=1\ndepth=1\nprior=degree\n"
+                       "shared-attr=0\ndisjoint=1\nalpha=1\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "mine",
+                               "--edges", synth_files + ".edges",
+                               "--attrs", synth_files + ".attrs.csv")
+        assert code == 0
+        head = records(out)[0]
+        assert type(head["x2"]) is int and head["x2"] == 1
+        assert type(head["depth"]) is int and head["depth"] == 1
+        assert type(head["alpha"]) is float and head["alpha"] == 1.0
+        assert head["shared_attr"] is False and head["disjoint"] is True
+
+    def test_config_value_rejected_by_flag_type(self, synth_files, tmp_path, capsys):
+        for line in ("x2=two", "pair_counting=both", "disjoint=maybe"):
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(line + "\n")
+            code, _, err = run_cli(capsys, "--config", str(cfg), "mine",
+                                   "--edges", synth_files + ".edges",
+                                   "--attrs", synth_files + ".attrs.csv",
+                                   "--prior", "degree")
+            assert code == 1 and "bad.cfg:1" in err
 
     def test_output_file(self, synth_files, tmp_path, capsys):
         out_path = tmp_path / "report.jsonl"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from simine import (AttributeColumn, AttributedGraph, Description,
                     DescriptionError, EMPTY_DESCRIPTION, EqualsSelector,
                     RangeSelector, SelectorConfig, extension,
-                    generate_selectors, parse_description, refine)
+                    generate_selectors, parse_description, selector_mask)
 
 from conftest import random_graph
 
@@ -21,7 +21,7 @@ class TestExtension:
         assert extension(EMPTY_DESCRIPTION, fig_graph).all()
 
     def test_contradiction_forced(self, fig_graph):
-        # same-attribute contradictions are forbidden by refine, but a
+        # same-attribute contradictions are forbidden by with_selector, but a
         # directly-built description still evaluates to the empty set
         w = Description((EqualsSelector("b", "1"), EqualsSelector("b", "0")))
         assert not extension(w, fig_graph).any()
@@ -49,19 +49,28 @@ class TestExtension:
         assert not extension(Description((RangeSelector("x", 0.0, 9.0),)), g)[1]
         assert not extension(Description((EqualsSelector("b", "1"),)), g)[1]
 
+    def test_equality_mask_matches_per_value_reference(self):
+        values = ["1", None, "0", "None", "1", "", None, "10"]
+        g = AttributedGraph(len(values), [(0, 1)],
+                            columns=[AttributeColumn("b", "nominal", values)])
+        for value in ("1", "0", "None", "", "10", "2"):
+            got = selector_mask(EqualsSelector("b", value), g)
+            assert got.dtype == bool
+            assert got.tolist() == [v == value for v in values]
+
 
 class TestRefine:
     def test_refine_from_empty(self):
-        d = refine(EMPTY_DESCRIPTION, EqualsSelector("b", "1"))
+        d = EMPTY_DESCRIPTION.with_selector(EqualsSelector("b", "1"))
         assert len(d) == 1
 
     def test_same_attribute_rejected(self):
         d = Description((EqualsSelector("b", "1"),))
         with pytest.raises(DescriptionError, match="already constrained"):
-            refine(d, EqualsSelector("b", "0"))
+            d.with_selector(EqualsSelector("b", "0"))
 
     def test_refine_builds_example_description(self, fig_graph):
-        d = refine(Description((RangeSelector("a", 2.0, 4.0),)), EqualsSelector("b", "1"))
+        d = Description((RangeSelector("a", 2.0, 4.0),)).with_selector(EqualsSelector("b", "1"))
         assert sorted(np.flatnonzero(extension(d, fig_graph))) == [0, 1, 2, 3]
 
     def test_canonical_order_and_hash(self):
@@ -131,6 +140,6 @@ def test_refinement_monotone(seed, data):
     s1 = data.draw(st.sampled_from(sels))
     s2 = data.draw(st.sampled_from([s for s in sels if s.attribute != s1.attribute]))
     d1 = Description((s1,))
-    d2 = refine(d1, s2)
+    d2 = d1.with_selector(s2)
     m1, m2 = extension(d1, g), extension(d2, g)
-    assert not np.any(m2 & ~m1)  # extension(refine(d, s)) is a subset
+    assert not np.any(m2 & ~m1)  # extension(d ∧ s) is a subset

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simine import (AttributedGraph, ScoreConstants, baseline_scores,
-                    description_length, exact_tail_probability,
-                    fit_density_prior, fit_degree_prior, information_content,
-                    kl_bernoulli, n_w_bi, n_w_bi_ordered, n_w_single,
+from simine import (AttributedGraph, Description, ScoreConstants,
+                    baseline_scores, description_length,
+                    exact_tail_probability, extension, fit_density_prior,
+                    fit_degree_prior, generate_selectors, information_content,
+                    kl_bernoulli, pair_universe, score_bi, score_single,
                     score_single_counts)
 
 from conftest import brute_force_tail, random_graph
@@ -16,34 +17,72 @@ from conftest import brute_force_tail, random_graph
 
 class TestPairCounting:
     def test_single_unordered(self):
-        assert n_w_single(4) == 6
-        assert n_w_single(2) == 1
+        assert pair_universe(4, 4, 4, "unordered") == 6
+        assert pair_universe(2, 2, 2, "unordered") == 1
 
     def test_single_ordered(self):
-        assert n_w_single(78, "ordered") == 6006
+        assert pair_universe(78, 78, 78, "ordered") == 6006
 
     def test_single_too_small(self):
+        assert pair_universe(1, 1, 1, "unordered") == 0
+        assert pair_universe(1, 1, 1, "ordered") == 0
         with pytest.raises(ValueError):
-            n_w_single(1)
+            score_single_counts(size=1, edges=0, expected_edges=0.0)
 
     def test_bi_disjoint(self):
-        assert n_w_bi(3, 5, 0) == 15
+        assert pair_universe(3, 5, 0, "unordered") == 15
+        assert pair_universe(3, 5, 0, "ordered") == 15
 
     def test_bi_full_overlap_matches_single(self):
-        assert n_w_bi(4, 4, 4) == 6 == n_w_single(4)
+        assert pair_universe(4, 4, 4, "unordered") == 6 == 4 * 3 // 2
 
     def test_bi_partial_overlap(self):
         # sets {u, x} and {u, y}: distinct unordered cross pairs are
         # {u,x}, {u,y}, {x,y}
-        assert n_w_bi(2, 2, 1) == 3
+        assert pair_universe(2, 2, 1, "unordered") == 3
 
     def test_bi_ordered(self):
-        assert n_w_bi_ordered(2, 2, 1) == 3
-        assert n_w_bi_ordered(4, 4, 4) == 12
+        assert pair_universe(2, 2, 1, "ordered") == 3
+        assert pair_universe(4, 4, 4, "ordered") == 12
 
     def test_bi_overlap_bound(self):
+        for convention in ("ordered", "unordered"):
+            with pytest.raises(ValueError):
+                pair_universe(2, 3, 3, convention)
+            with pytest.raises(ValueError):
+                pair_universe(2, 3, -1, convention)
+
+    def test_unknown_convention(self):
         with pytest.raises(ValueError):
-            n_w_bi(2, 3, 3)
+            pair_universe(2, 3, 0, "both")
+
+    def test_convention_choice(self):
+        auto, unordered = ScoreConstants(), ScoreConstants(pair_counting="unordered")
+        assert auto.convention(single=True, directed=False) == "ordered"
+        assert auto.convention(single=False, directed=False) == "unordered"
+        assert unordered.convention(single=True, directed=False) == "unordered"
+        assert unordered.convention(single=False, directed=True) == "ordered"
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("counting", ["ordered", "unordered"])
+    def test_single_is_bi_with_equal_sides(self, directed, counting):
+        # a single-subgroup pattern is the bi pattern W1 = W2
+        g = random_graph(17, n=30, directed=directed)
+        model = fit_degree_prior(g)
+        c = ScoreConstants(pair_counting=counting)
+        scored = 0
+        for s in generate_selectors(g):
+            w = Description((s,))
+            m = extension(w, g)
+            single = score_single(g, model, w, m, c)
+            bi = score_bi(g, model, w, m, w, m, c)
+            if single is None:
+                assert bi is None
+                continue
+            assert (bi.n_w, bi.k_w, bi.p_w) == (single.n_w, single.k_w, single.p_w)
+            assert (bi.edges, bi.pair_slots) == (single.edges, single.pair_slots)
+            scored += 1
+        assert scored > 0
 
 
 class TestKL:

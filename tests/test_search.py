@@ -154,16 +154,6 @@ class TestSingleSearch:
         pats = beam_search_single(g, model, sels, SearchConfig(beam_width=4, depth=2))
         assert pats == []
 
-    def test_threads_match_serial(self):
-        g = random_graph(23, n=40)
-        model = fit_degree_prior(g)
-        sels = generate_selectors(g)
-        serial = beam_search_single(g, model, sels, SearchConfig(beam_width=6, depth=2))
-        threaded = beam_search_single(g, model, sels,
-                                      SearchConfig(beam_width=6, depth=2, threads=4))
-        assert [(p.render(), p.si) for p in serial] == [(p.render(), p.si)
-                                                        for p in threaded]
-
 
 class TestNestedSearch:
     def test_matches_exhaustive_on_tiny_instance(self):
