@@ -24,7 +24,8 @@ classes:
   with step damping, one coordinate per class weighted by class sizes
   (O(K^2) per sweep);
 * pair sums are weighted sums of the table over the class histograms of the
-  two vertex sets (O(|R| + |C| + K_R * K_C));
+  two vertex sets (O(|R| + |C| + K_R * K_C)); ``pair_sums_many`` takes one
+  row set against a batch of column sets as matrix products;
 * a pattern multiplier comes from bracketed bisection on the monotone
   calibration residual over class-pair weights; the updated model splits
   classes by membership in the pattern's rows and columns.
@@ -169,6 +170,7 @@ class BackgroundModel:
         self._check_and_index()
         k = self.n_classes
         self._P_off = self._P_diag = None  # class-pair table, diagonal split off
+        self._by_class = None  # vertex order by class and class starts in it
         if k * k <= _TABLE_CELLS:
             self._P_off = self._class_probs(np.arange(k), np.arange(k))
             self._P_diag = np.diag(self._P_off).copy()
@@ -305,17 +307,66 @@ class BackgroundModel:
         d = h_a * h_b - h_o
         if self._P_off is not None:
             return float(h_a @ (self._P_off @ h_b) + d @ self._P_diag)
-        ia, ib = np.flatnonzero(h_a), np.flatnonzero(h_b)
+        ib = np.flatnonzero(h_b)
         total = 0.0
+        for a, P, dc, dp in self._sub_tables(np.flatnonzero(h_a), ib):
+            total += float(d[dc] @ dp)
+            total += float(h_a[a] @ P @ h_b[ib])
+        return total
+
+    def _sub_tables(self, ia, ib):
+        """The class-pair table on the classes ``ia`` x ``ib`` in row chunks
+        of at most ``_TABLE_CELLS`` cells: ``(rows, off-diagonal block,
+        classes of the diagonal entries, their probabilities)`` per chunk."""
         step = max(1, _TABLE_CELLS // max(1, ib.size))
         for i in range(0, ia.size, step):
             a = ia[i:i + step]
             P = self._class_probs(a, ib)
             r, c = np.nonzero(a[:, None] == ib[None, :])
-            total += float(d[a[r]] @ P[r, c])
+            diag = P[r, c]
             P[r, c] = 0.0
-            total += float(h_a[a] @ P @ h_b[ib])
-        return total
+            yield a, P, a[r], diag
+
+    def class_histograms(self, masks) -> np.ndarray:
+        """Class histograms (float) of many vertex sets, one per row of the
+        (C, n) boolean array ``masks``."""
+        if self._by_class is None:
+            order = np.argsort(self.cls, kind="stable")
+            self._by_class = order, np.searchsorted(self.cls[order],
+                                                    np.arange(self.n_classes))
+        order, starts = self._by_class
+        return np.add.reduceat(masks[:, order], starts, axis=1).astype(np.float64)
+
+    def pair_sums_many(self, h_r, H_c, H_o):
+        """``pair_sums`` of one row set against many column sets, from class
+        histograms: ``h_r`` of the rows, one row of ``H_c`` per column set
+        and one row of ``H_o`` per intersection of a column set with the
+        rows.  Returns ``(ordered_sum, overlap_sum)`` arrays.
+
+        The sums equal ``pair_sums`` up to summation order, so they serve to
+        screen candidates; ``pair_sums`` remains the canonical computation.
+        """
+        if self._P_off is not None:
+            ordered = H_c @ (h_r @ self._P_off) + (H_c * h_r - H_o) @ self._P_diag
+            if self.directed:
+                return ordered, np.zeros(len(H_c))
+            return ordered, (((H_o @ self._P_off) * H_o).sum(axis=1)
+                             + (H_o * H_o - H_o) @ self._P_diag)
+        ic = np.flatnonzero(H_c.any(axis=0))
+        diag = np.zeros(self.n_classes)
+        to_cols = np.zeros(ic.size)
+        for a, P, dc, dp in self._sub_tables(np.flatnonzero(h_r), ic):
+            diag[dc] = dp
+            to_cols += h_r[a] @ P
+        ordered = H_c[:, ic] @ to_cols + (H_c * h_r - H_o) @ diag
+        if self.directed:
+            return ordered, np.zeros(len(H_c))
+        # the intersections' classes are among the rows' and the columns'
+        io = np.flatnonzero(H_o.any(axis=0))
+        overlap = (H_o * H_o - H_o) @ diag
+        for a, P, _, _ in self._sub_tables(io, io):
+            overlap += ((H_o[:, a] @ P) * H_o[:, io]).sum(axis=1)
+        return ordered, overlap
 
     def copy_with_update(self, upd: PatternUpdate) -> "BackgroundModel":
         """The model plus one absorbed pattern; classes split by membership in

@@ -164,15 +164,20 @@ def _config_pairs(path):
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            yield lineno, key.strip().replace("-", "_"), value.strip()
+            yield lineno, key.strip(), value.strip()
+
+
+def _dest(key):
+    return key.replace("-", "_")
 
 
 def _config_defaults(parser, path, pairs):
     """The config file's values for the flags of one parser, each typed and
-    stored by its flag's own action; keys the parser lacks are skipped."""
+    stored by its flag's own action; keys the parser lacks (flags of another
+    subcommand) are skipped."""
     ns = argparse.Namespace()
     for lineno, key, text in pairs:
-        action = parser.flags.get(key)
+        action = parser.flags.get(_dest(key))
         if action is None or action.default == argparse.SUPPRESS:
             continue
         where = f"{path}:{lineno}: {key}"
@@ -200,7 +205,11 @@ def _apply_config_file(parser, commands, argv):
     if not known.config:
         return
     pairs = list(_config_pairs(known.config))
-    for p in (parser, *commands.values()):
+    parsers = (parser, *commands.values())
+    for lineno, key, _ in pairs:
+        if not any(_dest(key) in p.flags for p in parsers):
+            raise InputError(f"{known.config}:{lineno}: unknown key {key!r}")
+    for p in parsers:
         p.set_defaults(**_config_defaults(p, known.config, pairs))
 
 
@@ -342,7 +351,13 @@ def _mine(args, g, model, selectors, cfg):
     raise InputError(f"unknown mode {mode!r}")
 
 
+def _check_top(args):
+    if args.top < 0:
+        raise InputError(f"--top must be >= 0, got {args.top}")
+
+
 def cmd_mine(args):
+    _check_top(args)
     g = _load_graph(args)
     model = _fit_model(args, g)
     selectors = generate_selectors(g, SelectorConfig(numeric_bins=args.numeric_bins))
@@ -372,6 +387,7 @@ def cmd_mine(args):
 
 
 def cmd_baselines(args):
+    _check_top(args)
     g = _load_graph(args)
     selectors = generate_selectors(g, SelectorConfig(numeric_bins=args.numeric_bins))
     cfg = _search_config(args)

@@ -6,9 +6,10 @@ Canonical text rendering (used in all reports, machine-parseable)::
     selector    := attr "=" value          -- equality on a nominal attribute
                  | attr "∈[" lo "," hi "]"  -- closed interval on a numeric attribute
 
-Attribute names and nominal values must not contain the tokens " ∧ ",
-"=" or "∈[".  Interval bounds are rendered with ``repr`` so they parse
-back to the exact same float.
+Attribute names must not contain " ∧ ", "=" or "∈[", nominal values must
+not contain " ∧ " or "∈[" nor end in " ∧", and neither may have surrounding
+whitespace; ``AttributedGraph`` rejects such data.  Interval bounds are
+rendered with ``repr`` so they parse back to the exact same float.
 """
 
 from __future__ import annotations

@@ -31,6 +31,33 @@ class GraphFormatError(ValueError):
     """Malformed edge/attribute files or invalid graph structure."""
 
 
+# text the description grammar (see ``simine.descriptions``) reserves: a
+# description joins selectors with " ∧ ", and a selector is name=value or
+# name∈[lo,hi]; a nominal value ending in " ∧" would run into the next " ∧ "
+_NAME_TOKENS = (" ∧ ", "=", "∈[")
+_VALUE_TOKENS = (" ∧ ", "∈[")
+
+
+def _check_grammar(col):
+    """Reject attribute names and nominal values that descriptions could not
+    render and parse back."""
+    bad = next((t for t in _NAME_TOKENS if t in col.name), None)
+    if bad is not None or col.name != col.name.strip():
+        reason = f"contains {bad!r}" if bad else "has surrounding whitespace"
+        raise GraphFormatError(f"attribute name {col.name!r} {reason}, which "
+                               "descriptions cannot render")
+    if col.kind != NOMINAL:
+        return
+    for v in set(col.values.tolist()) - {None}:
+        bad = next((t for t in _VALUE_TOKENS if t in v), None)
+        if bad is None and v.endswith(" ∧"):
+            bad = " ∧"
+        if bad is not None or v != v.strip():
+            reason = f"contains {bad!r}" if bad else "has surrounding whitespace"
+            raise GraphFormatError(f"value {v!r} of attribute {col.name!r} {reason}, "
+                                   "which descriptions cannot render")
+
+
 @dataclass
 class AttributeColumn:
     """One vertex attribute: a name, a kind and one value per vertex.
@@ -94,7 +121,9 @@ class AttributedGraph:
 
     Vertices are dense ids ``0..n-1``; the original file labels are kept for
     reporting.  Undirected edges are stored canonically as ``(min, max)``
-    pairs.  All read operations are safe for concurrent use.
+    pairs.  Attribute names and nominal values must render and parse back in
+    descriptions; others raise ``GraphFormatError``.  All read operations
+    are safe for concurrent use.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple], directed: bool = False,
@@ -130,6 +159,7 @@ class AttributedGraph:
                     f"attribute column {c.name!r} has {len(c)} values, expected {n}")
             if c.name in self._col_index:
                 raise GraphFormatError(f"duplicate attribute column {c.name!r}")
+            _check_grammar(c)
             self._col_index[c.name] = c
 
         if labels is None:

@@ -39,6 +39,7 @@ __all__ = [
     "ScoreConstants",
     "Pattern",
     "kl_bernoulli",
+    "kl_bernoulli_many",
     "information_content",
     "description_length",
     "score_single_counts",
@@ -143,6 +144,17 @@ def kl_bernoulli(q: float, p: float) -> float:
     if q < 1.0:
         out += (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
     return out
+
+
+def kl_bernoulli_many(q, p) -> np.ndarray:
+    """Elementwise ``kl_bernoulli`` of two arrays, with the same clamp and
+    ``0 * log 0 = 0`` rule."""
+    q = np.asarray(q, dtype=np.float64)
+    p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dense = np.where(q > 0.0, q * np.log(q / p), 0.0)
+        sparse = np.where(q < 1.0, (1.0 - q) * np.log((1.0 - q) / (1.0 - p)), 0.0)
+    return dense + sparse
 
 
 def information_content(n_w: int, k_w: float, p_w: float) -> float:

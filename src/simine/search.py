@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .background import BackgroundModel, update_with_pattern
-from .descriptions import EMPTY_DESCRIPTION, Description, selector_mask
+from .background import PROB_EPS, BackgroundModel, update_with_pattern
+from .descriptions import Description, selector_mask
 from .graph import AttributedGraph
-from .scores import (Pattern, ScoreConstants, baseline_scores, score_bi,
-                     score_single)
+from .scores import (Pattern, ScoreConstants, baseline_scores, kl_bernoulli_many,
+                     score_bi, score_single)
 
 log = logging.getLogger(__name__)
 
@@ -150,27 +150,109 @@ class Beam:
 
 # -- candidate generation -------------------------------------------------------
 
+_EDGE_CELLS = 1 << 22  # cells of the (sets x edges) array counting edges inside sets
+_CHILD_CACHE_BYTES = 1 << 23  # cached child extensions per search
 
-def _selector_masks(g, selectors):
-    return [selector_mask(s, g) for s in selectors]
+
+@dataclass(eq=False)
+class _Node:
+    """A description in the search tree: the positions of its selectors in
+    the selector list, its identity key, its extension and its size."""
+
+    sels: tuple
+    key: tuple
+    mask: np.ndarray
+    size: int
 
 
-def _expand(parent_desc, parent_mask, parent_size, selectors, masks, min_size, seen):
-    """Admissible refinements of one description, in selector order."""
-    out = []
-    for sel, smask in zip(selectors, masks):
-        if sel.attribute in parent_desc.attributes:
-            continue
-        child = parent_desc.with_selector(sel)
-        ident = str(child)
-        if ident in seen:
-            continue
-        mask = parent_mask & smask
-        size = int(np.count_nonzero(mask))
-        if size < min_size or size == parent_size:
-            continue
-        seen.add(ident)
-        out.append((child, mask, size))
+class _Refiner:
+    """The selectors of one search as a selector x vertex matrix, and the
+    admissible refinements of descriptions computed from it.
+
+    A refinement adds one selector on an attribute its parent does not
+    constrain yet.  It is admissible when its extension has at least
+    ``min_size`` vertices and fewer than its parent's.  Within one level a
+    refinement reached from several parents is kept once, from the first.
+    A description's key is the sorted tuple of its selectors' rendering ids
+    (selectors that render alike share one), so under the description
+    grammar equal keys mean equal renderings.
+    """
+
+    def __init__(self, g, selectors, min_size):
+        self.selectors = list(selectors)
+        self.min_size = min_size
+        self.matrix = np.zeros((len(self.selectors), g.n), dtype=bool)
+        for i, s in enumerate(self.selectors):
+            self.matrix[i] = selector_mask(s, g)
+        attrs, first = {}, {}
+        self.attr = np.array([attrs.setdefault(s.attribute, len(attrs))
+                              for s in self.selectors], dtype=np.int64)
+        self.n_attrs = len(attrs)
+        self.rid = [first.setdefault(s.render(), i) for i, s in enumerate(self.selectors)]
+        self.root = _Node((), (), np.ones(g.n, dtype=bool), g.n)
+        self._cache: dict[tuple, tuple] = {}
+        self._cache_bytes = 0
+
+    def description(self, node) -> Description:
+        return Description(tuple(self.selectors[i] for i in node.sels))
+
+    def _children(self, parent):
+        """Selector positions, keys, extensions and sizes of the admissible
+        refinements of one parent.  Kept per parent until the cached
+        extensions reach ``_CHILD_CACHE_BYTES``."""
+        hit = self._cache.get(parent.key)
+        if hit is not None:
+            return hit
+        used = np.zeros(self.n_attrs, dtype=bool)
+        used[self.attr[list(parent.sels)]] = True
+        free = np.flatnonzero(~used[self.attr])
+        masks = self.matrix[free] & parent.mask
+        size = np.count_nonzero(masks, axis=1)
+        ok = (size >= self.min_size) & (size != parent.size)
+        js = free[ok].tolist()
+        hit = (js, [tuple(sorted(parent.key + (self.rid[j],))) for j in js],
+               masks[ok], size[ok])
+        if self._cache_bytes + hit[2].nbytes <= _CHILD_CACHE_BYTES:
+            self._cache[parent.key] = hit
+            self._cache_bytes += hit[2].nbytes
+        return hit
+
+    def expand(self, parents, seen):
+        """Admissible refinements of ``parents``, parent by parent and each
+        parent's in selector order.  Returns ``(children, masks, sizes)``:
+        ``(parent position, selector position, key)`` per child and the
+        children's extensions stacked as rows."""
+        children, blocks, sizes = [], [], []
+        for p, parent in enumerate(parents):
+            js, keys, masks, size = self._children(parent)
+            rows = []
+            for r, key in enumerate(keys):
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(r)
+                    children.append((p, js[r], key))
+            blocks.append(masks[rows])
+            sizes.append(size[rows])
+        if not blocks:
+            return [], np.zeros((0, self.matrix.shape[1]), dtype=bool), np.zeros(0, int)
+        return children, np.concatenate(blocks), np.concatenate(sizes)
+
+    def node(self, parents, child, mask, size) -> _Node:
+        p, j, key = child
+        return _Node(parents[p].sels + (j,), key, mask, int(size))
+
+    def nodes(self, parents, children, masks, sizes):
+        for i, child in enumerate(children):
+            yield self.node(parents, child, masks[i], sizes[i])
+
+
+def _edges_inside(masks, e0, e1):
+    """Number of edges (e0[i], e1[i]) with both ends in each row of ``masks``."""
+    out = np.zeros(len(masks), dtype=np.int64)
+    step = max(1, _EDGE_CELLS // max(1, e0.size))
+    for i in range(0, len(masks), step):
+        m = masks[i:i + step]
+        out[i:i + step] = np.count_nonzero(m[:, e0] & m[:, e1], axis=1)
     return out
 
 
@@ -228,36 +310,41 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
 def _single_engine(g, selectors, cfg, scorer):
     """Level-wise beam search; ``scorer`` gets (description, mask, size, inner
     edge count) per candidate."""
-    masks = _selector_masks(g, selectors)
-    edges = g.edges
-    min_size = max(2, cfg.min_extension_size)
-    beam_rows = [(EMPTY_DESCRIPTION, np.ones(g.n, dtype=bool), g.n)]
+    refiner = _Refiner(g, selectors, max(2, cfg.min_extension_size))
+    e0, e1 = np.ascontiguousarray(g.edges.T)
+    rows = [refiner.root]
     collected: dict[str, object] = {}
     scored_any = False
     for _ in range(cfg.depth):
-        seen: set[str] = set()
         beam = Beam(cfg.beam_width)
-        for desc, mask, size in beam_rows:
-            # a child's inner edges are among its parent's: count over those
-            inner = edges[mask[edges[:, 0]] & mask[edges[:, 1]]]
-            e0, e1 = inner[:, 0], inner[:, 1]
-            for child, cmask, csize in _expand(desc, mask, size, selectors, masks,
-                                               min_size, seen):
-                res = scorer(child, cmask, csize,
-                             int(np.count_nonzero(cmask[e0] & cmask[e1])))
-                if res is None:
-                    continue
-                scored_any = True
-                beam.try_add(BeamEntry(res.sort_key(), str(child), group=str(child),
-                                       payload=(res, child, cmask, csize)))
+        children, masks, sizes = refiner.expand(rows, set())
+        # a child's inner edges are among its parent's: count over those;
+        # children come parent by parent
+        per_parent = np.bincount(np.array([c[0] for c in children], dtype=np.int64),
+                                 minlength=len(rows))
+        counts = np.zeros(len(children), dtype=np.int64)
+        lo = 0
+        for parent, hi in zip(rows, np.cumsum(per_parent).tolist()):
+            inside = parent.mask[e0] & parent.mask[e1]
+            counts[lo:hi] = _edges_inside(masks[lo:hi], e0[inside], e1[inside])
+            lo = hi
+        for node, edge_count in zip(refiner.nodes(rows, children, masks, sizes),
+                                    counts.tolist()):
+            child = refiner.description(node)
+            res = scorer(child, node.mask, node.size, edge_count)
+            if res is None:
+                continue
+            scored_any = True
+            beam.try_add(BeamEntry(res.sort_key(), str(child), group=str(child),
+                                   payload=(res, node)))
         if not len(beam):
             break
-        beam_rows = [(e.payload[1], e.payload[2], e.payload[3]) for e in beam]
+        rows = [e.payload[1] for e in beam]
         for e in beam:
             collected.setdefault(e.ident, e.payload[0])
     if not scored_any:
         log.warning("single-subgroup search found no candidate with extension size >= %d",
-                    min_size)
+                    refiner.min_size)
         return []
     return sorted(collected.values(), key=lambda r: r.sort_key())
 
@@ -265,18 +352,71 @@ def _single_engine(g, selectors, cfg, scorer):
 # -- nested bi-subgroup search ------------------------------------------------------
 
 
-def _pair_constraints_ok(z1, z2, mask1, mask2, cfg):
-    if cfg.require_shared_attribute:
-        shared = z1.attributes & z2.attributes
-        if not shared:
-            return False
-        sel1 = {s.attribute: s for s in z1.selectors}
-        sel2 = {s.attribute: s for s in z2.selectors}
-        if not any(sel1[a] != sel2[a] for a in shared):
-            return False
-    if cfg.require_disjoint_extensions and bool(np.any(mask1 & mask2)):
-        return False
-    return True
+class _BiScreen:
+    """Screening scores of many W2 candidates against one W1.
+
+    The SI of every candidate comes from a handful of array operations:
+    class histograms and ``pair_sums_many`` for the expected mass, the
+    neighbour counts of W1 for the observed edges, and the pair-universe
+    rule of ``score_bi``.  It differs from ``score_bi``'s SI only by
+    rounding, and ``scores`` returns a bound on that difference with it.
+    """
+
+    def __init__(self, g, model, c, z1, mask1, edges, require_disjoint):
+        self.model, self.c, self.require_disjoint = model, c, require_disjoint
+        self.directed = g.directed
+        self.conv = c.convention(single=False, directed=g.directed)
+        self.mask1 = mask1
+        self.a = int(np.count_nonzero(mask1))
+        self.len1 = len(z1)
+        self.h1 = model.class_histograms(mask1[None, :])[0]
+        e0, e1 = edges[:, 0], edges[:, 1]
+        from1 = mask1[e0]
+        # neighbours in W1 of every vertex (in-neighbours when directed)
+        self.d1 = np.bincount(e1[from1], minlength=g.n)
+        if not self.directed:
+            self.d1 += np.bincount(e0[mask1[e1]], minlength=g.n)
+        inside = from1 & mask1[e1]
+        self.e0, self.e1 = e0[inside], e1[inside]
+        # relative rounding of the expected mass: this path and pair_sums each
+        # sum O(K) non-negative terms per dot product, in different orders
+        self.rho = 8.0 * (model.n_classes + 8) * np.finfo(np.float64).eps
+
+    def scores(self, masks, sizes, lengths):
+        """``(si, bound)`` per candidate row of ``masks``; ``si`` is -inf
+        where ``score_bi`` returns None or the pair breaks disjointness."""
+        over = masks & self.mask1
+        o = np.count_nonzero(over, axis=1)
+        H = self.model.class_histograms(masks)
+        H_o = self.model.class_histograms(over)
+        ordered, overlap = self.model.pair_sums_many(self.h1, H, H_o)
+        # edge orientations (u in W1, v in W2), ordered edges when directed
+        orient = masks @ self.d1
+        a, b = self.a, sizes
+        if self.directed:
+            slots = n_w = a * b - o
+            k_w, mass = orient, ordered
+        else:
+            slots = a * b - o * (o + 1) // 2
+            if self.conv == "unordered":
+                # an edge inside W1 and W2 has both orientations counted
+                n_w, mass = slots, ordered - overlap / 2.0
+                k_w = orient - _edges_inside(over, self.e0, self.e1)
+            else:
+                n_w, k_w, mass = a * b - o, orient, ordered
+        valid = slots > 0
+        if self.require_disjoint:
+            valid &= o == 0
+        n_w = np.where(valid, n_w, 1)
+        q, p = k_w / n_w, mass / n_w
+        dl = self.c.alpha * (self.len1 + lengths) + self.c.beta
+        si = n_w * kl_bernoulli_many(q, p) / dl
+        # a mass off by rho moves KL(q || p) by rho * |p - q| / (1 - p); the
+        # divergence's own rounding stays below 1e-13 for a clamped p
+        pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+        drift = self.rho * np.abs(pc - q) / (1.0 - pc)
+        bound = 1e-9 * np.abs(si) + n_w / dl * (1e-13 + drift)
+        return np.where(valid, si, -np.inf), bound
 
 
 def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
@@ -287,36 +427,21 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     inner beam search over W2 candidates scored as (W1, W2, I, k_w).  Inner
     survivors are pushed into the outer beam, which keeps at most x1*x2
     entries spanning at least x1 distinct W1 descriptions.
+
+    Each level of an inner search is screened as one batch (``_BiScreen``);
+    only the candidates whose screening SI could place them in the inner
+    beam are scored by ``score_bi`` and offered to it.  The inner beam has
+    no diversity floor and a strict total order, so it ends up holding the
+    same entries as if every candidate had been scored and offered.
     """
-    masks = _selector_masks(g, selectors)
-    min_size = max(1, cfg.min_extension_size)
+    refiner = _Refiner(g, selectors, max(1, cfg.min_extension_size))
+    edges = g.edges
     outer = Beam(cfg.x1 * cfg.x2, diversity_floor=cfg.x1)
-    w1_masks: dict[str, tuple] = {}
-    full = np.ones(g.n, dtype=bool)
-
-    def inner_search(z1, m1):
-        inner = Beam(cfg.x2)
-        rows = [(EMPTY_DESCRIPTION, full, g.n)]
-        for _ in range(cfg.depth):
-            seen: set[str] = set()
-            cands = []
-            for desc, mask, size in rows:
-                cands.extend(_expand(desc, mask, size, selectors, masks, min_size, seen))
-            for z2, m2, s2 in cands:
-                if not _pair_constraints_ok(z1, z2, m1, m2, cfg):
-                    continue
-                pat = score_bi(g, model, z1, m1, z2, m2, cfg.constants)
-                if pat is None:
-                    continue
-                inner.try_add(BeamEntry(pat.sort_key(), str(z2), group=str(z2),
-                                        payload=(pat, m2, s2)))
-            rows = [(e.payload[0].w2, e.payload[1], e.payload[2]) for e in inner]
-        return [e.payload[0] for e in inner]
-
+    w1_nodes: dict[str, _Node] = {}
     expanded_any = False
     for depth in range(cfg.depth):
         if depth == 0:
-            frontier = [(EMPTY_DESCRIPTION, full, g.n)]
+            frontier = [refiner.root]
         else:
             frontier = []
             named = set()
@@ -324,21 +449,61 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
                 ident = str(e.payload.w1)
                 if ident not in named:
                     named.add(ident)
-                    frontier.append(w1_masks[ident])
-        seen1: set[str] = set()
-        for desc, mask, size in frontier:
-            for z1, m1, s1 in _expand(desc, mask, size, selectors, masks, min_size, seen1):
-                pats = inner_search(z1, m1)
-                expanded_any = expanded_any or bool(pats)
-                w1_masks.setdefault(str(z1), (z1, m1, s1))
-                for pat in pats:
-                    outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
-                                            group=str(pat.w1), payload=pat))
+                    frontier.append(w1_nodes[ident])
+        for w1 in refiner.nodes(frontier, *refiner.expand(frontier, set())):
+            z1 = refiner.description(w1)
+            pats = _inner_search(g, model, refiner, cfg, z1, w1, edges)
+            expanded_any = expanded_any or bool(pats)
+            w1_nodes.setdefault(str(z1), w1)
+            for pat in pats:
+                outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
+                                        group=str(pat.w1), payload=pat))
     if not expanded_any:
         log.warning("nested search produced no admissible (W1, W2) candidate "
                     "under the active constraints")
         return []
     return [e.payload for e in outer.entries]
+
+
+def _inner_search(g, model, refiner, cfg, z1, w1, edges):
+    """The inner beam search of one W1; returns its surviving patterns."""
+    screen = _BiScreen(g, model, cfg.constants, z1, w1.mask, edges,
+                       cfg.require_disjoint_extensions)
+    differs = None
+    if cfg.require_shared_attribute:
+        # a W2 meets the constraint when one of its selectors differs from
+        # W1's selector on the same attribute
+        on_w1 = {s.attribute: s for s in z1.selectors}
+        differs = [s.attribute in on_w1 and s != on_w1[s.attribute]
+                   for s in refiner.selectors]
+    inner = Beam(cfg.x2)
+    rows = [refiner.root]
+    for _ in range(cfg.depth):
+        children, masks, sizes = refiner.expand(rows, set())
+        present = {e.payload[1].key for e in inner}
+        keep = [i for i, (p, j, key) in enumerate(children) if key not in present
+                and (differs is None or differs[j] or any(differs[k] for k in rows[p].sels))]
+        children = [children[i] for i in keep]
+        masks, sizes = masks[keep], sizes[keep]
+        lengths = np.array([len(rows[p].sels) + 1 for p, _, _ in children], dtype=np.int64)
+        si, bound = screen.scores(masks, sizes, lengths)
+        # the x2-th best lower bound among the candidates and the beam's exact
+        # SIs; a candidate whose upper bound falls short cannot enter the beam
+        lower = np.concatenate([(si - bound)[np.isfinite(si)],
+                                [e.payload[0].si for e in inner]])
+        cut = -np.inf
+        if lower.size >= cfg.x2:
+            cut = np.partition(lower, lower.size - cfg.x2)[lower.size - cfg.x2]
+        for i in np.flatnonzero(np.isfinite(si) & (si + bound >= cut)).tolist():
+            node = refiner.node(rows, children[i], masks[i], sizes[i])
+            z2 = refiner.description(node)
+            pat = score_bi(g, model, z1, w1.mask, z2, node.mask, cfg.constants)
+            if pat is None:
+                continue
+            inner.try_add(BeamEntry(pat.sort_key(), str(z2), group=str(z2),
+                                    payload=(pat, node)))
+        rows = [e.payload[1] for e in inner]
+    return [e.payload[0] for e in inner]
 
 
 # -- iterative mining ---------------------------------------------------------------

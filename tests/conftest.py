@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from simine import (AttributeColumn, AttributedGraph, Description, ScoreConstants,
-                    extension, score_bi, score_single)
+from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Beam, BeamEntry,
+                    Description, ScoreConstants, extension, score_bi, score_single)
 
 # 11-vertex example: one numeric attribute plus three binary ones.  The edge
 # set is an arbitrary 18-edge layout; tests only rely on the attribute table.
@@ -46,8 +46,9 @@ def star5():
 
 
 def random_graph(seed, n=None, p=None, attrs=(("a", 2), ("b", 2), ("c", 2), ("d", 2)),
-                 directed=False):
-    """Random G(n, p) with random nominal attributes; always has an edge."""
+                 directed=False, numeric=()):
+    """Random G(n, p) with random nominal attributes and standard normal
+    numeric ones named by ``numeric``; always has an edge."""
     rng = np.random.default_rng(seed)
     n = n or int(rng.integers(12, 41))
     p = p or float(rng.uniform(0.1, 0.4))
@@ -57,6 +58,7 @@ def random_graph(seed, n=None, p=None, attrs=(("a", 2), ("b", 2), ("c", 2), ("d"
         edges = [(0, 1)]
     cols = [AttributeColumn(name, "nominal", [f"v{x}" for x in rng.integers(0, k, size=n)])
             for name, k in attrs]
+    cols += [AttributeColumn(name, "numeric", rng.normal(size=n)) for name in numeric]
     return AttributedGraph(n, edges, directed=directed, columns=cols)
 
 
@@ -135,6 +137,71 @@ def exhaustive_best_bi(g, model, selectors, depth, constants=None):
             if pat is not None and (best is None or pat.sort_key() < best.sort_key()):
                 best = pat
     return best
+
+
+def _reference_constraints_ok(z1, z2, mask1, mask2, cfg):
+    if cfg.require_shared_attribute:
+        sel1 = {s.attribute: s for s in z1.selectors}
+        if not any(s.attribute in sel1 and sel1[s.attribute] != s for s in z2.selectors):
+            return False
+    if cfg.require_disjoint_extensions and bool(np.any(mask1 & mask2)):
+        return False
+    return True
+
+
+def reference_nested_beam_search(g, model, selectors, cfg):
+    """The nested bi-subgroup beam search with every inner candidate scored
+    by ``score_bi`` and offered to the inner beam, one at a time: the plainly
+    correct reference for the screened search."""
+    def expand(desc, mask, size, seen):
+        out = []
+        for sel in selectors:
+            if sel.attribute in desc.attributes:
+                continue
+            child = desc.with_selector(sel)
+            if str(child) in seen:
+                continue
+            cmask = mask & extension(Description((sel,)), g)
+            csize = int(np.count_nonzero(cmask))
+            if csize < min_size or csize == size:
+                continue
+            seen.add(str(child))
+            out.append((child, cmask, csize))
+        return out
+
+    def inner_search(z1, m1):
+        inner = Beam(cfg.x2)
+        rows = [(EMPTY_DESCRIPTION, full, g.n)]
+        for _ in range(cfg.depth):
+            seen = set()
+            cands = [c for row in rows for c in expand(*row, seen)]
+            for z2, m2, s2 in cands:
+                if not _reference_constraints_ok(z1, z2, m1, m2, cfg):
+                    continue
+                pat = score_bi(g, model, z1, m1, z2, m2, cfg.constants)
+                if pat is not None:
+                    inner.try_add(BeamEntry(pat.sort_key(), str(z2), group=str(z2),
+                                            payload=(pat, m2, s2)))
+            rows = [(e.payload[0].w2, e.payload[1], e.payload[2]) for e in inner]
+        return [e.payload[0] for e in inner]
+
+    min_size = max(1, cfg.min_extension_size)
+    full = np.ones(g.n, dtype=bool)
+    outer = Beam(cfg.x1 * cfg.x2, diversity_floor=cfg.x1)
+    w1_rows = {}
+    for depth in range(cfg.depth):
+        frontier = [(EMPTY_DESCRIPTION, full, g.n)]
+        if depth:
+            named = dict.fromkeys(str(e.payload.w1) for e in outer.entries)
+            frontier = [w1_rows[ident] for ident in named]
+        seen1 = set()
+        for row in frontier:
+            for z1, m1, s1 in expand(*row, seen1):
+                w1_rows.setdefault(str(z1), (z1, m1, s1))
+                for pat in inner_search(z1, m1):
+                    outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
+                                            group=str(pat.w1), payload=pat))
+    return [e.payload for e in outer.entries]
 
 
 def brute_force_tail(probs, k, side):

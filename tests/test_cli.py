@@ -217,6 +217,15 @@ class TestMine:
             json.loads(line)  # stdout stays pure JSONL
         assert "rank" in err
 
+    def test_negative_top_rejected(self, synth_files, capsys):
+        args = ["mine", "--edges", synth_files + ".edges",
+                "--attrs", synth_files + ".attrs.csv", "--prior", "degree",
+                "--mode", "single"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and len(records(out)) > 2
+        code, out, err = run_cli(capsys, *args, "--top", "-1")
+        assert code == 1 and out == "" and "--top" in err
+
     def test_config_file_with_flag_override(self, synth_files, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mode=bi\nx1=2\nx2=2\ndepth=1\nprior=degree\n")
@@ -254,6 +263,24 @@ class TestMine:
                                    "--prior", "degree")
             assert code == 1 and "bad.cfg:1" in err
 
+    def test_config_unknown_key_rejected(self, synth_files, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("prior=degree\nwidht=5\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "mine",
+                                 "--edges", synth_files + ".edges",
+                                 "--attrs", synth_files + ".attrs.csv", "--mode", "single")
+        assert code == 1 and out == ""
+        assert "typo.cfg:2" in err and "'widht'" in err
+
+    def test_config_key_of_other_subcommand_allowed(self, synth_files, tmp_path, capsys):
+        # one config file may serve several subcommands
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("prior=degree\nmeasures=pool\nbg-density=0.1\nwidth=5\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "mine",
+                               "--edges", synth_files + ".edges",
+                               "--attrs", synth_files + ".attrs.csv", "--mode", "single")
+        assert code == 0 and records(out)[0]["width"] == 5
+
     def test_output_file(self, synth_files, tmp_path, capsys):
         out_path = tmp_path / "report.jsonl"
         code, _, _ = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
@@ -274,6 +301,12 @@ class TestBaselinesCmd:
         assert code == 0
         recs = [r for r in records(out) if r["type"] == "baseline"]
         assert {r["measure"] for r in recs} == {"edge_density", "pool"}
+
+    def test_negative_top_rejected(self, synth_files, capsys):
+        code, out, err = run_cli(capsys, "baselines", "--edges", synth_files + ".edges",
+                                 "--attrs", synth_files + ".attrs.csv",
+                                 "--measures", "pool", "--top", "-1")
+        assert code == 1 and out == "" and "--top" in err
 
     def test_unknown_measure(self, synth_files, capsys):
         code, _, err = run_cli(capsys, "baselines", "--edges", synth_files + ".edges",

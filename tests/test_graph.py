@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simine import (AttributedGraph, GraphFormatError, LoadOptions, load_graph,
+from simine import (AttributeColumn, AttributedGraph, Description, GraphFormatError,
+                    LoadOptions, generate_selectors, load_graph, parse_description,
                     save_graph)
 
 from conftest import FIG_A, FIG_B, FIG_C, FIG_D, random_graph, write_dataset
@@ -82,6 +85,61 @@ class TestLoad:
                 assert np.allclose(c1.values, c2.values, equal_nan=True)
             else:
                 assert list(c1.values) == list(c2.values)
+
+
+class TestDescriptionGrammar:
+    @pytest.mark.parametrize("name", ["a ∧ b", "a=b", "x∈[0"])
+    def test_reserved_name_rejected(self, tmp_path, name):
+        e, a = write_dataset(tmp_path, ["1 2"], [f"id,{name}", "1,p", "2,q"])
+        with pytest.raises(GraphFormatError, match="attribute name"):
+            load_graph(e, a)
+
+    @pytest.mark.parametrize("value", ["a ∧ b=1", "x∈[0,1]", "x ∧"])
+    def test_reserved_value_rejected(self, tmp_path, value):
+        e, a = write_dataset(tmp_path, ["1 2"], ["id,b", f"1,{value}", "2,q"])
+        with pytest.raises(GraphFormatError, match="value"):
+            load_graph(e, a)
+
+    def test_constructor_rejects_surrounding_whitespace(self):
+        with pytest.raises(GraphFormatError, match="whitespace"):
+            AttributedGraph(2, [(0, 1)],
+                            columns=[AttributeColumn("b", "nominal", ["p ", "q"])])
+
+    def test_tokens_inside_allowed_positions_load(self, tmp_path):
+        # "=" in a value and "∧" without surrounding spaces render unambiguously
+        e, a = write_dataset(tmp_path, ["1 2"], ["id,b∧c", "1,x=y", "2,∧ q"])
+        g = load_graph(e, a)
+        for s in generate_selectors(g):
+            assert parse_description(str(Description((s,)))) == Description((s,))
+
+
+_TEXT = st.lists(st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=4),
+    st.sampled_from([" ∧ ", " ∧", "∧ ", "∧", "=", "∈[", "∈", "[", "]", ",", " ",
+                     '"'])),
+    max_size=5).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=_TEXT, value=_TEXT)
+def test_loaded_descriptions_round_trip(tmp_path_factory, name, value):
+    """Arbitrary attribute text either fails to load or round-trips through
+    ``parse_description``, alone and joined with another selector."""
+    path = tmp_path_factory.mktemp("grammar")
+    with open(path / "g.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [["id", name, "z"], ["1", value, "p"], ["2", "v", "q"], ["3", "w", "p"]])
+    (path / "g.edges").write_text("1 2\n2 3\n", encoding="utf-8")
+    try:
+        g = load_graph(path / "g.edges", path / "g.csv")
+    except GraphFormatError:
+        return
+    sels = generate_selectors(g)
+    descs = [Description((s,)) for s in sels]
+    descs += [Description((s, t)) for s in sels for t in sels if s.attribute != t.attribute]
+    for d in descs:
+        assert parse_description(str(d)) == d
 
 
 class TestCounting:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from simine import (AttributeColumn, AttributedGraph, Beam, BeamEntry,
-                    Description, EqualsSelector, ScoreConstants, SearchConfig,
-                    baseline_search, beam_search_single, extension,
+from simine import (AttributeColumn, AttributedGraph, Beam, BeamEntry, Description,
+                    EqualsSelector, RangeSelector, ScoreConstants, SearchConfig,
+                    SelectorConfig, baseline_search, beam_search_single, extension,
                     fit_degree_prior, fit_density_prior, generate_selectors,
                     iterate, nested_beam_search, rescore, score_single,
                     update_with_pattern)
@@ -164,6 +164,21 @@ class TestNestedSearch:
         got = nested_beam_search(g, model, sels,
                                  SearchConfig(x1=len(sels), x2=80, depth=2))
         assert got[0].sort_key() == best.sort_key()
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_exhaustive_directed_and_intervals(self, directed):
+        # x1 = |S| and an x2 above the candidate count make the search
+        # exhaustive over descriptions of up to 2 selectors
+        for seed in (103, 104):
+            g = random_graph(seed, n=22, attrs=(("a", 2), ("b", 3)), directed=directed,
+                             numeric=("x",))
+            model = fit_degree_prior(g, tol=1e-6)
+            sels = generate_selectors(g, SelectorConfig(numeric_bins=3))
+            assert any(isinstance(s, RangeSelector) for s in sels)
+            best = exhaustive_best_bi(g, model, sels, depth=2)
+            got = nested_beam_search(g, model, sels,
+                                     SearchConfig(x1=len(sels), x2=200, depth=2))
+            assert got[0].sort_key() == best.sort_key()
 
     def test_result_capped_at_x1_x2(self):
         g = random_graph(3, n=30)
