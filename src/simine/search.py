@@ -151,6 +151,7 @@ class Beam:
 # -- candidate generation -------------------------------------------------------
 
 _EDGE_CELLS = 1 << 22  # cells of the (sets x edges) array counting edges inside sets
+_SCREEN_CELLS = 1 << 20  # cells of the (candidates x vertices) block screened at once
 _CHILD_CACHE_BYTES = 1 << 23  # cached child extensions per search
 
 
@@ -199,7 +200,9 @@ class _Refiner:
     def _children(self, parent):
         """Selector positions, keys, extensions and sizes of the admissible
         refinements of one parent.  Kept per parent until the cached
-        extensions reach ``_CHILD_CACHE_BYTES``."""
+        extensions reach ``_CHILD_CACHE_BYTES``: the inner searches of
+        different W1s start from the same root and mostly refine the same
+        W2s, so most lookups in the nested search repeat a parent."""
         hit = self._cache.get(parent.key)
         if hit is not None:
             return hit
@@ -217,29 +220,41 @@ class _Refiner:
             self._cache_bytes += hit[2].nbytes
         return hit
 
-    def expand(self, parents, seen):
+    def expand(self, parents, seen, admit=None):
         """Admissible refinements of ``parents``, parent by parent and each
-        parent's in selector order.  Returns ``(children, masks, sizes)``:
-        ``(parent position, selector position, key)`` per child and the
-        children's extensions stacked as rows."""
-        children, blocks, sizes = [], [], []
+        parent's in selector order, that ``admit(parent, selector position,
+        key)`` accepts when given; a child it rejects still counts as seen.
+        Returns ``(children, masks, sizes)``: ``(parent position, selector
+        position, key)`` per child and the children's extensions stacked as
+        rows."""
+        children, picks = [], []
         for p, parent in enumerate(parents):
             js, keys, masks, size = self._children(parent)
             rows = []
             for r, key in enumerate(keys):
                 if key not in seen:
                     seen.add(key)
-                    rows.append(r)
-                    children.append((p, js[r], key))
-            blocks.append(masks[rows])
-            sizes.append(size[rows])
-        if not blocks:
-            return [], np.zeros((0, self.matrix.shape[1]), dtype=bool), np.zeros(0, int)
-        return children, np.concatenate(blocks), np.concatenate(sizes)
+                    if admit is None or admit(parent, js[r], key):
+                        rows.append(r)
+                        children.append((p, js[r], key))
+            picks.append((masks, size, rows))
+        # gather the rows straight into one stack, without per-parent copies
+        out = np.empty((len(children), self.matrix.shape[1]), dtype=bool)
+        sizes = np.empty(len(children), dtype=np.int64)
+        lo = 0
+        for masks, size, rows in picks:
+            hi = lo + len(rows)
+            # rows are in range; "clip" lets take write to out without a buffer
+            np.take(masks, rows, axis=0, out=out[lo:hi], mode="clip")
+            sizes[lo:hi] = size[rows]
+            lo = hi
+        return children, out, sizes
 
     def node(self, parents, child, mask, size) -> _Node:
+        """The child's node; it holds a copy of its extension, so a node kept
+        in a beam does not keep its level's whole stack alive."""
         p, j, key = child
-        return _Node(parents[p].sels + (j,), key, mask, int(size))
+        return _Node(parents[p].sels + (j,), key, mask.copy(), int(size))
 
     def nodes(self, parents, children, masks, sizes):
         for i, child in enumerate(children):
@@ -316,27 +331,22 @@ def _single_engine(g, selectors, cfg, scorer):
     collected: dict[str, object] = {}
     scored_any = False
     for _ in range(cfg.depth):
+        seen: set[tuple] = set()
         beam = Beam(cfg.beam_width)
-        children, masks, sizes = refiner.expand(rows, set())
-        # a child's inner edges are among its parent's: count over those;
-        # children come parent by parent
-        per_parent = np.bincount(np.array([c[0] for c in children], dtype=np.int64),
-                                 minlength=len(rows))
-        counts = np.zeros(len(children), dtype=np.int64)
-        lo = 0
-        for parent, hi in zip(rows, np.cumsum(per_parent).tolist()):
+        for parent in rows:
+            children, masks, sizes = refiner.expand([parent], seen)
+            # a child's inner edges are among its parent's: count over those
             inside = parent.mask[e0] & parent.mask[e1]
-            counts[lo:hi] = _edges_inside(masks[lo:hi], e0[inside], e1[inside])
-            lo = hi
-        for node, edge_count in zip(refiner.nodes(rows, children, masks, sizes),
-                                    counts.tolist()):
-            child = refiner.description(node)
-            res = scorer(child, node.mask, node.size, edge_count)
-            if res is None:
-                continue
-            scored_any = True
-            beam.try_add(BeamEntry(res.sort_key(), str(child), group=str(child),
-                                   payload=(res, node)))
+            counts = _edges_inside(masks, e0[inside], e1[inside])
+            for node, edge_count in zip(refiner.nodes([parent], children, masks, sizes),
+                                        counts.tolist()):
+                child = refiner.description(node)
+                res = scorer(child, node.mask, node.size, edge_count)
+                if res is None:
+                    continue
+                scored_any = True
+                name = str(child)
+                beam.try_add(BeamEntry(res.sort_key(), name, group=name, payload=(res, node)))
         if not len(beam):
             break
         rows = [e.payload[1] for e in beam]
@@ -384,14 +394,25 @@ class _BiScreen:
 
     def scores(self, masks, sizes, lengths):
         """``(si, bound)`` per candidate row of ``masks``; ``si`` is -inf
-        where ``score_bi`` returns None or the pair breaks disjointness."""
+        where ``score_bi`` returns None or the pair breaks disjointness.
+        Rows go in blocks of ``_SCREEN_CELLS`` cells, which bounds the
+        temporaries: the overlaps and the class-sorted copies of a block."""
+        si, bound = np.empty(len(masks)), np.empty(len(masks))
+        step = max(1, _SCREEN_CELLS // max(1, masks.shape[1]))
+        for i in range(0, len(masks), step):
+            rows = slice(i, i + step)
+            si[rows], bound[rows] = self._block(masks[rows], sizes[rows], lengths[rows])
+        return si, bound
+
+    def _block(self, masks, sizes, lengths):
         over = masks & self.mask1
         o = np.count_nonzero(over, axis=1)
         H = self.model.class_histograms(masks)
         H_o = self.model.class_histograms(over)
         ordered, overlap = self.model.pair_sums_many(self.h1, H, H_o)
-        # edge orientations (u in W1, v in W2), ordered edges when directed
-        orient = masks @ self.d1
+        # edge orientations (u in W1, v in W2), ordered edges when directed;
+        # einsum casts the bool rows in small buffers, not as a whole int copy
+        orient = np.einsum("ij,j->i", masks, self.d1)
         a, b = self.a, sizes
         if self.directed:
             slots = n_w = a * b - o
@@ -477,14 +498,16 @@ def _inner_search(g, model, refiner, cfg, z1, w1, edges):
         differs = [s.attribute in on_w1 and s != on_w1[s.attribute]
                    for s in refiner.selectors]
     inner = Beam(cfg.x2)
+    present: set[tuple] = set()  # keys of the inner beam's entries
+
+    def admit(parent, j, key):
+        return key not in present and (differs is None or differs[j]
+                                       or any(differs[k] for k in parent.sels))
+
     rows = [refiner.root]
     for _ in range(cfg.depth):
-        children, masks, sizes = refiner.expand(rows, set())
         present = {e.payload[1].key for e in inner}
-        keep = [i for i, (p, j, key) in enumerate(children) if key not in present
-                and (differs is None or differs[j] or any(differs[k] for k in rows[p].sels))]
-        children = [children[i] for i in keep]
-        masks, sizes = masks[keep], sizes[keep]
+        children, masks, sizes = refiner.expand(rows, set(), admit)
         lengths = np.array([len(rows[p].sels) + 1 for p, _, _ in children], dtype=np.int64)
         si, bound = screen.scores(masks, sizes, lengths)
         # the x2-th best lower bound among the candidates and the beam's exact
@@ -500,8 +523,8 @@ def _inner_search(g, model, refiner, cfg, z1, w1, edges):
             pat = score_bi(g, model, z1, w1.mask, z2, node.mask, cfg.constants)
             if pat is None:
                 continue
-            inner.try_add(BeamEntry(pat.sort_key(), str(z2), group=str(z2),
-                                    payload=(pat, node)))
+            name = str(z2)
+            inner.try_add(BeamEntry(pat.sort_key(), name, group=name, payload=(pat, node)))
         rows = [e.payload[1] for e in inner]
     return [e.payload[0] for e in inner]
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from simine import (FitError, ScoreConstants,
                     SearchConfig, SelectorConfig, background, fit_degree_prior,
                     generate_selectors, iterate, score_bi,
-                    update_with_pattern)
+                    search, update_with_pattern)
 from simine.search import _BiScreen, _Refiner
 
 from conftest import random_graph, reference_nested_beam_search
@@ -37,13 +37,18 @@ def _reference_iterate(g, model, sels, cfg, rounds):
        counting=st.sampled_from(["auto", "ordered", "unordered"]),
        shared=st.booleans(), disjoint=st.booleans(), updates=st.integers(0, 2),
        table_cells=st.sampled_from([None, 1, 12]),
+       screen_cells=st.sampled_from([None, 1, 64]),
        x1=st.integers(1, 4), x2=st.integers(1, 5), depth=st.integers(1, 3))
 def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shared, disjoint,
-                                               updates, table_cells, x1, x2, depth):
+                                               updates, table_cells, screen_cells, x1, x2,
+                                               depth):
     # a small table budget leaves the model without a class table, so pair
-    # sums come from sub-tables in chunks of one (1) or a few (12) class rows
+    # sums come from sub-tables in chunks of one (1) or a few (12) class rows;
+    # a small screen budget screens candidates one (1) or a few (64) at a time
     cells = background._TABLE_CELLS if table_cells is None else table_cells
-    with patch.object(background, "_TABLE_CELLS", cells):
+    block = search._SCREEN_CELLS if screen_cells is None else screen_cells
+    with patch.object(background, "_TABLE_CELLS", cells), \
+            patch.object(search, "_SCREEN_CELLS", block):
         g = random_graph(seed, n=n, attrs=(("a", 2), ("b", 3), ("c", 2)),
                          directed=directed, numeric=("x",))
         try:
