@@ -24,8 +24,9 @@ classes:
   with step damping, one coordinate per class weighted by class sizes
   (O(K^2) per sweep);
 * pair sums are weighted sums of the table over the class histograms of the
-  two vertex sets (O(|R| + |C| + K_R * K_C)); ``pair_sums_many`` takes one
-  row set against a batch of column sets as matrix products;
+  two vertex sets (O(|R| + |C| + K_R * K_C)), computed once for one row set
+  against a batch of column sets (``pair_sums_many``) with ``pair_sums`` as
+  its one-column-set case;
 * a pattern multiplier comes from bracketed bisection on the monotone
   calibration residual over class-pair weights; the updated model splits
   classes by membership in the pattern's rows and columns.
@@ -267,18 +268,15 @@ class BackgroundModel:
         ordered grid pairs u != v and ``overlap_sum`` over ordered pairs
         inside the row/column intersection (0 for directed models).  The
         distinct (unordered) pair total is ``ordered_sum - overlap_sum / 2``.
+        This is the one-column-set case of ``pair_sums_many``.
         """
         h_r, h_c, h_o = self._histograms(rows, cols)
-        if self.directed:
-            return self._grid_sum(h_r, h_c, h_o), 0.0
-        if h_o is h_r:
-            ordered = self._grid_sum(h_r, h_r, h_r)
-            return ordered, ordered  # rows == cols: the overlap is the whole grid
-        differ = np.flatnonzero(h_r != h_c)
-        if differ.size and h_r[differ[0]] < h_c[differ[0]]:
-            h_r, h_c = h_c, h_r  # canonical order: mirrored sets give bit-equal sums
-        return (self._grid_sum(h_r, h_c, h_o),
-                self._grid_sum(h_o, h_o, h_o) if h_o.any() else 0.0)
+        if not self.directed and h_o is not h_r:
+            differ = np.flatnonzero(h_r != h_c)
+            if differ.size and h_r[differ[0]] < h_c[differ[0]]:
+                h_r, h_c = h_c, h_r  # canonical order: mirrored sets give bit-equal sums
+        ordered, overlap = self.pair_sums_many(h_r, h_c, h_o)
+        return float(ordered), float(overlap)
 
     def _histograms(self, rows, cols):
         """Class histograms (float) of ``rows``, ``cols`` and their intersection."""
@@ -293,26 +291,6 @@ class BackgroundModel:
         h_c = np.bincount(self.cls[cols], minlength=k).astype(np.float64)
         h_o = np.bincount(self.cls[cols[in_rows[cols]]], minlength=k).astype(np.float64)
         return h_r, h_c, h_o
-
-    def _grid_sum(self, h_a, h_b, h_o):
-        """Sum of p(u, v) over ordered pairs u != v, u in A, v in B.
-
-        Takes the class histograms of A, B and their intersection.  Pairs
-        between distinct classes come from the off-diagonal table; the
-        h_a*h_b - h_o pairs inside one class from its diagonal entry.  All
-        terms are non-negative, so nothing cancels.  Without a full table the
-        sub-table of the classes present is built in row chunks of at most
-        ``_TABLE_CELLS`` cells.
-        """
-        d = h_a * h_b - h_o
-        if self._P_off is not None:
-            return float(h_a @ (self._P_off @ h_b) + d @ self._P_diag)
-        ib = np.flatnonzero(h_b)
-        total = 0.0
-        for a, P, dc, dp in self._sub_tables(np.flatnonzero(h_a), ib):
-            total += float(d[dc] @ dp)
-            total += float(h_a[a] @ P @ h_b[ib])
-        return total
 
     def _sub_tables(self, ia, ib):
         """The class-pair table on the classes ``ia`` x ``ib`` in row chunks
@@ -338,34 +316,44 @@ class BackgroundModel:
         return np.add.reduceat(masks[:, order], starts, axis=1).astype(np.float64)
 
     def pair_sums_many(self, h_r, H_c, H_o):
-        """``pair_sums`` of one row set against many column sets, from class
-        histograms: ``h_r`` of the rows, one row of ``H_c`` per column set
-        and one row of ``H_o`` per intersection of a column set with the
-        rows.  Returns ``(ordered_sum, overlap_sum)`` arrays.
+        """``pair_sums`` of one row set against one or many column sets, from
+        class histograms: ``h_r`` of the rows, ``H_c`` of the column sets and
+        ``H_o`` of their intersections with the rows, one row per column set
+        (or 1-D for a single one).  Returns ``(ordered_sum, overlap_sum)``,
+        arrays with one entry per column set (scalars for 1-D input).
 
-        The sums equal ``pair_sums`` up to summation order, so they serve to
-        screen candidates; ``pair_sums`` remains the canonical computation.
+        Pairs between distinct classes come from the off-diagonal table; the
+        h_r*h_c - h_o pairs inside one class from its diagonal entry.  All
+        terms are non-negative, so nothing cancels.  Without a full table the
+        sub-table of the classes present is built in row chunks of at most
+        ``_TABLE_CELLS`` cells.  ``H_o is h_r`` marks rows equal to the
+        column set, whose overlap is the whole grid.
         """
         if self._P_off is not None:
-            ordered = H_c @ (h_r @ self._P_off) + (H_c * h_r - H_o) @ self._P_diag
-            if self.directed:
-                return ordered, np.zeros(len(H_c))
-            return ordered, (((H_o @ self._P_off) * H_o).sum(axis=1)
-                             + (H_o * H_o - H_o) @ self._P_diag)
-        ic = np.flatnonzero(H_c.any(axis=0))
-        diag = np.zeros(self.n_classes)
-        to_cols = np.zeros(ic.size)
-        for a, P, dc, dp in self._sub_tables(np.flatnonzero(h_r), ic):
-            diag[dc] = dp
-            to_cols += h_r[a] @ P
-        ordered = H_c[:, ic] @ to_cols + (H_c * h_r - H_o) @ diag
-        if self.directed:
-            return ordered, np.zeros(len(H_c))
-        # the intersections' classes are among the rows' and the columns'
-        io = np.flatnonzero(H_o.any(axis=0))
+            diag = self._P_diag
+            ordered = H_c @ (h_r @ self._P_off)
+        else:
+            ic = _present(H_c)
+            diag = np.zeros(self.n_classes)
+            to_cols = np.zeros(ic.size)
+            for a, P, dc, dp in self._sub_tables(np.flatnonzero(h_r), ic):
+                diag[dc] = dp
+                to_cols += h_r[a] @ P
+            ordered = H_c[..., ic] @ to_cols
+        ordered = ordered + (H_c * h_r - H_o) @ diag
+        if H_o is h_r and not self.directed:
+            return ordered, ordered  # the overlap is the whole grid
+        # one column set disjoint from the rows skips the quadratic form; a
+        # batch nearly always overlaps, and testing it costs more than it saves
+        if self.directed or (H_o.ndim == 1 and not np.count_nonzero(H_o)):
+            return ordered, ordered * 0.0  # zeros shaped like ordered
         overlap = (H_o * H_o - H_o) @ diag
+        if self._P_off is not None:
+            return ordered, overlap + ((H_o @ self._P_off) * H_o).sum(axis=-1)
+        # the intersections' classes are among the rows' and the columns'
+        io = _present(H_o)
         for a, P, _, _ in self._sub_tables(io, io):
-            overlap += ((H_o[:, a] @ P) * H_o[:, io]).sum(axis=1)
+            overlap += ((H_o[..., a] @ P) * H_o[..., io]).sum(axis=-1)
         return ordered, overlap
 
     def copy_with_update(self, upd: PatternUpdate) -> "BackgroundModel":
@@ -444,6 +432,11 @@ class BackgroundModel:
     def load(cls, path) -> "BackgroundModel":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _present(H):
+    """Classes with a member in any of the histograms ``H`` (one or many rows)."""
+    return np.flatnonzero(H.reshape(-1, H.shape[-1]).any(axis=0))
 
 
 def _ints(values, what):
@@ -731,13 +724,14 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
     """Absorb a presented pattern: calibrate one multiplier on its pair block.
 
     ``pattern`` must expose ``ext1_ids``, ``ext2_ids`` (vertex id arrays;
-    equal for single-subgroup patterns) and the observed count ``edges``.
-    The returned model's expected count over the pattern's pairs equals the
-    observed count; every other pair keeps its exact probability.
+    equal for single-subgroup patterns) and the observed count ``edges``;
+    ids out of range or repeated raise ValueError.  The returned model's
+    expected count over the pattern's pairs equals the observed count; every
+    other pair keeps its exact probability.
     """
-    rows = np.asarray(pattern.ext1_ids, dtype=np.int64)
-    cols = np.asarray(pattern.ext2_ids if pattern.ext2_ids is not None
-                      else pattern.ext1_ids, dtype=np.int64)
+    rows = _vertex_set(pattern.ext1_ids, model.n, "pattern extension 1")
+    cols = (rows if pattern.ext2_ids is None
+            else _vertex_set(pattern.ext2_ids, model.n, "pattern extension 2"))
     observed = int(pattern.edges)
     if rows.size == 0 or cols.size == 0:
         raise ValueError("pattern update needs non-empty extensions")
@@ -798,9 +792,11 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
     return model.copy_with_update(upd)
 
 
-def pair_universe(a: int, b: int, overlap: int, convention: str) -> int:
+def pair_universe(a, b, overlap, convention: str):
     """Number of vertex pairs u != v between two sets of sizes ``a`` and ``b``
-    that share ``overlap`` vertices.
+    that share ``overlap`` vertices; elementwise for arrays, whose overlaps
+    are not range-checked (the nested search's screen counts them from the
+    sets themselves).
 
     A single set of size s is the case a == b == overlap == s.  "ordered"
     counts ordered pairs, a*b - overlap; "unordered" counts each unordered
@@ -808,7 +804,7 @@ def pair_universe(a: int, b: int, overlap: int, convention: str) -> int:
     ``pair_sums`` gives the probability mass as ``ordered_sum`` and
     ``ordered_sum - overlap_sum / 2`` respectively.
     """
-    if not 0 <= overlap <= min(a, b):
+    if not isinstance(overlap, np.ndarray) and not (0 <= overlap <= a and overlap <= b):
         raise ValueError("overlap cannot exceed either subgroup size")
     if convention == "ordered":
         return a * b - overlap
@@ -817,14 +813,25 @@ def pair_universe(a: int, b: int, overlap: int, convention: str) -> int:
     raise ValueError(f"unknown convention {convention!r}")
 
 
+def _vertex_set(ids, n, what):
+    """``ids`` as an int64 array of distinct vertex ids in [0, n)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"{what}: vertex ids must lie in [0, {n})")
+    if np.unique(ids).size != ids.size:
+        raise ValueError(f"{what}: vertex ids must not repeat")
+    return ids
+
+
 def block_mean_probability(model: BackgroundModel, a, b):
     """Mean probability over the distinct pairs spanned by vertex sets a, b.
 
     Returns ``(p_w, n_w)`` where ``n_w`` counts each unordered pair once for
-    undirected models and each ordered pair once for directed models.
+    undirected models and each ordered pair once for directed models.  Ids
+    out of range or repeated raise ValueError.
     """
-    rows = np.asarray(a, dtype=np.int64)
-    cols = np.asarray(b, dtype=np.int64)
+    rows = _vertex_set(a, model.n, "first vertex set")
+    cols = _vertex_set(b, model.n, "second vertex set")
     n_w = pair_universe(rows.size, cols.size, int(np.intersect1d(rows, cols).size),
                         "ordered" if model.directed else "unordered")
     if n_w <= 0:

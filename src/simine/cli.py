@@ -1,4 +1,4 @@
-"""Command-line surface: fit, mine, baselines, synth, bench.
+"""Command-line surface: fit, mine, baselines, synth.
 
 Reports are line-delimited JSON records (the canonical form); ``--table``
 additionally prints a human-readable table to stderr.  Exit codes: 0 success
@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-import time
 
 import numpy as np
 
@@ -112,7 +111,7 @@ def build_parser():
     _add_search_args(p)
     p.add_argument("--mode", default="bi", help="single | bi | iterate:<rounds>")
     p.add_argument("--absorb", type=int, default=1,
-                   help="patterns absorbed per iterate round")
+                   help="patterns absorbed per iterate round (>= 1)")
     p.add_argument("--top", type=int, default=0, help="cap printed patterns (0 = all)")
     p.add_argument("--output", default="-")
     p.add_argument("--table", action="store_true", help="also print an aligned table")
@@ -139,14 +138,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", default="synth")
 
-    p = sub.add_parser("bench", help="time the mining pipeline at several |S|")
-    _add_data_args(p)
-    _add_model_args(p)
-    _add_score_args(p)
-    _add_search_args(p)
-    p.add_argument("--mode", default="single", help="single | bi")
-    p.add_argument("--sizes", default="50,100,200,400")
-    p.add_argument("--output", default="-")
     return parser, sub.choices
 
 
@@ -458,41 +449,6 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    g = _load_graph(args)
-    model = _fit_model(args, g)
-    selectors = generate_selectors(g, SelectorConfig(numeric_bins=args.numeric_bins))
-    cfg = _search_config(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    out = _Out(args.output)
-    try:
-        out.record({"type": "run", "command": "bench", "mode": args.mode,
-                    "sizes": sizes, "selectors_available": len(selectors),
-                    "width": args.width, "depth": args.depth})
-        prev = None
-        for size in sizes:
-            subset = selectors[:size]
-            if len(subset) < size:
-                log.warning("only %d selectors available for requested |S|=%d",
-                            len(subset), size)
-            t0 = time.perf_counter()
-            if args.mode == "single":
-                beam_search_single(g, model, subset, cfg)
-            elif args.mode == "bi":
-                nested_beam_search(g, model, subset, cfg)
-            else:
-                raise InputError(f"unknown bench mode {args.mode!r}")
-            dt = time.perf_counter() - t0
-            rec = {"type": "bench", "s": len(subset), "seconds": dt}
-            if prev is not None:
-                rec["ratio"] = dt / prev if prev > 0 else None
-            prev = dt
-            out.record(rec)
-        return EXIT_OK
-    finally:
-        out.close()
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
@@ -503,7 +459,7 @@ def main(argv=None) -> int:
                             level=logging.INFO if args.verbose else logging.WARNING,
                             format="%(levelname)s %(name)s: %(message)s")
         handler = {"fit": cmd_fit, "mine": cmd_mine, "baselines": cmd_baselines,
-                   "synth": cmd_synth, "bench": cmd_bench}[args.command]
+                   "synth": cmd_synth}[args.command]
         return handler(args)
     except (InputError, GraphFormatError, DescriptionError, FileNotFoundError,
             OSError, ValueError) as exc:

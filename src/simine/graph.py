@@ -267,19 +267,6 @@ class AttributedGraph:
         hit = (a[self._e0] & b[self._e1]) | (b[self._e0] & a[self._e1])
         return int(np.count_nonzero(hit))
 
-    def count_edge_orientations(self, a, b) -> int:
-        """Edge count where an undirected edge contributes once per qualifying
-        orientation (u in ``a``, v in ``b``).  Equals ``count_edges_between``
-        for directed graphs."""
-        a = self.as_mask(a)
-        b = self.as_mask(b)
-        if self.m == 0:
-            return 0
-        if self.directed:
-            return int(np.count_nonzero(a[self._e0] & b[self._e1]))
-        return int(np.count_nonzero(a[self._e0] & b[self._e1])
-                   + np.count_nonzero(a[self._e1] & b[self._e0]))
-
     def inter_edge_count(self, a) -> int:
         """Number of edges with exactly one endpoint in ``a``."""
         a = self.as_mask(a)

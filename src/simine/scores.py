@@ -15,7 +15,8 @@ the description length alpha * (#selectors) + beta.
 
 Pair counting: a single-subgroup pattern is the bi-subgroup pattern with
 W1 = W2, so both are scored over the pairs of two extensions of sizes a and
-b that share o vertices (``pair_universe``).  The ordered convention counts
+b that share o vertices, by one rule (``pair_counts``, which the batched
+screen of the nested search shares).  The ordered convention counts
 a*b - o pairs, both orientations of each edge and the ordered probability
 mass; the unordered convention counts a*b - o*(o+1)/2 pairs, each edge once
 and the distinct-pair mass.  Directed graphs always use the ordered
@@ -42,6 +43,7 @@ __all__ = [
     "kl_bernoulli_many",
     "information_content",
     "description_length",
+    "pair_counts",
     "score_single_counts",
     "score_single",
     "score_bi",
@@ -173,6 +175,27 @@ def description_length(len1: int, len2: int | None, c: ScoreConstants) -> float:
     return c.alpha * (len1 + len2) + c.beta
 
 
+def pair_counts(a, b, o, edges, edges_in_overlap, ordered_mass, overlap_mass,
+                convention: str, directed: bool):
+    """``(n_w, k_w, mass, slots)`` of a pattern whose extensions have sizes
+    ``a`` and ``b`` and share ``o`` vertices; elementwise for arrays.
+
+    ``edges`` counts the distinct edges between the extensions (ordered
+    edges W1 -> W2 when directed), ``edges_in_overlap`` those with both ends
+    in W1 ∩ W2, and ``ordered_mass``/``overlap_mass`` are ``pair_sums``.
+    ``slots`` is the number of distinct pairs.  In the ordered convention of
+    an undirected graph, ``k_w`` counts edge orientations (u in W1, v in W2):
+    the distinct edges plus the edges inside the overlap, which hold both
+    orientations.  ``edges_in_overlap`` is read only in that case.
+    """
+    distinct = "ordered" if directed else "unordered"
+    slots = pair_universe(a, b, o, distinct)
+    if convention == distinct:
+        return slots, edges, ordered_mass - overlap_mass / 2.0, slots
+    return (pair_universe(a, b, o, "ordered"), edges + edges_in_overlap,
+            ordered_mass, slots)
+
+
 def score_single_counts(size: int, edges: int, expected_edges: float,
                         c: ScoreConstants | None = None, description_size: int = 1,
                         directed: bool = False) -> dict:
@@ -185,10 +208,12 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
     if size < 2:
         raise ValueError("single-subgroup patterns need at least 2 vertices")
     conv = c.convention(single=True, directed=directed)
-    slots = pair_universe(size, size, size, "ordered" if directed else "unordered")
-    n_w = pair_universe(size, size, size, conv)
-    k_w = edges * (n_w // slots)  # both orientations of each edge when ordered
-    p = expected_edges / slots
+    # W1 = W2: every edge lies in the overlap, and the ordered mass of an
+    # undirected set is twice its distinct mass
+    ordered = expected_edges if directed else 2.0 * expected_edges
+    n_w, k_w, mass, slots = pair_counts(size, size, size, edges, edges, ordered,
+                                        0.0 if directed else ordered, conv, directed)
+    p = mass / n_w
     ic = information_content(n_w, k_w, p)
     dl = description_length(description_size, None, c)
     return {"n_w": n_w, "k_w": k_w, "p_w": p, "ic": ic, "dl": dl, "si": ic / dl,
@@ -212,29 +237,29 @@ def _score(g, model, c, w1, mask1, w2, mask2, edges=None) -> Pattern | None:
         ids2, o = ids1, ids1.size
     else:
         ids2 = np.flatnonzero(mask2)
-        o = int(np.count_nonzero(mask1 & mask2))
+        over = mask1 & mask2
+        o = int(np.count_nonzero(over))
     a, b = ids1.size, ids2.size
-    distinct = "ordered" if g.directed else "unordered"
-    slots = pair_universe(a, b, o, distinct)
-    if slots == 0:
-        return None
+    if pair_universe(a, b, o, "ordered") == 0:
+        return None  # no pair u != v, in either convention
     ordered_sum, overlap_sum = model.pair_sums(ids1, ids2)
-    distinct_sum = ordered_sum - overlap_sum / 2.0
     if edges is None:
         edges = g.count_edges_between(mask1, mask2)
     conv = c.convention(single, g.directed)
-    if conv == distinct:
-        n_w, k_w, p_w = slots, edges, distinct_sum / slots
-    else:
-        # ordered pairs of an undirected graph: both orientations of each edge
-        n_w = pair_universe(a, b, o, "ordered")
-        k_w = 2 * edges if single else g.count_edge_orientations(mask1, mask2)
-        p_w = ordered_sum / n_w
+    # edges inside W1 ∩ W2: all of them when W1 = W2; pair_counts reads them
+    # only in the ordered convention of an undirected graph
+    inside = edges if single else 0
+    if o and not single and conv == "ordered" and not g.directed:
+        inside = g.count_edges_between(over, over)
+    n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered_sum, overlap_sum,
+                                        conv, g.directed)
+    p_w = mass / n_w
     ic = information_content(n_w, k_w, p_w)
     dl = description_length(len(w1), None if single else len(w2), c)
     # reports print the distinct-pair mass of undirected bi patterns as it
     # is, and that of the others as p_w * slots
-    expected = p_w * slots if single or g.directed else distinct_sum
+    expected = (p_w * slots if single or g.directed
+                else ordered_sum - overlap_sum / 2.0)
     # crossing edges from the degree sum: each inner edge adds 2 to it and each
     # crossing edge 1, also when directed
     inter = int(g.degrees()[ids1].sum()) - 2 * edges if single else None

@@ -19,7 +19,7 @@ from .background import PROB_EPS, BackgroundModel, update_with_pattern
 from .descriptions import Description, selector_mask
 from .graph import AttributedGraph
 from .scores import (Pattern, ScoreConstants, baseline_scores, kl_bernoulli_many,
-                     score_bi, score_single)
+                     pair_counts, score_bi, score_single)
 
 log = logging.getLogger(__name__)
 
@@ -367,8 +367,8 @@ class _BiScreen:
 
     The SI of every candidate comes from a handful of array operations:
     class histograms and ``pair_sums_many`` for the expected mass, the
-    neighbour counts of W1 for the observed edges, and the pair-universe
-    rule of ``score_bi``.  It differs from ``score_bi``'s SI only by
+    neighbour counts of W1 for the observed edges, and ``pair_counts``, the
+    counting rule of ``score_bi``.  It differs from ``score_bi``'s SI only by
     rounding, and ``scores`` returns a bound on that difference with it.
     """
 
@@ -413,18 +413,10 @@ class _BiScreen:
         # edge orientations (u in W1, v in W2), ordered edges when directed;
         # einsum casts the bool rows in small buffers, not as a whole int copy
         orient = np.einsum("ij,j->i", masks, self.d1)
-        a, b = self.a, sizes
-        if self.directed:
-            slots = n_w = a * b - o
-            k_w, mass = orient, ordered
-        else:
-            slots = a * b - o * (o + 1) // 2
-            if self.conv == "unordered":
-                # an edge inside W1 and W2 has both orientations counted
-                n_w, mass = slots, ordered - overlap / 2.0
-                k_w = orient - _edges_inside(over, self.e0, self.e1)
-            else:
-                n_w, k_w, mass = a * b - o, orient, ordered
+        # an undirected edge inside W1 and W2 has both orientations counted
+        inside = 0 if self.directed else _edges_inside(over, self.e0, self.e1)
+        n_w, k_w, mass, slots = pair_counts(self.a, sizes, o, orient - inside, inside,
+                                            ordered, overlap, self.conv, self.directed)
         valid = slots > 0
         if self.require_disjoint:
             valid &= o == 0
@@ -545,6 +537,8 @@ def iterate(g: AttributedGraph, model0: BackgroundModel, selectors,
     """Iterative mining: absorb each round's top patterns, then mine again."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if absorb < 1:
+        raise ValueError(f"absorb must be >= 1, got {absorb}")
     model = model0
     out = IterationResult(rounds=[], models=[model0])
     for t in range(rounds):

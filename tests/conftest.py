@@ -101,6 +101,25 @@ def distinct_pairs(rows, cols, directed):
     return sorted(pairs)
 
 
+def brute_force_counts(g, mask1, mask2, convention):
+    """Pair and edge counts of the pattern (W1, W2) by enumerating vertex
+    pairs: ``pair_slots`` distinct pairs and ``edges`` of them joined by an
+    edge; ``n_w`` and ``k_w`` the same over ordered pairs (u in W1, v in W2)
+    in the ordered convention."""
+    edge_set = {(int(u), int(v)) for u, v in g.edges}
+    if not g.directed:
+        edge_set |= {(v, u) for u, v in edge_set}
+    ids1, ids2 = np.flatnonzero(mask1), np.flatnonzero(mask2)
+    slots = distinct_pairs(ids1, ids2, g.directed)
+    edges = sum(pair in edge_set for pair in slots)
+    if convention == "ordered":
+        ordered = [(int(u), int(v)) for u in ids1 for v in ids2 if u != v]
+        n_w, k_w = len(ordered), sum(pair in edge_set for pair in ordered)
+    else:
+        n_w, k_w = len(slots), edges
+    return {"n_w": n_w, "k_w": k_w, "edges": edges, "pair_slots": len(slots)}
+
+
 def enumerate_descriptions(g, selectors, max_len, min_size):
     """All canonical descriptions up to max_len selectors, one per attribute."""
     out = []

@@ -230,6 +230,17 @@ class TestBlockMean:
         with pytest.raises(ValueError):
             block_mean_probability(m, [3], [3])
 
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 0, 1], [2]),  # a repeated id would count (0, 2) twice
+        ([0], [2, 2]),
+        ([-1], [2]),  # -1 would silently mean vertex n - 1
+        ([0], [11]),
+    ])
+    def test_bad_vertex_ids_rejected(self, fig_graph, rows, cols):
+        m = fit_density_prior(fig_graph, 0.2)
+        with pytest.raises(ValueError, match="vertex ids"):
+            block_mean_probability(m, rows, cols)
+
 
 class TestPatternUpdate:
     def test_calibrated_pattern_gives_zero(self, fig_graph):
@@ -279,6 +290,17 @@ class TestPatternUpdate:
         m = fit_density_prior(fig_graph, 0.5)
         with pytest.raises(ValueError):
             update_with_pattern(m, FakePattern([], [1], edges=0))
+
+    @pytest.mark.parametrize("ext1, ext2", [
+        ([0, 1, 2, 3, 3], None),  # a repeated id would weigh its pairs twice
+        ([0, 1], [2, 2, 3]),
+        ([0, 1], [-1]),
+        ([0, 11], [2]),
+    ])
+    def test_bad_vertex_ids_rejected(self, fig_graph, ext1, ext2):
+        m = fit_density_prior(fig_graph, 0.5)
+        with pytest.raises(ValueError, match="vertex ids"):
+            update_with_pattern(m, FakePattern(ext1, ext2, edges=2))
 
     def test_reabsorb_is_noop(self):
         g = random_graph(29, n=35)

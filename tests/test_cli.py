@@ -189,6 +189,16 @@ class TestMine:
         assert [(r[0], r[1], r[2], r[-1]) for r in rows] == [
             (str(p["round"]), str(p["rank"]), p["w1"], f"{p['si']:.3f}") for p in pats]
 
+    @pytest.mark.parametrize("absorb", ["0", "-1"])
+    def test_absorb_below_one_rejected(self, synth_files, capsys, absorb):
+        # --absorb 0 would repeat round 1; -1 would absorb all but the last pattern
+        code, out, err = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
+                                 "--attrs", synth_files + ".attrs.csv",
+                                 "--prior", "degree", "--mode", "iterate:3",
+                                 "--x1", "2", "--x2", "2", "--depth", "1",
+                                 "--absorb", absorb)
+        assert code == 1 and out == "" and "absorb must be >= 1" in err
+
     def test_empty_exit_code(self, synth_files, capsys):
         code, out, _ = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
                                "--attrs", synth_files + ".attrs.csv",
@@ -313,15 +323,3 @@ class TestBaselinesCmd:
                                "--attrs", synth_files + ".attrs.csv",
                                "--measures", "bogus")
         assert code == 1 and "unknown measure" in err
-
-
-class TestBench:
-    def test_two_sizes(self, synth_files, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--edges", synth_files + ".edges",
-                               "--attrs", synth_files + ".attrs.csv",
-                               "--prior", "degree", "--sizes", "3,6",
-                               "--width", "5", "--depth", "1")
-        assert code == 0
-        rows = [r for r in records(out) if r["type"] == "bench"]
-        assert [r["s"] for r in rows] == [3, 6]
-        assert "ratio" in rows[1] and rows[1]["seconds"] > 0

@@ -283,6 +283,14 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(g, model, generate_selectors(g), SearchConfig(), rounds=0)
 
+    @pytest.mark.parametrize("absorb", [0, -1])
+    def test_absorb_validated(self, absorb):
+        g = random_graph(71, n=20)
+        model = fit_degree_prior(g)
+        with pytest.raises(ValueError, match="absorb"):
+            iterate(g, model, generate_selectors(g), SearchConfig(), rounds=2,
+                    absorb=absorb)
+
 
 class TestBaselineSearch:
     def test_density_prefers_pairs(self):
