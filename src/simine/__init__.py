@@ -13,10 +13,8 @@ from .background import (BackgroundModel, FitError, PartitionGammas,
                          fit_block_prior, fit_degree_prior, fit_density_prior,
                          pair_universe, update_with_pattern)
 from .scores import (MEASURE_NAMES, Pattern, ScoreConstants, baseline_scores,
-                     description_length, exact_tail_probability,
-                     information_content, kl_bernoulli, rescore, score_bi,
-                     score_single, score_single_counts,
-                     subjective_interestingness)
+                     description_length, information_content, kl_bernoulli,
+                     rescore, score_bi, score_single, score_single_counts)
 from .search import (BaselineResult, Beam, BeamEntry, IterationResult,
                      SearchConfig, baseline_search, beam_search_single,
                      iterate, nested_beam_search)
@@ -36,9 +34,8 @@ __all__ = [
     "fit_density_prior", "pair_universe", "update_with_pattern",
     # scoring
     "MEASURE_NAMES", "Pattern", "ScoreConstants", "baseline_scores",
-    "description_length", "exact_tail_probability", "information_content",
-    "kl_bernoulli", "rescore", "score_bi", "score_single", "score_single_counts",
-    "subjective_interestingness",
+    "description_length", "information_content", "kl_bernoulli", "rescore",
+    "score_bi", "score_single", "score_single_counts",
     # search
     "BaselineResult", "Beam", "BeamEntry", "IterationResult", "SearchConfig",
     "baseline_search", "beam_search_single", "iterate", "nested_beam_search",

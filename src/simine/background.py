@@ -27,9 +27,9 @@ classes:
   two vertex sets (O(|R| + |C| + K_R * K_C)), computed once for one row set
   against a batch of column sets (``pair_sums_many``) with ``pair_sums`` as
   its one-column-set case;
-* a pattern multiplier comes from bracketed bisection on the monotone
-  calibration residual over class-pair weights; the updated model splits
-  classes by membership in the pattern's rows and columns.
+* a pattern multiplier comes from bisection over the clamp range on the
+  monotone calibration residual over class-pair weights; the updated model
+  splits classes by membership in the pattern's rows and columns.
 """
 
 from __future__ import annotations
@@ -223,16 +223,6 @@ class BackgroundModel:
     def n_classes(self) -> int:
         return int(self.class_lam_row.size)
 
-    @property
-    def lam_row(self) -> np.ndarray:
-        """Row multiplier of every vertex."""
-        return self.class_lam_row[self.cls]
-
-    @property
-    def lam_col(self) -> np.ndarray:
-        """Column multiplier of every vertex (equal to ``lam_row`` if undirected)."""
-        return self.class_lam_col[self.cls]
-
     # -- probability queries -------------------------------------------------
 
     def _class_logits(self, a, b):
@@ -248,17 +238,8 @@ class BackgroundModel:
         return L
 
     def _class_probs(self, a, b):
+        """Clamped edge probabilities for the class grid a x b (diagonal included)."""
         return np.clip(_sigmoid(self._class_logits(a, b)), PROB_EPS, 1.0 - PROB_EPS)
-
-    def probabilities(self, rows, cols) -> np.ndarray:
-        """Clamped edge probabilities for the rows x cols grid (diagonal NOT excluded)."""
-        return self._class_probs(self.cls[np.asarray(rows, dtype=np.int64)],
-                                 self.cls[np.asarray(cols, dtype=np.int64)])
-
-    def edge_probability(self, u: int, v: int) -> float:
-        if u == v:
-            raise ValueError("edge probability is undefined for u == v")
-        return float(self.probabilities(np.array([u]), np.array([v]))[0, 0])
 
     def pair_sums(self, rows, cols):
         """Probability mass over the rows x cols grid, diagonal excluded.
@@ -623,23 +604,28 @@ class _MaxEntProblem:
                 L = L + part.gammas[cb[A][:, None], cb[B][None, :]]
         return L.ravel(), w.ravel()
 
-    def sweep(self):
-        for _name, use_row, target in self.targets:
+    def constraints(self):
+        """Every constraint in sweep order, as ``(label, mult, index, ell, w,
+        s, target)``: the 1-D dual of the multiplier ``mult[index]`` (a degree
+        coordinate, or one partition's gamma for a non-empty block; ``label``
+        is the degree name or the partition).  Terms are built as each
+        constraint is reached, so they see every earlier step of a sweep."""
+        for name, use_row, target in self.targets:
             lam = self.lam_row if use_row else self.lam_col
             for a in range(self.k):
-                ell, w, s = self._degree_terms(a, use_row)
-                lam[a] = _coordinate_step(ell, w, s, float(target[a]), lam[a])
+                yield (name, lam, a, *self._degree_terms(a, use_row), float(target[a]))
         for part_i, (part, blocks) in enumerate(zip(self.parts, self.block_info)):
             for block in blocks:
                 ell, w = self._block_terms(part_i, block)
-                if not w.any():
-                    continue  # empty block: gamma pinned at 0
-                b1, b2 = block["b1"], block["b2"]
-                g1 = _coordinate_step(ell, w, 1.0, float(block["observed"]),
-                                      float(part.gammas[b1, b2]))
-                part.gammas[b1, b2] = g1
-                if not self.directed:
-                    part.gammas[b2, b1] = g1
+                if w.any():  # an empty block keeps its gamma pinned at 0
+                    yield (part, part.gammas, (block["b1"], block["b2"]), ell, w, 1.0,
+                           float(block["observed"]))
+
+    def sweep(self):
+        for _, mult, i, ell, w, s, target in self.constraints():
+            mult[i] = _coordinate_step(ell, w, s, target, mult[i])
+            if mult.ndim == 2 and not self.directed:
+                mult[i[::-1]] = mult[i]  # gammas stay symmetric
 
     @staticmethod
     def _saturated(residual, mult):
@@ -656,33 +642,22 @@ class _MaxEntProblem:
         convergence, ``waived_worst`` is reported for saturated constraints
         (degree 0 / degree n-1 vertices, zero-edge blocks).
         """
-        worst_name, worst, waived = "", 0.0, 0.0
-        for name, use_row, target in self.targets:
-            lam = self.lam_row if use_row else self.lam_col
-            for a in range(self.k):
-                ell, w, s = self._degree_terms(a, use_row)
-                r = _dual_grad(ell, w, s, float(target[a]), lam[a])
-                if self._saturated(r, lam[a]):
-                    waived = max(waived, abs(r))
-                elif abs(r) > worst:
-                    worst = abs(r)
-                    label = self.g.vertex_label(int(self.rep[a]))
-                    worst_name = f"{name} of vertex {label!r}"
-        for part_i, (part, blocks) in enumerate(zip(self.parts, self.block_info)):
-            for block in blocks:
-                ell, w = self._block_terms(part_i, block)
-                if not w.any():
-                    continue
-                mult = part.gammas[block["b1"], block["b2"]]
-                r = _dual_grad(ell, w, 1.0, float(block["observed"]), mult)
-                if self._saturated(r, mult):
-                    waived = max(waived, abs(r))
-                elif abs(r) > worst:
-                    worst = abs(r)
-                    worst_name = (f"block ({part.attribute}: "
-                                  f"{part.bin_values[block['b1']]} x "
-                                  f"{part.bin_values[block['b2']]})")
-        return worst_name, worst, waived
+        worst_at, worst, waived = None, 0.0, 0.0
+        for label, mult, i, ell, w, s, target in self.constraints():
+            r = _dual_grad(ell, w, s, target, mult[i])
+            if self._saturated(r, mult[i]):
+                waived = max(waived, abs(r))
+            elif abs(r) > worst:
+                worst_at, worst = (label, i), abs(r)
+        name = ""
+        if worst_at is not None:
+            label, i = worst_at
+            if isinstance(label, str):
+                name = f"{label} of vertex {self.g.vertex_label(int(self.rep[i]))!r}"
+            else:
+                values = label.bin_values
+                name = f"block ({label.attribute}: {values[i[0]]} x {values[i[1]]})"
+        return name, worst, waived
 
 
 def _fit_max_ent(g, partitions, with_degrees, tol, max_iter, prior):
@@ -735,9 +710,13 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
     observed = int(pattern.edges)
     if rows.size == 0 or cols.size == 0:
         raise ValueError("pattern update needs non-empty extensions")
-    # distinct pairs per class pair: ordered pairs u != v, and on undirected
-    # graphs one orientation less of each pair inside the overlap
     h_r, h_c, h_o = model._histograms(rows, cols)
+    n_pairs = pair_universe(rows.size, cols.size, int(h_o.sum()),
+                            "ordered" if model.directed else "unordered")
+    if n_pairs == 0:
+        raise ValueError("pattern update has an empty pair set")
+    # the same pairs per class pair: ordered pairs u != v, and on undirected
+    # graphs one orientation less of each pair inside the overlap
     ia, ib = np.flatnonzero(h_r), np.flatnonzero(h_c)
     w = np.outer(h_r[ia], h_c[ib])
     r, c = np.nonzero(ia[:, None] == ib[None, :])
@@ -746,45 +725,27 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
     else:
         w -= 0.5 * np.outer(h_o[ia], h_o[ib])
         w[r, c] -= 0.5 * h_o[ia[r]]
-    n_pairs = int(w.sum())
-    if n_pairs == 0:
-        raise ValueError("pattern update has an empty pair set")
     keep = w > 0
     ell = model._class_logits(ia, ib)[keep]
     w = w[keep]
-
-    cal_tol = 1e-9 * max(1, n_pairs)
 
     def resid(lam):
         return float((w * _sigmoid(ell + lam)).sum()) - observed
 
     lam = 0.0
-    if abs(resid(0.0)) > cal_tol:
-        if observed <= 0:
-            lam = -LOGIT_CLAMP
-            log.warning("pattern count 0: multiplier clamped at %g", lam)
-        elif observed >= n_pairs:
-            lam = LOGIT_CLAMP
-            log.warning("pattern count saturates its pair set: multiplier clamped at %g", lam)
+    if abs(resid(0.0)) > 1e-9 * max(1, n_pairs):
+        lo, hi = -LOGIT_CLAMP, LOGIT_CLAMP
+        if resid(lo) >= 0 or resid(hi) <= 0:
+            lam = lo if resid(lo) >= 0 else hi
+            log.warning("pattern multiplier clamped at %g", lam)
         else:
-            lo, hi = -1.0, 1.0
-            while resid(lo) > 0 and lo > -LOGIT_CLAMP:
-                lo = max(lo * 2, -LOGIT_CLAMP)
-            while resid(hi) < 0 and hi < LOGIT_CLAMP:
-                hi = min(hi * 2, LOGIT_CLAMP)
-            if resid(lo) > 0 or resid(hi) < 0:
-                lam = lo if resid(lo) > 0 else hi
-                log.warning("pattern multiplier clamped at %g", lam)
-            else:
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if resid(mid) > 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                    if hi - lo < 1e-13:
-                        break
-                lam = 0.5 * (lo + hi)
+            while hi - lo > 1e-13:  # float spacing near 30 is 3.6e-15, so this ends
+                mid = 0.5 * (lo + hi)
+                if resid(mid) > 0:
+                    hi = mid
+                else:
+                    lo = mid
+            lam = 0.5 * (lo + hi)
 
     if abs(lam) < LOGIT_CLAMP and abs(resid(lam)) > 1e-6 * max(1, n_pairs):
         raise FitError(f"pattern multiplier failed to calibrate (residual {resid(lam):.3g})")

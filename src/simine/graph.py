@@ -171,12 +171,10 @@ class AttributedGraph:
 
         out = np.bincount(self._e0, minlength=n)
         inc = np.bincount(self._e1, minlength=n)
-        if directed:
-            self._out_deg = out
-            self._in_deg = inc
-            self._deg = out + inc
-        else:
-            self._deg = out + inc
+        self._deg = out + inc
+        self._out_deg, self._in_deg = (out, inc) if directed else (None, None)
+        for deg in (out, inc, self._deg):
+            deg.flags.writeable = False
 
     # -- basic accessors ----------------------------------------------------
 
@@ -208,32 +206,20 @@ class AttributedGraph:
     # -- degrees ------------------------------------------------------------
 
     def degrees(self) -> np.ndarray:
-        """Per-vertex degree; for directed graphs this is in+out."""
-        return self._deg.copy()
+        """Per-vertex degree (in+out when directed), as a read-only view."""
+        return self._deg.view()
 
     def out_degrees(self) -> np.ndarray:
+        """Per-vertex out-degree of a directed graph, as a read-only view."""
         if not self.directed:
             raise ValueError("out_degrees is only defined for directed graphs")
-        return self._out_deg.copy()
+        return self._out_deg.view()
 
     def in_degrees(self) -> np.ndarray:
+        """Per-vertex in-degree of a directed graph, as a read-only view."""
         if not self.directed:
             raise ValueError("in_degrees is only defined for directed graphs")
-        return self._in_deg.copy()
-
-    def degree(self, u: int, mode: str = "total") -> int:
-        """Degree of vertex ``u``; directed graphs expose 'in'/'out'/'total'."""
-        if not (0 <= u < self.n):
-            raise IndexError(f"vertex id {u} out of range")
-        if mode == "total":
-            return int(self._deg[u])
-        if not self.directed:
-            raise ValueError("in/out degree is only defined for directed graphs")
-        if mode == "out":
-            return int(self._out_deg[u])
-        if mode == "in":
-            return int(self._in_deg[u])
-        raise ValueError(f"unknown degree mode {mode!r}")
+        return self._in_deg.view()
 
     # -- vertex sets and counting --------------------------------------------
 

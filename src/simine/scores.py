@@ -1,6 +1,6 @@
 """Pattern scoring: pair counting, Bernoulli KL, information content,
-description length, subjective interestingness, the exact-tail oracle and
-the eight objective baseline measures.
+description length, subjective interestingness and the eight objective
+baseline measures.
 
 All information quantities are in natural-log units.  The information
 content of a pattern is the Chernoff/Hoeffding lower bound
@@ -48,8 +48,6 @@ __all__ = [
     "score_single",
     "score_bi",
     "rescore",
-    "subjective_interestingness",
-    "exact_tail_probability",
     "baseline_scores",
     "MEASURE_NAMES",
 ]
@@ -298,43 +296,6 @@ def rescore(g: AttributedGraph, model: BackgroundModel, w1: Description,
     if w2 is None:
         return score_single(g, model, w1, m1, c)
     return score_bi(g, model, w1, m1, w2, extension(w2, g), c)
-
-
-def subjective_interestingness(g: AttributedGraph, model: BackgroundModel,
-                               w1: Description, w2: Description | None = None,
-                               c: ScoreConstants | None = None) -> float:
-    """SI of the pattern induced by the given description(s) under a model."""
-    pat = rescore(g, model, w1, w2, c or ScoreConstants())
-    if pat is None:
-        raise ValueError("pattern has an empty pair universe")
-    return pat.si
-
-
-# -- exact tail oracle ------------------------------------------------------------
-
-
-def exact_tail_probability(pair_probs, k: int, side: str = "at_least") -> float:
-    """Exact Poisson-binomial tail by dynamic programming (desk-scale oracle).
-
-    ``side`` is "at_least" for P[X >= k] or "at_most" for P[X <= k].
-    Limited to 25 trials; for production scoring use the Chernoff bound.
-    """
-    probs = np.asarray(pair_probs, dtype=np.float64)
-    if probs.size > 25:
-        raise ValueError("exact tail oracle is limited to 25 pair probabilities")
-    if np.any((probs < 0) | (probs > 1)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    pmf = np.array([1.0])
-    for p in probs:
-        nxt = np.zeros(pmf.size + 1)
-        nxt[:-1] = pmf * (1.0 - p)
-        nxt[1:] += pmf * p
-        pmf = nxt
-    if side == "at_least":
-        return float(pmf[max(k, 0):].sum())
-    if side == "at_most":
-        return float(pmf[:k + 1].sum()) if k >= 0 else 0.0
-    raise ValueError(f"unknown side {side!r}")
 
 
 # -- objective baselines -----------------------------------------------------------

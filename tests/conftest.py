@@ -68,7 +68,8 @@ def dense_probabilities(model, rows, cols):
     bins and update ledger rather than from its class table."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    L = model.offset + model.lam_row[rows][:, None] + model.lam_col[cols][None, :]
+    L = (model.offset + model.class_lam_row[model.cls[rows]][:, None]
+         + model.class_lam_col[model.cls[cols]][None, :])
     for part in model.partitions:
         L = L + part.gammas[part.bins[rows][:, None], part.bins[cols][None, :]]
     for upd in model.updates:
@@ -79,6 +80,13 @@ def dense_probabilities(model, rows, cols):
             member |= np.isin(rows, upd.cols)[:, None] & np.isin(cols, upd.rows)[None, :]
         L = L + upd.lam * member
     return np.clip(1.0 / (1.0 + np.exp(-L)), 1e-12, 1.0 - 1e-12)
+
+
+def table_probabilities(model, rows, cols):
+    """The model's own class-table probabilities for the rows x cols grid
+    (diagonal included)."""
+    return model._class_probs(model.cls[np.asarray(rows, dtype=np.int64)],
+                              model.cls[np.asarray(cols, dtype=np.int64)])
 
 
 def dense_pair_sums(model, rows, cols):
@@ -221,6 +229,31 @@ def reference_nested_beam_search(g, model, selectors, cfg):
                     outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
                                             group=str(pat.w1), payload=pat))
     return [e.payload for e in outer.entries]
+
+
+def exact_tail_probability(pair_probs, k, side="at_least"):
+    """Exact Poisson-binomial tail by dynamic programming, the oracle the
+    Chernoff bound is checked against.
+
+    ``side`` is "at_least" for P[X >= k] or "at_most" for P[X <= k].
+    Limited to 25 trials.
+    """
+    probs = np.asarray(pair_probs, dtype=np.float64)
+    if probs.size > 25:
+        raise ValueError("exact tail oracle is limited to 25 pair probabilities")
+    if np.any((probs < 0) | (probs > 1)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    pmf = np.array([1.0])
+    for p in probs:
+        nxt = np.zeros(pmf.size + 1)
+        nxt[:-1] = pmf * (1.0 - p)
+        nxt[1:] += pmf * p
+        pmf = nxt
+    if side == "at_least":
+        return float(pmf[max(k, 0):].sum())
+    if side == "at_most":
+        return float(pmf[:k + 1].sum()) if k >= 0 else 0.0
+    raise ValueError(f"unknown side {side!r}")
 
 
 def brute_force_tail(probs, k, side):

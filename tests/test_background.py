@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from simine import (AttributeColumn, AttributedGraph, BackgroundModel, FitError,
                     block_mean_probability, fit_block_prior, fit_degree_prior,
                     fit_density_prior, update_with_pattern)
 
-from conftest import random_graph
+from conftest import dense_probabilities, random_graph, table_probabilities
 
 
 def cycle_graph(n):
@@ -22,9 +23,19 @@ def complete_graph(n):
 def expected_degrees(model):
     """Independent check: row sums of the full probability matrix."""
     ids = np.arange(model.n)
-    p = model.probabilities(ids, ids)
+    p = dense_probabilities(model, ids, ids)
     np.fill_diagonal(p, 0.0)
     return p.sum(axis=1)
+
+
+def dense_p(model, u, v):
+    """Probability of the pair (u, v) from the dense per-vertex reference."""
+    return float(dense_probabilities(model, [u], [v])[0, 0])
+
+
+def table_p(model, u, v):
+    """Probability of the pair (u, v) as the model's class table holds it."""
+    return float(table_probabilities(model, [u], [v])[0, 0])
 
 
 class FakePattern:
@@ -37,14 +48,14 @@ class FakePattern:
 class TestDensityPrior:
     def test_uniform(self, triangle):
         m = fit_density_prior(triangle, 0.5)
-        assert m.edge_probability(0, 2) == pytest.approx(0.5)
-        assert m.edge_probability(1, 2) == pytest.approx(0.5)
+        assert dense_p(m, 0, 2) == pytest.approx(0.5)
+        assert dense_p(m, 1, 2) == pytest.approx(0.5)
 
     def test_observed_density_matches_edge_count(self, fig_graph):
         n, e = fig_graph.n, fig_graph.m
         m = fit_density_prior(fig_graph, e / (n * (n - 1) / 2))
         ids = np.arange(n)
-        p = m.probabilities(ids, ids)
+        p = dense_probabilities(m, ids, ids)
         np.fill_diagonal(p, 0.0)
         assert p.sum() / 2 == pytest.approx(e, rel=1e-9)
 
@@ -52,7 +63,7 @@ class TestDensityPrior:
         g = AttributedGraph(4, [(0, 1), (1, 0), (2, 3)], directed=True)
         m = fit_density_prior(g, g.m / (g.n * (g.n - 1)))
         ids = np.arange(4)
-        p = m.probabilities(ids, ids)
+        p = dense_probabilities(m, ids, ids)
         np.fill_diagonal(p, 0.0)
         assert p.sum() == pytest.approx(g.m, rel=1e-9)
 
@@ -68,13 +79,13 @@ class TestDegreePrior:
         g = cycle_graph(8)
         m = fit_degree_prior(g, tol=1e-9)
         for u, v in [(0, 1), (0, 4), (2, 7)]:
-            assert m.edge_probability(u, v) == pytest.approx(2 / 7, abs=1e-6)
+            assert dense_p(m, u, v) == pytest.approx(2 / 7, abs=1e-6)
 
     def test_complete_graph_saturates(self):
         g = complete_graph(6)
         m = fit_degree_prior(g, tol=1e-4)
         for u in range(1, 6):
-            assert m.edge_probability(0, u) >= 1 - 1e-6
+            assert dense_p(m, 0, u) >= 1 - 1e-6
 
     def test_star_constraints(self, star5):
         m = fit_degree_prior(star5, tol=1e-4)
@@ -96,7 +107,7 @@ class TestDegreePrior:
         g = AttributedGraph(n, sorted(edges), directed=True)
         m = fit_degree_prior(g, tol=1e-6)
         ids = np.arange(n)
-        p = m.probabilities(ids, ids)
+        p = dense_probabilities(m, ids, ids)
         np.fill_diagonal(p, 0.0)
         assert np.allclose(p.sum(axis=1), g.out_degrees(), atol=1e-6)
         assert np.allclose(p.sum(axis=0), g.in_degrees(), atol=1e-6)
@@ -107,7 +118,7 @@ class TestDegreePrior:
                             directed=True)
         m = fit_degree_prior(g, tol=1e-6)
         ids = np.arange(20)
-        p = m.probabilities(ids, ids)
+        p = dense_probabilities(m, ids, ids)
         np.fill_diagonal(p, 0.0)
         live_rows = g.out_degrees() > 0
         assert np.allclose(p.sum(axis=1)[live_rows], g.out_degrees()[live_rows],
@@ -117,7 +128,7 @@ class TestDegreePrior:
     def test_isolated_vertex_clamped(self):
         g = AttributedGraph(5, [(0, 1), (1, 2), (0, 2)])
         m = fit_degree_prior(g)
-        assert m.lam_row[3] == -30.0
+        assert m.class_lam_row[m.cls[3]] == -30.0
         assert expected_degrees(m)[3] <= 1e-4
 
     def test_empty_graph_rejected(self):
@@ -129,6 +140,72 @@ class TestDegreePrior:
         g = random_graph(3, n=40)
         with pytest.raises(FitError, match="worst constraint"):
             fit_degree_prior(g, tol=1e-12, max_iter=1)
+
+
+def _named(g):
+    """``g`` with vertex labels n0, n1, ... so that messages name vertices
+    unambiguously."""
+    return AttributedGraph(g.n, g.edges, directed=g.directed, columns=g.columns,
+                           labels=[f"n{u}" for u in range(g.n)])
+
+
+class TestFitDiagnostics:
+    """The fit names its worst constraint and reports saturated ones."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_worst_degree_constraint_named(self, directed):
+        g = _named(random_graph(3, n=40, directed=directed))
+        kind = "(out|in)-degree" if directed else "(degree)"
+        with pytest.raises(FitError, match=rf"worst constraint: {kind} of vertex 'n\d+' "
+                                           r"\(residual "):
+            fit_degree_prior(g, tol=1e-12, max_iter=1)
+        m = fit_degree_prior(g, tol=1e-6)
+        worst = m.fit_info["max_residual"]
+        named = re.fullmatch(rf"{kind} of vertex 'n(\d+)'", m.fit_info["worst_constraint"])
+        assert named and 0 < worst <= 1e-6
+        ids = np.arange(g.n)
+        p = dense_probabilities(m, ids, ids)
+        np.fill_diagonal(p, 0.0)
+        if directed:
+            res = {"out": np.abs(p.sum(axis=1) - g.out_degrees()),
+                   "in": np.abs(p.sum(axis=0) - g.in_degrees())}[named.group(1)]
+        else:
+            res = np.abs(p.sum(axis=1) - g.degrees())
+        assert res[int(named.group(2))] == pytest.approx(worst, abs=1e-10)
+        assert res.max() <= worst + 1e-10
+
+    def test_worst_block_constraint_named(self):
+        g = _named(random_graph(5, n=40, attrs=(("p1", 2), ("p2", 3))))
+        name = r"block \((p1|p2): (v\d) x (v\d)\)"
+        with pytest.raises(FitError, match=rf"worst constraint: {name} \(residual "):
+            fit_block_prior(g, ["p1", "p2"], with_degrees=False, tol=1e-12, max_iter=1)
+        m = fit_block_prior(g, ["p1", "p2"], with_degrees=False, tol=1e-6)
+        worst = m.fit_info["max_residual"]
+        named = re.fullmatch(name, m.fit_info["worst_constraint"])
+        assert named and 0 < worst <= 1e-6
+        ids = np.arange(g.n)
+        p = dense_probabilities(m, ids, ids)
+        np.fill_diagonal(p, 0.0)
+        part = next(q for q in m.partitions if q.attribute == named.group(1))
+        b1, b2 = (part.bin_values.index(v) for v in named.group(2, 3))
+        i1, i2 = np.flatnonzero(part.bins == b1), np.flatnonzero(part.bins == b2)
+        expected = p[np.ix_(i1, i2)].sum() / (2.0 if b1 == b2 else 1.0)
+        observed = g.count_edges_between(g.as_mask(i1), g.as_mask(i2))
+        assert abs(expected - observed) == pytest.approx(worst, abs=1e-10)
+
+    def test_isolated_vertex_saturated_and_clamped(self):
+        g = _named(AttributedGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+        m = fit_degree_prior(g)
+        info = m.fit_info
+        assert info["clamped"] == ["n4"]
+        assert "n4" not in info["worst_constraint"]
+        lam = m.class_lam_row[m.cls]
+        assert lam[4] == -30.0
+        # the isolated vertex's expected degree, which its clamped multiplier
+        # cannot lower further
+        partners = 1.0 / (1.0 + np.exp(-(lam[4] + lam[:4])))
+        assert info["saturated_residual"] == pytest.approx(partners.sum(), rel=1e-9)
+        assert info["saturated_residual"] > 0 and info["max_residual"] <= info["tol"]
 
 
 class TestBlockPrior:
@@ -145,21 +222,21 @@ class TestBlockPrior:
         m1 = fit_degree_prior(g, tol=1e-7)
         m2 = fit_block_prior(g, ["z"], with_degrees=True, tol=1e-7)
         ids = np.arange(g.n)
-        assert np.allclose(m1.probabilities(ids, ids), m2.probabilities(ids, ids),
-                           atol=1e-5)
+        assert np.allclose(dense_probabilities(m1, ids, ids),
+                           dense_probabilities(m2, ids, ids), atol=1e-5)
 
     def test_zero_cross_block(self):
         g = self.two_cliques()
         m = fit_block_prior(g, ["grp"], with_degrees=False, tol=1e-6)
-        assert m.edge_probability(0, 5) < 1e-6
-        assert m.edge_probability(0, 1) == pytest.approx(1.0, abs=1e-5)
+        assert dense_p(m, 0, 5) < 1e-6
+        assert dense_p(m, 0, 1) == pytest.approx(1.0, abs=1e-5)
 
     def test_block_residuals(self):
         g = random_graph(21, n=50, attrs=(("grp", 3), ("b", 2)))
         m = fit_block_prior(g, ["grp"], with_degrees=True, tol=1e-5)
         bins = m.partitions[0].bins
         ids = np.arange(g.n)
-        p = m.probabilities(ids, ids)
+        p = dense_probabilities(m, ids, ids)
         np.fill_diagonal(p, 0.0)
         assert np.max(np.abs(p.sum(axis=1) - g.degrees())) <= 1e-5
         for b1 in range(3):
@@ -187,8 +264,8 @@ class TestEdgeProbability:
         m = fit_density_prior(triangle, 0.5)
         m2 = update_with_pattern(m, FakePattern([0, 1], [2], edges=2))
         # analytic: p' = p e^l / (1 - p + p e^l); calibration forces p' = 1 - eps
-        assert m2.edge_probability(0, 2) == m2.edge_probability(1, 2)
-        assert m2.edge_probability(0, 1) == 0.5
+        assert table_p(m2, 0, 2) == table_p(m2, 1, 2)
+        assert table_p(m2, 0, 1) == 0.5
 
     def test_lambda_zero_is_identity(self, fig_graph):
         m = fit_density_prior(fig_graph, 0.25)
@@ -196,17 +273,12 @@ class TestEdgeProbability:
         # the update map is the identity
         m2 = update_with_pattern(m, FakePattern([0, 1], [2, 3], edges=1))
         assert m2.updates[-1].lam == 0.0
-        assert m2.edge_probability(0, 2) == m.edge_probability(0, 2)
+        assert table_p(m2, 0, 2) == table_p(m, 0, 2)
 
     def test_plug_in_formula(self):
         # p = 0.5 with shift ln 3 gives 0.75
         p, lam = 0.5, math.log(3.0)
         assert p * math.exp(lam) / (1 - p + p * math.exp(lam)) == pytest.approx(0.75)
-
-    def test_self_pair_rejected(self, triangle):
-        m = fit_density_prior(triangle, 0.5)
-        with pytest.raises(ValueError):
-            m.edge_probability(1, 1)
 
 
 class TestBlockMean:
@@ -253,7 +325,7 @@ class TestPatternUpdate:
         m = fit_density_prior(fig_graph, 0.5)
         m2 = update_with_pattern(m, FakePattern([0, 1], [2, 3], edges=3))
         assert m2.updates[-1].lam == pytest.approx(math.log(3.0), abs=1e-9)
-        assert m2.edge_probability(0, 2) == pytest.approx(0.75, abs=1e-9)
+        assert dense_p(m2, 0, 2) == pytest.approx(0.75, abs=1e-9)
 
     def test_calibration_and_locality(self):
         g = random_graph(17, n=40)
@@ -265,7 +337,7 @@ class TestPatternUpdate:
         assert expect * n_w == pytest.approx(k, abs=1e-6 * max(1, n_w))
         # outside the pair block: bit-identical probabilities
         for u, v in [(30, 35), (26, 39), (0, 30)]:
-            assert m.edge_probability(u, v) == m2.edge_probability(u, v)
+            assert table_p(m, u, v) == table_p(m2, u, v)
 
     def test_monotone_sign(self):
         g = random_graph(23, n=30)
@@ -341,7 +413,8 @@ class TestSerialization:
         m.save(path)
         m2 = BackgroundModel.load(path)
         ids = np.arange(g.n)
-        assert np.array_equal(m.probabilities(ids, ids), m2.probabilities(ids, ids))
+        assert np.array_equal(table_probabilities(m, ids, ids),
+                              table_probabilities(m2, ids, ids))
         assert m2.prior == m.prior
         # the file itself is valid versioned JSON with a class id per vertex
         blob = json.loads(path.read_text())
@@ -356,7 +429,8 @@ class TestSerialization:
         m.save(path)
         m2 = BackgroundModel.load(path)
         ids = np.arange(g.n)
-        assert np.array_equal(m.probabilities(ids, ids), m2.probabilities(ids, ids))
+        assert np.array_equal(table_probabilities(m, ids, ids),
+                              table_probabilities(m2, ids, ids))
 
     @staticmethod
     def _blob():

@@ -11,7 +11,7 @@ from simine import (FitError, block_mean_probability, fit_block_prior,
 from simine import background
 
 from conftest import (dense_pair_sums, dense_probabilities, distinct_pairs,
-                      random_graph)
+                      random_graph, table_probabilities)
 
 RTOL = 1e-9
 
@@ -43,8 +43,8 @@ def _check_fit(g, model, tol):
     P = dense_probabilities(model, ids, ids)
     np.fill_diagonal(P, 0.0)
     if "degree" in model.prior:
-        free_r = np.abs(model.lam_row) < background.LOGIT_CLAMP
-        free_c = np.abs(model.lam_col) < background.LOGIT_CLAMP
+        free_r = np.abs(model.class_lam_row[model.cls]) < background.LOGIT_CLAMP
+        free_c = np.abs(model.class_lam_col[model.cls]) < background.LOGIT_CLAMP
         if g.directed:
             assert np.all(np.abs(P.sum(1) - g.out_degrees())[free_r] <= tol)
             assert np.all(np.abs(P.sum(0) - g.in_degrees())[free_c] <= tol)
@@ -66,8 +66,8 @@ def _check_fit(g, model, tol):
 def _check_reads(model, rng):
     n = model.n
     ids = np.arange(n)
-    assert np.allclose(model.probabilities(ids, ids), dense_probabilities(model, ids, ids),
-                       rtol=1e-12, atol=0.0)
+    assert np.allclose(table_probabilities(model, ids, ids),
+                       dense_probabilities(model, ids, ids), rtol=1e-12, atol=0.0)
     for _ in range(4):
         rows = _vertex_set(rng, n)
         cols = rows if rng.random() < 0.3 else _vertex_set(rng, n, base=rows)
@@ -85,22 +85,38 @@ def _check_reads(model, rng):
 
 
 def _absorb_and_check(model, rng):
-    """Absorb a random (possibly self-overlapping) pattern; its dense expected
-    count must equal the observed count."""
+    """Absorb a random (possibly self-overlapping) pattern, sometimes with no
+    edge or with every pair an edge.  Its dense expected count must equal the
+    observed count; where the multiplier is clamped, it must stay on the
+    observed count's side: at least observed at -30, at most at +30."""
     rows = _vertex_set(rng, model.n)
     single = rng.random() < 0.25
     cols = None if single else _vertex_set(rng, model.n, base=rows)
     pairs = distinct_pairs(rows, rows if single else cols, model.directed)
     if not pairs:
         return model
-    observed = int(rng.integers(1, len(pairs))) if len(pairs) > 1 else 1
+    draw = rng.random()
+    if draw < 0.15:
+        observed = 0
+    elif draw < 0.3:
+        observed = len(pairs)
+    else:
+        observed = int(rng.integers(1, len(pairs))) if len(pairs) > 1 else 1
     updated = update_with_pattern(model, _Pat(rows, cols, observed))
     upd = updated.updates[-1]
     assert upd.n_pairs == len(pairs)
-    if abs(upd.lam) < background.LOGIT_CLAMP:
-        us, vs = np.array(pairs).T
-        expected = dense_probabilities(updated, us, vs).diagonal().sum()
+    us, vs = np.array(pairs).T
+    expected = dense_probabilities(updated, us, vs).diagonal().sum()
+    if upd.lam == -background.LOGIT_CLAMP:
+        assert expected >= observed, (expected, observed)
+    elif upd.lam == background.LOGIT_CLAMP:
+        assert expected <= observed, (expected, observed)
+    elif 0 < observed < len(pairs):
         assert _close(expected, observed), (expected, observed)
+    else:
+        # an end count is only reached at a clamp, or already within the
+        # calibration tolerance with no shift at all
+        assert upd.lam == 0.0 and abs(expected - observed) <= 1e-9 * len(pairs)
     return updated
 
 

@@ -6,6 +6,7 @@ from simine import ScoreConstants, load_graph, parse_description, rescore
 from simine.background import BackgroundModel
 from simine.cli import main
 
+from conftest import dense_probabilities
 
 
 def run_cli(capsys, *argv):
@@ -88,7 +89,7 @@ class TestFit:
                                "--prior", "density:0.01", "--output", model_path)
         assert code == 0
         m = BackgroundModel.load(model_path)
-        assert m.edge_probability(0, 1) == pytest.approx(0.01)
+        assert dense_probabilities(m, [0], [1])[0, 0] == pytest.approx(0.01)
 
     def test_blocks_plus_degree_spec(self, synth_files, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")

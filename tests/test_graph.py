@@ -144,22 +144,36 @@ def test_loaded_descriptions_round_trip(tmp_path_factory, name, value):
 
 class TestCounting:
     def test_degree_triangle(self, triangle):
-        assert [triangle.degree(u) for u in range(3)] == [2, 2, 2]
+        assert triangle.degrees().tolist() == [2, 2, 2]
 
     def test_degree_path(self, path4):
-        assert path4.degree(1) == 2 and path4.degree(0) == 1
+        assert path4.degrees()[1] == 2 and path4.degrees()[0] == 1
 
     def test_degree_star_center(self, star5):
-        assert star5.degree(0) == 4
-
-    def test_degree_out_of_range(self, triangle):
-        with pytest.raises(IndexError):
-            triangle.degree(7)
+        assert star5.degrees()[0] == 4
 
     def test_directed_degrees(self):
         g = AttributedGraph(3, [(0, 1), (0, 2), (2, 0)], directed=True)
-        assert g.degree(0, "out") == 2 and g.degree(0, "in") == 1
-        assert g.degree(0) == 3
+        assert g.out_degrees()[0] == 2 and g.in_degrees()[0] == 1
+        assert g.degrees()[0] == 3
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_degree_arrays_are_shared_read_only(self, directed):
+        g = random_graph(3, directed=directed)
+        e0, e1 = g.edges.T
+        out, inc = np.bincount(e0, minlength=g.n), np.bincount(e1, minlength=g.n)
+        reads = [(g.degrees, out + inc)]
+        if directed:
+            reads += [(g.out_degrees, out), (g.in_degrees, inc)]
+        for read, ref in reads:
+            deg = read()
+            assert np.array_equal(deg, ref)
+            assert np.shares_memory(deg, read())
+            with pytest.raises(ValueError):
+                deg[0] = 99
+            with pytest.raises(ValueError):
+                deg.flags.writeable = True
+            assert np.array_equal(read(), ref)
 
     def test_count_edges_between_triangle(self, triangle):
         assert triangle.count_edges_between([0, 1], [2]) == 2

@@ -9,6 +9,17 @@ def test_every_listed_name_resolves():
 
 def test_removed_names_are_gone():
     for name in ("n_w_single", "n_w_bi", "n_w_bi_ordered", "resolve_pair_counting",
-                 "si_value", "SearchCancelled", "add_if_required", "refine"):
+                 "si_value", "SearchCancelled", "add_if_required", "refine",
+                 "exact_tail_probability", "subjective_interestingness"):
         assert name not in simine.__all__
         assert not hasattr(simine, name), name
+
+
+def test_removed_members_are_gone():
+    from simine import scores
+
+    for name in ("exact_tail_probability", "subjective_interestingness"):
+        assert not hasattr(scores, name), name
+    for name in ("probabilities", "edge_probability", "lam_row", "lam_col"):
+        assert not hasattr(simine.BackgroundModel, name), name
+    assert not hasattr(simine.AttributedGraph, "degree")

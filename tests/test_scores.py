@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simine import (AttributedGraph, Description, ScoreConstants,
-                    baseline_scores, description_length,
-                    exact_tail_probability, extension, fit_density_prior,
-                    fit_degree_prior, generate_selectors, information_content,
-                    kl_bernoulli, pair_universe, score_bi, score_single,
-                    score_single_counts)
+                    baseline_scores, description_length, extension,
+                    fit_density_prior, fit_degree_prior, generate_selectors,
+                    information_content, kl_bernoulli, pair_universe, score_bi,
+                    score_single, score_single_counts)
 
-from conftest import brute_force_tail, random_graph
+from conftest import brute_force_tail, exact_tail_probability, random_graph
 
 
 class TestPairCounting:
