@@ -143,12 +143,15 @@ class BackgroundModel:
     graphs).  All vertices of a class share their bin in every partition and
     their membership in every update's rows and columns, which the
     constructor checks, so a pair probability depends on the two classes
-    alone.  ``update_with_pattern`` returns a new model; probability reads
+    alone.  ``graph_fingerprint`` is ``AttributedGraph.fingerprint`` of the
+    graph the model was fitted on, over its partition attributes (None when
+    unknown).  ``update_with_pattern`` returns a new model; probability reads
     are safe for concurrent use.
     """
 
     def __init__(self, n, directed, offset=0.0, cls=None, lam_row=None, lam_col=None,
-                 partitions=(), updates=(), prior="density", fit_info=None):
+                 partitions=(), updates=(), prior="density", fit_info=None,
+                 graph_fingerprint=None):
         self.n = int(n)
         self.directed = bool(directed)
         self.offset = float(offset)
@@ -168,6 +171,7 @@ class BackgroundModel:
         self.updates = list(updates)
         self.prior = prior
         self.fit_info = dict(fit_info or {})
+        self.graph_fingerprint = graph_fingerprint
         self._check_and_index()
         k = self.n_classes
         self._P_off = self._P_diag = None  # class-pair table, diagonal split off
@@ -286,22 +290,29 @@ class BackgroundModel:
             P[r, c] = 0.0
             yield a, P, a[r], diag
 
-    def class_histograms(self, masks) -> np.ndarray:
-        """Class histograms (float) of many vertex sets, one per row of the
-        (C, n) boolean array ``masks``."""
+    def class_order(self):
+        """``(order, starts)``: the vertices sorted by class (stable), and the
+        position in ``order`` where each class starts."""
         if self._by_class is None:
             order = np.argsort(self.cls, kind="stable")
             self._by_class = order, np.searchsorted(self.cls[order],
                                                     np.arange(self.n_classes))
-        order, starts = self._by_class
+        return self._by_class
+
+    def class_histograms(self, masks) -> np.ndarray:
+        """Class histograms (float) of many vertex sets, one per row of the
+        (C, n) boolean array ``masks``."""
+        order, starts = self.class_order()
         return np.add.reduceat(masks[:, order], starts, axis=1).astype(np.float64)
 
     def pair_sums_many(self, h_r, H_c, H_o):
-        """``pair_sums`` of one row set against one or many column sets, from
+        """``pair_sums`` of row sets against one or many column sets, from
         class histograms: ``h_r`` of the rows, ``H_c`` of the column sets and
         ``H_o`` of their intersections with the rows, one row per column set
-        (or 1-D for a single one).  Returns ``(ordered_sum, overlap_sum)``,
-        arrays with one entry per column set (scalars for 1-D input).
+        (or 1-D for a single one).  ``h_r`` is 1-D for one row set shared by
+        every column set, or has one row per column set, paired with it.
+        Returns ``(ordered_sum, overlap_sum)``, arrays with one entry per
+        column set (scalars for 1-D input).
 
         Pairs between distinct classes come from the off-diagonal table; the
         h_r*h_c - h_o pairs inside one class from its diagonal entry.  All
@@ -312,15 +323,19 @@ class BackgroundModel:
         """
         if self._P_off is not None:
             diag = self._P_diag
-            ordered = H_c @ (h_r @ self._P_off)
+            ic = slice(None)
+            to_cols = h_r @ self._P_off
         else:
             ic = _present(H_c)
             diag = np.zeros(self.n_classes)
-            to_cols = np.zeros(ic.size)
-            for a, P, dc, dp in self._sub_tables(np.flatnonzero(h_r), ic):
+            to_cols = np.zeros(h_r.shape[:-1] + (ic.size,))
+            for a, P, dc, dp in self._sub_tables(_present(h_r), ic):
                 diag[dc] = dp
-                to_cols += h_r[a] @ P
+                to_cols += h_r[..., a] @ P
+        if h_r.ndim == 1:
             ordered = H_c[..., ic] @ to_cols
+        else:
+            ordered = (H_c[..., ic] * to_cols).sum(axis=-1)
         ordered = ordered + (H_c * h_r - H_o) @ diag
         if H_o is h_r and not self.directed:
             return ordered, ordered  # the overlap is the whole grid
@@ -347,7 +362,8 @@ class BackgroundModel:
                                self.class_lam_row[parent],
                                self.class_lam_col[parent] if self.directed else None,
                                self.partitions, self.updates + [upd],
-                               prior=self.prior, fit_info=self.fit_info)
+                               prior=self.prior, fit_info=self.fit_info,
+                               graph_fingerprint=self.graph_fingerprint)
 
     # -- serialization ---------------------------------------------------------
 
@@ -376,6 +392,7 @@ class BackgroundModel:
                 "n_pairs": int(u.n_pairs),
             } for u in self.updates],
             "fit_info": self.fit_info,
+            "graph_fingerprint": self.graph_fingerprint,
         }
 
     @classmethod
@@ -400,7 +417,8 @@ class BackgroundModel:
                     for u in d["updates"]]
             return cls(int(d["n"]), bool(d["directed"]), float(d["offset"]),
                        _ints(d["classes"], "class ids"), d["lam_row"], d["lam_col"],
-                       parts, upds, prior=d["prior"], fit_info=d.get("fit_info"))
+                       parts, upds, prior=d["prior"], fit_info=d.get("fit_info"),
+                       graph_fingerprint=d.get("graph_fingerprint"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed model file: {exc!r}") from None
 
@@ -437,7 +455,8 @@ def fit_density_prior(g: AttributedGraph, density: float) -> BackgroundModel:
     return BackgroundModel(g.n, g.directed, offset=float(_logit(np.float64(density))),
                            prior=f"density:{density!r}",
                            fit_info={"prior": "density", "density": density,
-                                     "iterations": 0, "max_residual": 0.0, "classes": 1})
+                                     "iterations": 0, "max_residual": 0.0, "classes": 1},
+                           graph_fingerprint=g.fingerprint())
 
 
 def fit_degree_prior(g: AttributedGraph, tol: float = 1e-4,
@@ -689,7 +708,8 @@ def _fit_max_ent(g, partitions, with_degrees, tol, max_iter, prior):
             "tol": tol, "clamped": clamped, "classes": prob.k}
     return BackgroundModel(g.n, g.directed, 0.0, prob.cls, prob.lam_row,
                            prob.lam_col if g.directed else None,
-                           prob.parts, prior=prior, fit_info=info)
+                           prob.parts, prior=prior, fit_info=info,
+                           graph_fingerprint=g.fingerprint(partitions))
 
 
 # -- pattern absorption ----------------------------------------------------------

@@ -215,8 +215,18 @@ def _load_graph(args):
 def _fit_model(args, g):
     if getattr(args, "model", None):
         model = BackgroundModel.load(args.model)
-        if model.n != g.n or model.directed != g.directed:
-            raise InputError("model file does not match the loaded graph")
+        if model.graph_fingerprint is None:
+            raise InputError(f"model file {args.model} does not name the graph it was "
+                             "fitted on; re-run `simine fit` to rebuild the model")
+        try:
+            same = model.graph_fingerprint == g.fingerprint(
+                [p.attribute for p in model.partitions])
+        except KeyError:
+            same = False
+        if not same:
+            raise InputError(f"model file {args.model} was fitted on another graph "
+                             "(labels, edges or partition columns differ); re-run "
+                             "`simine fit` on this graph")
         return model
     spec = getattr(args, "prior", None)
     if not spec:

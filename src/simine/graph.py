@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -202,6 +204,19 @@ class AttributedGraph:
 
     def vertex_label(self, u: int) -> str:
         return self.labels[u]
+
+    def fingerprint(self, attributes=()) -> str:
+        """sha256 (hex) of what a model fitted on this graph depends on: the
+        vertex labels in id order, the edges in sorted order (so the order
+        of an edge file's lines does not matter) and the named attribute
+        columns.  An unknown attribute raises KeyError."""
+        h = hashlib.sha256()
+        h.update(json.dumps([self.n, self.m, self.directed, self.labels]).encode())
+        h.update(np.sort(self._e0 * self.n + self._e1).astype("<i8").tobytes())
+        for name in attributes:
+            col = self.column(name)
+            h.update(json.dumps([name, col.kind, col.values.tolist()]).encode())
+        return h.hexdigest()
 
     # -- degrees ------------------------------------------------------------
 

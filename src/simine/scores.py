@@ -221,9 +221,11 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
 # -- pattern construction --------------------------------------------------------
 
 
-def _score(g, model, c, w1, mask1, w2, mask2, edges=None) -> Pattern | None:
+def _score(g, model, c, w1, mask1, w2, mask2, edges=None, inside=None) -> Pattern | None:
     """Score the pattern (W1, W2) with extensions ``mask1``, ``mask2``; a
     single-subgroup pattern has ``w2 is None`` and ``mask2 is mask1``.
+    ``edges`` and ``inside`` are the edge counts of ``score_bi``, counted
+    here when not given.
 
     ``k_w``/``n_w``/``p_w`` are counted in the scoring convention,
     ``edges``/``pair_slots``/``expected_edges`` over distinct pairs (ordered
@@ -246,8 +248,11 @@ def _score(g, model, c, w1, mask1, w2, mask2, edges=None) -> Pattern | None:
     conv = c.convention(single, g.directed)
     # edges inside W1 ∩ W2: all of them when W1 = W2; pair_counts reads them
     # only in the ordered convention of an undirected graph
-    inside = edges if single else 0
-    if o and not single and conv == "ordered" and not g.directed:
+    if single:
+        inside = edges
+    elif not o or conv != "ordered" or g.directed:
+        inside = 0
+    elif inside is None:
         inside = g.count_edges_between(over, over)
     n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered_sum, overlap_sum,
                                         conv, g.directed)
@@ -282,9 +287,17 @@ def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
 
 def score_bi(g: AttributedGraph, model: BackgroundModel, w1: Description,
              mask1: np.ndarray, w2: Description, mask2: np.ndarray,
-             c: ScoreConstants) -> Pattern | None:
-    """Score a bi-subgroup pattern; returns None when the pair universe is empty."""
-    return _score(g, model, c, w1, mask1, w2, mask2)
+             c: ScoreConstants, edges: int | None = None,
+             inside: int | None = None) -> Pattern | None:
+    """Score a bi-subgroup pattern; returns None when the pair universe is empty.
+
+    ``edges`` is the number of distinct edges between the extensions
+    (ordered edges W1 -> W2 when directed) and ``inside`` the number of
+    edges inside their intersection, when the caller has already counted
+    them; ``inside`` is read only in the ordered convention of an
+    undirected graph.
+    """
+    return _score(g, model, c, w1, mask1, w2, mask2, edges, inside)
 
 
 def rescore(g: AttributedGraph, model: BackgroundModel, w1: Description,

@@ -151,7 +151,7 @@ class Beam:
 # -- candidate generation -------------------------------------------------------
 
 _EDGE_CELLS = 1 << 22  # cells of the (sets x edges) array counting edges inside sets
-_SCREEN_CELLS = 1 << 20  # cells of the (candidates x vertices) block screened at once
+_SCREEN_CELLS = 1 << 20  # cells of a boolean temporary of the nested search's screen
 _CHILD_CACHE_BYTES = 1 << 23  # cached child extensions per search
 
 
@@ -220,45 +220,69 @@ class _Refiner:
             self._cache_bytes += hit[2].nbytes
         return hit
 
-    def expand(self, parents, seen, admit=None):
-        """Admissible refinements of ``parents``, parent by parent and each
-        parent's in selector order, that ``admit(parent, selector position,
-        key)`` accepts when given; a child it rejects still counts as seen.
-        Returns ``(children, masks, sizes)``: ``(parent position, selector
-        position, key)`` per child and the children's extensions stacked as
-        rows."""
-        children, picks = [], []
-        for p, parent in enumerate(parents):
-            js, keys, masks, size = self._children(parent)
-            rows = []
-            for r, key in enumerate(keys):
-                if key not in seen:
-                    seen.add(key)
-                    if admit is None or admit(parent, js[r], key):
-                        rows.append(r)
-                        children.append((p, js[r], key))
-            picks.append((masks, size, rows))
-        # gather the rows straight into one stack, without per-parent copies
-        out = np.empty((len(children), self.matrix.shape[1]), dtype=bool)
-        sizes = np.empty(len(children), dtype=np.int64)
-        lo = 0
-        for masks, size, rows in picks:
-            hi = lo + len(rows)
-            # rows are in range; "clip" lets take write to out without a buffer
-            np.take(masks, rows, axis=0, out=out[lo:hi], mode="clip")
-            sizes[lo:hi] = size[rows]
-            lo = hi
-        return children, out, sizes
+    def expand(self, groups):
+        """Admissible refinements of groups of parents.  A group is
+        ``(parents, seen, admit)``: the refinements of its parents, parent by
+        parent and each parent's in selector order, whose keys are not in
+        ``seen`` yet and that ``admit(parent, selector position, key)``
+        accepts when it is not None; a child it rejects still joins ``seen``.
 
-    def node(self, parents, child, mask, size) -> _Node:
+        Returns ``(children, masks, sizes)``: per group, ``(parent position,
+        selector position, key, row)`` per child, and the extensions of the
+        distinct children stacked as rows in the order they first appear.
+        Children with equal keys share one row, so with a single group row i
+        is child i."""
+        children = [[] for _ in groups]
+        hits = {}  # parent key -> its refinements
+        visits = []  # (refinements, those newly stacked, their first row)
+        rows: dict[tuple, int] = {}  # child key -> row of the stack
+        for out, (parents, seen, admit) in zip(children, groups):
+            for p, parent in enumerate(parents):
+                hit = hits.get(parent.key)
+                if hit is None:
+                    hit = hits[parent.key] = self._children(parent)
+                js, keys = hit[0], hit[1]
+                take, lo = [], len(rows)
+                for r, key in enumerate(keys):
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if admit is not None and not admit(parent, js[r], key):
+                        continue
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = len(rows)
+                        take.append(r)
+                    out.append((p, js[r], key, row))
+                if take:
+                    visits.append((hit, take, lo))
+        # gather the rows straight into one stack, without per-parent copies:
+        # the rows one parent visit adds are consecutive
+        stack = np.empty((len(rows), self.matrix.shape[1]), dtype=bool)
+        sizes = np.empty(len(rows), dtype=np.int64)
+        for (_, _, masks, size), take, lo in visits:
+            # rows are in range; "clip" lets take write to stack without a buffer
+            np.take(masks, take, axis=0, out=stack[lo:lo + len(take)], mode="clip")
+            sizes[lo:lo + len(take)] = size[take]
+        return children, stack, sizes
+
+    def node(self, parents, child, masks, sizes) -> _Node:
         """The child's node; it holds a copy of its extension, so a node kept
         in a beam does not keep its level's whole stack alive."""
-        p, j, key = child
-        return _Node(parents[p].sels + (j,), key, mask.copy(), int(size))
+        p, j, key, row = child
+        return _Node(parents[p].sels + (j,), key, masks[row].copy(), int(sizes[row]))
 
     def nodes(self, parents, children, masks, sizes):
-        for i, child in enumerate(children):
-            yield self.node(parents, child, masks[i], sizes[i])
+        for child in children:
+            yield self.node(parents, child, masks, sizes)
+
+
+def _edge_rows(masks, e0, e1):
+    """``(rows, edges)`` incidence: whether edge (e0[i], e1[i]) has both ends
+    in a row of ``masks``; built in place, so two such blocks are alive."""
+    out = masks[:, e0]
+    out &= masks[:, e1]
+    return out
 
 
 def _edges_inside(masks, e0, e1):
@@ -266,8 +290,7 @@ def _edges_inside(masks, e0, e1):
     out = np.zeros(len(masks), dtype=np.int64)
     step = max(1, _EDGE_CELLS // max(1, e0.size))
     for i in range(0, len(masks), step):
-        m = masks[i:i + step]
-        out[i:i + step] = np.count_nonzero(m[:, e0] & m[:, e1], axis=1)
+        out[i:i + step] = np.count_nonzero(_edge_rows(masks[i:i + step], e0, e1), axis=1)
     return out
 
 
@@ -334,7 +357,7 @@ def _single_engine(g, selectors, cfg, scorer):
         seen: set[tuple] = set()
         beam = Beam(cfg.beam_width)
         for parent in rows:
-            children, masks, sizes = refiner.expand([parent], seen)
+            (children,), masks, sizes = refiner.expand([([parent], seen, None)])
             # a child's inner edges are among its parent's: count over those
             inside = parent.mask[e0] & parent.mask[e1]
             counts = _edges_inside(masks, e0[inside], e1[inside])
@@ -362,74 +385,162 @@ def _single_engine(g, selectors, cfg, scorer):
 # -- nested bi-subgroup search ------------------------------------------------------
 
 
-class _BiScreen:
-    """Screening scores of many W2 candidates against one W1.
+def _products(A, B, step):
+    """``A @ B.T`` of two arrays of counts (0/1 rows or neighbour counts),
+    converting at most ``step`` columns of each to float64 at a time; the
+    sums are integers, so they come out exact."""
+    out = None
+    for lo in range(0, A.shape[1], step):
+        part = A[:, lo:lo + step].astype(np.float64) @ B[:, lo:lo + step].astype(np.float64).T
+        out = part if out is None else out + part
+    return np.zeros((len(A), len(B))) if out is None else out
 
-    The SI of every candidate comes from a handful of array operations:
-    class histograms and ``pair_sums_many`` for the expected mass, the
-    neighbour counts of W1 for the observed edges, and ``pair_counts``, the
-    counting rule of ``score_bi``.  It differs from ``score_bi``'s SI only by
-    rounding, and ``scores`` returns a bound on that difference with it.
+
+class _BiScreen:
+    """Screening scores of (W1, W2) pairs: the pairs of one inner-search
+    level of a chunk of W1s, in one call.
+
+    Per block of the (W1 x W2) grid, products of 0/1 rows count the
+    overlaps' class histograms (one class at a time, so their sums are the
+    overlap sizes), the edge orientations from W1's neighbour counts and, on
+    undirected graphs, the edges inside the overlaps from edge-incidence
+    rows, all as exact integers.  ``pair_sums_many`` gives the expected mass
+    and ``pair_counts``, the counting rule of ``score_bi``, the rest.  The
+    edge counts are the ones ``score_bi`` would count; the SI differs from
+    ``score_bi``'s only by the rounding of the mass, and ``scores`` returns a
+    bound on that difference with it.
+
+    No boolean temporary holds more than ``_SCREEN_CELLS`` cells and no
+    float one more than ``floats``.
     """
 
-    def __init__(self, g, model, c, z1, mask1, edges, require_disjoint):
+    def __init__(self, g, model, c, require_disjoint):
         self.model, self.c, self.require_disjoint = model, c, require_disjoint
-        self.directed = g.directed
+        self.n, self.directed = g.n, g.directed
         self.conv = c.convention(single=False, directed=g.directed)
-        self.mask1 = mask1
-        self.a = int(np.count_nonzero(mask1))
-        self.len1 = len(z1)
-        self.h1 = model.class_histograms(mask1[None, :])[0]
-        e0, e1 = edges[:, 0], edges[:, 1]
-        from1 = mask1[e0]
-        # neighbours in W1 of every vertex (in-neighbours when directed)
-        self.d1 = np.bincount(e1[from1], minlength=g.n)
-        if not self.directed:
-            self.d1 += np.bincount(e0[mask1[e1]], minlength=g.n)
-        inside = from1 & mask1[e1]
-        self.e0, self.e1 = e0[inside], e1[inside]
+        self.e0, self.e1 = np.ascontiguousarray(g.edges.T)
+        self.order, starts = model.class_order()
+        self.classes = list(zip(starts.tolist(), starts[1:].tolist() + [g.n]))
+        # the neighbours of every vertex (its in-neighbours when directed),
+        # grouped by vertex in class order, and where each non-empty group starts
+        src, dst = self.e0, self.e1
+        if not g.directed:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        pos = np.empty(g.n, dtype=np.int64)  # place of each vertex in class order
+        pos[self.order] = np.arange(g.n)
+        self.nbr = src[np.argsort(pos[dst], kind="stable")]
+        counts = np.bincount(pos[dst], minlength=g.n)
+        self.has_nbr = counts > 0
+        self.nbr_starts = (np.cumsum(counts) - counts)[self.has_nbr]
+        # cells of a float temporary: few enough to keep small graphs' peak
+        # memory flat, and at least eight vertex rows, so that large graphs
+        # still convert rows to floats in few slices
+        self.floats = max(1, _SCREEN_CELLS // 64, 8 * g.n)
+        # W1s per chunk: each gathers len(nbr) cells for its neighbour counts
+        # and holds them as n floats, besides its inner search's candidates
+        # and beam; half the float budget keeps small graphs' peak flat
+        self.w1_step = max(1, min(_SCREEN_CELLS // max(1, self.nbr.size),
+                                  self.floats // (2 * g.n)))
         # relative rounding of the expected mass: this path and pair_sums each
         # sum O(K) non-negative terms per dot product, in different orders
         self.rho = 8.0 * (model.n_classes + 8) * np.finfo(np.float64).eps
 
-    def scores(self, masks, sizes, lengths):
-        """``(si, bound)`` per candidate row of ``masks``; ``si`` is -inf
-        where ``score_bi`` returns None or the pair breaks disjointness.
-        Rows go in blocks of ``_SCREEN_CELLS`` cells, which bounds the
-        temporaries: the overlaps and the class-sorted copies of a block."""
-        si, bound = np.empty(len(masks)), np.empty(len(masks))
-        step = max(1, _SCREEN_CELLS // max(1, masks.shape[1]))
-        for i in range(0, len(masks), step):
-            rows = slice(i, i + step)
-            si[rows], bound[rows] = self._block(masks[rows], sizes[rows], lengths[rows])
-        return si, bound
+    def scores(self, masks1, masks2, pi, pj, lengths):
+        """``(si, bound, edges, inside)`` per pair of W1 row ``pi[i]`` of
+        ``masks1`` and W2 row ``pj[i]`` of ``masks2``, whose descriptions
+        have ``lengths[i]`` selectors together; ``pi`` is sorted.  ``si`` is
+        -inf where ``score_bi`` returns None or the pair breaks disjointness;
+        ``edges`` and ``inside`` are the counts ``score_bi`` takes.  W1s go
+        in chunks of ``w1_step``, each against the W2s its pairs name."""
+        out = (np.empty(len(pi)), np.empty(len(pi)),
+               np.empty(len(pi), dtype=np.int64), np.empty(len(pi), dtype=np.int64))
+        lo = 0
+        for i0 in range(0, len(masks1), self.w1_step):
+            hi = int(np.searchsorted(pi, i0 + self.w1_step))
+            if hi == lo:
+                continue
+            w1, keep = self._w1_rows(masks1[i0:i0 + self.w1_step])
+            cols, at = np.unique(pj[lo:hi], return_inverse=True)
+            at = at.reshape(-1)
+            # W2 rows as booleans, and a block's pairs' c1 * c2 * K class counts
+            c1 = len(w1[0])
+            step2 = max(1, min(_SCREEN_CELLS // max(1, self.n, keep.size),
+                               self.floats // (c1 * self.model.n_classes)))
+            for j0 in range(0, cols.size, step2):
+                part = np.flatnonzero((at >= j0) & (at < j0 + step2))
+                w2 = self._w2_rows(masks2[cols[j0:j0 + step2]], keep)
+                rows = lo + part
+                res = self._block(w1, w2, pi[rows] - i0, at[part] - j0, lengths[rows])
+                for column, values in zip(out, res):
+                    column[rows] = values
+            lo = hi
+        return out
 
-    def _block(self, masks, sizes, lengths):
-        over = masks & self.mask1
-        o = np.count_nonzero(over, axis=1)
-        H = self.model.class_histograms(masks)
-        H_o = self.model.class_histograms(over)
-        ordered, overlap = self.model.pair_sums_many(self.h1, H, H_o)
+    def _rows(self, masks):
+        """Class-ordered rows, class histograms and sizes of the sets
+        ``masks``; the histograms are counted in int64, a few rows at a time."""
+        step = max(1, self.floats // self.n)
+        H = [self.model.class_histograms(masks[r:r + step]) for r in range(0, len(masks), step)]
+        return masks[:, self.order], np.concatenate(H), np.count_nonzero(masks, axis=1)
+
+    def _w1_rows(self, masks):
+        """``(rows, keep)``: ``_rows`` of a chunk of W1s, their neighbour
+        counts in class order (in-neighbours in the W1 when directed) and,
+        on undirected graphs, their edge-incidence rows over the edges
+        ``keep`` inside some W1 of the chunk: no other edge lies inside an
+        overlap."""
+        D = np.zeros((len(masks), self.n))
+        # reduceat counts in int64, so a few W1s at a time
+        step = max(1, self.floats // max(1, self.nbr.size))
+        for r in range(0, len(masks) if self.nbr.size else 0, step):
+            D[r:r + step, self.has_nbr] = np.add.reduceat(masks[r:r + step, self.nbr],
+                                                          self.nbr_starts, axis=1)
+        E, keep = None, np.empty(0, dtype=np.int64)
+        if not self.directed:
+            E = _edge_rows(masks, self.e0, self.e1)
+            keep = np.flatnonzero(E.any(axis=0))
+            E = E[:, keep]
+        return (*self._rows(masks), D, E), keep
+
+    def _w2_rows(self, masks, keep):
+        """``_rows`` of a chunk of W2s and, on undirected graphs, their
+        edge-incidence rows over the edges ``keep``."""
+        E = None if self.directed else _edge_rows(masks, self.e0[keep], self.e1[keep])
+        return (*self._rows(masks), E)
+
+    def _block(self, w1, w2, i, j, lengths):
+        """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block."""
+        C1, H1, a, D1, E1 = w1
+        C2, H2, b, E2 = w2
+        step = max(1, self.floats // (len(C1) + len(C2)))
+        # the overlaps' class histograms, one class at a time
+        H_o = np.empty((len(i), len(self.classes)))
+        for k, (lo, hi) in enumerate(self.classes):
+            H_o[:, k] = _products(C1[:, lo:hi], C2[:, lo:hi], step)[i, j]
+        o = H_o.sum(axis=1).astype(np.int64)
+        a, b = a[i], b[j]
+        ordered, overlap = self.model.pair_sums_many(H1[i], H2[j], H_o)
         # edge orientations (u in W1, v in W2), ordered edges when directed;
-        # einsum casts the bool rows in small buffers, not as a whole int copy
-        orient = np.einsum("ij,j->i", masks, self.d1)
         # an undirected edge inside W1 and W2 has both orientations counted
-        inside = 0 if self.directed else _edges_inside(over, self.e0, self.e1)
-        n_w, k_w, mass, slots = pair_counts(self.a, sizes, o, orient - inside, inside,
-                                            ordered, overlap, self.conv, self.directed)
+        orient = _products(D1, C2, step)[i, j].astype(np.int64)
+        inside = (np.zeros_like(o) if self.directed
+                  else _products(E1, E2, step)[i, j].astype(np.int64))
+        edges = orient - inside
+        n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered, overlap,
+                                            self.conv, self.directed)
         valid = slots > 0
         if self.require_disjoint:
             valid &= o == 0
         n_w = np.where(valid, n_w, 1)
         q, p = k_w / n_w, mass / n_w
-        dl = self.c.alpha * (self.len1 + lengths) + self.c.beta
+        dl = self.c.alpha * lengths + self.c.beta
         si = n_w * kl_bernoulli_many(q, p) / dl
         # a mass off by rho moves KL(q || p) by rho * |p - q| / (1 - p); the
         # divergence's own rounding stays below 1e-13 for a clamped p
         pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
         drift = self.rho * np.abs(pc - q) / (1.0 - pc)
         bound = 1e-9 * np.abs(si) + n_w / dl * (1e-13 + drift)
-        return np.where(valid, si, -np.inf), bound
+        return np.where(valid, si, -np.inf), bound, edges, inside
 
 
 def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
@@ -441,14 +552,20 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     survivors are pushed into the outer beam, which keeps at most x1*x2
     entries spanning at least x1 distinct W1 descriptions.
 
-    Each level of an inner search is screened as one batch (``_BiScreen``);
-    only the candidates whose screening SI could place them in the inner
-    beam are scored by ``score_bi`` and offered to it.  The inner beam has
-    no diversity floor and a strict total order, so it ends up holding the
-    same entries as if every candidate had been scored and offered.
+    The inner searches of the W1s refined at one outer level run in
+    lockstep, one screen chunk of W1s at a time: each inner level expands
+    the inner beam of every W1 of the chunk, and the level's (W1, W2) pairs
+    are screened in one batch (``_BiScreen``).  Per W1, only the candidates
+    whose screening SI could place them in its inner beam are scored by
+    ``score_bi``, with the screen's edge counts, and offered to it.  An
+    inner beam has no diversity floor and a strict total order, so it ends
+    up holding the same entries as if every candidate had been scored and
+    offered.  Inner beams do not read one another, and their survivors reach
+    the outer beam W1 by W1, so the result is the one of running each W1's
+    inner search on its own.
     """
     refiner = _Refiner(g, selectors, max(1, cfg.min_extension_size))
-    edges = g.edges
+    screen = _BiScreen(g, model, cfg.constants, cfg.require_disjoint_extensions)
     outer = Beam(cfg.x1 * cfg.x2, diversity_floor=cfg.x1)
     w1_nodes: dict[str, _Node] = {}
     expanded_any = False
@@ -463,14 +580,21 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
                 if ident not in named:
                     named.add(ident)
                     frontier.append(w1_nodes[ident])
-        for w1 in refiner.nodes(frontier, *refiner.expand(frontier, set())):
-            z1 = refiner.description(w1)
-            pats = _inner_search(g, model, refiner, cfg, z1, w1, edges)
-            expanded_any = expanded_any or bool(pats)
-            w1_nodes.setdefault(str(z1), w1)
-            for pat in pats:
-                outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
-                                        group=str(pat.w1), payload=pat))
+        (children,), masks, sizes = refiner.expand([(frontier, set(), None)])
+        # one screen chunk of W1s at a time, which bounds the inner searches'
+        # state as well as the screen's temporaries
+        for lo in range(0, len(children), screen.w1_step):
+            w1s = list(refiner.nodes(frontier, children[lo:lo + screen.w1_step],
+                                     masks, sizes))
+            z1s = [refiner.description(w1) for w1 in w1s]
+            inner = _inner_searches(g, model, refiner, screen, cfg, w1s, z1s,
+                                    masks[lo:lo + screen.w1_step])
+            for w1, z1, pats in zip(w1s, z1s, inner):
+                expanded_any = expanded_any or bool(pats)
+                w1_nodes.setdefault(str(z1), w1)
+                for pat in pats:
+                    outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
+                                            group=str(pat.w1), payload=pat))
     if not expanded_any:
         log.warning("nested search produced no admissible (W1, W2) candidate "
                     "under the active constraints")
@@ -478,47 +602,59 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     return [e.payload for e in outer.entries]
 
 
-def _inner_search(g, model, refiner, cfg, z1, w1, edges):
-    """The inner beam search of one W1; returns its surviving patterns."""
-    screen = _BiScreen(g, model, cfg.constants, z1, w1.mask, edges,
-                       cfg.require_disjoint_extensions)
-    differs = None
-    if cfg.require_shared_attribute:
-        # a W2 meets the constraint when one of its selectors differs from
-        # W1's selector on the same attribute
-        on_w1 = {s.attribute: s for s in z1.selectors}
-        differs = [s.attribute in on_w1 and s != on_w1[s.attribute]
-                   for s in refiner.selectors]
-    inner = Beam(cfg.x2)
-    present: set[tuple] = set()  # keys of the inner beam's entries
+def _admit(cfg, refiner, z1, beam):
+    """The inner search's ``admit`` for one W1 and its inner beam: a W2
+    not in the beam yet, that meets the shared-attribute constraint when it
+    is on."""
+    present = {e.payload[1].key for e in beam}
+    if not cfg.require_shared_attribute:
+        return lambda parent, j, key: key not in present
+    # a W2 meets the constraint when one of its selectors differs from W1's
+    # selector on the same attribute
+    on_w1 = {s.attribute: s for s in z1.selectors}
+    differs = [s.attribute in on_w1 and s != on_w1[s.attribute] for s in refiner.selectors]
+    return lambda parent, j, key: key not in present and (
+        differs[j] or any(differs[k] for k in parent.sels))
 
-    def admit(parent, j, key):
-        return key not in present and (differs is None or differs[j]
-                                       or any(differs[k] for k in parent.sels))
 
-    rows = [refiner.root]
+def _inner_searches(g, model, refiner, screen, cfg, w1s, z1s, masks1):
+    """The inner beam searches of the W1 nodes ``w1s`` (descriptions
+    ``z1s``, extensions stacked in ``masks1``), in lockstep; returns each
+    W1's surviving patterns."""
+    len1 = np.array([len(w1.sels) for w1 in w1s], dtype=np.int64)
+    beams = [Beam(cfg.x2) for _ in w1s]
+    rows = [[refiner.root] for _ in w1s]
     for _ in range(cfg.depth):
-        present = {e.payload[1].key for e in inner}
-        children, masks, sizes = refiner.expand(rows, set(), admit)
-        lengths = np.array([len(rows[p].sels) + 1 for p, _, _ in children], dtype=np.int64)
-        si, bound = screen.scores(masks, sizes, lengths)
-        # the x2-th best lower bound among the candidates and the beam's exact
-        # SIs; a candidate whose upper bound falls short cannot enter the beam
-        lower = np.concatenate([(si - bound)[np.isfinite(si)],
-                                [e.payload[0].si for e in inner]])
-        cut = -np.inf
-        if lower.size >= cfg.x2:
-            cut = np.partition(lower, lower.size - cfg.x2)[lower.size - cfg.x2]
-        for i in np.flatnonzero(np.isfinite(si) & (si + bound >= cut)).tolist():
-            node = refiner.node(rows, children[i], masks[i], sizes[i])
-            z2 = refiner.description(node)
-            pat = score_bi(g, model, z1, w1.mask, z2, node.mask, cfg.constants)
-            if pat is None:
-                continue
-            name = str(z2)
-            inner.try_add(BeamEntry(pat.sort_key(), name, group=name, payload=(pat, node)))
-        rows = [e.payload[1] for e in inner]
-    return [e.payload[0] for e in inner]
+        children, masks2, sizes2 = refiner.expand(
+            [(r, set(), _admit(cfg, refiner, z1, beam)) for r, z1, beam in zip(rows, z1s, beams)])
+        pi = np.repeat(np.arange(len(w1s)), [len(ch) for ch in children])
+        pj = np.array([row for ch in children for _, _, _, row in ch], dtype=np.int64)
+        lengths = len1[pi] + np.array([len(key) for ch in children for _, _, key, _ in ch],
+                                      dtype=np.int64)
+        si, bound, edges, inside = screen.scores(masks1, masks2, pi, pj, lengths)
+        lo = 0
+        for w1, z1, beam, parents, ch in zip(w1s, z1s, beams, rows, children):
+            s, b = si[lo:lo + len(ch)], bound[lo:lo + len(ch)]
+            # the x2-th best lower bound among the candidates and the beam's
+            # exact SIs; a candidate whose upper bound falls short cannot
+            # enter the beam
+            lower = np.concatenate([(s - b)[np.isfinite(s)],
+                                    [e.payload[0].si for e in beam]])
+            cut = -np.inf
+            if lower.size >= cfg.x2:
+                cut = np.partition(lower, lower.size - cfg.x2)[lower.size - cfg.x2]
+            for i in np.flatnonzero(np.isfinite(s) & (s + b >= cut)).tolist():
+                node = refiner.node(parents, ch[i], masks2, sizes2)
+                z2 = refiner.description(node)
+                pat = score_bi(g, model, z1, w1.mask, z2, node.mask, cfg.constants,
+                               edges=int(edges[lo + i]), inside=int(inside[lo + i]))
+                if pat is None:
+                    continue
+                name = str(z2)
+                beam.try_add(BeamEntry(pat.sort_key(), name, group=name, payload=(pat, node)))
+            lo += len(ch)
+        rows = [[e.payload[1] for e in beam] for beam in beams]
+    return [[e.payload[0] for e in beam] for beam in beams]
 
 
 # -- iterative mining ---------------------------------------------------------------

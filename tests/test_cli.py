@@ -218,6 +218,63 @@ class TestMine:
                                "--x1", "2", "--x2", "2")
         assert code == 0 and records(out)[0]["prior"] == "degree"
 
+    def _fit_then_mine(self, capsys, fit_prefix, mine_prefix, model_path,
+                       prior="degree", edit=None):
+        run_cli(capsys, "fit", "--edges", fit_prefix + ".edges",
+                "--attrs", fit_prefix + ".attrs.csv", "--prior", prior,
+                "--output", str(model_path))
+        if edit is not None:
+            blob = json.loads(model_path.read_text())
+            edit(blob)
+            model_path.write_text(json.dumps(blob))
+        return run_cli(capsys, "mine", "--edges", mine_prefix + ".edges",
+                       "--attrs", mine_prefix + ".attrs.csv",
+                       "--model", str(model_path), "--mode", "single")
+
+    def test_model_from_another_graph_rejected(self, synth_files, tmp_path, capsys):
+        # same n and direction, other edges: loading it used to pass silently
+        other = str(tmp_path / "other")
+        assert run_cli(capsys, "synth", "--n", "120", "--bg-density", "0.03",
+                       "--block", "grp=g1:25,grp=g2:25,0.4", "--noise-attrs", "1",
+                       "--seed", "6", "--out-prefix", other)[0] == 0
+        code, out, err = self._fit_then_mine(capsys, other, synth_files,
+                                             tmp_path / "m.json")
+        assert code == 1 and out == ""
+        assert "another graph" in err and "re-run `simine fit`" in err
+
+    def test_model_partition_column_checked(self, synth_files, tmp_path, capsys):
+        # the same edges and labels with one vertex moved to another group
+        lines = open(synth_files + ".attrs.csv").read().splitlines()
+        col = lines[0].split(",").index("grp")
+        row = lines[1].split(",")
+        row[col] = "g2" if row[col] == "g1" else "g1"
+        lines[1] = ",".join(row)
+        moved = str(tmp_path / "moved")
+        open(moved + ".attrs.csv", "w").write("\n".join(lines) + "\n")
+        open(moved + ".edges", "w").write(open(synth_files + ".edges").read())
+        model_path = tmp_path / "m.json"
+        code, _, err = self._fit_then_mine(capsys, synth_files, moved, model_path,
+                                           prior="blocks:grp+degree")
+        assert code == 1 and "another graph" in err
+        # the degree prior reads no attribute column, so the same file fits
+        code, _, _ = self._fit_then_mine(capsys, synth_files, moved, model_path)
+        assert code == 0
+
+    def test_model_edge_order_ignored(self, synth_files, tmp_path, capsys):
+        shuffled = str(tmp_path / "shuffled")
+        lines = open(synth_files + ".edges").read().splitlines()
+        open(shuffled + ".edges", "w").write("\n".join(reversed(lines)) + "\n")
+        open(shuffled + ".attrs.csv", "w").write(open(synth_files + ".attrs.csv").read())
+        code, _, _ = self._fit_then_mine(capsys, synth_files, shuffled, tmp_path / "m.json")
+        assert code == 0
+
+    def test_model_without_fingerprint_rejected(self, synth_files, tmp_path, capsys):
+        code, out, err = self._fit_then_mine(
+            capsys, synth_files, synth_files, tmp_path / "m.json",
+            edit=lambda blob: blob.pop("graph_fingerprint"))
+        assert code == 1 and out == ""
+        assert "does not name the graph" in err and "re-run `simine fit`" in err
+
     def test_table_goes_to_stderr(self, synth_files, capsys):
         code, out, err = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
                                  "--attrs", synth_files + ".attrs.csv",

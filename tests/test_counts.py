@@ -100,9 +100,47 @@ def test_one_row_mass_matches_batched_row(seed, directed, small_table, updates):
         H_c = model.class_histograms(cols)
         H_o = model.class_histograms(cols & rows)
         ordered, overlap = model.pair_sums_many(h_r, H_c, H_o)
+        # one row set per column set, paired with it: the rows of each pair
+        # are the next column set
+        H_r = np.roll(H_c, -1, axis=0)
+        H_p = model.class_histograms(cols & np.roll(cols, -1, axis=0))
+        paired = model.pair_sums_many(H_r, H_c, H_p)
         for i in range(len(cols)):
             one = model.pair_sums_many(h_r, H_c[i], H_o[i])
             assert np.ndim(one[0]) == np.ndim(one[1]) == 0
             np.testing.assert_allclose(one, (ordered[i], overlap[i]), rtol=1e-12, atol=0)
             got = model.pair_sums(np.flatnonzero(rows), np.flatnonzero(cols[i]))
             np.testing.assert_allclose(got, one, rtol=1e-12, atol=0)
+            nxt = cols[(i + 1) % len(cols)]
+            got = model.pair_sums(np.flatnonzero(nxt), np.flatnonzero(cols[i]))
+            np.testing.assert_allclose(got, (paired[0][i], paired[1][i]), rtol=1e-12, atol=0)
+
+
+def _bits(pat):
+    """Every field of a pattern, floats by their bits."""
+    return {f: (v.hex() if isinstance(v, float) else
+                v.tolist() if isinstance(v, np.ndarray) else v)
+            for f, v in vars(pat).items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 14), directed=st.booleans(),
+       counting=st.sampled_from(["auto", "ordered", "unordered"]),
+       relation=st.sampled_from(["overlap", "disjoint", "equal"]))
+def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, relation):
+    rng = np.random.default_rng(seed)
+    g = random_graph(seed, n=n, p=float(rng.uniform(0.1, 0.9)), directed=directed)
+    try:
+        model = fit_degree_prior(g)
+    except FitError:
+        assume(False)
+    c = ScoreConstants(pair_counting=counting)
+    mask1, mask2 = _extensions(rng, n, relation)
+    over = mask1 & mask2
+    counted = score_bi(g, model, W1, mask1, W2, mask2, c)
+    given_counts = score_bi(g, model, W1, mask1, W2, mask2, c,
+                            edges=g.count_edges_between(mask1, mask2),
+                            inside=g.count_edges_between(over, over))
+    assert (counted is None) == (given_counts is None)
+    if counted is not None:
+        assert _bits(given_counts) == _bits(counted)

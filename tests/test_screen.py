@@ -21,6 +21,12 @@ def _rendered(pats):
             for p in pats]
 
 
+def _level(refiner, parents):
+    """The nodes of all admissible refinements of ``parents``."""
+    (children,), masks, sizes = refiner.expand([(parents, set(), None)])
+    return list(refiner.nodes(parents, children, masks, sizes))
+
+
 def _reference_iterate(g, model, sels, cfg, rounds):
     out = []
     for _ in range(rounds):
@@ -44,7 +50,8 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
                                                depth):
     # a small table budget leaves the model without a class table, so pair
     # sums come from sub-tables in chunks of one (1) or a few (12) class rows;
-    # a small screen budget screens candidates one (1) or a few (64) at a time
+    # a small screen budget screens W1s and W2s one (1) or a few (64 cells'
+    # worth) at a time
     cells = background._TABLE_CELLS if table_cells is None else table_cells
     block = search._SCREEN_CELLS if screen_cells is None else screen_cells
     with patch.object(background, "_TABLE_CELLS", cells), \
@@ -58,8 +65,8 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
         sels = generate_selectors(g, SelectorConfig(numeric_bins=3))
         c = ScoreConstants(pair_counting=counting)
         refiner = _Refiner(g, sels, 1)
-        level1 = list(refiner.nodes([refiner.root], *refiner.expand([refiner.root], set())))
-        level2 = list(refiner.nodes(level1, *refiner.expand(level1, set())))
+        level1 = _level(refiner, [refiner.root])
+        level2 = _level(refiner, level1)
         nodes = level1 + level2
         rng = np.random.default_rng(seed)
         for _ in range(updates):
@@ -70,22 +77,30 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
             if pat is not None:
                 model = update_with_pattern(model, pat)
 
+        # every W1 of nodes in one call, each paired with a seventh of the
+        # nodes as W2s, a different seventh for consecutive W1s
         masks = np.array([nd.mask for nd in nodes])
-        sizes = np.array([nd.size for nd in nodes])
         lengths = np.array([len(nd.sels) for nd in nodes])
-        for w1 in nodes[::7]:
-            z1 = refiner.description(w1)
-            si, bound = _BiScreen(g, model, c, z1, w1.mask, g.edges, disjoint).scores(
-                masks, sizes, lengths)
-            for nd, s, b in zip(nodes, si.tolist(), bound.tolist()):
-                pat = score_bi(g, model, z1, w1.mask, refiner.description(nd), nd.mask, c)
-                if pat is None or (disjoint and pat.overlap):
-                    assert s == -np.inf
-                    continue
-                err = abs(s - pat.si)
-                assert err <= b
-                # 1e-12 relative, or rounding of a near-zero KL divergence
-                assert err <= 1e-12 * abs(pat.si) + 1e-13 * pat.n_w / pat.dl
+        pi, pj = np.nonzero(np.add.outer(np.arange(len(nodes)), np.arange(len(nodes))) % 7 == 0)
+        si, bound, edges, inside = _BiScreen(g, model, c, disjoint).scores(
+            masks, masks, pi, pj, lengths[pi] + lengths[pj])
+        descs = [refiner.description(nd) for nd in nodes]
+        for k, (i, j) in enumerate(zip(pi.tolist(), pj.tolist())):
+            w1, w2 = nodes[i], nodes[j]
+            pat = score_bi(g, model, descs[i], w1.mask, descs[j], w2.mask, c)
+            # the screen's counts are the ones score_bi counts itself
+            assert edges[k] == g.count_edges_between(w1.mask, w2.mask)
+            if not directed:
+                over = w1.mask & w2.mask
+                assert inside[k] == g.count_edges_between(over, over)
+            if pat is None or (disjoint and pat.overlap):
+                assert si[k] == -np.inf
+                continue
+            assert pat.edges == edges[k]
+            err = abs(si[k] - pat.si)
+            assert err <= bound[k]
+            # 1e-12 relative, or rounding of a near-zero KL divergence
+            assert err <= 1e-12 * abs(pat.si) + 1e-13 * pat.n_w / pat.dl
 
         cfg = SearchConfig(x1=x1, x2=x2, depth=depth, require_shared_attribute=shared,
                            require_disjoint_extensions=disjoint, constants=c)
