@@ -255,8 +255,16 @@ class BackgroundModel:
         distinct (unordered) pair total is ``ordered_sum - overlap_sum / 2``.
         This is the one-column-set case of ``pair_sums_many``.
         """
-        h_r, h_c, h_o = self._histograms(rows, cols)
-        if not self.directed and h_o is not h_r:
+        return self.histogram_pair_sums(*self._histograms(rows, cols))
+
+    def histogram_pair_sums(self, h_r, h_c, h_o):
+        """``pair_sums`` from the class histograms (integer or float) of the
+        rows, the columns and their intersection; ``h_o is h_r`` marks
+        columns that are the rows."""
+        whole = h_o is h_r
+        h_r, h_c = np.asarray(h_r, dtype=np.float64), np.asarray(h_c, dtype=np.float64)
+        h_o = h_r if whole else np.asarray(h_o, dtype=np.float64)
+        if not self.directed and not whole:
             differ = np.flatnonzero(h_r != h_c)
             if differ.size and h_r[differ[0]] < h_c[differ[0]]:
                 h_r, h_c = h_c, h_r  # canonical order: mirrored sets give bit-equal sums
@@ -298,12 +306,6 @@ class BackgroundModel:
             self._by_class = order, np.searchsorted(self.cls[order],
                                                     np.arange(self.n_classes))
         return self._by_class
-
-    def class_histograms(self, masks) -> np.ndarray:
-        """Class histograms (float) of many vertex sets, one per row of the
-        (C, n) boolean array ``masks``."""
-        order, starts = self.class_order()
-        return np.add.reduceat(masks[:, order], starts, axis=1).astype(np.float64)
 
     def pair_sums_many(self, h_r, H_c, H_o):
         """``pair_sums`` of row sets against one or many column sets, from

@@ -221,28 +221,32 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
 # -- pattern construction --------------------------------------------------------
 
 
-def _score(g, model, c, w1, mask1, w2, mask2, edges=None, inside=None) -> Pattern | None:
+def _score(g, model, c, w1, mask1, w2, mask2, edges=None, inside=None, hists=None,
+           ids1=None) -> Pattern | None:
     """Score the pattern (W1, W2) with extensions ``mask1``, ``mask2``; a
     single-subgroup pattern has ``w2 is None`` and ``mask2 is mask1``.
-    ``edges`` and ``inside`` are the edge counts of ``score_bi``, counted
-    here when not given.
+    ``edges``, ``inside``, ``hists`` and ``ids1`` are the counts of
+    ``score_bi``, counted here when not given.
 
     ``k_w``/``n_w``/``p_w`` are counted in the scoring convention,
     ``edges``/``pair_slots``/``expected_edges`` over distinct pairs (ordered
     when directed), the units a report prints.
     """
     single = w2 is None
-    ids1 = np.flatnonzero(mask1)
+    if ids1 is None:
+        ids1 = np.flatnonzero(mask1)
     if single:
         ids2, o = ids1, ids1.size
     else:
         ids2 = np.flatnonzero(mask2)
-        over = mask1 & mask2
-        o = int(np.count_nonzero(over))
+        o = int(np.count_nonzero(mask1 & mask2) if hists is None else hists[2].sum())
     a, b = ids1.size, ids2.size
     if pair_universe(a, b, o, "ordered") == 0:
         return None  # no pair u != v, in either convention
-    ordered_sum, overlap_sum = model.pair_sums(ids1, ids2)
+    if hists is None:
+        ordered_sum, overlap_sum = model.pair_sums(ids1, ids2)
+    else:
+        ordered_sum, overlap_sum = model.histogram_pair_sums(*hists)
     if edges is None:
         edges = g.count_edges_between(mask1, mask2)
     conv = c.convention(single, g.directed)
@@ -253,6 +257,7 @@ def _score(g, model, c, w1, mask1, w2, mask2, edges=None, inside=None) -> Patter
     elif not o or conv != "ordered" or g.directed:
         inside = 0
     elif inside is None:
+        over = mask1 & mask2
         inside = g.count_edges_between(over, over)
     n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered_sum, overlap_sum,
                                         conv, g.directed)
@@ -288,16 +293,19 @@ def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
 def score_bi(g: AttributedGraph, model: BackgroundModel, w1: Description,
              mask1: np.ndarray, w2: Description, mask2: np.ndarray,
              c: ScoreConstants, edges: int | None = None,
-             inside: int | None = None) -> Pattern | None:
+             inside: int | None = None, hists: tuple | None = None,
+             ids1: np.ndarray | None = None) -> Pattern | None:
     """Score a bi-subgroup pattern; returns None when the pair universe is empty.
 
-    ``edges`` is the number of distinct edges between the extensions
-    (ordered edges W1 -> W2 when directed) and ``inside`` the number of
-    edges inside their intersection, when the caller has already counted
-    them; ``inside`` is read only in the ordered convention of an
-    undirected graph.
+    When the caller has already counted them: ``edges`` is the number of
+    distinct edges between the extensions (ordered edges W1 -> W2 when
+    directed), ``inside`` the number of edges inside their intersection
+    (read only in the ordered convention of an undirected graph),
+    ``hists`` the integer class histograms ``(h1, h2, h_o)`` of W1, W2 and
+    W1 ∩ W2, and ``ids1`` is ``np.flatnonzero(mask1)``, which the pattern
+    keeps as ``ext1_ids``.
     """
-    return _score(g, model, c, w1, mask1, w2, mask2, edges, inside)
+    return _score(g, model, c, w1, mask1, w2, mask2, edges, inside, hists, ids1)
 
 
 def rescore(g: AttributedGraph, model: BackgroundModel, w1: Description,

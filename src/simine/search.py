@@ -385,33 +385,39 @@ def _single_engine(g, selectors, cfg, scorer):
 # -- nested bi-subgroup search ------------------------------------------------------
 
 
-def _products(A, B, step):
-    """``A @ B.T`` of two arrays of counts (0/1 rows or neighbour counts),
-    converting at most ``step`` columns of each to float64 at a time; the
-    sums are integers, so they come out exact."""
-    out = None
-    for lo in range(0, A.shape[1], step):
-        part = A[:, lo:lo + step].astype(np.float64) @ B[:, lo:lo + step].astype(np.float64).T
-        out = part if out is None else out + part
-    return np.zeros((len(A), len(B))) if out is None else out
+def _pack(bits, words):
+    """0/1 rows (the last axis) as ``words`` little-endian uint64 words per
+    row, bit i of a row in bit i % 64 of word i // 64, zero past the row."""
+    out = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
+    # packbits is fast only along a contiguous axis; fancy indexing along
+    # the last axis leaves the rows strided
+    packed = np.packbits(np.ascontiguousarray(bits), axis=-1, bitorder="little")
+    out[..., :packed.shape[-1]] = packed
+    return out.view("<u8")
 
 
 class _BiScreen:
     """Screening scores of (W1, W2) pairs: the pairs of one inner-search
     level of a chunk of W1s, in one call.
 
-    Per block of the (W1 x W2) grid, products of 0/1 rows count the
-    overlaps' class histograms (one class at a time, so their sums are the
-    overlap sizes), the edge orientations from W1's neighbour counts and, on
-    undirected graphs, the edges inside the overlaps from edge-incidence
-    rows, all as exact integers.  ``pair_sums_many`` gives the expected mass
-    and ``pair_counts``, the counting rule of ``score_bi``, the rest.  The
-    edge counts are the ones ``score_bi`` would count; the SI differs from
+    Each W1 and W2 is packed once per chunk into bit rows in class order:
+    n // 64 + 1 uint64 words, so the boundary at n has a word, with classes
+    not padded to words.  A row's class histogram is its popcount prefix at
+    the class boundaries (a cumulative sum of word popcounts, minus the bits
+    of each boundary's word at or past it), differenced.  Per pair, the popcounts
+    of W1 & W2 give the overlap's class histogram; those of W2 and the bit
+    planes of W1's neighbour counts give the edge orientations,
+    sum_b 2^b popcount(plane_b & W2); on undirected graphs those of packed
+    edge-incidence rows give the edges inside the overlap.  All are exact
+    integers.  ``pair_sums_many`` gives the expected mass and
+    ``pair_counts``, the counting rule of ``score_bi``, the rest.  The edge
+    counts are the ones ``score_bi`` would count; the SI differs from
     ``score_bi``'s only by the rounding of the mass, and ``scores`` returns a
     bound on that difference with it.
 
-    No boolean temporary holds more than ``_SCREEN_CELLS`` cells and no
-    float one more than ``floats``.
+    No boolean temporary holds more than ``_SCREEN_CELLS`` cells, none made
+    while packing more bytes than ``floats`` float64 cells, and no array of a
+    block of pairs more than ``floats`` cells.
     """
 
     def __init__(self, g, model, c, require_disjoint):
@@ -420,7 +426,12 @@ class _BiScreen:
         self.conv = c.convention(single=False, directed=g.directed)
         self.e0, self.e1 = np.ascontiguousarray(g.edges.T)
         self.order, starts = model.class_order()
-        self.classes = list(zip(starts.tolist(), starts[1:].tolist() + [g.n]))
+        self.words = g.n // 64 + 1
+        # the word of each class boundary (the end of the last class
+        # included) and the bits of that word at or past the boundary
+        bounds = np.append(starts, g.n)
+        self.bword = bounds >> 6
+        self.high = ~((np.uint64(1) << (bounds & 63).astype(np.uint64)) - np.uint64(1))
         # the neighbours of every vertex (its in-neighbours when directed),
         # grouped by vertex in class order, and where each non-empty group starts
         src, dst = self.e0, self.e1
@@ -432,12 +443,15 @@ class _BiScreen:
         counts = np.bincount(pos[dst], minlength=g.n)
         self.has_nbr = counts > 0
         self.nbr_starts = (np.cumsum(counts) - counts)[self.has_nbr]
-        # cells of a float temporary: few enough to keep small graphs' peak
-        # memory flat, and at least eight vertex rows, so that large graphs
-        # still convert rows to floats in few slices
+        # cells of an array of a block of pairs: few enough to keep small
+        # graphs' peak memory flat, and at least eight vertex rows, so that
+        # large graphs still screen in few blocks
         self.floats = max(1, _SCREEN_CELLS // 64, 8 * g.n)
+        # cells of a boolean temporary while packing rows: no more bytes than
+        # a float block, since a slice makes a few such copies at once
+        self.bools = min(_SCREEN_CELLS, 8 * self.floats)
         # W1s per chunk: each gathers len(nbr) cells for its neighbour counts
-        # and holds them as n floats, besides its inner search's candidates
+        # and holds them as n integers, besides its inner search's candidates
         # and beam; half the float budget keeps small graphs' peak flat
         self.w1_step = max(1, min(_SCREEN_CELLS // max(1, self.nbr.size),
                                   self.floats // (2 * g.n)))
@@ -445,86 +459,113 @@ class _BiScreen:
         # sum O(K) non-negative terms per dot product, in different orders
         self.rho = 8.0 * (model.n_classes + 8) * np.finfo(np.float64).eps
 
-    def scores(self, masks1, masks2, pi, pj, lengths):
-        """``(si, bound, edges, inside)`` per pair of W1 row ``pi[i]`` of
-        ``masks1`` and W2 row ``pj[i]`` of ``masks2``, whose descriptions
-        have ``lengths[i]`` selectors together; ``pi`` is sorted.  ``si`` is
-        -inf where ``score_bi`` returns None or the pair breaks disjointness;
-        ``edges`` and ``inside`` are the counts ``score_bi`` takes.  W1s go
-        in chunks of ``w1_step``, each against the W2s its pairs name."""
-        out = (np.empty(len(pi)), np.empty(len(pi)),
-               np.empty(len(pi), dtype=np.int64), np.empty(len(pi), dtype=np.int64))
-        lo = 0
-        for i0 in range(0, len(masks1), self.w1_step):
-            hi = int(np.searchsorted(pi, i0 + self.w1_step))
-            if hi == lo:
-                continue
-            w1, keep = self._w1_rows(masks1[i0:i0 + self.w1_step])
-            cols, at = np.unique(pj[lo:hi], return_inverse=True)
-            at = at.reshape(-1)
-            # W2 rows as booleans, and a block's pairs' c1 * c2 * K class counts
-            c1 = len(w1[0])
-            step2 = max(1, min(_SCREEN_CELLS // max(1, self.n, keep.size),
-                               self.floats // (c1 * self.model.n_classes)))
-            for j0 in range(0, cols.size, step2):
-                part = np.flatnonzero((at >= j0) & (at < j0 + step2))
-                w2 = self._w2_rows(masks2[cols[j0:j0 + step2]], keep)
-                rows = lo + part
-                res = self._block(w1, w2, pi[rows] - i0, at[part] - j0, lengths[rows])
-                for column, values in zip(out, res):
-                    column[rows] = values
-            lo = hi
-        return out
-
-    def _rows(self, masks):
-        """Class-ordered rows, class histograms and sizes of the sets
-        ``masks``; the histograms are counted in int64, a few rows at a time."""
-        step = max(1, self.floats // self.n)
-        H = [self.model.class_histograms(masks[r:r + step]) for r in range(0, len(masks), step)]
-        return masks[:, self.order], np.concatenate(H), np.count_nonzero(masks, axis=1)
-
-    def _w1_rows(self, masks):
-        """``(rows, keep)``: ``_rows`` of a chunk of W1s, their neighbour
-        counts in class order (in-neighbours in the W1 when directed) and,
-        on undirected graphs, their edge-incidence rows over the edges
+    def w1_rows(self, masks):
+        """The screen's rows of a chunk of at most ``w1_step`` W1s with
+        extensions ``masks``: per W1, its bit rows in class order (its
+        members, then the bit planes of its neighbour counts, in-neighbours
+        in the W1 when directed), its class histogram (float) and size, and on
+        undirected graphs its packed edge-incidence row over the edges
         ``keep`` inside some W1 of the chunk: no other edge lies inside an
-        overlap."""
-        D = np.zeros((len(masks), self.n))
+        overlap.  Returns ``(S, H, sizes, E, keep)``."""
+        D = np.zeros((len(masks), self.n), dtype=np.int64)
         # reduceat counts in int64, so a few W1s at a time
         step = max(1, self.floats // max(1, self.nbr.size))
         for r in range(0, len(masks) if self.nbr.size else 0, step):
             D[r:r + step, self.has_nbr] = np.add.reduceat(masks[r:r + step, self.nbr],
                                                           self.nbr_starts, axis=1)
+        planes = int(D.max(initial=0)).bit_length()
+        S = np.empty((len(masks), 1 + planes, self.words), dtype="<u8")
+        S[:, 0], H = self._rows(masks, np.arange(len(masks)))
+        for b in range(planes):
+            S[:, 1 + b] = _pack(D & (1 << b) != 0, self.words)
         E, keep = None, np.empty(0, dtype=np.int64)
         if not self.directed:
-            E = _edge_rows(masks, self.e0, self.e1)
-            keep = np.flatnonzero(E.any(axis=0))
-            E = E[:, keep]
-        return (*self._rows(masks), D, E), keep
+            inc = _edge_rows(masks, self.e0, self.e1)
+            keep = np.flatnonzero(inc.any(axis=0))
+            E = _pack(inc[:, keep], keep.size // 64 + 1)
+        return S, H.astype(np.float64), H.sum(axis=1), E, keep
 
-    def _w2_rows(self, masks, keep):
-        """``_rows`` of a chunk of W2s and, on undirected graphs, their
-        edge-incidence rows over the edges ``keep``."""
-        E = None if self.directed else _edge_rows(masks, self.e0[keep], self.e1[keep])
-        return (*self._rows(masks), E)
+    def scores(self, w1, masks2, pi, pj, lengths):
+        """``(si, bound, edges, inside)`` per pair of W1 ``pi[i]`` of the
+        chunk ``w1`` (``w1_rows``) and W2 row ``pj[i]`` of ``masks2``, whose
+        descriptions have ``lengths[i]`` selectors together.  ``si`` is -inf
+        where ``score_bi`` returns None or the pair breaks disjointness;
+        ``edges`` and ``inside`` are the counts ``score_bi`` takes.  The
+        pairs go in blocks whose arrays hold at most ``floats`` cells."""
+        out = (np.empty(len(pi)), np.empty(len(pi)),
+               np.empty(len(pi), dtype=np.int64), np.empty(len(pi), dtype=np.int64))
+        S1, _, _, E1, keep = w1
+        cols, at = np.unique(pj, return_inverse=True)
+        at = at.reshape(-1)
+        w2 = self._w2_rows(masks2, cols, keep)
+        # cells per pair of a block's widest array; the mass core holds a few
+        # arrays K wide at once, so a block takes half the budget
+        cells = max(S1[0].size, self.model.n_classes + 1, 0 if E1 is None else E1.shape[1])
+        step = max(1, self.floats // (2 * cells))
+        for lo in range(0, len(pi), step):
+            rows = slice(lo, lo + step)
+            for column, values in zip(out, self._block(w1, w2, pi[rows], at[rows],
+                                                       lengths[rows])):
+                column[rows] = values
+        return out
+
+    def histograms(self, w1, masks2, pi, pj):
+        """``(h1, h2, h_o)``: the class histograms (int64) of W1 ``pi[i]`` of
+        the chunk ``w1``, W2 row ``pj[i]`` of ``masks2`` and their
+        intersection, one row per pair."""
+        B1 = w1[0][:, 0]
+        cols, at = np.unique(pj, return_inverse=True)
+        B2, H2 = self._rows(masks2, cols)
+        at = at.reshape(-1)
+        return self._class_counts(B1)[pi], H2[at], self._class_counts(B1[pi] & B2[at])
+
+    def _class_counts(self, B):
+        """Class histograms (int64) of class-ordered bit rows ``B``."""
+        upto = np.cumsum(np.bitwise_count(B), axis=-1, dtype=np.int64)[..., self.bword]
+        past = B[..., self.bword]
+        past &= self.high
+        upto -= np.bitwise_count(past)
+        return np.diff(upto, axis=-1)
+
+    def _rows(self, masks, idx):
+        """Class-ordered bit rows and class histograms of the sets
+        ``masks[idx]``, packed a few rows at a time."""
+        B = np.empty((len(idx), self.words), dtype="<u8")
+        step = max(1, self.bools // max(1, self.n))
+        for r in range(0, len(idx), step):
+            B[r:r + step] = _pack(masks[idx[r:r + step]][:, self.order], self.words)
+        return B, self._class_counts(B)
+
+    def _w2_rows(self, masks, idx, keep):
+        """``(B, H, sizes, E)`` of the W2s ``masks[idx]``: their bit rows in
+        class order, class histograms (float) and sizes, and on undirected graphs
+        their packed edge-incidence rows over the edges ``keep``."""
+        B, H = self._rows(masks, idx)
+        sizes, H = H.sum(axis=1), H.astype(np.float64)
+        E = None
+        if not self.directed:
+            E = np.empty((len(idx), keep.size // 64 + 1), dtype="<u8")
+            e0, e1 = self.e0[keep], self.e1[keep]
+            step = max(1, self.bools // max(1, keep.size))
+            for r in range(0, len(idx), step):
+                E[r:r + step] = _pack(_edge_rows(masks[idx[r:r + step]], e0, e1), E.shape[1])
+        return B, H, sizes, E
 
     def _block(self, w1, w2, i, j, lengths):
         """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block."""
-        C1, H1, a, D1, E1 = w1
-        C2, H2, b, E2 = w2
-        step = max(1, self.floats // (len(C1) + len(C2)))
-        # the overlaps' class histograms, one class at a time
-        H_o = np.empty((len(i), len(self.classes)))
-        for k, (lo, hi) in enumerate(self.classes):
-            H_o[:, k] = _products(C1[:, lo:hi], C2[:, lo:hi], step)[i, j]
+        S1, H1, a, E1, _ = w1
+        B2, H2, b, E2 = w2
+        X = S1[i] & B2[j][:, None, :]
+        H_o = self._class_counts(X[:, 0]).astype(np.float64)
         o = H_o.sum(axis=1).astype(np.int64)
         a, b = a[i], b[j]
         ordered, overlap = self.model.pair_sums_many(H1[i], H2[j], H_o)
         # edge orientations (u in W1, v in W2), ordered edges when directed;
         # an undirected edge inside W1 and W2 has both orientations counted
-        orient = _products(D1, C2, step)[i, j].astype(np.int64)
+        weights = np.left_shift(1, np.arange(X.shape[1] - 1, dtype=np.int64))
+        orient = np.bitwise_count(X[:, 1:]).sum(axis=-1, dtype=np.int64) @ weights
         inside = (np.zeros_like(o) if self.directed
-                  else _products(E1, E2, step)[i, j].astype(np.int64))
+                  else np.bitwise_count(E1[i] & E2[j]).sum(axis=-1, dtype=np.int64))
         edges = orient - inside
         n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered, overlap,
                                             self.conv, self.directed)
@@ -557,12 +598,12 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     the inner beam of every W1 of the chunk, and the level's (W1, W2) pairs
     are screened in one batch (``_BiScreen``).  Per W1, only the candidates
     whose screening SI could place them in its inner beam are scored by
-    ``score_bi``, with the screen's edge counts, and offered to it.  An
-    inner beam has no diversity floor and a strict total order, so it ends
-    up holding the same entries as if every candidate had been scored and
-    offered.  Inner beams do not read one another, and their survivors reach
-    the outer beam W1 by W1, so the result is the one of running each W1's
-    inner search on its own.
+    ``score_bi``, with the screen's edge counts and class histograms, and
+    offered to it.  An inner beam has no diversity floor and a strict total
+    order, so it ends up holding the same entries as if every candidate had
+    been scored and offered.  Inner beams do not read one another, and their
+    survivors reach the outer beam W1 by W1, so the result is the one of
+    running each W1's inner search on its own.
     """
     refiner = _Refiner(g, selectors, max(1, cfg.min_extension_size))
     screen = _BiScreen(g, model, cfg.constants, cfg.require_disjoint_extensions)
@@ -622,6 +663,8 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, z1s, masks1):
     ``z1s``, extensions stacked in ``masks1``), in lockstep; returns each
     W1's surviving patterns."""
     len1 = np.array([len(w1.sels) for w1 in w1s], dtype=np.int64)
+    ids1 = [np.flatnonzero(w1.mask) for w1 in w1s]
+    chunk = screen.w1_rows(masks1)
     beams = [Beam(cfg.x2) for _ in w1s]
     rows = [[refiner.root] for _ in w1s]
     for _ in range(cfg.depth):
@@ -631,10 +674,11 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, z1s, masks1):
         pj = np.array([row for ch in children for _, _, _, row in ch], dtype=np.int64)
         lengths = len1[pi] + np.array([len(key) for ch in children for _, _, key, _ in ch],
                                       dtype=np.int64)
-        si, bound, edges, inside = screen.scores(masks1, masks2, pi, pj, lengths)
-        lo = 0
-        for w1, z1, beam, parents, ch in zip(w1s, z1s, beams, rows, children):
-            s, b = si[lo:lo + len(ch)], bound[lo:lo + len(ch)]
+        si, bound, edges, inside = screen.scores(chunk, masks2, pi, pj, lengths)
+        starts = np.cumsum([0] + [len(ch) for ch in children]).tolist()
+        picks = []
+        for beam, lo, hi in zip(beams, starts, starts[1:]):
+            s, b = si[lo:hi], bound[lo:hi]
             # the x2-th best lower bound among the candidates and the beam's
             # exact SIs; a candidate whose upper bound falls short cannot
             # enter the beam
@@ -643,16 +687,24 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, z1s, masks1):
             cut = -np.inf
             if lower.size >= cfg.x2:
                 cut = np.partition(lower, lower.size - cfg.x2)[lower.size - cfg.x2]
-            for i in np.flatnonzero(np.isfinite(s) & (s + b >= cut)).tolist():
-                node = refiner.node(parents, ch[i], masks2, sizes2)
+            picks.append(lo + np.flatnonzero(np.isfinite(s) & (s + b >= cut)))
+        # the exact class histograms of every contender of the level at once
+        picked = np.concatenate(picks)
+        h1, h2, h_o = screen.histograms(chunk, masks2, pi[picked], pj[picked])
+        k = 0
+        for w, (beam, parents, ch, lo, pick) in enumerate(zip(beams, rows, children, starts,
+                                                               picks)):
+            for at in pick.tolist():
+                node = refiner.node(parents, ch[at - lo], masks2, sizes2)
                 z2 = refiner.description(node)
-                pat = score_bi(g, model, z1, w1.mask, z2, node.mask, cfg.constants,
-                               edges=int(edges[lo + i]), inside=int(inside[lo + i]))
+                pat = score_bi(g, model, z1s[w], w1s[w].mask, z2, node.mask, cfg.constants,
+                               edges=int(edges[at]), inside=int(inside[at]),
+                               hists=(h1[k], h2[k], h_o[k]), ids1=ids1[w])
+                k += 1
                 if pat is None:
                     continue
                 name = str(z2)
                 beam.try_add(BeamEntry(pat.sort_key(), name, group=name, payload=(pat, node)))
-            lo += len(ch)
         rows = [[e.payload[1] for e in beam] for beam in beams]
     return [[e.payload[0] for e in beam] for beam in beams]
 

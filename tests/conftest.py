@@ -102,6 +102,36 @@ def dense_pair_sums(model, rows, cols):
     return ordered, float(Q[common[:, None] != common[None, :]].sum())
 
 
+def class_histograms(model, masks):
+    """Class histograms (float) of many vertex sets, one per row of the
+    (C, n) boolean array ``masks``, from bool rows gathered in class order:
+    the reference for the nested search's packed class counts."""
+    order, starts = model.class_order()
+    return np.add.reduceat(masks[:, order], starts, axis=1).astype(np.float64)
+
+
+def screen_pairs(screen, masks1, masks2, pi, pj, lengths):
+    """The nested search's screen ``screen`` over the pairs (W1 ``pi[k]`` of
+    ``masks1``, W2 ``pj[k]`` of ``masks2``), called as the search calls it, a
+    chunk of ``w1_step`` W1s at a time: ``(si, bound, edges, inside)`` of
+    ``scores`` and ``(h1, h2, h_o)`` of ``histograms``, one entry per pair."""
+    parts, at = [], []
+    for i0 in range(0, len(masks1), screen.w1_step):
+        sel = np.flatnonzero((pi >= i0) & (pi < i0 + screen.w1_step))
+        if sel.size:
+            rows1 = screen.w1_rows(masks1[i0:i0 + screen.w1_step])
+            parts.append(screen.scores(rows1, masks2, pi[sel] - i0, pj[sel], lengths[sel])
+                         + screen.histograms(rows1, masks2, pi[sel] - i0, pj[sel]))
+            at.append(sel)
+    at = np.concatenate(at)
+    out = []
+    for k in range(len(parts[0])):
+        got = np.concatenate([part[k] for part in parts])
+        out.append(np.empty_like(got))
+        out[-1][at] = got
+    return out
+
+
 def distinct_pairs(rows, cols, directed):
     """Every distinct vertex pair spanned by two vertex sets, listed once."""
     pairs = {(int(u), int(v)) if directed else (min(int(u), int(v)), max(int(u), int(v)))

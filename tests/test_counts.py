@@ -1,5 +1,6 @@
-"""Pair and edge counts of scored patterns against plain enumeration, and the
-batched mass core of the background model against its one-row case."""
+"""Pair and edge counts of scored patterns against plain enumeration, the
+batched mass core of the background model against its one-row case, and the
+nested search's packed class counts against bool rows."""
 
 from unittest.mock import patch
 
@@ -7,10 +8,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simine import (Description, EqualsSelector, FitError, ScoreConstants, background,
-                    fit_degree_prior, score_bi, score_single, update_with_pattern)
+from simine import (BackgroundModel, Description, EqualsSelector, FitError, ScoreConstants,
+                    background, fit_degree_prior, score_bi, score_single, search,
+                    update_with_pattern)
+from simine.search import _BiScreen
 
-from conftest import brute_force_counts, random_graph
+from conftest import brute_force_counts, class_histograms, random_graph, screen_pairs
 
 W1 = Description((EqualsSelector("a", "v0"),))
 W2 = Description((EqualsSelector("b", "v1"),))
@@ -96,14 +99,14 @@ def test_one_row_mass_matches_batched_row(seed, directed, small_table, updates):
         cols = rng.random((8, n)) < 0.5
         cols[0] = rows  # a column set equal to the rows
         cols[1] = False  # an empty one
-        h_r = model.class_histograms(rows[None, :])[0]
-        H_c = model.class_histograms(cols)
-        H_o = model.class_histograms(cols & rows)
+        h_r = class_histograms(model, rows[None, :])[0]
+        H_c = class_histograms(model, cols)
+        H_o = class_histograms(model, cols & rows)
         ordered, overlap = model.pair_sums_many(h_r, H_c, H_o)
         # one row set per column set, paired with it: the rows of each pair
         # are the next column set
         H_r = np.roll(H_c, -1, axis=0)
-        H_p = model.class_histograms(cols & np.roll(cols, -1, axis=0))
+        H_p = class_histograms(model, cols & np.roll(cols, -1, axis=0))
         paired = model.pair_sums_many(H_r, H_c, H_p)
         for i in range(len(cols)):
             one = model.pair_sums_many(h_r, H_c[i], H_o[i])
@@ -126,21 +129,74 @@ def _bits(pat):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 14), directed=st.booleans(),
        counting=st.sampled_from(["auto", "ordered", "unordered"]),
-       relation=st.sampled_from(["overlap", "disjoint", "equal"]))
-def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, relation):
+       relation=st.sampled_from(["overlap", "disjoint", "equal"]), small_table=st.booleans())
+def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, relation,
+                                                small_table):
+    # a table budget of 3 cells leaves any model with K > 1 without a class
+    # table; both orientations of each pair are scored, so the canonical swap
+    # of undirected pair sums applies to one of them
+    with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
+        rng = np.random.default_rng(seed)
+        g = random_graph(seed, n=n, p=float(rng.uniform(0.1, 0.9)), directed=directed)
+        try:
+            model = fit_degree_prior(g)
+        except FitError:
+            assume(False)
+        c = ScoreConstants(pair_counting=counting)
+        mask1, mask2 = _extensions(rng, n, relation)
+        screen = _BiScreen(g, model, c, False)
+        for (z1, m1), (z2, m2) in [((W1, mask1), (W2, mask2)), ((W2, mask2), (W1, mask1))]:
+            over = m1 & m2
+            counted = score_bi(g, model, z1, m1, z2, m2, c)
+            h1, h2, h_o = screen.histograms(screen.w1_rows(m1[None, :]), m2[None, :],
+                                            np.zeros(1, np.int64), np.zeros(1, np.int64))
+            given_counts = score_bi(g, model, z1, m1, z2, m2, c,
+                                    edges=g.count_edges_between(m1, m2),
+                                    inside=g.count_edges_between(over, over),
+                                    hists=(h1[0], h2[0], h_o[0]), ids1=np.flatnonzero(m1))
+            assert (counted is None) == (given_counts is None)
+            if counted is not None:
+                assert _bits(given_counts) == _bits(counted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.sampled_from([2, 5, 63, 64, 65, 128, 130, 191]),
+       layout=st.sampled_from(["random", "words", "singletons"]), directed=st.booleans(),
+       screen_cells=st.sampled_from([None, 1]))
+def test_packed_class_counts_match_bool_rows(seed, n, layout, directed, screen_cells):
+    # "words" puts every class boundary on a word boundary (64 vertices per
+    # class); "singletons" makes every vertex its own class (K = n); one
+    # screen cell packs and screens a row and a pair at a time
     rng = np.random.default_rng(seed)
-    g = random_graph(seed, n=n, p=float(rng.uniform(0.1, 0.9)), directed=directed)
-    try:
-        model = fit_degree_prior(g)
-    except FitError:
-        assume(False)
-    c = ScoreConstants(pair_counting=counting)
-    mask1, mask2 = _extensions(rng, n, relation)
-    over = mask1 & mask2
-    counted = score_bi(g, model, W1, mask1, W2, mask2, c)
-    given_counts = score_bi(g, model, W1, mask1, W2, mask2, c,
-                            edges=g.count_edges_between(mask1, mask2),
-                            inside=g.count_edges_between(over, over))
-    assert (counted is None) == (given_counts is None)
-    if counted is not None:
-        assert _bits(given_counts) == _bits(counted)
+    if layout == "singletons":
+        cls = rng.permutation(n)
+    elif layout == "words":
+        cls = rng.permutation(n) // 64
+    else:
+        cls = rng.permutation(np.arange(n) % int(rng.integers(1, n + 1)))
+    k = int(cls.max()) + 1
+    model = BackgroundModel(n, directed, cls=cls, lam_row=rng.normal(size=k),
+                            lam_col=rng.normal(size=k) if directed else None)
+    g = random_graph(seed, n=n, p=float(rng.uniform(0.02, 0.3)), directed=directed)
+    masks1 = rng.random((5, n)) < rng.uniform(0.1, 0.9)
+    masks2 = rng.random((6, n)) < rng.uniform(0.1, 0.9)
+    masks1[0] = False  # an empty row
+    masks2[0], masks2[1] = True, False  # a full row and an empty one
+    masks2[2] = masks1[1]
+    pi, pj = (x.ravel() for x in np.indices((len(masks1), len(masks2))))
+    block = search._SCREEN_CELLS if screen_cells is None else screen_cells
+    with patch.object(search, "_SCREEN_CELLS", block):
+        screen = _BiScreen(g, model, ScoreConstants(), False)
+        _, H, sizes, _, _ = screen.w1_rows(masks1[:screen.w1_step])
+        np.testing.assert_array_equal(H, class_histograms(model, masks1[:screen.w1_step]))
+        np.testing.assert_array_equal(sizes, np.count_nonzero(masks1[:screen.w1_step], axis=1))
+        _, _, edges, inside, h1, h2, h_o = screen_pairs(screen, masks1, masks2, pi, pj,
+                                                        np.full(pi.size, 2))
+    np.testing.assert_array_equal(h1, class_histograms(model, masks1)[pi])
+    np.testing.assert_array_equal(h2, class_histograms(model, masks2)[pj])
+    np.testing.assert_array_equal(h_o, class_histograms(model, masks1[pi] & masks2[pj]))
+    for i, j, e, e_in in zip(pi, pj, edges, inside):
+        assert e == g.count_edges_between(masks1[i], masks2[j])
+        if not directed:
+            over = masks1[i] & masks2[j]
+            assert e_in == g.count_edges_between(over, over)

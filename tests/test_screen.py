@@ -13,7 +13,7 @@ from simine import (FitError, ScoreConstants,
                     search, update_with_pattern)
 from simine.search import _BiScreen, _Refiner
 
-from conftest import random_graph, reference_nested_beam_search
+from conftest import random_graph, reference_nested_beam_search, screen_pairs
 
 
 def _rendered(pats):
@@ -82,8 +82,8 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
         masks = np.array([nd.mask for nd in nodes])
         lengths = np.array([len(nd.sels) for nd in nodes])
         pi, pj = np.nonzero(np.add.outer(np.arange(len(nodes)), np.arange(len(nodes))) % 7 == 0)
-        si, bound, edges, inside = _BiScreen(g, model, c, disjoint).scores(
-            masks, masks, pi, pj, lengths[pi] + lengths[pj])
+        si, bound, edges, inside = screen_pairs(_BiScreen(g, model, c, disjoint), masks, masks,
+                                                pi, pj, lengths[pi] + lengths[pj])[:4]
         descs = [refiner.description(nd) for nd in nodes]
         for k, (i, j) in enumerate(zip(pi.tolist(), pj.tolist())):
             w1, w2 = nodes[i], nodes[j]
