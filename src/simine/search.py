@@ -308,7 +308,7 @@ def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
     def scorer(desc, mask, _size, edges):
         return score_single(g, model, desc, mask, cfg.constants, edges=edges)
 
-    return _single_engine(g, selectors, cfg, scorer)
+    return _single_engine(g, selectors, cfg, scorer, _SingleScreen(g, model, cfg.constants))
 
 
 @dataclass(eq=False)
@@ -345,9 +345,16 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
     return _single_engine(g, selectors, cfg, scorer)
 
 
-def _single_engine(g, selectors, cfg, scorer):
+def _single_engine(g, selectors, cfg, scorer, screen=None):
     """Level-wise beam search; ``scorer`` gets (description, mask, size, inner
-    edge count) per candidate."""
+    edge count) per candidate.
+
+    With a ``screen`` (``_SingleScreen``), the refinements of each parent are
+    screened in one batch, and only those whose screening SI could place
+    them in the level's beam are scored and offered to it.  The beam has no
+    diversity floor and a strict total order, so it ends up holding the same
+    entries as if every candidate had been scored and offered.
+    """
     refiner = _Refiner(g, selectors, max(2, cfg.min_extension_size))
     e0, e1 = np.ascontiguousarray(g.edges.T)
     rows = [refiner.root]
@@ -361,10 +368,17 @@ def _single_engine(g, selectors, cfg, scorer):
             # a child's inner edges are among its parent's: count over those
             inside = parent.mask[e0] & parent.mask[e1]
             counts = _edges_inside(masks, e0[inside], e1[inside])
-            for node, edge_count in zip(refiner.nodes([parent], children, masks, sizes),
-                                        counts.tolist()):
+            picks = range(len(children))
+            if screen is not None and children:
+                si, bound = screen.scores(masks, np.flatnonzero(parent.mask), sizes, counts,
+                                          len(parent.sels) + 1)
+                picks = _contenders(si, bound, [e.payload[0].si for e in beam],
+                                    cfg.beam_width).tolist()
+            counts = counts.tolist()
+            for i in picks:
+                node = refiner.node([parent], children[i], masks, sizes)
                 child = refiner.description(node)
-                res = scorer(child, node.mask, node.size, edge_count)
+                res = scorer(child, node.mask, node.size, counts[i])
                 if res is None:
                     continue
                 scored_any = True
@@ -380,6 +394,73 @@ def _single_engine(g, selectors, cfg, scorer):
                     refiner.min_size)
         return []
     return sorted(collected.values(), key=lambda r: r.sort_key())
+
+
+def _mass_rounding(model):
+    """Relative rounding of a screen's expected mass: the screen and
+    ``pair_sums`` each sum O(K) non-negative terms per dot product, in
+    different orders."""
+    return 8.0 * (model.n_classes + 8) * np.finfo(np.float64).eps
+
+
+def _screen_si(n_w, k_w, mass, dl, rho, valid):
+    """Screening SIs ``n_w KL(k_w / n_w || mass / n_w) / dl``, -inf where not
+    ``valid``, and bounds on their distance from the exact SIs when each
+    mass is off by at most ``rho`` relative."""
+    n_w = np.where(valid, n_w, 1)
+    q, p = k_w / n_w, mass / n_w
+    si = n_w * kl_bernoulli_many(q, p) / dl
+    # a mass off by rho moves KL(q || p) by rho * |p - q| / (1 - p); the
+    # divergence's own rounding stays below 1e-13 for a clamped p
+    pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    drift = rho * np.abs(pc - q) / (1.0 - pc)
+    return np.where(valid, si, -np.inf), 1e-9 * np.abs(si) + n_w / dl * (1e-13 + drift)
+
+
+def _contenders(si, bound, kept, width):
+    """Positions of the screened candidates (SIs ``si`` within ``bound``)
+    that could enter a beam of ``width`` already holding entries of exact
+    SIs ``kept``: the ``width``-th best lower bound among the candidates and
+    the kept entries is a cut that a candidate's upper bound must reach."""
+    finite = np.isfinite(si)
+    lower = np.concatenate([(si - bound)[finite], kept])
+    cut = -np.inf
+    if lower.size >= width:
+        cut = np.partition(lower, lower.size - width)[lower.size - width]
+    return np.flatnonzero(finite & (si + bound >= cut))
+
+
+class _SingleScreen:
+    """Screening scores of single-subgroup candidates: the refinements of
+    one parent, in one call.
+
+    The class histograms of the candidates' extensions, each paired with
+    itself, give the expected mass through ``pair_sums_many``, and
+    ``pair_counts``, the counting rule of ``score_single``, the rest.  The
+    edge counts are the search's; the SI differs from ``score_single``'s
+    only by the rounding of the mass, and ``scores`` returns a bound on that
+    difference with it.
+    """
+
+    def __init__(self, g, model, c):
+        self.model, self.c, self.directed = model, c, g.directed
+        self.conv = c.convention(single=True, directed=g.directed)
+        self.rho = _mass_rounding(model)
+
+    def scores(self, masks, within, sizes, edges, length):
+        """``(si, bound)`` per extension of ``masks``, a subset of the
+        vertices ``within``, of size ``sizes[i]`` with ``edges[i]`` edges
+        inside, described by ``length`` selectors."""
+        k = self.model.n_classes
+        rows, members = np.nonzero(masks[:, within])
+        H = np.bincount(rows * k + self.model.cls[within[members]],
+                        minlength=len(masks) * k)
+        H = H.reshape(len(masks), k).astype(np.float64)
+        ordered, overlap = self.model.pair_sums_many(H, H, H)
+        n_w, k_w, mass, slots = pair_counts(sizes, sizes, sizes, edges, edges, ordered,
+                                            overlap, self.conv, self.directed)
+        return _screen_si(n_w, k_w, mass, self.c.alpha * length + self.c.beta, self.rho,
+                          slots > 0)
 
 
 # -- nested bi-subgroup search ------------------------------------------------------
@@ -455,9 +536,7 @@ class _BiScreen:
         # and beam; half the float budget keeps small graphs' peak flat
         self.w1_step = max(1, min(_SCREEN_CELLS // max(1, self.nbr.size),
                                   self.floats // (2 * g.n)))
-        # relative rounding of the expected mass: this path and pair_sums each
-        # sum O(K) non-negative terms per dot product, in different orders
-        self.rho = 8.0 * (model.n_classes + 8) * np.finfo(np.float64).eps
+        self.rho = _mass_rounding(model)
 
     def w1_rows(self, masks):
         """The screen's rows of a chunk of at most ``w1_step`` W1s with
@@ -572,16 +651,9 @@ class _BiScreen:
         valid = slots > 0
         if self.require_disjoint:
             valid &= o == 0
-        n_w = np.where(valid, n_w, 1)
-        q, p = k_w / n_w, mass / n_w
-        dl = self.c.alpha * lengths + self.c.beta
-        si = n_w * kl_bernoulli_many(q, p) / dl
-        # a mass off by rho moves KL(q || p) by rho * |p - q| / (1 - p); the
-        # divergence's own rounding stays below 1e-13 for a clamped p
-        pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-        drift = self.rho * np.abs(pc - q) / (1.0 - pc)
-        bound = 1e-9 * np.abs(si) + n_w / dl * (1e-13 + drift)
-        return np.where(valid, si, -np.inf), bound, edges, inside
+        si, bound = _screen_si(n_w, k_w, mass, self.c.alpha * lengths + self.c.beta,
+                               self.rho, valid)
+        return si, bound, edges, inside
 
 
 def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
@@ -678,16 +750,8 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, z1s, masks1):
         starts = np.cumsum([0] + [len(ch) for ch in children]).tolist()
         picks = []
         for beam, lo, hi in zip(beams, starts, starts[1:]):
-            s, b = si[lo:hi], bound[lo:hi]
-            # the x2-th best lower bound among the candidates and the beam's
-            # exact SIs; a candidate whose upper bound falls short cannot
-            # enter the beam
-            lower = np.concatenate([(s - b)[np.isfinite(s)],
-                                    [e.payload[0].si for e in beam]])
-            cut = -np.inf
-            if lower.size >= cfg.x2:
-                cut = np.partition(lower, lower.size - cfg.x2)[lower.size - cfg.x2]
-            picks.append(lo + np.flatnonzero(np.isfinite(s) & (s + b >= cut)))
+            picks.append(lo + _contenders(si[lo:hi], bound[lo:hi],
+                                          [e.payload[0].si for e in beam], cfg.x2))
         # the exact class histograms of every contender of the level at once
         picked = np.concatenate(picks)
         h1, h2, h_o = screen.histograms(chunk, masks2, pi[picked], pj[picked])

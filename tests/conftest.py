@@ -206,25 +206,54 @@ def _reference_constraints_ok(z1, z2, mask1, mask2, cfg):
     return True
 
 
+def _reference_expand(g, selectors, min_size, desc, mask, size, seen):
+    """The admissible refinements of one description not in ``seen`` yet,
+    as ``(description, extension, size)``; each joins ``seen``."""
+    out = []
+    for sel in selectors:
+        if sel.attribute in desc.attributes:
+            continue
+        child = desc.with_selector(sel)
+        if str(child) in seen:
+            continue
+        cmask = mask & extension(Description((sel,)), g)
+        csize = int(np.count_nonzero(cmask))
+        if csize < min_size or csize == size:
+            continue
+        seen.add(str(child))
+        out.append((child, cmask, csize))
+    return out
+
+
+def reference_beam_search_single(g, model, selectors, cfg):
+    """The single-subgroup beam search with every candidate scored by
+    ``score_single`` and offered to the beam, one at a time: the plainly
+    correct reference for the screened search."""
+    min_size = max(2, cfg.min_extension_size)
+    rows = [(EMPTY_DESCRIPTION, np.ones(g.n, dtype=bool), g.n)]
+    collected = {}
+    for _ in range(cfg.depth):
+        beam, seen = Beam(cfg.beam_width), set()
+        for row in rows:
+            for w, m, s in _reference_expand(g, selectors, min_size, *row, seen):
+                pat = score_single(g, model, w, m, cfg.constants)
+                if pat is not None:
+                    beam.try_add(BeamEntry(pat.sort_key(), str(w), group=str(w),
+                                           payload=(pat, m, s)))
+        if not len(beam):
+            break
+        rows = [(e.payload[0].w1, e.payload[1], e.payload[2]) for e in beam]
+        for e in beam:
+            collected.setdefault(e.ident, e.payload[0])
+    return sorted(collected.values(), key=lambda p: p.sort_key())
+
+
 def reference_nested_beam_search(g, model, selectors, cfg):
     """The nested bi-subgroup beam search with every inner candidate scored
     by ``score_bi`` and offered to the inner beam, one at a time: the plainly
     correct reference for the screened search."""
     def expand(desc, mask, size, seen):
-        out = []
-        for sel in selectors:
-            if sel.attribute in desc.attributes:
-                continue
-            child = desc.with_selector(sel)
-            if str(child) in seen:
-                continue
-            cmask = mask & extension(Description((sel,)), g)
-            csize = int(np.count_nonzero(cmask))
-            if csize < min_size or csize == size:
-                continue
-            seen.add(str(child))
-            out.append((child, cmask, csize))
-        return out
+        return _reference_expand(g, selectors, min_size, desc, mask, size, seen)
 
     def inner_search(z1, m1):
         inner = Beam(cfg.x2)

@@ -1,5 +1,6 @@
-"""The batched screen of the nested search against ``score_bi`` and against
-the score-everything reference search in ``conftest``."""
+"""The batched screens of both searches against ``score_bi`` and
+``score_single``, and against the score-everything reference searches in
+``conftest``."""
 
 from unittest.mock import patch
 
@@ -8,12 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simine import (FitError, ScoreConstants,
-                    SearchConfig, SelectorConfig, background, fit_degree_prior,
-                    generate_selectors, iterate, score_bi,
+                    SearchConfig, SelectorConfig, background, beam_search_single,
+                    fit_degree_prior, generate_selectors, iterate, score_bi, score_single,
                     search, update_with_pattern)
-from simine.search import _BiScreen, _Refiner
+from simine.search import _BiScreen, _Refiner, _SingleScreen
 
-from conftest import random_graph, reference_nested_beam_search, screen_pairs
+from conftest import (random_graph, reference_beam_search_single,
+                      reference_nested_beam_search, screen_pairs)
 
 
 def _rendered(pats):
@@ -108,3 +110,58 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
         got = iterate(g, model, sels, cfg, rounds=2).rounds
         want = _reference_iterate(g, model, sels, cfg, rounds=2)
         assert [_rendered(r) for r in got] == [_rendered(r) for r in want]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(12, 30), directed=st.booleans(),
+       counting=st.sampled_from(["auto", "ordered", "unordered"]), updates=st.integers(0, 2),
+       table_cells=st.sampled_from([None, 1, 12]), width=st.integers(1, 6),
+       depth=st.integers(1, 3), min_size=st.integers(1, 4))
+def test_single_screen_matches_score_single_and_reference(seed, n, directed, counting,
+                                                          updates, table_cells, width,
+                                                          depth, min_size):
+    cells = background._TABLE_CELLS if table_cells is None else table_cells
+    with patch.object(background, "_TABLE_CELLS", cells):
+        g = random_graph(seed, n=n, attrs=(("a", 2), ("b", 3), ("c", 2)),
+                         directed=directed, numeric=("x",))
+        try:
+            model = fit_degree_prior(g)
+        except FitError:
+            assume(False)
+        sels = generate_selectors(g, SelectorConfig(numeric_bins=3))
+        c = ScoreConstants(pair_counting=counting)
+        refiner = _Refiner(g, sels, 2)
+        level1 = _level(refiner, [refiner.root])
+        level2 = _level(refiner, level1)
+        rng = np.random.default_rng(seed)
+        nodes = level1 + level2
+        for _ in range(updates):
+            # absorb a random pattern, so classes split by its rows and columns
+            w1, w2 = (nodes[i] for i in rng.integers(0, len(nodes), size=2))
+            pat = score_bi(g, model, refiner.description(w1), w1.mask,
+                           refiner.description(w2), w2.mask, c)
+            if pat is not None:
+                model = update_with_pattern(model, pat)
+
+        screen = _SingleScreen(g, model, c)
+        for length, level in ((1, level1), (2, level2)):
+            if not level:
+                continue
+            masks = np.array([nd.mask for nd in level])
+            sizes = masks.sum(axis=1)
+            edges = np.array([g.count_edges_between(m, m) for m in masks])
+            # the extensions lie within their union
+            si, bound = screen.scores(masks, np.flatnonzero(masks.any(axis=0)), sizes, edges,
+                                      length)
+            for k, nd in enumerate(level):
+                pat = score_single(g, model, refiner.description(nd), nd.mask, c)
+                err = abs(si[k] - pat.si)
+                assert err <= bound[k]
+                # 1e-12 relative, or rounding of a near-zero KL divergence
+                assert err <= 1e-12 * abs(pat.si) + 1e-13 * pat.n_w / pat.dl
+
+        cfg = SearchConfig(beam_width=width, depth=depth, min_extension_size=min_size,
+                           constants=c)
+        got = beam_search_single(g, model, sels, cfg)
+        want = reference_beam_search_single(g, model, sels, cfg)
+        assert _rendered(got) == _rendered(want)
