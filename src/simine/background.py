@@ -175,7 +175,6 @@ class BackgroundModel:
         self._check_and_index()
         k = self.n_classes
         self._P_off = self._P_diag = None  # class-pair table, diagonal split off
-        self._by_class = None  # vertex order by class and class starts in it
         if k * k <= _TABLE_CELLS:
             self._P_off = self._class_probs(np.arange(k), np.arange(k))
             self._P_diag = np.diag(self._P_off).copy()
@@ -301,11 +300,8 @@ class BackgroundModel:
     def class_order(self):
         """``(order, starts)``: the vertices sorted by class (stable), and the
         position in ``order`` where each class starts."""
-        if self._by_class is None:
-            order = np.argsort(self.cls, kind="stable")
-            self._by_class = order, np.searchsorted(self.cls[order],
-                                                    np.arange(self.n_classes))
-        return self._by_class
+        order = np.argsort(self.cls, kind="stable")
+        return order, np.searchsorted(self.cls[order], np.arange(self.n_classes))
 
     def pair_sums_many(self, h_r, H_c, H_o):
         """``pair_sums`` of row sets against one or many column sets, from

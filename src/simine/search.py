@@ -150,25 +150,44 @@ class Beam:
 
 # -- candidate generation -------------------------------------------------------
 
-_EDGE_CELLS = 1 << 22  # cells of the (sets x edges) array counting edges inside sets
-_SCREEN_CELLS = 1 << 20  # cells of a boolean temporary of the nested search's screen
-_CHILD_CACHE_BYTES = 1 << 23  # cached child extensions per search
+_SCREEN_CELLS = 1 << 20  # cells of the nested search's screen temporaries (see _BiScreen)
+
+
+def _pack(bits, words):
+    """0/1 rows (the last axis) as ``words`` little-endian uint64 words per
+    row, bit i of a row in bit i % 64 of word i // 64, zero past the row."""
+    out = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
+    # packbits is fast only along a contiguous axis; fancy indexing along
+    # the last axis leaves the rows strided
+    packed = np.packbits(np.ascontiguousarray(bits), axis=-1, bitorder="little")
+    out[..., :packed.shape[-1]] = packed
+    return out.view("<u8")
 
 
 @dataclass(eq=False)
 class _Node:
     """A description in the search tree: the positions of its selectors in
-    the selector list, its identity key, its extension and its size."""
+    the selector list, its identity key, the row of its extension and its
+    size."""
 
     sels: tuple
     key: tuple
-    mask: np.ndarray
+    row: np.ndarray
     size: int
 
 
 class _Refiner:
-    """The selectors of one search as a selector x vertex matrix, and the
-    admissible refinements of descriptions computed from it.
+    """The selectors of one search as packed rows, and the admissible
+    refinements of descriptions computed from them.
+
+    A vertex set is one row of little-endian uint64 words: its members in
+    the model's class order (vertex order and one class without a model),
+    n // 64 + 1 words, so the boundary at n has a word, with classes not
+    padded; then the edges with both ends in the set, in edge order,
+    m // 64 + 1 words.  Bit i of a slice is bit i % 64 of its word i // 64.
+    The row of an intersection is the AND of the rows, so a refinement's row
+    is its parent's AND its selector's, and a set's size, class histogram
+    and inner edge count are popcounts of its row's slices.
 
     A refinement adds one selector on an attribute its parent does not
     constrain yet.  It is admissible when its extension has at least
@@ -179,45 +198,82 @@ class _Refiner:
     grammar equal keys mean equal renderings.
     """
 
-    def __init__(self, g, selectors, min_size):
-        self.selectors = list(selectors)
-        self.min_size = min_size
-        self.matrix = np.zeros((len(self.selectors), g.n), dtype=bool)
+    def __init__(self, g, model, selectors, min_size):
+        self.model, self.selectors, self.min_size = model, list(selectors), min_size
+        if model is None:
+            order, starts = np.arange(g.n), np.zeros(1, dtype=np.int64)
+        else:
+            order, starts = model.class_order()
+        self.n, self.words = g.n, g.n // 64 + 1
+        self.pos = np.empty(g.n, dtype=np.int64)  # place of each vertex in class order
+        self.pos[order] = np.arange(g.n)
+        # the word of each class boundary (the end of the last class
+        # included) and the bits of that word at or past the boundary
+        bounds = np.append(starts, g.n)
+        self.bword = bounds >> 6
+        self.high = ~((np.uint64(1) << (bounds & 63).astype(np.uint64)) - np.uint64(1))
+        e0, e1 = g.edges.T
+
+        def row(mask):
+            return np.concatenate([_pack(mask[order], self.words),
+                                   _pack(mask[e0] & mask[e1], g.m // 64 + 1)])
+
+        self.root = _Node((), (), row(np.ones(g.n, dtype=bool)), g.n)
+        self.rows = np.empty((len(self.selectors), self.root.row.size), dtype="<u8")
         for i, s in enumerate(self.selectors):
-            self.matrix[i] = selector_mask(s, g)
+            self.rows[i] = row(selector_mask(s, g))
         attrs, first = {}, {}
         self.attr = np.array([attrs.setdefault(s.attribute, len(attrs))
                               for s in self.selectors], dtype=np.int64)
         self.n_attrs = len(attrs)
         self.rid = [first.setdefault(s.render(), i) for i, s in enumerate(self.selectors)]
-        self.root = _Node((), (), np.ones(g.n, dtype=bool), g.n)
         self._cache: dict[tuple, tuple] = {}
-        self._cache_bytes = 0
 
     def description(self, node) -> Description:
         return Description(tuple(self.selectors[i] for i in node.sels))
 
+    def class_counts(self, rows):
+        """Class histograms (int64) of the sets ``rows``: each class
+        boundary's prefix popcount (a cumulative sum of word popcounts, minus
+        the bits of the boundary's word at or past it), differenced."""
+        B = rows[..., :self.words]
+        upto = np.cumsum(np.bitwise_count(B), axis=-1, dtype=np.int64)[..., self.bword]
+        past = B[..., self.bword]
+        past &= self.high
+        upto -= np.bitwise_count(past)
+        return np.diff(upto, axis=-1)
+
+    def edges_inside(self, rows):
+        """Number of edges with both ends in each of the sets ``rows``."""
+        return np.bitwise_count(rows[..., self.words:]).sum(axis=-1, dtype=np.int64)
+
+    def unpack(self, rows):
+        """The members of the sets ``rows`` as bool rows in class order."""
+        bits = np.unpackbits(rows[..., :self.words].view(np.uint8), axis=-1, count=self.n,
+                             bitorder="little")
+        return bits.view(bool)
+
+    def masks(self, rows):
+        """The sets ``rows`` as bool masks in vertex order."""
+        return self.unpack(rows)[..., self.pos]
+
     def _children(self, parent):
-        """Selector positions, keys, extensions and sizes of the admissible
-        refinements of one parent.  Kept per parent until the cached
-        extensions reach ``_CHILD_CACHE_BYTES``: the inner searches of
-        different W1s start from the same root and mostly refine the same
-        W2s, so most lookups in the nested search repeat a parent."""
+        """Selector positions, keys and sizes of the admissible refinements
+        of one parent, kept per parent: the inner searches of different W1s
+        start from the same root and mostly refine the same W2s, so most
+        lookups in the nested search repeat a parent."""
         hit = self._cache.get(parent.key)
-        if hit is not None:
-            return hit
-        used = np.zeros(self.n_attrs, dtype=bool)
-        used[self.attr[list(parent.sels)]] = True
-        free = np.flatnonzero(~used[self.attr])
-        masks = self.matrix[free] & parent.mask
-        size = np.count_nonzero(masks, axis=1)
-        ok = (size >= self.min_size) & (size != parent.size)
-        js = free[ok].tolist()
-        hit = (js, [tuple(sorted(parent.key + (self.rid[j],))) for j in js],
-               masks[ok], size[ok])
-        if self._cache_bytes + hit[2].nbytes <= _CHILD_CACHE_BYTES:
-            self._cache[parent.key] = hit
-            self._cache_bytes += hit[2].nbytes
+        if hit is None:
+            used = np.zeros(self.n_attrs, dtype=bool)
+            used[self.attr[list(parent.sels)]] = True
+            free = np.flatnonzero(~used[self.attr])
+            members = self.rows[free, :self.words]
+            members &= parent.row[:self.words]
+            size = np.bitwise_count(members).sum(axis=1, dtype=np.int64)
+            ok = (size >= self.min_size) & (size != parent.size)
+            js = free[ok].tolist()
+            hit = self._cache[parent.key] = (
+                js, [tuple(sorted(parent.key + (self.rid[j],))) for j in js], size[ok])
         return hit
 
     def expand(self, groups):
@@ -227,22 +283,18 @@ class _Refiner:
         ``seen`` yet and that ``admit(parent, selector position, key)``
         accepts when it is not None; a child it rejects still joins ``seen``.
 
-        Returns ``(children, masks, sizes)``: per group, ``(parent position,
-        selector position, key, row)`` per child, and the extensions of the
-        distinct children stacked as rows in the order they first appear.
-        Children with equal keys share one row, so with a single group row i
-        is child i."""
+        Returns ``(children, rows, sizes)``: per group, ``(parent position,
+        selector position, key, row)`` per child, and the rows of the
+        distinct children stacked in the order they first appear.  Children
+        with equal keys share one row, so with a single group row i is
+        child i."""
         children = [[] for _ in groups]
-        hits = {}  # parent key -> its refinements
-        visits = []  # (refinements, those newly stacked, their first row)
+        visits = []  # (parent, selectors of its children newly stacked, their sizes)
         rows: dict[tuple, int] = {}  # child key -> row of the stack
         for out, (parents, seen, admit) in zip(children, groups):
             for p, parent in enumerate(parents):
-                hit = hits.get(parent.key)
-                if hit is None:
-                    hit = hits[parent.key] = self._children(parent)
-                js, keys = hit[0], hit[1]
-                take, lo = [], len(rows)
+                js, keys, size = self._children(parent)
+                take = []
                 for r, key in enumerate(keys):
                     if key in seen:
                         continue
@@ -255,43 +307,30 @@ class _Refiner:
                         take.append(r)
                     out.append((p, js[r], key, row))
                 if take:
-                    visits.append((hit, take, lo))
-        # gather the rows straight into one stack, without per-parent copies:
-        # the rows one parent visit adds are consecutive
-        stack = np.empty((len(rows), self.matrix.shape[1]), dtype=bool)
+                    visits.append((parent, [js[r] for r in take], size[take]))
+        # the rows one parent visit adds are consecutive: gather its
+        # selectors' rows straight into the stack and AND the parent in
+        stack = np.empty((len(rows), self.rows.shape[1]), dtype="<u8")
         sizes = np.empty(len(rows), dtype=np.int64)
-        for (_, _, masks, size), take, lo in visits:
-            # rows are in range; "clip" lets take write to stack without a buffer
-            np.take(masks, take, axis=0, out=stack[lo:lo + len(take)], mode="clip")
-            sizes[lo:lo + len(take)] = size[take]
+        lo = 0
+        for parent, js, size in visits:
+            block = stack[lo:lo + len(js)]
+            # rows are in range; "clip" lets take write to the stack without a buffer
+            np.take(self.rows, js, axis=0, out=block, mode="clip")
+            block &= parent.row
+            sizes[lo:lo + len(js)] = size
+            lo += len(js)
         return children, stack, sizes
 
-    def node(self, parents, child, masks, sizes) -> _Node:
-        """The child's node; it holds a copy of its extension, so a node kept
-        in a beam does not keep its level's whole stack alive."""
-        p, j, key, row = child
-        return _Node(parents[p].sels + (j,), key, masks[row].copy(), int(sizes[row]))
+    def node(self, parents, child, rows, sizes) -> _Node:
+        """The child's node; it holds a copy of its row, so a node kept in a
+        beam does not keep its level's whole stack alive."""
+        p, j, key, r = child
+        return _Node(parents[p].sels + (j,), key, rows[r].copy(), int(sizes[r]))
 
-    def nodes(self, parents, children, masks, sizes):
+    def nodes(self, parents, children, rows, sizes):
         for child in children:
-            yield self.node(parents, child, masks, sizes)
-
-
-def _edge_rows(masks, e0, e1):
-    """``(rows, edges)`` incidence: whether edge (e0[i], e1[i]) has both ends
-    in a row of ``masks``; built in place, so two such blocks are alive."""
-    out = masks[:, e0]
-    out &= masks[:, e1]
-    return out
-
-
-def _edges_inside(masks, e0, e1):
-    """Number of edges (e0[i], e1[i]) with both ends in each row of ``masks``."""
-    out = np.zeros(len(masks), dtype=np.int64)
-    step = max(1, _EDGE_CELLS // max(1, e0.size))
-    for i in range(0, len(masks), step):
-        out[i:i + step] = np.count_nonzero(_edge_rows(masks[i:i + step], e0, e1), axis=1)
-    return out
+            yield self.node(parents, child, rows, sizes)
 
 
 # -- single-subgroup search -------------------------------------------------------
@@ -308,7 +347,7 @@ def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
     def scorer(desc, mask, _size, edges):
         return score_single(g, model, desc, mask, cfg.constants, edges=edges)
 
-    return _single_engine(g, selectors, cfg, scorer, _SingleScreen(g, model, cfg.constants))
+    return _single_engine(g, model, selectors, cfg, scorer)
 
 
 @dataclass(eq=False)
@@ -342,21 +381,21 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
         return BaselineResult(w=desc, measure=measure, value=vals[measure], size=size,
                               edges=edges, inter_edges=int(deg[mask].sum()) - 2 * edges)
 
-    return _single_engine(g, selectors, cfg, scorer)
+    return _single_engine(g, None, selectors, cfg, scorer)
 
 
-def _single_engine(g, selectors, cfg, scorer, screen=None):
+def _single_engine(g, model, selectors, cfg, scorer):
     """Level-wise beam search; ``scorer`` gets (description, mask, size, inner
     edge count) per candidate.
 
-    With a ``screen`` (``_SingleScreen``), the refinements of each parent are
-    screened in one batch, and only those whose screening SI could place
+    With a ``model``, the refinements of each parent are screened in one
+    batch (``_SingleScreen``), and only those whose screening SI could place
     them in the level's beam are scored and offered to it.  The beam has no
     diversity floor and a strict total order, so it ends up holding the same
     entries as if every candidate had been scored and offered.
     """
-    refiner = _Refiner(g, selectors, max(2, cfg.min_extension_size))
-    e0, e1 = np.ascontiguousarray(g.edges.T)
+    refiner = _Refiner(g, model, selectors, max(2, cfg.min_extension_size))
+    screen = None if model is None else _SingleScreen(g, refiner, cfg.constants)
     rows = [refiner.root]
     collected: dict[str, object] = {}
     scored_any = False
@@ -364,21 +403,21 @@ def _single_engine(g, selectors, cfg, scorer, screen=None):
         seen: set[tuple] = set()
         beam = Beam(cfg.beam_width)
         for parent in rows:
-            (children,), masks, sizes = refiner.expand([([parent], seen, None)])
-            # a child's inner edges are among its parent's: count over those
-            inside = parent.mask[e0] & parent.mask[e1]
-            counts = _edges_inside(masks, e0[inside], e1[inside])
-            picks = range(len(children))
-            if screen is not None and children:
-                si, bound = screen.scores(masks, np.flatnonzero(parent.mask), sizes, counts,
-                                          len(parent.sels) + 1)
+            (children,), stack, sizes = refiner.expand([([parent], seen, None)])
+            if not children:
+                continue
+            counts = refiner.edges_inside(stack)
+            picks = np.arange(len(children))
+            if screen is not None:
+                si, bound = screen.scores(stack, sizes, counts, len(parent.sels) + 1)
                 picks = _contenders(si, bound, [e.payload[0].si for e in beam],
-                                    cfg.beam_width).tolist()
+                                    cfg.beam_width)
+            masks = refiner.masks(stack[picks])
             counts = counts.tolist()
-            for i in picks:
-                node = refiner.node([parent], children[i], masks, sizes)
+            for mask, i in zip(masks, picks.tolist()):
+                node = refiner.node([parent], children[i], stack, sizes)
                 child = refiner.description(node)
-                res = scorer(child, node.mask, node.size, counts[i])
+                res = scorer(child, mask, node.size, counts[i])
                 if res is None:
                     continue
                 scored_any = True
@@ -434,28 +473,25 @@ class _SingleScreen:
     """Screening scores of single-subgroup candidates: the refinements of
     one parent, in one call.
 
-    The class histograms of the candidates' extensions, each paired with
-    itself, give the expected mass through ``pair_sums_many``, and
-    ``pair_counts``, the counting rule of ``score_single``, the rest.  The
-    edge counts are the search's; the SI differs from ``score_single``'s
-    only by the rounding of the mass, and ``scores`` returns a bound on that
-    difference with it.
+    The class histograms of the candidates' rows, each paired with itself,
+    give the expected mass through ``pair_sums_many``, and ``pair_counts``,
+    the counting rule of ``score_single``, the rest.  The edge counts are
+    the search's; the SI differs from ``score_single``'s only by the
+    rounding of the mass, and ``scores`` returns a bound on that difference
+    with it.
     """
 
-    def __init__(self, g, model, c):
-        self.model, self.c, self.directed = model, c, g.directed
+    def __init__(self, g, refiner, c):
+        self.refiner, self.model, self.c = refiner, refiner.model, c
+        self.directed = g.directed
         self.conv = c.convention(single=True, directed=g.directed)
-        self.rho = _mass_rounding(model)
+        self.rho = _mass_rounding(self.model)
 
-    def scores(self, masks, within, sizes, edges, length):
-        """``(si, bound)`` per extension of ``masks``, a subset of the
-        vertices ``within``, of size ``sizes[i]`` with ``edges[i]`` edges
-        inside, described by ``length`` selectors."""
-        k = self.model.n_classes
-        rows, members = np.nonzero(masks[:, within])
-        H = np.bincount(rows * k + self.model.cls[within[members]],
-                        minlength=len(masks) * k)
-        H = H.reshape(len(masks), k).astype(np.float64)
+    def scores(self, rows, sizes, edges, length):
+        """``(si, bound)`` per set of ``rows`` (``_Refiner`` rows) of size
+        ``sizes[i]`` with ``edges[i]`` edges inside, described by ``length``
+        selectors."""
+        H = self.refiner.class_counts(rows).astype(np.float64)
         ordered, overlap = self.model.pair_sums_many(H, H, H)
         n_w, k_w, mass, slots = pair_counts(sizes, sizes, sizes, edges, edges, ordered,
                                             overlap, self.conv, self.directed)
@@ -466,185 +502,126 @@ class _SingleScreen:
 # -- nested bi-subgroup search ------------------------------------------------------
 
 
-def _pack(bits, words):
-    """0/1 rows (the last axis) as ``words`` little-endian uint64 words per
-    row, bit i of a row in bit i % 64 of word i // 64, zero past the row."""
-    out = np.zeros(bits.shape[:-1] + (8 * words,), dtype=np.uint8)
-    # packbits is fast only along a contiguous axis; fancy indexing along
-    # the last axis leaves the rows strided
-    packed = np.packbits(np.ascontiguousarray(bits), axis=-1, bitorder="little")
-    out[..., :packed.shape[-1]] = packed
-    return out.view("<u8")
-
-
 class _BiScreen:
     """Screening scores of (W1, W2) pairs: the pairs of one inner-search
     level of a chunk of W1s, in one call.
 
-    Each W1 and W2 is packed once per chunk into bit rows in class order:
-    n // 64 + 1 uint64 words, so the boundary at n has a word, with classes
-    not padded to words.  A row's class histogram is its popcount prefix at
-    the class boundaries (a cumulative sum of word popcounts, minus the bits
-    of each boundary's word at or past it), differenced.  Per pair, the popcounts
-    of W1 & W2 give the overlap's class histogram; those of W2 and the bit
-    planes of W1's neighbour counts give the edge orientations,
-    sum_b 2^b popcount(plane_b & W2); on undirected graphs those of packed
-    edge-incidence rows give the edges inside the overlap.  All are exact
+    It reads the refiner's rows as they are.  Per pair, the popcounts of
+    W1 & W2 give the overlap's class histogram and, on undirected graphs,
+    the edges inside the overlap; those of W2's members and the bit planes
+    of W1's neighbour counts, packed once per chunk in class order, give the
+    edge orientations, sum_b 2^b popcount(plane_b & W2).  All are exact
     integers.  ``pair_sums_many`` gives the expected mass and
     ``pair_counts``, the counting rule of ``score_bi``, the rest.  The edge
     counts are the ones ``score_bi`` would count; the SI differs from
     ``score_bi``'s only by the rounding of the mass, and ``scores`` returns a
     bound on that difference with it.
 
-    No boolean temporary holds more than ``_SCREEN_CELLS`` cells, none made
-    while packing more bytes than ``floats`` float64 cells, and no array of a
-    block of pairs more than ``floats`` cells.
+    No array of a block of pairs holds more than ``floats`` cells, and the
+    neighbour counts of a chunk gather at most ``floats`` bits at a time (one
+    W1's, when it has more).
     """
 
-    def __init__(self, g, model, c, require_disjoint):
-        self.model, self.c, self.require_disjoint = model, c, require_disjoint
-        self.n, self.directed = g.n, g.directed
+    def __init__(self, g, refiner, c, require_disjoint):
+        self.refiner, self.model, self.c = refiner, refiner.model, c
+        self.require_disjoint, self.directed = require_disjoint, g.directed
         self.conv = c.convention(single=False, directed=g.directed)
-        self.e0, self.e1 = np.ascontiguousarray(g.edges.T)
-        self.order, starts = model.class_order()
-        self.words = g.n // 64 + 1
-        # the word of each class boundary (the end of the last class
-        # included) and the bits of that word at or past the boundary
-        bounds = np.append(starts, g.n)
-        self.bword = bounds >> 6
-        self.high = ~((np.uint64(1) << (bounds & 63).astype(np.uint64)) - np.uint64(1))
         # the neighbours of every vertex (its in-neighbours when directed),
-        # grouped by vertex in class order, and where each non-empty group starts
-        src, dst = self.e0, self.e1
+        # all in class positions, grouped by vertex, and where each non-empty
+        # group starts
+        pos = refiner.pos
+        src, dst = pos[g.edges.T]
         if not g.directed:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        pos = np.empty(g.n, dtype=np.int64)  # place of each vertex in class order
-        pos[self.order] = np.arange(g.n)
-        self.nbr = src[np.argsort(pos[dst], kind="stable")]
-        counts = np.bincount(pos[dst], minlength=g.n)
+        self.nbr = src[np.argsort(dst, kind="stable")]
+        counts = np.bincount(dst, minlength=g.n)
         self.has_nbr = counts > 0
         self.nbr_starts = (np.cumsum(counts) - counts)[self.has_nbr]
         # cells of an array of a block of pairs: few enough to keep small
         # graphs' peak memory flat, and at least eight vertex rows, so that
         # large graphs still screen in few blocks
         self.floats = max(1, _SCREEN_CELLS // 64, 8 * g.n)
-        # cells of a boolean temporary while packing rows: no more bytes than
-        # a float block, since a slice makes a few such copies at once
-        self.bools = min(_SCREEN_CELLS, 8 * self.floats)
         # W1s per chunk: each gathers len(nbr) cells for its neighbour counts
         # and holds them as n integers, besides its inner search's candidates
         # and beam; half the float budget keeps small graphs' peak flat
         self.w1_step = max(1, min(_SCREEN_CELLS // max(1, self.nbr.size),
                                   self.floats // (2 * g.n)))
-        self.rho = _mass_rounding(model)
+        self.rho = _mass_rounding(self.model)
 
-    def w1_rows(self, masks):
-        """The screen's rows of a chunk of at most ``w1_step`` W1s with
-        extensions ``masks``: per W1, its bit rows in class order (its
-        members, then the bit planes of its neighbour counts, in-neighbours
-        in the W1 when directed), its class histogram (float) and size, and on
-        undirected graphs its packed edge-incidence row over the edges
-        ``keep`` inside some W1 of the chunk: no other edge lies inside an
-        overlap.  Returns ``(S, H, sizes, E, keep)``."""
-        D = np.zeros((len(masks), self.n), dtype=np.int64)
+    def w1_rows(self, rows):
+        """The screen's view of a chunk of at most ``w1_step`` W1s with
+        refiner rows ``rows``: the rows, the bit planes of each W1's
+        neighbour counts in class order (in-neighbours in the W1 when
+        directed), its class histogram (float) and its size.  Returns
+        ``(rows, planes, H, sizes)``."""
+        bits = self.refiner.unpack(rows)
+        words = self.refiner.words
+        D = np.zeros(bits.shape, dtype=np.int64)
         # reduceat counts in int64, so a few W1s at a time
         step = max(1, self.floats // max(1, self.nbr.size))
-        for r in range(0, len(masks) if self.nbr.size else 0, step):
-            D[r:r + step, self.has_nbr] = np.add.reduceat(masks[r:r + step, self.nbr],
+        for r in range(0, len(rows) if self.nbr.size else 0, step):
+            D[r:r + step, self.has_nbr] = np.add.reduceat(bits[r:r + step, self.nbr],
                                                           self.nbr_starts, axis=1)
-        planes = int(D.max(initial=0)).bit_length()
-        S = np.empty((len(masks), 1 + planes, self.words), dtype="<u8")
-        S[:, 0], H = self._rows(masks, np.arange(len(masks)))
-        for b in range(planes):
-            S[:, 1 + b] = _pack(D & (1 << b) != 0, self.words)
-        E, keep = None, np.empty(0, dtype=np.int64)
-        if not self.directed:
-            inc = _edge_rows(masks, self.e0, self.e1)
-            keep = np.flatnonzero(inc.any(axis=0))
-            E = _pack(inc[:, keep], keep.size // 64 + 1)
-        return S, H.astype(np.float64), H.sum(axis=1), E, keep
+        planes = np.empty((len(rows), int(D.max(initial=0)).bit_length(), words), dtype="<u8")
+        for b in range(planes.shape[1]):
+            planes[:, b] = _pack(D & (1 << b) != 0, words)
+        H = self.refiner.class_counts(rows)
+        return rows, planes, H.astype(np.float64), H.sum(axis=1)
 
-    def scores(self, w1, masks2, pi, pj, lengths):
+    def scores(self, w1, rows2, pi, pj, lengths):
         """``(si, bound, edges, inside)`` per pair of W1 ``pi[i]`` of the
-        chunk ``w1`` (``w1_rows``) and W2 row ``pj[i]`` of ``masks2``, whose
-        descriptions have ``lengths[i]`` selectors together.  ``si`` is -inf
-        where ``score_bi`` returns None or the pair breaks disjointness;
-        ``edges`` and ``inside`` are the counts ``score_bi`` takes.  The
-        pairs go in blocks whose arrays hold at most ``floats`` cells."""
+        chunk ``w1`` (``w1_rows``) and W2 row ``pj[i]`` of the refiner rows
+        ``rows2``, whose descriptions have ``lengths[i]`` selectors together.
+        ``si`` is -inf where ``score_bi`` returns None or the pair breaks
+        disjointness; ``edges`` and ``inside`` are the counts ``score_bi``
+        takes.  The pairs go in blocks whose arrays hold at most ``floats``
+        cells."""
         out = (np.empty(len(pi)), np.empty(len(pi)),
                np.empty(len(pi), dtype=np.int64), np.empty(len(pi), dtype=np.int64))
-        S1, _, _, E1, keep = w1
-        cols, at = np.unique(pj, return_inverse=True)
-        at = at.reshape(-1)
-        w2 = self._w2_rows(masks2, cols, keep)
+        H2 = self.refiner.class_counts(rows2)
+        w2 = rows2, H2.astype(np.float64), H2.sum(axis=1)
         # cells per pair of a block's widest array; the mass core holds a few
         # arrays K wide at once, so a block takes half the budget
-        cells = max(S1[0].size, self.model.n_classes + 1, 0 if E1 is None else E1.shape[1])
+        cells = max(w1[1][0].size, rows2.shape[1], self.model.n_classes + 1)
         step = max(1, self.floats // (2 * cells))
         for lo in range(0, len(pi), step):
-            rows = slice(lo, lo + step)
-            for column, values in zip(out, self._block(w1, w2, pi[rows], at[rows],
-                                                       lengths[rows])):
-                column[rows] = values
+            sel = slice(lo, lo + step)
+            for column, values in zip(out, self._block(w1, w2, pi[sel], pj[sel],
+                                                       lengths[sel])):
+                column[sel] = values
         return out
 
-    def histograms(self, w1, masks2, pi, pj):
+    def histograms(self, w1, rows2, pi, pj):
         """``(h1, h2, h_o)``: the class histograms (int64) of W1 ``pi[i]`` of
-        the chunk ``w1``, W2 row ``pj[i]`` of ``masks2`` and their
+        the chunk ``w1``, W2 row ``pj[i]`` of ``rows2`` and their
         intersection, one row per pair."""
-        B1 = w1[0][:, 0]
-        cols, at = np.unique(pj, return_inverse=True)
-        B2, H2 = self._rows(masks2, cols)
-        at = at.reshape(-1)
-        return self._class_counts(B1)[pi], H2[at], self._class_counts(B1[pi] & B2[at])
-
-    def _class_counts(self, B):
-        """Class histograms (int64) of class-ordered bit rows ``B``."""
-        upto = np.cumsum(np.bitwise_count(B), axis=-1, dtype=np.int64)[..., self.bword]
-        past = B[..., self.bword]
-        past &= self.high
-        upto -= np.bitwise_count(past)
-        return np.diff(upto, axis=-1)
-
-    def _rows(self, masks, idx):
-        """Class-ordered bit rows and class histograms of the sets
-        ``masks[idx]``, packed a few rows at a time."""
-        B = np.empty((len(idx), self.words), dtype="<u8")
-        step = max(1, self.bools // max(1, self.n))
-        for r in range(0, len(idx), step):
-            B[r:r + step] = _pack(masks[idx[r:r + step]][:, self.order], self.words)
-        return B, self._class_counts(B)
-
-    def _w2_rows(self, masks, idx, keep):
-        """``(B, H, sizes, E)`` of the W2s ``masks[idx]``: their bit rows in
-        class order, class histograms (float) and sizes, and on undirected graphs
-        their packed edge-incidence rows over the edges ``keep``."""
-        B, H = self._rows(masks, idx)
-        sizes, H = H.sum(axis=1), H.astype(np.float64)
-        E = None
-        if not self.directed:
-            E = np.empty((len(idx), keep.size // 64 + 1), dtype="<u8")
-            e0, e1 = self.e0[keep], self.e1[keep]
-            step = max(1, self.bools // max(1, keep.size))
-            for r in range(0, len(idx), step):
-                E[r:r + step] = _pack(_edge_rows(masks[idx[r:r + step]], e0, e1), E.shape[1])
-        return B, H, sizes, E
+        words, counts = self.refiner.words, self.refiner.class_counts
+        R1, R2 = w1[0][pi, :words], rows2[pj, :words]
+        h1, h2 = counts(R1), counts(R2)
+        R1 &= R2
+        return h1, h2, counts(R1)
 
     def _block(self, w1, w2, i, j, lengths):
         """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block."""
-        S1, H1, a, E1, _ = w1
-        B2, H2, b, E2 = w2
-        X = S1[i] & B2[j][:, None, :]
-        H_o = self._class_counts(X[:, 0]).astype(np.float64)
-        o = H_o.sum(axis=1).astype(np.int64)
+        R1, P1, H1, a = w1
+        R2, H2, b = w2
+        words = self.refiner.words
+        # W1 & W2: its members, and on undirected graphs its inner edges
+        width = words if self.directed else R1.shape[1]
+        B2 = R2[j, :width]
+        over = R1[i, :width]
+        over &= B2
+        H_o = self.refiner.class_counts(over)
+        o = H_o.sum(axis=1)
         a, b = a[i], b[j]
-        ordered, overlap = self.model.pair_sums_many(H1[i], H2[j], H_o)
+        ordered, overlap = self.model.pair_sums_many(H1[i], H2[j], H_o.astype(np.float64))
         # edge orientations (u in W1, v in W2), ordered edges when directed;
         # an undirected edge inside W1 and W2 has both orientations counted
-        weights = np.left_shift(1, np.arange(X.shape[1] - 1, dtype=np.int64))
-        orient = np.bitwise_count(X[:, 1:]).sum(axis=-1, dtype=np.int64) @ weights
-        inside = (np.zeros_like(o) if self.directed
-                  else np.bitwise_count(E1[i] & E2[j]).sum(axis=-1, dtype=np.int64))
+        X = P1[i]
+        X &= B2[:, None, :words]
+        weights = np.left_shift(1, np.arange(X.shape[1], dtype=np.int64))
+        orient = np.bitwise_count(X).sum(axis=-1, dtype=np.int64) @ weights
+        inside = np.zeros_like(o) if self.directed else self.refiner.edges_inside(over)
         edges = orient - inside
         n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered, overlap,
                                             self.conv, self.directed)
@@ -677,8 +654,8 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     survivors reach the outer beam W1 by W1, so the result is the one of
     running each W1's inner search on its own.
     """
-    refiner = _Refiner(g, selectors, max(1, cfg.min_extension_size))
-    screen = _BiScreen(g, model, cfg.constants, cfg.require_disjoint_extensions)
+    refiner = _Refiner(g, model, selectors, max(1, cfg.min_extension_size))
+    screen = _BiScreen(g, refiner, cfg.constants, cfg.require_disjoint_extensions)
     outer = Beam(cfg.x1 * cfg.x2, diversity_floor=cfg.x1)
     w1_nodes: dict[str, _Node] = {}
     expanded_any = False
@@ -693,15 +670,15 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
                 if ident not in named:
                     named.add(ident)
                     frontier.append(w1_nodes[ident])
-        (children,), masks, sizes = refiner.expand([(frontier, set(), None)])
+        (children,), rows, sizes = refiner.expand([(frontier, set(), None)])
         # one screen chunk of W1s at a time, which bounds the inner searches'
         # state as well as the screen's temporaries
         for lo in range(0, len(children), screen.w1_step):
             w1s = list(refiner.nodes(frontier, children[lo:lo + screen.w1_step],
-                                     masks, sizes))
+                                     rows, sizes))
             z1s = [refiner.description(w1) for w1 in w1s]
             inner = _inner_searches(g, model, refiner, screen, cfg, w1s, z1s,
-                                    masks[lo:lo + screen.w1_step])
+                                    rows[lo:lo + screen.w1_step])
             for w1, z1, pats in zip(w1s, z1s, inner):
                 expanded_any = expanded_any or bool(pats)
                 w1_nodes.setdefault(str(z1), w1)
@@ -730,38 +707,41 @@ def _admit(cfg, refiner, z1, beam):
         differs[j] or any(differs[k] for k in parent.sels))
 
 
-def _inner_searches(g, model, refiner, screen, cfg, w1s, z1s, masks1):
+def _inner_searches(g, model, refiner, screen, cfg, w1s, z1s, rows1):
     """The inner beam searches of the W1 nodes ``w1s`` (descriptions
-    ``z1s``, extensions stacked in ``masks1``), in lockstep; returns each
-    W1's surviving patterns."""
+    ``z1s``, refiner rows ``rows1``), in lockstep; returns each W1's
+    surviving patterns."""
     len1 = np.array([len(w1.sels) for w1 in w1s], dtype=np.int64)
-    ids1 = [np.flatnonzero(w1.mask) for w1 in w1s]
-    chunk = screen.w1_rows(masks1)
+    masks1 = refiner.masks(rows1)
+    ids1 = [np.flatnonzero(mask) for mask in masks1]
+    chunk = screen.w1_rows(rows1)
     beams = [Beam(cfg.x2) for _ in w1s]
     rows = [[refiner.root] for _ in w1s]
     for _ in range(cfg.depth):
-        children, masks2, sizes2 = refiner.expand(
+        children, rows2, sizes2 = refiner.expand(
             [(r, set(), _admit(cfg, refiner, z1, beam)) for r, z1, beam in zip(rows, z1s, beams)])
         pi = np.repeat(np.arange(len(w1s)), [len(ch) for ch in children])
         pj = np.array([row for ch in children for _, _, _, row in ch], dtype=np.int64)
         lengths = len1[pi] + np.array([len(key) for ch in children for _, _, key, _ in ch],
                                       dtype=np.int64)
-        si, bound, edges, inside = screen.scores(chunk, masks2, pi, pj, lengths)
+        si, bound, edges, inside = screen.scores(chunk, rows2, pi, pj, lengths)
         starts = np.cumsum([0] + [len(ch) for ch in children]).tolist()
         picks = []
         for beam, lo, hi in zip(beams, starts, starts[1:]):
             picks.append(lo + _contenders(si[lo:hi], bound[lo:hi],
                                           [e.payload[0].si for e in beam], cfg.x2))
-        # the exact class histograms of every contender of the level at once
+        # the exact class histograms and the masks of every contender of the
+        # level at once
         picked = np.concatenate(picks)
-        h1, h2, h_o = screen.histograms(chunk, masks2, pi[picked], pj[picked])
+        h1, h2, h_o = screen.histograms(chunk, rows2, pi[picked], pj[picked])
+        masks2 = refiner.masks(rows2[pj[picked]])
         k = 0
         for w, (beam, parents, ch, lo, pick) in enumerate(zip(beams, rows, children, starts,
                                                                picks)):
             for at in pick.tolist():
-                node = refiner.node(parents, ch[at - lo], masks2, sizes2)
+                node = refiner.node(parents, ch[at - lo], rows2, sizes2)
                 z2 = refiner.description(node)
-                pat = score_bi(g, model, z1s[w], w1s[w].mask, z2, node.mask, cfg.constants,
+                pat = score_bi(g, model, z1s[w], masks1[w], z2, masks2[k], cfg.constants,
                                edges=int(edges[at]), inside=int(inside[at]),
                                hists=(h1[k], h2[k], h_o[k]), ids1=ids1[w])
                 k += 1

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Beam, BeamEntry,
-                    Description, ScoreConstants, extension, score_bi, score_single)
+                    Description, EqualsSelector, ScoreConstants, extension, score_bi,
+                    score_single, search, update_with_pattern)
 
 # 11-vertex example: one numeric attribute plus three binary ones.  The edge
 # set is an arbitrary 18-edge layout; tests only rely on the attribute table.
@@ -105,23 +106,36 @@ def dense_pair_sums(model, rows, cols):
 def class_histograms(model, masks):
     """Class histograms (float) of many vertex sets, one per row of the
     (C, n) boolean array ``masks``, from bool rows gathered in class order:
-    the reference for the nested search's packed class counts."""
+    the reference for the packed class counts of the searches' rows."""
     order, starts = model.class_order()
     return np.add.reduceat(masks[:, order], starts, axis=1).astype(np.float64)
 
 
-def screen_pairs(screen, masks1, masks2, pi, pj, lengths):
+def refiner_rows(g, model, masks):
+    """A ``search._Refiner`` under ``model`` of a copy of ``g`` with one
+    selector per row of the (C, n) boolean array ``masks``, whose extension
+    that row is, and the refiner's rows of those selectors, one per mask."""
+    cols = [AttributeColumn(f"s{i}", "nominal", ["in" if b else "out" for b in mask])
+            for i, mask in enumerate(masks)]
+    copy = AttributedGraph(g.n, g.edges.tolist(), directed=g.directed, columns=cols)
+    refiner = search._Refiner(copy, model, [EqualsSelector(f"s{i}", "in")
+                                            for i in range(len(masks))], 1)
+    return refiner, refiner.rows
+
+
+def screen_pairs(screen, rows1, rows2, pi, pj, lengths):
     """The nested search's screen ``screen`` over the pairs (W1 ``pi[k]`` of
-    ``masks1``, W2 ``pj[k]`` of ``masks2``), called as the search calls it, a
-    chunk of ``w1_step`` W1s at a time: ``(si, bound, edges, inside)`` of
-    ``scores`` and ``(h1, h2, h_o)`` of ``histograms``, one entry per pair."""
+    the refiner rows ``rows1``, W2 ``pj[k]`` of ``rows2``), called as the
+    search calls it, a chunk of ``w1_step`` W1s at a time: ``(si, bound,
+    edges, inside)`` of ``scores`` and ``(h1, h2, h_o)`` of ``histograms``,
+    one entry per pair."""
     parts, at = [], []
-    for i0 in range(0, len(masks1), screen.w1_step):
+    for i0 in range(0, len(rows1), screen.w1_step):
         sel = np.flatnonzero((pi >= i0) & (pi < i0 + screen.w1_step))
         if sel.size:
-            rows1 = screen.w1_rows(masks1[i0:i0 + screen.w1_step])
-            parts.append(screen.scores(rows1, masks2, pi[sel] - i0, pj[sel], lengths[sel])
-                         + screen.histograms(rows1, masks2, pi[sel] - i0, pj[sel]))
+            chunk = screen.w1_rows(rows1[i0:i0 + screen.w1_step])
+            parts.append(screen.scores(chunk, rows2, pi[sel] - i0, pj[sel], lengths[sel])
+                         + screen.histograms(chunk, rows2, pi[sel] - i0, pj[sel]))
             at.append(sel)
     at = np.concatenate(at)
     out = []
@@ -288,6 +302,25 @@ def reference_nested_beam_search(g, model, selectors, cfg):
                     outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
                                             group=str(pat.w1), payload=pat))
     return [e.payload for e in outer.entries]
+
+
+def reference_iterate(g, model, selectors, cfg, rounds):
+    """``iterate`` with one absorbed pattern per round, each round mined by
+    ``reference_nested_beam_search``: its per-round rankings."""
+    out = []
+    for _ in range(rounds):
+        pats = reference_nested_beam_search(g, model, selectors, cfg)
+        if not pats:
+            break
+        out.append(pats)
+        model = update_with_pattern(model, pats[0])
+    return out
+
+
+def rendered(pats):
+    """What a report prints of each pattern, for comparing rankings."""
+    return [(p.render(), p.si, p.k_w, p.n_w, p.p_w, p.edges, p.expected_edges)
+            for p in pats]
 
 
 def exact_tail_probability(pair_probs, k, side="at_least"):

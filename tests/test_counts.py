@@ -1,6 +1,6 @@
 """Pair and edge counts of scored patterns against plain enumeration, the
 batched mass core of the background model against its one-row case, and the
-nested search's packed class counts against bool rows."""
+searches' packed rows and the nested screen's counts against bool rows."""
 
 from unittest.mock import patch
 
@@ -8,12 +8,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simine import (BackgroundModel, Description, EqualsSelector, FitError, ScoreConstants,
-                    background, fit_degree_prior, score_bi, score_single, search,
-                    update_with_pattern)
+from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelector, FitError,
+                    ScoreConstants, background, fit_degree_prior, score_bi, score_single,
+                    search, update_with_pattern)
 from simine.search import _BiScreen
 
-from conftest import brute_force_counts, class_histograms, random_graph, screen_pairs
+from conftest import (brute_force_counts, class_histograms, random_graph, refiner_rows,
+                      screen_pairs)
 
 W1 = Description((EqualsSelector("a", "v0"),))
 W2 = Description((EqualsSelector("b", "v1"),))
@@ -144,12 +145,14 @@ def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, rel
             assume(False)
         c = ScoreConstants(pair_counting=counting)
         mask1, mask2 = _extensions(rng, n, relation)
-        screen = _BiScreen(g, model, c, False)
-        for (z1, m1), (z2, m2) in [((W1, mask1), (W2, mask2)), ((W2, mask2), (W1, mask1))]:
+        refiner, rows = refiner_rows(g, model, np.array([mask1, mask2]))
+        screen = _BiScreen(g, refiner, c, False)
+        for (z1, m1, r1), (z2, m2, r2) in [((W1, mask1, 0), (W2, mask2, 1)),
+                                           ((W2, mask2, 1), (W1, mask1, 0))]:
             over = m1 & m2
             counted = score_bi(g, model, z1, m1, z2, m2, c)
-            h1, h2, h_o = screen.histograms(screen.w1_rows(m1[None, :]), m2[None, :],
-                                            np.zeros(1, np.int64), np.zeros(1, np.int64))
+            h1, h2, h_o = screen.histograms(screen.w1_rows(rows[r1:r1 + 1]), rows,
+                                            np.zeros(1, np.int64), np.full(1, r2))
             given_counts = score_bi(g, model, z1, m1, z2, m2, c,
                                     edges=g.count_edges_between(m1, m2),
                                     inside=g.count_edges_between(over, over),
@@ -159,14 +162,25 @@ def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, rel
                 assert _bits(given_counts) == _bits(counted)
 
 
+def _graph_with_edges(rng, n, m, directed):
+    """A graph on n vertices with min(m, number of vertex pairs) edges drawn
+    at random."""
+    pairs = [(u, v) for u in range(n) for v in range(n) if (u != v if directed else u < v)]
+    picked = rng.choice(len(pairs), size=min(m, len(pairs)), replace=False)
+    return AttributedGraph(n, [pairs[i] for i in sorted(picked)], directed=directed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.sampled_from([2, 5, 63, 64, 65, 128, 130, 191]),
+       m=st.sampled_from([None, 0, 63, 64, 65]),
        layout=st.sampled_from(["random", "words", "singletons"]), directed=st.booleans(),
        screen_cells=st.sampled_from([None, 1]))
-def test_packed_class_counts_match_bool_rows(seed, n, layout, directed, screen_cells):
+def test_packed_class_counts_match_bool_rows(seed, n, m, layout, directed, screen_cells):
     # "words" puts every class boundary on a word boundary (64 vertices per
-    # class); "singletons" makes every vertex its own class (K = n); one
-    # screen cell packs and screens a row and a pair at a time
+    # class); "singletons" makes every vertex its own class (K = n); 64 edges
+    # fill the edge slice's first word, and m=None draws a G(n, p) graph
+    # dense enough for several bit planes of neighbour counts; one screen
+    # cell screens a W1 and a pair at a time
     rng = np.random.default_rng(seed)
     if layout == "singletons":
         cls = rng.permutation(n)
@@ -177,20 +191,32 @@ def test_packed_class_counts_match_bool_rows(seed, n, layout, directed, screen_c
     k = int(cls.max()) + 1
     model = BackgroundModel(n, directed, cls=cls, lam_row=rng.normal(size=k),
                             lam_col=rng.normal(size=k) if directed else None)
-    g = random_graph(seed, n=n, p=float(rng.uniform(0.02, 0.3)), directed=directed)
+    g = (random_graph(seed, n=n, p=float(rng.uniform(0.02, 0.3)), directed=directed)
+         if m is None else _graph_with_edges(rng, n, m, directed))
     masks1 = rng.random((5, n)) < rng.uniform(0.1, 0.9)
     masks2 = rng.random((6, n)) < rng.uniform(0.1, 0.9)
     masks1[0] = False  # an empty row
     masks2[0], masks2[1] = True, False  # a full row and an empty one
     masks2[2] = masks1[1]
     pi, pj = (x.ravel() for x in np.indices((len(masks1), len(masks2))))
+    # the rows of both sides and of every pair's intersection, in one refiner
+    masks = np.concatenate([masks1, masks2, masks1[pi] & masks2[pj]])
+    refiner, rows = refiner_rows(g, model, masks)
+    rows1, rows2, rows_o = np.split(rows, [len(masks1), len(masks1) + len(masks2)])
+    np.testing.assert_array_equal(rows1[pi] & rows2[pj], rows_o)
+    np.testing.assert_array_equal(refiner.class_counts(rows), class_histograms(model, masks))
+    np.testing.assert_array_equal(refiner.class_counts(rows).sum(axis=1),
+                                  np.count_nonzero(masks, axis=1))
+    np.testing.assert_array_equal(refiner.masks(rows), masks)
+    np.testing.assert_array_equal(refiner.edges_inside(rows),
+                                  [g.count_edges_between(mask, mask) for mask in masks])
     block = search._SCREEN_CELLS if screen_cells is None else screen_cells
     with patch.object(search, "_SCREEN_CELLS", block):
-        screen = _BiScreen(g, model, ScoreConstants(), False)
-        _, H, sizes, _, _ = screen.w1_rows(masks1[:screen.w1_step])
+        screen = _BiScreen(g, refiner, ScoreConstants(), False)
+        _, _, H, sizes = screen.w1_rows(rows1[:screen.w1_step])
         np.testing.assert_array_equal(H, class_histograms(model, masks1[:screen.w1_step]))
         np.testing.assert_array_equal(sizes, np.count_nonzero(masks1[:screen.w1_step], axis=1))
-        _, _, edges, inside, h1, h2, h_o = screen_pairs(screen, masks1, masks2, pi, pj,
+        _, _, edges, inside, h1, h2, h_o = screen_pairs(screen, rows1, rows2, pi, pj,
                                                         np.full(pi.size, 2))
     np.testing.assert_array_equal(h1, class_histograms(model, masks1)[pi])
     np.testing.assert_array_equal(h2, class_histograms(model, masks2)[pj])

@@ -8,36 +8,43 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simine import (FitError, ScoreConstants,
-                    SearchConfig, SelectorConfig, background, beam_search_single,
-                    fit_degree_prior, generate_selectors, iterate, score_bi, score_single,
-                    search, update_with_pattern)
+from simine import (FitError, ScoreConstants, SearchConfig, SelectorConfig, background,
+                    beam_search_single, extension, fit_degree_prior, generate_selectors,
+                    iterate, score_bi, score_single, search, update_with_pattern)
 from simine.search import _BiScreen, _Refiner, _SingleScreen
 
-from conftest import (random_graph, reference_beam_search_single,
-                      reference_nested_beam_search, screen_pairs)
+from conftest import (random_graph, reference_beam_search_single, reference_iterate,
+                      rendered, screen_pairs)
 
 
-def _rendered(pats):
-    return [(p.render(), p.si, p.k_w, p.n_w, p.p_w, p.edges, p.expected_edges)
-            for p in pats]
+def _levels(g, model, sels, min_size):
+    """A refiner of ``sels`` under ``model``, and the nodes of the
+    admissible refinements of its root and of those refinements: the
+    descriptions of up to two selectors a search would screen."""
+    refiner = _Refiner(g, model, sels, min_size)
+    levels, parents = [], [refiner.root]
+    for _ in range(2):
+        (children,), rows, sizes = refiner.expand([(parents, set(), None)])
+        parents = list(refiner.nodes(parents, children, rows, sizes))
+        levels.append(parents)
+    return refiner, levels
 
 
-def _level(refiner, parents):
-    """The nodes of all admissible refinements of ``parents``."""
-    (children,), masks, sizes = refiner.expand([(parents, set(), None)])
-    return list(refiner.nodes(parents, children, masks, sizes))
-
-
-def _reference_iterate(g, model, sels, cfg, rounds):
-    out = []
-    for _ in range(rounds):
-        pats = reference_nested_beam_search(g, model, sels, cfg)
-        if not pats:
-            break
-        out.append(pats)
-        model = update_with_pattern(model, pats[0])
-    return out
+def _absorb_random(g, model, sels, c, seed, updates, min_size):
+    """``model`` after absorbing ``updates`` random bi patterns of the
+    descriptions ``_levels`` lists, so classes split by their rows and
+    columns."""
+    rng = np.random.default_rng(seed)
+    refiner, (level1, level2) = _levels(g, model, sels, min_size)
+    nodes = level1 + level2
+    masks = refiner.masks(np.array([nd.row for nd in nodes]))
+    for _ in range(updates):
+        i, j = rng.integers(0, len(nodes), size=2)
+        pat = score_bi(g, model, refiner.description(nodes[i]), masks[i],
+                       refiner.description(nodes[j]), masks[j], c)
+        if pat is not None:
+            model = update_with_pattern(model, pat)
+    return model
 
 
 @settings(max_examples=30, deadline=None)
@@ -66,34 +73,28 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
             assume(False)
         sels = generate_selectors(g, SelectorConfig(numeric_bins=3))
         c = ScoreConstants(pair_counting=counting)
-        refiner = _Refiner(g, sels, 1)
-        level1 = _level(refiner, [refiner.root])
-        level2 = _level(refiner, level1)
+        model = _absorb_random(g, model, sels, c, seed, updates, 1)
+        # the rows under the final model: absorbing re-lays the classes
+        refiner, (level1, level2) = _levels(g, model, sels, 1)
         nodes = level1 + level2
-        rng = np.random.default_rng(seed)
-        for _ in range(updates):
-            # absorb a random pattern, so classes split by its rows and columns
-            w1, w2 = (nodes[i] for i in rng.integers(0, len(nodes), size=2))
-            pat = score_bi(g, model, refiner.description(w1), w1.mask,
-                           refiner.description(w2), w2.mask, c)
-            if pat is not None:
-                model = update_with_pattern(model, pat)
 
         # every W1 of nodes in one call, each paired with a seventh of the
         # nodes as W2s, a different seventh for consecutive W1s
-        masks = np.array([nd.mask for nd in nodes])
+        rows = np.array([nd.row for nd in nodes])
+        masks = refiner.masks(rows)
+        np.testing.assert_array_equal(masks, [extension(refiner.description(nd), g)
+                                              for nd in nodes])
         lengths = np.array([len(nd.sels) for nd in nodes])
         pi, pj = np.nonzero(np.add.outer(np.arange(len(nodes)), np.arange(len(nodes))) % 7 == 0)
-        si, bound, edges, inside = screen_pairs(_BiScreen(g, model, c, disjoint), masks, masks,
+        si, bound, edges, inside = screen_pairs(_BiScreen(g, refiner, c, disjoint), rows, rows,
                                                 pi, pj, lengths[pi] + lengths[pj])[:4]
         descs = [refiner.description(nd) for nd in nodes]
         for k, (i, j) in enumerate(zip(pi.tolist(), pj.tolist())):
-            w1, w2 = nodes[i], nodes[j]
-            pat = score_bi(g, model, descs[i], w1.mask, descs[j], w2.mask, c)
+            pat = score_bi(g, model, descs[i], masks[i], descs[j], masks[j], c)
             # the screen's counts are the ones score_bi counts itself
-            assert edges[k] == g.count_edges_between(w1.mask, w2.mask)
+            assert edges[k] == g.count_edges_between(masks[i], masks[j])
             if not directed:
-                over = w1.mask & w2.mask
+                over = masks[i] & masks[j]
                 assert inside[k] == g.count_edges_between(over, over)
             if pat is None or (disjoint and pat.overlap):
                 assert si[k] == -np.inf
@@ -108,8 +109,8 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
                            require_disjoint_extensions=disjoint, constants=c)
         # round 1 is nested_beam_search under the model, round 2 after absorbing
         got = iterate(g, model, sels, cfg, rounds=2).rounds
-        want = _reference_iterate(g, model, sels, cfg, rounds=2)
-        assert [_rendered(r) for r in got] == [_rendered(r) for r in want]
+        want = reference_iterate(g, model, sels, cfg, rounds=2)
+        assert [rendered(r) for r in got] == [rendered(r) for r in want]
 
 
 @settings(max_examples=30, deadline=None)
@@ -130,31 +131,21 @@ def test_single_screen_matches_score_single_and_reference(seed, n, directed, cou
             assume(False)
         sels = generate_selectors(g, SelectorConfig(numeric_bins=3))
         c = ScoreConstants(pair_counting=counting)
-        refiner = _Refiner(g, sels, 2)
-        level1 = _level(refiner, [refiner.root])
-        level2 = _level(refiner, level1)
-        rng = np.random.default_rng(seed)
-        nodes = level1 + level2
-        for _ in range(updates):
-            # absorb a random pattern, so classes split by its rows and columns
-            w1, w2 = (nodes[i] for i in rng.integers(0, len(nodes), size=2))
-            pat = score_bi(g, model, refiner.description(w1), w1.mask,
-                           refiner.description(w2), w2.mask, c)
-            if pat is not None:
-                model = update_with_pattern(model, pat)
-
-        screen = _SingleScreen(g, model, c)
-        for length, level in ((1, level1), (2, level2)):
+        model = _absorb_random(g, model, sels, c, seed, updates, 2)
+        refiner, levels = _levels(g, model, sels, 2)
+        screen = _SingleScreen(g, refiner, c)
+        for length, level in enumerate(levels, start=1):
             if not level:
                 continue
-            masks = np.array([nd.mask for nd in level])
+            rows = np.array([nd.row for nd in level])
+            masks = refiner.masks(rows)
+            np.testing.assert_array_equal(masks, [extension(refiner.description(nd), g)
+                                                  for nd in level])
             sizes = masks.sum(axis=1)
             edges = np.array([g.count_edges_between(m, m) for m in masks])
-            # the extensions lie within their union
-            si, bound = screen.scores(masks, np.flatnonzero(masks.any(axis=0)), sizes, edges,
-                                      length)
+            si, bound = screen.scores(rows, sizes, edges, length)
             for k, nd in enumerate(level):
-                pat = score_single(g, model, refiner.description(nd), nd.mask, c)
+                pat = score_single(g, model, refiner.description(nd), masks[k], c)
                 err = abs(si[k] - pat.si)
                 assert err <= bound[k]
                 # 1e-12 relative, or rounding of a near-zero KL divergence
@@ -164,4 +155,4 @@ def test_single_screen_matches_score_single_and_reference(seed, n, directed, cou
                            constants=c)
         got = beam_search_single(g, model, sels, cfg)
         want = reference_beam_search_single(g, model, sels, cfg)
-        assert _rendered(got) == _rendered(want)
+        assert rendered(got) == rendered(want)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from simine import (AttributeColumn, AttributedGraph, Beam, BeamEntry, Description,
-                    EqualsSelector, RangeSelector, ScoreConstants, SearchConfig,
-                    SelectorConfig, baseline_search, beam_search_single, extension,
-                    fit_degree_prior, fit_density_prior, generate_selectors,
+from simine import (MEASURE_NAMES, AttributeColumn, AttributedGraph, Beam, BeamEntry,
+                    Description, EqualsSelector, RangeSelector, ScoreConstants, SearchConfig,
+                    SelectorConfig, baseline_scores, baseline_search, beam_search_single,
+                    extension, fit_degree_prior, fit_density_prior, generate_selectors,
                     iterate, nested_beam_search, rescore, score_single,
                     update_with_pattern)
 
-from conftest import (exhaustive_best_bi, exhaustive_best_single, random_graph)
+from conftest import (exhaustive_best_bi, exhaustive_best_single, random_graph,
+                      reference_beam_search_single, reference_iterate,
+                      reference_nested_beam_search, rendered)
 
 
 def entry(si, ident, group=None):
@@ -146,6 +148,18 @@ class TestSingleSearch:
             mask = g.as_mask(p.ext1_ids)
             assert p.edges == g.count_edges_between(mask, mask)
             assert p.inter_edges == g.inter_edge_count(mask)
+        if directed:
+            return  # the baseline measures are defined for undirected graphs
+        for measure in MEASURE_NAMES:
+            results = baseline_search(g, generate_selectors(g),
+                                      SearchConfig(beam_width=8, depth=2), measure)
+            assert any(len(r.w) == 2 for r in results)
+            for r in results:
+                mask = extension(r.w, g)
+                assert r.size == np.count_nonzero(mask)
+                assert r.edges == g.count_edges_between(mask, mask)
+                assert r.inter_edges == g.inter_edge_count(mask)
+                assert r.value == baseline_scores(g, mask)[measure]
 
     def test_empty_when_extensions_tiny(self):
         g = attr_graph(4, [(0, 1), (2, 3)], b=["0", "1", "2", "3"])
@@ -242,6 +256,31 @@ class TestNestedSearch:
         a = [(p.render(), p.si) for p in nested_beam_search(g, model, sels, cfg)]
         b = [(p.render(), p.si) for p in nested_beam_search(g, model, sels, cfg)]
         assert a == b
+
+
+@pytest.mark.parametrize("case", ["edgeless", "one-edge", "no-selectors", "n=63", "n=64",
+                                  "n=65"])
+def test_edge_cases_match_references(case):
+    # graphs without edges or with one under a density prior, no selectors,
+    # and vertex counts around a word of a packed row
+    if case in ("edgeless", "one-edge"):
+        g = attr_graph(12, [] if case == "edgeless" else [(2, 5)],
+                       a=[i % 2 for i in range(12)], b=[i % 3 for i in range(12)])
+        model = fit_density_prior(g, 0.1)
+    else:
+        g = random_graph(83, n=int(case[2:]) if case.startswith("n=") else 20, p=0.08)
+        model = fit_degree_prior(g)
+    sels = [] if case == "no-selectors" else generate_selectors(g)
+    cfg = SearchConfig(beam_width=5, x1=3, x2=3, depth=2)
+    assert (rendered(beam_search_single(g, model, sels, cfg))
+            == rendered(reference_beam_search_single(g, model, sels, cfg)))
+    assert (rendered(nested_beam_search(g, model, sels, cfg))
+            == rendered(reference_nested_beam_search(g, model, sels, cfg)))
+    got = iterate(g, model, sels, cfg, rounds=2).rounds
+    assert ([rendered(r) for r in got]
+            == [rendered(r) for r in reference_iterate(g, model, sels, cfg, rounds=2)])
+    if case != "no-selectors":
+        assert got
 
 
 class TestSingleOracle:
