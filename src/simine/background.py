@@ -21,8 +21,12 @@ of class-pair probabilities, and fitting, scoring and absorption all work on
 classes:
 
 * fitting maximizes the Lagrangian dual by cyclic coordinate-wise Newton
-  with step damping, one coordinate per class weighted by class sizes
-  (O(K^2) per sweep);
+  with step damping, one coordinate per class weighted by class sizes.  A
+  sweep is K coordinate steps per degree direction, each a few O(K) array
+  passes, then one step per block, so it costs O(K^2); the convergence check
+  after each sweep is one whole-array pass over the class-pair grid, in row
+  chunks of at most ``_TABLE_CELLS`` cells.  The result is bit for bit that
+  of stepping and checking one constraint at a time;
 * pair sums are weighted sums of the table over the class histograms of the
   two vertex sets (O(|R| + |C| + K_R * K_C)), computed once for one row set
   against a batch of column sets (``pair_sums_many``) with ``pair_sums`` as
@@ -68,12 +72,15 @@ class FitError(RuntimeError):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """The logistic function of a float array, branch-free: exp only sees
+    min(x, -x) = -|x| (which keeps a NaN's sign), so it cannot overflow.
+    Besides ``x`` it holds three arrays of its size at a time."""
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    p = e / d  # the value where x < 0
+    np.copyto(p, np.divide(1.0, d, out=d), where=x >= 0)
+    return p
 
 
 def _softplus(x):
@@ -493,26 +500,19 @@ def _partition_bins(g, attr):
     return bins, values
 
 
-def _dual(ell, w, s, target, t):
-    """Dual objective sum(w * softplus(ell + s*t)) - target * t."""
-    return float((w * _softplus(ell + s * t)).sum()) - target * t
-
-
-def _dual_grad(ell, w, s, target, t):
-    """Derivative of :func:`_dual` in t: the constraint's residual."""
-    return float((w * s * _sigmoid(ell + s * t)).sum()) - target
-
-
-def _coordinate_step(ell, w, s, target, t0):
-    """One damped Newton step of min_t ``_dual(ell, w, s, target, t)``."""
-    p = _sigmoid(ell + s * t0)
-    grad = float((w * s * p).sum()) - target
-    hess = max(float((w * s * s * p * (1.0 - p)).sum()), 1e-12)
+def _coordinate_step(ell, s, w, ws, wss, target, t0):
+    """One damped Newton step of min_t ``sum(w * softplus(ell + s*t)) - target*t``
+    from ``t0``; ``ws`` is ``w * s`` and ``wss`` is ``w * s * s``."""
+    x = ell + s * t0
+    p = _sigmoid(x)
+    grad = float((ws * p).sum()) - target
+    hess = max(float((wss * p * (1.0 - p)).sum()), 1e-12)
     step = -grad / hess
-    f0 = _dual(ell, w, s, target, t0)
+    f0 = float((w * _softplus(x)).sum()) - target * t0
     for _ in range(60):
-        t1 = float(np.clip(t0 + step, -LOGIT_CLAMP, LOGIT_CLAMP))
-        if _dual(ell, w, s, target, t1) <= f0 + 1e-12 * max(1.0, abs(f0)):
+        t1 = min(max(t0 + step, -LOGIT_CLAMP), LOGIT_CLAMP)
+        if (float((w * _softplus(ell + s * t1)).sum()) - target * t1
+                <= f0 + 1e-12 * max(1.0, abs(f0))):
             return t1
         step *= 0.5
     return t0
@@ -527,6 +527,14 @@ class _MaxEntProblem:
     of a class face identical constraints, so the dual has one multiplier
     per class and every sum over partners is a sum over classes weighted by
     class sizes.
+
+    The 1-D dual of class a's degree multiplier has the logits ``ell[b]`` of
+    a pair between one member of a and one member of b, minus that
+    multiplier, and the number ``w[b]`` of such partners per member:
+    ``sizes[b]``, one less for b == a.  On undirected graphs a pair inside
+    class a carries the multiplier at both ends, so it has slope ``s = 2``
+    and half its weight goes to each endpoint.  A block's dual has one term
+    per class pair of the block, weighted by its vertex pairs.
     """
 
     def __init__(self, g, partition_attrs, with_degrees):
@@ -563,12 +571,19 @@ class _MaxEntProblem:
             self.lam_row = np.clip(_logit(targets[0] / n1), -LOGIT_CLAMP, LOGIT_CLAMP)
             self.lam_col = self.lam_row
             self.targets = [("degree", True, targets[0])]
-        self._block_targets()
+        # w[a], w[a] * s[a] and w[a] * s[a] * s[a] of each class's own degree term
+        own = self.sizes - 1.0
+        if not self.directed:
+            own = own * 0.5
+        self.own_weights = ((own, own, own) if self.directed
+                            else (own, own * 2.0, own * 2.0 * 2.0))
+        self._block_terms()
 
-    def _block_targets(self):
-        """Observed edge counts and the classes on each side of every block."""
+    def _block_terms(self):
+        """Observed edge count, the classes on each side and the weight grid
+        of every block with a vertex pair, per partition."""
         e0, e1 = self.g.edges[:, 0], self.g.edges[:, 1]
-        self.block_info = []
+        self.blocks = []
         for part, cb in zip(self.parts, self.class_bins):
             nb = part.n_bins
             obs = np.bincount(part.bins[e0] * nb + part.bins[e1],
@@ -578,94 +593,109 @@ class _MaxEntProblem:
             blocks = []
             for b1 in range(nb):
                 for b2 in (range(nb) if self.directed else range(b1, nb)):
-                    blocks.append({"b1": b1, "b2": b2, "observed": int(obs[b1, b2]),
-                                   "cls1": np.flatnonzero(cb == b1),
-                                   "cls2": np.flatnonzero(cb == b2)})
-            self.block_info.append(blocks)
+                    A, B = np.flatnonzero(cb == b1), np.flatnonzero(cb == b2)
+                    w = np.outer(self.sizes[A], self.sizes[B])
+                    if b1 == b2:
+                        w -= np.diag(self.sizes[A])  # u == v
+                        if not self.directed:
+                            w *= 0.5  # each unordered pair appears as (a, b) and (b, a)
+                    if w.any():  # an empty block keeps its gamma pinned at 0
+                        blocks.append(((b1, b2), float(obs[b1, b2]), A[:, None], B, w.ravel()))
+            self.blocks.append(blocks)
 
-    def _degree_terms(self, a, use_row):
-        """``(ell, w, s)`` of the 1-D dual in class a's row (or column) multiplier.
-
-        ``ell[b]`` is the logit of a pair between one member of a and one
-        member of b, minus the coordinate's own multiplier, and ``w[b]`` the
-        number of such partners per member.  On undirected graphs a pair
-        inside class a carries the multiplier at both ends, so it has slope
-        ``s = 2`` and half its weight goes to each endpoint.
-        """
-        G = np.zeros(self.k)
-        for part, cb in zip(self.parts, self.class_bins):
-            G += part.gammas[cb[a], cb] if use_row else part.gammas[cb, cb[a]]
-        ell = (self.lam_col if use_row else self.lam_row) + G
-        w = self.sizes.copy()
-        w[a] -= 1.0
-        if self.directed:
-            return ell, w, 1.0
-        ell[a] = G[a]
-        s = np.ones(self.k)
-        s[a] = 2.0
-        w[a] *= 0.5
-        return ell, w, s
-
-    def _block_terms(self, part_i, block):
-        """``(ell, w)``: logits of one block's class pairs, excluding that
-        block's own gamma, and the number of vertex pairs behind each."""
-        A, B = block["cls1"], block["cls2"]
-        w = np.outer(self.sizes[A], self.sizes[B])
-        if block["b1"] == block["b2"]:
-            w -= np.diag(self.sizes[A])  # u == v
-            if not self.directed:
-                w *= 0.5  # each unordered pair appears as (a, b) and (b, a)
-        L = self.lam_row[A][:, None] + self.lam_col[B][None, :]
+    def _block_logits(self, part_i, A, B):
+        """Logits of a block's class pairs ``A x B``, excluding the block's
+        own partition, flattened."""
+        L = self.lam_row[A] + self.lam_col[B]
         for j, (part, cb) in enumerate(zip(self.parts, self.class_bins)):
             if j != part_i:
-                L = L + part.gammas[cb[A][:, None], cb[B][None, :]]
-        return L.ravel(), w.ravel()
+                L = L + part.gammas[cb[A], cb[B]]
+        return L.ravel()
 
-    def constraints(self):
-        """Every constraint in sweep order, as ``(label, mult, index, ell, w,
-        s, target)``: the 1-D dual of the multiplier ``mult[index]`` (a degree
-        coordinate, or one partition's gamma for a non-empty block; ``label``
-        is the degree name or the partition).  Terms are built as each
-        constraint is reached, so they see every earlier step of a sweep."""
-        for name, use_row, target in self.targets:
-            lam = self.lam_row if use_row else self.lam_col
-            for a in range(self.k):
-                yield (name, lam, a, *self._degree_terms(a, use_row), float(target[a]))
-        for part_i, (part, blocks) in enumerate(zip(self.parts, self.block_info)):
-            for block in blocks:
-                ell, w = self._block_terms(part_i, block)
-                if w.any():  # an empty block keeps its gamma pinned at 0
-                    yield (part, part.gammas, (block["b1"], block["b2"]), ell, w, 1.0,
-                           float(block["observed"]))
+    def _degree_chunks(self, use_row):
+        """The classes in row chunks of at most ``_TABLE_CELLS`` class pairs,
+        each as ``(a, G)``: ``G[i, b]`` sums every partition's gamma over a
+        pair between class ``a[i]`` (the row end if ``use_row``) and class b."""
+        step = max(1, _TABLE_CELLS // self.k)
+        for a0 in range(0, self.k, step):
+            a = np.arange(a0, min(self.k, a0 + step))
+            G = np.zeros((a.size, self.k))
+            for part, cb in zip(self.parts, self.class_bins):
+                G += (part.gammas if use_row else part.gammas.T)[cb[a]][:, cb]
+            yield a, G
 
     def sweep(self):
-        for _, mult, i, ell, w, s, target in self.constraints():
-            mult[i] = _coordinate_step(ell, w, s, target, mult[i])
-            if mult.ndim == 2 and not self.directed:
-                mult[i[::-1]] = mult[i]  # gammas stay symmetric
-
-    @staticmethod
-    def _saturated(residual, mult):
-        """KKT waiver: the multiplier is pinned at a clamp bound and the
-        gradient points further outward, so the residual is irreducible."""
-        eps = 1e-9
-        return ((residual > 0 and mult <= -LOGIT_CLAMP + eps)
-                or (residual < 0 and mult >= LOGIT_CLAMP - eps))
+        """One cyclic pass of coordinate steps: every degree multiplier, then
+        every block's gamma, each step seeing all earlier ones."""
+        for _, use_row, target in self.targets:
+            lam, other = (self.lam_row, self.lam_col) if use_row else (self.lam_col, self.lam_row)
+            for rows, G in self._degree_chunks(use_row):
+                for a, g_a in zip(rows.tolist(), G):
+                    ell = other + g_a
+                    w, ws, wss = (self.sizes.copy() for _ in self.own_weights)
+                    w[a], ws[a], wss[a] = (v[a] for v in self.own_weights)
+                    s = 1.0
+                    if not self.directed:
+                        ell[a] = g_a[a]
+                        s = np.ones(self.k)
+                        s[a] = 2.0
+                    lam[a] = _coordinate_step(ell, s, w, ws, wss, float(target[a]), lam[a])
+        for part_i, (part, blocks) in enumerate(zip(self.parts, self.blocks)):
+            for i, target, A, B, w in blocks:
+                ell = self._block_logits(part_i, A, B)
+                part.gammas[i] = _coordinate_step(ell, 1.0, w, w, w, target, part.gammas[i])
+                if not self.directed:
+                    part.gammas[i[::-1]] = part.gammas[i]  # gammas stay symmetric
 
     def residuals(self):
         """Worst unwaived constraint plus the worst saturated residual.
 
         Returns ``(worst_name, worst, waived_worst)``; ``worst`` drives
         convergence, ``waived_worst`` is reported for saturated constraints
-        (degree 0 / degree n-1 vertices, zero-edge blocks).
+        (degree 0 / degree n-1 vertices, zero-edge blocks): those whose
+        multiplier is pinned at a clamp bound with the gradient pointing
+        further outward, so the residual is irreducible.  The first of
+        equally worst constraints in sweep order is named.  Each degree
+        multiplier's residual is its row of the class-pair grid, whose rows
+        are summed as whole-array passes, a chunk of rows at a time.
         """
+        groups = []  # (label, residuals, multipliers, constraint ids) in sweep order
+        for name, use_row, target in self.targets:
+            lam, other = (self.lam_row, self.lam_col) if use_row else (self.lam_col, self.lam_row)
+            r = np.empty(self.k)
+            for a, X in self._degree_chunks(use_row):
+                # the logits and the weighted probabilities overwrite the gamma
+                # sums in place, in the order of one constraint's terms
+                i = np.arange(a.size)
+                g_own = X[i, a]
+                X += other
+                X += lam[a][:, None]
+                if not self.directed:
+                    X[i, a] = g_own + 2.0 * lam[a]
+                X = _sigmoid(X)
+                p_own = X[i, a]
+                X *= self.sizes
+                X[i, a] = self.own_weights[1][a] * p_own
+                r[a] = X.sum(axis=1) - target[a]
+            groups.append((name, r, lam, range(self.k)))
+        for part_i, (part, blocks) in enumerate(zip(self.parts, self.blocks)):
+            if blocks:
+                mult = np.array([part.gammas[i] for i, *_ in blocks])
+                r = np.array([float((w * _sigmoid(self._block_logits(part_i, A, B) + t)).sum())
+                              - target for t, (_, target, A, B, w) in zip(mult, blocks)])
+                groups.append((part, r, mult, [i for i, *_ in blocks]))
+        eps = 1e-9
         worst_at, worst, waived = None, 0.0, 0.0
-        for label, mult, i, ell, w, s, target in self.constraints():
-            r = _dual_grad(ell, w, s, target, mult[i])
-            if self._saturated(r, mult[i]):
-                waived = max(waived, abs(r))
-            elif abs(r) > worst:
-                worst_at, worst = (label, i), abs(r)
+        for label, r, mult, ids in groups:
+            saturated = (((r > 0) & (mult <= -LOGIT_CLAMP + eps))
+                         | ((r < 0) & (mult >= LOGIT_CLAMP - eps)))
+            size = np.abs(r)
+            if saturated.any():
+                waived = max(waived, float(size[saturated].max()))
+                size[saturated] = 0.0
+            j = int(np.argmax(size))
+            if size[j] > worst:
+                worst_at, worst = (label, ids[j]), float(size[j])
         name = ""
         if worst_at is not None:
             label, i = worst_at
@@ -678,6 +708,10 @@ class _MaxEntProblem:
 
 
 def _fit_max_ent(g, partitions, with_degrees, tol, max_iter, prior):
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     if g.n < 2:
         raise ValueError("need at least two vertices to fit a model")
     if g.m == 0:

@@ -279,15 +279,17 @@ def _score(g, model, c, w1, mask1, w2, mask2, edges=None, inside=None, hists=Non
 
 
 def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
-                 mask: np.ndarray, c: ScoreConstants,
-                 edges: int | None = None) -> Pattern | None:
+                 mask: np.ndarray, c: ScoreConstants, edges: int | None = None,
+                 hists: tuple | None = None) -> Pattern | None:
     """Score the single-subgroup pattern of a description's extension.
 
-    ``edges`` is the number of edges inside the extension when the caller
-    has already counted it.  Returns None when the extension has fewer than
+    When the caller has already counted them: ``edges`` is the number of
+    edges inside the extension and ``hists`` is ``(h, h, h)``, one integer
+    class histogram of the extension under ``model`` three times over, as
+    ``score_bi`` takes them.  Returns None when the extension has fewer than
     2 vertices.
     """
-    return _score(g, model, c, desc, mask, None, mask, edges)
+    return _score(g, model, c, desc, mask, None, mask, edges, hists=hists)
 
 
 def score_bi(g: AttributedGraph, model: BackgroundModel, w1: Description,

@@ -344,8 +344,9 @@ def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
     admissible selector and keeps the ``cfg.beam_width`` best refinements;
     the result merges all rounds' survivors, ranked by SI.
     """
-    def scorer(desc, mask, _size, edges):
-        return score_single(g, model, desc, mask, cfg.constants, edges=edges)
+    def scorer(desc, mask, _size, edges, hist):
+        return score_single(g, model, desc, mask, cfg.constants, edges=edges,
+                            hists=(hist, hist, hist))
 
     return _single_engine(g, model, selectors, cfg, scorer)
 
@@ -376,7 +377,7 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
     """Beam search with one of the objective measures as the ranking score."""
     deg = g.degrees()
 
-    def scorer(desc, mask, size, edges):
+    def scorer(desc, mask, size, edges, _hist):
         vals = baseline_scores(g, mask, edge_surplus_alpha=edge_surplus_alpha)
         return BaselineResult(w=desc, measure=measure, value=vals[measure], size=size,
                               edges=edges, inter_edges=int(deg[mask].sum()) - 2 * edges)
@@ -386,7 +387,7 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
 
 def _single_engine(g, model, selectors, cfg, scorer):
     """Level-wise beam search; ``scorer`` gets (description, mask, size, inner
-    edge count) per candidate.
+    edge count, integer class histogram or None without a model) per candidate.
 
     With a ``model``, the refinements of each parent are screened in one
     batch (``_SingleScreen``), and only those whose screening SI could place
@@ -407,9 +408,10 @@ def _single_engine(g, model, selectors, cfg, scorer):
             if not children:
                 continue
             counts = refiner.edges_inside(stack)
-            picks = np.arange(len(children))
+            picks, hists = np.arange(len(children)), [None] * len(children)
             if screen is not None:
-                si, bound = screen.scores(stack, sizes, counts, len(parent.sels) + 1)
+                hists = refiner.class_counts(stack)
+                si, bound = screen.scores(hists, sizes, counts, len(parent.sels) + 1)
                 picks = _contenders(si, bound, [e.payload[0].si for e in beam],
                                     cfg.beam_width)
             masks = refiner.masks(stack[picks])
@@ -417,7 +419,7 @@ def _single_engine(g, model, selectors, cfg, scorer):
             for mask, i in zip(masks, picks.tolist()):
                 node = refiner.node([parent], children[i], stack, sizes)
                 child = refiner.description(node)
-                res = scorer(child, mask, node.size, counts[i])
+                res = scorer(child, mask, node.size, counts[i], hists[i])
                 if res is None:
                     continue
                 scored_any = True
@@ -473,25 +475,26 @@ class _SingleScreen:
     """Screening scores of single-subgroup candidates: the refinements of
     one parent, in one call.
 
-    The class histograms of the candidates' rows, each paired with itself,
-    give the expected mass through ``pair_sums_many``, and ``pair_counts``,
-    the counting rule of ``score_single``, the rest.  The edge counts are
+    The class histograms of the candidates' rows (``_Refiner.class_counts``,
+    which the search hands to ``score_single`` too), each paired with
+    itself, give the expected mass through ``pair_sums_many``, and
+    ``pair_counts``, the counting rule of ``score_single``, the rest.  The edge counts are
     the search's; the SI differs from ``score_single``'s only by the
     rounding of the mass, and ``scores`` returns a bound on that difference
     with it.
     """
 
     def __init__(self, g, refiner, c):
-        self.refiner, self.model, self.c = refiner, refiner.model, c
+        self.model, self.c = refiner.model, c
         self.directed = g.directed
         self.conv = c.convention(single=True, directed=g.directed)
         self.rho = _mass_rounding(self.model)
 
-    def scores(self, rows, sizes, edges, length):
-        """``(si, bound)`` per set of ``rows`` (``_Refiner`` rows) of size
+    def scores(self, hists, sizes, edges, length):
+        """``(si, bound)`` per set of class histogram ``hists[i]``, of size
         ``sizes[i]`` with ``edges[i]`` edges inside, described by ``length``
         selectors."""
-        H = self.refiner.class_counts(rows).astype(np.float64)
+        H = hists.astype(np.float64)
         ordered, overlap = self.model.pair_sums_many(H, H, H)
         n_w, k_w, mass, slots = pair_counts(sizes, sizes, sizes, edges, edges, ordered,
                                             overlap, self.conv, self.directed)

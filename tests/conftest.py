@@ -8,6 +8,8 @@ import pytest
 from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Beam, BeamEntry,
                     Description, EqualsSelector, ScoreConstants, extension, score_bi,
                     score_single, search, update_with_pattern)
+from simine.background import (LOGIT_CLAMP, BackgroundModel, FitError, PartitionGammas,
+                               _classes, _logit, _partition_bins)
 
 # 11-vertex example: one numeric attribute plus three binary ones.  The edge
 # set is an arbitrary 18-edge layout; tests only rely on the attribute table.
@@ -368,3 +370,176 @@ def write_dataset(tmp_path, edge_lines, attr_lines, prefix="data"):
     edge_path.write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
     attr_path.write_text("\n".join(attr_lines) + "\n", encoding="utf-8")
     return str(edge_path), str(attr_path)
+
+
+def reference_sigmoid(x):
+    """The logistic function by two masked branches, each evaluating exp on
+    a non-positive argument: the reference for ``background._sigmoid``."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_dual(ell, w, s, target, t):
+    return float((w * np.logaddexp(0.0, ell + s * t)).sum()) - target * t
+
+
+def _reference_step(ell, w, s, target, t0):
+    p = reference_sigmoid(ell + s * t0)
+    grad = float((w * s * p).sum()) - target
+    hess = max(float((w * s * s * p * (1.0 - p)).sum()), 1e-12)
+    step = -grad / hess
+    f0 = _reference_dual(ell, w, s, target, t0)
+    for _ in range(60):
+        t1 = float(np.clip(t0 + step, -LOGIT_CLAMP, LOGIT_CLAMP))
+        if _reference_dual(ell, w, s, target, t1) <= f0 + 1e-12 * max(1.0, abs(f0)):
+            return t1
+        step *= 0.5
+    return t0
+
+
+class _ReferenceMaxEnt:
+    """The max-ent dual, one constraint at a time: each constraint's terms
+    are built from scratch when it is reached, in the sweep and in the
+    convergence check alike."""
+
+    def __init__(self, g, partition_attrs, with_degrees):
+        self.g, self.directed = g, g.directed
+        self.parts = []
+        for attr in partition_attrs:
+            bins, values = _partition_bins(g, attr)
+            self.parts.append(PartitionGammas(attr, bins, values,
+                                              np.zeros((len(values), len(values)))))
+        if not with_degrees:
+            degrees = []
+        elif self.directed:
+            degrees = [g.out_degrees(), g.in_degrees()]
+        else:
+            degrees = [g.degrees()]
+        keys, self.cls = _classes(degrees + [p.bins for p in self.parts])
+        self.k = len(keys)
+        self.sizes = np.bincount(self.cls, minlength=self.k).astype(np.float64)
+        self.rep = np.empty(self.k, dtype=np.int64)
+        self.rep[self.cls] = np.arange(g.n)
+        targets = keys[:, :len(degrees)].astype(np.float64).T
+        self.class_bins = [keys[:, len(degrees) + j] for j in range(len(self.parts))]
+        n1 = g.n - 1
+        if not with_degrees:
+            self.lam_row = np.zeros(self.k)
+            self.lam_col = self.lam_row if not self.directed else np.zeros(self.k)
+            self.targets = []
+        elif self.directed:
+            self.lam_row = 0.5 * _logit(targets[0] / n1)
+            self.lam_col = 0.5 * _logit(targets[1] / n1)
+            self.targets = [("out-degree", True, targets[0]), ("in-degree", False, targets[1])]
+        else:
+            self.lam_row = np.clip(_logit(targets[0] / n1), -LOGIT_CLAMP, LOGIT_CLAMP)
+            self.lam_col = self.lam_row
+            self.targets = [("degree", True, targets[0])]
+        e0, e1 = g.edges[:, 0], g.edges[:, 1]
+        self.block_info = []
+        for part, cb in zip(self.parts, self.class_bins):
+            nb = part.n_bins
+            obs = np.bincount(part.bins[e0] * nb + part.bins[e1],
+                              minlength=nb * nb).reshape(nb, nb)
+            if not self.directed:
+                obs = np.triu(obs + obs.T) - np.diag(np.diag(obs))
+            self.block_info.append([
+                {"b1": b1, "b2": b2, "observed": int(obs[b1, b2]),
+                 "cls1": np.flatnonzero(cb == b1), "cls2": np.flatnonzero(cb == b2)}
+                for b1 in range(nb) for b2 in (range(nb) if self.directed else range(b1, nb))])
+
+    def _degree_terms(self, a, use_row):
+        G = np.zeros(self.k)
+        for part, cb in zip(self.parts, self.class_bins):
+            G += part.gammas[cb[a], cb] if use_row else part.gammas[cb, cb[a]]
+        ell = (self.lam_col if use_row else self.lam_row) + G
+        w = self.sizes.copy()
+        w[a] -= 1.0
+        if self.directed:
+            return ell, w, 1.0
+        ell[a] = G[a]
+        s = np.ones(self.k)
+        s[a] = 2.0
+        w[a] *= 0.5
+        return ell, w, s
+
+    def _block_terms(self, part_i, block):
+        A, B = block["cls1"], block["cls2"]
+        w = np.outer(self.sizes[A], self.sizes[B])
+        if block["b1"] == block["b2"]:
+            w -= np.diag(self.sizes[A])
+            if not self.directed:
+                w *= 0.5
+        L = self.lam_row[A][:, None] + self.lam_col[B][None, :]
+        for j, (part, cb) in enumerate(zip(self.parts, self.class_bins)):
+            if j != part_i:
+                L = L + part.gammas[cb[A][:, None], cb[B][None, :]]
+        return L.ravel(), w.ravel()
+
+    def constraints(self):
+        for name, use_row, target in self.targets:
+            lam = self.lam_row if use_row else self.lam_col
+            for a in range(self.k):
+                yield (name, lam, a, *self._degree_terms(a, use_row), float(target[a]))
+        for part_i, (part, blocks) in enumerate(zip(self.parts, self.block_info)):
+            for block in blocks:
+                ell, w = self._block_terms(part_i, block)
+                if w.any():
+                    yield (part, part.gammas, (block["b1"], block["b2"]), ell, w, 1.0,
+                           float(block["observed"]))
+
+    def sweep(self):
+        for _, mult, i, ell, w, s, target in self.constraints():
+            mult[i] = _reference_step(ell, w, s, target, mult[i])
+            if mult.ndim == 2 and not self.directed:
+                mult[i[::-1]] = mult[i]
+
+    def residuals(self):
+        eps = 1e-9
+        worst_at, worst, waived = None, 0.0, 0.0
+        for label, mult, i, ell, w, s, target in self.constraints():
+            r = float((w * s * reference_sigmoid(ell + s * mult[i])).sum()) - target
+            if ((r > 0 and mult[i] <= -LOGIT_CLAMP + eps)
+                    or (r < 0 and mult[i] >= LOGIT_CLAMP - eps)):
+                waived = max(waived, abs(r))
+            elif abs(r) > worst:
+                worst_at, worst = (label, i), abs(r)
+        name = ""
+        if worst_at is not None:
+            label, i = worst_at
+            if isinstance(label, str):
+                name = f"{label} of vertex {self.g.vertex_label(int(self.rep[i]))!r}"
+            else:
+                values = label.bin_values
+                name = f"block ({label.attribute}: {values[i[0]]} x {values[i[1]]})"
+        return name, worst, waived
+
+
+def reference_fit(g, partitions, with_degrees, tol, max_iter, prior):
+    """The degree/block max-ent fit by cyclic coordinate Newton, one
+    constraint at a time: the plainly correct reference for
+    ``background._fit_max_ent`` (without its warnings).  Returns the fitted
+    model or raises ``FitError``."""
+    prob = _ReferenceMaxEnt(g, partitions, with_degrees)
+    worst_name, worst, waived = prob.residuals()
+    sweeps = 0
+    while worst > tol:
+        if sweeps >= max_iter:
+            raise FitError(
+                f"no convergence after {max_iter} sweeps; worst constraint: "
+                f"{worst_name} (residual {worst:.3g} > tol {tol:g})")
+        prob.sweep()
+        sweeps += 1
+        worst_name, worst, waived = prob.residuals()
+    pinned = (np.abs(prob.lam_row) >= LOGIT_CLAMP) | (np.abs(prob.lam_col) >= LOGIT_CLAMP)
+    clamped = [g.vertex_label(int(u)) for u in np.flatnonzero(pinned[prob.cls])]
+    info = {"prior": prior, "iterations": sweeps, "max_residual": worst,
+            "saturated_residual": waived, "worst_constraint": worst_name,
+            "tol": tol, "clamped": clamped, "classes": prob.k}
+    return BackgroundModel(g.n, g.directed, 0.0, prob.cls, prob.lam_row,
+                           prob.lam_col if g.directed else None,
+                           prob.parts, prior=prior, fit_info=info)

@@ -1,15 +1,19 @@
 import json
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simine import (AttributeColumn, AttributedGraph, BackgroundModel, FitError,
+from simine import (AttributeColumn, AttributedGraph, BackgroundModel, FitError, background,
                     block_mean_probability, fit_block_prior, fit_degree_prior,
                     fit_density_prior, update_with_pattern)
 
-from conftest import dense_probabilities, random_graph, table_probabilities
+from conftest import (dense_probabilities, random_graph, reference_fit, reference_sigmoid,
+                      table_probabilities)
 
 
 def cycle_graph(n):
@@ -140,6 +144,24 @@ class TestDegreePrior:
         g = random_graph(3, n=40)
         with pytest.raises(FitError, match="worst constraint"):
             fit_degree_prior(g, tol=1e-12, max_iter=1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-4])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        g = random_graph(3, n=12)
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            fit_degree_prior(g, tol=tol)
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            fit_block_prior(g, ["a"], tol=tol)
+
+    def test_max_iter_must_not_be_negative(self):
+        g = random_graph(3, n=12)
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            fit_degree_prior(g, max_iter=-3)
+        with pytest.raises(ValueError, match="max_iter must be >= 0"):
+            fit_block_prior(g, ["a"], max_iter=-1)
+        # zero sweeps is a valid budget: the starting point is checked only
+        with pytest.raises(FitError, match="no convergence after 0 sweeps"):
+            fit_degree_prior(g, max_iter=0)
 
 
 def _named(g):
@@ -468,3 +490,93 @@ class TestSerialization:
         corrupt(blob)
         with pytest.raises(ValueError, match=message):
             BackgroundModel.from_dict(blob)
+
+
+def _fit_case_graph(seed, shape, directed):
+    """A graph with nominal attributes a (2 values) and b (3 values):
+    G(n, p) for "random"; with vertex 0 isolated for "isolated" or joined
+    to every other vertex (both ways when directed) for "hub"; every pair
+    joined for "complete"; no edge between a=v0 and a=v1 for "zero-block";
+    each vertex u joined to u + 1, ..., u + r mod n for "circulant", so that
+    every vertex has one degree and the classes are the bin pairs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 41))
+    a, b = rng.integers(0, 2, n), rng.integers(0, 3, n)
+    p = 1.0 if shape == "complete" else float(rng.uniform(0.15, 0.6))
+    edges = [(u, v) for u in range(n) for v in range(n)
+             if (u != v if directed else u < v)
+             and (rng.random() < p or (shape == "hub" and 0 in (u, v)))
+             and not (shape == "isolated" and 0 in (u, v))
+             and not (shape == "zero-block" and a[u] != a[v])]
+    if shape == "circulant":
+        r = int(rng.integers(1, (n - 1) // 2 + 1))
+        edges = [(u, (u + j) % n) for u in range(n) for j in range(1, r + 1)]
+    if not edges:
+        u, v = next((u, v) for u in range(1, n) for v in range(u + 1, n) if a[u] == a[v])
+        edges = [(u, v)]
+    cols = [AttributeColumn("a", "nominal", [f"v{x}" for x in a]),
+            AttributeColumn("b", "nominal", [f"v{x}" for x in b])]
+    return AttributedGraph(n, edges, directed=directed, columns=cols)
+
+
+def _fit_or_error(fit):
+    try:
+        return fit()
+    except FitError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(),
+       shape=st.sampled_from(["random", "isolated", "hub", "complete", "zero-block",
+                              "circulant"]),
+       prior=st.sampled_from(["degree", "blocks", "blocks+degree"]),
+       partitions=st.sampled_from([["a"], ["b", "a"]]),
+       tol=st.sampled_from([1e-4, 1e-9]), max_iter=st.sampled_from([1, 3, 500]),
+       table_cells=st.sampled_from([None, 1, 7, 40]))
+def test_fit_matches_per_constraint_reference(seed, directed, shape, prior, partitions, tol,
+                                              max_iter, table_cells):
+    # the whole-array fit is the per-constraint fit bit for bit: multipliers,
+    # classes, fit_info and FitError text; small table budgets split the
+    # gamma sums and the convergence check into row chunks of the class grid
+    g = _fit_case_graph(seed, shape, directed)
+    with_degrees = prior != "blocks"
+    if prior == "degree":
+        partitions, label = [], "degree"
+    else:
+        label = "blocks:" + ",".join(partitions) + ("+degree" if with_degrees else "")
+    cells = background._TABLE_CELLS if table_cells is None else table_cells
+    with patch.object(background, "_TABLE_CELLS", cells):
+        if prior == "degree":
+            got = _fit_or_error(lambda: fit_degree_prior(g, tol=tol, max_iter=max_iter))
+        else:
+            got = _fit_or_error(lambda: fit_block_prior(g, partitions, with_degrees=with_degrees,
+                                                        tol=tol, max_iter=max_iter))
+        want = _fit_or_error(lambda: reference_fit(g, partitions, with_degrees, tol, max_iter,
+                                                   label))
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.cls.tobytes() == want.cls.tobytes()
+    assert got.class_lam_row.tobytes() == want.class_lam_row.tobytes()
+    assert got.class_lam_col.tobytes() == want.class_lam_col.tobytes()
+    assert [p.gammas.tobytes() for p in got.partitions] == [
+        p.gammas.tobytes() for p in want.partitions]
+    assert got.fit_info == want.fit_info
+    assert json.dumps(got.fit_info) == json.dumps(want.fit_info)
+
+
+def test_sigmoid_matches_two_branch_formula():
+    # bit for bit, NaN signs included, and without a RuntimeWarning
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, 30.0, 709.0, 745.0, np.inf, np.nan, tiny, 1e3 * tiny,
+             np.finfo(np.float64).tiny, 36.7, 746.0, 1e308]
+    special = np.array(edges + [-x for x in edges])
+    rng = np.random.default_rng(7)
+    batches = [special, rng.permutation(np.repeat(special, 9))]
+    batches += [rng.normal(size=1000) * scale for scale in (1e-300, 1e-8, 1.0, 40.0, 800.0)]
+    for x in batches:
+        got, want = background._sigmoid(x), reference_sigmoid(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,34 @@ def run_cli(capsys, *argv):
 
 def records(out):
     return [json.loads(line) for line in out.strip().splitlines() if line]
+
+
+README_DEMO = Path(__file__).parent / "data" / "readme_demo_reports.json"
+
+
+def readme_demo_reports(workdir):
+    """The README quick start's ``bi``, ``single`` and ``iterate:2`` reports,
+    run in ``workdir``: per mode, one ``[round, rank, w1, w2, si]`` per
+    pattern in report order (round 1 outside iterate mode)."""
+    prefix = str(Path(workdir) / "demo")
+    data = ["--edges", prefix + ".edges", "--attrs", prefix + ".attrs.csv"]
+    runs = {"bi": ["--model", prefix + ".model.json", "--mode", "bi",
+                   "--x1", "4", "--x2", "3", "--depth", "2"],
+            "single": ["--model", prefix + ".model.json", "--mode", "single"],
+            "iterate:2": ["--prior", "degree", "--mode", "iterate:2"]}
+
+    def cli(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 0, argv
+        return records(out.getvalue())
+
+    cli("synth", "--n", "400", "--bg-density", "0.02", "--block", "grp=g1:50,grp=g2:50,0.3",
+        "--noise-attrs", "2", "--seed", "0", "--out-prefix", prefix)
+    cli("fit", *data, "--prior", "degree", "--output", prefix + ".model.json")
+    return {mode: [[r.get("round", 1), r["rank"], r["w1"], r["w2"], r["si"]]
+                   for r in cli("mine", *data, *args) if r["type"] == "pattern"]
+            for mode, args in runs.items()}
 
 
 @pytest.fixture
@@ -108,6 +139,26 @@ class TestFit:
                                "--output", str(tmp_path / "m.json"))
         assert code == 2 and "fit failed" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "nan", "tol must be a finite number > 0"),
+        ("--tol", "inf", "tol must be a finite number > 0"),
+        ("--tol", "0", "tol must be a finite number > 0"),
+        ("--max-iter", "-3", "max_iter must be >= 0")])
+    def test_bad_fit_budget_is_input_error(self, synth_files, tmp_path, capsys, flag, value,
+                                           message):
+        # tol=nan used to exit 0 with an unfitted model holding a bare NaN
+        model_path = tmp_path / "m.json"
+        code, out, err = run_cli(capsys, "fit", "--edges", synth_files + ".edges",
+                                 "--attrs", synth_files + ".attrs.csv",
+                                 "--prior", "blocks:grp+degree", flag, value,
+                                 "--output", str(model_path))
+        assert code == 1 and out == "" and message in err
+        assert not model_path.exists()
+        code, out, err = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
+                                 "--attrs", synth_files + ".attrs.csv",
+                                 "--prior", "degree", flag, value, "--mode", "single")
+        assert code == 1 and out == "" and message in err
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fit", "--edges", str(tmp_path / "no.edges"),
                                "--attrs", str(tmp_path / "no.csv"),
@@ -156,6 +207,17 @@ class TestMine:
             again = rescore(g, model, w1, None, ScoreConstants())
             assert again.si == pytest.approx(rec["si"], abs=1e-9)
             assert again.edges == rec["k_w"]
+
+    def test_readme_demo_reports_unchanged(self, tmp_path):
+        # the expected file holds the reports of the per-constraint fit; a
+        # deliberate change to rankings rewrites it from readme_demo_reports
+        got = readme_demo_reports(tmp_path)
+        want = json.loads(README_DEMO.read_text(encoding="utf-8"))
+        assert list(got) == list(want)
+        for mode in want:
+            assert [row[:4] for row in got[mode]] == [row[:4] for row in want[mode]], mode
+            assert [row[4] for row in got[mode]] == pytest.approx(
+                [row[4] for row in want[mode]], rel=1e-9, abs=0), mode
 
     def test_byte_identical_reruns(self, synth_files, capsys):
         args = ["mine", "--edges", synth_files + ".edges",

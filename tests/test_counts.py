@@ -133,9 +133,11 @@ def _bits(pat):
        relation=st.sampled_from(["overlap", "disjoint", "equal"]), small_table=st.booleans())
 def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, relation,
                                                 small_table):
-    # a table budget of 3 cells leaves any model with K > 1 without a class
-    # table; both orientations of each pair are scored, so the canonical swap
-    # of undirected pair sums applies to one of them
+    # score_bi and score_single with the counts a search hands over are bit
+    # for bit the scorers that count them.  A table budget of 3 cells leaves
+    # any model with K > 1 without a class table; both orientations of each
+    # pair are scored, so the canonical swap of undirected pair sums applies
+    # to one of them
     with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
         rng = np.random.default_rng(seed)
         g = random_graph(seed, n=n, p=float(rng.uniform(0.1, 0.9)), directed=directed)
@@ -157,6 +159,16 @@ def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, rel
                                     edges=g.count_edges_between(m1, m2),
                                     inside=g.count_edges_between(over, over),
                                     hists=(h1[0], h2[0], h_o[0]), ids1=np.flatnonzero(m1))
+            assert (counted is None) == (given_counts is None)
+            if counted is not None:
+                assert _bits(given_counts) == _bits(counted)
+        # single patterns: the single search hands over one class histogram
+        # of the refiner's row, three times over
+        hists = refiner.class_counts(rows)
+        for z, m, h in [(W1, mask1, hists[0]), (W2, mask2, hists[1])]:
+            counted = score_single(g, model, z, m, c)
+            given_counts = score_single(g, model, z, m, c, edges=g.count_edges_between(m, m),
+                                        hists=(h, h, h))
             assert (counted is None) == (given_counts is None)
             if counted is not None:
                 assert _bits(given_counts) == _bits(counted)

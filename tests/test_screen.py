@@ -143,7 +143,7 @@ def test_single_screen_matches_score_single_and_reference(seed, n, directed, cou
                                                   for nd in level])
             sizes = masks.sum(axis=1)
             edges = np.array([g.count_edges_between(m, m) for m in masks])
-            si, bound = screen.scores(rows, sizes, edges, length)
+            si, bound = screen.scores(refiner.class_counts(rows), sizes, edges, length)
             for k, nd in enumerate(level):
                 pat = score_single(g, model, refiner.description(nd), masks[k], c)
                 err = abs(si[k] - pat.si)
