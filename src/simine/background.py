@@ -752,10 +752,12 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
 
     ``pattern`` must expose ``ext1_ids``, ``ext2_ids`` (vertex id arrays;
     equal for single-subgroup patterns) and the observed count ``edges``;
-    ids out of range or repeated raise ValueError.  The returned model's
-    expected count over the pattern's pairs equals the observed count; every
-    other pair keeps its exact probability.
+    ids out of range, repeated or missing raise ValueError.  The returned
+    model's expected count over the pattern's pairs equals the observed
+    count; every other pair keeps its exact probability.
     """
+    if pattern.ext1_ids is None:
+        raise ValueError("pattern carries no extension ids; a search or rescore provides them")
     rows = _vertex_set(pattern.ext1_ids, model.n, "pattern extension 1")
     cols = (rows if pattern.ext2_ids is None
             else _vertex_set(pattern.ext2_ids, model.n, "pattern extension 2"))

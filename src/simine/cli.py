@@ -396,6 +396,10 @@ def cmd_baselines(args):
     for m in measures:
         if m not in MEASURE_NAMES:
             raise InputError(f"unknown measure {m!r}; choose from {MEASURE_NAMES}")
+    # search before writing, so that a bad input leaves no report behind
+    ranked = [(measure, baseline_search(g, selectors, cfg, measure,
+                                        edge_surplus_alpha=args.edge_surplus_alpha))
+              for measure in measures]
     out = _Out(args.output)
     try:
         out.record({"type": "run", "command": "baselines", "n": g.n, "m": g.m,
@@ -403,9 +407,7 @@ def cmd_baselines(args):
                     "edge_surplus_alpha": args.edge_surplus_alpha,
                     "selectors": len(selectors)})
         any_row = False
-        for measure in measures:
-            results = baseline_search(g, selectors, cfg, measure,
-                                      edge_surplus_alpha=args.edge_surplus_alpha)
+        for measure, results in ranked:
             rows = []
             for i, r in enumerate(results[:args.top], start=1):
                 any_row = True

@@ -23,6 +23,12 @@ and the distinct-pair mass.  Directed graphs always use the ordered
 convention.  For undirected graphs the default ("auto") scores
 single-subgroup patterns in the ordered convention and bi-subgroup patterns
 in the unordered one; ``ScoreConstants.pair_counting`` can force either.
+
+Scoring reads counts only: ``score_single`` and ``score_bi`` take the
+extensions' class histograms and edge counts, which the searches' screens
+hold, and return patterns without extension ids.  ``rescore`` is the one
+path from vertex sets: it counts the decoded extensions, scores the counts
+through the same two functions and attaches the ids absorption reads.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .background import PROB_EPS, BackgroundModel, pair_universe
-from .descriptions import Description
+from .descriptions import Description, extension
 from .graph import AttributedGraph
 
 __all__ = [
@@ -65,8 +71,9 @@ class ScoreConstants:
     pair_counting: str = "auto"  # auto | ordered | unordered
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(f"alpha and beta must be finite and positive, got "
+                             f"alpha={self.alpha!r}, beta={self.beta!r}")
         if self.pair_counting not in ("auto", "ordered", "unordered"):
             raise ValueError(f"unknown pair counting {self.pair_counting!r}")
 
@@ -221,44 +228,18 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
 # -- pattern construction --------------------------------------------------------
 
 
-def _score(g, model, c, w1, mask1, w2, mask2, edges=None, inside=None, hists=None,
-           ids1=None) -> Pattern | None:
-    """Score the pattern (W1, W2) with extensions ``mask1``, ``mask2``; a
-    single-subgroup pattern has ``w2 is None`` and ``mask2 is mask1``.
-    ``edges``, ``inside``, ``hists`` and ``ids1`` are the counts of
-    ``score_bi``, counted here when not given.
-
-    ``k_w``/``n_w``/``p_w`` are counted in the scoring convention,
-    ``edges``/``pair_slots``/``expected_edges`` over distinct pairs (ordered
-    when directed), the units a report prints.
+def _score(g, model, c, w1, w2, hists, edges, inside) -> Pattern | None:
+    """The pattern (W1, W2) scored from its counts (``w2 is None`` and
+    ``hists == (h, h, h)`` for a single subgroup): ``k_w``/``n_w``/``p_w``
+    in the scoring convention, ``edges``/``pair_slots``/``expected_edges``
+    over distinct pairs (ordered when directed), the units a report prints.
     """
     single = w2 is None
-    if ids1 is None:
-        ids1 = np.flatnonzero(mask1)
-    if single:
-        ids2, o = ids1, ids1.size
-    else:
-        ids2 = np.flatnonzero(mask2)
-        o = int(np.count_nonzero(mask1 & mask2) if hists is None else hists[2].sum())
-    a, b = ids1.size, ids2.size
+    a, b, o = (int(h.sum()) for h in hists)
     if pair_universe(a, b, o, "ordered") == 0:
         return None  # no pair u != v, in either convention
-    if hists is None:
-        ordered_sum, overlap_sum = model.pair_sums(ids1, ids2)
-    else:
-        ordered_sum, overlap_sum = model.histogram_pair_sums(*hists)
-    if edges is None:
-        edges = g.count_edges_between(mask1, mask2)
+    ordered_sum, overlap_sum = model.histogram_pair_sums(*hists)
     conv = c.convention(single, g.directed)
-    # edges inside W1 ∩ W2: all of them when W1 = W2; pair_counts reads them
-    # only in the ordered convention of an undirected graph
-    if single:
-        inside = edges
-    elif not o or conv != "ordered" or g.directed:
-        inside = 0
-    elif inside is None:
-        over = mask1 & mask2
-        inside = g.count_edges_between(over, over)
     n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered_sum, overlap_sum,
                                         conv, g.directed)
     p_w = mass / n_w
@@ -268,57 +249,75 @@ def _score(g, model, c, w1, mask1, w2, mask2, edges=None, inside=None, hists=Non
     # is, and that of the others as p_w * slots
     expected = (p_w * slots if single or g.directed
                 else ordered_sum - overlap_sum / 2.0)
-    # crossing edges from the degree sum: each inner edge adds 2 to it and each
-    # crossing edge 1, also when directed
-    inter = int(g.degrees()[ids1].sum()) - 2 * edges if single else None
     return Pattern(w1=w1, w2=w2, direction=0 if k_w / n_w >= p_w else 1,
                    k_w=k_w, n_w=n_w, p_w=p_w, ic=ic, dl=dl, si=ic / dl,
                    size1=a, size2=b, overlap=o, edges=edges, pair_slots=slots,
-                   expected_edges=expected, convention=conv, ext1_ids=ids1,
-                   ext2_ids=None if single else ids2, inter_edges=inter)
+                   expected_edges=expected, convention=conv)
 
 
 def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
-                 mask: np.ndarray, c: ScoreConstants, edges: int | None = None,
-                 hists: tuple | None = None) -> Pattern | None:
-    """Score the single-subgroup pattern of a description's extension.
-
-    When the caller has already counted them: ``edges`` is the number of
-    edges inside the extension and ``hists`` is ``(h, h, h)``, one integer
-    class histogram of the extension under ``model`` three times over, as
-    ``score_bi`` takes them.  Returns None when the extension has fewer than
-    2 vertices.
+                 hist: np.ndarray, edges: int, c: ScoreConstants) -> Pattern | None:
+    """Score the single-subgroup pattern of a description from its
+    extension's class histogram ``hist`` under ``model`` (integer or float)
+    and its number of inner ``edges``.  The pattern carries no extension
+    ids; returns None when the extension has fewer than 2 vertices.
     """
-    return _score(g, model, c, desc, mask, None, mask, edges, hists=hists)
+    return _score(g, model, c, desc, None, (hist, hist, hist), edges, edges)
 
 
 def score_bi(g: AttributedGraph, model: BackgroundModel, w1: Description,
-             mask1: np.ndarray, w2: Description, mask2: np.ndarray,
-             c: ScoreConstants, edges: int | None = None,
-             inside: int | None = None, hists: tuple | None = None,
-             ids1: np.ndarray | None = None) -> Pattern | None:
-    """Score a bi-subgroup pattern; returns None when the pair universe is empty.
+             w2: Description, hists: tuple, edges: int, inside: int,
+             c: ScoreConstants) -> Pattern | None:
+    """Score a bi-subgroup pattern from the counts of its extensions.
 
-    When the caller has already counted them: ``edges`` is the number of
+    ``hists`` is ``(h1, h2, h_o)``, the class histograms under ``model``
+    (integer or float) of W1, W2 and W1 ∩ W2; ``edges`` the number of
     distinct edges between the extensions (ordered edges W1 -> W2 when
-    directed), ``inside`` the number of edges inside their intersection
-    (read only in the ordered convention of an undirected graph),
-    ``hists`` the integer class histograms ``(h1, h2, h_o)`` of W1, W2 and
-    W1 ∩ W2, and ``ids1`` is ``np.flatnonzero(mask1)``, which the pattern
-    keeps as ``ext1_ids``.
+    directed) and ``inside`` the number of edges inside their intersection,
+    read only in the ordered convention of an undirected graph.  The pattern
+    carries no extension ids; returns None when the pair universe is empty.
     """
-    return _score(g, model, c, w1, mask1, w2, mask2, edges, inside, hists, ids1)
+    return _score(g, model, c, w1, w2, hists, edges, inside)
+
+
+def _with_extensions(pat: Pattern, g: AttributedGraph, mask1, mask2) -> Pattern:
+    """``pat`` with the ids of its extensions, bool masks ``mask1`` and
+    ``mask2`` (not read when single), and a single pattern's crossing edges."""
+    pat.ext1_ids = np.flatnonzero(mask1)
+    if pat.is_single:
+        # crossing edges from the degree sum: each inner edge adds 2 to it
+        # and each crossing edge 1, also when directed
+        pat.inter_edges = int(g.degrees()[pat.ext1_ids].sum()) - 2 * pat.edges
+    else:
+        pat.ext2_ids = np.flatnonzero(mask2)
+    return pat
+
+
+def _score_masks(g: AttributedGraph, model: BackgroundModel, w1: Description, mask1,
+                 w2: Description | None, mask2, c: ScoreConstants) -> Pattern | None:
+    """The pattern (W1, W2) of the bool masks ``mask1``, ``mask2`` (not read
+    when ``w2 is None``): their counts scored through ``score_single``/
+    ``score_bi``, with the extensions' ids attached."""
+    ids1 = np.flatnonzero(mask1)
+    if w2 is None:
+        pat = score_single(g, model, w1, model._histograms(ids1, ids1)[0],
+                           g.count_edges_between(mask1, mask1), c)
+    else:
+        over = mask1 & mask2
+        pat = score_bi(g, model, w1, w2, model._histograms(ids1, np.flatnonzero(mask2)),
+                       g.count_edges_between(mask1, mask2),
+                       g.count_edges_between(over, over), c)
+    return None if pat is None else _with_extensions(pat, g, mask1, mask2)
 
 
 def rescore(g: AttributedGraph, model: BackgroundModel, w1: Description,
             w2: Description | None, c: ScoreConstants) -> Pattern | None:
-    """Score a pattern from its descriptions against a (possibly updated) model."""
-    from .descriptions import extension
-
+    """Score a pattern from its descriptions against a (possibly updated)
+    model: the one path from vertex sets.  The extensions are decoded and
+    counted, scored through ``score_single``/``score_bi``, and the pattern
+    carries their ids."""
     m1 = extension(w1, g)
-    if w2 is None:
-        return score_single(g, model, w1, m1, c)
-    return score_bi(g, model, w1, m1, w2, extension(w2, g), c)
+    return _score_masks(g, model, w1, m1, w2, m1 if w2 is None else extension(w2, g), c)
 
 
 # -- objective baselines -----------------------------------------------------------
@@ -334,6 +333,8 @@ def baseline_scores(g: AttributedGraph, a, edge_surplus_alpha: float = 1.0 / 3.0
     """
     if g.directed:
         raise ValueError("baseline measures are defined for undirected graphs")
+    if not math.isfinite(edge_surplus_alpha):
+        raise ValueError(f"edge_surplus_alpha must be finite, got {edge_surplus_alpha!r}")
     mask = g.as_mask(a)
     s = int(np.count_nonzero(mask))
     if s < 2:

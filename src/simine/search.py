@@ -10,6 +10,7 @@ rendering).  The outer beam of the nested search holds up to x1*x2 scored
 from __future__ import annotations
 
 import logging
+import math
 from bisect import insort
 from dataclasses import dataclass, field
 
@@ -18,8 +19,8 @@ import numpy as np
 from .background import PROB_EPS, BackgroundModel, update_with_pattern
 from .descriptions import Description, selector_mask
 from .graph import AttributedGraph
-from .scores import (Pattern, ScoreConstants, baseline_scores, kl_bernoulli_many,
-                     pair_counts, score_bi, score_single)
+from .scores import (Pattern, ScoreConstants, _with_extensions, baseline_scores,
+                     kl_bernoulli_many, pair_counts, score_bi, score_single)
 
 log = logging.getLogger(__name__)
 
@@ -328,10 +329,6 @@ class _Refiner:
         p, j, key, r = child
         return _Node(parents[p].sels + (j,), key, rows[r].copy(), int(sizes[r]))
 
-    def nodes(self, parents, children, rows, sizes):
-        for child in children:
-            yield self.node(parents, child, rows, sizes)
-
 
 # -- single-subgroup search -------------------------------------------------------
 
@@ -342,13 +339,19 @@ def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
 
     Each of ``cfg.depth`` rounds refines every beam entry with every
     admissible selector and keeps the ``cfg.beam_width`` best refinements;
-    the result merges all rounds' survivors, ranked by SI.
+    the result merges all rounds' survivors, ranked by SI, and decodes
+    their extensions only.
     """
-    def scorer(desc, mask, _size, edges, hist):
-        return score_single(g, model, desc, mask, cfg.constants, edges=edges,
-                            hists=(hist, hist, hist))
+    refiner = _Refiner(g, model, selectors, max(2, cfg.min_extension_size))
 
-    return _single_engine(g, model, selectors, cfg, scorer)
+    def scorer(desc, _node, edges, hist):
+        return score_single(g, model, desc, hist, edges, cfg.constants)
+
+    found = _single_engine(refiner, _SingleScreen(g, refiner, cfg.constants), cfg, scorer)
+    if not found:
+        return []
+    masks = refiner.masks(np.array([node.row for _, node in found]))
+    return [_with_extensions(pat, g, mask, None) for (pat, _), mask in zip(found, masks)]
 
 
 @dataclass(eq=False)
@@ -374,32 +377,36 @@ class BaselineResult:
 
 def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: str,
                     edge_surplus_alpha: float = 1.0 / 3.0) -> list[BaselineResult]:
-    """Beam search with one of the objective measures as the ranking score."""
+    """Beam search with one of the objective measures as the ranking score;
+    the measures read vertex sets, so every candidate is decoded."""
+    if not math.isfinite(edge_surplus_alpha):
+        raise ValueError(f"edge_surplus_alpha must be finite, got {edge_surplus_alpha!r}")
+    refiner = _Refiner(g, None, selectors, max(2, cfg.min_extension_size))
     deg = g.degrees()
 
-    def scorer(desc, mask, size, edges, _hist):
+    def scorer(desc, node, edges, _hist):
+        mask = refiner.masks(node.row)
         vals = baseline_scores(g, mask, edge_surplus_alpha=edge_surplus_alpha)
-        return BaselineResult(w=desc, measure=measure, value=vals[measure], size=size,
+        return BaselineResult(w=desc, measure=measure, value=vals[measure], size=node.size,
                               edges=edges, inter_edges=int(deg[mask].sum()) - 2 * edges)
 
-    return _single_engine(g, None, selectors, cfg, scorer)
+    return [res for res, _ in _single_engine(refiner, None, cfg, scorer)]
 
 
-def _single_engine(g, model, selectors, cfg, scorer):
-    """Level-wise beam search; ``scorer`` gets (description, mask, size, inner
-    edge count, integer class histogram or None without a model) per candidate.
+def _single_engine(refiner, screen, cfg, scorer):
+    """Level-wise beam search over the refinements of ``refiner``;
+    ``scorer`` gets (description, node, inner edge count, integer class
+    histogram) per candidate.  Returns the ``(result, node)`` of every
+    level's survivors, ranked.
 
-    With a ``model``, the refinements of each parent are screened in one
-    batch (``_SingleScreen``), and only those whose screening SI could place
+    With a ``screen`` (``_SingleScreen``), the refinements of each parent
+    are screened in one batch, and only those whose screening SI could place
     them in the level's beam are scored and offered to it.  The beam has no
     diversity floor and a strict total order, so it ends up holding the same
     entries as if every candidate had been scored and offered.
     """
-    refiner = _Refiner(g, model, selectors, max(2, cfg.min_extension_size))
-    screen = None if model is None else _SingleScreen(g, refiner, cfg.constants)
     rows = [refiner.root]
-    collected: dict[str, object] = {}
-    scored_any = False
+    collected: dict[str, tuple] = {}
     for _ in range(cfg.depth):
         seen: set[tuple] = set()
         beam = Beam(cfg.beam_width)
@@ -407,34 +414,31 @@ def _single_engine(g, model, selectors, cfg, scorer):
             (children,), stack, sizes = refiner.expand([([parent], seen, None)])
             if not children:
                 continue
-            counts = refiner.edges_inside(stack)
-            picks, hists = np.arange(len(children)), [None] * len(children)
+            counts, hists = refiner.edges_inside(stack), refiner.class_counts(stack)
+            picks = np.arange(len(children))
             if screen is not None:
-                hists = refiner.class_counts(stack)
                 si, bound = screen.scores(hists, sizes, counts, len(parent.sels) + 1)
                 picks = _contenders(si, bound, [e.payload[0].si for e in beam],
                                     cfg.beam_width)
-            masks = refiner.masks(stack[picks])
             counts = counts.tolist()
-            for mask, i in zip(masks, picks.tolist()):
+            for i in picks.tolist():
                 node = refiner.node([parent], children[i], stack, sizes)
                 child = refiner.description(node)
-                res = scorer(child, mask, node.size, counts[i], hists[i])
+                res = scorer(child, node, counts[i], hists[i])
                 if res is None:
                     continue
-                scored_any = True
                 name = str(child)
                 beam.try_add(BeamEntry(res.sort_key(), name, group=name, payload=(res, node)))
         if not len(beam):
             break
         rows = [e.payload[1] for e in beam]
         for e in beam:
-            collected.setdefault(e.ident, e.payload[0])
-    if not scored_any:
+            collected.setdefault(e.ident, e.payload)
+    if not collected:
         log.warning("single-subgroup search found no candidate with extension size >= %d",
                     refiner.min_size)
         return []
-    return sorted(collected.values(), key=lambda r: r.sort_key())
+    return sorted(collected.values(), key=lambda r: r[0].sort_key())
 
 
 def _mass_rounding(model):
@@ -475,13 +479,12 @@ class _SingleScreen:
     """Screening scores of single-subgroup candidates: the refinements of
     one parent, in one call.
 
-    The class histograms of the candidates' rows (``_Refiner.class_counts``,
-    which the search hands to ``score_single`` too), each paired with
-    itself, give the expected mass through ``pair_sums_many``, and
-    ``pair_counts``, the counting rule of ``score_single``, the rest.  The edge counts are
-    the search's; the SI differs from ``score_single``'s only by the
-    rounding of the mass, and ``scores`` returns a bound on that difference
-    with it.
+    The class histograms of the candidates' rows (``_Refiner.class_counts``),
+    each paired with itself, give the expected mass through
+    ``pair_sums_many``, and ``pair_counts``, the counting rule of
+    ``score_single``, the rest.  The search hands the same histograms and
+    edge counts to ``score_single``, whose SI differs only by the rounding of
+    the mass; ``scores`` returns a bound on that difference with it.
     """
 
     def __init__(self, g, refiner, c):
@@ -516,9 +519,9 @@ class _BiScreen:
     edge orientations, sum_b 2^b popcount(plane_b & W2).  All are exact
     integers.  ``pair_sums_many`` gives the expected mass and
     ``pair_counts``, the counting rule of ``score_bi``, the rest.  The edge
-    counts are the ones ``score_bi`` would count; the SI differs from
-    ``score_bi``'s only by the rounding of the mass, and ``scores`` returns a
-    bound on that difference with it.
+    counts are the ones ``score_bi`` takes; its SI differs only by the
+    rounding of the mass, and ``scores`` returns a bound on that difference
+    with it.
 
     No array of a block of pairs holds more than ``floats`` cells, and the
     neighbour counts of a chunk gather at most ``floats`` bits at a time (one
@@ -655,44 +658,37 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     order, so it ends up holding the same entries as if every candidate had
     been scored and offered.  Inner beams do not read one another, and their
     survivors reach the outer beam W1 by W1, so the result is the one of
-    running each W1's inner search on its own.
+    running each W1's inner search on its own.  Only the reported patterns'
+    extensions are decoded, once the outer beam is final.
     """
     refiner = _Refiner(g, model, selectors, max(1, cfg.min_extension_size))
     screen = _BiScreen(g, refiner, cfg.constants, cfg.require_disjoint_extensions)
     outer = Beam(cfg.x1 * cfg.x2, diversity_floor=cfg.x1)
-    w1_nodes: dict[str, _Node] = {}
-    expanded_any = False
     for depth in range(cfg.depth):
-        if depth == 0:
-            frontier = [refiner.root]
-        else:
-            frontier = []
-            named = set()
-            for e in outer.entries:
-                ident = str(e.payload.w1)
-                if ident not in named:
-                    named.add(ident)
-                    frontier.append(w1_nodes[ident])
+        # the root, then the outer beam's distinct W1 nodes (one per W1) in beam order
+        frontier = (list(dict.fromkeys(e.payload[1] for e in outer.entries)) if depth
+                    else [refiner.root])
         (children,), rows, sizes = refiner.expand([(frontier, set(), None)])
         # one screen chunk of W1s at a time, which bounds the inner searches'
         # state as well as the screen's temporaries
         for lo in range(0, len(children), screen.w1_step):
-            w1s = list(refiner.nodes(frontier, children[lo:lo + screen.w1_step],
-                                     rows, sizes))
-            z1s = [refiner.description(w1) for w1 in w1s]
-            inner = _inner_searches(g, model, refiner, screen, cfg, w1s, z1s,
+            w1s = [refiner.node(frontier, child, rows, sizes)
+                   for child in children[lo:lo + screen.w1_step]]
+            inner = _inner_searches(g, model, refiner, screen, cfg, w1s,
                                     rows[lo:lo + screen.w1_step])
-            for w1, z1, pats in zip(w1s, z1s, inner):
-                expanded_any = expanded_any or bool(pats)
-                w1_nodes.setdefault(str(z1), w1)
-                for pat in pats:
+            for w1, found in zip(w1s, inner):
+                for pat, w2 in found:
                     outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
-                                            group=str(pat.w1), payload=pat))
-    if not expanded_any:
+                                            group=str(pat.w1), payload=(pat, w1, w2)))
+    if not outer.entries:
         log.warning("nested search produced no admissible (W1, W2) candidate "
                     "under the active constraints")
         return []
-    return [e.payload for e in outer.entries]
+    # the reported patterns' extensions, one batch per side
+    masks1, masks2 = (refiner.masks(np.array([e.payload[side].row for e in outer.entries]))
+                      for side in (1, 2))
+    return [_with_extensions(e.payload[0], g, m1, m2)
+            for e, m1, m2 in zip(outer.entries, masks1, masks2)]
 
 
 def _admit(cfg, refiner, z1, beam):
@@ -710,13 +706,12 @@ def _admit(cfg, refiner, z1, beam):
         differs[j] or any(differs[k] for k in parent.sels))
 
 
-def _inner_searches(g, model, refiner, screen, cfg, w1s, z1s, rows1):
-    """The inner beam searches of the W1 nodes ``w1s`` (descriptions
-    ``z1s``, refiner rows ``rows1``), in lockstep; returns each W1's
-    surviving patterns."""
+def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
+    """The inner beam searches of the W1 nodes ``w1s`` (refiner rows
+    ``rows1``), in lockstep; returns each W1's surviving ``(pattern, W2
+    node)`` pairs."""
+    z1s = [refiner.description(w1) for w1 in w1s]
     len1 = np.array([len(w1.sels) for w1 in w1s], dtype=np.int64)
-    masks1 = refiner.masks(rows1)
-    ids1 = [np.flatnonzero(mask) for mask in masks1]
     chunk = screen.w1_rows(rows1)
     beams = [Beam(cfg.x2) for _ in w1s]
     rows = [[refiner.root] for _ in w1s]
@@ -733,27 +728,24 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, z1s, rows1):
         for beam, lo, hi in zip(beams, starts, starts[1:]):
             picks.append(lo + _contenders(si[lo:hi], bound[lo:hi],
                                           [e.payload[0].si for e in beam], cfg.x2))
-        # the exact class histograms and the masks of every contender of the
-        # level at once
+        # the exact class histograms of every contender of the level at once
         picked = np.concatenate(picks)
         h1, h2, h_o = screen.histograms(chunk, rows2, pi[picked], pj[picked])
-        masks2 = refiner.masks(rows2[pj[picked]])
         k = 0
         for w, (beam, parents, ch, lo, pick) in enumerate(zip(beams, rows, children, starts,
                                                                picks)):
             for at in pick.tolist():
                 node = refiner.node(parents, ch[at - lo], rows2, sizes2)
                 z2 = refiner.description(node)
-                pat = score_bi(g, model, z1s[w], masks1[w], z2, masks2[k], cfg.constants,
-                               edges=int(edges[at]), inside=int(inside[at]),
-                               hists=(h1[k], h2[k], h_o[k]), ids1=ids1[w])
+                pat = score_bi(g, model, z1s[w], z2, (h1[k], h2[k], h_o[k]), int(edges[at]),
+                               int(inside[at]), cfg.constants)
                 k += 1
                 if pat is None:
                     continue
                 name = str(z2)
                 beam.try_add(BeamEntry(pat.sort_key(), name, group=name, payload=(pat, node)))
         rows = [[e.payload[1] for e in beam] for beam in beams]
-    return [[e.payload[0] for e in beam] for beam in beams]
+    return [[e.payload for e in beam] for beam in beams]
 
 
 # -- iterative mining ---------------------------------------------------------------

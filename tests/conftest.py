@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Beam, BeamEntry,
-                    Description, EqualsSelector, ScoreConstants, extension, score_bi,
-                    score_single, search, update_with_pattern)
+                    Description, EqualsSelector, ScoreConstants, extension, search,
+                    update_with_pattern)
 from simine.background import (LOGIT_CLAMP, BackgroundModel, FitError, PartitionGammas,
                                _classes, _logit, _partition_bins)
+from simine.scores import _score_masks
 
 # 11-vertex example: one numeric attribute plus three binary ones.  The edge
 # set is an arbitrary 18-edge layout; tests only rely on the attribute table.
@@ -193,7 +194,7 @@ def exhaustive_best_single(g, model, selectors, depth, constants=None):
     c = constants or ScoreConstants()
     best = None
     for d, m in enumerate_descriptions(g, selectors, depth, 2):
-        pat = score_single(g, model, d, m, c)
+        pat = _score_masks(g, model, d, m, None, m, c)
         if pat is not None and (best is None or pat.sort_key() < best.sort_key()):
             best = pat
     return best
@@ -206,7 +207,7 @@ def exhaustive_best_bi(g, model, selectors, depth, constants=None):
     best = None
     for d1, m1 in descs:
         for d2, m2 in descs:
-            pat = score_bi(g, model, d1, m1, d2, m2, c)
+            pat = _score_masks(g, model, d1, m1, d2, m2, c)
             if pat is not None and (best is None or pat.sort_key() < best.sort_key()):
                 best = pat
     return best
@@ -242,9 +243,9 @@ def _reference_expand(g, selectors, min_size, desc, mask, size, seen):
 
 
 def reference_beam_search_single(g, model, selectors, cfg):
-    """The single-subgroup beam search with every candidate scored by
-    ``score_single`` and offered to the beam, one at a time: the plainly
-    correct reference for the screened search."""
+    """The single-subgroup beam search with every candidate scored from
+    its extension (``scores._score_masks``) and offered to the beam, one at
+    a time: the plainly correct reference for the screened search."""
     min_size = max(2, cfg.min_extension_size)
     rows = [(EMPTY_DESCRIPTION, np.ones(g.n, dtype=bool), g.n)]
     collected = {}
@@ -252,7 +253,7 @@ def reference_beam_search_single(g, model, selectors, cfg):
         beam, seen = Beam(cfg.beam_width), set()
         for row in rows:
             for w, m, s in _reference_expand(g, selectors, min_size, *row, seen):
-                pat = score_single(g, model, w, m, cfg.constants)
+                pat = _score_masks(g, model, w, m, None, m, cfg.constants)
                 if pat is not None:
                     beam.try_add(BeamEntry(pat.sort_key(), str(w), group=str(w),
                                            payload=(pat, m, s)))
@@ -266,8 +267,9 @@ def reference_beam_search_single(g, model, selectors, cfg):
 
 def reference_nested_beam_search(g, model, selectors, cfg):
     """The nested bi-subgroup beam search with every inner candidate scored
-    by ``score_bi`` and offered to the inner beam, one at a time: the plainly
-    correct reference for the screened search."""
+    from its extensions (``scores._score_masks``) and offered to the inner
+    beam, one at a time: the plainly correct reference for the screened
+    search."""
     def expand(desc, mask, size, seen):
         return _reference_expand(g, selectors, min_size, desc, mask, size, seen)
 
@@ -280,7 +282,7 @@ def reference_nested_beam_search(g, model, selectors, cfg):
             for z2, m2, s2 in cands:
                 if not _reference_constraints_ok(z1, z2, m1, m2, cfg):
                     continue
-                pat = score_bi(g, model, z1, m1, z2, m2, cfg.constants)
+                pat = _score_masks(g, model, z1, m1, z2, m2, cfg.constants)
                 if pat is not None:
                     inner.try_add(BeamEntry(pat.sort_key(), str(z2), group=str(z2),
                                             payload=(pat, m2, s2)))

@@ -385,6 +385,15 @@ class TestPatternUpdate:
         with pytest.raises(ValueError):
             update_with_pattern(m, FakePattern([], [1], edges=0))
 
+    def test_pattern_without_ids_rejected(self, fig_graph):
+        # score_bi and score_single score counts alone: their patterns carry
+        # no extension ids until a search or rescore attaches them
+        m = fit_density_prior(fig_graph, 0.5)
+        pat = FakePattern([0, 1], [2, 3], edges=1)
+        pat.ext1_ids = None
+        with pytest.raises(ValueError, match="no extension ids"):
+            update_with_pattern(m, pat)
+
     @pytest.mark.parametrize("ext1, ext2", [
         ([0, 1, 2, 3, 3], None),  # a repeated id would weigh its pairs twice
         ([0, 1], [2, 2, 3]),

@@ -159,6 +159,16 @@ class TestFit:
                                  "--prior", "degree", flag, value, "--mode", "single")
         assert code == 1 and out == "" and message in err
 
+    @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--beta", "inf"),
+                                             ("--alpha", "-1"), ("--beta", "0")])
+    def test_bad_score_constants_are_input_errors(self, synth_files, capsys, flag, value):
+        # --alpha nan used to exit 3 with a bare NaN in the run header, and
+        # --beta inf exited 0 with every SI 0.0
+        code, out, err = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
+                                 "--attrs", synth_files + ".attrs.csv",
+                                 "--prior", "degree", flag, value, "--mode", "bi")
+        assert code == 1 and out == "" and "finite and positive" in err
+
     def test_missing_file_exit_code(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "fit", "--edges", str(tmp_path / "no.edges"),
                                "--attrs", str(tmp_path / "no.csv"),
@@ -437,6 +447,15 @@ class TestBaselinesCmd:
                                  "--attrs", synth_files + ".attrs.csv",
                                  "--measures", "pool", "--top", "-1")
         assert code == 1 and out == "" and "--top" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_edge_surplus_alpha_rejected(self, synth_files, capsys, value):
+        # nan used to exit 0 with every edge_surplus value printed as "inf"
+        code, out, err = run_cli(capsys, "baselines", "--edges", synth_files + ".edges",
+                                 "--attrs", synth_files + ".attrs.csv",
+                                 "--measures", "edge_surplus",
+                                 "--edge-surplus-alpha", value)
+        assert code == 1 and out == "" and "edge_surplus_alpha must be finite" in err
 
     def test_unknown_measure(self, synth_files, capsys):
         code, _, err = run_cli(capsys, "baselines", "--edges", synth_files + ".edges",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelector, FitError,
                     ScoreConstants, background, fit_degree_prior, score_bi, score_single,
                     search, update_with_pattern)
+from simine.scores import _score_masks, _with_extensions
 from simine.search import _BiScreen
 
 from conftest import (brute_force_counts, class_histograms, random_graph, refiner_rows,
@@ -53,7 +54,7 @@ def test_counts_match_enumeration(seed, n, directed, counting, relation):
     c = ScoreConstants(pair_counting=counting)
     mask1, mask2 = _extensions(rng, n, relation)
 
-    pat = score_bi(g, model, W1, mask1, W2, mask2, c)
+    pat = _score_masks(g, model, W1, mask1, W2, mask2, c)
     conv = _convention(counting, False, directed)
     want = brute_force_counts(g, mask1, mask2, conv)
     if want["pair_slots"] == 0:
@@ -62,10 +63,10 @@ def test_counts_match_enumeration(seed, n, directed, counting, relation):
         assert pat.convention == conv
         assert {f: getattr(pat, f) for f in FIELDS} == want
         if not directed:  # the mirrored pattern ties exactly
-            mirror = score_bi(g, model, W2, mask2, W1, mask1, c)
+            mirror = _score_masks(g, model, W2, mask2, W1, mask1, c)
             assert (mirror.si, mirror.k_w, mirror.n_w) == (pat.si, pat.k_w, pat.n_w)
 
-    pat = score_single(g, model, W1, mask1, c)
+    pat = _score_masks(g, model, W1, mask1, None, mask1, c)
     conv = _convention(counting, True, directed)
     want = brute_force_counts(g, mask1, mask1, conv)
     if want["pair_slots"] == 0:
@@ -92,7 +93,7 @@ def test_one_row_mass_matches_batched_row(seed, directed, small_table, updates):
         for _ in range(updates):
             ext1, ext2 = _extensions(rng, n, "overlap")
             if ext1.any() and ext2.any():
-                pat = score_bi(g, model, W1, ext1, W2, ext2, ScoreConstants())
+                pat = _score_masks(g, model, W1, ext1, W2, ext2, ScoreConstants())
                 if pat is not None:
                     model = update_with_pattern(model, pat)
         assert (model._P_off is None) == (small_table and model.n_classes > 1)
@@ -133,11 +134,12 @@ def _bits(pat):
        relation=st.sampled_from(["overlap", "disjoint", "equal"]), small_table=st.booleans())
 def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, relation,
                                                 small_table):
-    # score_bi and score_single with the counts a search hands over are bit
-    # for bit the scorers that count them.  A table budget of 3 cells leaves
-    # any model with K > 1 without a class table; both orientations of each
-    # pair are scored, so the canonical swap of undirected pair sums applies
-    # to one of them
+    # score_bi and score_single fed the counts a search's screens hand over,
+    # with the extensions' ids attached as a search attaches them to what it
+    # reports, are bit for bit the mask path that counts them itself.  A
+    # table budget of 3 cells leaves any model with K > 1 without a class
+    # table; both orientations of each pair are scored, so the canonical swap
+    # of undirected pair sums applies to one of them
     with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
         rng = np.random.default_rng(seed)
         g = random_graph(seed, n=n, p=float(rng.uniform(0.1, 0.9)), directed=directed)
@@ -151,27 +153,26 @@ def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, rel
         screen = _BiScreen(g, refiner, c, False)
         for (z1, m1, r1), (z2, m2, r2) in [((W1, mask1, 0), (W2, mask2, 1)),
                                            ((W2, mask2, 1), (W1, mask1, 0))]:
-            over = m1 & m2
-            counted = score_bi(g, model, z1, m1, z2, m2, c)
-            h1, h2, h_o = screen.histograms(screen.w1_rows(rows[r1:r1 + 1]), rows,
-                                            np.zeros(1, np.int64), np.full(1, r2))
-            given_counts = score_bi(g, model, z1, m1, z2, m2, c,
-                                    edges=g.count_edges_between(m1, m2),
-                                    inside=g.count_edges_between(over, over),
-                                    hists=(h1[0], h2[0], h_o[0]), ids1=np.flatnonzero(m1))
+            counted = _score_masks(g, model, z1, m1, z2, m2, c)
+            _, _, edges, inside, h1, h2, h_o = screen_pairs(
+                screen, rows[r1:r1 + 1], rows, np.zeros(1, np.int64), np.full(1, r2),
+                np.full(1, 2))
+            given_counts = score_bi(g, model, z1, z2, (h1[0], h2[0], h_o[0]), int(edges[0]),
+                                    int(inside[0]), c)
             assert (counted is None) == (given_counts is None)
             if counted is not None:
-                assert _bits(given_counts) == _bits(counted)
+                assert given_counts.ext1_ids is None and given_counts.ext2_ids is None
+                assert _bits(_with_extensions(given_counts, g, m1, m2)) == _bits(counted)
         # single patterns: the single search hands over one class histogram
         # of the refiner's row, three times over
-        hists = refiner.class_counts(rows)
-        for z, m, h in [(W1, mask1, hists[0]), (W2, mask2, hists[1])]:
-            counted = score_single(g, model, z, m, c)
-            given_counts = score_single(g, model, z, m, c, edges=g.count_edges_between(m, m),
-                                        hists=(h, h, h))
+        hists, edges = refiner.class_counts(rows), refiner.edges_inside(rows)
+        for z, m, r in [(W1, mask1, 0), (W2, mask2, 1)]:
+            counted = _score_masks(g, model, z, m, None, m, c)
+            given_counts = score_single(g, model, z, hists[r], int(edges[r]), c)
             assert (counted is None) == (given_counts is None)
             if counted is not None:
-                assert _bits(given_counts) == _bits(counted)
+                assert given_counts.ext1_ids is None and given_counts.inter_edges is None
+                assert _bits(_with_extensions(given_counts, g, m, None)) == _bits(counted)
 
 
 def _graph_with_edges(rng, n, m, directed):

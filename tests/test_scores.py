@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from simine import (AttributedGraph, Description, ScoreConstants,
                     baseline_scores, description_length, extension,
                     fit_density_prior, fit_degree_prior, generate_selectors,
-                    information_content, kl_bernoulli, pair_universe, score_bi,
-                    score_single, score_single_counts)
+                    information_content, kl_bernoulli, pair_universe, score_single_counts)
+from simine.scores import _score_masks
 
 from conftest import brute_force_tail, exact_tail_probability, random_graph
 
@@ -73,8 +73,8 @@ class TestPairCounting:
         for s in generate_selectors(g):
             w = Description((s,))
             m = extension(w, g)
-            single = score_single(g, model, w, m, c)
-            bi = score_bi(g, model, w, m, w, m, c)
+            single = _score_masks(g, model, w, m, None, m, c)
+            bi = _score_masks(g, model, w, m, w, m, c)
             if single is None:
                 assert bi is None
                 continue
@@ -148,6 +148,13 @@ class TestDescriptionLength:
             description_length(0, None, ScoreConstants())
         with pytest.raises(ValueError):
             ScoreConstants(alpha=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_constants_must_be_finite_and_positive(self, field, value):
+        # alpha=nan used to pass, and beta=inf gave every SI 0.0
+        with pytest.raises(ValueError, match="finite and positive"):
+            ScoreConstants(**{field: value})
 
 
 class TestPrintedSIRows:
@@ -278,7 +285,7 @@ class TestBaselines:
 
 class TestScaleBehavior:
     def test_si_scales_inversely_with_dl_constants(self):
-        from simine import generate_selectors, score_single, extension, Description
+        from simine import generate_selectors, extension, Description
         g = random_graph(7, n=25)
         model = fit_degree_prior(g)
         sels = generate_selectors(g)
@@ -290,8 +297,8 @@ class TestScaleBehavior:
             m = extension(d, g)
             if m.sum() < 2:
                 continue
-            pats_base.append(score_single(g, model, d, m, base))
-            pats_scaled.append(score_single(g, model, d, m, scaled))
+            pats_base.append(_score_masks(g, model, d, m, None, m, base))
+            pats_scaled.append(_score_masks(g, model, d, m, None, m, scaled))
         for p1, p2 in zip(pats_base, pats_scaled):
             assert p2.si == pytest.approx(p1.si / 2, rel=1e-12)
         best1 = min(pats_base, key=lambda p: p.sort_key())

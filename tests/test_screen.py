@@ -1,6 +1,6 @@
-"""The batched screens of both searches against ``score_bi`` and
-``score_single``, and against the score-everything reference searches in
-``conftest``."""
+"""The batched screens of both searches against the exact scores of
+``score_bi`` and ``score_single``, and against the score-everything
+reference searches in ``conftest``."""
 
 from unittest.mock import patch
 
@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from simine import (FitError, ScoreConstants, SearchConfig, SelectorConfig, background,
                     beam_search_single, extension, fit_degree_prior, generate_selectors,
-                    iterate, score_bi, score_single, search, update_with_pattern)
+                    iterate, search, update_with_pattern)
+from simine.scores import _score_masks
 from simine.search import _BiScreen, _Refiner, _SingleScreen
 
 from conftest import (random_graph, reference_beam_search_single, reference_iterate,
@@ -25,7 +26,7 @@ def _levels(g, model, sels, min_size):
     levels, parents = [], [refiner.root]
     for _ in range(2):
         (children,), rows, sizes = refiner.expand([(parents, set(), None)])
-        parents = list(refiner.nodes(parents, children, rows, sizes))
+        parents = [refiner.node(parents, child, rows, sizes) for child in children]
         levels.append(parents)
     return refiner, levels
 
@@ -40,11 +41,25 @@ def _absorb_random(g, model, sels, c, seed, updates, min_size):
     masks = refiner.masks(np.array([nd.row for nd in nodes]))
     for _ in range(updates):
         i, j = rng.integers(0, len(nodes), size=2)
-        pat = score_bi(g, model, refiner.description(nodes[i]), masks[i],
-                       refiner.description(nodes[j]), masks[j], c)
+        pat = _score_masks(g, model, refiner.description(nodes[i]), masks[i],
+                           refiner.description(nodes[j]), masks[j], c)
         if pat is not None:
             model = update_with_pattern(model, pat)
     return model
+
+
+def _assert_extensions(g, patterns):
+    """Every pattern carries the ids of its descriptions' extensions, and a
+    single-subgroup pattern its number of crossing edges."""
+    for pat in patterns:
+        mask1 = extension(pat.w1, g)
+        np.testing.assert_array_equal(pat.ext1_ids, np.flatnonzero(mask1))
+        if pat.is_single:
+            assert pat.ext2_ids is None
+            assert pat.inter_edges == g.inter_edge_count(mask1)
+        else:
+            np.testing.assert_array_equal(pat.ext2_ids, np.flatnonzero(extension(pat.w2, g)))
+            assert pat.inter_edges is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -90,8 +105,8 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
                                                 pi, pj, lengths[pi] + lengths[pj])[:4]
         descs = [refiner.description(nd) for nd in nodes]
         for k, (i, j) in enumerate(zip(pi.tolist(), pj.tolist())):
-            pat = score_bi(g, model, descs[i], masks[i], descs[j], masks[j], c)
-            # the screen's counts are the ones score_bi counts itself
+            pat = _score_masks(g, model, descs[i], masks[i], descs[j], masks[j], c)
+            # the screen's counts are the ones the mask path counts
             assert edges[k] == g.count_edges_between(masks[i], masks[j])
             if not directed:
                 over = masks[i] & masks[j]
@@ -111,6 +126,8 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
         got = iterate(g, model, sels, cfg, rounds=2).rounds
         want = reference_iterate(g, model, sels, cfg, rounds=2)
         assert [rendered(r) for r in got] == [rendered(r) for r in want]
+        for pats in got:
+            _assert_extensions(g, pats)
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,7 +162,8 @@ def test_single_screen_matches_score_single_and_reference(seed, n, directed, cou
             edges = np.array([g.count_edges_between(m, m) for m in masks])
             si, bound = screen.scores(refiner.class_counts(rows), sizes, edges, length)
             for k, nd in enumerate(level):
-                pat = score_single(g, model, refiner.description(nd), masks[k], c)
+                pat = _score_masks(g, model, refiner.description(nd), masks[k], None, masks[k],
+                                   c)
                 err = abs(si[k] - pat.si)
                 assert err <= bound[k]
                 # 1e-12 relative, or rounding of a near-zero KL divergence
@@ -156,3 +174,4 @@ def test_single_screen_matches_score_single_and_reference(seed, n, directed, cou
         got = beam_search_single(g, model, sels, cfg)
         want = reference_beam_search_single(g, model, sels, cfg)
         assert rendered(got) == rendered(want)
+        _assert_extensions(g, got)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from simine import (MEASURE_NAMES, AttributeColumn, AttributedGraph, Beam, BeamE
                     Description, EqualsSelector, RangeSelector, ScoreConstants, SearchConfig,
                     SelectorConfig, baseline_scores, baseline_search, beam_search_single,
                     extension, fit_degree_prior, fit_density_prior, generate_selectors,
-                    iterate, nested_beam_search, rescore, score_single,
+                    iterate, nested_beam_search, rescore, score_bi, score_single, search,
                     update_with_pattern)
+from simine.scores import _score_masks
 
 from conftest import (exhaustive_best_bi, exhaustive_best_single, random_graph,
                       reference_beam_search_single, reference_iterate,
@@ -121,7 +124,7 @@ class TestSingleSearch:
             d = Description((s,))
             m = extension(d, g)
             if 2 <= m.sum() < g.n:
-                expect.append(score_single(g, model, d, m, c))
+                expect.append(_score_masks(g, model, d, m, None, m, c))
         expect.sort(key=lambda p: p.sort_key())
         assert [str(p.w1) for p in pats] == [str(p.w1) for p in expect]
         assert [p.si for p in pats] == pytest.approx([p.si for p in expect])
@@ -331,7 +334,79 @@ class TestIterate:
                     absorb=absorb)
 
 
+class TestScorerPath:
+    """The searches score every contender from counts through the names
+    ``simine.search.score_bi``/``score_single``, where a tracer that wraps
+    them from outside finds them, and decode extensions for reported
+    patterns only."""
+
+    @staticmethod
+    def _runs(g, model, sels):
+        cfg = SearchConfig(beam_width=6, x1=3, x2=3, depth=2)
+        return {
+            "nested": lambda: nested_beam_search(g, model, sels, cfg),
+            "single": lambda: beam_search_single(g, model, sels, cfg),
+            "iterate": lambda: [p for pats in iterate(g, model, sels, cfg, rounds=2).rounds
+                                for p in pats],
+        }
+
+    def test_contenders_scored_through_search_names(self, monkeypatch):
+        g = random_graph(41, n=40)
+        model = fit_degree_prior(g)
+        sels = generate_selectors(g)
+        returned = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                returned.append(fn(*args, **kwargs))
+                return returned[-1]
+            return wrapper
+
+        monkeypatch.setattr(search, "score_bi", counting(score_bi))
+        monkeypatch.setattr(search, "score_single", counting(score_single))
+        for name, run in self._runs(g, model, sels).items():
+            returned.clear()
+            pats = run()
+            assert pats, name
+            # every reported pattern is the very object a wrapped call returned
+            seen = {id(p) for p in returned}
+            assert all(id(p) in seen for p in pats), name
+
+    @pytest.mark.parametrize("fn", [score_bi, score_single])
+    def test_scorers_take_no_optional_parameters(self, fn):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params)
+
+    def test_only_reported_patterns_decoded(self, monkeypatch):
+        g = random_graph(43, n=40)
+        model = fit_degree_prior(g)
+        sels = generate_selectors(g)
+        decoded = []
+        masks = search._Refiner.masks
+
+        def counting(self, rows):
+            decoded.append(len(rows))
+            return masks(self, rows)
+
+        monkeypatch.setattr(search._Refiner, "masks", counting)
+        runs = self._runs(g, model, sels)
+        pats = runs["nested"]()
+        assert pats and sum(decoded) == 2 * len(pats) and len(decoded) == 2
+        decoded.clear()
+        pats = runs["single"]()
+        assert pats and sum(decoded) == len(pats) and len(decoded) == 1
+
+
 class TestBaselineSearch:
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_edge_surplus_alpha_rejected(self, alpha):
+        g = attr_graph(4, [(0, 1), (2, 3)], t=["a", "a", "b", "b"])
+        with pytest.raises(ValueError, match="edge_surplus_alpha"):
+            baseline_search(g, generate_selectors(g), SearchConfig(depth=1), "pool",
+                            edge_surplus_alpha=alpha)
+        with pytest.raises(ValueError, match="edge_surplus_alpha"):
+            baseline_scores(g, [0, 1], edge_surplus_alpha=alpha)
+
     def test_density_prefers_pairs(self):
         g = attr_graph(6, [(0, 1), (2, 3), (2, 4), (3, 4), (4, 5)],
                        t=["a", "a", "b", "b", "c", "c"],
