@@ -264,12 +264,12 @@ class BackgroundModel:
         return self.histogram_pair_sums(*self._histograms(rows, cols))
 
     def histogram_pair_sums(self, h_r, h_c, h_o):
-        """``pair_sums`` from the class histograms (integer or float) of the
-        rows, the columns and their intersection; ``h_o is h_r`` marks
-        columns that are the rows."""
+        """``pair_sums`` from the class histograms (integer or float, bit-equal
+        sums in any memory layout) of the rows, the columns and their
+        intersection; ``h_o is h_r`` marks columns that are the rows."""
         whole = h_o is h_r
-        h_r, h_c = np.asarray(h_r, dtype=np.float64), np.asarray(h_c, dtype=np.float64)
-        h_o = h_r if whole else np.asarray(h_o, dtype=np.float64)
+        h_r, h_c = (np.ascontiguousarray(h, dtype=np.float64) for h in (h_r, h_c))
+        h_o = h_r if whole else np.ascontiguousarray(h_o, dtype=np.float64)
         if not self.directed and not whole:
             differ = np.flatnonzero(h_r != h_c)
             if differ.size and h_r[differ[0]] < h_c[differ[0]]:
@@ -411,6 +411,8 @@ class BackgroundModel:
             raise ValueError(f"model file version {version!r} is not supported (this "
                              f"simine reads version {MODEL_VERSION}); re-run `simine fit` "
                              "to rebuild the model")
+        if not isinstance(d.get("directed"), bool):
+            raise ValueError("malformed model file: 'directed' must be true or false")
         try:
             parts = [PartitionGammas(p["attribute"], _ints(p["bins"], "bins"),
                                      list(p["bin_values"]),
@@ -420,7 +422,7 @@ class BackgroundModel:
                                   _ints(u["cols"], "update columns"),
                                   float(u["lam"]), int(u["observed"]), int(u["n_pairs"]))
                     for u in d["updates"]]
-            return cls(int(d["n"]), bool(d["directed"]), float(d["offset"]),
+            return cls(int(d["n"]), d["directed"], float(d["offset"]),
                        _ints(d["classes"], "class ids"), d["lam_row"], d["lam_col"],
                        parts, upds, prior=d["prior"], fit_info=d.get("fit_info"),
                        graph_fingerprint=d.get("graph_fingerprint"))

@@ -219,14 +219,14 @@ def _fit_model(args, g):
             raise InputError(f"model file {args.model} does not name the graph it was "
                              "fitted on; re-run `simine fit` to rebuild the model")
         try:
-            same = model.graph_fingerprint == g.fingerprint(
+            same = model.directed == g.directed and model.graph_fingerprint == g.fingerprint(
                 [p.attribute for p in model.partitions])
         except KeyError:
             same = False
         if not same:
             raise InputError(f"model file {args.model} was fitted on another graph "
-                             "(labels, edges or partition columns differ); re-run "
-                             "`simine fit` on this graph")
+                             "(direction, labels, edges or partition columns differ); "
+                             "re-run `simine fit` on this graph")
         return model
     spec = getattr(args, "prior", None)
     if not spec:

@@ -380,6 +380,8 @@ def load_graph(edge_path, attr_path, options: LoadOptions | None = None) -> Attr
     ``u v`` pair per line, with ``#`` comment lines ignored.
     """
     options = options or LoadOptions()
+    if not (isinstance(options.delimiter, str) and len(options.delimiter) == 1):
+        raise GraphFormatError(f"delimiter must be one character, got {options.delimiter!r}")
     labels, columns = _parse_attr_table(attr_path, options)
     label_to_id = {lab: i for i, lab in enumerate(labels)}
     edges = _parse_edge_lines(edge_path, label_to_id, options)

@@ -5,6 +5,8 @@ Both searches are deterministic: candidates are generated in a fixed order
 and beams break score ties by (shorter total description, lexicographic
 rendering).  The outer beam of the nested search holds up to x1*x2 scored
 (W1, W2) pairs under a hard diversity floor of x1 distinct W1 descriptions.
+Beams identify candidates, and diversity groups W1s, by description keys
+(``_Refiner``), never by rendered text.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ class SearchConfig:
 @dataclass
 class BeamEntry:
     key: tuple
-    ident: str
-    group: str
+    ident: object  # a beam holds one entry per ident
+    group: object
     payload: object
 
     def __lt__(self, other):
@@ -87,8 +89,8 @@ class Beam:
         self.capacity = capacity
         self.floor = diversity_floor
         self.entries: list[BeamEntry] = []
-        self._present: set[str] = set()
-        self._group_counts: dict[str, int] = {}
+        self._present: set = set()
+        self._group_counts: dict = {}
 
     def __len__(self):
         return len(self.entries)
@@ -406,7 +408,7 @@ def _single_engine(refiner, screen, cfg, scorer):
     entries as if every candidate had been scored and offered.
     """
     rows = [refiner.root]
-    collected: dict[str, tuple] = {}
+    collected: dict[tuple, tuple] = {}  # node key -> (result, node)
     for _ in range(cfg.depth):
         seen: set[tuple] = set()
         beam = Beam(cfg.beam_width)
@@ -425,10 +427,8 @@ def _single_engine(refiner, screen, cfg, scorer):
                 node = refiner.node([parent], children[i], stack, sizes)
                 child = refiner.description(node)
                 res = scorer(child, node, counts[i], hists[i])
-                if res is None:
-                    continue
-                name = str(child)
-                beam.try_add(BeamEntry(res.sort_key(), name, group=name, payload=(res, node)))
+                if res is not None:
+                    beam.try_add(BeamEntry(res.sort_key(), node.key, node.key, (res, node)))
         if not len(beam):
             break
         rows = [e.payload[1] for e in beam]
@@ -558,7 +558,7 @@ class _BiScreen:
         """The screen's view of a chunk of at most ``w1_step`` W1s with
         refiner rows ``rows``: the rows, the bit planes of each W1's
         neighbour counts in class order (in-neighbours in the W1 when
-        directed), its class histogram (float) and its size.  Returns
+        directed), its class histogram (int64) and its size.  Returns
         ``(rows, planes, H, sizes)``."""
         bits = self.refiner.unpack(rows)
         words = self.refiner.words
@@ -572,23 +572,22 @@ class _BiScreen:
         for b in range(planes.shape[1]):
             planes[:, b] = _pack(D & (1 << b) != 0, words)
         H = self.refiner.class_counts(rows)
-        return rows, planes, H.astype(np.float64), H.sum(axis=1)
+        return rows, planes, H, H.sum(axis=1)
 
-    def scores(self, w1, rows2, pi, pj, lengths):
+    def scores(self, w1, w2, pi, pj, lengths):
         """``(si, bound, edges, inside)`` per pair of W1 ``pi[i]`` of the
-        chunk ``w1`` (``w1_rows``) and W2 row ``pj[i]`` of the refiner rows
-        ``rows2``, whose descriptions have ``lengths[i]`` selectors together.
+        chunk ``w1`` (``w1_rows``) and W2 ``pj[i]`` of ``w2``, the refiner
+        rows of a level's W2s with their class histograms (int64) and sizes,
+        whose descriptions have ``lengths[i]`` selectors together.
         ``si`` is -inf where ``score_bi`` returns None or the pair breaks
         disjointness; ``edges`` and ``inside`` are the counts ``score_bi``
         takes.  The pairs go in blocks whose arrays hold at most ``floats``
         cells."""
         out = (np.empty(len(pi)), np.empty(len(pi)),
                np.empty(len(pi), dtype=np.int64), np.empty(len(pi), dtype=np.int64))
-        H2 = self.refiner.class_counts(rows2)
-        w2 = rows2, H2.astype(np.float64), H2.sum(axis=1)
         # cells per pair of a block's widest array; the mass core holds a few
         # arrays K wide at once, so a block takes half the budget
-        cells = max(w1[1][0].size, rows2.shape[1], self.model.n_classes + 1)
+        cells = max(w1[1][0].size, w2[0].shape[1], self.model.n_classes + 1)
         step = max(1, self.floats // (2 * cells))
         for lo in range(0, len(pi), step):
             sel = slice(lo, lo + step)
@@ -597,15 +596,14 @@ class _BiScreen:
                 column[sel] = values
         return out
 
-    def histograms(self, w1, rows2, pi, pj):
-        """``(h1, h2, h_o)``: the class histograms (int64) of W1 ``pi[i]`` of
-        the chunk ``w1``, W2 row ``pj[i]`` of ``rows2`` and their
-        intersection, one row per pair."""
-        words, counts = self.refiner.words, self.refiner.class_counts
-        R1, R2 = w1[0][pi, :words], rows2[pj, :words]
-        h1, h2 = counts(R1), counts(R2)
-        R1 &= R2
-        return h1, h2, counts(R1)
+    def overlaps(self, w1, rows2, pi, pj):
+        """The class histograms (int64) of the intersections of W1 ``pi[i]``
+        of the chunk ``w1`` and W2 row ``pj[i]`` of ``rows2``, one row per
+        pair."""
+        words = self.refiner.words
+        over = w1[0][pi, :words]
+        over &= rows2[pj, :words]
+        return self.refiner.class_counts(over)
 
     def _block(self, w1, w2, i, j, lengths):
         """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block."""
@@ -620,7 +618,8 @@ class _BiScreen:
         H_o = self.refiner.class_counts(over)
         o = H_o.sum(axis=1)
         a, b = a[i], b[j]
-        ordered, overlap = self.model.pair_sums_many(H1[i], H2[j], H_o.astype(np.float64))
+        ordered, overlap = self.model.pair_sums_many(
+            *(h.astype(np.float64) for h in (H1[i], H2[j], H_o)))
         # edge orientations (u in W1, v in W2), ordered edges when directed;
         # an undirected edge inside W1 and W2 has both orientations counted
         X = P1[i]
@@ -676,10 +675,10 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
                    for child in children[lo:lo + screen.w1_step]]
             inner = _inner_searches(g, model, refiner, screen, cfg, w1s,
                                     rows[lo:lo + screen.w1_step])
-            for w1, found in zip(w1s, inner):
-                for pat, w2 in found:
-                    outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
-                                            group=str(pat.w1), payload=(pat, w1, w2)))
+            for w1, beam in zip(w1s, inner):
+                for e in beam:
+                    pat, w2 = e.payload
+                    outer.try_add(BeamEntry(e.key, (w1.key, w2.key), w1.key, (pat, w1, w2)))
     if not outer.entries:
         log.warning("nested search produced no admissible (W1, W2) candidate "
                     "under the active constraints")
@@ -695,7 +694,7 @@ def _admit(cfg, refiner, z1, beam):
     """The inner search's ``admit`` for one W1 and its inner beam: a W2
     not in the beam yet, that meets the shared-attribute constraint when it
     is on."""
-    present = {e.payload[1].key for e in beam}
+    present = {e.ident for e in beam}
     if not cfg.require_shared_attribute:
         return lambda parent, j, key: key not in present
     # a W2 meets the constraint when one of its selectors differs from W1's
@@ -708,8 +707,8 @@ def _admit(cfg, refiner, z1, beam):
 
 def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
     """The inner beam searches of the W1 nodes ``w1s`` (refiner rows
-    ``rows1``), in lockstep; returns each W1's surviving ``(pattern, W2
-    node)`` pairs."""
+    ``rows1``), in lockstep; returns each W1's final inner beam, whose
+    entries hold ``(pattern, W2 node)``."""
     z1s = [refiner.description(w1) for w1 in w1s]
     len1 = np.array([len(w1.sels) for w1 in w1s], dtype=np.int64)
     chunk = screen.w1_rows(rows1)
@@ -722,30 +721,24 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
         pj = np.array([row for ch in children for _, _, _, row in ch], dtype=np.int64)
         lengths = len1[pi] + np.array([len(key) for ch in children for _, _, key, _ in ch],
                                       dtype=np.int64)
-        si, bound, edges, inside = screen.scores(chunk, rows2, pi, pj, lengths)
+        H2 = refiner.class_counts(rows2)
+        si, bound, edges, inside = screen.scores(chunk, (rows2, H2, sizes2), pi, pj, lengths)
         starts = np.cumsum([0] + [len(ch) for ch in children]).tolist()
-        picks = []
-        for beam, lo, hi in zip(beams, starts, starts[1:]):
-            picks.append(lo + _contenders(si[lo:hi], bound[lo:hi],
-                                          [e.payload[0].si for e in beam], cfg.x2))
-        # the exact class histograms of every contender of the level at once
-        picked = np.concatenate(picks)
-        h1, h2, h_o = screen.histograms(chunk, rows2, pi[picked], pj[picked])
-        k = 0
-        for w, (beam, parents, ch, lo, pick) in enumerate(zip(beams, rows, children, starts,
-                                                               picks)):
-            for at in pick.tolist():
-                node = refiner.node(parents, ch[at - lo], rows2, sizes2)
-                z2 = refiner.description(node)
-                pat = score_bi(g, model, z1s[w], z2, (h1[k], h2[k], h_o[k]), int(edges[at]),
-                               int(inside[at]), cfg.constants)
-                k += 1
-                if pat is None:
-                    continue
-                name = str(z2)
-                beam.try_add(BeamEntry(pat.sort_key(), name, group=name, payload=(pat, node)))
+        # the contenders of every W1, W1 by W1, and their overlap histograms
+        picked = np.concatenate([
+            lo + _contenders(si[lo:hi], bound[lo:hi], [e.payload[0].si for e in beam], cfg.x2)
+            for beam, lo, hi in zip(beams, starts, starts[1:])])
+        h_o = screen.overlaps(chunk, rows2, pi[picked], pj[picked])
+        for k, at in enumerate(picked.tolist()):
+            w = int(pi[at])
+            node = refiner.node(rows[w], children[w][at - starts[w]], rows2, sizes2)
+            pat = score_bi(g, model, z1s[w], refiner.description(node),
+                           (chunk[2][w], H2[pj[at]], h_o[k]), int(edges[at]), int(inside[at]),
+                           cfg.constants)
+            if pat is not None:
+                beams[w].try_add(BeamEntry(pat.sort_key(), node.key, node.key, (pat, node)))
         rows = [[e.payload[1] for e in beam] for beam in beams]
-    return [[e.payload for e in beam] for beam in beams]
+    return beams
 
 
 # -- iterative mining ---------------------------------------------------------------

@@ -130,15 +130,18 @@ def screen_pairs(screen, rows1, rows2, pi, pj, lengths):
     """The nested search's screen ``screen`` over the pairs (W1 ``pi[k]`` of
     the refiner rows ``rows1``, W2 ``pj[k]`` of ``rows2``), called as the
     search calls it, a chunk of ``w1_step`` W1s at a time: ``(si, bound,
-    edges, inside)`` of ``scores`` and ``(h1, h2, h_o)`` of ``histograms``,
-    one entry per pair."""
+    edges, inside)`` of ``scores`` and the class histograms ``(h1, h2, h_o)``
+    that ``score_bi`` gets, one entry per pair."""
+    H2 = screen.refiner.class_counts(rows2)
+    w2 = rows2, H2, H2.sum(axis=1)
     parts, at = [], []
     for i0 in range(0, len(rows1), screen.w1_step):
         sel = np.flatnonzero((pi >= i0) & (pi < i0 + screen.w1_step))
         if sel.size:
             chunk = screen.w1_rows(rows1[i0:i0 + screen.w1_step])
-            parts.append(screen.scores(chunk, rows2, pi[sel] - i0, pj[sel], lengths[sel])
-                         + screen.histograms(chunk, rows2, pi[sel] - i0, pj[sel]))
+            parts.append(screen.scores(chunk, w2, pi[sel] - i0, pj[sel], lengths[sel])
+                         + (chunk[2][pi[sel] - i0], H2[pj[sel]],
+                            screen.overlaps(chunk, rows2, pi[sel] - i0, pj[sel])))
             at.append(sel)
     at = np.concatenate(at)
     out = []
@@ -303,7 +306,7 @@ def reference_nested_beam_search(g, model, selectors, cfg):
             for z1, m1, s1 in expand(*row, seen1):
                 w1_rows.setdefault(str(z1), (z1, m1, s1))
                 for pat in inner_search(z1, m1):
-                    outer.try_add(BeamEntry(pat.sort_key(), pat.render(),
+                    outer.try_add(BeamEntry(pat.sort_key(), (str(pat.w1), str(pat.w2)),
                                             group=str(pat.w1), payload=pat))
     return [e.payload for e in outer.entries]
 

@@ -493,6 +493,9 @@ class TestSerialization:
         (lambda b: _move_to_other_bin(b, _shared_class_member(b)),
          "differ within a vertex class"),
         (lambda b: b.pop("classes"), "malformed model file"),
+        (lambda b: b.update(directed="false"), "'directed' must be true or false"),
+        (lambda b: b.update(directed=0), "'directed' must be true or false"),
+        (lambda b: b.pop("directed"), "'directed' must be true or false"),
     ])
     def test_malformed_file_rejected(self, corrupt, message):
         blob = self._blob()

@@ -347,6 +347,26 @@ class TestMine:
         assert code == 1 and out == ""
         assert "does not name the graph" in err and "re-run `simine fit`" in err
 
+    @pytest.mark.parametrize("directed, message", [("false", "'directed' must be true or false"),
+                                                   (True, "another graph")])
+    def test_model_direction_checked(self, synth_files, tmp_path, capsys, directed, message):
+        code, out, err = self._fit_then_mine(
+            capsys, synth_files, synth_files, tmp_path / "m.json",
+            edit=lambda blob: blob.update(directed=directed))
+        assert code == 1 and out == "" and message in err
+
+    @pytest.mark.parametrize("delimiter", ["", ",,"])
+    def test_bad_delimiter_is_input_error(self, synth_files, tmp_path, capsys, delimiter):
+        data = ["--edges", synth_files + ".edges", "--attrs", synth_files + ".attrs.csv"]
+        code, out, err = run_cli(capsys, "mine", *data, "--prior", "degree",
+                                 "--delimiter", delimiter)
+        assert code == 1 and out == "" and "delimiter must be one character" in err
+        cfg = tmp_path / "delim.cfg"
+        cfg.write_text(f"delimiter={delimiter}\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "mine", *data,
+                                 "--prior", "degree")
+        assert code == 1 and out == "" and "delimiter must be one character" in err
+
     def test_table_goes_to_stderr(self, synth_files, capsys):
         code, out, err = run_cli(capsys, "mine", "--edges", synth_files + ".edges",
                                  "--attrs", synth_files + ".attrs.csv",

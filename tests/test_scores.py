@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from simine import (AttributedGraph, Description, ScoreConstants,
                     baseline_scores, description_length, extension,
                     fit_density_prior, fit_degree_prior, generate_selectors,
-                    information_content, kl_bernoulli, pair_universe, score_single_counts)
+                    information_content, kl_bernoulli, pair_universe, parse_description,
+                    rescore, score_bi, score_single, score_single_counts)
 from simine.scores import _score_masks
 
 from conftest import brute_force_tail, exact_tail_probability, random_graph
@@ -176,6 +177,33 @@ class TestPrintedSIRows:
         ordered = score_single_counts(size=78, edges=96, expected_edges=8.929)
         unordered = score_single_counts(size=78, edges=96, expected_edges=8.929, c=c)
         assert unordered["si"] == pytest.approx(ordered["si"] / 2, rel=1e-12)
+
+
+class TestHistogramLayout:
+    """Exact SIs read the values of the class histograms, not their memory
+    layout: strided float, contiguous float and int64 histograms score alike,
+    bit for bit, and as ``rescore`` does."""
+
+    @pytest.mark.parametrize("directed,seed,pair", [(False, 3, ("a=v0", "b=v0")),
+                                                    (True, 0, ("a=v0", "b=v2"))])
+    def test_layouts_score_as_rescore(self, directed, seed, pair):
+        g = random_graph(seed, n=60, attrs=(("a", 3), ("b", 3), ("c", 4)), directed=directed)
+        model = fit_degree_prior(g)
+        c = ScoreConstants()
+        d1, d2 = (parse_description(text) for text in pair)
+        m1, m2 = extension(d1, g), extension(d2, g)
+        # both bi patterns of the pair, each side's mirror, and both singles
+        for w1, w2, x1, x2 in [(d1, d2, m1, m2), (d2, d1, m2, m1), (d1, None, m1, m1),
+                               (d2, None, m2, m2)]:
+            hists = model._histograms(np.flatnonzero(x1), np.flatnonzero(x2))
+            layouts = [hists, tuple(h.astype(np.int64) for h in hists),
+                       tuple(np.stack(hists, axis=1).T)]  # columns of one array
+            assert not layouts[2][0].flags.c_contiguous
+            over = x1 & x2
+            edges, inside = g.count_edges_between(x1, x2), g.count_edges_between(over, over)
+            sis = [(score_single(g, model, w1, h[0], edges, c) if w2 is None
+                    else score_bi(g, model, w1, w2, h, edges, inside, c)).si for h in layouts]
+            assert sis == [rescore(g, model, w1, w2, c).si] * 3, (str(w1), str(w2))
 
 
 class TestExactTail:

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,24 @@ class TestNestedSearch:
         b = [(p.render(), p.si) for p in nested_beam_search(g, model, sels, cfg)]
         assert a == b
 
+    def test_separator_in_values_keeps_both_patterns(self):
+        # "a=x || b=y ‖ c=z" and "a=x ‖ b=y || c=z" render alike as
+        # "W1 || W2"; a beam with room for every pair keeps both
+        rng = np.random.default_rng(0)
+        n = 40
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+        g = attr_graph(n, edges, a=[["x", "x || b=y", "u"][i % 3] for i in range(n)],
+                       b=[["y", "y || c=z", "v"][i // 3 % 3] for i in range(n)],
+                       c=[["z", "w"][i // 9 % 2] for i in range(n)])
+        model = fit_density_prior(g, 0.15)
+        sels = generate_selectors(g)
+        cfg = SearchConfig(x1=20, x2=20, depth=1)
+        pats = nested_beam_search(g, model, sels, cfg)
+        pairs = {(str(p.w1), str(p.w2)) for p in pats}
+        assert {("a=x || b=y", "c=z"), ("a=x", "b=y || c=z")} <= pairs
+        assert len(pairs) == len(pats) == len(sels) ** 2
+        assert rendered(pats) == rendered(reference_nested_beam_search(g, model, sels, cfg))
+
 
 @pytest.mark.parametrize("case", ["edgeless", "one-edge", "no-selectors", "n=63", "n=64",
                                   "n=65"])
@@ -395,6 +414,91 @@ class TestScorerPath:
         decoded.clear()
         pats = runs["single"]()
         assert pats and sum(decoded) == len(pats) and len(decoded) == 1
+
+    def test_descriptions_rendered_per_score_and_report(self, monkeypatch):
+        # the searches identify candidates by node keys: a scored pattern
+        # renders its descriptions once, for its sort key, and a reported
+        # one at most once more
+        g = random_graph(41, n=40)
+        model = fit_degree_prior(g)
+        sels = generate_selectors(g)
+        scored, renders = [], []
+        to_str = Description.__str__
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                scored.append(1)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def counting_str(self):
+            renders.append(1)
+            return to_str(self)
+
+        monkeypatch.setattr(search, "score_bi", counting(score_bi))
+        monkeypatch.setattr(search, "score_single", counting(score_single))
+        monkeypatch.setattr(Description, "__str__", counting_str)
+        for name, run in self._runs(g, model, sels).items():
+            scored.clear()
+            renders.clear()
+            pats = run()
+            assert pats and scored, name
+            assert len(renders) <= 2 * len(scored) + 2 * len(pats), name
+
+    def test_beam_entries_take_no_rendered_string(self):
+        calls = re.findall(r"BeamEntry\((.*)", inspect.getsource(search))
+        assert calls
+        assert not any("str(" in call or "render(" in call for call in calls)
+
+    def test_class_histograms_counted_once(self, monkeypatch):
+        # each chunk counts its W1 rows once and each inner level its W2 rows
+        # once; the screen counts one overlap row per screened pair, and the
+        # exact scores one more per contender
+        g = random_graph(47, n=40)
+        model = fit_degree_prior(g)
+        sels = generate_selectors(g)
+        Screen, class_counts = search._BiScreen, search._Refiner.class_counts
+        phase, counted, offered, scored = [None], [], [], []
+
+        def counting(self, rows):
+            counted.append((phase[0], len(rows)))
+            return class_counts(self, rows)
+
+        def in_phase(name, fn, rows_of):
+            def wrapper(*args):
+                offered.append((name, rows_of(*args)))
+                phase[0] = name
+                try:
+                    return fn(*args)
+                finally:
+                    phase[0] = None
+            return wrapper
+
+        def scoring(*args):
+            scored.append(1)
+            return score_bi(*args)
+
+        monkeypatch.setattr(search._Refiner, "class_counts", counting)
+        monkeypatch.setattr(Screen, "w1_rows",
+                            in_phase("w1", Screen.w1_rows, lambda _, rows: len(rows)))
+        monkeypatch.setattr(Screen, "scores", in_phase(
+            "screen", Screen.scores, lambda _, w1, w2, pi, pj, lengths: (len(w2[0]), len(pi))))
+        monkeypatch.setattr(Screen, "overlaps", in_phase(
+            "overlaps", Screen.overlaps, lambda _, w1, rows2, pi, pj: len(pi)))
+        monkeypatch.setattr(search, "score_bi", scoring)
+        assert nested_beam_search(g, model, sels, SearchConfig(x1=3, x2=3, depth=2))
+
+        def rows(name, of=lambda r: r):
+            return [of(r) for n, r in offered if n == name]
+
+        def counts(name):
+            return sum(r for n, r in counted if n == name)
+
+        # the W2 rows of each inner level, counted once by the level itself
+        assert [r for n, r in counted if n is None] == rows("screen", lambda r: r[0])
+        assert counts("w1") == sum(rows("w1")) > 0
+        assert counts("screen") == sum(rows("screen", lambda r: r[1]))
+        assert counts("overlaps") == sum(rows("overlaps")) == len(scored) > 0
 
 
 class TestBaselineSearch:
