@@ -415,18 +415,21 @@ class BackgroundModel:
             raise ValueError("malformed model file: 'directed' must be true or false")
         try:
             parts = [PartitionGammas(p["attribute"], _ints(p["bins"], "bins"),
-                                     list(p["bin_values"]),
-                                     np.asarray(p["gammas"], dtype=np.float64))
+                                     list(p["bin_values"]), _floats(p["gammas"], "gammas"))
                      for p in d["partitions"]]
             upds = [PatternUpdate(_ints(u["rows"], "update rows"),
                                   _ints(u["cols"], "update columns"),
-                                  float(u["lam"]), int(u["observed"]), int(u["n_pairs"]))
+                                  float(_number(u["lam"], "lam")),
+                                  _number(u["observed"], "observed", (int,)),
+                                  _number(u["n_pairs"], "n_pairs", (int,)))
                     for u in d["updates"]]
-            return cls(int(d["n"]), d["directed"], float(d["offset"]),
-                       _ints(d["classes"], "class ids"), d["lam_row"], d["lam_col"],
-                       parts, upds, prior=d["prior"], fit_info=d.get("fit_info"),
+            lam_col = None if d["lam_col"] is None else _floats(d["lam_col"], "lam_col")
+            return cls(_number(d["n"], "n", (int,)), d["directed"],
+                       _number(d["offset"], "offset"),
+                       _ints(d["classes"], "class ids"), _floats(d["lam_row"], "lam_row"),
+                       lam_col, parts, upds, prior=d["prior"], fit_info=d.get("fit_info"),
                        graph_fingerprint=d.get("graph_fingerprint"))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed model file: {exc!r}") from None
 
     def save(self, path):
@@ -446,10 +449,28 @@ def _present(H):
 
 
 def _ints(values, what):
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
+    """Nested lists of a model file's JSON integers (not booleans) as int64."""
+    arr = np.asarray(values, dtype=object)
+    if not all(type(x) is int for x in arr.flat):
         raise ValueError(f"{what} must be integers")
     return arr.astype(np.int64)
+
+
+def _number(value, what, types=(int, float)):
+    """A model file's JSON number, of one of ``types``; a boolean or a string
+    is malformed."""
+    if type(value) not in types:
+        kind = "integer" if types == (int,) else "number"
+        raise ValueError(f"malformed model file: {what} must be a JSON {kind}, got {value!r}")
+    return value
+
+
+def _floats(values, what):
+    """Nested lists of a model file's JSON numbers as float64."""
+    arr = np.asarray(values, dtype=object)
+    for x in arr.flat:
+        _number(x, what)
+    return arr.astype(np.float64)
 
 
 # -- priors -------------------------------------------------------------------

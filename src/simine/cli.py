@@ -62,21 +62,24 @@ def _add_score_args(p):
                    choices=["auto", "ordered", "unordered"])
 
 
-def _add_search_args(p):
+def _add_search_args(p, nested):
     p.add_argument("--width", type=int, default=20, help="single-subgroup beam width")
+    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--min-size", type=int, default=1)
+    if not nested:
+        return
     p.add_argument("--x1", type=int, default=8, help="outer diversity floor")
     p.add_argument("--x2", type=int, default=6, help="inner beam width")
-    p.add_argument("--depth", type=int, default=2)
     p.add_argument("--shared-attr", action="store_true",
                    help="require one shared attribute with different values")
     p.add_argument("--disjoint", action="store_true",
                    help="require disjoint extensions")
-    p.add_argument("--min-size", type=int, default=1)
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that keeps its own map from destination to action,
-    so a config file value can be typed by the action of its flag."""
+    so a config file value can be typed by the action of its flag, and whose
+    usage errors are input errors."""
 
     def __init__(self, *args, **kwargs):
         self.flags = {}
@@ -86,6 +89,9 @@ class _Parser(argparse.ArgumentParser):
         action = super().add_argument(*args, **kwargs)
         self.flags[action.dest] = action
         return action
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def build_parser():
@@ -108,7 +114,7 @@ def build_parser():
     _add_data_args(p)
     _add_model_args(p)
     _add_score_args(p)
-    _add_search_args(p)
+    _add_search_args(p, nested=True)
     p.add_argument("--mode", default="bi", help="single | bi | iterate:<rounds>")
     p.add_argument("--absorb", type=int, default=1,
                    help="patterns absorbed per iterate round (>= 1)")
@@ -118,8 +124,7 @@ def build_parser():
 
     p = sub.add_parser("baselines", help="rank subgroups by objective measures")
     _add_data_args(p)
-    _add_score_args(p)
-    _add_search_args(p)
+    _add_search_args(p, nested=False)
     p.add_argument("--measures", default=",".join(MEASURE_NAMES))
     p.add_argument("--edge-surplus-alpha", type=float, default=1.0 / 3.0)
     p.add_argument("--top", type=int, default=4)
@@ -190,7 +195,7 @@ def _config_defaults(parser, path, pairs):
 
 def _apply_config_file(parser, commands, argv):
     """Pre-scan for --config and install its key=value pairs as defaults."""
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
     if not known.config:
@@ -391,7 +396,7 @@ def cmd_baselines(args):
     _check_top(args)
     g = _load_graph(args)
     selectors = generate_selectors(g, SelectorConfig(numeric_bins=args.numeric_bins))
-    cfg = _search_config(args)
+    cfg = SearchConfig(beam_width=args.width, depth=args.depth, min_extension_size=args.min_size)
     measures = [m for m in args.measures.split(",") if m]
     for m in measures:
         if m not in MEASURE_NAMES:

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -312,7 +313,8 @@ def _parse_attr_table(path, options: LoadOptions):
             cells[j].append(tok.strip())
     labels = cells[id_idx]
     if len(set(labels)) != len(labels):
-        dup = next(lab for lab in labels if labels.count(lab) > 1)
+        counts = Counter(labels)
+        dup = next(lab for lab in labels if counts[lab] > 1)
         raise GraphFormatError(f"duplicate vertex id {dup!r} in attribute file")
 
     columns = []

@@ -276,14 +276,14 @@ class _Refiner:
             ok = (size >= self.min_size) & (size != parent.size)
             js = free[ok].tolist()
             hit = self._cache[parent.key] = (
-                js, [tuple(sorted(parent.key + (self.rid[j],))) for j in js], size[ok])
+                js, [tuple(sorted(parent.key + (self.rid[j],))) for j in js], size[ok].tolist())
         return hit
 
     def expand(self, groups):
         """Admissible refinements of groups of parents.  A group is
         ``(parents, seen, admit)``: the refinements of its parents, parent by
         parent and each parent's in selector order, whose keys are not in
-        ``seen`` yet and that ``admit(parent, selector position, key)``
+        ``seen`` yet and that ``admit(parent, selector position)``
         accepts when it is not None; a child it rejects still joins ``seen``.
 
         Returns ``(children, rows, sizes)``: per group, ``(parent position,
@@ -292,38 +292,30 @@ class _Refiner:
         with equal keys share one row, so with a single group row i is
         child i."""
         children = [[] for _ in groups]
-        visits = []  # (parent, selectors of its children newly stacked, their sizes)
         rows: dict[tuple, int] = {}  # child key -> row of the stack
+        js_new, sizes, starts = [], [], []  # per stacked row; (parent, its first row)
         for out, (parents, seen, admit) in zip(children, groups):
             for p, parent in enumerate(parents):
-                js, keys, size = self._children(parent)
-                take = []
-                for r, key in enumerate(keys):
+                starts.append((parent, len(rows)))
+                for j, key, size in zip(*self._children(parent)):
                     if key in seen:
                         continue
                     seen.add(key)
-                    if admit is not None and not admit(parent, js[r], key):
+                    if admit is not None and not admit(parent, j):
                         continue
                     row = rows.get(key)
                     if row is None:
                         row = rows[key] = len(rows)
-                        take.append(r)
-                    out.append((p, js[r], key, row))
-                if take:
-                    visits.append((parent, [js[r] for r in take], size[take]))
-        # the rows one parent visit adds are consecutive: gather its
-        # selectors' rows straight into the stack and AND the parent in
-        stack = np.empty((len(rows), self.rows.shape[1]), dtype="<u8")
-        sizes = np.empty(len(rows), dtype=np.int64)
-        lo = 0
-        for parent, js, size in visits:
-            block = stack[lo:lo + len(js)]
-            # rows are in range; "clip" lets take write to the stack without a buffer
-            np.take(self.rows, js, axis=0, out=block, mode="clip")
-            block &= parent.row
-            sizes[lo:lo + len(js)] = size
-            lo += len(js)
-        return children, stack, sizes
+                        js_new.append(j)
+                        sizes.append(size)
+                    out.append((p, j, key, row))
+        # the rows one parent visit adds are consecutive: gather every
+        # selector row at once, then AND each parent into its block
+        stack = self.rows[js_new]
+        ends = [lo for _, lo in starts[1:]] + [len(rows)]
+        for (parent, lo), hi in zip(starts, ends):
+            stack[lo:hi] &= parent.row
+        return children, stack, np.array(sizes, dtype=np.int64)
 
     def node(self, parents, child, rows, sizes) -> _Node:
         """The child's node; it holds a copy of its row, so a node kept in a
@@ -648,9 +640,10 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     entries spanning at least x1 distinct W1 descriptions.
 
     The inner searches of the W1s refined at one outer level run in
-    lockstep, one screen chunk of W1s at a time: each inner level expands
-    the inner beam of every W1 of the chunk, and the level's (W1, W2) pairs
-    are screened in one batch (``_BiScreen``).  Per W1, only the candidates
+    lockstep, one screen chunk of W1s at a time: each inner level refines,
+    per W1 of the chunk, the W2s its previous level added (see
+    ``_inner_searches``), and the level's (W1, W2) pairs are screened in one
+    batch (``_BiScreen``).  Per W1, only the candidates
     whose screening SI could place them in its inner beam are scored by
     ``score_bi``, with the screen's edge counts and class histograms, and
     offered to it.  An inner beam has no diversity floor and a strict total
@@ -664,7 +657,9 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     screen = _BiScreen(g, refiner, cfg.constants, cfg.require_disjoint_extensions)
     outer = Beam(cfg.x1 * cfg.x2, diversity_floor=cfg.x1)
     for depth in range(cfg.depth):
-        # the root, then the outer beam's distinct W1 nodes (one per W1) in beam order
+        # the root, then the outer beam's distinct W1 nodes in beam order, old
+        # ones too: once a W1's group has left the beam, every entry is
+        # evictable, so the floor may take a re-offered pair it refused before
         frontier = (list(dict.fromkeys(e.payload[1] for e in outer.entries)) if depth
                     else [refiner.root])
         (children,), rows, sizes = refiner.expand([(frontier, set(), None)])
@@ -690,33 +685,34 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
             for e, m1, m2 in zip(outer.entries, masks1, masks2)]
 
 
-def _admit(cfg, refiner, z1, beam):
-    """The inner search's ``admit`` for one W1 and its inner beam: a W2
-    not in the beam yet, that meets the shared-attribute constraint when it
-    is on."""
-    present = {e.ident for e in beam}
+def _admit(cfg, refiner, z1):
+    """The inner search's ``admit`` for one W1: None unless the
+    shared-attribute constraint is on, and then a W2 meets it when one of
+    its selectors differs from W1's selector on the same attribute."""
     if not cfg.require_shared_attribute:
-        return lambda parent, j, key: key not in present
-    # a W2 meets the constraint when one of its selectors differs from W1's
-    # selector on the same attribute
+        return None
     on_w1 = {s.attribute: s for s in z1.selectors}
     differs = [s.attribute in on_w1 and s != on_w1[s.attribute] for s in refiner.selectors]
-    return lambda parent, j, key: key not in present and (
-        differs[j] or any(differs[k] for k in parent.sels))
+    return lambda parent, j: differs[j] or any(differs[k] for k in parent.sels)
 
 
 def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
     """The inner beam searches of the W1 nodes ``w1s`` (refiner rows
     ``rows1``), in lockstep; returns each W1's final inner beam, whose
-    entries hold ``(pattern, W2 node)``."""
+    entries hold ``(pattern, W2 node)``.  Level l refines only the W2s that
+    level l - 1 added, the beam's entries of l - 1 selectors.  That is exact:
+    an inner beam has no diversity floor and a strict total order, so its
+    entry bar only rises, and a W2 screened out or rejected at one level
+    could not enter at a later one."""
     z1s = [refiner.description(w1) for w1 in w1s]
+    admits = [_admit(cfg, refiner, z1) for z1 in z1s]
     len1 = np.array([len(w1.sels) for w1 in w1s], dtype=np.int64)
     chunk = screen.w1_rows(rows1)
     beams = [Beam(cfg.x2) for _ in w1s]
     rows = [[refiner.root] for _ in w1s]
-    for _ in range(cfg.depth):
+    for level in range(1, cfg.depth + 1):
         children, rows2, sizes2 = refiner.expand(
-            [(r, set(), _admit(cfg, refiner, z1, beam)) for r, z1, beam in zip(rows, z1s, beams)])
+            [(r, set(), admit) for r, admit in zip(rows, admits)])
         pi = np.repeat(np.arange(len(w1s)), [len(ch) for ch in children])
         pj = np.array([row for ch in children for _, _, _, row in ch], dtype=np.int64)
         lengths = len1[pi] + np.array([len(key) for ch in children for _, _, key, _ in ch],
@@ -737,7 +733,7 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
                            cfg.constants)
             if pat is not None:
                 beams[w].try_add(BeamEntry(pat.sort_key(), node.key, node.key, (pat, node)))
-        rows = [[e.payload[1] for e in beam] for beam in beams]
+        rows = [[e.payload[1] for e in beam if len(e.payload[1].sels) == level] for beam in beams]
     return beams
 
 

@@ -253,16 +253,16 @@ class TestBlockPrior:
         assert dense_p(m, 0, 5) < 1e-6
         assert dense_p(m, 0, 1) == pytest.approx(1.0, abs=1e-5)
 
-    def test_block_residuals(self):
-        g = random_graph(21, n=50, attrs=(("grp", 3), ("b", 2)))
-        m = fit_block_prior(g, ["grp"], with_degrees=True, tol=1e-5)
-        bins = m.partitions[0].bins
+    @staticmethod
+    def assert_block_residuals(g, m):
+        """Expected degrees and per-bin-pair edge counts equal the observed."""
+        bins, k = m.partitions[0].bins, len(m.partitions[0].bin_values)
         ids = np.arange(g.n)
         p = dense_probabilities(m, ids, ids)
         np.fill_diagonal(p, 0.0)
         assert np.max(np.abs(p.sum(axis=1) - g.degrees())) <= 1e-5
-        for b1 in range(3):
-            for b2 in range(b1, 3):
+        for b1 in range(k):
+            for b2 in range(b1, k):
                 i1, i2 = np.flatnonzero(bins == b1), np.flatnonzero(bins == b2)
                 if b1 == b2:
                     exp = p[np.ix_(i1, i1)].sum() / 2
@@ -270,6 +270,25 @@ class TestBlockPrior:
                     exp = p[np.ix_(i1, i2)].sum()
                 obs = g.count_edges_between(g.as_mask(i1), g.as_mask(i2))
                 assert exp == pytest.approx(obs, abs=1e-5 * max(1, obs) + 1e-5)
+
+    def test_block_residuals(self):
+        g = random_graph(21, n=50, attrs=(("grp", 3), ("b", 2)))
+        self.assert_block_residuals(g, fit_block_prior(g, ["grp"], with_degrees=True,
+                                                       tol=1e-5))
+
+    def test_missing_values_form_their_own_bin(self):
+        # vertices without a value share the last bin, "∅missing", which is
+        # fitted like any other
+        g = random_graph(21, n=50, attrs=(("b", 2),))
+        rng = np.random.default_rng(3)
+        grp = [None if x == 3 else f"v{x}" for x in rng.integers(0, 4, size=g.n)]
+        g = AttributedGraph(g.n, g.edges, columns=[AttributeColumn("grp", "nominal", grp)])
+        m = fit_block_prior(g, ["grp"], with_degrees=True, tol=1e-5)
+        part = m.partitions[0]
+        assert part.bin_values == ["v0", "v1", "v2", "∅missing"]
+        missing = g.column("grp").missing_mask()
+        assert missing.any() and np.array_equal(part.bins == 3, missing)
+        self.assert_block_residuals(g, m)
 
     def test_multiple_partitions_jointly(self):
         g = random_graph(5, n=40, attrs=(("p1", 2), ("p2", 3)))
@@ -496,6 +515,32 @@ class TestSerialization:
         (lambda b: b.update(directed="false"), "'directed' must be true or false"),
         (lambda b: b.update(directed=0), "'directed' must be true or false"),
         (lambda b: b.pop("directed"), "'directed' must be true or false"),
+        # every number must have its JSON type: counts and ids are integers,
+        # the multipliers numbers, and neither is a boolean or a string
+        (lambda b: b.update(n=20.7), "n must be a JSON integer"),
+        (lambda b: b.update(n="20"), "n must be a JSON integer"),
+        (lambda b: b.update(n=True), "n must be a JSON integer"),
+        (lambda b: b.update(offset="0.5"), "offset must be a JSON number"),
+        (lambda b: b.update(offset=True), "offset must be a JSON number"),
+        (lambda b: b.update(offset=[0.5]), "offset must be a JSON number"),
+        (lambda b: b.update(lam_row=[str(x) for x in b["lam_row"]]),
+         "lam_row must be a JSON number"),
+        (lambda b: b.update(lam_row=None), "lam_row must be a JSON number"),
+        (lambda b: b.update(lam_col=[False] * len(b["lam_row"])),
+         "lam_col must be a JSON number"),
+        (lambda b: b["partitions"][0].update(
+            gammas=[[x > 0 for x in row] for row in b["partitions"][0]["gammas"]]),
+         "gammas must be a JSON number"),
+        (lambda b: b["partitions"][0]["gammas"][0].__setitem__(0, True),
+         "gammas must be a JSON number"),
+        (lambda b: b["updates"][0].update(lam="1.5"), "lam must be a JSON number"),
+        (lambda b: b["updates"][0].update(observed=9.0), "observed must be a JSON integer"),
+        (lambda b: b["updates"][0].update(observed=True), "observed must be a JSON integer"),
+        (lambda b: b["updates"][0].update(n_pairs="48"), "n_pairs must be a JSON integer"),
+        (lambda b: b["classes"].__setitem__(0, True), "class ids must be integers"),
+        (lambda b: b["partitions"][0]["bins"].__setitem__(0, False), "bins must be integers"),
+        (lambda b: b["updates"][0]["rows"].__setitem__(0, "0"), "update rows must be integers"),
+        (lambda b: b["updates"][0]["cols"].__setitem__(0, 2 ** 70), "malformed model file"),
     ])
     def test_malformed_file_rejected(self, corrupt, message):
         blob = self._blob()

@@ -1,13 +1,18 @@
 import contextlib
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from simine import ScoreConstants, load_graph, parse_description, rescore
+import simine
+from simine import ScoreConstants, cli, load_graph, parse_description, rescore
 from simine.background import BackgroundModel
-from simine.cli import main
+from simine.cli import build_parser, main
 
 from conftest import dense_probabilities
 
@@ -482,3 +487,98 @@ class TestBaselinesCmd:
                                "--attrs", synth_files + ".attrs.csv",
                                "--measures", "bogus")
         assert code == 1 and "unknown measure" in err
+
+
+def _with_data(prefix, argv):
+    """``argv`` with the data flags of ``prefix``'s files after a ``mine`` or
+    ``baselines`` subcommand."""
+    if argv[:1] in (["mine"], ["baselines"]):
+        return argv[:1] + ["--edges", prefix + ".edges", "--attrs", prefix + ".attrs.csv",
+                           *argv[1:]]
+    return argv
+
+
+class TestInputErrors:
+    """Usage errors and bad values print ``simine: error: ...``, write no
+    report and exit 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["baselines", "--alpha", "1"], "unrecognized arguments: --alpha 1"),
+        (["mine", "--prior", "degree", "--x1", "abc"], "argument --x1: invalid int value: 'abc'"),
+        (["mine", "--prior", "degree", "--pair-counting", "both"],
+         "argument --pair-counting: invalid choice: 'both'"),
+        (["--config"], "argument --config: expected one argument"),
+        ([], "the following arguments are required: command"),
+        (["mine"], "need --prior or --model"),
+        (["mine", "--prior", "density:high"], "bad density prior 'density:high'"),
+        (["mine", "--prior", "blocks:"], "blocks prior needs at least one attribute"),
+        (["mine", "--prior", "blocks:+degree"], "blocks prior needs at least one attribute"),
+        (["mine", "--prior", "uniform"], "unknown prior spec 'uniform'"),
+        (["mine", "--prior", "degree", "--mode", "pairs"], "unknown mode 'pairs'"),
+        (["mine", "--prior", "degree", "--mode", "iterate:two"], "bad mode 'iterate:two'"),
+        (["mine", "--prior", "degree", "--id-col", "node"], "id column 'node' not in header"),
+        (["mine", "--prior", "degree", "--id-col", "9"], "id column index 9 out of range"),
+        (["synth", "--block", "grp=g1,grp=g2:5,0.5"], "bad block side 'grp=g1'"),
+        (["synth", "--block", "grp:5,grp=g2:5,0.5"], "bad block side 'grp:5'"),
+        (["synth", "--block", "grp=g1:5,grp=g2:5,dense"], "bad block density 'dense'"),
+    ])
+    def test_exit_1_without_report(self, synth_files, tmp_path, capsys, argv, message):
+        if argv[:1] == ["synth"]:
+            argv = [*argv, "--out-prefix", str(tmp_path / "bad")]
+        code, out, err = run_cli(capsys, *_with_data(synth_files, argv))
+        assert code == 1 and out == ""
+        assert err.startswith("simine: error: ") and message in err
+        assert not list(tmp_path.glob("bad*"))
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["mine", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out
+
+    def test_id_column_by_index(self, synth_files, capsys):
+        argv = _with_data(synth_files, ["mine", "--prior", "degree", "--mode", "single"])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--id-col", "0") == (code, out, "")
+
+
+class TestBaselinesFlags:
+    def test_only_the_flags_it_reads(self):
+        _, commands = build_parser()
+        assert set(commands["baselines"].flags) - {"help"} == {
+            "edges", "attrs", "delimiter", "tab", "id_col", "directed", "numeric_bins",
+            "width", "depth", "min_size", "measures", "edge_surplus_alpha", "top", "output",
+            "table"}
+
+    def test_search_flags_reach_the_search(self, synth_files, capsys):
+        code, out, _ = run_cli(capsys, *_with_data(synth_files, [
+            "baselines", "--measures", "pool,edge_density", "--width", "3", "--depth", "1",
+            "--min-size", "30", "--top", "9"]))
+        recs = [r for r in records(out) if r["type"] == "baseline"]
+        assert code == 0 and len(recs) == 6
+        assert all(" ∧ " not in r["w"] and r["size"] >= 30 for r in recs)
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["mine", "--x1", "1"], 1)])
+    def test_module_runs(self, argv, code):
+        src = str(Path(simine.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "simine.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stdout.strip() == f"simine {simine.__version__}"
+        else:
+            assert proc.stderr.startswith("simine: error: ")
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_console_script_resolves(self):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, name = target["simine"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.entrypoint

@@ -131,6 +131,21 @@ class TestGrammar:
         with pytest.raises(DescriptionError):
             parse_description("justanattr")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RangeSelector("x", float("nan"), 1.0), "must be finite"),
+        (lambda: RangeSelector("x", 0.0, float("inf")), "must be finite"),
+        (lambda: RangeSelector("x", 2.0, 1.0), r"lower < upper, got \[2.0, 1.0\]"),
+        (lambda: RangeSelector("x", 1.0, 1.0), "lower < upper"),
+        (lambda: parse_description("x∈[0.5,1.0"), "malformed interval selector"),
+        (lambda: parse_description("x∈[a,1.0]"), "malformed interval bounds"),
+        (lambda: parse_description("x∈[0.5]"), "malformed interval bounds"),
+        (lambda: parse_description("b=1 ∧ x∈[1.0,0.5]"), "malformed interval bounds"),
+        (lambda: parse_description("x∈[-inf,0.5]"), "malformed interval bounds"),
+    ])
+    def test_bad_interval(self, build, message):
+        with pytest.raises(DescriptionError, match=message):
+            build()
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())

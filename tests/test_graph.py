@@ -87,6 +87,43 @@ class TestLoad:
                 assert list(c1.values) == list(c2.values)
 
 
+XY = ["id,b", "x,1", "y,0"]
+COLUMN_B = AttributeColumn("b", "nominal", ["1", "0", "1"])
+
+
+def _loading(attr_lines, edge_lines=("x y",), **options):
+    return lambda tmp: load_graph(*write_dataset(tmp, list(edge_lines), attr_lines),
+                                  LoadOptions(**options))
+
+
+@pytest.mark.parametrize("build, message", [
+    (_loading([]), "is empty"),
+    (_loading(["id,b"]), "has a header but no rows"),
+    (_loading(XY, id_column="node"), r"id column 'node' not in header \['id', 'b'\]"),
+    (_loading(XY, id_column=2), "id column index 2 out of range"),
+    (_loading(XY, ["x y x"]), ":1: expected two whitespace-separated tokens"),
+    (_loading(XY, ["x y", "x"]), ":2: expected two whitespace-separated tokens"),
+    # the first id in file order that occurs twice, though a later one is
+    # repeated first
+    (_loading(["id,b", "x,1", "y,0", "y,1", "x,0"], []), "duplicate vertex id 'x'"),
+    (lambda _: AttributedGraph(0, []), "at least one vertex"),
+    (lambda _: AttributedGraph(3, [(1, 1)]), "self-loop on vertex 1"),
+    (lambda _: AttributedGraph(3, [(0, 3)]), r"edge \(0,3\) references a vertex id >= n=3"),
+    (lambda _: AttributedGraph(2, [], columns=[COLUMN_B]), "'b' has 3 values, expected 2"),
+    (lambda _: AttributedGraph(3, [], columns=[COLUMN_B, COLUMN_B]),
+     "duplicate attribute column 'b'"),
+    (lambda _: AttributedGraph(3, [], labels=["x", "y"]), "label list length must equal n"),
+])
+def test_malformed_input_rejected(tmp_path, build, message):
+    with pytest.raises(GraphFormatError, match=message):
+        build(tmp_path)
+
+
+def test_id_column_by_index(tmp_path):
+    g = _loading(["b,id", "1,x", "0,y"], id_column=1)(tmp_path)
+    assert g.labels == ["x", "y"] and g.attribute_names == ["b"] and g.m == 1
+
+
 class TestDescriptionGrammar:
     @pytest.mark.parametrize("name", ["a ∧ b", "a=b", "x∈[0"])
     def test_reserved_name_rejected(self, tmp_path, name):

@@ -279,6 +279,44 @@ class TestNestedSearch:
         assert len(pairs) == len(pats) == len(sels) ** 2
         assert rendered(pats) == rendered(reference_nested_beam_search(g, model, sels, cfg))
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_inner_levels_refine_each_w2_once(self, monkeypatch, shared):
+        # an inner level refines only the W2s its previous level added, so no
+        # W2 node is expanded twice within one W1's inner search; children
+        # are filtered only under the shared-attribute constraint
+        g = random_graph(41, n=40)
+        model = fit_degree_prior(g)
+        sels = generate_selectors(g)
+        expand, inner = search._Refiner.expand, search._inner_searches
+        runs, active = [], []
+
+        def inner_searches(*args):
+            active.append([])
+            try:
+                return inner(*args)
+            finally:
+                runs.append(active.pop())
+
+        def expanding(self, groups):
+            if active:
+                active[-1].append([([p.key for p in parents], admit)
+                                   for parents, _, admit in groups])
+            return expand(self, groups)
+
+        monkeypatch.setattr(search, "_inner_searches", inner_searches)
+        monkeypatch.setattr(search._Refiner, "expand", expanding)
+        cfg = SearchConfig(x1=3, x2=3, depth=3, require_shared_attribute=shared)
+        assert nested_beam_search(g, model, sels, cfg)
+        assert runs and all(len(levels) == 3 for levels in runs)
+        deepest = 0
+        for levels in runs:
+            for w in range(len(levels[0])):
+                keys = [key for level in levels for key in level[w][0]]
+                assert len(keys) == len(set(keys))
+                deepest = max(deepest, max(map(len, keys)))
+                assert all((level[w][1] is not None) == shared for level in levels)
+        assert deepest == 2  # the third level refined some W2 of two selectors
+
 
 @pytest.mark.parametrize("case", ["edgeless", "one-edge", "no-selectors", "n=63", "n=64",
                                   "n=65"])
