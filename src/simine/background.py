@@ -28,9 +28,9 @@ classes:
   chunks of at most ``_TABLE_CELLS`` cells.  The result is bit for bit that
   of stepping and checking one constraint at a time;
 * pair sums are weighted sums of the table over the class histograms of the
-  two vertex sets (O(|R| + |C| + K_R * K_C)), computed once for one row set
-  against a batch of column sets (``pair_sums_many``) with ``pair_sums`` as
-  its one-column-set case;
+  two vertex sets (O(|R| + |C| + K_R * K_C)), for a batch of grids at once:
+  exact, whatever the batch (``pair_mass``, with ``pair_sums`` as its
+  one-grid case), or through BLAS for the screens (``pair_sums_many``);
 * a pattern multiplier comes from bisection over the clamp range on the
   monotone calibration residual over class-pair weights; the updated model
   splits classes by membership in the pattern's rows and columns.
@@ -259,23 +259,36 @@ class BackgroundModel:
         ordered grid pairs u != v and ``overlap_sum`` over ordered pairs
         inside the row/column intersection (0 for directed models).  The
         distinct (unordered) pair total is ``ordered_sum - overlap_sum / 2``.
-        This is the one-column-set case of ``pair_sums_many``.
+        This is the one-row case of ``pair_mass``.
         """
-        return self.histogram_pair_sums(*self._histograms(rows, cols))
+        ordered, overlap = self.pair_mass(*self._histograms(rows, cols))
+        return float(ordered[0]), float(overlap[0])
 
-    def histogram_pair_sums(self, h_r, h_c, h_o):
-        """``pair_sums`` from the class histograms (integer or float, bit-equal
-        sums in any memory layout) of the rows, the columns and their
-        intersection; ``h_o is h_r`` marks columns that are the rows."""
-        whole = h_o is h_r
-        h_r, h_c = (np.ascontiguousarray(h, dtype=np.float64) for h in (h_r, h_c))
-        h_o = h_r if whole else np.ascontiguousarray(h_o, dtype=np.float64)
-        if not self.directed and not whole:
-            differ = np.flatnonzero(h_r != h_c)
-            if differ.size and h_r[differ[0]] < h_c[differ[0]]:
-                h_r, h_c = h_c, h_r  # canonical order: mirrored sets give bit-equal sums
-        ordered, overlap = self.pair_sums_many(h_r, h_c, h_o)
-        return float(ordered), float(overlap)
+    def pair_mass(self, H_r, H_c, H_o):
+        """Exact ``pair_sums`` of many grids, one row each (or 1-D for one),
+        as in ``pair_sums_many``.  A grid's sums are bit for bit the same
+        whatever else is in the batch and wherever it sits: they add its own
+        terms, copied in C order, in a fixed order (``einsum`` and sums over
+        the last axis, or without a full table ``pair_sums_many`` on the grid
+        alone), never through a BLAS product over the batch.  A set paired
+        with itself takes the same steps as any other grid, and undirected
+        grids are put in a canonical order first, so mirrored grids tie.
+        """
+        H_r, H_c, H_o = (np.array(h, np.float64, order="C", ndmin=2) for h in (H_r, H_c, H_o))
+        if not self.directed:
+            d = H_r - H_c
+            swap = d[np.arange(len(d)), np.argmax(d != 0, axis=1)] < 0
+            H_r[swap], H_c[swap] = H_c[swap], H_r[swap]
+        if self._P_off is None:
+            out = np.zeros((2, len(H_r)))
+            for i in range(len(H_r)):
+                out[:, i] = np.ravel(self.pair_sums_many(H_r[i:i + 1], H_c[i:i + 1], H_o[i:i + 1]))
+            return out[0], out[1]
+        # h @ P_off of the rows and, on undirected models, of the intersections
+        T = [np.einsum("ia,ab->ib", h, self._P_off) for h in (H_r, H_o)[:2 - self.directed]]
+        ordered = (H_c * T[0]).sum(axis=-1) + ((H_r * H_c - H_o) * self._P_diag).sum(axis=-1)
+        return ordered, (np.zeros_like(ordered) if self.directed else (H_o * T[1]).sum(axis=-1)
+                         + ((H_o * H_o - H_o) * self._P_diag).sum(axis=-1))
 
     def _histograms(self, rows, cols):
         """Class histograms (float) of ``rows``, ``cols`` and their intersection."""
@@ -310,51 +323,41 @@ class BackgroundModel:
         order = np.argsort(self.cls, kind="stable")
         return order, np.searchsorted(self.cls[order], np.arange(self.n_classes))
 
-    def pair_sums_many(self, h_r, H_c, H_o):
-        """``pair_sums`` of row sets against one or many column sets, from
-        class histograms: ``h_r`` of the rows, ``H_c`` of the column sets and
-        ``H_o`` of their intersections with the rows, one row per column set
-        (or 1-D for a single one).  ``h_r`` is 1-D for one row set shared by
-        every column set, or has one row per column set, paired with it.
-        Returns ``(ordered_sum, overlap_sum)``, arrays with one entry per
-        column set (scalars for 1-D input).
+    def pair_sums_many(self, H_r, H_c, H_o):
+        """The screens' ``pair_sums`` of many grids from class histograms
+        (float), one row per grid: ``H_r`` of the rows, ``H_c`` of the
+        columns and ``H_o`` of their intersection, as ``(ordered_sum,
+        overlap_sum)`` arrays.  Its BLAS products may round a grid
+        differently with the batch around it; ``pair_mass`` does not.
 
         Pairs between distinct classes come from the off-diagonal table; the
         h_r*h_c - h_o pairs inside one class from its diagonal entry.  All
         terms are non-negative, so nothing cancels.  Without a full table the
         sub-table of the classes present is built in row chunks of at most
-        ``_TABLE_CELLS`` cells.  ``H_o is h_r`` marks rows equal to the
+        ``_TABLE_CELLS`` cells.  ``H_o is H_r`` marks rows equal to the
         column set, whose overlap is the whole grid.
         """
         if self._P_off is not None:
             diag = self._P_diag
             ic = slice(None)
-            to_cols = h_r @ self._P_off
+            to_cols = H_r @ self._P_off
         else:
             ic = _present(H_c)
             diag = np.zeros(self.n_classes)
-            to_cols = np.zeros(h_r.shape[:-1] + (ic.size,))
-            for a, P, dc, dp in self._sub_tables(_present(h_r), ic):
+            to_cols = np.zeros((len(H_r), ic.size))
+            for a, P, dc, dp in self._sub_tables(_present(H_r), ic):
                 diag[dc] = dp
-                to_cols += h_r[..., a] @ P
-        if h_r.ndim == 1:
-            ordered = H_c[..., ic] @ to_cols
-        else:
-            ordered = (H_c[..., ic] * to_cols).sum(axis=-1)
-        ordered = ordered + (H_c * h_r - H_o) @ diag
-        if H_o is h_r and not self.directed:
-            return ordered, ordered  # the overlap is the whole grid
-        # one column set disjoint from the rows skips the quadratic form; a
-        # batch nearly always overlaps, and testing it costs more than it saves
-        if self.directed or (H_o.ndim == 1 and not np.count_nonzero(H_o)):
-            return ordered, ordered * 0.0  # zeros shaped like ordered
+                to_cols += H_r[:, a] @ P
+        ordered = (H_c[:, ic] * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ diag
+        if self.directed or H_o is H_r:  # no overlap mass, or the overlap is the whole grid
+            return ordered, ordered * 0.0 if self.directed else ordered
         overlap = (H_o * H_o - H_o) @ diag
         if self._P_off is not None:
             return ordered, overlap + ((H_o @ self._P_off) * H_o).sum(axis=-1)
         # the intersections' classes are among the rows' and the columns'
         io = _present(H_o)
         for a, P, _, _ in self._sub_tables(io, io):
-            overlap += ((H_o[..., a] @ P) * H_o[..., io]).sum(axis=-1)
+            overlap += ((H_o[:, a] @ P) * H_o[:, io]).sum(axis=-1)
         return ordered, overlap
 
     def copy_with_update(self, upd: PatternUpdate) -> "BackgroundModel":

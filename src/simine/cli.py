@@ -211,7 +211,7 @@ def _apply_config_file(parser, commands, argv):
 
 def _load_graph(args):
     opts = LoadOptions(delimiter="\t" if args.tab else args.delimiter,
-                       id_column=(int(args.id_col) if args.id_col and args.id_col.isdigit()
+                       id_column=(int(args.id_col) if args.id_col and args.id_col.isdecimal()
                                   else args.id_col),
                        directed=args.directed)
     return load_graph(args.edges, args.attrs, opts)

@@ -206,9 +206,10 @@ def parse_selector(text: str) -> Selector:
             raise DescriptionError(f"malformed interval selector {text!r}")
         lo_s, _, hi_s = rest[:-1].partition(",")
         try:
-            return RangeSelector(attr, float(lo_s), float(hi_s))
+            lo, hi = float(lo_s), float(hi_s)
         except ValueError as exc:
             raise DescriptionError(f"malformed interval bounds in {text!r}") from exc
+        return RangeSelector(attr, lo, hi)  # its own errors name the real reason
     if "=" in text:
         attr, _, value = text.partition("=")
         return EqualsSelector(attr, value)

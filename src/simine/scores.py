@@ -24,11 +24,12 @@ convention.  For undirected graphs the default ("auto") scores
 single-subgroup patterns in the ordered convention and bi-subgroup patterns
 in the unordered one; ``ScoreConstants.pair_counting`` can force either.
 
-Scoring reads counts only: ``score_single`` and ``score_bi`` take the
-extensions' class histograms and edge counts, which the searches' screens
-hold, and return patterns without extension ids.  ``rescore`` is the one
-path from vertex sets: it counts the decoded extensions, scores the counts
-through the same two functions and attaches the ids absorption reads.
+Scoring reads counts only, a batch at a time: one core takes arrays of class
+histograms, sizes, edge counts and description lengths, and returns patterns
+without extension ids.  The searches pass it a level's contenders at once;
+``score_single``, ``score_bi`` and ``rescore`` are its one-row case.  A
+pattern scores bit for bit the same in any batch and at any place in it, so
+every reported SI equals ``rescore``'s, which counts decoded extensions.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
 
 MEASURE_NAMES = ["edge_density", "avg_degree", "pool", "edge_surplus",
                  "segregation", "modularity1", "inv_avg_odf", "inv_conductance"]
+_MASS_CELLS = 1 << 12  # cells per K-wide temporary of the exact mass: rows go in blocks
 
 
 @dataclass(frozen=True)
@@ -137,20 +139,15 @@ class Pattern:
 
 
 def kl_bernoulli(q: float, p: float) -> float:
-    """KL divergence between Bernoulli(q) and Bernoulli(p), natural log.
+    """KL divergence between Bernoulli(q) and Bernoulli(p), natural log:
+    the one-element case of ``kl_bernoulli_many``.
 
     ``p`` is clamped away from {0, 1}; ``0 * log 0`` is taken as 0, so the
     identity KL(q||p) == KL(1-q||1-p) holds exactly.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    p = min(max(p, PROB_EPS), 1.0 - PROB_EPS)
-    out = 0.0
-    if q > 0.0:
-        out += q * math.log(q / p)
-    if q < 1.0:
-        out += (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
-    return out
+    return float(kl_bernoulli_many(q, p))
 
 
 def kl_bernoulli_many(q, p) -> np.ndarray:
@@ -228,56 +225,59 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
 # -- pattern construction --------------------------------------------------------
 
 
-def _score(g, model, c, w1, w2, hists, edges, inside) -> Pattern | None:
-    """The pattern (W1, W2) scored from its counts (``w2 is None`` and
-    ``hists == (h, h, h)`` for a single subgroup): ``k_w``/``n_w``/``p_w``
-    in the scoring convention, ``edges``/``pair_slots``/``expected_edges``
-    over distinct pairs (ordered when directed), the units a report prints.
-    """
-    single = w2 is None
-    a, b, o = (int(h.sum()) for h in hists)
-    if pair_universe(a, b, o, "ordered") == 0:
-        return None  # no pair u != v, in either convention
-    ordered_sum, overlap_sum = model.histogram_pair_sums(*hists)
-    conv = c.convention(single, g.directed)
-    n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered_sum, overlap_sum,
-                                        conv, g.directed)
+def _score(model, c, w1s, w2s, hists, sizes, edges, inside, lengths) -> list:
+    """The patterns (W1, W2) of a batch, one row each, from ``hists`` =
+    ``(H1, H2, H_o)``, the class histograms of W1, W2 and W1 ∩ W2 (``(H, H,
+    H)`` and ``w2s is None`` for single subgroups), their ``sizes``, the
+    counts ``score_bi`` takes and the selector counts.  Each quantity is
+    elementwise or sums the row's own terms (``pair_mass``); ``edges``/
+    ``pair_slots``/``expected_edges`` count distinct pairs (ordered when
+    directed), the rest is in the scoring convention.  None: no pair u != v."""
+    single, directed = w2s is None, model.directed
+    conv = c.convention(single, directed)
+    a, b, o, edges, inside = (np.asarray(x, dtype=np.int64) for x in (*sizes, edges, inside))
+    H = [np.asarray(h).reshape(-1, model.n_classes) for h in hists]
+    step = max(1, _MASS_CELLS // model.n_classes)
+    ordered, overlap = (np.concatenate(x) for x in zip(*[
+        model.pair_mass(*(h[lo:lo + step] for h in H)) for lo in range(0, max(1, len(a)), step)]))
+    n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered, overlap, conv, directed)
+    valid = pair_universe(a, b, o, "ordered") > 0  # a pair u != v, in either convention
+    n_w = np.where(valid, n_w, 1)
     p_w = mass / n_w
-    ic = information_content(n_w, k_w, p_w)
-    dl = description_length(len(w1), None if single else len(w2), c)
+    ic = n_w * kl_bernoulli_many(k_w / n_w, p_w)
+    dl = c.alpha * np.asarray(lengths, dtype=np.int64) + c.beta
     # reports print the distinct-pair mass of undirected bi patterns as it
     # is, and that of the others as p_w * slots
-    expected = (p_w * slots if single or g.directed
-                else ordered_sum - overlap_sum / 2.0)
-    return Pattern(w1=w1, w2=w2, direction=0 if k_w / n_w >= p_w else 1,
-                   k_w=k_w, n_w=n_w, p_w=p_w, ic=ic, dl=dl, si=ic / dl,
-                   size1=a, size2=b, overlap=o, edges=edges, pair_slots=slots,
-                   expected_edges=expected, convention=conv)
+    expected = p_w * slots if single or directed else ordered - overlap / 2.0
+    cols = (np.where(k_w / n_w >= p_w, 0, 1), k_w, n_w, p_w, ic, dl, ic / dl, a, b, o,
+            edges, slots, expected)
+    return [Pattern(w1, w2, *row, conv) if ok else None for w1, w2, ok, row in
+            zip(w1s, w2s or [None] * len(w1s), valid.tolist(), zip(*(x.tolist() for x in cols)))]
 
 
 def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
                  hist: np.ndarray, edges: int, c: ScoreConstants) -> Pattern | None:
     """Score the single-subgroup pattern of a description from its
     extension's class histogram ``hist`` under ``model`` (integer or float)
-    and its number of inner ``edges``.  The pattern carries no extension
-    ids; returns None when the extension has fewer than 2 vertices.
-    """
-    return _score(g, model, c, desc, None, (hist, hist, hist), edges, edges)
+    and its number of inner ``edges``, as a batch of one.  The pattern
+    carries no extension ids; None when the extension has under 2 vertices."""
+    return _score(model, c, [desc], None, (hist,) * 3, ([int(np.sum(hist))],) * 3, [edges],
+                  [edges], [len(desc)])[0]
 
 
 def score_bi(g: AttributedGraph, model: BackgroundModel, w1: Description,
              w2: Description, hists: tuple, edges: int, inside: int,
              c: ScoreConstants) -> Pattern | None:
-    """Score a bi-subgroup pattern from the counts of its extensions.
-
-    ``hists`` is ``(h1, h2, h_o)``, the class histograms under ``model``
-    (integer or float) of W1, W2 and W1 ∩ W2; ``edges`` the number of
-    distinct edges between the extensions (ordered edges W1 -> W2 when
-    directed) and ``inside`` the number of edges inside their intersection,
-    read only in the ordered convention of an undirected graph.  The pattern
-    carries no extension ids; returns None when the pair universe is empty.
-    """
-    return _score(g, model, c, w1, w2, hists, edges, inside)
+    """Score a bi-subgroup pattern from the counts of its extensions, as a
+    batch of one.  ``hists`` is ``(h1, h2, h_o)``, the class histograms
+    under ``model`` (integer or float) of W1, W2 and W1 ∩ W2; ``edges`` the
+    number of distinct edges between the extensions (ordered edges W1 -> W2
+    when directed) and ``inside`` the number of edges inside their
+    intersection, read only in the ordered convention of an undirected
+    graph.  The pattern carries no extension ids; None when the pair
+    universe is empty."""
+    sizes = [[int(np.sum(h))] for h in hists]
+    return _score(model, c, [w1], [w2], hists, sizes, [edges], [inside], [len(w1) + len(w2)])[0]
 
 
 def _with_extensions(pat: Pattern, g: AttributedGraph, mask1, mask2) -> Pattern:
@@ -296,17 +296,15 @@ def _with_extensions(pat: Pattern, g: AttributedGraph, mask1, mask2) -> Pattern:
 def _score_masks(g: AttributedGraph, model: BackgroundModel, w1: Description, mask1,
                  w2: Description | None, mask2, c: ScoreConstants) -> Pattern | None:
     """The pattern (W1, W2) of the bool masks ``mask1``, ``mask2`` (not read
-    when ``w2 is None``): their counts scored through ``score_single``/
-    ``score_bi``, with the extensions' ids attached."""
-    ids1 = np.flatnonzero(mask1)
-    if w2 is None:
-        pat = score_single(g, model, w1, model._histograms(ids1, ids1)[0],
-                           g.count_edges_between(mask1, mask1), c)
-    else:
-        over = mask1 & mask2
-        pat = score_bi(g, model, w1, w2, model._histograms(ids1, np.flatnonzero(mask2)),
-                       g.count_edges_between(mask1, mask2),
-                       g.count_edges_between(over, over), c)
+    when ``w2 is None``): their counts scored as a batch of one, with the
+    extensions' ids attached."""
+    mask2 = mask1 if w2 is None else mask2
+    hists = model._histograms(np.flatnonzero(mask1), np.flatnonzero(mask2))
+    edges, over = g.count_edges_between(mask1, mask2), mask1 & mask2
+    inside = edges if w2 is None else g.count_edges_between(over, over)
+    pat = _score(model, c, [w1], None if w2 is None else [w2], hists,
+                 [[int(h.sum())] for h in hists], [edges], [inside],
+                 [len(w1) + (0 if w2 is None else len(w2))])[0]
     return None if pat is None else _with_extensions(pat, g, mask1, mask2)
 
 
@@ -314,8 +312,7 @@ def rescore(g: AttributedGraph, model: BackgroundModel, w1: Description,
             w2: Description | None, c: ScoreConstants) -> Pattern | None:
     """Score a pattern from its descriptions against a (possibly updated)
     model: the one path from vertex sets.  The extensions are decoded and
-    counted, scored through ``score_single``/``score_bi``, and the pattern
-    carries their ids."""
+    counted, scored as a batch of one, and the pattern carries their ids."""
     m1 = extension(w1, g)
     return _score_masks(g, model, w1, m1, w2, m1 if w2 is None else extension(w2, g), c)
 

@@ -7,6 +7,10 @@ rendering).  The outer beam of the nested search holds up to x1*x2 scored
 (W1, W2) pairs under a hard diversity floor of x1 distinct W1 descriptions.
 Beams identify candidates, and diversity groups W1s, by description keys
 (``_Refiner``), never by rendered text.
+
+Both score a level at a time: its candidates are screened in one batch, and
+the contenders, whose screening SI could place them in a beam, are scored
+exactly in one call of the batched core ``scores._score``.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 from .background import PROB_EPS, BackgroundModel, update_with_pattern
 from .descriptions import Description, selector_mask
 from .graph import AttributedGraph
-from .scores import (Pattern, ScoreConstants, _with_extensions, baseline_scores,
-                     kl_bernoulli_many, pair_counts, score_bi, score_single)
+from .scores import (Pattern, ScoreConstants, _score, _with_extensions, baseline_scores,
+                     kl_bernoulli_many, pair_counts)
 
 log = logging.getLogger(__name__)
 
@@ -286,7 +290,7 @@ class _Refiner:
         ``seen`` yet and that ``admit(parent, selector position)``
         accepts when it is not None; a child it rejects still joins ``seen``.
 
-        Returns ``(children, rows, sizes)``: per group, ``(parent position,
+        Returns ``(children, rows, sizes)``: per group, ``(parent node,
         selector position, key, row)`` per child, and the rows of the
         distinct children stacked in the order they first appear.  Children
         with equal keys share one row, so with a single group row i is
@@ -295,7 +299,7 @@ class _Refiner:
         rows: dict[tuple, int] = {}  # child key -> row of the stack
         js_new, sizes, starts = [], [], []  # per stacked row; (parent, its first row)
         for out, (parents, seen, admit) in zip(children, groups):
-            for p, parent in enumerate(parents):
+            for parent in parents:
                 starts.append((parent, len(rows)))
                 for j, key, size in zip(*self._children(parent)):
                     if key in seen:
@@ -308,7 +312,7 @@ class _Refiner:
                         row = rows[key] = len(rows)
                         js_new.append(j)
                         sizes.append(size)
-                    out.append((p, j, key, row))
+                    out.append((parent, j, key, row))
         # the rows one parent visit adds are consecutive: gather every
         # selector row at once, then AND each parent into its block
         stack = self.rows[js_new]
@@ -317,11 +321,12 @@ class _Refiner:
             stack[lo:hi] &= parent.row
         return children, stack, np.array(sizes, dtype=np.int64)
 
-    def node(self, parents, child, rows, sizes) -> _Node:
-        """The child's node; it holds a copy of its row, so a node kept in a
-        beam does not keep its level's whole stack alive."""
-        p, j, key, r = child
-        return _Node(parents[p].sels + (j,), key, rows[r].copy(), int(sizes[r]))
+    def nodes(self, children, rows, sizes) -> list[_Node]:
+        """The nodes of ``children``, entries of ``expand``; each holds a copy
+        of its row, so a node kept in a beam keeps no other row alive."""
+        at = [r for *_, r in children]
+        return [_Node(parent.sels + (j,), key, rows[r].copy(), size)
+                for (parent, j, key, r), size in zip(children, sizes[at].tolist())]
 
 
 # -- single-subgroup search -------------------------------------------------------
@@ -338,8 +343,9 @@ def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
     """
     refiner = _Refiner(g, model, selectors, max(2, cfg.min_extension_size))
 
-    def scorer(desc, _node, edges, hist):
-        return score_single(g, model, desc, hist, edges, cfg.constants)
+    def scorer(descs, nodes, edges, hists, sizes):
+        return _score(model, cfg.constants, descs, None, (hists,) * 3, (sizes,) * 3, edges,
+                      edges, [len(d) for d in descs])
 
     found = _single_engine(refiner, _SingleScreen(g, refiner, cfg.constants), cfg, scorer)
     if not found:
@@ -378,47 +384,46 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
     refiner = _Refiner(g, None, selectors, max(2, cfg.min_extension_size))
     deg = g.degrees()
 
-    def scorer(desc, node, edges, _hist):
-        mask = refiner.masks(node.row)
-        vals = baseline_scores(g, mask, edge_surplus_alpha=edge_surplus_alpha)
-        return BaselineResult(w=desc, measure=measure, value=vals[measure], size=node.size,
-                              edges=edges, inter_edges=int(deg[mask].sum()) - 2 * edges)
+    def scorer(descs, nodes, edges, _hists, _sizes):
+        masks = [refiner.masks(node.row) for node in nodes]
+        return [BaselineResult(w=desc, measure=measure, size=node.size, edges=k,
+                               value=baseline_scores(g, m, edge_surplus_alpha)[measure],
+                               inter_edges=int(deg[m].sum()) - 2 * k)
+                for desc, node, k, m in zip(descs, nodes, edges.tolist(), masks)]
 
     return [res for res, _ in _single_engine(refiner, None, cfg, scorer)]
 
 
 def _single_engine(refiner, screen, cfg, scorer):
-    """Level-wise beam search over the refinements of ``refiner``;
-    ``scorer`` gets (description, node, inner edge count, integer class
-    histogram) per candidate.  Returns the ``(result, node)`` of every
-    level's survivors, ranked.
-
-    With a ``screen`` (``_SingleScreen``), the refinements of each parent
-    are screened in one batch, and only those whose screening SI could place
-    them in the level's beam are scored and offered to it.  The beam has no
-    diversity floor and a strict total order, so it ends up holding the same
-    entries as if every candidate had been scored and offered.
-    """
+    """Level-wise beam search over the refinements of ``refiner``; ``scorer``
+    maps a batch of candidates (descriptions, nodes, inner edge counts,
+    integer class histograms, sizes) to a result or None each.  Returns the
+    ``(result, node)`` of every level's survivors, ranked.  A level is
+    expanded, screened, cut and scored in one batch, its parents in chunks
+    that fit the screen budget.  With a ``screen`` (``_SingleScreen``), only
+    candidates whose screening SI could place them in the level's beam are
+    scored and offered to it; the beam has no diversity floor and a strict
+    total order, so it ends up holding the same entries as if every
+    candidate had been scored and offered."""
     rows = [refiner.root]
     collected: dict[tuple, tuple] = {}  # node key -> (result, node)
-    for _ in range(cfg.depth):
+    cells = len(refiner.selectors) * max(refiner.root.row.size, refiner.bword.size)
+    step = max(1, _SCREEN_CELLS // max(8, 8 * cells))  # an eighth stays in cache
+    for level in range(1, cfg.depth + 1):
         seen: set[tuple] = set()
         beam = Beam(cfg.beam_width)
-        for parent in rows:
-            (children,), stack, sizes = refiner.expand([([parent], seen, None)])
-            if not children:
-                continue
+        for lo in range(0, len(rows), step):
+            (children,), stack, sizes = refiner.expand([(rows[lo:lo + step], seen, None)])
             counts, hists = refiner.edges_inside(stack), refiner.class_counts(stack)
             picks = np.arange(len(children))
             if screen is not None:
-                si, bound = screen.scores(hists, sizes, counts, len(parent.sels) + 1)
+                si, bound = screen.scores(hists, sizes, counts, level)
                 picks = _contenders(si, bound, [e.payload[0].si for e in beam],
                                     cfg.beam_width)
-            counts = counts.tolist()
-            for i in picks.tolist():
-                node = refiner.node([parent], children[i], stack, sizes)
-                child = refiner.description(node)
-                res = scorer(child, node, counts[i], hists[i])
+            nodes = refiner.nodes([children[i] for i in picks.tolist()], stack, sizes)
+            results = scorer([refiner.description(nd) for nd in nodes], nodes, counts[picks],
+                             hists[picks], sizes[picks])
+            for res, node in zip(results, nodes):
                 if res is not None:
                     beam.try_add(BeamEntry(res.sort_key(), node.key, node.key, (res, node)))
         if not len(beam):
@@ -468,15 +473,13 @@ def _contenders(si, bound, kept, width):
 
 
 class _SingleScreen:
-    """Screening scores of single-subgroup candidates: the refinements of
-    one parent, in one call.
+    """Screening scores of single-subgroup candidates, a level in one call.
 
     The class histograms of the candidates' rows (``_Refiner.class_counts``),
     each paired with itself, give the expected mass through
-    ``pair_sums_many``, and ``pair_counts``, the counting rule of
-    ``score_single``, the rest.  The search hands the same histograms and
-    edge counts to ``score_single``, whose SI differs only by the rounding of
-    the mass; ``scores`` returns a bound on that difference with it.
+    ``pair_sums_many``, and ``pair_counts`` the rest.  The exact core takes
+    the same histograms and edge counts; its SI differs only by the rounding
+    of the mass, and ``scores`` returns a bound on that difference with it.
     """
 
     def __init__(self, g, refiner, c):
@@ -510,10 +513,9 @@ class _BiScreen:
     of W1's neighbour counts, packed once per chunk in class order, give the
     edge orientations, sum_b 2^b popcount(plane_b & W2).  All are exact
     integers.  ``pair_sums_many`` gives the expected mass and
-    ``pair_counts``, the counting rule of ``score_bi``, the rest.  The edge
-    counts are the ones ``score_bi`` takes; its SI differs only by the
-    rounding of the mass, and ``scores`` returns a bound on that difference
-    with it.
+    ``pair_counts`` the rest.  The exact core takes the same counts; its SI
+    differs only by the rounding of the mass, and ``scores`` returns a bound
+    on that difference with it.
 
     No array of a block of pairs holds more than ``floats`` cells, and the
     neighbour counts of a chunk gather at most ``floats`` bits at a time (one
@@ -571,10 +573,9 @@ class _BiScreen:
         chunk ``w1`` (``w1_rows``) and W2 ``pj[i]`` of ``w2``, the refiner
         rows of a level's W2s with their class histograms (int64) and sizes,
         whose descriptions have ``lengths[i]`` selectors together.
-        ``si`` is -inf where ``score_bi`` returns None or the pair breaks
-        disjointness; ``edges`` and ``inside`` are the counts ``score_bi``
-        takes.  The pairs go in blocks whose arrays hold at most ``floats``
-        cells."""
+        ``si`` is -inf where the pair has no pair u != v or breaks
+        disjointness; ``edges`` and ``inside`` are the counts of ``score_bi``.
+        The pairs go in blocks whose arrays hold at most ``floats`` cells."""
         out = (np.empty(len(pi)), np.empty(len(pi)),
                np.empty(len(pi), dtype=np.int64), np.empty(len(pi), dtype=np.int64))
         # cells per pair of a block's widest array; the mass core holds a few
@@ -640,15 +641,10 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     entries spanning at least x1 distinct W1 descriptions.
 
     The inner searches of the W1s refined at one outer level run in
-    lockstep, one screen chunk of W1s at a time: each inner level refines,
-    per W1 of the chunk, the W2s its previous level added (see
-    ``_inner_searches``), and the level's (W1, W2) pairs are screened in one
-    batch (``_BiScreen``).  Per W1, only the candidates
-    whose screening SI could place them in its inner beam are scored by
-    ``score_bi``, with the screen's edge counts and class histograms, and
-    offered to it.  An inner beam has no diversity floor and a strict total
-    order, so it ends up holding the same entries as if every candidate had
-    been scored and offered.  Inner beams do not read one another, and their
+    lockstep, one screen chunk of W1s at a time (``_inner_searches``): each
+    inner level's (W1, W2) pairs are screened in one batch (``_BiScreen``),
+    and the contenders of every W1 are scored in one batch and offered to
+    its inner beam.  Inner beams do not read one another, and their
     survivors reach the outer beam W1 by W1, so the result is the one of
     running each W1's inner search on its own.  Only the reported patterns'
     extensions are decoded, once the outer beam is final.
@@ -666,9 +662,8 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
         # one screen chunk of W1s at a time, which bounds the inner searches'
         # state as well as the screen's temporaries
         for lo in range(0, len(children), screen.w1_step):
-            w1s = [refiner.node(frontier, child, rows, sizes)
-                   for child in children[lo:lo + screen.w1_step]]
-            inner = _inner_searches(g, model, refiner, screen, cfg, w1s,
+            w1s = refiner.nodes(children[lo:lo + screen.w1_step], rows, sizes)
+            inner = _inner_searches(model, refiner, screen, cfg, w1s,
                                     rows[lo:lo + screen.w1_step])
             for w1, beam in zip(w1s, inner):
                 for e in beam:
@@ -696,14 +691,15 @@ def _admit(cfg, refiner, z1):
     return lambda parent, j: differs[j] or any(differs[k] for k in parent.sels)
 
 
-def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
+def _inner_searches(model, refiner, screen, cfg, w1s, rows1):
     """The inner beam searches of the W1 nodes ``w1s`` (refiner rows
     ``rows1``), in lockstep; returns each W1's final inner beam, whose
     entries hold ``(pattern, W2 node)``.  Level l refines only the W2s that
     level l - 1 added, the beam's entries of l - 1 selectors.  That is exact:
     an inner beam has no diversity floor and a strict total order, so its
     entry bar only rises, and a W2 screened out or rejected at one level
-    could not enter at a later one."""
+    could not enter at a later one.  An inner beam ends up holding the same
+    entries as if every candidate had been scored and offered."""
     z1s = [refiner.description(w1) for w1 in w1s]
     admits = [_admit(cfg, refiner, z1) for z1 in z1s]
     len1 = np.array([len(w1.sels) for w1 in w1s], dtype=np.int64)
@@ -713,24 +709,25 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
     for level in range(1, cfg.depth + 1):
         children, rows2, sizes2 = refiner.expand(
             [(r, set(), admit) for r, admit in zip(rows, admits)])
+        flat = [child for ch in children for child in ch]
         pi = np.repeat(np.arange(len(w1s)), [len(ch) for ch in children])
-        pj = np.array([row for ch in children for _, _, _, row in ch], dtype=np.int64)
-        lengths = len1[pi] + np.array([len(key) for ch in children for _, _, key, _ in ch],
-                                      dtype=np.int64)
+        pj = np.array([row for *_, row in flat], dtype=np.int64)
+        lengths = len1[pi] + np.array([len(key) for _, _, key, _ in flat], dtype=np.int64)
         H2 = refiner.class_counts(rows2)
         si, bound, edges, inside = screen.scores(chunk, (rows2, H2, sizes2), pi, pj, lengths)
         starts = np.cumsum([0] + [len(ch) for ch in children]).tolist()
-        # the contenders of every W1, W1 by W1, and their overlap histograms
+        # the contenders of every W1, W1 by W1, scored in one batch
         picked = np.concatenate([
             lo + _contenders(si[lo:hi], bound[lo:hi], [e.payload[0].si for e in beam], cfg.x2)
             for beam, lo, hi in zip(beams, starts, starts[1:])])
-        h_o = screen.overlaps(chunk, rows2, pi[picked], pj[picked])
-        for k, at in enumerate(picked.tolist()):
-            w = int(pi[at])
-            node = refiner.node(rows[w], children[w][at - starts[w]], rows2, sizes2)
-            pat = score_bi(g, model, z1s[w], refiner.description(node),
-                           (chunk[2][w], H2[pj[at]], h_o[k]), int(edges[at]), int(inside[at]),
-                           cfg.constants)
+        i, j, ws = pi[picked], pj[picked], pi[picked].tolist()
+        h_o = screen.overlaps(chunk, rows2, i, j)
+        nodes = refiner.nodes([flat[at] for at in picked.tolist()], rows2, sizes2)
+        pats = _score(model, cfg.constants, [z1s[w] for w in ws],
+                      [refiner.description(node) for node in nodes], (chunk[2][i], H2[j], h_o),
+                      (chunk[3][i], sizes2[j], h_o.sum(axis=1)), edges[picked], inside[picked],
+                      lengths[picked])
+        for w, node, pat in zip(ws, nodes, pats):
             if pat is not None:
                 beams[w].try_add(BeamEntry(pat.sort_key(), node.key, node.key, (pat, node)))
         rows = [[e.payload[1] for e in beam if len(e.payload[1].sels) == level] for beam in beams]

@@ -234,6 +234,37 @@ class TestMine:
             assert [row[4] for row in got[mode]] == pytest.approx(
                 [row[4] for row in want[mode]], rel=1e-9, abs=0), mode
 
+    def test_readme_demo_patterns_equal_rescore(self, tmp_path, monkeypatch):
+        # every pattern the demo's bi, single and iterate:2 runs report was
+        # scored in a batch; rescoring it alone from its descriptions gives
+        # the same SI, p_w and expected edges, bit for bit
+        runs = []
+
+        def capture(name):
+            fn = getattr(cli, name)
+
+            def wrapper(g, model, sels, cfg, *args, **kwargs):
+                out = fn(g, model, sels, cfg, *args, **kwargs)
+                rounds = (zip(out.models, out.rounds) if name == "iterate"
+                          else [(model, out)])
+                runs.append((name, g, cfg, list(rounds)))
+                return out
+            return wrapper
+
+        for name in ("nested_beam_search", "beam_search_single", "iterate"):
+            monkeypatch.setattr(cli, name, capture(name))
+        readme_demo_reports(tmp_path)
+        assert [name for name, *_ in runs] == ["nested_beam_search", "beam_search_single",
+                                               "iterate"]
+        for name, g, cfg, rounds in runs:
+            assert len(rounds) == (2 if name == "iterate" else 1)
+            for model, pats in rounds:
+                assert pats, name
+                for p in pats:
+                    again = rescore(g, model, p.w1, p.w2, cfg.constants)
+                    assert ([x.hex() for x in (again.si, again.p_w, again.expected_edges)]
+                            == [x.hex() for x in (p.si, p.p_w, p.expected_edges)]), p.render()
+
     def test_byte_identical_reruns(self, synth_files, capsys):
         args = ["mine", "--edges", synth_files + ".edges",
                 "--attrs", synth_files + ".attrs.csv", "--prior", "degree",
@@ -518,6 +549,8 @@ class TestInputErrors:
         (["mine", "--prior", "degree", "--mode", "iterate:two"], "bad mode 'iterate:two'"),
         (["mine", "--prior", "degree", "--id-col", "node"], "id column 'node' not in header"),
         (["mine", "--prior", "degree", "--id-col", "9"], "id column index 9 out of range"),
+        # a digit int() rejects is a header name, not an index
+        (["mine", "--prior", "degree", "--id-col", "²"], "id column '²' not in header"),
         (["synth", "--block", "grp=g1,grp=g2:5,0.5"], "bad block side 'grp=g1'"),
         (["synth", "--block", "grp:5,grp=g2:5,0.5"], "bad block side 'grp:5'"),
         (["synth", "--block", "grp=g1:5,grp=g2:5,dense"], "bad block density 'dense'"),

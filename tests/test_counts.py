@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelector, FitError,
                     ScoreConstants, background, fit_degree_prior, score_bi, score_single,
                     search, update_with_pattern)
-from simine.scores import _score_masks, _with_extensions
+from simine.scores import _score, _score_masks, _with_extensions
 from simine.search import _BiScreen
 
 from conftest import (brute_force_counts, class_histograms, random_graph, refiner_rows,
@@ -104,18 +104,21 @@ def test_one_row_mass_matches_batched_row(seed, directed, small_table, updates):
         h_r = class_histograms(model, rows[None, :])[0]
         H_c = class_histograms(model, cols)
         H_o = class_histograms(model, cols & rows)
-        ordered, overlap = model.pair_sums_many(h_r, H_c, H_o)
+        H_r = np.tile(h_r, (len(cols), 1))
+        ordered, overlap = model.pair_sums_many(H_r, H_c, H_o)
+        exact = model.pair_mass(H_r, H_c, H_o)
         # one row set per column set, paired with it: the rows of each pair
         # are the next column set
-        H_r = np.roll(H_c, -1, axis=0)
+        H_n = np.roll(H_c, -1, axis=0)
         H_p = class_histograms(model, cols & np.roll(cols, -1, axis=0))
-        paired = model.pair_sums_many(H_r, H_c, H_p)
+        paired = model.pair_sums_many(H_n, H_c, H_p)
         for i in range(len(cols)):
-            one = model.pair_sums_many(h_r, H_c[i], H_o[i])
-            assert np.ndim(one[0]) == np.ndim(one[1]) == 0
-            np.testing.assert_allclose(one, (ordered[i], overlap[i]), rtol=1e-12, atol=0)
+            one = model.pair_mass(h_r, H_c[i], H_o[i])
+            assert [x.tolist() for x in one] == [[exact[0][i]], [exact[1][i]]]
+            np.testing.assert_allclose(np.ravel(one), (ordered[i], overlap[i]), rtol=1e-12,
+                                       atol=0)
             got = model.pair_sums(np.flatnonzero(rows), np.flatnonzero(cols[i]))
-            np.testing.assert_allclose(got, one, rtol=1e-12, atol=0)
+            assert got == (exact[0][i], exact[1][i])
             nxt = cols[(i + 1) % len(cols)]
             got = model.pair_sums(np.flatnonzero(nxt), np.flatnonzero(cols[i]))
             np.testing.assert_allclose(got, (paired[0][i], paired[1][i]), rtol=1e-12, atol=0)
@@ -173,6 +176,87 @@ def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, rel
             if counted is not None:
                 assert given_counts.ext1_ids is None and given_counts.inter_edges is None
                 assert _bits(_with_extensions(given_counts, g, m, None)) == _bits(counted)
+
+
+def _absorb_random(g, model, rng, updates):
+    """``model`` after absorbing ``updates`` random bi patterns, so its
+    classes split by their rows and columns."""
+    for _ in range(updates):
+        ext1, ext2 = _extensions(rng, g.n, "overlap")
+        if ext1.any() and ext2.any():
+            pat = _score_masks(g, model, W1, ext1, W2, ext2, ScoreConstants())
+            if pat is not None:
+                model = update_with_pattern(model, pat)
+    return model
+
+
+DESCRIPTIONS = [Description(tuple(EqualsSelector(a, "v0") for a in "abc"[:k])) for k in (1, 2, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 60), directed=st.booleans(),
+       counting=st.sampled_from(["auto", "ordered", "unordered"]), single=st.booleans(),
+       small_table=st.booleans(), updates=st.integers(0, 2), size=st.integers(1, 8),
+       integer=st.booleans(), fortran=st.booleans())
+def test_batched_core_is_row_invariant(seed, n, directed, counting, single, small_table,
+                                       updates, size, integer, fortran):
+    # a batch scored at once, one row at a time and in shuffled order gives
+    # every row the same pattern, bit for bit, as the mask path does; on
+    # undirected graphs each bi pair is followed by its mirror, which ties
+    # exactly.  The histograms come as int64 or float, in C or Fortran
+    # order.  A table budget of 3 cells leaves any model with K > 1 without
+    # a class table
+    with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
+        rng = np.random.default_rng(seed)
+        g = random_graph(seed, n=n, p=float(rng.uniform(0.1, 0.9)), directed=directed)
+        try:
+            model = _absorb_random(g, fit_degree_prior(g), rng, updates)
+        except FitError:
+            assume(False)
+        c = ScoreConstants(pair_counting=counting)
+        cases = []  # (w1, mask1, w2, mask2)
+        for _ in range(size):
+            m1, m2 = _extensions(rng, n, rng.choice(["overlap", "disjoint", "equal"]))
+            z1, z2 = (DESCRIPTIONS[i] for i in rng.integers(0, len(DESCRIPTIONS), size=2))
+            cases.append((z1, m1, None, m1) if single else (z1, m1, z2, m2))
+            if not single and not directed:
+                cases.append((z2, m2, z1, m1))
+        hists, sizes, edges, inside, lengths = [], [], [], [], []
+        for z1, m1, z2, m2 in cases:
+            h = model._histograms(np.flatnonzero(m1), np.flatnonzero(m2))
+            hists.append(h)
+            sizes.append([int(x.sum()) for x in h])
+            edges.append(g.count_edges_between(m1, m2))
+            inside.append(g.count_edges_between(m1 & m2, m1 & m2))
+            lengths.append(len(z1) + (0 if z2 is None else len(z2)))
+        H = np.array(hists, dtype=np.int64 if integer else np.float64).transpose(1, 0, 2)
+
+        def scored(rows):
+            return [None if p is None else _bits(p) for p in _score(
+                model, c, [cases[i][0] for i in rows],
+                None if single else [cases[i][2] for i in rows],
+                tuple(np.asfortranarray(h[rows]) if fortran else h[rows] for h in H),
+                np.array(sizes).T[:, rows], np.array(edges)[rows], np.array(inside)[rows],
+                np.array(lengths)[rows])]
+
+        every = np.arange(len(cases))
+        whole = scored(every)
+        assert whole == [scored([i])[0] for i in every]
+        order = rng.permutation(len(cases))
+        assert scored(order) == [whole[i] for i in order]
+        for got, (z1, m1, z2, m2) in zip(whole, cases):
+            counted = _score_masks(g, model, z1, m1, z2, m2, c)
+            assert (got is None) == (counted is None)
+            if counted is not None:
+                ids = ("ext1_ids", "ext2_ids", "inter_edges")  # the mask path attaches them
+                assert ({f: v for f, v in got.items() if f not in ids}
+                        == {f: v for f, v in _bits(counted).items() if f not in ids})
+        if not single and not directed:
+            for pat, mirror in zip(whole[::2], whole[1::2]):
+                assert (pat is None) == (mirror is None)
+                if pat is not None:
+                    fields = ("si", "p_w", "n_w", "k_w", "ic", "expected_edges", "pair_slots")
+                    assert [pat[f] for f in fields] == [mirror[f] for f in fields]
 
 
 def _graph_with_edges(rng, n, m, directed):

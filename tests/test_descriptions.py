@@ -139,8 +139,10 @@ class TestGrammar:
         (lambda: parse_description("x∈[0.5,1.0"), "malformed interval selector"),
         (lambda: parse_description("x∈[a,1.0]"), "malformed interval bounds"),
         (lambda: parse_description("x∈[0.5]"), "malformed interval bounds"),
-        (lambda: parse_description("b=1 ∧ x∈[1.0,0.5]"), "malformed interval bounds"),
-        (lambda: parse_description("x∈[-inf,0.5]"), "malformed interval bounds"),
+        # the interval's own reason, not a wrapper's
+        (lambda: parse_description("x∈[1.0,0.5]"), r"lower < upper, got \[1.0, 0.5\]"),
+        (lambda: parse_description("b=1 ∧ x∈[1.0,0.5]"), "lower < upper"),
+        (lambda: parse_description("x∈[-inf,0.5]"), "must be finite"),
     ])
     def test_bad_interval(self, build, message):
         with pytest.raises(DescriptionError, match=message):

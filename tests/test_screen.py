@@ -26,7 +26,7 @@ def _levels(g, model, sels, min_size):
     levels, parents = [], [refiner.root]
     for _ in range(2):
         (children,), rows, sizes = refiner.expand([(parents, set(), None)])
-        parents = [refiner.node(parents, child, rows, sizes) for child in children]
+        parents = refiner.nodes(children, rows, sizes)
         levels.append(parents)
     return refiner, levels
 

@@ -392,10 +392,9 @@ class TestIterate:
 
 
 class TestScorerPath:
-    """The searches score every contender from counts through the names
-    ``simine.search.score_bi``/``score_single``, where a tracer that wraps
-    them from outside finds them, and decode extensions for reported
-    patterns only."""
+    """The searches score the contenders of a level in one call of the
+    batched core ``simine.search._score``, and decode extensions for
+    reported patterns only."""
 
     @staticmethod
     def _runs(g, model, sels):
@@ -407,26 +406,31 @@ class TestScorerPath:
                                 for p in pats],
         }
 
-    def test_contenders_scored_through_search_names(self, monkeypatch):
+    def test_contenders_scored_a_level_at_a_time(self, monkeypatch):
         g = random_graph(41, n=40)
         model = fit_degree_prior(g)
         sels = generate_selectors(g)
-        returned = []
+        returned, screened = [], []
 
-        def counting(fn):
+        def counting(fn, out):
             def wrapper(*args, **kwargs):
-                returned.append(fn(*args, **kwargs))
-                return returned[-1]
+                out.append(fn(*args, **kwargs))
+                return out[-1]
             return wrapper
 
-        monkeypatch.setattr(search, "score_bi", counting(score_bi))
-        monkeypatch.setattr(search, "score_single", counting(score_single))
+        monkeypatch.setattr(search, "_score", counting(search._score, returned))
+        for screen in (search._BiScreen, search._SingleScreen):
+            monkeypatch.setattr(screen, "scores", counting(screen.scores, screened))
         for name, run in self._runs(g, model, sels).items():
             returned.clear()
+            screened.clear()
             pats = run()
             assert pats, name
-            # every reported pattern is the very object a wrapped call returned
-            seen = {id(p) for p in returned}
+            # one batch per screened level, and every reported pattern is
+            # the very object a batch returned
+            assert len(returned) == len(screened) > 0, name
+            assert sum(map(len, returned)) > len(returned), name
+            seen = {id(p) for batch in returned for p in batch}
             assert all(id(p) in seen for p in pats), name
 
     @pytest.mark.parametrize("fn", [score_bi, score_single])
@@ -465,16 +469,16 @@ class TestScorerPath:
 
         def counting(fn):
             def wrapper(*args, **kwargs):
-                scored.append(1)
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                scored.extend(out)
+                return out
             return wrapper
 
         def counting_str(self):
             renders.append(1)
             return to_str(self)
 
-        monkeypatch.setattr(search, "score_bi", counting(score_bi))
-        monkeypatch.setattr(search, "score_single", counting(score_single))
+        monkeypatch.setattr(search, "_score", counting(search._score))
         monkeypatch.setattr(Description, "__str__", counting_str)
         for name, run in self._runs(g, model, sels).items():
             scored.clear()
@@ -495,7 +499,7 @@ class TestScorerPath:
         g = random_graph(47, n=40)
         model = fit_degree_prior(g)
         sels = generate_selectors(g)
-        Screen, class_counts = search._BiScreen, search._Refiner.class_counts
+        Screen, class_counts, score = search._BiScreen, search._Refiner.class_counts, search._score
         phase, counted, offered, scored = [None], [], [], []
 
         def counting(self, rows):
@@ -513,8 +517,8 @@ class TestScorerPath:
             return wrapper
 
         def scoring(*args):
-            scored.append(1)
-            return score_bi(*args)
+            scored.extend(args[2])
+            return score(*args)
 
         monkeypatch.setattr(search._Refiner, "class_counts", counting)
         monkeypatch.setattr(Screen, "w1_rows",
@@ -523,7 +527,7 @@ class TestScorerPath:
             "screen", Screen.scores, lambda _, w1, w2, pi, pj, lengths: (len(w2[0]), len(pi))))
         monkeypatch.setattr(Screen, "overlaps", in_phase(
             "overlaps", Screen.overlaps, lambda _, w1, rows2, pi, pj: len(pi)))
-        monkeypatch.setattr(search, "score_bi", scoring)
+        monkeypatch.setattr(search, "_score", scoring)
         assert nested_beam_search(g, model, sels, SearchConfig(x1=3, x2=3, depth=2))
 
         def rows(name, of=lambda r: r):
