@@ -836,8 +836,7 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
 def pair_universe(a, b, overlap, convention: str):
     """Number of vertex pairs u != v between two sets of sizes ``a`` and ``b``
     that share ``overlap`` vertices; elementwise for arrays, whose overlaps
-    are not range-checked (the nested search's screen counts them from the
-    sets themselves).
+    the screens count from the sets and the exact scorer range-checks.
 
     A single set of size s is the case a == b == overlap == s.  "ordered"
     counts ordered pairs, a*b - overlap; "unordered" counts each unordered

@@ -24,12 +24,12 @@ convention.  For undirected graphs the default ("auto") scores
 single-subgroup patterns in the ordered convention and bi-subgroup patterns
 in the unordered one; ``ScoreConstants.pair_counting`` can force either.
 
-Scoring reads counts only, a batch at a time: one core takes arrays of class
-histograms, sizes, edge counts and description lengths, and returns patterns
-without extension ids.  The searches pass it a level's contenders at once;
-``score_single``, ``score_bi`` and ``rescore`` are its one-row case.  A
-pattern scores bit for bit the same in any batch and at any place in it, so
-every reported SI equals ``rescore``'s, which counts decoded extensions.
+Scoring reads counts only, a batch at a time: ``score_single`` and
+``score_bi`` take descriptions, class histograms and edge counts, a list of
+each for a batch (the searches pass a level's contenders) or one of each
+for one row, and return patterns without extension ids.  A pattern scores
+bit for bit the same in any batch and at any place in it, so every reported
+SI equals ``rescore``'s, which counts decoded extensions.
 """
 
 from __future__ import annotations
@@ -161,20 +161,21 @@ def kl_bernoulli_many(q, p) -> np.ndarray:
     return dense + sparse
 
 
-def information_content(n_w: int, k_w: float, p_w: float) -> float:
-    """Chernoff-bound information content, direction-agnostic."""
-    if n_w <= 0:
+def information_content(n_w, k_w, p_w):
+    """Chernoff-bound information content, direction-agnostic; elementwise."""
+    if np.any(np.less_equal(n_w, 0)):
         raise ValueError("n_w must be positive")
-    return n_w * kl_bernoulli(k_w / n_w, p_w)
+    q = np.divide(k_w, n_w)
+    if np.any((q < 0.0) | (q > 1.0)):
+        raise ValueError("q must lie in [0, 1]")
+    return n_w * kl_bernoulli_many(q, p_w)
 
 
-def description_length(len1: int, len2: int | None, c: ScoreConstants) -> float:
-    """Communication cost: single-subgroup descriptions are counted once."""
-    if len1 < 1 or (len2 is not None and len2 < 1):
+def description_length(len1, len2, c: ScoreConstants):
+    """Communication cost, elementwise: single subgroups (``len2 is None``) count once."""
+    if np.any(np.less(len1, 1)) or (len2 is not None and np.any(np.less(len2, 1))):
         raise ValueError("description lengths must be >= 1")
-    if len2 is None:
-        return c.alpha * len1 + c.beta
-    return c.alpha * (len1 + len2) + c.beta
+    return c.alpha * (np.asarray(len1) if len2 is None else np.add(len1, len2)) + c.beta
 
 
 def pair_counts(a, b, o, edges, edges_in_overlap, ordered_mass, overlap_mass,
@@ -225,18 +226,20 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
 # -- pattern construction --------------------------------------------------------
 
 
-def _score(model, c, w1s, w2s, hists, sizes, edges, inside, lengths) -> list:
-    """The patterns (W1, W2) of a batch, one row each, from ``hists`` =
-    ``(H1, H2, H_o)``, the class histograms of W1, W2 and W1 ∩ W2 (``(H, H,
-    H)`` and ``w2s is None`` for single subgroups), their ``sizes``, the
-    counts ``score_bi`` takes and the selector counts.  Each quantity is
-    elementwise or sums the row's own terms (``pair_mass``); ``edges``/
-    ``pair_slots``/``expected_edges`` count distinct pairs (ordered when
-    directed), the rest is in the scoring convention.  None: no pair u != v."""
+def _score(model, c, w1s, w2s, hists, edges, inside) -> list:
+    """The patterns (W1, W2) of a batch, one row each, from the counts
+    ``score_bi`` takes (``(H, H, H)`` and ``w2s is None`` for single
+    subgroups).  Each quantity is elementwise or sums the row's own terms
+    (``pair_mass``); ``edges``/``pair_slots``/``expected_edges`` count
+    distinct pairs (ordered when directed), the rest is in the scoring
+    convention.  None: no pair u != v."""
     single, directed = w2s is None, model.directed
     conv = c.convention(single, directed)
-    a, b, o, edges, inside = (np.asarray(x, dtype=np.int64) for x in (*sizes, edges, inside))
     H = [np.asarray(h).reshape(-1, model.n_classes) for h in hists]
+    a, b, o = (h.sum(axis=1).astype(np.int64) for h in H)
+    if np.any((o < 0) | (o > np.minimum(a, b))):
+        raise ValueError("overlap cannot exceed either subgroup size")
+    edges, inside = (np.asarray(x, dtype=np.int64) for x in (edges, inside))
     step = max(1, _MASS_CELLS // model.n_classes)
     ordered, overlap = (np.concatenate(x) for x in zip(*[
         model.pair_mass(*(h[lo:lo + step] for h in H)) for lo in range(0, max(1, len(a)), step)]))
@@ -244,8 +247,9 @@ def _score(model, c, w1s, w2s, hists, sizes, edges, inside, lengths) -> list:
     valid = pair_universe(a, b, o, "ordered") > 0  # a pair u != v, in either convention
     n_w = np.where(valid, n_w, 1)
     p_w = mass / n_w
-    ic = n_w * kl_bernoulli_many(k_w / n_w, p_w)
-    dl = c.alpha * np.asarray(lengths, dtype=np.int64) + c.beta
+    ic = information_content(n_w, k_w, p_w)
+    dl = description_length(*(None if ws is None else np.array([len(w) for w in ws], np.int64)
+                              for ws in (w1s, w2s)), c)
     # reports print the distinct-pair mass of undirected bi patterns as it
     # is, and that of the others as p_w * slots
     expected = p_w * slots if single or directed else ordered - overlap / 2.0
@@ -259,25 +263,28 @@ def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
                  hist: np.ndarray, edges: int, c: ScoreConstants) -> Pattern | None:
     """Score the single-subgroup pattern of a description from its
     extension's class histogram ``hist`` under ``model`` (integer or float)
-    and its number of inner ``edges``, as a batch of one.  The pattern
-    carries no extension ids; None when the extension has under 2 vertices."""
-    return _score(model, c, [desc], None, (hist,) * 3, ([int(np.sum(hist))],) * 3, [edges],
-                  [edges], [len(desc)])[0]
+    and its number of inner ``edges``; given a list of descriptions, score a
+    batch, one row each, into a list.  Patterns carry no extension ids; None
+    when the extension has under 2 vertices."""
+    if isinstance(desc, Description):
+        return score_single(g, model, [desc], hist, [edges], c)[0]
+    return _score(model, c, desc, None, (hist,) * 3, edges, edges)
 
 
 def score_bi(g: AttributedGraph, model: BackgroundModel, w1: Description,
              w2: Description, hists: tuple, edges: int, inside: int,
              c: ScoreConstants) -> Pattern | None:
-    """Score a bi-subgroup pattern from the counts of its extensions, as a
-    batch of one.  ``hists`` is ``(h1, h2, h_o)``, the class histograms
-    under ``model`` (integer or float) of W1, W2 and W1 ∩ W2; ``edges`` the
-    number of distinct edges between the extensions (ordered edges W1 -> W2
-    when directed) and ``inside`` the number of edges inside their
-    intersection, read only in the ordered convention of an undirected
-    graph.  The pattern carries no extension ids; None when the pair
-    universe is empty."""
-    sizes = [[int(np.sum(h))] for h in hists]
-    return _score(model, c, [w1], [w2], hists, sizes, [edges], [inside], [len(w1) + len(w2)])[0]
+    """Score a bi-subgroup pattern from the counts of its extensions.
+    ``hists`` is ``(h1, h2, h_o)``, the class histograms under ``model``
+    (integer or float) of W1, W2 and W1 ∩ W2; ``edges`` the number of
+    distinct edges between the extensions (ordered edges W1 -> W2 when
+    directed) and ``inside`` the number of edges inside their intersection,
+    read only in the ordered convention of an undirected graph.  Given lists
+    of descriptions, score a batch, one row each, into a list.  Patterns
+    carry no extension ids; None when the pair universe is empty."""
+    if isinstance(w1, Description):
+        return score_bi(g, model, [w1], [w2], hists, [edges], [inside], c)[0]
+    return _score(model, c, w1, w2, hists, edges, inside)
 
 
 def _with_extensions(pat: Pattern, g: AttributedGraph, mask1, mask2) -> Pattern:
@@ -302,9 +309,7 @@ def _score_masks(g: AttributedGraph, model: BackgroundModel, w1: Description, ma
     hists = model._histograms(np.flatnonzero(mask1), np.flatnonzero(mask2))
     edges, over = g.count_edges_between(mask1, mask2), mask1 & mask2
     inside = edges if w2 is None else g.count_edges_between(over, over)
-    pat = _score(model, c, [w1], None if w2 is None else [w2], hists,
-                 [[int(h.sum())] for h in hists], [edges], [inside],
-                 [len(w1) + (0 if w2 is None else len(w2))])[0]
+    pat = _score(model, c, [w1], None if w2 is None else [w2], hists, [edges], [inside])[0]
     return None if pat is None else _with_extensions(pat, g, mask1, mask2)
 
 

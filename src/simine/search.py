@@ -10,7 +10,7 @@ Beams identify candidates, and diversity groups W1s, by description keys
 
 Both score a level at a time: its candidates are screened in one batch, and
 the contenders, whose screening SI could place them in a beam, are scored
-exactly in one call of the batched core ``scores._score``.
+exactly in one batched call of ``score_single`` or ``score_bi``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import numpy as np
 from .background import PROB_EPS, BackgroundModel, update_with_pattern
 from .descriptions import Description, selector_mask
 from .graph import AttributedGraph
-from .scores import (Pattern, ScoreConstants, _score, _with_extensions, baseline_scores,
-                     kl_bernoulli_many, pair_counts)
+from .scores import (Pattern, ScoreConstants, _with_extensions, baseline_scores,
+                     kl_bernoulli_many, pair_counts, score_bi, score_single)
 
 log = logging.getLogger(__name__)
 
@@ -343,9 +343,8 @@ def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
     """
     refiner = _Refiner(g, model, selectors, max(2, cfg.min_extension_size))
 
-    def scorer(descs, nodes, edges, hists, sizes):
-        return _score(model, cfg.constants, descs, None, (hists,) * 3, (sizes,) * 3, edges,
-                      edges, [len(d) for d in descs])
+    def scorer(descs, nodes, edges, hists):
+        return score_single(g, model, descs, hists, edges, cfg.constants)
 
     found = _single_engine(refiner, _SingleScreen(g, refiner, cfg.constants), cfg, scorer)
     if not found:
@@ -384,7 +383,7 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
     refiner = _Refiner(g, None, selectors, max(2, cfg.min_extension_size))
     deg = g.degrees()
 
-    def scorer(descs, nodes, edges, _hists, _sizes):
+    def scorer(descs, nodes, edges, _hists):
         masks = [refiner.masks(node.row) for node in nodes]
         return [BaselineResult(w=desc, measure=measure, size=node.size, edges=k,
                                value=baseline_scores(g, m, edge_surplus_alpha)[measure],
@@ -397,7 +396,7 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
 def _single_engine(refiner, screen, cfg, scorer):
     """Level-wise beam search over the refinements of ``refiner``; ``scorer``
     maps a batch of candidates (descriptions, nodes, inner edge counts,
-    integer class histograms, sizes) to a result or None each.  Returns the
+    integer class histograms) to a result or None each.  Returns the
     ``(result, node)`` of every level's survivors, ranked.  A level is
     expanded, screened, cut and scored in one batch, its parents in chunks
     that fit the screen budget.  With a ``screen`` (``_SingleScreen``), only
@@ -422,7 +421,7 @@ def _single_engine(refiner, screen, cfg, scorer):
                                     cfg.beam_width)
             nodes = refiner.nodes([children[i] for i in picks.tolist()], stack, sizes)
             results = scorer([refiner.description(nd) for nd in nodes], nodes, counts[picks],
-                             hists[picks], sizes[picks])
+                             hists[picks])
             for res, node in zip(results, nodes):
                 if res is not None:
                     beam.try_add(BeamEntry(res.sort_key(), node.key, node.key, (res, node)))
@@ -663,7 +662,7 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
         # state as well as the screen's temporaries
         for lo in range(0, len(children), screen.w1_step):
             w1s = refiner.nodes(children[lo:lo + screen.w1_step], rows, sizes)
-            inner = _inner_searches(model, refiner, screen, cfg, w1s,
+            inner = _inner_searches(g, model, refiner, screen, cfg, w1s,
                                     rows[lo:lo + screen.w1_step])
             for w1, beam in zip(w1s, inner):
                 for e in beam:
@@ -691,7 +690,7 @@ def _admit(cfg, refiner, z1):
     return lambda parent, j: differs[j] or any(differs[k] for k in parent.sels)
 
 
-def _inner_searches(model, refiner, screen, cfg, w1s, rows1):
+def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
     """The inner beam searches of the W1 nodes ``w1s`` (refiner rows
     ``rows1``), in lockstep; returns each W1's final inner beam, whose
     entries hold ``(pattern, W2 node)``.  Level l refines only the W2s that
@@ -723,10 +722,9 @@ def _inner_searches(model, refiner, screen, cfg, w1s, rows1):
         i, j, ws = pi[picked], pj[picked], pi[picked].tolist()
         h_o = screen.overlaps(chunk, rows2, i, j)
         nodes = refiner.nodes([flat[at] for at in picked.tolist()], rows2, sizes2)
-        pats = _score(model, cfg.constants, [z1s[w] for w in ws],
-                      [refiner.description(node) for node in nodes], (chunk[2][i], H2[j], h_o),
-                      (chunk[3][i], sizes2[j], h_o.sum(axis=1)), edges[picked], inside[picked],
-                      lengths[picked])
+        pats = score_bi(g, model, [z1s[w] for w in ws],
+                        [refiner.description(node) for node in nodes], (chunk[2][i], H2[j], h_o),
+                        edges[picked], inside[picked], cfg.constants)
         for w, node, pat in zip(ws, nodes, pats):
             if pat is not None:
                 beams[w].try_add(BeamEntry(pat.sort_key(), node.key, node.key, (pat, node)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelector, FitError,
                     ScoreConstants, background, fit_degree_prior, score_bi, score_single,
                     search, update_with_pattern)
-from simine.scores import _score, _score_masks, _with_extensions
+from simine.scores import _score_masks, _with_extensions
 from simine.search import _BiScreen
 
 from conftest import (brute_force_counts, class_histograms, random_graph, refiner_rows,
@@ -221,23 +221,25 @@ def test_batched_core_is_row_invariant(seed, n, directed, counting, single, smal
             cases.append((z1, m1, None, m1) if single else (z1, m1, z2, m2))
             if not single and not directed:
                 cases.append((z2, m2, z1, m1))
-        hists, sizes, edges, inside, lengths = [], [], [], [], []
+        hists, edges, inside = [], [], []
         for z1, m1, z2, m2 in cases:
-            h = model._histograms(np.flatnonzero(m1), np.flatnonzero(m2))
-            hists.append(h)
-            sizes.append([int(x.sum()) for x in h])
+            hists.append(model._histograms(np.flatnonzero(m1), np.flatnonzero(m2)))
             edges.append(g.count_edges_between(m1, m2))
             inside.append(g.count_edges_between(m1 & m2, m1 & m2))
-            lengths.append(len(z1) + (0 if z2 is None else len(z2)))
         H = np.array(hists, dtype=np.int64 if integer else np.float64).transpose(1, 0, 2)
+        edges, inside = np.array(edges), np.array(inside)
+
+        def at(h, rows):
+            return np.asfortranarray(h[rows]) if fortran else h[rows]
 
         def scored(rows):
-            return [None if p is None else _bits(p) for p in _score(
-                model, c, [cases[i][0] for i in rows],
-                None if single else [cases[i][2] for i in rows],
-                tuple(np.asfortranarray(h[rows]) if fortran else h[rows] for h in H),
-                np.array(sizes).T[:, rows], np.array(edges)[rows], np.array(inside)[rows],
-                np.array(lengths)[rows])]
+            w1s = [cases[i][0] for i in rows]
+            if single:
+                pats = score_single(g, model, w1s, at(H[0], rows), edges[rows], c)
+            else:
+                pats = score_bi(g, model, w1s, [cases[i][2] for i in rows],
+                                tuple(at(h, rows) for h in H), edges[rows], inside[rows], c)
+            return [None if p is None else _bits(p) for p in pats]
 
         every = np.arange(len(cases))
         whole = scored(every)

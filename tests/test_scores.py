@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simine import (AttributedGraph, Description, ScoreConstants,
+from simine import (EMPTY_DESCRIPTION, AttributedGraph, Description, ScoreConstants,
                     baseline_scores, description_length, extension,
                     fit_density_prior, fit_degree_prior, generate_selectors,
                     information_content, kl_bernoulli, pair_universe, parse_description,
@@ -134,6 +134,17 @@ class TestInformationContent:
     def test_needs_pairs(self):
         with pytest.raises(ValueError):
             information_content(0, 0, 0.5)
+        with pytest.raises(ValueError, match="positive"):
+            information_content(np.array([10, 0]), np.array([3, 0]), 0.5)
+
+    def test_count_within_pairs(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            information_content(np.array([10, 4]), np.array([3, 5]), 0.5)
+
+    def test_elementwise(self):
+        n, k, p = np.array([10, 20, 6006]), np.array([8, 6, 192]), np.array([0.3, 0.3, 8.929 / 3003])
+        assert information_content(n, k, p).tolist() == [
+            information_content(*row) for row in zip(n.tolist(), k.tolist(), p.tolist())]
 
 
 class TestDescriptionLength:
@@ -144,9 +155,18 @@ class TestDescriptionLength:
         assert description_length(1, 1, ScoreConstants()) == pytest.approx(1.1)
         assert description_length(2, 1, ScoreConstants()) == pytest.approx(1.4)
 
+    def test_elementwise(self):
+        c = ScoreConstants()
+        assert description_length(np.array([1, 2]), None, c).tolist() == [
+            description_length(1, None, c), description_length(2, None, c)]
+        assert description_length([1, 2], [1, 1], c).tolist() == [
+            description_length(1, 1, c), description_length(2, 1, c)]
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             description_length(0, None, ScoreConstants())
+        with pytest.raises(ValueError, match=">= 1"):
+            description_length([1, 2], [1, 0], ScoreConstants())
         with pytest.raises(ValueError):
             ScoreConstants(alpha=0.0)
 
@@ -204,6 +224,39 @@ class TestHistogramLayout:
             sis = [(score_single(g, model, w1, h[0], edges, c) if w2 is None
                     else score_bi(g, model, w1, w2, h, edges, inside, c)).si for h in layouts]
             assert sis == [rescore(g, model, w1, w2, c).si] * 3, (str(w1), str(w2))
+
+
+class TestScorerInputs:
+    """The scorers reject what the pattern counts cannot be: an empty
+    description and an overlap larger than a side."""
+
+    @staticmethod
+    def _setup():
+        g = random_graph(3, n=30, attrs=(("a", 3), ("b", 3)))
+        model = fit_degree_prior(g)
+        d1, d2 = parse_description("a=v0"), parse_description("b=v0")
+        return g, model, d1, d2, extension(d1, g), extension(d2, g)
+
+    def test_empty_description_rejected(self):
+        g, model, d1, d2, _, _ = self._setup()
+        c = ScoreConstants()
+        for w1, w2 in [(EMPTY_DESCRIPTION, None), (EMPTY_DESCRIPTION, d2), (d1, EMPTY_DESCRIPTION)]:
+            with pytest.raises(ValueError, match="description lengths must be >= 1"):
+                rescore(g, model, w1, w2, c)
+        h = model._histograms(np.flatnonzero(extension(d1, g)), np.flatnonzero(extension(d1, g)))
+        with pytest.raises(ValueError, match="description lengths must be >= 1"):
+            score_single(g, model, [d1, EMPTY_DESCRIPTION], np.stack([h[0]] * 2), [0, 0], c)
+
+    def test_overlap_larger_than_a_side_rejected(self):
+        g, model, d1, d2, m1, m2 = self._setup()
+        h1, h2, h_o = model._histograms(np.flatnonzero(m1), np.flatnonzero(m2))
+        c = ScoreConstants()
+        assert score_bi(g, model, d1, d2, (h1, h2, h_o), 0, 0, c) is not None
+        with pytest.raises(ValueError, match="overlap cannot exceed"):
+            score_bi(g, model, d1, d2, (h1, h2, h1 + h2), 0, 0, c)
+        with pytest.raises(ValueError, match="overlap cannot exceed"):
+            score_bi(g, model, [d1, d1], [d2, d2], (np.stack([h1, h1]), np.stack([h2, h2]),
+                                                    np.stack([h_o, h1 + h2])), [0, 0], [0, 0], c)
 
 
 class TestExactTail:

@@ -392,8 +392,9 @@ class TestIterate:
 
 
 class TestScorerPath:
-    """The searches score the contenders of a level in one call of the
-    batched core ``simine.search._score``, and decode extensions for
+    """The searches score the contenders of a level in one batched call of
+    the names ``simine.search.score_bi``/``score_single``, where a tracer
+    that wraps them from outside finds them, and decode extensions for
     reported patterns only."""
 
     @staticmethod
@@ -406,7 +407,7 @@ class TestScorerPath:
                                 for p in pats],
         }
 
-    def test_contenders_scored_a_level_at_a_time(self, monkeypatch):
+    def test_contenders_scored_through_search_names(self, monkeypatch):
         g = random_graph(41, n=40)
         model = fit_degree_prior(g)
         sels = generate_selectors(g)
@@ -418,7 +419,8 @@ class TestScorerPath:
                 return out[-1]
             return wrapper
 
-        monkeypatch.setattr(search, "_score", counting(search._score, returned))
+        monkeypatch.setattr(search, "score_bi", counting(score_bi, returned))
+        monkeypatch.setattr(search, "score_single", counting(score_single, returned))
         for screen in (search._BiScreen, search._SingleScreen):
             monkeypatch.setattr(screen, "scores", counting(screen.scores, screened))
         for name, run in self._runs(g, model, sels).items():
@@ -478,7 +480,8 @@ class TestScorerPath:
             renders.append(1)
             return to_str(self)
 
-        monkeypatch.setattr(search, "_score", counting(search._score))
+        monkeypatch.setattr(search, "score_bi", counting(score_bi))
+        monkeypatch.setattr(search, "score_single", counting(score_single))
         monkeypatch.setattr(Description, "__str__", counting_str)
         for name, run in self._runs(g, model, sels).items():
             scored.clear()
@@ -499,7 +502,7 @@ class TestScorerPath:
         g = random_graph(47, n=40)
         model = fit_degree_prior(g)
         sels = generate_selectors(g)
-        Screen, class_counts, score = search._BiScreen, search._Refiner.class_counts, search._score
+        Screen, class_counts = search._BiScreen, search._Refiner.class_counts
         phase, counted, offered, scored = [None], [], [], []
 
         def counting(self, rows):
@@ -518,7 +521,7 @@ class TestScorerPath:
 
         def scoring(*args):
             scored.extend(args[2])
-            return score(*args)
+            return score_bi(*args)
 
         monkeypatch.setattr(search._Refiner, "class_counts", counting)
         monkeypatch.setattr(Screen, "w1_rows",
@@ -527,7 +530,7 @@ class TestScorerPath:
             "screen", Screen.scores, lambda _, w1, w2, pi, pj, lengths: (len(w2[0]), len(pi))))
         monkeypatch.setattr(Screen, "overlaps", in_phase(
             "overlaps", Screen.overlaps, lambda _, w1, rows2, pi, pj: len(pi)))
-        monkeypatch.setattr(search, "_score", scoring)
+        monkeypatch.setattr(search, "score_bi", scoring)
         assert nested_beam_search(g, model, sels, SearchConfig(x1=3, x2=3, depth=2))
 
         def rows(name, of=lambda r: r):
