@@ -19,6 +19,7 @@ import logging
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,7 +158,7 @@ class Beam:
 
 # -- candidate generation -------------------------------------------------------
 
-_SCREEN_CELLS = 1 << 20  # cells of the nested search's screen temporaries (see _BiScreen)
+_SCREEN_CELLS = 1 << 20  # cells of the searches' temporaries (see _BiScreen)
 
 
 def _pack(bits, words):
@@ -171,16 +172,46 @@ def _pack(bits, words):
     return out.view("<u8")
 
 
+def _firsts(values):
+    """Which entries of the int array ``values`` are the first of their
+    value: the starts of the runs of a stable sort."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first = np.zeros(values.size, dtype=bool)
+    first[order[starts]] = True
+    return first
+
+
 @dataclass(eq=False)
 class _Node:
     """A description in the search tree: the positions of its selectors in
-    the selector list, its identity key, the row of its extension and its
-    size."""
+    the selector list, its key id (``_Refiner``), the row of its extension
+    and its size."""
 
     sels: tuple
-    key: tuple
+    key: int
     row: np.ndarray
     size: int
+
+
+class _Children(NamedTuple):
+    """What ``_Refiner.expand`` keeps: per child, in the order the children
+    are generated, its group, its parent's position in ``parents``, the
+    position of the selector it adds, its key id and its row of ``rows``;
+    and the rows of the distinct children with the size of each, and the
+    ``seen`` mask the call leaves."""
+
+    parents: list
+    group: np.ndarray
+    parent: np.ndarray
+    sel: np.ndarray
+    key: np.ndarray
+    row: np.ndarray
+    rows: np.ndarray
+    sizes: np.ndarray
+    seen: np.ndarray | None
 
 
 class _Refiner:
@@ -202,7 +233,8 @@ class _Refiner:
     refinement reached from several parents is kept once, from the first.
     A description's key is the sorted tuple of its selectors' rendering ids
     (selectors that render alike share one), so under the description
-    grammar equal keys mean equal renderings.
+    grammar equal keys mean equal renderings; each key is interned once as
+    an integer id, the root's 0.
     """
 
     def __init__(self, g, model, selectors, min_size):
@@ -221,20 +253,26 @@ class _Refiner:
         self.high = ~((np.uint64(1) << (bounds & 63).astype(np.uint64)) - np.uint64(1))
         e0, e1 = g.edges.T
 
-        def row(mask):
-            return np.concatenate([_pack(mask[order], self.words),
-                                   _pack(mask[e0] & mask[e1], g.m // 64 + 1)])
+        def rows(masks):
+            return np.concatenate([_pack(masks[..., order], self.words),
+                                   _pack(masks[..., e0] & masks[..., e1], g.m // 64 + 1)],
+                                  axis=-1)
 
-        self.root = _Node((), (), row(np.ones(g.n, dtype=bool)), g.n)
-        self.rows = np.empty((len(self.selectors), self.root.row.size), dtype="<u8")
-        for i, s in enumerate(self.selectors):
-            self.rows[i] = row(selector_mask(s, g))
+        # the root's mask and the selectors', packed a block at a time within
+        # the screen budget
+        masks = [np.ones(g.n, dtype=bool)] + [selector_mask(s, g) for s in self.selectors]
+        step = max(1, _SCREEN_CELLS // (g.n + g.m))
+        packed = np.concatenate([rows(np.array(masks[lo:lo + step]))
+                                 for lo in range(0, len(masks), step)])
+        self.root = _Node((), 0, packed[0], g.n)
+        self.rows = packed[1:]
         attrs, first = {}, {}
         self.attr = np.array([attrs.setdefault(s.attribute, len(attrs))
                               for s in self.selectors], dtype=np.int64)
         self.n_attrs = len(attrs)
         self.rid = [first.setdefault(s.render(), i) for i, s in enumerate(self.selectors)]
-        self._cache: dict[tuple, tuple] = {}
+        self.ids: dict[tuple, int] = {(): 0}  # key -> key id
+        self._cache: dict[int, np.ndarray] = {}
 
     def description(self, node) -> Description:
         return Description(tuple(self.selectors[i] for i in node.sels))
@@ -265,10 +303,10 @@ class _Refiner:
         return self.unpack(rows)[..., self.pos]
 
     def _children(self, parent):
-        """Selector positions, keys and sizes of the admissible refinements
-        of one parent, kept per parent: the inner searches of different W1s
-        start from the same root and mostly refine the same W2s, so most
-        lookups in the nested search repeat a parent."""
+        """Selector positions, key ids and sizes (the rows of an int64 array)
+        of the admissible refinements of one parent, kept per parent: the inner
+        searches of different W1s start from the same root and mostly refine
+        the same W2s, so most lookups in the nested search repeat a parent."""
         hit = self._cache.get(parent.key)
         if hit is None:
             used = np.zeros(self.n_attrs, dtype=bool)
@@ -278,55 +316,72 @@ class _Refiner:
             members &= parent.row[:self.words]
             size = np.bitwise_count(members).sum(axis=1, dtype=np.int64)
             ok = (size >= self.min_size) & (size != parent.size)
-            js = free[ok].tolist()
-            hit = self._cache[parent.key] = (
-                js, [tuple(sorted(parent.key + (self.rid[j],))) for j in js], size[ok].tolist())
+            js, base = free[ok], tuple(self.rid[i] for i in parent.sels)
+            ids = [self.ids.setdefault(tuple(sorted(base + (self.rid[j],))), len(self.ids))
+                   for j in js.tolist()]
+            hit = self._cache[parent.key] = np.array([js, ids, size[ok]], dtype=np.int64)
         return hit
 
-    def expand(self, groups):
-        """Admissible refinements of groups of parents.  A group is
-        ``(parents, seen, admit)``: the refinements of its parents, parent by
-        parent and each parent's in selector order, whose keys are not in
-        ``seen`` yet and that ``admit(parent, selector position)``
-        accepts when it is not None; a child it rejects still joins ``seen``.
+    def expand(self, groups, admit=None, seen=None) -> _Children:
+        """The admissible refinements of groups of parents (lists of nodes):
+        per group, the refinements of its parents, parent by parent and each
+        parent's in selector order, the first of each key only.  Given
+        ``admit``, a bool row per group over the selectors, a group keeps a
+        child only when the row holds for one of the child's selectors; a
+        child it rejects still takes its key.  Given ``seen``, a bool mask
+        over key ids of the keys earlier calls took, every group skips those
+        keys, and the returned mask adds the keys this call took.
 
-        Returns ``(children, rows, sizes)``: per group, ``(parent node,
-        selector position, key, row)`` per child, and the rows of the
-        distinct children stacked in the order they first appear.  Children
-        with equal keys share one row, so with a single group row i is
-        child i."""
-        children = [[] for _ in groups]
-        rows: dict[tuple, int] = {}  # child key -> row of the stack
-        js_new, sizes, starts = [], [], []  # per stacked row; (parent, its first row)
-        for out, (parents, seen, admit) in zip(children, groups):
-            for parent in parents:
-                starts.append((parent, len(rows)))
-                for j, key, size in zip(*self._children(parent)):
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if admit is not None and not admit(parent, j):
-                        continue
-                    row = rows.get(key)
-                    if row is None:
-                        row = rows[key] = len(rows)
-                        js_new.append(j)
-                        sizes.append(size)
-                    out.append((parent, j, key, row))
-        # the rows one parent visit adds are consecutive: gather every
-        # selector row at once, then AND each parent into its block
-        stack = self.rows[js_new]
-        ends = [lo for _, lo in starts[1:]] + [len(rows)]
-        for (parent, lo), hi in zip(starts, ends):
-            stack[lo:hi] &= parent.row
-        return children, stack, np.array(sizes, dtype=np.int64)
+        Children with equal keys share one row, the rows in the order their
+        keys first appear, so with a single group row i is child i."""
+        empty = np.zeros((3, 0), dtype=np.int64)
+        parents = [p for grp in groups for p in grp]
+        owner = [w for w, grp in enumerate(groups) for _ in grp]  # the group of each parent
+        hits = [self._children(p) for p in parents]
+        counts = [h.shape[1] for h in hits]
+        parent = np.repeat(np.arange(len(parents)), counts)
+        group = np.repeat(np.array(owner, dtype=np.int64), counts)
+        sel, key, size = np.concatenate([empty] + hits, axis=1)
+        # the first child of each (group, key)
+        first = _firsts(group * len(self.ids) + key)
+        if seen is not None:
+            seen = np.concatenate([seen, np.zeros(len(self.ids) - seen.size, dtype=bool)])
+            first &= ~seen[key]
+        kept = np.flatnonzero(first)
+        if seen is not None:
+            seen[key[kept]] = True
+        if admit is not None:
+            via_parent = np.array([admit[w, list(p.sels)].any()
+                                   for w, p in zip(owner, parents)], dtype=bool)
+            kept = kept[admit[group[kept], sel[kept]] | via_parent[parent[kept]]]
+        # one row per distinct key, numbered by first appearance; a single
+        # group has kept one child per key
+        src, row = kept, np.arange(kept.size)
+        if len(groups) > 1:
+            src = kept[_firsts(key[kept])]
+            at_key = np.empty(len(self.ids), dtype=np.int64)
+            at_key[key[src]] = np.arange(src.size)
+            row = at_key[key[kept]]
+        stack = self.rows[sel[src]]
+        parent_rows = np.array([p.row for p in parents], dtype="<u8").reshape(-1, stack.shape[1])
+        # each row ANDed with its parent's, gathered an eighth of the screen
+        # budget at a time: one gather for a level of the benchmark's graphs
+        step = max(1, _SCREEN_CELLS // (8 * stack.shape[1]))
+        for lo in range(0, len(src), step):
+            stack[lo:lo + step] &= parent_rows[parent[src[lo:lo + step]]]
+        return _Children(parents, group[kept], parent[kept], sel[kept], key[kept], row, stack,
+                         size[src], seen)
 
-    def nodes(self, children, rows, sizes) -> list[_Node]:
-        """The nodes of ``children``, entries of ``expand``; each holds a copy
-        of its row, so a node kept in a beam keeps no other row alive."""
-        at = [r for *_, r in children]
-        return [_Node(parent.sels + (j,), key, rows[r].copy(), size)
-                for (parent, j, key, r), size in zip(children, sizes[at].tolist())]
+    def nodes(self, children, picks) -> list[_Node]:
+        """The nodes of the children ``picks`` of ``children`` (``expand``);
+        each holds a copy of its row, so a node kept in a beam keeps no
+        other row alive."""
+        c = children
+        rows = c.row[picks]
+        return [_Node(c.parents[p].sels + (j,), k, c.rows[r].copy(), size)
+                for p, j, k, r, size in zip(c.parent[picks].tolist(), c.sel[picks].tolist(),
+                                            c.key[picks].tolist(), rows.tolist(),
+                                            c.sizes[rows].tolist())]
 
 
 # -- single-subgroup search -------------------------------------------------------
@@ -405,21 +460,22 @@ def _single_engine(refiner, screen, cfg, scorer):
     total order, so it ends up holding the same entries as if every
     candidate had been scored and offered."""
     rows = [refiner.root]
-    collected: dict[tuple, tuple] = {}  # node key -> (result, node)
+    collected: dict[int, tuple] = {}  # node key -> (result, node)
     cells = len(refiner.selectors) * max(refiner.root.row.size, refiner.bword.size)
     step = max(1, _SCREEN_CELLS // max(8, 8 * cells))  # an eighth stays in cache
     for level in range(1, cfg.depth + 1):
-        seen: set[tuple] = set()
+        seen = np.zeros(0, dtype=bool)  # the level's keys so far, by key id
         beam = Beam(cfg.beam_width)
         for lo in range(0, len(rows), step):
-            (children,), stack, sizes = refiner.expand([(rows[lo:lo + step], seen, None)])
+            children = refiner.expand([rows[lo:lo + step]], seen=seen)
+            seen, stack = children.seen, children.rows
             counts, hists = refiner.edges_inside(stack), refiner.class_counts(stack)
-            picks = np.arange(len(children))
+            picks = np.arange(len(stack))
             if screen is not None:
-                si, bound = screen.scores(hists, sizes, counts, level)
-                picks = _contenders(si, bound, [e.payload[0].si for e in beam],
-                                    cfg.beam_width)
-            nodes = refiner.nodes([children[i] for i in picks.tolist()], stack, sizes)
+                si, bound = screen.scores(hists, children.sizes, counts, level)
+                picks = _contenders(si, bound, np.zeros(si.size, dtype=np.int64),
+                                    [[e.payload[0].si for e in beam]], cfg.beam_width)
+            nodes = refiner.nodes(children, picks)
             results = scorer([refiner.description(nd) for nd in nodes], nodes, counts[picks],
                              hists[picks])
             for res, node in zip(results, nodes):
@@ -458,17 +514,22 @@ def _screen_si(n_w, k_w, mass, dl, rho, valid):
     return np.where(valid, si, -np.inf), 1e-9 * np.abs(si) + n_w / dl * (1e-13 + drift)
 
 
-def _contenders(si, bound, kept, width):
+def _contenders(si, bound, beam, kept, width):
     """Positions of the screened candidates (SIs ``si`` within ``bound``)
-    that could enter a beam of ``width`` already holding entries of exact
-    SIs ``kept``: the ``width``-th best lower bound among the candidates and
-    the kept entries is a cut that a candidate's upper bound must reach."""
+    that could enter their beam of ``width``: candidate i is offered to beam
+    ``beam[i]``, and beam b already holds entries of exact SIs ``kept[b]``.
+    Per beam, the ``width``-th best lower bound among its candidates and its
+    kept entries is a cut that a candidate's upper bound must reach."""
     finite = np.isfinite(si)
-    lower = np.concatenate([(si - bound)[finite], kept])
-    cut = -np.inf
-    if lower.size >= width:
-        cut = np.partition(lower, lower.size - width)[lower.size - width]
-    return np.flatnonzero(finite & (si + bound >= cut))
+    lower = np.concatenate([(si - bound)[finite], [x for k in kept for x in k]])
+    owner = np.concatenate([beam[finite],
+                            np.repeat(np.arange(len(kept)), [len(k) for k in kept])])
+    # every beam's lower bounds, best first, beam by beam; a beam's cut is
+    # its width-th, or the -inf past them all when it has fewer
+    ranked = np.append(lower[np.lexsort((-lower, owner))], -np.inf)
+    count = np.bincount(owner, minlength=len(kept))
+    cut = ranked[np.where(count >= width, np.cumsum(count) - count + width - 1, lower.size)]
+    return np.flatnonzero(finite & (si + bound >= cut[beam]))
 
 
 class _SingleScreen:
@@ -516,51 +577,60 @@ class _BiScreen:
     differs only by the rounding of the mass, and ``scores`` returns a bound
     on that difference with it.
 
-    No array of a block of pairs holds more than ``floats`` cells, and the
-    neighbour counts of a chunk gather at most ``floats`` bits at a time (one
-    W1's, when it has more).
+    The neighbour counts come from the W1s' members' adjacency, in
+    O(vol(W1)): one ``bincount`` of their neighbours' class positions per
+    slice of members with about ``floats`` neighbours, and no array of a
+    block of pairs holds more than ``floats`` cells.
     """
 
     def __init__(self, g, refiner, c, require_disjoint):
         self.refiner, self.model, self.c = refiner, refiner.model, c
         self.require_disjoint, self.directed = require_disjoint, g.directed
         self.conv = c.convention(single=False, directed=g.directed)
-        # the neighbours of every vertex (its in-neighbours when directed),
-        # all in class positions, grouped by vertex, and where each non-empty
-        # group starts
-        pos = refiner.pos
-        src, dst = pos[g.edges.T]
+        # the out-neighbours of every vertex (all its neighbours when
+        # undirected) in class positions, grouped by vertex in class order,
+        # and where each group starts (CSR)
+        src, dst = refiner.pos[g.edges.T]
         if not g.directed:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        self.nbr = src[np.argsort(dst, kind="stable")]
-        counts = np.bincount(dst, minlength=g.n)
-        self.has_nbr = counts > 0
-        self.nbr_starts = (np.cumsum(counts) - counts)[self.has_nbr]
+        self.adj = dst[np.argsort(src, kind="stable")]
+        self.adj_starts = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=g.n))])
         # cells of an array of a block of pairs: few enough to keep small
         # graphs' peak memory flat, and at least eight vertex rows, so that
         # large graphs still screen in few blocks
         self.floats = max(1, _SCREEN_CELLS // 64, 8 * g.n)
-        # W1s per chunk: each gathers len(nbr) cells for its neighbour counts
-        # and holds them as n integers, besides its inner search's candidates
-        # and beam; half the float budget keeps small graphs' peak flat
-        self.w1_step = max(1, min(_SCREEN_CELLS // max(1, self.nbr.size),
-                                  self.floats // (2 * g.n)))
+        # W1s per chunk: each holds its neighbour counts as n integers,
+        # besides its inner search's candidates and beam; half the float
+        # budget keeps small graphs' peak flat
+        self.w1_step = max(1, self.floats // (2 * g.n))
         self.rho = _mass_rounding(self.model)
 
     def w1_rows(self, rows):
         """The screen's view of a chunk of at most ``w1_step`` W1s with
         refiner rows ``rows``: the rows, the bit planes of each W1's
         neighbour counts in class order (in-neighbours in the W1 when
-        directed), its class histogram (int64) and its size.  Returns
-        ``(rows, planes, H, sizes)``."""
+        directed: the W1's members' out-neighbours, counted), its class
+        histogram (int64) and its size.  Returns ``(rows, planes, H, sizes)``."""
         bits = self.refiner.unpack(rows)
-        words = self.refiner.words
+        n, words = self.refiner.n, self.refiner.words
         D = np.zeros(bits.shape, dtype=np.int64)
-        # reduceat counts in int64, so a few W1s at a time
-        step = max(1, self.floats // max(1, self.nbr.size))
-        for r in range(0, len(rows) if self.nbr.size else 0, step):
-            D[r:r + step, self.has_nbr] = np.add.reduceat(bits[r:r + step, self.nbr],
-                                                          self.nbr_starts, axis=1)
+        # every member's neighbours counted into its W1's row, one bincount
+        # per slice of members: a slice holds the members whose neighbours
+        # start within one multiple of ``floats``, so fewer than floats + n
+        # neighbours (n <= floats / 8), which bounds the int64 temporaries
+        w, u = np.nonzero(bits)
+        lo = self.adj_starts[u]
+        deg = self.adj_starts[u + 1] - lo
+        end = np.cumsum(deg)
+        cuts = np.flatnonzero(np.diff((end - deg) // self.floats)) + 1
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), u.size]):
+            if a == b:
+                continue
+            d, w0 = deg[a:b], w[a]
+            # the positions of the slice's neighbours in adj, member by member
+            at = np.repeat(lo[a:b] - (end[a:b] - d), d) + np.arange(end[a] - deg[a], end[b - 1])
+            D[w0:w[b - 1] + 1] += np.bincount(np.repeat(w[a:b] - w0, d) * n + self.adj[at],
+                                              minlength=(w[b - 1] + 1 - w0) * n).reshape(-1, n)
         planes = np.empty((len(rows), int(D.max(initial=0)).bit_length(), words), dtype="<u8")
         for b in range(planes.shape[1]):
             planes[:, b] = _pack(D & (1 << b) != 0, words)
@@ -657,13 +727,13 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
         # evictable, so the floor may take a re-offered pair it refused before
         frontier = (list(dict.fromkeys(e.payload[1] for e in outer.entries)) if depth
                     else [refiner.root])
-        (children,), rows, sizes = refiner.expand([(frontier, set(), None)])
+        children = refiner.expand([frontier])
         # one screen chunk of W1s at a time, which bounds the inner searches'
         # state as well as the screen's temporaries
-        for lo in range(0, len(children), screen.w1_step):
-            w1s = refiner.nodes(children[lo:lo + screen.w1_step], rows, sizes)
-            inner = _inner_searches(g, model, refiner, screen, cfg, w1s,
-                                    rows[lo:lo + screen.w1_step])
+        for lo in range(0, len(children.rows), screen.w1_step):
+            hi = min(lo + screen.w1_step, len(children.rows))
+            w1s = refiner.nodes(children, np.arange(lo, hi))
+            inner = _inner_searches(g, model, refiner, screen, cfg, w1s, children.rows[lo:hi])
             for w1, beam in zip(w1s, inner):
                 for e in beam:
                     pat, w2 = e.payload
@@ -679,15 +749,19 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
             for e, m1, m2 in zip(outer.entries, masks1, masks2)]
 
 
-def _admit(cfg, refiner, z1):
-    """The inner search's ``admit`` for one W1: None unless the
-    shared-attribute constraint is on, and then a W2 meets it when one of
-    its selectors differs from W1's selector on the same attribute."""
+def _admit(cfg, refiner, z1s):
+    """The inner searches' ``admit`` for the W1s ``z1s``: None unless the
+    shared-attribute constraint is on, and then per W1 a bool row over the
+    selectors, true where a selector differs from the W1's selector on the
+    same attribute; a W2 meets the constraint when one of its selectors
+    does."""
     if not cfg.require_shared_attribute:
         return None
-    on_w1 = {s.attribute: s for s in z1.selectors}
-    differs = [s.attribute in on_w1 and s != on_w1[s.attribute] for s in refiner.selectors]
-    return lambda parent, j: differs[j] or any(differs[k] for k in parent.sels)
+    out = np.zeros((len(z1s), len(refiner.selectors)), dtype=bool)
+    for row, z1 in zip(out, z1s):
+        on_w1 = {s.attribute: s for s in z1.selectors}
+        row[:] = [s.attribute in on_w1 and s != on_w1[s.attribute] for s in refiner.selectors]
+    return out
 
 
 def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
@@ -700,35 +774,32 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
     could not enter at a later one.  An inner beam ends up holding the same
     entries as if every candidate had been scored and offered."""
     z1s = [refiner.description(w1) for w1 in w1s]
-    admits = [_admit(cfg, refiner, z1) for z1 in z1s]
+    admit = _admit(cfg, refiner, z1s)
     len1 = np.array([len(w1.sels) for w1 in w1s], dtype=np.int64)
     chunk = screen.w1_rows(rows1)
     beams = [Beam(cfg.x2) for _ in w1s]
-    rows = [[refiner.root] for _ in w1s]
+    parents = [[refiner.root] for _ in w1s]
     for level in range(1, cfg.depth + 1):
-        children, rows2, sizes2 = refiner.expand(
-            [(r, set(), admit) for r, admit in zip(rows, admits)])
-        flat = [child for ch in children for child in ch]
-        pi = np.repeat(np.arange(len(w1s)), [len(ch) for ch in children])
-        pj = np.array([row for *_, row in flat], dtype=np.int64)
-        lengths = len1[pi] + np.array([len(key) for _, _, key, _ in flat], dtype=np.int64)
+        # one group of W2 parents per W1; its W2 children have level selectors
+        children = refiner.expand(parents, admit)
+        pi, pj, rows2 = children.group, children.row, children.rows
         H2 = refiner.class_counts(rows2)
-        si, bound, edges, inside = screen.scores(chunk, (rows2, H2, sizes2), pi, pj, lengths)
-        starts = np.cumsum([0] + [len(ch) for ch in children]).tolist()
-        # the contenders of every W1, W1 by W1, scored in one batch
-        picked = np.concatenate([
-            lo + _contenders(si[lo:hi], bound[lo:hi], [e.payload[0].si for e in beam], cfg.x2)
-            for beam, lo, hi in zip(beams, starts, starts[1:])])
+        si, bound, edges, inside = screen.scores(chunk, (rows2, H2, children.sizes), pi, pj,
+                                                 len1[pi] + level)
+        # the contenders of every W1, cut W1 by W1 and scored in one batch
+        picked = _contenders(si, bound, pi, [[e.payload[0].si for e in beam] for beam in beams],
+                             cfg.x2)
         i, j, ws = pi[picked], pj[picked], pi[picked].tolist()
         h_o = screen.overlaps(chunk, rows2, i, j)
-        nodes = refiner.nodes([flat[at] for at in picked.tolist()], rows2, sizes2)
+        nodes = refiner.nodes(children, picked)
         pats = score_bi(g, model, [z1s[w] for w in ws],
                         [refiner.description(node) for node in nodes], (chunk[2][i], H2[j], h_o),
                         edges[picked], inside[picked], cfg.constants)
         for w, node, pat in zip(ws, nodes, pats):
             if pat is not None:
                 beams[w].try_add(BeamEntry(pat.sort_key(), node.key, node.key, (pat, node)))
-        rows = [[e.payload[1] for e in beam if len(e.payload[1].sels) == level] for beam in beams]
+        parents = [[e.payload[1] for e in beam if len(e.payload[1].sels) == level]
+                   for beam in beams]
     return beams
 
 

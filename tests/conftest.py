@@ -226,7 +226,7 @@ def _reference_constraints_ok(z1, z2, mask1, mask2, cfg):
     return True
 
 
-def _reference_expand(g, selectors, min_size, desc, mask, size, seen):
+def _reference_refinements(g, selectors, min_size, desc, mask, size, seen):
     """The admissible refinements of one description not in ``seen`` yet,
     as ``(description, extension, size)``; each joins ``seen``."""
     out = []
@@ -245,6 +245,80 @@ def _reference_expand(g, selectors, min_size, desc, mask, size, seen):
     return out
 
 
+def reference_expand(refiner, groups, admit=None, seen=None):
+    """``search._Refiner.expand`` one child at a time: per group (a list of
+    parent nodes), each parent's admissible refinements in selector order,
+    from the packed rows of ``refiner``, skipping keys in ``seen`` or taken
+    earlier in the group; a child that ``admit`` (a bool row per group over
+    the selectors, or None) rejects still takes its key.  Children with
+    equal keys share one row, the rows in the order their keys first
+    appear.  Returns ``(children, rows, sizes, seen)``: per child ``(group,
+    position of its parent among the groups' parents, selector position,
+    key, row)``, the rows, the size of each row's set, and ``seen`` plus
+    every key a group took."""
+    children, rows, sizes, row_of = [], [], [], {}
+    taken_by_all = set(seen or ())
+    at = 0
+    for w, parents in enumerate(groups):
+        taken = set(seen or ())
+        for parent in parents:
+            used = {refiner.selectors[i].attribute for i in parent.sels}
+            for j, sel in enumerate(refiner.selectors):
+                if sel.attribute in used:
+                    continue
+                row = parent.row & refiner.rows[j]
+                size = int(np.count_nonzero(refiner.unpack(row)))
+                if size < refiner.min_size or size == parent.size:
+                    continue
+                key = tuple(sorted(refiner.rid[i] for i in parent.sels + (j,)))
+                if key in taken:
+                    continue
+                taken.add(key)
+                if admit is not None and not any(admit[w][i] for i in parent.sels + (j,)):
+                    continue
+                if key not in row_of:
+                    row_of[key] = len(rows)
+                    rows.append(row)
+                    sizes.append(size)
+                children.append((w, at, j, key, row_of[key]))
+            at += 1
+        taken_by_all |= taken
+    width = refiner.root.row.size
+    return children, np.array(rows, dtype="<u8").reshape(-1, width), sizes, taken_by_all
+
+
+def reference_contenders(si, bound, kept, width):
+    """The contender cut of one beam of ``width`` already holding entries of
+    exact SIs ``kept``, for screened candidates of SIs ``si`` within
+    ``bound``: positions of the finite ones whose upper bound reaches the
+    ``width``-th best lower bound among them and the kept entries."""
+    finite = np.isfinite(si)
+    lower = np.concatenate([(si - bound)[finite], kept])
+    cut = -np.inf
+    if lower.size >= width:
+        cut = np.partition(lower, lower.size - width)[lower.size - width]
+    return np.flatnonzero(finite & (si + bound >= cut))
+
+
+def reference_w1_planes(g, refiner, masks):
+    """The bit planes ``_BiScreen.w1_rows`` gives the vertex sets ``masks``
+    (bool rows in vertex order), from the dense adjacency matrix: plane b
+    of a set holds bit b of each vertex's number of edges from the set into
+    it (either way when undirected), in class order, packed as the
+    refiner packs its rows."""
+    A = np.zeros((g.n, g.n), dtype=np.int64)
+    np.add.at(A, (g.edges[:, 0], g.edges[:, 1]), 1)
+    if not g.directed:
+        A += A.T
+    D = (masks.astype(np.int64) @ A)[:, np.argsort(refiner.pos)]
+    planes = np.zeros((len(masks), int(D.max(initial=0)).bit_length(), 8 * refiner.words),
+                      dtype=np.uint8)
+    for b in range(planes.shape[1]):
+        packed = np.packbits((D >> b) & 1, axis=-1, bitorder="little")
+        planes[:, b, :packed.shape[-1]] = packed
+    return planes.view("<u8")
+
+
 def reference_beam_search_single(g, model, selectors, cfg):
     """The single-subgroup beam search with every candidate scored from
     its extension (``scores._score_masks``) and offered to the beam, one at
@@ -255,7 +329,7 @@ def reference_beam_search_single(g, model, selectors, cfg):
     for _ in range(cfg.depth):
         beam, seen = Beam(cfg.beam_width), set()
         for row in rows:
-            for w, m, s in _reference_expand(g, selectors, min_size, *row, seen):
+            for w, m, s in _reference_refinements(g, selectors, min_size, *row, seen):
                 pat = _score_masks(g, model, w, m, None, m, cfg.constants)
                 if pat is not None:
                     beam.try_add(BeamEntry(pat.sort_key(), str(w), group=str(w),
@@ -274,7 +348,7 @@ def reference_nested_beam_search(g, model, selectors, cfg):
     beam, one at a time: the plainly correct reference for the screened
     search."""
     def expand(desc, mask, size, seen):
-        return _reference_expand(g, selectors, min_size, desc, mask, size, seen)
+        return _reference_refinements(g, selectors, min_size, desc, mask, size, seen)
 
     def inner_search(z1, m1):
         inner = Beam(cfg.x2)

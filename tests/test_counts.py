@@ -14,8 +14,8 @@ from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelecto
 from simine.scores import _score_masks, _with_extensions
 from simine.search import _BiScreen
 
-from conftest import (brute_force_counts, class_histograms, random_graph, refiner_rows,
-                      screen_pairs)
+from conftest import (brute_force_counts, class_histograms, random_graph, reference_w1_planes,
+                      refiner_rows, screen_pairs)
 
 W1 = Description((EqualsSelector("a", "v0"),))
 W2 = Description((EqualsSelector("b", "v1"),))
@@ -325,3 +325,34 @@ def test_packed_class_counts_match_bool_rows(seed, n, m, layout, directed, scree
         if not directed:
             over = masks1[i] & masks2[j]
             assert e_in == g.count_edges_between(over, over)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.sampled_from([63, 64, 65]), directed=st.booleans(),
+       isolated=st.integers(0, 8), screen_cells=st.sampled_from([None, 1]))
+def test_w1_neighbour_counts_match_dense_adjacency(seed, n, directed, isolated, screen_cells):
+    # the bit planes of each W1's neighbour counts, a chunk of W1s at a
+    # time, against the dense adjacency matrix's; isolated vertices have no
+    # edge, the first W1 is empty and the second holds every vertex.  One
+    # screen cell screens four W1s a chunk and counts members in slices of
+    # about 8n neighbours, which cut through W1s as well as between them
+    rng = np.random.default_rng(seed)
+    cls = rng.permutation(np.arange(n) % int(rng.integers(1, n + 1)))
+    k = int(cls.max()) + 1
+    model = BackgroundModel(n, directed, cls=cls, lam_row=rng.normal(size=k),
+                            lam_col=rng.normal(size=k) if directed else None)
+    alone = set(rng.choice(n, size=isolated, replace=False).tolist())
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if (u != v if directed else u < v) and u not in alone and v not in alone]
+    drawn = rng.random(len(pairs)) < rng.uniform(0.02, 0.6)
+    g = AttributedGraph(n, [pair for pair, keep in zip(pairs, drawn) if keep], directed=directed)
+    masks = rng.random((9, n)) < rng.uniform(0.1, 0.9)
+    masks[0], masks[1] = False, True
+    refiner, rows = refiner_rows(g, model, masks)
+    block = search._SCREEN_CELLS if screen_cells is None else screen_cells
+    with patch.object(search, "_SCREEN_CELLS", block):
+        screen = _BiScreen(g, refiner, ScoreConstants(), False)
+        for lo in range(0, len(masks), screen.w1_step):
+            _, planes, _, _ = screen.w1_rows(rows[lo:lo + screen.w1_step])
+            np.testing.assert_array_equal(
+                planes, reference_w1_planes(g, refiner, masks[lo:lo + screen.w1_step]))

@@ -25,8 +25,8 @@ def _levels(g, model, sels, min_size):
     refiner = _Refiner(g, model, sels, min_size)
     levels, parents = [], [refiner.root]
     for _ in range(2):
-        (children,), rows, sizes = refiner.expand([(parents, set(), None)])
-        parents = refiner.nodes(children, rows, sizes)
+        children = refiner.expand([parents])
+        parents = refiner.nodes(children, np.arange(len(children.key)))
         levels.append(parents)
     return refiner, levels
 

@@ -297,11 +297,12 @@ class TestNestedSearch:
             finally:
                 runs.append(active.pop())
 
-        def expanding(self, groups):
+        def expanding(self, groups, admit=None, seen=None):
             if active:
-                active[-1].append([([p.key for p in parents], admit)
-                                   for parents, _, admit in groups])
-            return expand(self, groups)
+                active[-1].append([([(p.key, len(p.sels)) for p in parents],
+                                    admit is not None and admit.shape[0] == len(groups))
+                                   for parents in groups])
+            return expand(self, groups, admit, seen)
 
         monkeypatch.setattr(search, "_inner_searches", inner_searches)
         monkeypatch.setattr(search._Refiner, "expand", expanding)
@@ -311,10 +312,11 @@ class TestNestedSearch:
         deepest = 0
         for levels in runs:
             for w in range(len(levels[0])):
-                keys = [key for level in levels for key in level[w][0]]
+                refined = [parent for level in levels for parent in level[w][0]]
+                keys = [key for key, _ in refined]
                 assert len(keys) == len(set(keys))
-                deepest = max(deepest, max(map(len, keys)))
-                assert all((level[w][1] is not None) == shared for level in levels)
+                deepest = max(deepest, *(length for _, length in refined))
+                assert all(level[w][1] == shared for level in levels)
         assert deepest == 2  # the third level refined some W2 of two selectors
 
 
