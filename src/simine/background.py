@@ -514,16 +514,13 @@ def fit_block_prior(g: AttributedGraph, partitions, with_degrees: bool = True,
 
 
 def _partition_bins(g, attr):
+    """Vertex bins of nominal ``attr`` (value codes, missing last) and their labels."""
     col = g.column(attr)
     if col.kind != NOMINAL:
         raise ValueError(f"partition attribute {attr!r} must be nominal")
-    values = col.distinct()
-    if col.missing_mask().any():
-        values = values + ["∅missing"]
-    index = {v: i for i, v in enumerate(values)}
-    bins = np.array([index["∅missing"] if v is None else index[v]
-                     for v in col.values], dtype=np.int64)
-    return bins, values
+    missing = col.missing_mask()
+    values = col.distinct() + (["∅missing"] if missing.any() else [])
+    return np.where(missing, len(col.domain), col.codes), values
 
 
 def _coordinate_step(ell, s, w, ws, wss, target, t0):

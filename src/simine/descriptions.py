@@ -15,6 +15,7 @@ rendered with ``repr`` so they parse back to the exact same float.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,9 @@ def selector_mask(s: Selector, g: AttributedGraph) -> np.ndarray:
         if col.kind != NOMINAL:
             raise DescriptionError(
                 f"equality selector on non-nominal attribute {s.attribute!r}")
-        return np.asarray(col.values == s.value, dtype=bool)
+        # a value outside the domain is coded len(domain), which no vertex has
+        i = bisect_left(col.domain, s.value)
+        return col.codes == (i if col.domain[i:i + 1] == (s.value,) else len(col.domain))
     if isinstance(s, RangeSelector):
         if col.kind != NUMERIC:
             raise DescriptionError(

@@ -51,7 +51,7 @@ def _check_grammar(col):
                                "descriptions cannot render")
     if col.kind != NOMINAL:
         return
-    for v in set(col.values.tolist()) - {None}:
+    for v in col.domain:
         bad = next((t for t in _VALUE_TOKENS if t in v), None)
         if bad is None and v.endswith(" ∧"):
             bad = " ∧"
@@ -66,7 +66,10 @@ class AttributeColumn:
     """One vertex attribute: a name, a kind and one value per vertex.
 
     Nominal columns hold strings (``None`` marks a missing value); numeric
-    columns hold float64 (``NaN`` marks a missing value).
+    columns hold float64 (``NaN`` marks a missing value).  The column is
+    coded when built: ``domain`` is the tuple of sorted distinct non-missing
+    values and ``codes`` each vertex's position in it (int64, read-only, -1
+    where missing), which selectors, missing masks and block-prior bins read.
     """
 
     name: str
@@ -78,26 +81,27 @@ class AttributeColumn:
             raise ValueError(f"unknown attribute kind {self.kind!r}")
         if self.kind == NUMERIC:
             self.values = np.asarray(self.values, dtype=np.float64)
+            missing = np.isnan(self.values)
+            self.domain = tuple(np.unique(self.values[~missing]).tolist())
+            codes = np.where(missing, -1, np.searchsorted(self.domain, self.values))
         else:
-            vals = np.empty(len(self.values), dtype=object)
-            for i, v in enumerate(self.values):
-                vals[i] = None if v is None else str(v)
-            self.values = vals
+            strs = [None if v is None else str(v) for v in self.values]
+            self.values = np.fromiter(strs, dtype=object, count=len(strs))
+            self.domain = tuple(sorted(set(strs) - {None}))
+            code = {v: i for i, v in enumerate(self.domain)} | {None: -1}
+            codes = np.fromiter(map(code.__getitem__, strs), np.int64, len(strs))
+        codes.flags.writeable = False  # and a view of it cannot be made writeable
+        self.codes = codes.view()
 
     def __len__(self) -> int:
         return len(self.values)
 
     def missing_mask(self) -> np.ndarray:
-        if self.kind == NUMERIC:
-            return np.isnan(self.values)
-        return np.array([v is None for v in self.values], dtype=bool)
+        return self.codes < 0
 
     def distinct(self) -> list:
         """Sorted distinct non-missing values (the attribute's domain)."""
-        if self.kind == NUMERIC:
-            vals = self.values[~np.isnan(self.values)]
-            return sorted(set(float(v) for v in vals))
-        return sorted(set(v for v in self.values if v is not None))
+        return list(self.domain)
 
 
 @dataclass
@@ -397,15 +401,10 @@ def save_graph(g: AttributedGraph, edge_path, attr_path, delimiter: str = ","):
     with open(edge_path, "w", encoding="utf-8") as fh:
         for u, v in g.edges:
             fh.write(f"{g.labels[u]} {g.labels[v]}\n")
+    cells = [c.values if c.kind == NOMINAL else [repr(v) for v in c.values.tolist()]
+             for c in g.columns]
     with open(attr_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(["id"] + g.attribute_names)
-        for i in range(g.n):
-            row = [g.labels[i]]
-            for c in g.columns:
-                v = c.values[i]
-                if c.kind == NUMERIC:
-                    row.append("" if np.isnan(v) else repr(float(v)))
-                else:
-                    row.append("" if v is None else v)
-            writer.writerow(row)
+        writer.writerows(zip(g.labels, *(np.where(c.missing_mask(), "", v)
+                                          for c, v in zip(g.columns, cells))))
