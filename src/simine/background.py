@@ -323,6 +323,12 @@ class BackgroundModel:
         order = np.argsort(self.cls, kind="stable")
         return order, np.searchsorted(self.cls[order], np.arange(self.n_classes))
 
+    # Both mass paths stay.  Reports need ``pair_mass``, whose rows do not
+    # depend on the batch around them; the screens need this BLAS path's
+    # speed.  On the batches the screens pass here in the benchmark's
+    # seed-41 workloads, ``pair_mass`` takes 3-10x as long, or +18% to +29%
+    # of each workload's ``mine_s`` (``scripts/pair_mass_cost.py``, 2-vCPU
+    # Xeon).  ``search._mass_rounding`` bounds what the batch may change.
     def pair_sums_many(self, H_r, H_c, H_o):
         """The screens' ``pair_sums`` of many grids from class histograms
         (float), one row per grid: ``H_r`` of the rows, ``H_c`` of the

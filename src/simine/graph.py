@@ -316,6 +316,11 @@ def _parse_attr_table(path, options: LoadOptions):
         for j, tok in enumerate(row):
             cells[j].append(tok.strip())
     labels = cells[id_idx]
+    # the edge file reads a line starting with "#" as a comment
+    bad = next((lab for lab in labels if lab.startswith("#")), None)
+    if bad is not None:
+        raise GraphFormatError(f"vertex id {bad!r} starts with '#', which the edge "
+                               "file reads as a comment")
     if len(set(labels)) != len(labels):
         counts = Counter(labels)
         dup = next(lab for lab in labels if counts[lab] > 1)
@@ -396,7 +401,17 @@ def load_graph(edge_path, attr_path, options: LoadOptions | None = None) -> Attr
 
 
 def save_graph(g: AttributedGraph, edge_path, attr_path, delimiter: str = ","):
-    """Write a graph in the canonical form accepted by :func:`load_graph`."""
+    """Write a graph in the canonical form accepted by :func:`load_graph`.
+
+    Raises ``GraphFormatError``, writing nothing, on a label that would not
+    load back: one starting with ``#``, or an edge endpoint's that is empty
+    or holds whitespace, which a ``u v`` line cannot delimit.
+    """
+    deg = g.degrees()
+    bad = next((lab for u, lab in enumerate(g.labels) if lab.startswith("#")
+                or deg[u] and lab.split() != [lab]), None)
+    if bad is not None:
+        raise GraphFormatError(f"vertex label {bad!r} would not load back from the files")
     edge_path, attr_path = Path(edge_path), Path(attr_path)
     with open(edge_path, "w", encoding="utf-8") as fh:
         for u, v in g.edges:

@@ -443,6 +443,25 @@ def brute_force_tail(probs, k, side):
     return total
 
 
+def reference_domain(values):
+    """A nominal column's sorted distinct strings; None is missing."""
+    return sorted(set(v for v in values if v is not None))
+
+
+def reference_equals_mask(values, value):
+    """``attribute = value`` by comparing strings; None never matches."""
+    return [v is not None and v == value for v in values]
+
+
+def reference_partition_bins(values):
+    """Block-prior bins by value, in domain order, with the missing values
+    (None only, never a string such as "∅missing") in one last bin labelled
+    "∅missing", and the bins' labels."""
+    domain = reference_domain(values)
+    labels = domain + (["∅missing"] if None in values else [])
+    return [len(domain) if v is None else domain.index(v) for v in values], labels
+
+
 def write_dataset(tmp_path, edge_lines, attr_lines, prefix="data"):
     edge_path = tmp_path / f"{prefix}.edges"
     attr_path = tmp_path / f"{prefix}.csv"

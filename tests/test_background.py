@@ -290,6 +290,17 @@ class TestBlockPrior:
         assert missing.any() and np.array_equal(part.bins == 3, missing)
         self.assert_block_residuals(g, m)
 
+    def test_value_spelled_like_the_missing_label_keeps_its_own_bin(self):
+        # a real "∅missing" value is not merged with the missing vertices,
+        # and every bin, the value's own too, has members
+        values = ["a", "a", "∅missing", "∅missing", None, None, "b", "b"]
+        g = AttributedGraph(len(values), [(0, 1), (2, 3), (4, 5), (6, 7), (1, 6)],
+                            columns=[AttributeColumn("grp", "nominal", values)])
+        bins, labels = background._partition_bins(g, "grp")
+        assert bins.tolist() == [0, 0, 2, 2, 3, 3, 1, 1]
+        assert labels == ["a", "b", "∅missing", "∅missing"]
+        assert np.bincount(bins, minlength=len(labels)).all()
+
     def test_multiple_partitions_jointly(self):
         g = random_graph(5, n=40, attrs=(("p1", 2), ("p2", 3)))
         m = fit_block_prior(g, ["p1", "p2"], with_degrees=False, tol=1e-5)

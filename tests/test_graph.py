@@ -1,15 +1,19 @@
 import csv
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simine import (AttributeColumn, AttributedGraph, Description, GraphFormatError,
-                    LoadOptions, generate_selectors, load_graph, parse_description,
-                    save_graph)
+from simine import (AttributeColumn, AttributedGraph, Description, EqualsSelector,
+                    GraphFormatError, LoadOptions, generate_selectors, load_graph,
+                    parse_description, save_graph, selector_mask)
+from simine.background import _partition_bins
 
-from conftest import FIG_A, FIG_B, FIG_C, FIG_D, random_graph, write_dataset
+from conftest import (FIG_A, FIG_B, FIG_C, FIG_D, random_graph, reference_domain,
+                      reference_equals_mask, reference_partition_bins, write_dataset)
 
 
 def fig_files(tmp_path):
@@ -85,6 +89,26 @@ class TestLoad:
                 assert np.allclose(c1.values, c2.values, equal_nan=True)
             else:
                 assert list(c1.values) == list(c2.values)
+
+    def test_label_starting_with_hash_rejected(self, tmp_path):
+        # the edge line "#1 2" would be read as a comment, losing its edge
+        e, a = write_dataset(tmp_path, ["#1 2"], ["id,b", "#1,a", "2,b"])
+        with pytest.raises(GraphFormatError, match="vertex id '#1' starts with '#'"):
+            load_graph(e, a)
+
+    @pytest.mark.parametrize("label", ["a b", "a\tb", "", "#x"])
+    def test_save_rejects_label_that_would_not_load_back(self, tmp_path, label):
+        g = AttributedGraph(2, [(0, 1)], labels=[label, "y"])
+        with pytest.raises(GraphFormatError, match=re.escape(repr(label))):
+            save_graph(g, tmp_path / "out.edges", tmp_path / "out.csv")
+        assert not (tmp_path / "out.edges").exists()
+
+    def test_save_keeps_isolated_label_with_space(self, tmp_path):
+        # a vertex without edges never appears in the edge file
+        g = AttributedGraph(3, [(0, 1)], labels=["x", "y", "a b"])
+        save_graph(g, tmp_path / "out.edges", tmp_path / "out.csv")
+        g2 = load_graph(tmp_path / "out.edges", tmp_path / "out.csv")
+        assert g2.fingerprint() == g.fingerprint()
 
 
 XY = ["id,b", "x,1", "y,0"]
@@ -177,6 +201,39 @@ def test_loaded_descriptions_round_trip(tmp_path_factory, name, value):
     descs += [Description((s, t)) for s in sels for t in sels if s.attribute != t.attribute]
     for d in descs:
         assert parse_description(str(d)) == d
+
+
+_NOMINAL = st.one_of(st.none(), st.sampled_from(["NA", "None", "∅missing", ""]),
+                     st.text("ab∅=∧[,#", max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_NOMINAL, min_size=1, max_size=30),
+       absent=st.lists(_NOMINAL.filter(lambda v: v is not None), max_size=4), data=st.data())
+def test_codes_match_string_references(values, absent, data):
+    """A coded column reads as its strings do: selector masks (of values the
+    column lacks too), missing mask, domain and block-prior bins; numeric
+    columns keep their NaN-free domain.  The codes are read-only."""
+    numbers = data.draw(st.lists(st.sampled_from([np.nan, 0.0, -0.0, 1.5, 2.0, -np.inf]),
+                                 min_size=len(values), max_size=len(values)))
+    g = AttributedGraph(len(values), [], columns=[AttributeColumn("b", "nominal", values),
+                                                  AttributeColumn("x", "numeric", numbers)])
+    col, num = g.column("b"), g.column("x")
+    assert col.distinct() == reference_domain(values)
+    assert col.missing_mask().tolist() == [v is None for v in values]
+    for value in reference_domain(values) + absent:
+        got = selector_mask(EqualsSelector("b", value), g)
+        assert got.tolist() == reference_equals_mask(values, value)
+    bins, labels = _partition_bins(g, "b")
+    assert (bins.tolist(), labels) == reference_partition_bins(values)
+    assert num.distinct() == sorted(set(v for v in numbers if not math.isnan(v)))
+    assert num.missing_mask().tolist() == [math.isnan(v) for v in numbers]
+    for c in (col, num):
+        assert c.codes.dtype == np.int64
+        with pytest.raises(ValueError):
+            c.codes[0] = 0
+        with pytest.raises(ValueError):
+            c.codes.flags.writeable = True
 
 
 class TestCounting:
