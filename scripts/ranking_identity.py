@@ -1,0 +1,108 @@
+"""Digests of the rankings the searches report, for comparing two checkouts.
+
+    python3 scripts/ranking_identity.py [--seeds 41 7 201] [--workloads NAME ...]
+                                        [--configs NAME ...] [--tiny]
+
+For each benchmark workload and SEED this generates the workload's first
+input of SEED (as ``perfbench/run.py --seed SEED`` does), fits the
+workload's prior, and mines it under every search configuration of
+``CONFIGS``: the workload's own pipeline (``mine``), and its search at
+depths 2 to 4, with the shared-attribute or the disjoint constraint, and
+with x1=8, x2=6, over all selectors and (``-noise``) over those of every
+attribute but the planted one.  The search is the workload's nested search, or
+``iterate`` with the workload's rounds for an iterating workload; the
+single-subgroup workload runs the nested search on its input.  One line per
+(workload, seed, configuration) gives the number of reported patterns and
+a digest of each pattern's rendering, ``repr`` of its SI, ``k_w``, ``n_w``
+and ``edges``, round by round.
+
+It reads public output only, so running it from two checkouts on the same
+arguments must print identical lines when a change keeps every ranking and
+SI bit for bit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
+
+import pipeline  # noqa: E402
+from run import INPUTS  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+from simine import descriptions, graph, search  # noqa: E402
+
+# search settings on top of the workload's own x1, x2 and depth
+CONFIGS = {
+    "d2": {"depth": 2},
+    "d3": {"depth": 3},
+    "d4": {"depth": 4},
+    "d3-shared": {"depth": 3, "require_shared_attribute": True},
+    "d3-disjoint": {"depth": 3, "require_disjoint_extensions": True},
+    "d4-shared-disjoint": {"depth": 4, "require_shared_attribute": True,
+                           "require_disjoint_extensions": True},
+    "d3-wide": {"depth": 3, "x1": 8, "x2": 6},
+    "d4-wide": {"depth": 4, "x1": 8, "x2": 6},
+}
+# the same settings over the selectors of every attribute but the planted
+# ``grp``: the planted blocks otherwise top the rankings at every depth
+NOISE = {f"{name}-noise": kw for name, kw in CONFIGS.items()}
+
+
+def digest(rounds) -> str:
+    h = hashlib.sha256()
+    for pats in rounds:
+        h.update(b"round\n")
+        for p in pats:
+            h.update(f"{p.render()}\t{p.si!r}\t{p.k_w}\t{p.n_w}\t{p.edges}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def rankings(w, inputs, configs):
+    """``(configuration, rounds)`` of every configuration named in
+    ``configs`` on the workload input in ``inputs``."""
+    if "mine" in configs:
+        yield "mine", pipeline.mine(w, inputs)[0].rounds
+    g = graph.load_graph(inputs / pipeline.EDGES, inputs / pipeline.ATTRS)
+    sels = descriptions.generate_selectors(
+        g, descriptions.SelectorConfig(numeric_bins=w.numeric_bins))
+    model = pipeline.fit(w, g)
+    noise = [s for s in sels if s.attribute != "grp"]
+    for name, kw in [*CONFIGS.items(), *NOISE.items()]:
+        if name not in configs:
+            continue
+        cfg = search.SearchConfig(**{"x1": w.x1, "x2": w.x2, **kw})
+        use = noise if name in NOISE else sels
+        if w.mode == "iterate":
+            yield name, search.iterate(g, model, use, cfg, rounds=w.rounds,
+                                       absorb=w.absorb).rounds
+        else:
+            yield name, [search.nested_beam_search(g, model, use, cfg)]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[41, 7, 201])
+    ap.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=list(WORKLOADS))
+    ap.add_argument("--configs", nargs="+", choices=["mine", *CONFIGS, *NOISE],
+                    default=["mine", *CONFIGS, *NOISE])
+    ap.add_argument("--tiny", action="store_true", help="the workloads' shrunken copies")
+    args = ap.parse_args(argv)
+    for name in args.workloads:
+        w = WORKLOADS[name].at_size(args.tiny)
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as tmp:
+                inputs = Path(tmp)
+                pipeline.generate(w, seed * INPUTS, inputs)
+                for config, rounds in rankings(w, inputs, args.configs):
+                    print(name, seed, config, sum(map(len, rounds)), digest(rounds), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -26,16 +26,20 @@ in the unordered one; ``ScoreConstants.pair_counting`` can force either.
 
 Scoring reads counts only, a batch at a time: ``score_single`` and
 ``score_bi`` take descriptions, class histograms and edge counts, a list of
-each for a batch (the searches pass a level's contenders) or one of each
-for one row, and return patterns without extension ids.  A pattern scores
-bit for bit the same in any batch and at any place in it, so every reported
-SI equals ``rescore``'s, which counts decoded extensions.
+each for a batch or one of each for one row, and return patterns without
+extension ids.  Both wrap one core over arrays (``_columns``), which the
+nested search's inner levels call directly, with description lengths as
+integers, to rank candidates without building patterns.  A row scores bit
+for bit the same in any batch and at any place in it, so every reported SI
+is the SI its pattern was ranked by, and equals ``rescore``'s, which counts
+decoded extensions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,14 +230,35 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
 # -- pattern construction --------------------------------------------------------
 
 
-def _score(model, c, w1s, w2s, hists, edges, inside) -> list:
-    """The patterns (W1, W2) of a batch, one row each, from the counts
-    ``score_bi`` takes (``(H, H, H)`` and ``w2s is None`` for single
+class _Columns(NamedTuple):
+    """A batch's scored fields, one array each, in ``Pattern``'s order."""
+
+    direction: np.ndarray
+    k_w: np.ndarray
+    n_w: np.ndarray
+    p_w: np.ndarray
+    ic: np.ndarray
+    dl: np.ndarray
+    si: np.ndarray
+    size1: np.ndarray
+    size2: np.ndarray
+    overlap: np.ndarray
+    edges: np.ndarray
+    pair_slots: np.ndarray
+    expected_edges: np.ndarray
+
+
+def _columns(model, c, lengths, hists, edges, inside):
+    """The scoring core: ``(convention, valid, columns)`` of a batch of
+    patterns (W1, W2), one row each, from the counts ``score_bi`` takes
+    (``(H, H, H)`` for single subgroups) and ``lengths``, the selector counts
+    ``(len1, len2)`` of the descriptions (``len2 is None`` for single
     subgroups).  Each quantity is elementwise or sums the row's own terms
-    (``pair_mass``); ``edges``/``pair_slots``/``expected_edges`` count
-    distinct pairs (ordered when directed), the rest is in the scoring
-    convention.  None: no pair u != v."""
-    single, directed = w2s is None, model.directed
+    (``pair_mass``), so a row scores bit for bit the same in any batch;
+    ``edges``/``pair_slots``/``expected_edges`` count distinct pairs (ordered
+    when directed), the rest is in the scoring convention.  ``valid`` is
+    false where the row has no pair u != v."""
+    single, directed = lengths[1] is None, model.directed
     conv = c.convention(single, directed)
     H = [np.asarray(h).reshape(-1, model.n_classes) for h in hists]
     a, b, o = (h.sum(axis=1).astype(np.int64) for h in H)
@@ -248,13 +273,22 @@ def _score(model, c, w1s, w2s, hists, edges, inside) -> list:
     n_w = np.where(valid, n_w, 1)
     p_w = mass / n_w
     ic = information_content(n_w, k_w, p_w)
-    dl = description_length(*(None if ws is None else np.array([len(w) for w in ws], np.int64)
-                              for ws in (w1s, w2s)), c)
+    dl = description_length(*lengths, c)
     # reports print the distinct-pair mass of undirected bi patterns as it
     # is, and that of the others as p_w * slots
     expected = p_w * slots if single or directed else ordered - overlap / 2.0
-    cols = (np.where(k_w / n_w >= p_w, 0, 1), k_w, n_w, p_w, ic, dl, ic / dl, a, b, o,
-            edges, slots, expected)
+    return conv, valid, _Columns(np.where(k_w / n_w >= p_w, 0, 1), k_w, n_w, p_w, ic, dl,
+                                 ic / dl, a, b, o, edges, slots, expected)
+
+
+def _score(model, c, w1s, w2s, hists, edges, inside) -> list:
+    """The patterns (W1, W2) of a batch, one row each, from the counts
+    ``score_bi`` takes (``(H, H, H)`` and ``w2s is None`` for single
+    subgroups): ``_columns`` of the descriptions' lengths, one ``Pattern``
+    per row.  None: no pair u != v."""
+    conv, valid, cols = _columns(
+        model, c, tuple(None if ws is None else np.array([len(w) for w in ws], np.int64)
+                        for ws in (w1s, w2s)), hists, edges, inside)
     return [Pattern(w1, w2, *row, conv) if ok else None for w1, w2, ok, row in
             zip(w1s, w2s or [None] * len(w1s), valid.tolist(), zip(*(x.tolist() for x in cols)))]
 

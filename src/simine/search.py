@@ -10,7 +10,12 @@ Beams identify candidates, and diversity groups W1s, by description keys
 
 Both score a level at a time: its candidates are screened in one batch, and
 the contenders, whose screening SI could place them in a beam, are scored
-exactly in one batched call of ``score_single`` or ``score_bi``.
+exactly in one batch.  The single search scores them with ``score_single``
+into patterns.  The nested search keeps its inner beams as arrays: each
+inner level scores its contenders with the array core of ``scores`` (exact
+SIs, no patterns) and merges them with the kept entries in one sort, and
+patterns are built, by one ``score_bi`` call per search, for the outer
+beam's final entries only, each with the SI it was ranked by.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from .background import PROB_EPS, BackgroundModel, update_with_pattern
 from .descriptions import Description, selector_mask
 from .graph import AttributedGraph
-from .scores import (Pattern, ScoreConstants, _with_extensions, baseline_scores,
+from .scores import (Pattern, ScoreConstants, _columns, _with_extensions, baseline_scores,
                      kl_bernoulli_many, pair_counts, score_bi, score_single)
 
 log = logging.getLogger(__name__)
@@ -69,7 +74,7 @@ class SearchConfig:
 
 @dataclass
 class BeamEntry:
-    key: tuple
+    key: object  # ordered by <
     ident: object  # a beam holds one entry per ident
     group: object
     payload: object
@@ -473,8 +478,9 @@ def _single_engine(refiner, screen, cfg, scorer):
             picks = np.arange(len(stack))
             if screen is not None:
                 si, bound = screen.scores(hists, children.sizes, counts, level)
-                picks = _contenders(si, bound, np.zeros(si.size, dtype=np.int64),
-                                    [[e.payload[0].si for e in beam]], cfg.beam_width)
+                kept = np.array([e.payload[0].si for e in beam])
+                picks = _contenders(si, bound, np.zeros(si.size, dtype=np.int64), kept,
+                                    np.zeros(kept.size, dtype=np.int64), cfg.beam_width)
             nodes = refiner.nodes(children, picks)
             results = scorer([refiner.description(nd) for nd in nodes], nodes, counts[picks],
                              hists[picks])
@@ -514,22 +520,22 @@ def _screen_si(n_w, k_w, mass, dl, rho, valid):
     return np.where(valid, si, -np.inf), 1e-9 * np.abs(si) + n_w / dl * (1e-13 + drift)
 
 
-def _contenders(si, bound, beam, kept, width):
+def _contenders(si, bound, beam, kept, kept_beam, width):
     """Positions of the screened candidates (SIs ``si`` within ``bound``)
     that could enter their beam of ``width``: candidate i is offered to beam
-    ``beam[i]``, and beam b already holds entries of exact SIs ``kept[b]``.
-    Per beam, the ``width``-th best lower bound among its candidates and its
-    kept entries is a cut that a candidate's upper bound must reach."""
-    finite = np.isfinite(si)
-    lower = np.concatenate([(si - bound)[finite], [x for k in kept for x in k]])
-    owner = np.concatenate([beam[finite],
-                            np.repeat(np.arange(len(kept)), [len(k) for k in kept])])
+    ``beam[i]``, and beam ``kept_beam[k]`` already holds an entry of exact SI
+    ``kept[k]``.  Per beam, the ``width``-th best lower bound among its
+    candidates and its kept entries is a cut that a candidate's upper bound
+    must reach."""
+    finite = np.flatnonzero(np.isfinite(si))
+    lower = np.concatenate([si[finite] - bound[finite], kept])
+    owner = np.concatenate([beam[finite], kept_beam])
     # every beam's lower bounds, best first, beam by beam; a beam's cut is
     # its width-th, or the -inf past them all when it has fewer
     ranked = np.append(lower[np.lexsort((-lower, owner))], -np.inf)
-    count = np.bincount(owner, minlength=len(kept))
+    count = np.bincount(owner)
     cut = ranked[np.where(count >= width, np.cumsum(count) - count + width - 1, lower.size)]
-    return np.flatnonzero(finite & (si + bound >= cut[beam]))
+    return finite[si[finite] + bound[finite] >= cut[beam[finite]]]
 
 
 class _SingleScreen:
@@ -579,7 +585,7 @@ class _BiScreen:
 
     The neighbour counts come from the W1s' members' adjacency, in
     O(vol(W1)): one ``bincount`` of their neighbours' class positions per
-    slice of members with about ``floats`` neighbours, and no array of a
+    slice of members with a bounded number of neighbours, and no array of a
     block of pairs holds more than ``floats`` cells.
     """
 
@@ -594,7 +600,8 @@ class _BiScreen:
         if not g.directed:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         self.adj = dst[np.argsort(src, kind="stable")]
-        self.adj_starts = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=g.n))])
+        self.degree = np.bincount(src, minlength=g.n)
+        self.adj_starts = np.concatenate([[0], np.cumsum(self.degree)])
         # cells of an array of a block of pairs: few enough to keep small
         # graphs' peak memory flat, and at least eight vertex rows, so that
         # large graphs still screen in few blocks
@@ -616,21 +623,35 @@ class _BiScreen:
         D = np.zeros(bits.shape, dtype=np.int64)
         # every member's neighbours counted into its W1's row, one bincount
         # per slice of members: a slice holds the members whose neighbours
-        # start within one multiple of ``floats``, so fewer than floats + n
-        # neighbours (n <= floats / 8), which bounds the int64 temporaries
-        w, u = np.nonzero(bits)
-        lo = self.adj_starts[u]
-        deg = self.adj_starts[u + 1] - lo
-        end = np.cumsum(deg)
-        cuts = np.flatnonzero(np.diff((end - deg) // self.floats)) + 1
-        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), u.size]):
+        # start within one multiple of ``step``, so fewer than step + n
+        # neighbours, which bounds the int64 temporaries: two of them at a
+        # time, a quarter of ``floats`` each on large graphs (n <= floats / 8),
+        # and no fewer than the floor of ``floats`` on small ones.  A member
+        # is its flat position w * n + u in ``bits``, and ``end`` the running
+        # count of neighbours up to its own last one
+        flat = np.flatnonzero(bits)
+        end = self.degree[flat % n]
+        np.cumsum(end, out=end)
+        step = max(_SCREEN_CELLS // 64, self.floats // 4)
+        total = int(end[-1]) if end.size else 0
+        cuts = (np.searchsorted(end, np.arange(step, total, step)) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, flat.size]):
             if a == b:
                 continue
-            d, w0 = deg[a:b], w[a]
+            f = flat[a:b]
+            u = f % n
+            d = self.degree[u]
+            w0, w1 = int(f[0]) // n, int(f[-1]) // n
             # the positions of the slice's neighbours in adj, member by member
-            at = np.repeat(lo[a:b] - (end[a:b] - d), d) + np.arange(end[a] - deg[a], end[b - 1])
-            D[w0:w[b - 1] + 1] += np.bincount(np.repeat(w[a:b] - w0, d) * n + self.adj[at],
-                                              minlength=(w[b - 1] + 1 - w0) * n).reshape(-1, n)
+            at = np.repeat(self.adj_starts[u] - (end[a:b] - d), d)
+            at += np.arange(end[a] - d[0], end[b - 1])
+            nbrs = self.adj[at]
+            del at
+            # each neighbour's cell w * n + v in the slice's rows
+            cells = np.repeat(f - u - w0 * n, d)
+            cells += nbrs
+            del nbrs
+            D[w0:w1 + 1] += np.bincount(cells, minlength=(w1 + 1 - w0) * n).reshape(-1, n)
         planes = np.empty((len(rows), int(D.max(initial=0)).bit_length(), words), dtype="<u8")
         for b in range(planes.shape[1]):
             planes[:, b] = _pack(D & (1 << b) != 0, words)
@@ -700,84 +721,159 @@ class _BiScreen:
         return si, bound, edges, inside
 
 
+class _OfferKey:
+    """The rank of an offer to the outer beam, ordered as
+    ``Pattern.sort_key``: SI descending, then the shorter total description,
+    then the rendering ``W1 || W2``, which is made only when an exact
+    (SI, length) tie compares it."""
+
+    __slots__ = ("si", "length", "refiner", "w1", "w2", "_text")
+
+    def __init__(self, si, length, refiner, w1, w2):
+        self.si, self.length, self.refiner, self.w1, self.w2 = si, length, refiner, w1, w2
+        self._text = None
+
+    def text(self) -> str:
+        if self._text is None:
+            self._text = (f"{self.refiner.description(self.w1)} || "
+                          f"{self.refiner.description(self.w2)}")
+        return self._text
+
+    def __lt__(self, other):
+        if self.si != other.si:
+            return self.si > other.si
+        if self.length != other.length:
+            return self.length < other.length
+        return self.text() < other.text()
+
+
 def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
                        cfg: SearchConfig) -> list[Pattern]:
     """Nested beam search for bi-subgroup patterns.
 
-    The outer beam explores W1 refinements; each refined W1 runs a fresh
-    inner beam search over W2 candidates scored as (W1, W2, I, k_w).  Inner
+    The outer beam explores W1 refinements; each refined W1 runs an inner
+    beam search over W2 candidates scored as (W1, W2, I, k_w).  Inner
     survivors are pushed into the outer beam, which keeps at most x1*x2
     entries spanning at least x1 distinct W1 descriptions.
 
     The inner searches of the W1s refined at one outer level run in
-    lockstep, one screen chunk of W1s at a time (``_inner_searches``): each
-    inner level's (W1, W2) pairs are screened in one batch (``_BiScreen``),
-    and the contenders of every W1 are scored in one batch and offered to
-    its inner beam.  Inner beams do not read one another, and their
+    lockstep, one screen chunk of W1s at a time (``_inner_searches``), their
+    beams held as arrays.  Inner beams do not read one another, and their
     survivors reach the outer beam W1 by W1, so the result is the one of
-    running each W1's inner search on its own.  Only the reported patterns'
-    extensions are decoded, once the outer beam is final.
+    running each W1's inner search on its own.  An inner search depends on
+    its W1's key only, so a W1 key refined again at a later depth re-offers
+    its first search's survivors, in the same order, without searching
+    again.  Patterns are built, in one batched ``score_bi`` call, and
+    extensions decoded only for the outer beam's final entries.
     """
     refiner = _Refiner(g, model, selectors, max(1, cfg.min_extension_size))
     screen = _BiScreen(g, refiner, cfg.constants, cfg.require_disjoint_extensions)
     outer = Beam(cfg.x1 * cfg.x2, diversity_floor=cfg.x1)
+    searched: dict[int, list] = {}  # W1 key id -> the outer offers of its inner search
     for depth in range(cfg.depth):
         # the root, then the outer beam's distinct W1 nodes in beam order, old
         # ones too: once a W1's group has left the beam, every entry is
         # evictable, so the floor may take a re-offered pair it refused before
-        frontier = (list(dict.fromkeys(e.payload[1] for e in outer.entries)) if depth
+        frontier = (list(dict.fromkeys(e.payload[0] for e in outer.entries)) if depth
                     else [refiner.root])
         children = refiner.expand([frontier])
+        keys = children.key.tolist()
+        # a later depth can reach a W1 key of this depth again only if this is
+        # neither the first depth (its W1s have one selector, later ones two
+        # or more) nor the last; other offers are dropped once made
+        keep = 0 < depth < cfg.depth - 1
         # one screen chunk of W1s at a time, which bounds the inner searches'
         # state as well as the screen's temporaries
-        for lo in range(0, len(children.rows), screen.w1_step):
-            hi = min(lo + screen.w1_step, len(children.rows))
-            w1s = refiner.nodes(children, np.arange(lo, hi))
-            inner = _inner_searches(g, model, refiner, screen, cfg, w1s, children.rows[lo:hi])
-            for w1, beam in zip(w1s, inner):
-                for e in beam:
-                    pat, w2 = e.payload
-                    outer.try_add(BeamEntry(e.key, (w1.key, w2.key), w1.key, (pat, w1, w2)))
+        for lo in range(0, len(keys), screen.w1_step):
+            hi = min(lo + screen.w1_step, len(keys))
+            new = [k for k in range(lo, hi) if keys[k] not in searched]
+            if new:
+                w1s = refiner.nodes(children, np.array(new))
+                for w1, (h1, entries) in zip(w1s, _inner_searches(g, model, refiner, screen, cfg,
+                                                                  w1s, children.rows[new])):
+                    searched[w1.key] = [
+                        BeamEntry(_OfferKey(si, len(w1.sels) + len(w2.sels), refiner, w1, w2),
+                                  (w1.key, w2.key), w1.key, (w1, w2, h1, counts))
+                        for si, w2, counts in entries]
+            for key in keys[lo:hi]:
+                for entry in searched[key]:
+                    outer.try_add(entry)
+            if not keep:
+                for k in new:
+                    del searched[keys[k]]
     if not outer.entries:
         log.warning("nested search produced no admissible (W1, W2) candidate "
                     "under the active constraints")
         return []
-    # the reported patterns' extensions, one batch per side
-    masks1, masks2 = (refiner.masks(np.array([e.payload[side].row for e in outer.entries]))
-                      for side in (1, 2))
-    return [_with_extensions(e.payload[0], g, m1, m2)
-            for e, m1, m2 in zip(outer.entries, masks1, masks2)]
+    # the reported patterns, scored in one batch, and their extensions, one
+    # batch per side; each row scores as it did when ranked
+    w1s, w2s, h1, counts = zip(*(e.payload for e in outer.entries))
+    k, C = model.n_classes, np.array(counts)
+    pats = score_bi(g, model, [refiner.description(w) for w in w1s],
+                    [refiner.description(w) for w in w2s], (np.array(h1), C[:, :k], C[:, k:2 * k]),
+                    C[:, 2 * k], C[:, 2 * k + 1], cfg.constants)
+    masks1, masks2 = (refiner.masks(np.array([w.row for w in ws])) for ws in (w1s, w2s))
+    return [_with_extensions(pat, g, m1, m2) for pat, m1, m2 in zip(pats, masks1, masks2)]
 
 
-def _admit(cfg, refiner, z1s):
-    """The inner searches' ``admit`` for the W1s ``z1s``: None unless the
-    shared-attribute constraint is on, and then per W1 a bool row over the
-    selectors, true where a selector differs from the W1's selector on the
-    same attribute; a W2 meets the constraint when one of its selectors
+def _admit(cfg, refiner, w1s):
+    """The inner searches' ``admit`` for the W1 nodes ``w1s``: None unless
+    the shared-attribute constraint is on, and then per W1 a bool row over
+    the selectors, true where a selector differs from the W1's selector on
+    the same attribute; a W2 meets the constraint when one of its selectors
     does."""
     if not cfg.require_shared_attribute:
         return None
-    out = np.zeros((len(z1s), len(refiner.selectors)), dtype=bool)
-    for row, z1 in zip(out, z1s):
-        on_w1 = {s.attribute: s for s in z1.selectors}
+    out = np.zeros((len(w1s), len(refiner.selectors)), dtype=bool)
+    for row, w1 in zip(out, w1s):
+        on_w1 = {s.attribute: s for s in refiner.description(w1).selectors}
         row[:] = [s.attribute in on_w1 and s != on_w1[s.attribute] for s in refiner.selectors]
     return out
 
 
+def _beam_order(group, si, length, text, width):
+    """Positions of the entries that beams of ``width`` keep, beam by beam
+    and best first: entry i, of beam ``group[i]`` with exact SI ``si[i]``
+    and description length ``length[i]``, ranks by SI descending, then
+    shorter, then its rendering ``text(i)`` (made only for exact
+    (SI, length) ties), then position, so that the entries of earlier offers
+    come first, as in ``Beam``."""
+    order = np.lexsort((length, -si, group))
+    g, s, n = group[order], si[order], length[order]
+    tie = (g[1:] == g[:-1]) & (s[1:] == s[:-1]) & (n[1:] == n[:-1])
+    if tie.any():
+        tied = order[np.flatnonzero(np.append(tie, False) | np.insert(tie, 0, False))].tolist()
+        texts = [text(i) for i in tied]
+        rank = dict(zip(sorted(set(texts)), range(len(texts))))
+        by_text = np.zeros(si.size, dtype=np.int64)
+        by_text[tied] = [rank[t] for t in texts]
+        order = np.lexsort((by_text, length, -si, group))
+        g = group[order]
+    return order[np.arange(g.size) - np.searchsorted(g, g) < width]
+
+
 def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
     """The inner beam searches of the W1 nodes ``w1s`` (refiner rows
-    ``rows1``), in lockstep; returns each W1's final inner beam, whose
-    entries hold ``(pattern, W2 node)``.  Level l refines only the W2s that
-    level l - 1 added, the beam's entries of l - 1 selectors.  That is exact:
-    an inner beam has no diversity floor and a strict total order, so its
-    entry bar only rises, and a W2 screened out or rejected at one level
-    could not enter at a later one.  An inner beam ends up holding the same
-    entries as if every candidate had been scored and offered."""
-    z1s = [refiner.description(w1) for w1 in w1s]
-    admit = _admit(cfg, refiner, z1s)
+    ``rows1``), in lockstep; returns per W1 its class histogram and its final
+    inner beam, best first, as ``(SI, W2 node, counts)`` entries, where
+    ``counts`` is the int64 row of W2's and W1 ∩ W2's class histograms, the
+    edges and the inside edges that ``score_bi`` takes.
+
+    The beams are arrays, entry by entry: its W1, exact SI, W2 length, W2
+    node and counts.  Each level screens its (W1, W2) pairs, scores every
+    W1's contenders exactly in one batch of the scoring core (no patterns),
+    and merges them with the kept entries in one sort (``_beam_order``); W2
+    nodes are built for the entries kept only.  Level l refines only the
+    W2s that level l - 1 added, the beam's entries of l - 1 selectors.  That
+    is exact: an inner beam has no diversity floor and a strict total order,
+    so its entry bar only rises, and a W2 screened out or rejected at one
+    level could not enter at a later one.  An inner beam ends up holding the
+    same entries as if every candidate had been scored and offered."""
+    admit = _admit(cfg, refiner, w1s)
     len1 = np.array([len(w1.sels) for w1 in w1s], dtype=np.int64)
     chunk = screen.w1_rows(rows1)
-    beams = [Beam(cfg.x2) for _ in w1s]
+    group, kept, length = np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64)
+    counts, nodes = np.zeros((0, 2 * model.n_classes + 2), dtype=np.int64), []
     parents = [[refiner.root] for _ in w1s]
     for level in range(1, cfg.depth + 1):
         # one group of W2 parents per W1; its W2 children have level selectors
@@ -786,21 +882,42 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
         H2 = refiner.class_counts(rows2)
         si, bound, edges, inside = screen.scores(chunk, (rows2, H2, children.sizes), pi, pj,
                                                  len1[pi] + level)
-        # the contenders of every W1, cut W1 by W1 and scored in one batch
-        picked = _contenders(si, bound, pi, [[e.payload[0].si for e in beam] for beam in beams],
-                             cfg.x2)
-        i, j, ws = pi[picked], pj[picked], pi[picked].tolist()
-        h_o = screen.overlaps(chunk, rows2, i, j)
-        nodes = refiner.nodes(children, picked)
-        pats = score_bi(g, model, [z1s[w] for w in ws],
-                        [refiner.description(node) for node in nodes], (chunk[2][i], H2[j], h_o),
-                        edges[picked], inside[picked], cfg.constants)
-        for w, node, pat in zip(ws, nodes, pats):
-            if pat is not None:
-                beams[w].try_add(BeamEntry(pat.sort_key(), node.key, node.key, (pat, node)))
-        parents = [[e.payload[1] for e in beam if len(e.payload[1].sels) == level]
-                   for beam in beams]
-    return beams
+        # the contenders of every W1, cut W1 by W1 and scored in one batch;
+        # each has a pair u != v, since the screen gives the others -inf
+        picked = _contenders(si, bound, pi, kept, group, cfg.x2)
+        i, j = pi[picked], pj[picked]
+        hists = (chunk[2][i], H2[j], screen.overlaps(chunk, rows2, i, j))
+        lengths = np.full(i.size, level, dtype=np.int64)
+        _, _, exact = _columns(model, cfg.constants, (len1[i], lengths), hists,
+                               edges[picked], inside[picked])
+        old = len(nodes)
+
+        def text(e):  # the rendering of entry e's W2
+            if e < old:
+                return str(refiner.description(nodes[e]))
+            c = picked[e - old]
+            sels = children.parents[children.parent[c]].sels + (int(children.sel[c]),)
+            return str(Description(tuple(refiner.selectors[k] for k in sels)))
+
+        group = np.concatenate([group, i])
+        kept = np.concatenate([kept, exact.si])
+        length = np.concatenate([length, lengths])
+        counts = np.concatenate([counts, np.concatenate(
+            [*hists[1:], edges[picked, None], inside[picked, None]], axis=1)])
+        keep = _beam_order(group, kept, length, text, cfg.x2)
+        added = keep[keep >= old]
+        built = iter(refiner.nodes(children, picked[added - old]))
+        nodes = [nodes[e] if e < old else next(built) for e in keep.tolist()]
+        group, kept, length, counts = group[keep], kept[keep], length[keep], counts[keep]
+        parents = [[] for _ in w1s]
+        for w, node in zip(group.tolist(), nodes):
+            if len(node.sels) == level:
+                parents[w].append(node)
+    # copies, so that the outer beam keeps no chunk's arrays alive
+    out = [(h1.copy(), []) for h1 in chunk[2]]
+    for w, si, node, row in zip(group.tolist(), kept.tolist(), nodes, counts):
+        out[w][1].append((si, node, row.copy()))
+    return out
 
 
 # -- iterative mining ---------------------------------------------------------------

@@ -134,5 +134,6 @@ def test_segmented_cut_matches_per_beam_cut(data, beams, width):
     want = [np.flatnonzero(beam == b)[reference_contenders(si[beam == b], bound[beam == b],
                                                            kept[b], width)]
             for b in range(beams)]
-    got = _contenders(si, bound, beam, kept, width)
+    got = _contenders(si, bound, beam, np.array([x for k in kept for x in k], dtype=np.float64),
+                      np.repeat(np.arange(beams), [len(k) for k in kept]), width)
     assert got.tolist() == [int(i) for picks in want for i in picks]

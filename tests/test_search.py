@@ -394,10 +394,11 @@ class TestIterate:
 
 
 class TestScorerPath:
-    """The searches score the contenders of a level in one batched call of
-    the names ``simine.search.score_bi``/``score_single``, where a tracer
-    that wraps them from outside finds them, and decode extensions for
-    reported patterns only."""
+    """The single search scores the contenders of a level, and the nested
+    search its reported patterns, in one batched call of the names
+    ``simine.search.score_bi``/``score_single``, where a tracer that wraps
+    them from outside finds them; both decode extensions for reported
+    patterns only."""
 
     @staticmethod
     def _runs(g, model, sels):
@@ -429,13 +430,18 @@ class TestScorerPath:
             returned.clear()
             screened.clear()
             pats = run()
-            assert pats, name
-            # one batch per screened level, and every reported pattern is
-            # the very object a batch returned
-            assert len(returned) == len(screened) > 0, name
-            assert sum(map(len, returned)) > len(returned), name
-            seen = {id(p) for batch in returned for p in batch}
-            assert all(id(p) in seen for p in pats), name
+            assert pats and screened, name
+            if name == "single":
+                # one batch per screened level, and every reported pattern
+                # is the very object a batch returned
+                assert len(returned) == len(screened), name
+                assert sum(map(len, returned)) > len(returned), name
+                seen = {id(p) for batch in returned for p in batch}
+                assert all(id(p) in seen for p in pats), name
+            else:
+                # one batch per nested search, of the reported patterns only
+                assert len(returned) == (1 if name == "nested" else 2), name
+                assert [id(p) for batch in returned for p in batch] == list(map(id, pats)), name
 
     @pytest.mark.parametrize("fn", [score_bi, score_single])
     def test_scorers_take_no_optional_parameters(self, fn):
@@ -500,7 +506,7 @@ class TestScorerPath:
     def test_class_histograms_counted_once(self, monkeypatch):
         # each chunk counts its W1 rows once and each inner level its W2 rows
         # once; the screen counts one overlap row per screened pair, and the
-        # exact scores one more per contender
+        # exact inner scores one more per contender
         g = random_graph(47, n=40)
         model = fit_degree_prior(g)
         sels = generate_selectors(g)
@@ -533,7 +539,8 @@ class TestScorerPath:
         monkeypatch.setattr(Screen, "overlaps", in_phase(
             "overlaps", Screen.overlaps, lambda _, w1, rows2, pi, pj: len(pi)))
         monkeypatch.setattr(search, "score_bi", scoring)
-        assert nested_beam_search(g, model, sels, SearchConfig(x1=3, x2=3, depth=2))
+        pats = nested_beam_search(g, model, sels, SearchConfig(x1=3, x2=3, depth=2))
+        assert pats
 
         def rows(name, of=lambda r: r):
             return [of(r) for n, r in offered if n == name]
@@ -545,7 +552,9 @@ class TestScorerPath:
         assert [r for n, r in counted if n is None] == rows("screen", lambda r: r[0])
         assert counts("w1") == sum(rows("w1")) > 0
         assert counts("screen") == sum(rows("screen", lambda r: r[1]))
-        assert counts("overlaps") == sum(rows("overlaps")) == len(scored) > 0
+        assert counts("overlaps") == sum(rows("overlaps")) >= len(scored) > 0
+        # the reported patterns are scored from the counts kept with them
+        assert len(scored) == len(pats)
 
 
 class TestBaselineSearch:
