@@ -15,9 +15,9 @@ from .background import (BackgroundModel, FitError, PartitionGammas,
 from .scores import (MEASURE_NAMES, Pattern, ScoreConstants, baseline_scores,
                      description_length, information_content, kl_bernoulli,
                      rescore, score_bi, score_single, score_single_counts)
-from .search import (BaselineResult, Beam, BeamEntry, IterationResult,
-                     SearchConfig, baseline_search, beam_search_single,
-                     iterate, nested_beam_search)
+from .search import (BaselineResult, IterationResult, SearchConfig,
+                     baseline_search, beam_search_single, iterate,
+                     nested_beam_search)
 from .synth import PlantedBlock, SynthConfig, generate_synthetic
 
 __all__ = [
@@ -37,8 +37,8 @@ __all__ = [
     "description_length", "information_content", "kl_bernoulli", "rescore",
     "score_bi", "score_single", "score_single_counts",
     # search
-    "BaselineResult", "Beam", "BeamEntry", "IterationResult", "SearchConfig",
-    "baseline_search", "beam_search_single", "iterate", "nested_beam_search",
+    "BaselineResult", "IterationResult", "SearchConfig", "baseline_search",
+    "beam_search_single", "iterate", "nested_beam_search",
     # synthetic data
     "PlantedBlock", "SynthConfig", "generate_synthetic",
 ]

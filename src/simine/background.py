@@ -423,21 +423,26 @@ class BackgroundModel:
         if not isinstance(d.get("directed"), bool):
             raise ValueError("malformed model file: 'directed' must be true or false")
         try:
-            parts = [PartitionGammas(p["attribute"], _ints(p["bins"], "bins"),
-                                     list(p["bin_values"]), _floats(p["gammas"], "gammas"))
-                     for p in d["partitions"]]
+            parts = [PartitionGammas(_typed(p["attribute"], "partition attribute", (str,)),
+                                     _ints(p["bins"], "bins"),
+                                     [_typed(v, "bin value", (str,))
+                                      for v in _typed(p["bin_values"], "bin_values", (list,))],
+                                     _floats(p["gammas"], "gammas"))
+                     for p in _typed(d["partitions"], "partitions", (list,))]
             upds = [PatternUpdate(_ints(u["rows"], "update rows"),
                                   _ints(u["cols"], "update columns"),
-                                  float(_number(u["lam"], "lam")),
-                                  _number(u["observed"], "observed", (int,)),
-                                  _number(u["n_pairs"], "n_pairs", (int,)))
-                    for u in d["updates"]]
+                                  float(_typed(u["lam"], "lam")),
+                                  _typed(u["observed"], "observed", (int,)),
+                                  _typed(u["n_pairs"], "n_pairs", (int,)))
+                    for u in _typed(d["updates"], "updates", (list,))]
             lam_col = None if d["lam_col"] is None else _floats(d["lam_col"], "lam_col")
-            return cls(_number(d["n"], "n", (int,)), d["directed"],
-                       _number(d["offset"], "offset"),
+            return cls(_typed(d["n"], "n", (int,)), d["directed"],
+                       _typed(d["offset"], "offset"),
                        _ints(d["classes"], "class ids"), _floats(d["lam_row"], "lam_row"),
-                       lam_col, parts, upds, prior=d["prior"], fit_info=d.get("fit_info"),
-                       graph_fingerprint=d.get("graph_fingerprint"))
+                       lam_col, parts, upds, prior=_typed(d["prior"], "prior", (str,)),
+                       fit_info=_typed(d.get("fit_info"), "fit_info", (type(None), dict)),
+                       graph_fingerprint=_typed(d.get("graph_fingerprint"), "graph_fingerprint",
+                                                (type(None), str)))
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed model file: {exc!r}") from None
 
@@ -465,11 +470,12 @@ def _ints(values, what):
     return arr.astype(np.int64)
 
 
-def _number(value, what, types=(int, float)):
-    """A model file's JSON number, of one of ``types``; a boolean or a string
-    is malformed."""
+def _typed(value, what, types=(int, float)):
+    """A model file's JSON value, of one of ``types`` (a number by default);
+    a boolean is not a number, nor a string a number."""
     if type(value) not in types:
-        kind = "integer" if types == (int,) else "number"
+        kind = {float: "number", str: "string", list: "array",
+                dict: "object"}.get(types[-1], "integer")
         raise ValueError(f"malformed model file: {what} must be a JSON {kind}, got {value!r}")
     return value
 
@@ -478,7 +484,7 @@ def _floats(values, what):
     """Nested lists of a model file's JSON numbers as float64."""
     arr = np.asarray(values, dtype=object)
     for x in arr.flat:
-        _number(x, what)
+        _typed(x, what)
     return arr.astype(np.float64)
 
 

@@ -1,12 +1,16 @@
 """Beam search for single-subgroup patterns, nested beam search for
 bi-subgroup patterns, and the iterative mining driver.
 
-Both searches are deterministic: candidates are generated in a fixed order
-and beams break score ties by (shorter total description, lexicographic
-rendering).  The outer beam of the nested search holds up to x1*x2 scored
-(W1, W2) pairs under a hard diversity floor of x1 distinct W1 descriptions.
-Beams identify candidates, and diversity groups W1s, by description keys
-(``_Refiner``), never by rendered text.
+Both searches are deterministic: candidates are generated in a fixed order,
+and every beam is a selection over arrays of its kept entries and new offers,
+ranked by ``_beam_order``: SI descending, then the shorter total
+description, then the lexicographic rendering (made only on an exact
+(SI, length) tie), then offer order.  A beam of width w keeps the first w.
+The outer beam of the nested search holds up to x1*x2 scored (W1, W2) pairs
+under a hard diversity floor of x1 distinct W1 descriptions (``_select``):
+it keeps the first entry of each of the first x1 W1s, then the best of the
+rest.  Beams identify candidates, and diversity groups W1s, by description
+keys (``_Refiner``), never by rendered text.
 
 Both score a level at a time: its candidates are screened in one batch, and
 the contenders, whose screening SI could place them in a beam, are scored
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,8 +41,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "SearchConfig",
-    "Beam",
-    "BeamEntry",
     "BaselineResult",
     "beam_search_single",
     "baseline_search",
@@ -70,95 +71,6 @@ class SearchConfig:
     def __post_init__(self):
         if min(self.beam_width, self.x1, self.x2, self.depth) < 1:
             raise ValueError("beam_width, x1, x2 and depth must all be >= 1")
-
-
-@dataclass
-class BeamEntry:
-    key: object  # ordered by <
-    ident: object  # a beam holds one entry per ident
-    group: object
-    payload: object
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-
-class Beam:
-    """Bounded best-first container with an optional W1-diversity floor.
-
-    Entries stay sorted best-first.  When full, a candidate replaces the
-    worst entry it beats, except that an eviction may never drop the number
-    of distinct groups below the floor; in that case the worst entry of an
-    over-represented group is the replacement target.  A candidate with a
-    brand-new group is force-inserted while the floor is unmet.
-    """
-
-    def __init__(self, capacity: int, diversity_floor: int | None = None):
-        if diversity_floor is not None and capacity < diversity_floor:
-            raise ValueError("capacity must be at least the diversity floor")
-        self.capacity = capacity
-        self.floor = diversity_floor
-        self.entries: list[BeamEntry] = []
-        self._present: set = set()
-        self._group_counts: dict = {}
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def distinct_groups(self) -> int:
-        return len(self._group_counts)
-
-    def _insert(self, entry):
-        insort(self.entries, entry)
-        self._present.add(entry.ident)
-        self._group_counts[entry.group] = self._group_counts.get(entry.group, 0) + 1
-
-    def _evict(self, entry):
-        self.entries.remove(entry)
-        self._present.discard(entry.ident)
-        cnt = self._group_counts[entry.group] - 1
-        if cnt:
-            self._group_counts[entry.group] = cnt
-        else:
-            del self._group_counts[entry.group]
-
-    def try_add(self, entry: BeamEntry) -> bool:
-        if entry.ident in self._present:
-            return False
-        if len(self.entries) < self.capacity:
-            self._insert(entry)
-            return True
-        groups = self._group_counts
-        if (self.floor is not None and entry.group not in groups
-                and len(groups) < self.floor):
-            # diversity floor unmet: force the new group in by evicting the
-            # worst entry of an over-represented group
-            victim = next(e for e in reversed(self.entries) if groups[e.group] >= 2)
-            self._evict(victim)
-            self._insert(entry)
-            return True
-        victim = None
-        for e in reversed(self.entries):
-            if self._eviction_keeps_floor(e, entry):
-                victim = e
-                break
-        if victim is None or not entry.key < victim.key:
-            return False
-        self._evict(victim)
-        self._insert(entry)
-        return True
-
-    def _eviction_keeps_floor(self, victim, entry):
-        if self.floor is None:
-            return True
-        if entry.group not in self._group_counts:
-            return True  # eviction is at worst neutral for diversity
-        if victim.group == entry.group or self._group_counts[victim.group] >= 2:
-            return True
-        return len(self._group_counts) - 1 >= self.floor
 
 
 # -- candidate generation -------------------------------------------------------
@@ -406,7 +318,8 @@ def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
     def scorer(descs, nodes, edges, hists):
         return score_single(g, model, descs, hists, edges, cfg.constants)
 
-    found = _single_engine(refiner, _SingleScreen(g, refiner, cfg.constants), cfg, scorer)
+    found = _single_engine(refiner, _SingleScreen(g, refiner, cfg.constants), cfg, scorer,
+                           lambda pat: pat.si)
     if not found:
         return []
     masks = refiner.masks(np.array([node.row for _, node in found]))
@@ -450,27 +363,38 @@ def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: s
                                inter_edges=int(deg[m].sum()) - 2 * k)
                 for desc, node, k, m in zip(descs, nodes, edges.tolist(), masks)]
 
-    return [res for res, _ in _single_engine(refiner, None, cfg, scorer)]
+    return [res for res, _ in _single_engine(refiner, None, cfg, scorer, lambda res: res.value)]
 
 
-def _single_engine(refiner, screen, cfg, scorer):
+def _single_engine(refiner, screen, cfg, scorer, value):
     """Level-wise beam search over the refinements of ``refiner``; ``scorer``
     maps a batch of candidates (descriptions, nodes, inner edge counts,
-    integer class histograms) to a result or None each.  Returns the
-    ``(result, node)`` of every level's survivors, ranked.  A level is
-    expanded, screened, cut and scored in one batch, its parents in chunks
-    that fit the screen budget.  With a ``screen`` (``_SingleScreen``), only
+    integer class histograms) to a result or None each, and ``value`` a
+    result to the score it ranks by.  Returns the ``(result, node)`` of every
+    level's survivors, ranked.  A level is expanded, screened, cut and scored
+    in one batch, its parents in chunks that fit the screen budget, and its
+    beam keeps the best of its entries and each chunk's results
+    (``_beam_order``).  With a ``screen`` (``_SingleScreen``), only
     candidates whose screening SI could place them in the level's beam are
     scored and offered to it; the beam has no diversity floor and a strict
     total order, so it ends up holding the same entries as if every
     candidate had been scored and offered."""
     rows = [refiner.root]
     collected: dict[int, tuple] = {}  # node key -> (result, node)
+
+    def ranked(entries, width):
+        """The ``width`` best ``(result, node)`` of ``entries``, best first."""
+        order = _beam_order(np.zeros(len(entries), dtype=np.int64),
+                            np.array([value(res) for res, _ in entries], dtype=np.float64),
+                            np.array([len(node.sels) for _, node in entries], dtype=np.int64),
+                            lambda i: entries[i][0].render(), width)
+        return [entries[i] for i in order.tolist()]
+
     cells = len(refiner.selectors) * max(refiner.root.row.size, refiner.bword.size)
     step = max(1, _SCREEN_CELLS // max(8, 8 * cells))  # an eighth stays in cache
     for level in range(1, cfg.depth + 1):
         seen = np.zeros(0, dtype=bool)  # the level's keys so far, by key id
-        beam = Beam(cfg.beam_width)
+        beam = []  # the level's (result, node) entries, best first
         for lo in range(0, len(rows), step):
             children = refiner.expand([rows[lo:lo + step]], seen=seen)
             seen, stack = children.seen, children.rows
@@ -478,25 +402,24 @@ def _single_engine(refiner, screen, cfg, scorer):
             picks = np.arange(len(stack))
             if screen is not None:
                 si, bound = screen.scores(hists, children.sizes, counts, level)
-                kept = np.array([e.payload[0].si for e in beam])
+                kept = np.array([value(res) for res, _ in beam], dtype=np.float64)
                 picks = _contenders(si, bound, np.zeros(si.size, dtype=np.int64), kept,
                                     np.zeros(kept.size, dtype=np.int64), cfg.beam_width)
             nodes = refiner.nodes(children, picks)
             results = scorer([refiner.description(nd) for nd in nodes], nodes, counts[picks],
                              hists[picks])
-            for res, node in zip(results, nodes):
-                if res is not None:
-                    beam.try_add(BeamEntry(res.sort_key(), node.key, node.key, (res, node)))
-        if not len(beam):
+            beam = ranked(beam + [(res, node) for res, node in zip(results, nodes)
+                                  if res is not None], cfg.beam_width)
+        if not beam:
             break
-        rows = [e.payload[1] for e in beam]
-        for e in beam:
-            collected.setdefault(e.ident, e.payload)
+        rows = [node for _, node in beam]
+        for res, node in beam:
+            collected.setdefault(node.key, (res, node))
     if not collected:
         log.warning("single-subgroup search found no candidate with extension size >= %d",
                     refiner.min_size)
         return []
-    return sorted(collected.values(), key=lambda r: r[0].sort_key())
+    return ranked(list(collected.values()), len(collected))
 
 
 def _mass_rounding(model):
@@ -721,30 +644,66 @@ class _BiScreen:
         return si, bound, edges, inside
 
 
-class _OfferKey:
-    """The rank of an offer to the outer beam, ordered as
-    ``Pattern.sort_key``: SI descending, then the shorter total description,
-    then the rendering ``W1 || W2``, which is made only when an exact
-    (SI, length) tie compares it."""
+class _Entries(NamedTuple):
+    """Entries of the outer beam, or offers to it, one per row of every
+    column: the exact SI, the total description length, the key ids and the
+    nodes (object arrays) of W1 and W2, and the int64 counts that
+    ``score_bi`` takes: the class histograms of W1, W2 and W1 ∩ W2, the
+    edges and the inside edges."""
 
-    __slots__ = ("si", "length", "refiner", "w1", "w2", "_text")
+    si: np.ndarray
+    length: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    node1: np.ndarray
+    node2: np.ndarray
+    counts: np.ndarray
 
-    def __init__(self, si, length, refiner, w1, w2):
-        self.si, self.length, self.refiner, self.w1, self.w2 = si, length, refiner, w1, w2
-        self._text = None
+    def take(self, at):
+        return _Entries(*(column[at] for column in self))
 
-    def text(self) -> str:
-        if self._text is None:
-            self._text = (f"{self.refiner.description(self.w1)} || "
-                          f"{self.refiner.description(self.w2)}")
-        return self._text
+    @staticmethod
+    def join(parts):
+        return _Entries(*map(np.concatenate, zip(*parts)))
 
-    def __lt__(self, other):
-        if self.si != other.si:
-            return self.si > other.si
-        if self.length != other.length:
-            return self.length < other.length
-        return self.text() < other.text()
+
+def _select(beam, offers, floor, width, text):
+    """The outer beam ``beam`` (``_Entries``, best first) after ``offers``:
+    offers of a (W1, W2) it holds are dropped, its entries and then the other
+    offers, in order, are ranked by ``_beam_order`` (``text(entries, i)``
+    renders entry i of ``entries``), and it keeps the first entry of each of
+    the first ``floor`` distinct W1s, then the best of the rest up to
+    ``width``, best first.  That is what a beam that never lets its
+    distinct W1s fall below ``floor`` keeps when offered one entry at a
+    time, replacing its worst entry whose eviction keeps the floor and
+    taking a new W1 by force while the floor is unmet (a property test
+    checks the two on random offer streams)."""
+    # a full beam that spans the floor keeps itself when every offer ranks
+    # strictly below its worst entry
+    if beam.si.size == width and len(set(beam.w1.tolist())) >= floor:
+        si, n = beam.si[-1], beam.length[-1]
+        if ((offers.si < si) | ((offers.si == si) & (offers.length > n))).all():
+            return beam
+    held = ((offers.w1[:, None] == beam.w1) & (offers.w2[:, None] == beam.w2)).any(axis=1)
+    merged = _Entries.join([beam, offers.take(~held) if held.any() else offers])
+    # an entry strictly worse than both the width-th entry and the first
+    # entry of the floor-th W1 is kept under no order of the exact
+    # (SI, length) ties: only the others are ranked, and rendered if tied
+    order = np.lexsort((merged.length, -merged.si))
+    ranked = merged.w1[order].tolist()
+    groups = list(dict.fromkeys(ranked))  # the W1s in rank order
+    keep = np.arange(order.size)
+    if order.size > width and len(groups) >= floor:
+        c = order[max(width - 1, ranked.index(groups[floor - 1]))]
+        si, n = merged.si, merged.length
+        keep = np.flatnonzero((si > si[c]) | ((si == si[c]) & (n <= n[c])))
+    order = keep[_beam_order(np.zeros(keep.size, dtype=np.int64), merged.si[keep],
+                             merged.length[keep], lambda i: text(merged, keep[i]), keep.size)]
+    # the first entry of each of the first floor W1s, then the best of the rest
+    ranked = merged.w1[order].tolist()
+    lead = [ranked.index(g) for g in list(dict.fromkeys(ranked))[:floor]]
+    rest = [p for p in range(len(ranked)) if p not in lead][:width - len(lead)]
+    return merged.take(order[sorted(lead + rest)])
 
 
 def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
@@ -753,29 +712,40 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
 
     The outer beam explores W1 refinements; each refined W1 runs an inner
     beam search over W2 candidates scored as (W1, W2, I, k_w).  Inner
-    survivors are pushed into the outer beam, which keeps at most x1*x2
-    entries spanning at least x1 distinct W1 descriptions.
+    survivors are offered to the outer beam, which keeps at most x1*x2
+    entries spanning at least x1 distinct W1 descriptions (``_select``).
 
     The inner searches of the W1s refined at one outer level run in
     lockstep, one screen chunk of W1s at a time (``_inner_searches``), their
-    beams held as arrays.  Inner beams do not read one another, and their
-    survivors reach the outer beam W1 by W1, so the result is the one of
-    running each W1's inner search on its own.  An inner search depends on
-    its W1's key only, so a W1 key refined again at a later depth re-offers
-    its first search's survivors, in the same order, without searching
-    again.  Patterns are built, in one batched ``score_bi`` call, and
-    extensions decoded only for the outer beam's final entries.
+    beams held as arrays, and the outer beam takes the chunk's survivors W1
+    by W1 in one selection.  Inner beams do not read one another, so the
+    result is the one of running each W1's inner search on its own.  An
+    inner search depends on its W1's key only, so a W1 key refined again at
+    a later depth re-offers its first search's survivors, in the same order,
+    without searching again.  Patterns are built, in one batched
+    ``score_bi`` call, and extensions decoded only for the outer beam's
+    final entries.
     """
     refiner = _Refiner(g, model, selectors, max(1, cfg.min_extension_size))
     screen = _BiScreen(g, refiner, cfg.constants, cfg.require_disjoint_extensions)
-    outer = Beam(cfg.x1 * cfg.x2, diversity_floor=cfg.x1)
-    searched: dict[int, list] = {}  # W1 key id -> the outer offers of its inner search
+    outer = _Entries(np.zeros(0), *np.zeros((3, 0), dtype=np.int64),
+                     *np.empty((2, 0), dtype=object),
+                     np.zeros((0, 3 * model.n_classes + 2), dtype=np.int64))
+    searched: dict[int, _Entries] = {}  # W1 key id -> the outer offers of its inner search
+    texts: dict[tuple, str] = {}  # (W1, W2) key ids -> "W1 || W2", made on exact ties only
+
+    def text(entries, i):
+        ident = int(entries.w1[i]), int(entries.w2[i])
+        if ident not in texts:
+            texts[ident] = (f"{refiner.description(entries.node1[i])} || "
+                            f"{refiner.description(entries.node2[i])}")
+        return texts[ident]
+
     for depth in range(cfg.depth):
         # the root, then the outer beam's distinct W1 nodes in beam order, old
         # ones too: once a W1's group has left the beam, every entry is
         # evictable, so the floor may take a re-offered pair it refused before
-        frontier = (list(dict.fromkeys(e.payload[0] for e in outer.entries)) if depth
-                    else [refiner.root])
+        frontier = list(dict.fromkeys(outer.node1)) if depth else [refiner.root]
         children = refiner.expand([frontier])
         keys = children.key.tolist()
         # a later depth can reach a W1 key of this depth again only if this is
@@ -789,30 +759,26 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
             new = [k for k in range(lo, hi) if keys[k] not in searched]
             if new:
                 w1s = refiner.nodes(children, np.array(new))
-                for w1, (h1, entries) in zip(w1s, _inner_searches(g, model, refiner, screen, cfg,
-                                                                  w1s, children.rows[new])):
-                    searched[w1.key] = [
-                        BeamEntry(_OfferKey(si, len(w1.sels) + len(w2.sels), refiner, w1, w2),
-                                  (w1.key, w2.key), w1.key, (w1, w2, h1, counts))
-                        for si, w2, counts in entries]
-            for key in keys[lo:hi]:
-                for entry in searched[key]:
-                    outer.try_add(entry)
+                searched.update(zip((w1.key for w1 in w1s), _inner_searches(
+                    g, model, refiner, screen, cfg, w1s, children.rows[new])))
+            outer = _select(outer, _Entries.join([searched[key] for key in keys[lo:hi]]),
+                            cfg.x1, cfg.x1 * cfg.x2, text)
             if not keep:
                 for k in new:
                     del searched[keys[k]]
-    if not outer.entries:
+    if not outer.si.size:
         log.warning("nested search produced no admissible (W1, W2) candidate "
                     "under the active constraints")
         return []
     # the reported patterns, scored in one batch, and their extensions, one
     # batch per side; each row scores as it did when ranked
-    w1s, w2s, h1, counts = zip(*(e.payload for e in outer.entries))
-    k, C = model.n_classes, np.array(counts)
-    pats = score_bi(g, model, [refiner.description(w) for w in w1s],
-                    [refiner.description(w) for w in w2s], (np.array(h1), C[:, :k], C[:, k:2 * k]),
-                    C[:, 2 * k], C[:, 2 * k + 1], cfg.constants)
-    masks1, masks2 = (refiner.masks(np.array([w.row for w in ws])) for ws in (w1s, w2s))
+    k, C = model.n_classes, outer.counts
+    pats = score_bi(g, model, [refiner.description(w) for w in outer.node1],
+                    [refiner.description(w) for w in outer.node2],
+                    (C[:, :k], C[:, k:2 * k], C[:, 2 * k:3 * k]), C[:, 3 * k], C[:, 3 * k + 1],
+                    cfg.constants)
+    masks1, masks2 = (refiner.masks(np.array([w.row for w in ws]))
+                      for ws in (outer.node1, outer.node2))
     return [_with_extensions(pat, g, m1, m2) for pat, m1, m2 in zip(pats, masks1, masks2)]
 
 
@@ -836,13 +802,16 @@ def _beam_order(group, si, length, text, width):
     and best first: entry i, of beam ``group[i]`` with exact SI ``si[i]``
     and description length ``length[i]``, ranks by SI descending, then
     shorter, then its rendering ``text(i)`` (made only for exact
-    (SI, length) ties), then position, so that the entries of earlier offers
-    come first, as in ``Beam``."""
+    (SI, length) ties), then position, so that on a full tie the kept
+    entries and earlier offers come first."""
     order = np.lexsort((length, -si, group))
     g, s, n = group[order], si[order], length[order]
     tie = (g[1:] == g[:-1]) & (s[1:] == s[:-1]) & (n[1:] == n[:-1])
     if tie.any():
-        tied = order[np.flatnonzero(np.append(tie, False) | np.insert(tie, 0, False))].tolist()
+        edge = np.zeros(si.size, dtype=bool)
+        edge[1:] = tie
+        edge[:-1] |= tie
+        tied = order[edge].tolist()
         texts = [text(i) for i in tied]
         rank = dict(zip(sorted(set(texts)), range(len(texts))))
         by_text = np.zeros(si.size, dtype=np.int64)
@@ -854,10 +823,8 @@ def _beam_order(group, si, length, text, width):
 
 def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
     """The inner beam searches of the W1 nodes ``w1s`` (refiner rows
-    ``rows1``), in lockstep; returns per W1 its class histogram and its final
-    inner beam, best first, as ``(SI, W2 node, counts)`` entries, where
-    ``counts`` is the int64 row of W2's and W1 ∩ W2's class histograms, the
-    edges and the inside edges that ``score_bi`` takes.
+    ``rows1``), in lockstep; returns per W1 its final inner beam, best
+    first, as its offers to the outer beam (``_Entries``).
 
     The beams are arrays, entry by entry: its W1, exact SI, W2 length, W2
     node and counts.  Each level screens its (W1, W2) pairs, scores every
@@ -913,11 +880,15 @@ def _inner_searches(g, model, refiner, screen, cfg, w1s, rows1):
         for w, node in zip(group.tolist(), nodes):
             if len(node.sels) == level:
                 parents[w].append(node)
-    # copies, so that the outer beam keeps no chunk's arrays alive
-    out = [(h1.copy(), []) for h1 in chunk[2]]
-    for w, si, node, row in zip(group.tolist(), kept.tolist(), nodes, counts):
-        out[w][1].append((si, node, row.copy()))
-    return out
+    # the outer offers of each W1, best first; the outer beam joins offers
+    # into arrays of its own, so it keeps no chunk's arrays alive
+    offers = _Entries(kept, len1[group] + length,
+                      np.array([w1.key for w1 in w1s], dtype=np.int64)[group],
+                      np.array([node.key for node in nodes], dtype=np.int64),
+                      np.fromiter(w1s, object)[group], np.fromiter(nodes, object),
+                      np.concatenate([chunk[2][group], counts], axis=1))
+    bounds = np.searchsorted(group, np.arange(len(w1s) + 1)).tolist()
+    return [offers.take(slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 # -- iterative mining ---------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import itertools
+from bisect import insort
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Beam, BeamEntry,
-                    Description, EqualsSelector, ScoreConstants, extension, search,
-                    update_with_pattern)
+from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Description,
+                    EqualsSelector, ScoreConstants, extension, search, update_with_pattern)
 from simine.background import (LOGIT_CLAMP, BackgroundModel, FitError, PartitionGammas,
                                _classes, _logit, _partition_bins)
 from simine.scores import _score_masks
@@ -317,6 +318,121 @@ def reference_w1_planes(g, refiner, masks):
         packed = np.packbits((D >> b) & 1, axis=-1, bitorder="little")
         planes[:, b, :packed.shape[-1]] = packed
     return planes.view("<u8")
+
+
+@dataclass
+class BeamEntry:
+    key: object  # ordered by <
+    ident: object  # a beam holds one entry per ident
+    group: object
+    payload: object
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+
+class Beam:
+    """Bounded best-first container with an optional W1-diversity floor.
+
+    Entries stay sorted best-first.  When full, a candidate replaces the
+    worst entry it beats, except that an eviction may never drop the number
+    of distinct groups below the floor; in that case the worst entry of an
+    over-represented group is the replacement target.  A candidate with a
+    brand-new group is force-inserted while the floor is unmet.
+    """
+
+    def __init__(self, capacity: int, diversity_floor: int | None = None):
+        if diversity_floor is not None and capacity < diversity_floor:
+            raise ValueError("capacity must be at least the diversity floor")
+        self.capacity = capacity
+        self.floor = diversity_floor
+        self.entries: list[BeamEntry] = []
+        self._present: set = set()
+        self._group_counts: dict = {}
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def distinct_groups(self) -> int:
+        return len(self._group_counts)
+
+    def _insert(self, entry):
+        insort(self.entries, entry)
+        self._present.add(entry.ident)
+        self._group_counts[entry.group] = self._group_counts.get(entry.group, 0) + 1
+
+    def _evict(self, entry):
+        self.entries.remove(entry)
+        self._present.discard(entry.ident)
+        cnt = self._group_counts[entry.group] - 1
+        if cnt:
+            self._group_counts[entry.group] = cnt
+        else:
+            del self._group_counts[entry.group]
+
+    def try_add(self, entry: BeamEntry) -> bool:
+        if entry.ident in self._present:
+            return False
+        if len(self.entries) < self.capacity:
+            self._insert(entry)
+            return True
+        groups = self._group_counts
+        if (self.floor is not None and entry.group not in groups
+                and len(groups) < self.floor):
+            # diversity floor unmet: force the new group in by evicting the
+            # worst entry of an over-represented group
+            victim = next(e for e in reversed(self.entries) if groups[e.group] >= 2)
+            self._evict(victim)
+            self._insert(entry)
+            return True
+        victim = None
+        for e in reversed(self.entries):
+            if self._eviction_keeps_floor(e, entry):
+                victim = e
+                break
+        if victim is None or not entry.key < victim.key:
+            return False
+        self._evict(victim)
+        self._insert(entry)
+        return True
+
+    def _eviction_keeps_floor(self, victim, entry):
+        if self.floor is None:
+            return True
+        if entry.group not in self._group_counts:
+            return True  # eviction is at worst neutral for diversity
+        if victim.group == entry.group or self._group_counts[victim.group] >= 2:
+            return True
+        return len(self._group_counts) - 1 >= self.floor
+
+
+def outer_selection(chunks, floor, width):
+    """What the nested search's outer beam (``search._select``) of
+    ``width`` under a diversity floor of ``floor`` holds after each of
+    ``chunks``, lists of offers ``(si, length, text, ident, group)`` taken a
+    chunk at a time: its idents, best first.  An offer ranks by SI
+    descending, then length, then text; its group stands for its W1 and its
+    ident for its (W1, W2) pair.  Idents and groups are ints or strings."""
+    ids, texts = {}, {o[3]: o[2] for chunk in chunks for o in chunk}
+
+    def entries(offers):
+        si, length, _, ident, group = zip(*offers) if offers else ((),) * 5
+        return search._Entries(
+            np.array(si, dtype=np.float64), np.array(length, dtype=np.int64),
+            np.array([ids.setdefault(("group", x), len(ids)) for x in group], dtype=np.int64),
+            np.array([ids.setdefault(("ident", x), len(ids)) for x in ident], dtype=np.int64),
+            np.fromiter(group, object), np.fromiter(ident, object),
+            np.zeros((len(si), 0), dtype=np.int64))
+
+    beam, held = entries([]), []
+    for chunk in chunks:
+        beam = search._select(beam, entries(chunk), floor, width,
+                              lambda e, i: texts[e.node2[i]])
+        held.append(beam.node2.tolist())
+    return held
 
 
 def reference_beam_search_single(g, model, selectors, cfg):

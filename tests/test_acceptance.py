@@ -244,14 +244,15 @@ def test_criterion_8_scaling():
     assert len(sels) >= 400
     sc = SearchConfig(beam_width=20, depth=2)
     beam_search_single(g, model, sels[:50], sc)  # warm-up
-    times = []
-    for size in (50, 100, 200, 400):
-        best = math.inf
-        for _ in range(2):
+    # two samples per size, taken in two interleaved rounds over the sizes,
+    # so that a slow spell of the host slows every size alike
+    sizes = (50, 100, 200, 400)
+    times = [math.inf] * len(sizes)
+    for _ in range(2):
+        for i, size in enumerate(sizes):
             t0 = time.perf_counter()
             beam_search_single(g, model, sels[:size], sc)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
+            times[i] = min(times[i], time.perf_counter() - t0)
     ratios = [b / a for a, b in zip(times, times[1:])]
     report("criterion-8 scaling", all(r <= 2.5 for r in ratios),
            "times " + ", ".join(f"{t:.2f}s" for t in times)

@@ -552,6 +552,26 @@ class TestSerialization:
         (lambda b: b["partitions"][0]["bins"].__setitem__(0, False), "bins must be integers"),
         (lambda b: b["updates"][0]["rows"].__setitem__(0, "0"), "update rows must be integers"),
         (lambda b: b["updates"][0]["cols"].__setitem__(0, 2 ** 70), "malformed model file"),
+        # the texts, lists and objects must have their JSON types too: a dict
+        # for a list iterates as no partitions, a string as its characters
+        (lambda b: b.update(prior=7), "malformed model file: prior must be a JSON string"),
+        (lambda b: b.update(graph_fingerprint=12),
+         "malformed model file: graph_fingerprint must be a JSON string"),
+        (lambda b: b.update(partitions={}),
+         "malformed model file: partitions must be a JSON array"),
+        (lambda b: b.update(updates={}), "malformed model file: updates must be a JSON array"),
+        (lambda b: b["partitions"][0].update(attribute=3),
+         "malformed model file: partition attribute must be a JSON string"),
+        (lambda b: b["partitions"][0].update(attribute=["a"]),
+         "malformed model file: partition attribute must be a JSON string"),
+        (lambda b: b["partitions"][0].update(bin_values="".join(b["partitions"][0]["bin_values"])),
+         "malformed model file: bin_values must be a JSON array"),
+        (lambda b: b["partitions"][0]["bin_values"].__setitem__(0, 1),
+         "malformed model file: bin value must be a JSON string"),
+        (lambda b: b.update(fit_info="abc"),
+         "malformed model file: fit_info must be a JSON object"),
+        (lambda b: b.update(fit_info=[["iterations", 3]]),
+         "malformed model file: fit_info must be a JSON object"),
     ])
     def test_malformed_file_rejected(self, corrupt, message):
         blob = self._blob()

@@ -1,19 +1,20 @@
-"""The nested search's inner beams as arrays: their merge order against
-``Pattern.sort_key``, exact ties against the score-everything reference,
-one inner search per W1 key, and patterns built for reported entries only."""
+"""The nested search's beams as arrays: the inner beams' merge order
+against ``Pattern.sort_key``, the outer selection against the sequential
+beam, exact ties against the score-everything reference, one inner search
+per W1 key, and patterns built for reported entries only."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simine import (AttributeColumn, AttributedGraph, Beam, BeamEntry, Description,
-                    EqualsSelector, FitError, Pattern, SearchConfig, fit_degree_prior,
-                    fit_density_prior, generate_selectors, iterate, nested_beam_search, scores,
-                    search)
+from simine import (AttributeColumn, AttributedGraph, Description, EqualsSelector, FitError,
+                    Pattern, SearchConfig, fit_degree_prior, fit_density_prior,
+                    generate_selectors, iterate, nested_beam_search, scores, search)
 from simine.search import _beam_order
 
-from conftest import random_graph, reference_nested_beam_search, rendered
+from conftest import (Beam, BeamEntry, outer_selection, random_graph,
+                      reference_nested_beam_search, rendered)
 
 # values whose renderings are prefixes of one another, and one that holds the
 # separator of a rendered pair
@@ -50,6 +51,34 @@ def test_beam_order_sorts_as_pattern_sort_key(data, groups, width):
     for i, (g, pat) in enumerate(zip(group, pats)):
         beams[g].try_add(BeamEntry(pat.sort_key(), i, i, i))
     assert got.tolist() == want == [e.payload for beam in beams for e in beam]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), floor=st.integers(1, 8), x2=st.integers(1, 6))
+def test_outer_selection_matches_sequential_beam(data, floor, x2):
+    # each ident has one group (its W1), SI, length and rendering, drawn from
+    # few values, so exact key ties are common and there may be fewer groups
+    # than the floor; the stream comes in chunks, each offering an ident at
+    # most once, as a search chunk offers each (W1, W2) once, and idents
+    # recur across chunks, kept or evicted in between
+    n = data.draw(st.integers(1, 40))
+    groups = data.draw(st.integers(1, 10))
+
+    def per_ident(values):
+        return data.draw(st.lists(values, min_size=n, max_size=n))
+
+    group, length = per_ident(st.integers(0, groups - 1)), per_ident(st.integers(1, 2))
+    si, text = per_ident(st.sampled_from([0.0, 0.5, 1.0])), per_ident(st.sampled_from("ab"))
+    chunks = data.draw(st.lists(st.lists(st.integers(0, n - 1), unique=True, max_size=n),
+                                max_size=10))
+    beam, want = Beam(floor * x2, diversity_floor=floor), []
+    for chunk in chunks:
+        for i in chunk:
+            beam.try_add(BeamEntry((-si[i], length[i], text[i]), i, group[i], i))
+        want.append([e.ident for e in beam])
+    got = outer_selection([[(si[i], length[i], text[i], i, group[i]) for i in chunk]
+                           for chunk in chunks], floor, floor * x2)
+    assert got == want
 
 
 def _tie_graph(seed, n, directed):
@@ -139,41 +168,38 @@ def test_each_w1_key_searched_once(monkeypatch, seed):
 @pytest.mark.parametrize("depth", [2, 4])
 def test_patterns_built_for_reported_entries_only(monkeypatch, depth):
     # the inner levels rank on the scoring core's arrays: the only patterns
-    # are the reported ones, the only beam is the outer one, and every beam
-    # entry is an outer offer
+    # are the reported ones, and the outer selections take the inner
+    # searches' offers, each once at depth 2, and the re-offers of W1 keys
+    # searched before at depth 4
     g = random_graph(41, n=40)
     model = fit_degree_prior(g)
     sels = generate_selectors(g)
-    built, beams, entries, offers = [], [], [], []
+    built, made, offers = [], [], []
+    inner, select = search._inner_searches, search._select
 
     class CountingPattern(Pattern):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    class CountingBeam(Beam):
-        def __init__(self, *args, **kwargs):
-            beams.append(1)
-            super().__init__(*args, **kwargs)
+    def inner_searches(*args):
+        out = inner(*args)
+        made.extend(len(entries.si) for entries in out)
+        return out
 
-        def try_add(self, entry):
-            offers.append(entry)
-            return super().try_add(entry)
-
-    def counting_entry(*args, **kwargs):
-        entries.append(1)
-        return BeamEntry(*args, **kwargs)
+    def selecting(beam, offered, *args):
+        offers.append(len(offered.si))
+        return select(beam, offered, *args)
 
     monkeypatch.setattr(scores, "Pattern", CountingPattern)
-    monkeypatch.setattr(search, "Beam", CountingBeam)
-    monkeypatch.setattr(search, "BeamEntry", counting_entry)
+    monkeypatch.setattr(search, "_inner_searches", inner_searches)
+    monkeypatch.setattr(search, "_select", selecting)
     cfg = SearchConfig(x1=3, x2=3, depth=depth)
     pats = nested_beam_search(g, model, sels, cfg)
-    assert pats and len(built) == len(pats) and len(beams) == 1
-    assert 0 < len(entries) <= len(offers)
+    assert pats and len(built) == len(pats)
+    assert len(pats) <= sum(made) <= sum(offers)
     if depth == 2:
-        assert len(entries) == len(offers)
+        assert sum(made) == sum(offers)
     built.clear()
-    beams.clear()
     rounds = iterate(g, model, sels, cfg, rounds=2).rounds
-    assert len(built) == sum(map(len, rounds)) and len(beams) == len(rounds) == 2
+    assert len(built) == sum(map(len, rounds)) and len(rounds) == 2

@@ -10,7 +10,8 @@ def test_every_listed_name_resolves():
 def test_removed_names_are_gone():
     for name in ("n_w_single", "n_w_bi", "n_w_bi_ordered", "resolve_pair_counting",
                  "si_value", "SearchCancelled", "add_if_required", "refine",
-                 "exact_tail_probability", "subjective_interestingness"):
+                 "exact_tail_probability", "subjective_interestingness", "Beam",
+                 "BeamEntry"):
         assert name not in simine.__all__
         assert not hasattr(simine, name), name
 

@@ -1,93 +1,85 @@
 import inspect
-import re
 
 import numpy as np
 import pytest
 
-from simine import (MEASURE_NAMES, AttributeColumn, AttributedGraph, Beam, BeamEntry,
-                    Description, EqualsSelector, RangeSelector, ScoreConstants, SearchConfig,
+from simine import (MEASURE_NAMES, AttributeColumn, AttributedGraph, Description,
+                    EqualsSelector, RangeSelector, ScoreConstants, SearchConfig,
                     SelectorConfig, baseline_scores, baseline_search, beam_search_single,
                     extension, fit_degree_prior, fit_density_prior, generate_selectors,
                     iterate, nested_beam_search, rescore, score_bi, score_single, search,
                     update_with_pattern)
 from simine.scores import _score_masks
 
-from conftest import (exhaustive_best_bi, exhaustive_best_single, random_graph,
-                      reference_beam_search_single, reference_iterate,
+from conftest import (exhaustive_best_bi, exhaustive_best_single, outer_selection,
+                      random_graph, reference_beam_search_single, reference_iterate,
                       reference_nested_beam_search, rendered)
 
 
 def entry(si, ident, group=None):
-    return BeamEntry((-si, 1, ident), ident, group or ident, payload=ident)
+    return si, 1, ident, ident, group or ident
+
+
+def offered(width, *offers, floor=1):
+    """The idents the outer selection of ``width`` under ``floor`` holds
+    after each of ``offers``, offered one at a time; a floor of one group
+    keeps the best ``width`` offers, as a beam without a floor does."""
+    return outer_selection([[o] for o in offers], floor, width)
 
 
 class TestBeamDiscipline:
     def test_insert_into_empty(self):
-        b = Beam(3)
-        assert b.try_add(entry(1.0, "a"))
-        assert len(b) == 1
+        assert offered(3, entry(1.0, "a")) == [["a"]]
 
     def test_full_beam_rejects_weaker(self):
-        b = Beam(2)
-        b.try_add(entry(5.0, "a"))
-        b.try_add(entry(4.0, "b"))
-        assert not b.try_add(entry(3.0, "c"))
-        assert [e.ident for e in b] == ["a", "b"]
+        held = offered(2, entry(5.0, "a"), entry(4.0, "b"), entry(3.0, "c"))
+        assert held[-1] == held[-2] == ["a", "b"]
 
     def test_full_beam_replaces_minimum(self):
-        b = Beam(2)
-        b.try_add(entry(5.0, "a"))
-        b.try_add(entry(4.0, "b"))
-        assert b.try_add(entry(6.0, "c"))
-        assert [e.ident for e in b] == ["c", "a"]
+        held = offered(2, entry(5.0, "a"), entry(4.0, "b"), entry(6.0, "c"))
+        assert held[-1] == ["c", "a"]
 
     def test_duplicate_skipped(self):
-        b = Beam(3)
-        b.try_add(entry(5.0, "a"))
-        assert not b.try_add(entry(5.0, "a"))
+        assert offered(3, entry(5.0, "a"), entry(5.0, "a")) == [["a"], ["a"]]
 
     def test_min_never_decreases_without_floor(self):
         rng = np.random.default_rng(0)
-        b = Beam(4)
+        offers = [entry(float(si), f"c{i}") for i, si in enumerate(rng.random(100))]
+        si = {ident: s for s, _, _, ident, _ in offers}
         prev_min = None
-        for i, si in enumerate(rng.random(100)):
-            b.try_add(entry(float(si), f"c{i}"))
-            if len(b) == 4:
-                cur = b.entries[-1].key
+        for held in offered(4, *offers):
+            if len(held) == 4:
+                cur = si[held[-1]]
                 if prev_min is not None:
-                    assert cur <= prev_min  # key ascending = SI not decreasing
+                    assert cur >= prev_min
                 prev_min = cur
 
     def test_diversity_trace(self):
         # capacity 3, floor 2: eviction may not collapse to one group
-        b = Beam(3, diversity_floor=2)
-        b.try_add(entry(5.0, "g1:p1", group="g1"))
-        b.try_add(entry(4.0, "g1:p2", group="g1"))
-        b.try_add(entry(3.0, "g2:p1", group="g2"))
-        # candidate from g1 beats the g2 minimum, but replacing it would drop
-        # the distinct count below the floor; the target is g1's own minimum
-        assert b.try_add(entry(4.5, "g1:p3", group="g1"))
-        idents = [e.ident for e in b]
-        assert idents == ["g1:p1", "g1:p3", "g2:p1"]
+        held = offered(3, entry(5.0, "g1:p1", group="g1"), entry(4.0, "g1:p2", group="g1"),
+                       entry(3.0, "g2:p1", group="g2"),
+                       # candidate from g1 beats the g2 minimum, but replacing it
+                       # would drop the distinct count below the floor; the target
+                       # is g1's own minimum
+                       entry(4.5, "g1:p3", group="g1"), floor=2)
+        assert held[-1] == ["g1:p1", "g1:p3", "g2:p1"]
 
     def test_shared_group_replacement_keeps_count(self):
-        b = Beam(3, diversity_floor=3)
-        b.try_add(entry(5.0, "g1:p1", group="g1"))
-        b.try_add(entry(4.0, "g2:p1", group="g2"))
-        b.try_add(entry(3.0, "g3:p1", group="g3"))
-        # same group as the current minimum: replacement allowed
-        assert b.try_add(entry(3.5, "g3:p2", group="g3"))
-        assert b.distinct_groups() == 3
-        assert "g3:p2" in [e.ident for e in b]
+        held = offered(3, entry(5.0, "g1:p1", group="g1"), entry(4.0, "g2:p1", group="g2"),
+                       entry(3.0, "g3:p1", group="g3"),
+                       # same group as the current minimum: replacement allowed
+                       entry(3.5, "g3:p2", group="g3"), floor=3)
+        assert {ident.split(":")[0] for ident in held[-1]} == {"g1", "g2", "g3"}
+        assert "g3:p2" in held[-1]
 
     def test_new_group_forced_in_under_floor(self):
-        b = Beam(3, diversity_floor=2)
-        b.try_add(entry(5.0, "g1:p1", group="g1"))
-        b.try_add(entry(4.0, "g1:p2", group="g1"))
-        b.try_add(entry(3.0, "g1:p3", group="g1"))
-        # weaker than everything, but brings a second group while under floor
-        assert b.try_add(entry(0.5, "g2:p1", group="g2"))
-        assert b.distinct_groups() == 2
+        held = offered(3, entry(5.0, "g1:p1", group="g1"), entry(4.0, "g1:p2", group="g1"),
+                       entry(3.0, "g1:p3", group="g1"),
+                       # weaker than everything, but brings a second group while
+                       # under floor
+                       entry(0.5, "g2:p1", group="g2"), floor=2)
+        assert "g2:p1" in held[-1]
+        assert {ident.split(":")[0] for ident in held[-1]} == {"g1", "g2"}
 
 
 def attr_graph(n, edges, **cols):
@@ -497,11 +489,6 @@ class TestScorerPath:
             pats = run()
             assert pats and scored, name
             assert len(renders) <= 2 * len(scored) + 2 * len(pats), name
-
-    def test_beam_entries_take_no_rendered_string(self):
-        calls = re.findall(r"BeamEntry\((.*)", inspect.getsource(search))
-        assert calls
-        assert not any("str(" in call or "render(" in call for call in calls)
 
     def test_class_histograms_counted_once(self, monkeypatch):
         # each chunk counts its W1 rows once and each inner level its W2 rows
