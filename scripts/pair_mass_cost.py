@@ -37,10 +37,10 @@ def screen_batches(w, inputs):
     many, exact = BackgroundModel.pair_sums_many, BackgroundModel.pair_mass
     batches, inside = [], []
 
-    def recorded(model, *H):
-        if not inside:
-            batches.append((model, H))
-        return many(model, *H)
+    def recorded(model, *H, **work):
+        if not inside:  # copies: the nested screen reuses its buffers block by block
+            batches.append((model, tuple(h.copy(order="K") for h in H)))
+        return many(model, *H, **work)
 
     def marked(model, *H):
         inside.append(True)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import NOMINAL, AttributedGraph
+from .graph import NOMINAL, AttributedGraph, _distinct
 
 log = logging.getLogger(__name__)
 
@@ -329,7 +329,7 @@ class BackgroundModel:
     # seed-41 workloads, ``pair_mass`` takes 3-10x as long, or +18% to +29%
     # of each workload's ``mine_s`` (``scripts/pair_mass_cost.py``, 2-vCPU
     # Xeon).  ``search._mass_rounding`` bounds what the batch may change.
-    def pair_sums_many(self, H_r, H_c, H_o):
+    def pair_sums_many(self, H_r, H_c, H_o, work=None):
         """The screens' ``pair_sums`` of many grids from class histograms
         (float), one row per grid: ``H_r`` of the rows, ``H_c`` of the
         columns and ``H_o`` of their intersection, as ``(ordered_sum,
@@ -342,24 +342,50 @@ class BackgroundModel:
         sub-table of the classes present is built in row chunks of at most
         ``_TABLE_CELLS`` cells.  ``H_o is H_r`` marks rows equal to the
         column set, whose overlap is the whole grid.
+
+        With the full table, every grid-sized temporary is written in place
+        on the front of ``work``, a float64 array of at least ``H_r.size``
+        cells that the call may overwrite (by default a fresh one), in the
+        layout numpy gives the expression's fresh array (``_shaped_like``).  So
+        each BLAS product and sum reads the operands and layouts it reads
+        without ``work``, and the result is the same bit for bit.
         """
-        if self._P_off is not None:
-            diag = self._P_diag
-            ic = slice(None)
-            to_cols = H_r @ self._P_off
-        else:
-            ic = _present(H_c)
-            diag = np.zeros(self.n_classes)
-            to_cols = np.zeros((len(H_r), ic.size))
-            for a, P, dc, dp in self._sub_tables(_present(H_r), ic):
-                diag[dc] = dp
-                to_cols += H_r[:, a] @ P
-        ordered = (H_c[:, ic] * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ diag
+        if self._P_off is None:
+            return self._sub_table_sums(H_r, H_c, H_o)
+        front = (np.empty(H_r.size) if work is None else work.reshape(-1))[:H_r.size]
+        diag = self._P_diag
+        T = front.reshape(H_r.shape)  # a product with the table is C-ordered
+        np.matmul(H_r, self._P_off, out=T)  # each row's mass towards each column class
+        np.multiply(H_c, T, out=T)
+        ordered = T.sum(axis=-1)
+        T = _shaped_like(front, H_c, H_r, H_o)
+        np.multiply(H_c, H_r, out=T)
+        np.subtract(T, H_o, out=T)
+        ordered += T @ diag
         if self.directed or H_o is H_r:  # no overlap mass, or the overlap is the whole grid
             return ordered, ordered * 0.0 if self.directed else ordered
+        T = _shaped_like(front, H_o)
+        np.multiply(H_o, H_o, out=T)
+        np.subtract(T, H_o, out=T)
+        overlap = T @ diag
+        T = front.reshape(H_o.shape)
+        np.matmul(H_o, self._P_off, out=T)
+        np.multiply(T, H_o, out=T)
+        overlap += T.sum(axis=-1)
+        return ordered, overlap
+
+    def _sub_table_sums(self, H_r, H_c, H_o):
+        """``pair_sums_many`` from sub-tables of the classes present."""
+        ic = _present(H_c)
+        diag = np.zeros(self.n_classes)
+        to_cols = np.zeros((len(H_r), ic.size))
+        for a, P, dc, dp in self._sub_tables(_present(H_r), ic):
+            diag[dc] = dp
+            to_cols += H_r[:, a] @ P
+        ordered = (H_c[:, ic] * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ diag
+        if self.directed or H_o is H_r:
+            return ordered, ordered * 0.0 if self.directed else ordered
         overlap = (H_o * H_o - H_o) @ diag
-        if self._P_off is not None:
-            return ordered, overlap + ((H_o @ self._P_off) * H_o).sum(axis=-1)
         # the intersections' classes are among the rows' and the columns'
         io = _present(H_o)
         for a, P, _, _ in self._sub_tables(io, io):
@@ -455,6 +481,19 @@ class BackgroundModel:
     def load(cls, path) -> "BackgroundModel":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _shaped_like(front, *like):
+    """The flat array ``front`` as an array of the shape of the same-shaped
+    contiguous arrays ``like``, in the order numpy lays out an elementwise
+    result of them: Fortran order when each is Fortran- and not
+    C-contiguous, else C order.  A BLAS product or a sum takes its path by
+    the layout it reads, so a temporary in another layout may round
+    otherwise."""
+    shape = like[0].shape
+    if all(a.flags.f_contiguous and not a.flags.c_contiguous for a in like):
+        return front.reshape(shape[::-1]).T
+    return front.reshape(shape)
 
 
 def _present(H):
@@ -867,7 +906,7 @@ def _vertex_set(ids, n, what):
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError(f"{what}: vertex ids must lie in [0, {n})")
-    if np.unique(ids).size != ids.size:
+    if _distinct(ids).size != ids.size:
         raise ValueError(f"{what}: vertex ids must not repeat")
     return ids
 
@@ -881,7 +920,8 @@ def block_mean_probability(model: BackgroundModel, a, b):
     """
     rows = _vertex_set(a, model.n, "first vertex set")
     cols = _vertex_set(b, model.n, "second vertex set")
-    n_w = pair_universe(rows.size, cols.size, int(np.intersect1d(rows, cols).size),
+    overlap = rows.size + cols.size - _distinct(np.concatenate([rows, cols])).size
+    n_w = pair_universe(rows.size, cols.size, overlap,
                         "ordered" if model.directed else "unordered")
     if n_w <= 0:
         raise ValueError("pair universe is empty for the given sets")

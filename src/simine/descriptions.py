@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NOMINAL, NUMERIC, AttributedGraph
+from .graph import NOMINAL, NUMERIC, AttributedGraph, _distinct
 
 log = logging.getLogger(__name__)
 
@@ -164,6 +164,29 @@ class SelectorConfig:
     numeric_bins: int = 6
 
 
+def _quantiles(values, q):
+    """``np.quantile(values, q)`` of a 1-D float array without NaNs, by
+    numpy's default "linear" method written out (``np.quantile`` imports
+    ``numpy.ma`` on its first call, numpy >= 2.3).  Quantile q sits at index
+    (n - 1) q of the sorted values, between the entries at its floor and the
+    next index (both the last at or past n - 1), which numpy's partial sort
+    places; they are interpolated by numpy's two-sided rule, from the upper
+    entry where the fraction t >= 0.5.  So it returns numpy's values bit for
+    bit, NaN where an infinite entry meets interpolation."""
+    n = values.size
+    index = (n - 1) * q
+    lo = np.floor(index)
+    hi = lo + 1
+    top = index >= n - 1
+    lo[top] = hi[top] = -1
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    part = np.partition(values, _distinct(np.concatenate(([0, -1], lo, hi))))
+    a, b = part[lo], part[hi]
+    t = index - lo
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+
+
 def generate_selectors(g: AttributedGraph, cfg: SelectorConfig | None = None) -> list:
     """Build the full selector space for a graph, deterministically ordered.
 
@@ -186,7 +209,7 @@ def generate_selectors(g: AttributedGraph, cfg: SelectorConfig | None = None) ->
             candidates = [EqualsSelector(col.name, v) for v in domain]
         else:
             vals = col.values[~np.isnan(col.values)]
-            bounds = np.unique(np.quantile(vals, np.linspace(0.0, 1.0, cfg.numeric_bins + 1)))
+            bounds = _distinct(_quantiles(vals, np.linspace(0.0, 1.0, cfg.numeric_bins + 1)))
             candidates = [RangeSelector(col.name, float(bounds[i]), float(bounds[j]))
                           for i in range(len(bounds)) for j in range(i + 1, len(bounds))]
         for s in candidates:

@@ -8,6 +8,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,6 +33,20 @@ __all__ = [
 
 class GraphFormatError(ValueError):
     """Malformed edge/attribute files or invalid graph structure."""
+
+
+def _distinct(values):
+    """The sorted distinct entries of a 1-D array, NaNs as one: ``np.unique``
+    by its sort path (numpy's default sort, then a comparison of
+    neighbours), so of equal entries such as -0.0 and 0.0 it keeps the one
+    that sort puts first, as ``np.unique`` does.  ``np.unique`` imports
+    ``numpy.ma`` on its first call (numpy >= 2.3); this imports nothing."""
+    s = np.sort(values)
+    keep = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    if s.dtype.kind == "f" and s.size and np.isnan(s[-1]):
+        keep[1:] &= ~np.isnan(s[:-1])  # NaNs sort last; the first one stays
+    return s[keep]
 
 
 # text the description grammar (see ``simine.descriptions``) reserves: a
@@ -82,7 +97,7 @@ class AttributeColumn:
         if self.kind == NUMERIC:
             self.values = np.asarray(self.values, dtype=np.float64)
             missing = np.isnan(self.values)
-            self.domain = tuple(np.unique(self.values[~missing]).tolist())
+            self.domain = tuple(_distinct(self.values[~missing]).tolist())
             codes = np.where(missing, -1, np.searchsorted(self.domain, self.values))
         else:
             strs = [None if v is None else str(v) for v in self.values]
@@ -123,6 +138,37 @@ class LoadOptions:
     allow_self_loops: bool = False
 
 
+def _edge_arrays(n, edges, directed):
+    """The edges ``(u, v)`` as two int64 arrays of their ends, in the given
+    order, undirected ones as ``(min, max)``.  Self-loops, ids outside
+    [0, n) and repeats of an earlier edge are found by whole-array passes
+    (repeats by one stable sort of the keys u*n + v), and the first edge
+    that has one raises ``GraphFormatError``, naming its first fault in that
+    order."""
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise GraphFormatError("edges must be (u, v) pairs")
+    u, v = e.T.copy()
+    e0, e1 = (u, v) if directed else (np.minimum(u, v), np.maximum(u, v))
+    loop = u == v
+    outside = (e0 < 0) | (e1 < 0) | (e0 >= n) | (e1 >= n)
+    key = e0 * n + e1
+    order = np.argsort(key, kind="stable")
+    again = np.zeros(key.size, dtype=bool)
+    again[order[1:]] = key[order[1:]] == key[order[:-1]]
+    bad = np.flatnonzero(loop | outside | again)
+    if bad.size:
+        k = bad[0]
+        if loop[k]:
+            raise GraphFormatError(f"self-loop on vertex {u[k]} is not allowed")
+        if outside[k]:
+            raise GraphFormatError(f"edge ({u[k]},{v[k]}) references a vertex id >= n={n}")
+        raise GraphFormatError(f"duplicate edge ({e0[k]},{e1[k]})")
+    return e0, e1
+
+
 class AttributedGraph:
     """Immutable vertex-attributed graph with fast set-based edge counting.
 
@@ -140,23 +186,7 @@ class AttributedGraph:
         self.n = int(n)
         self.directed = bool(directed)
 
-        seen = set()
-        e0, e1 = [], []
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphFormatError(f"self-loop on vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u},{v}) references a vertex id >= n={n}")
-            if not directed and u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise GraphFormatError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            e0.append(u)
-            e1.append(v)
-        self._e0 = np.asarray(e0, dtype=np.int64)
-        self._e1 = np.asarray(e1, dtype=np.int64)
+        self._e0, self._e1 = _edge_arrays(self.n, edges, self.directed)
 
         self.columns: list[AttributeColumn] = list(columns)
         self._col_index = {}
@@ -287,7 +317,7 @@ class AttributedGraph:
 def _parse_attr_table(path, options: LoadOptions):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=options.delimiter)
-        rows = [row for row in reader if row and any(tok.strip() for tok in row)]
+        rows = [row for row in reader if "".join(row).strip()]
     if not rows:
         raise GraphFormatError(f"attribute file {path} is empty")
     header = [h.strip() for h in rows[0]]
@@ -307,14 +337,11 @@ def _parse_attr_table(path, options: LoadOptions):
     if not (0 <= id_idx < len(header)):
         raise GraphFormatError(f"id column index {id_idx} out of range")
 
-    labels = []
-    cells: list[list[str]] = [[] for _ in header]
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise GraphFormatError(
-                f"{path}:{lineno}: ragged row has {len(row)} fields, expected {len(header)}")
-        for j, tok in enumerate(row):
-            cells[j].append(tok.strip())
+    bad = next((k for k, row in enumerate(body) if len(row) != len(header)), None)
+    if bad is not None:
+        raise GraphFormatError(f"{path}:{bad + 2}: ragged row has {len(body[bad])} fields, "
+                               f"expected {len(header)}")
+    cells = [list(map(str.strip, column)) for column in zip(*body)]
     labels = cells[id_idx]
     # the edge file reads a line starting with "#" as a comment
     bad = next((lab for lab in labels if lab.startswith("#")), None)
@@ -330,9 +357,7 @@ def _parse_attr_table(path, options: LoadOptions):
     for j, name in enumerate(header):
         if j == id_idx:
             continue
-        raw = cells[j]
-        missing = [tok in options.missing_tokens for tok in raw]
-        present = [tok for tok, miss in zip(raw, missing) if not miss]
+        vals = [None if tok in options.missing_tokens else tok for tok in cells[j]]
         kind = options.kinds.get(name)
         if kind is None:
             # integer-coded columns (0/1 indicators, years, dorm codes) are
@@ -340,7 +365,9 @@ def _parse_attr_table(path, options: LoadOptions):
             # numeric attribute; override via LoadOptions.kinds when needed
             kind = NOMINAL
             parsed = []
-            for tok in present:
+            for tok in vals:
+                if tok is None:
+                    continue
                 try:
                     parsed.append(float(tok))
                 except ValueError:
@@ -349,38 +376,53 @@ def _parse_attr_table(path, options: LoadOptions):
             if parsed and any(not v.is_integer() for v in parsed):
                 kind = NUMERIC
         if kind == NUMERIC:
-            vals = np.array([np.nan if miss else float(tok)
-                             for tok, miss in zip(raw, missing)])
-        else:
-            vals = [None if miss else tok for tok, miss in zip(raw, missing)]
+            vals = np.array([np.nan if tok is None else float(tok) for tok in vals])
         columns.append(AttributeColumn(name, kind, vals))
     return labels, columns
 
 
 def _parse_edge_lines(path, label_to_id, options: LoadOptions):
-    edges = []
+    """The edges of an edge file as an (m, 2) int64 array of vertex ids, in
+    file order.  The file is read whole; its lines' tokens are counted, and
+    its labels split and mapped through ``label_to_id``, in bulk passes that
+    build no list per line.  The first line at fault raises
+    ``GraphFormatError`` (a wrong token count, then an unknown label, then a
+    self-loop), after the warnings for the self-loops dropped before it."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected two whitespace-separated tokens")
-            try:
-                u = label_to_id[toks[0]]
-                v = label_to_id[toks[1]]
-            except KeyError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: unknown vertex label {exc.args[0]!r}") from None
-            if u == v:
-                if options.directed and options.allow_self_loops:
-                    log.warning("%s:%d: dropping self-loop on %r", path, lineno, toks[0])
-                    continue
-                raise GraphFormatError(f"{path}:{lineno}: self-loop on {toks[0]!r}")
-            edges.append((u, v))
-    return edges
+        text = fh.read()
+    lines = text.split("\n")
+    # the data lines: neither blank nor comments
+    counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
+    data = counts > 0
+    if "#" in text:
+        data &= ~np.fromiter((ln.lstrip().startswith("#") for ln in lines), bool, len(lines))
+    rows = np.flatnonzero(data)
+    # the lines before the first one at fault are parsed; stop is that line
+    wrong = np.flatnonzero(counts[rows] != 2)
+    stop = int(wrong[0]) if wrong.size else rows.size
+    error = None
+    if stop < rows.size:
+        error = f"{path}:{rows[stop] + 1}: expected two whitespace-separated tokens"
+    if stop < rows.size or rows.size < np.count_nonzero(counts):
+        labels = " ".join([lines[r] for r in rows[:stop].tolist()]).split()
+    else:  # every line with a token is an edge line
+        del lines
+        labels = text.split()
+    ids = np.fromiter(map(label_to_id.get, labels, repeat(-1)), np.int64,
+                      len(labels)).reshape(-1, 2)
+    unknown = np.flatnonzero(ids < 0)
+    if unknown.size:
+        stop = int(unknown[0]) // 2
+        error = f"{path}:{rows[stop] + 1}: unknown vertex label {labels[unknown[0]]!r}"
+    loops = np.flatnonzero(ids[:stop, 0] == ids[:stop, 1]).tolist()
+    if loops and not (options.directed and options.allow_self_loops):
+        raise GraphFormatError(f"{path}:{rows[loops[0]] + 1}: self-loop on "
+                               f"{labels[2 * loops[0]]!r}")
+    for k in loops:
+        log.warning("%s:%d: dropping self-loop on %r", path, rows[k] + 1, labels[2 * k])
+    if error is not None:
+        raise GraphFormatError(error)
+    return np.delete(ids, loops, axis=0)
 
 
 def load_graph(edge_path, attr_path, options: LoadOptions | None = None) -> AttributedGraph:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .background import PROB_EPS, BackgroundModel, update_with_pattern
+from .background import PROB_EPS, BackgroundModel, _shaped_like, update_with_pattern
 from .descriptions import Description, selector_mask
 from .graph import AttributedGraph
 from .scores import (Pattern, ScoreConstants, _columns, _with_extensions, baseline_scores,
@@ -340,12 +340,6 @@ class BaselineResult:
     def render(self) -> str:
         return str(self.w)
 
-    def total_length(self) -> int:
-        return len(self.w)
-
-    def sort_key(self):
-        return (-self.value, self.total_length(), self.render())
-
 
 def baseline_search(g: AttributedGraph, selectors, cfg: SearchConfig, measure: str,
                     edge_surplus_alpha: float = 1.0 / 3.0) -> list[BaselineResult]:
@@ -534,6 +528,19 @@ class _BiScreen:
         # budget keeps small graphs' peak flat
         self.w1_step = max(1, self.floats // (2 * g.n))
         self.rho = _mass_rounding(self.model)
+        self._work = {}  # name -> the search's buffer of one block temporary
+
+    def _buffer(self, name, shape, dtype):
+        """A C-ordered array of ``shape`` on the front of the search's buffer
+        ``name``: half the ``floats`` budget, or more for a block of one
+        pair wider than that.  Every block reuses it, so its pages are
+        mapped once per search, not handed back to the system and faulted in
+        again block by block; a block writes every cell it reads."""
+        cells = math.prod(shape)
+        buf = self._work.get(name)
+        if buf is None or buf.size < cells:
+            buf = self._work[name] = np.empty(max(cells, self.floats // 2), dtype)
+        return buf[:cells].reshape(shape)
 
     def w1_rows(self, rows):
         """The screen's view of a chunk of at most ``w1_step`` W1s with
@@ -595,6 +602,9 @@ class _BiScreen:
         # arrays K wide at once, so a block takes half the budget
         cells = max(w1[1][0].size, w2[0].shape[1], self.model.n_classes + 1)
         step = max(1, self.floats // (2 * cells))
+        if self.directed:  # blocks read the members only, gathered from one copy
+            w1, w2 = ((np.ascontiguousarray(w[0][:, :self.refiner.words]),) + w[1:]
+                      for w in (w1, w2))
         for lo in range(0, len(pi), step):
             sel = slice(lo, lo + step)
             for column, values in zip(out, self._block(w1, w2, pi[sel], pj[sel],
@@ -612,23 +622,35 @@ class _BiScreen:
         return self.refiner.class_counts(over)
 
     def _block(self, w1, w2, i, j, lengths):
-        """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block."""
+        """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block,
+        its temporaries gathered, cast and computed in the search's buffers."""
         R1, P1, H1, a = w1
         R2, H2, b = w2
-        words = self.refiner.words
-        # W1 & W2: its members, and on undirected graphs its inner edges
-        width = words if self.directed else R1.shape[1]
-        B2 = R2[j, :width]
-        over = R1[i, :width]
+        words, p = self.refiner.words, i.size
+        # W1 & W2: its members, and on undirected graphs its inner edges;
+        # take's "clip" mode writes straight into ``out`` ("raise" buffers)
+        B2 = np.take(R2, j, axis=0, mode="clip",
+                     out=self._buffer("w2", (p, R2.shape[1]), R2.dtype))
+        over = np.take(R1, i, axis=0, mode="clip",
+                       out=self._buffer("over", (p, R1.shape[1]), R1.dtype))
         over &= B2
         H_o = self.refiner.class_counts(over)
         o = H_o.sum(axis=1)
         a, b = a[i], b[j]
-        ordered, overlap = self.model.pair_sums_many(
-            *(h.astype(np.float64) for h in (H1[i], H2[j], H_o)))
+        # the three histograms as floats, each laid out as its integer
+        # counts (the overlap's in class_counts' order), and the buffer of
+        # the mass core's temporaries
+        h1, h2, work = (self._buffer(name, H_o.shape, np.float64) for name in ("h1", "h2", "mass"))
+        h_o = _shaped_like(self._buffer("ho", (H_o.size,), np.float64), H_o)
+        counts = self._buffer("counts", H_o.shape, np.int64)
+        np.copyto(h1, np.take(H1, i, axis=0, mode="clip", out=counts))
+        np.copyto(h2, np.take(H2, j, axis=0, mode="clip", out=counts))
+        np.copyto(h_o, H_o)
+        ordered, overlap = self.model.pair_sums_many(h1, h2, h_o, work=work)
         # edge orientations (u in W1, v in W2), ordered edges when directed;
         # an undirected edge inside W1 and W2 has both orientations counted
-        X = P1[i]
+        X = np.take(P1, i, axis=0, mode="clip",
+                    out=self._buffer("planes", (p,) + P1.shape[1:], P1.dtype))
         X &= B2[:, None, :words]
         weights = np.left_shift(1, np.arange(X.shape[1], dtype=np.int64))
         orient = np.bitwise_count(X).sum(axis=-1, dtype=np.int64) @ weights

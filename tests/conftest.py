@@ -1,17 +1,23 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import csv
 import itertools
+import logging
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Description,
-                    EqualsSelector, ScoreConstants, extension, search, update_with_pattern)
+                    EqualsSelector, GraphFormatError, LoadOptions, ScoreConstants, extension,
+                    search, update_with_pattern)
 from simine.background import (LOGIT_CLAMP, BackgroundModel, FitError, PartitionGammas,
                                _classes, _logit, _partition_bins)
-from simine.scores import _score_masks
+from simine.graph import NOMINAL, NUMERIC
+from simine.scores import _score_masks, pair_counts
+from simine.search import _screen_si
 
 # 11-vertex example: one numeric attribute plus three binary ones.  The edge
 # set is an arbitrary 18-edge layout; tests only rely on the attribute table.
@@ -584,6 +590,177 @@ def write_dataset(tmp_path, edge_lines, attr_lines, prefix="data"):
     edge_path.write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
     attr_path.write_text("\n".join(attr_lines) + "\n", encoding="utf-8")
     return str(edge_path), str(attr_path)
+
+
+def reference_edge_arrays(n, edges, directed):
+    """``graph._edge_arrays`` edge by edge against a set of the pairs seen:
+    the ends of the edges, undirected ones as (min, max), or the
+    ``GraphFormatError`` of the first edge at fault."""
+    seen = set()
+    e0, e1 = [], []
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise GraphFormatError(f"self-loop on vertex {u} is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u},{v}) references a vertex id >= n={n}")
+        if not directed and u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise GraphFormatError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        e0.append(u)
+        e1.append(v)
+    return np.asarray(e0, dtype=np.int64), np.asarray(e1, dtype=np.int64)
+
+
+def reference_parse_attr_table(path, options):
+    """``graph._parse_attr_table`` row by row and cell by cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=options.delimiter)
+        rows = [row for row in reader if row and any(tok.strip() for tok in row)]
+    if not rows:
+        raise GraphFormatError(f"attribute file {path} is empty")
+    header = [h.strip() for h in rows[0]]
+    body = rows[1:]
+    if not body:
+        raise GraphFormatError(f"attribute file {path} has a header but no rows")
+    id_col = options.id_column
+    if id_col is None:
+        id_idx = 0
+    elif isinstance(id_col, int):
+        id_idx = id_col
+    else:
+        if id_col not in header:
+            raise GraphFormatError(f"id column {id_col!r} not in header {header}")
+        id_idx = header.index(id_col)
+    if not (0 <= id_idx < len(header)):
+        raise GraphFormatError(f"id column index {id_idx} out of range")
+    cells = [[] for _ in header]
+    for lineno, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise GraphFormatError(
+                f"{path}:{lineno}: ragged row has {len(row)} fields, expected {len(header)}")
+        for j, tok in enumerate(row):
+            cells[j].append(tok.strip())
+    labels = cells[id_idx]
+    bad = next((lab for lab in labels if lab.startswith("#")), None)
+    if bad is not None:
+        raise GraphFormatError(f"vertex id {bad!r} starts with '#', which the edge "
+                               "file reads as a comment")
+    if len(set(labels)) != len(labels):
+        counts = Counter(labels)
+        dup = next(lab for lab in labels if counts[lab] > 1)
+        raise GraphFormatError(f"duplicate vertex id {dup!r} in attribute file")
+    columns = []
+    for j, name in enumerate(header):
+        if j == id_idx:
+            continue
+        raw = cells[j]
+        missing = [tok in options.missing_tokens for tok in raw]
+        present = [tok for tok, miss in zip(raw, missing) if not miss]
+        kind = options.kinds.get(name)
+        if kind is None:
+            kind = NOMINAL
+            parsed = []
+            for tok in present:
+                try:
+                    parsed.append(float(tok))
+                except ValueError:
+                    parsed = None
+                    break
+            if parsed and any(not v.is_integer() for v in parsed):
+                kind = NUMERIC
+        if kind == NUMERIC:
+            vals = np.array([np.nan if miss else float(tok) for tok, miss in zip(raw, missing)])
+        else:
+            vals = [None if miss else tok for tok, miss in zip(raw, missing)]
+        columns.append(AttributeColumn(name, kind, vals))
+    return labels, columns
+
+
+def reference_parse_edge_lines(path, label_to_id, options):
+    """``graph._parse_edge_lines`` line by line: a list of (u, v) ids."""
+    edges = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            toks = line.split()
+            if len(toks) != 2:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: expected two whitespace-separated tokens")
+            try:
+                u = label_to_id[toks[0]]
+                v = label_to_id[toks[1]]
+            except KeyError as exc:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: unknown vertex label {exc.args[0]!r}") from None
+            if u == v:
+                if options.directed and options.allow_self_loops:
+                    logging.getLogger("simine.graph").warning(
+                        "%s:%d: dropping self-loop on %r", path, lineno, toks[0])
+                    continue
+                raise GraphFormatError(f"{path}:{lineno}: self-loop on {toks[0]!r}")
+            edges.append((u, v))
+    return edges
+
+
+def reference_load_graph(edge_path, attr_path, options=None):
+    """``load_graph`` by the row-by-row references: the attribute table,
+    the edge file and the edge checks."""
+    options = options or LoadOptions()
+    labels, columns = reference_parse_attr_table(attr_path, options)
+    label_to_id = {lab: i for i, lab in enumerate(labels)}
+    edges = reference_parse_edge_lines(edge_path, label_to_id, options)
+    e0, e1 = reference_edge_arrays(len(labels), edges, options.directed)
+    return AttributedGraph(len(labels), np.stack([e0, e1], axis=1),
+                           directed=options.directed, columns=columns, labels=labels)
+
+
+def reference_pair_sums_many(model, H_r, H_c, H_o):
+    """``BackgroundModel.pair_sums_many`` with the full class table, each
+    step a fresh array."""
+    to_cols = H_r @ model._P_off
+    ordered = (H_c * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ model._P_diag
+    if model.directed or H_o is H_r:
+        return ordered, ordered * 0.0 if model.directed else ordered
+    overlap = (H_o * H_o - H_o) @ model._P_diag
+    return ordered, overlap + ((H_o @ model._P_off) * H_o).sum(axis=-1)
+
+
+def reference_block(screen, w1, w2, i, j, lengths):
+    """``search._BiScreen._block`` with every temporary a fresh array, and
+    the mass by ``reference_pair_sums_many`` (by ``pair_sums_many`` without
+    a full class table)."""
+    R1, P1, H1, a = w1
+    R2, H2, b = w2
+    words = screen.refiner.words
+    width = words if screen.directed else R1.shape[1]
+    B2 = R2[j, :width]
+    over = R1[i, :width]
+    over &= B2
+    H_o = screen.refiner.class_counts(over)
+    o = H_o.sum(axis=1)
+    a, b = a[i], b[j]
+    mass = (reference_pair_sums_many if screen.model._P_off is not None
+            else type(screen.model).pair_sums_many)
+    ordered, overlap = mass(screen.model, *(h.astype(np.float64) for h in (H1[i], H2[j], H_o)))
+    X = P1[i]
+    X &= B2[:, None, :words]
+    weights = np.left_shift(1, np.arange(X.shape[1], dtype=np.int64))
+    orient = np.bitwise_count(X).sum(axis=-1, dtype=np.int64) @ weights
+    inside = np.zeros_like(o) if screen.directed else screen.refiner.edges_inside(over)
+    edges = orient - inside
+    n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered, overlap,
+                                        screen.conv, screen.directed)
+    valid = slots > 0
+    if screen.require_disjoint:
+        valid &= o == 0
+    si, bound = _screen_si(n_w, k_w, mass, screen.c.alpha * lengths + screen.c.beta,
+                           screen.rho, valid)
+    return si, bound, edges, inside
 
 
 def reference_sigmoid(x):

@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 import re
 
@@ -11,9 +12,11 @@ from simine import (AttributeColumn, AttributedGraph, Description, EqualsSelecto
                     GraphFormatError, LoadOptions, generate_selectors, load_graph,
                     parse_description, save_graph, selector_mask)
 from simine.background import _partition_bins
+from simine.graph import _edge_arrays
 
 from conftest import (FIG_A, FIG_B, FIG_C, FIG_D, random_graph, reference_domain,
-                      reference_equals_mask, reference_partition_bins, write_dataset)
+                      reference_edge_arrays, reference_equals_mask, reference_load_graph,
+                      reference_partition_bins, write_dataset)
 
 
 def fig_files(tmp_path):
@@ -309,3 +312,87 @@ def test_counting_identities(seed, data):
             + g.count_edges_between(comp, comp)) == g.m
     assert g.degrees().sum() == 2 * g.m
     assert g.count_edges_between(ids, ids) == g.m
+
+
+def _outcome(build):
+    """What ``build()`` gives: its value, or the text of its
+    ``GraphFormatError``; and the messages logged on ``simine.graph``."""
+    logged = []
+    handler = logging.Handler()
+    handler.emit = lambda record: logged.append(record.getMessage())
+    logger = logging.getLogger("simine.graph")
+    logger.addHandler(handler)
+    try:
+        return build(), logged
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}", logged
+    finally:
+        logger.removeHandler(handler)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), directed=st.booleans(),
+       edges=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=12))
+def test_edge_checks_match_per_edge_reference(n, directed, edges):
+    """The whole-array edge checks give the per-edge reference's ends, in
+    order, or its error: the first edge at fault, its first fault in the
+    order self-loop, id out of range, repeat."""
+    def ends(check):
+        return lambda: [e.tolist() for e in check(n, edges, directed)]
+
+    assert _outcome(ends(_edge_arrays)) == _outcome(ends(reference_edge_arrays))
+
+
+_CELLS = ["x", "y", "1", "2", "0.5", "-1.25", "NA", "", " z ", "3"]
+
+
+def _edge_line(labels):
+    """An edge file line over the vertex ids ``labels``: mostly an edge
+    between two of them (self-loops and repeats included), else an unknown
+    id, a comment, a blank line or a line of one or three tokens."""
+    label = st.one_of(st.sampled_from(labels), st.sampled_from(labels),
+                      st.sampled_from(labels), st.just("zz"))
+    return st.one_of(
+        st.builds("{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), label,
+                  st.sampled_from([" ", "\t", "  "]), label),
+        st.builds("{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), label,
+                  st.sampled_from([" ", "\t", "  "]), label),
+        st.sampled_from(["", "   ", "# comment", "  # a b", "a", "a b c", "#a b"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True),
+       columns=st.integers(0, 2), data=st.data(), directed=st.booleans(),
+       allow_self_loops=st.booleans())
+def test_load_matches_row_by_row_reference(tmp_path_factory, labels, columns, data, directed,
+                                           allow_self_loops):
+    """``load_graph`` by whole-file passes reads what the row-by-row parsers
+    and per-edge checks read: an equal fingerprint over every attribute, the
+    same edges in file order, labels and column kinds, or the same error
+    after the same warnings.  The files hold self-loops, repeated edges,
+    unknown labels, lines of one or three tokens, comments, blank lines,
+    ragged rows, repeated vertex ids and missing tokens."""
+    if data.draw(st.integers(0, 7)) == 0:  # a repeated vertex id
+        labels = labels + [data.draw(st.sampled_from(labels))]
+    rows = [[lab] + data.draw(st.lists(st.sampled_from(_CELLS), min_size=columns,
+                                       max_size=columns)) for lab in labels]
+    if data.draw(st.integers(0, 3)) == 0:  # a ragged row, one field long or short
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        row.append("x") if data.draw(st.booleans()) or len(row) < 3 else row.pop()
+    attr_lines = [",".join(["id"] + [f"c{k}" for k in range(columns)])]
+    attr_lines += [",".join(row) for row in rows]
+    if data.draw(st.booleans()):
+        attr_lines.insert(data.draw(st.integers(1, len(attr_lines))), " , ")
+    edge_lines = data.draw(st.lists(_edge_line(labels), max_size=10))
+    path = tmp_path_factory.mktemp("load")
+    files = write_dataset(path, edge_lines, attr_lines)
+    options = LoadOptions(directed=directed, allow_self_loops=allow_self_loops)
+
+    def read(load):
+        def build():
+            g = load(*files, options)
+            return (g.fingerprint(g.attribute_names), g.edges.tolist(), g.labels,
+                    [(c.name, c.kind) for c in g.columns])
+        return build
+
+    assert _outcome(read(load_graph)) == _outcome(read(reference_load_graph))

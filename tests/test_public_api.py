@@ -24,3 +24,5 @@ def test_removed_members_are_gone():
     for name in ("probabilities", "edge_probability", "lam_row", "lam_col"):
         assert not hasattr(simine.BackgroundModel, name), name
     assert not hasattr(simine.AttributedGraph, "degree")
+    for name in ("sort_key", "total_length"):
+        assert not hasattr(simine.BaselineResult, name), name
