@@ -39,7 +39,8 @@ def screen_batches(w, inputs):
 
     def recorded(model, *H, **work):
         if not inside:  # copies: the nested screen reuses its buffers block by block
-            batches.append((model, tuple(h.copy(order="K") for h in H)))
+            copies = {id(h): h.copy(order="K") for h in H}  # (H, H, H) stays one array
+            batches.append((model, tuple(copies[id(h)] for h in H)))
         return many(model, *H, **work)
 
     def marked(model, *H):

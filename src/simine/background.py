@@ -331,10 +331,10 @@ class BackgroundModel:
     # Xeon).  ``search._mass_rounding`` bounds what the batch may change.
     def pair_sums_many(self, H_r, H_c, H_o, work=None):
         """The screens' ``pair_sums`` of many grids from class histograms
-        (float), one row per grid: ``H_r`` of the rows, ``H_c`` of the
-        columns and ``H_o`` of their intersection, as ``(ordered_sum,
-        overlap_sum)`` arrays.  Its BLAS products may round a grid
-        differently with the batch around it; ``pair_mass`` does not.
+        (int64 counts or floats), one row per grid: ``H_r`` of the rows,
+        ``H_c`` of the columns and ``H_o`` of their intersection, as
+        ``(ordered_sum, overlap_sum)`` arrays.  Its BLAS products may round a
+        grid differently with the batch around it; ``pair_mass`` does not.
 
         Pairs between distinct classes come from the off-diagonal table; the
         h_r*h_c - h_o pairs inside one class from its diagonal entry.  All
@@ -343,20 +343,34 @@ class BackgroundModel:
         ``_TABLE_CELLS`` cells.  ``H_o is H_r`` marks rows equal to the
         column set, whose overlap is the whole grid.
 
-        With the full table, every grid-sized temporary is written in place
-        on the front of ``work``, a float64 array of at least ``H_r.size``
-        cells that the call may overwrite (by default a fresh one), in the
-        layout numpy gives the expression's fresh array (``_shaped_like``).  So
-        each BLAS product and sum reads the operands and layouts it reads
-        without ``work``, and the result is the same bit for bit.
+        ``work`` holds four float64 arrays of at least ``H_r.size`` cells
+        that the call may overwrite (by default fresh ones): every
+        grid-sized temporary is written in place on the first, and the float
+        copies of integer histograms on the others, the one of ``H_r``,
+        ``H_c`` and ``H_o`` each.  Each takes the layout numpy gives the
+        expression's fresh array (``_shaped_like``), so each BLAS product
+        and sum reads the operands and layouts it reads on fresh arrays, and
+        the result is the same bit for bit whatever ``work`` held.
         """
-        if self._P_off is None:
-            return self._sub_table_sums(H_r, H_c, H_o)
-        front = (np.empty(H_r.size) if work is None else work.reshape(-1))[:H_r.size]
-        diag = self._P_diag
-        T = front.reshape(H_r.shape)  # a product with the table is C-ordered
-        np.matmul(H_r, self._P_off, out=T)  # each row's mass towards each column class
-        np.multiply(H_c, T, out=T)
+        work = [None] * 4 if work is None else work
+        front = np.empty(H_r.size) if work[0] is None else work[0].reshape(-1)[:H_r.size]
+        same_c, same_o = H_c is H_r, H_o is H_r
+        H_r = _float_copy(H_r, work[1])
+        H_c = H_r if same_c else _float_copy(H_c, work[2])
+        H_o = H_r if same_o else _float_copy(H_o, work[3])
+        if self._P_off is not None:
+            diag = self._P_diag
+            T = front.reshape(H_r.shape)  # a product with the table is C-ordered
+            np.matmul(H_r, self._P_off, out=T)  # each row's mass towards each column class
+            np.multiply(H_c, T, out=T)
+        else:
+            ic = _present(H_c)
+            diag = np.zeros(self.n_classes)
+            to_cols = np.zeros((len(H_r), ic.size))
+            for a, P, dc, dp in self._sub_tables(_present(H_r), ic):
+                diag[dc] = dp
+                to_cols += H_r[:, a] @ P
+            T = H_c[:, ic] * to_cols
         ordered = T.sum(axis=-1)
         T = _shaped_like(front, H_c, H_r, H_o)
         np.multiply(H_c, H_r, out=T)
@@ -368,28 +382,15 @@ class BackgroundModel:
         np.multiply(H_o, H_o, out=T)
         np.subtract(T, H_o, out=T)
         overlap = T @ diag
-        T = front.reshape(H_o.shape)
-        np.matmul(H_o, self._P_off, out=T)
-        np.multiply(T, H_o, out=T)
-        overlap += T.sum(axis=-1)
-        return ordered, overlap
-
-    def _sub_table_sums(self, H_r, H_c, H_o):
-        """``pair_sums_many`` from sub-tables of the classes present."""
-        ic = _present(H_c)
-        diag = np.zeros(self.n_classes)
-        to_cols = np.zeros((len(H_r), ic.size))
-        for a, P, dc, dp in self._sub_tables(_present(H_r), ic):
-            diag[dc] = dp
-            to_cols += H_r[:, a] @ P
-        ordered = (H_c[:, ic] * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ diag
-        if self.directed or H_o is H_r:
-            return ordered, ordered * 0.0 if self.directed else ordered
-        overlap = (H_o * H_o - H_o) @ diag
-        # the intersections' classes are among the rows' and the columns'
-        io = _present(H_o)
-        for a, P, _, _ in self._sub_tables(io, io):
-            overlap += ((H_o[:, a] @ P) * H_o[:, io]).sum(axis=-1)
+        if self._P_off is not None:
+            T = front.reshape(H_o.shape)
+            np.matmul(H_o, self._P_off, out=T)
+            np.multiply(T, H_o, out=T)
+            overlap += T.sum(axis=-1)
+        else:  # the intersections' classes are among the rows' and the columns'
+            io = _present(H_o)
+            for a, P, _, _ in self._sub_tables(io, io):
+                overlap += ((H_o[:, a] @ P) * H_o[:, io]).sum(axis=-1)
         return ordered, overlap
 
     def copy_with_update(self, upd: PatternUpdate) -> "BackgroundModel":
@@ -481,6 +482,19 @@ class BackgroundModel:
     def load(cls, path) -> "BackgroundModel":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _float_copy(H, space):
+    """The class histograms ``H`` as float64: ``H`` itself when it is, else
+    a copy of its counts, fresh (``H.astype``) when ``space`` is None, else
+    on the front of ``space`` in the fresh copy's layout."""
+    if H.dtype == np.float64:
+        return H
+    if space is None:
+        return H.astype(np.float64)
+    out = _shaped_like(space.reshape(-1)[:H.size], H)
+    np.copyto(out, H)
+    return out
 
 
 def _shaped_like(front, *like):

@@ -145,7 +145,20 @@ def _edge_arrays(n, edges, directed):
     (repeats by one stable sort of the keys u*n + v), and the first edge
     that has one raises ``GraphFormatError``, naming its first fault in that
     order."""
-    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        e = np.asarray(edges, dtype=np.int64)
+    except OverflowError:  # an id no int64 holds lies outside [0, n)
+        k = _first_wide(edges)
+        _edge_arrays(n, edges[:k], directed)  # raises if an earlier edge is at fault
+        e = edges[k]
+        if len(e) != 2:
+            raise GraphFormatError("edges must be (u, v) pairs") from None
+        u, v = int(e[0]), int(e[1])
+        raise GraphFormatError(f"self-loop on vertex {u} is not allowed" if u == v else
+                               f"edge ({u},{v}) references a vertex id >= n={n}") from None
+    except (TypeError, ValueError):
+        raise GraphFormatError("edges must be (u, v) pairs") from None
     if e.size == 0:
         e = e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
@@ -167,6 +180,13 @@ def _edge_arrays(n, edges, directed):
             raise GraphFormatError(f"edge ({u[k]},{v[k]}) references a vertex id >= n={n}")
         raise GraphFormatError(f"duplicate edge ({e0[k]},{e1[k]})")
     return e0, e1
+
+
+def _first_wide(edges):
+    """The position of the first edge with an id that no int64 holds."""
+    low, high = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    return next(k for k, pair in enumerate(edges)
+                if not all(low <= int(x) <= high for x in pair))
 
 
 class AttributedGraph:
@@ -390,11 +410,13 @@ def _parse_edge_lines(path, label_to_id, options: LoadOptions):
     self-loop), after the warnings for the self-loops dropped before it."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
+    comments = "#" in text
     lines = text.split("\n")
+    del text
     # the data lines: neither blank nor comments
     counts = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines))
     data = counts > 0
-    if "#" in text:
+    if comments:
         data &= ~np.fromiter((ln.lstrip().startswith("#") for ln in lines), bool, len(lines))
     rows = np.flatnonzero(data)
     # the lines before the first one at fault are parsed; stop is that line
@@ -403,11 +425,10 @@ def _parse_edge_lines(path, label_to_id, options: LoadOptions):
     error = None
     if stop < rows.size:
         error = f"{path}:{rows[stop] + 1}: expected two whitespace-separated tokens"
-    if stop < rows.size or rows.size < np.count_nonzero(counts):
-        labels = " ".join([lines[r] for r in rows[:stop].tolist()]).split()
-    else:  # every line with a token is an edge line
-        del lines
-        labels = text.split()
+    parsed = " ".join([lines[r] for r in rows[:stop].tolist()])
+    del lines  # one copy of the file's text at a time
+    labels = parsed.split()
+    del parsed
     ids = np.fromiter(map(label_to_id.get, labels, repeat(-1)), np.int64,
                       len(labels)).reshape(-1, 2)
     unknown = np.flatnonzero(ids < 0)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .background import PROB_EPS, BackgroundModel, _shaped_like, update_with_pattern
+from .background import PROB_EPS, BackgroundModel, update_with_pattern
 from .descriptions import Description, selector_mask
 from .graph import AttributedGraph
 from .scores import (Pattern, ScoreConstants, _columns, _with_extensions, baseline_scores,
@@ -475,8 +475,7 @@ class _SingleScreen:
         """``(si, bound)`` per set of class histogram ``hists[i]``, of size
         ``sizes[i]`` with ``edges[i]`` edges inside, described by ``length``
         selectors."""
-        H = hists.astype(np.float64)
-        ordered, overlap = self.model.pair_sums_many(H, H, H)
+        ordered, overlap = self.model.pair_sums_many(hists, hists, hists)
         n_w, k_w, mass, slots = pair_counts(sizes, sizes, sizes, edges, edges, ordered,
                                             overlap, self.conv, self.directed)
         return _screen_si(n_w, k_w, mass, self.c.alpha * length + self.c.beta, self.rho,
@@ -637,16 +636,11 @@ class _BiScreen:
         H_o = self.refiner.class_counts(over)
         o = H_o.sum(axis=1)
         a, b = a[i], b[j]
-        # the three histograms as floats, each laid out as its integer
-        # counts (the overlap's in class_counts' order), and the buffer of
-        # the mass core's temporaries
-        h1, h2, work = (self._buffer(name, H_o.shape, np.float64) for name in ("h1", "h2", "mass"))
-        h_o = _shaped_like(self._buffer("ho", (H_o.size,), np.float64), H_o)
-        counts = self._buffer("counts", H_o.shape, np.int64)
-        np.copyto(h1, np.take(H1, i, axis=0, mode="clip", out=counts))
-        np.copyto(h2, np.take(H2, j, axis=0, mode="clip", out=counts))
-        np.copyto(h_o, H_o)
-        ordered, overlap = self.model.pair_sums_many(h1, h2, h_o, work=work)
+        h1 = np.take(H1, i, axis=0, mode="clip", out=self._buffer("h1", H_o.shape, H1.dtype))
+        h2 = np.take(H2, j, axis=0, mode="clip", out=self._buffer("h2", H_o.shape, H2.dtype))
+        ordered, overlap = self.model.pair_sums_many(
+            h1, h2, H_o, work=[self._buffer(name, H_o.shape, np.float64)
+                               for name in ("mass", "f1", "f2", "fo")])
         # edge orientations (u in W1, v in W2), ordered edges when directed;
         # an undirected edge inside W1 and W2 has both orientations counted
         X = np.take(P1, i, axis=0, mode="clip",

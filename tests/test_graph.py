@@ -330,17 +330,30 @@ def _outcome(build):
         logger.removeHandler(handler)
 
 
+_ID = st.one_of(st.integers(-2, 7), st.integers(-2, 7), st.integers(-2, 7),
+                st.sampled_from([2**63 - 1, 2**63, -2**63 - 1, 2**70]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 6), directed=st.booleans(),
-       edges=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=12))
+       edges=st.lists(st.tuples(_ID, _ID), max_size=12))
 def test_edge_checks_match_per_edge_reference(n, directed, edges):
     """The whole-array edge checks give the per-edge reference's ends, in
     order, or its error: the first edge at fault, its first fault in the
-    order self-loop, id out of range, repeat."""
+    order self-loop, id out of range, repeat.  Some ids are past what an
+    int64 holds."""
     def ends(check):
         return lambda: [e.tolist() for e in check(n, edges, directed)]
 
     assert _outcome(ends(_edge_arrays)) == _outcome(ends(reference_edge_arrays))
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (2,)], [(0, 1), (1, 2, 3)], [(0, 1, 2)],
+                                   [(2**70,)], [(0, None)], [(0, "a")], [(0, float("nan"))]])
+def test_edges_that_are_not_id_pairs(edges):
+    """Ragged edges, and ids that are not integers, raise GraphFormatError."""
+    with pytest.raises(GraphFormatError, match=r"edges must be \(u, v\) pairs"):
+        AttributedGraph(3, edges)
 
 
 _CELLS = ["x", "y", "1", "2", "0.5", "-1.25", "NA", "", " z ", "3"]

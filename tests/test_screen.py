@@ -237,26 +237,31 @@ def test_screen_workspace_matches_fresh_allocation(seed, n, directed, counting, 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 100_000), n=st.integers(6, 30), directed=st.booleans(),
        rows=st.integers(1, 12), layouts=st.lists(st.sampled_from("CF"), min_size=3, max_size=3),
-       same=st.booleans(), work=st.booleans())
-def test_pair_sums_many_in_place_matches_expressions(seed, n, directed, rows, layouts, same,
-                                                     work):
-    """``pair_sums_many``, its temporaries written in place on ``work`` or
-    one fresh array, gives the reference's fresh-array expressions bit for
-    bit, whatever the histograms' layouts (the screens pass C- and
-    Fortran-ordered ones) and with the single screen's ``(H, H, H)``."""
+       counts=st.lists(st.booleans(), min_size=3, max_size=3), same=st.booleans(),
+       work=st.booleans())
+def test_pair_sums_many_in_place_matches_expressions(seed, n, directed, rows, layouts, counts,
+                                                     same, work):
+    """``pair_sums_many``, its float copies and temporaries written in place
+    on ``work`` or on fresh arrays, gives the reference's fresh-array
+    expressions on the histograms cast by ``astype`` bit for bit, whatever
+    the histograms' layouts (the screens pass C- and Fortran-ordered ones),
+    int64 counts or floats, and with the single screen's ``(H, H, H)``."""
     g = random_graph(seed, n=n, directed=directed)
     try:
         model = fit_degree_prior(g)
     except FitError:
         assume(False)
     rng = np.random.default_rng(seed)
-    H = [np.array(rng.integers(0, 4, size=(rows, model.n_classes)), np.float64, order=o)
-         for o in layouts]
+    H = [np.array(rng.integers(0, 4, size=(rows, model.n_classes)),
+                  np.int64 if as_counts else np.float64, order=o)
+         for o, as_counts in zip(layouts, counts)]
     if same:
         H = [H[0]] * 3
     before = [h.copy() for h in H]
-    got = model.pair_sums_many(*H, work=np.full(H[0].size + 3, np.nan) if work else None)
-    want = reference_pair_sums_many(model, *H)
+    space = [np.full(H[0].size + 3, np.nan) for _ in range(4)] if work else None
+    got = model.pair_sums_many(*H, work=space)
+    floats = {id(h): h.astype(np.float64) for h in H}
+    want = reference_pair_sums_many(model, *(floats[id(h)] for h in H))
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     assert all(np.array_equal(h, b) for h, b in zip(H, before))
 
