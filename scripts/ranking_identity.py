@@ -15,14 +15,16 @@ the eight objective measures (``baseline-*``).  The other configurations
 run the workload's nested search, or ``iterate`` with the workload's rounds
 for an iterating workload, and the nested search on the single-subgroup
 workload's input.  One line per (workload, seed, configuration) gives the number
-of reported patterns and a digest of each pattern's rendering, ``repr`` of
-its SI, ``k_w``, ``n_w`` and ``edges``, round by round; for a baseline, of
-each subgroup's rendering, ``repr`` of its value, its size, edges and
-inter-edges.
+of reported patterns and two digests, round by round.  The first covers each
+pattern's rendering, ``repr`` of its SI, ``k_w``, ``n_w`` and ``edges``; for
+a baseline, each subgroup's rendering, ``repr`` of its value, its size,
+edges and inter-edges.  The second, the rankings digest, covers the same
+fields but the SI (the value for a baseline).
 
 It reads public output only, so running it from two checkouts on the same
 arguments must print identical lines when a change keeps every ranking and
-SI bit for bit.
+SI bit for bit, and the same rankings digests when a change moves SIs only
+in their last digits but keeps every ranking.
 """
 
 from __future__ import annotations
@@ -64,19 +66,24 @@ NOISE = {f"{name}-noise": kw for name, kw in CONFIGS.items()}
 BASELINES = {f"baseline-{measure}": measure for measure in scores.MEASURE_NAMES}
 
 
-def line(r) -> str:
-    """The digested fields of one pattern or baseline result."""
+def line(r, scores=True) -> str:
+    """The digested fields of one pattern or baseline result; without
+    ``scores``, all but its SI or value."""
     if isinstance(r, search.BaselineResult):
-        return f"{r.render()}\t{r.value!r}\t{r.size}\t{r.edges}\t{r.inter_edges}\n"
-    return f"{r.render()}\t{r.si!r}\t{r.k_w}\t{r.n_w}\t{r.edges}\n"
+        fields = [r.render(), repr(r.value), r.size, r.edges, r.inter_edges]
+    else:
+        fields = [r.render(), repr(r.si), r.k_w, r.n_w, r.edges]
+    if not scores:
+        del fields[1]
+    return "\t".join(map(str, fields)) + "\n"
 
 
-def digest(rounds) -> str:
+def digest(rounds, scores=True) -> str:
     h = hashlib.sha256()
     for pats in rounds:
         h.update(b"round\n")
         for p in pats:
-            h.update(line(p).encode())
+            h.update(line(p, scores).encode())
     return h.hexdigest()[:16]
 
 
@@ -123,7 +130,8 @@ def main(argv=None):
                 inputs = Path(tmp)
                 pipeline.generate(w, seed * INPUTS, inputs)
                 for config, rounds in rankings(w, inputs, args.configs):
-                    print(name, seed, config, sum(map(len, rounds)), digest(rounds), flush=True)
+                    print(name, seed, config, sum(map(len, rounds)), digest(rounds),
+                          digest(rounds, scores=False), flush=True)
 
 
 if __name__ == "__main__":

@@ -20,13 +20,21 @@ stored as a class id per vertex, one multiplier per class and a K x K table
 of class-pair probabilities, and fitting, scoring and absorption all work on
 classes:
 
-* fitting maximizes the Lagrangian dual by cyclic coordinate-wise Newton
-  with step damping, one coordinate per class weighted by class sizes.  A
-  sweep is K coordinate steps per degree direction, each a few O(K) array
-  passes, then one step per block, so it costs O(K^2); the convergence check
-  after each sweep is one whole-array pass over the class-pair grid, in row
-  chunks of at most ``_TABLE_CELLS`` cells.  The result is bit for bit that
-  of stepping and checking one constraint at a time;
+* fitting maximizes the Lagrangian dual, whose K + B variables are one
+  multiplier per class (per class and direction when directed) and one
+  gamma per block, by damped Newton on the negated dual: each step solves
+  H d = -g by Jacobi-preconditioned conjugate gradients on Hessian-vector
+  products, then backtracks along d until the dual rises enough (Armijo).
+  H sums the class-pair grid's curvature W * p * (1 - p) per variable; it
+  and g are built in row chunks of at most ``_TABLE_CELLS`` cells, and the
+  curvature is held across the CG iterations when the grid is one chunk
+  and rebuilt per product otherwise.  H is singular: with degrees and
+  blocks together, raising the multipliers of one bin's classes and
+  lowering that bin's gammas leaves every probability as it is, and on
+  directed graphs so does raising every row multiplier and lowering every
+  column one.  CG needs no ridge for such a consistent system.  A
+  multiplier at a clamp whose gradient points outward leaves the system.
+  ``fit_info["iterations"]`` counts the Newton steps;
 * pair sums are weighted sums of the table over the class histograms of the
   two vertex sets (O(|R| + |C| + K_R * K_C)), for a batch of grids at once:
   exact, whatever the batch (``pair_mass``, with ``pair_sums`` as its
@@ -52,6 +60,7 @@ LOGIT_CLAMP = 30.0
 PROB_EPS = 1e-12
 MODEL_VERSION = 2
 _TABLE_CELLS = 2_000_000  # max class-pair cells held in a table or built at once
+_CG_TOL = 1e-3  # relative residual at which a Newton step's CG solve stops
 
 __all__ = [
     "FitError",
@@ -92,14 +101,47 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
+def _dot(a, b):
+    """The dot product of two vectors by numpy's summation rather than BLAS,
+    whose kernels round it differently: the fit takes the same steps on
+    every machine."""
+    return float(np.multiply(a, b).sum())
+
+
 def _classes(columns):
     """Class id per vertex: vertices with equal values in every column share one.
 
     Returns ``(keys, cls)`` with one row of column values per class, in
-    lexicographic order.
+    lexicographic order: ``np.unique(np.stack(columns, axis=1), axis=0,
+    return_inverse=True)``'s keys and ids bit for bit, from one sort of an
+    int64 key instead of a sort of records.  The key is mixed radix over the
+    integer or boolean columns in order, each digit a value less its
+    column's minimum.  Before a digit could overflow the key, the key is
+    re-ranked (and, past that, the column too), so the key stays below n**2.
+    The sorts are ``graph._distinct``'s, which import no ``numpy.ma``.
     """
-    keys, cls = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
-    return keys, cls.ravel()
+    table = np.stack(columns, axis=1)
+    key, span = np.zeros(len(table), dtype=np.int64), 1  # 0 <= key < span
+    limit = int(np.iinfo(np.int64).max)
+    for col in table.T:
+        digit = col.astype(np.int64) - col.min()
+        radix = int(digit.max()) + 1
+        if span * radix > limit:
+            key, span = _ranks(key)
+        if span * radix > limit:
+            digit, radix = _ranks(digit)
+        key = key * radix + digit
+        span *= radix
+    cls, k = _ranks(key)
+    rep = np.empty(k, dtype=np.int64)
+    rep[cls] = np.arange(cls.size)  # any member represents its class
+    return table[rep], cls
+
+
+def _ranks(values):
+    """Each entry's rank among the distinct entries of ``values``, and their count."""
+    distinct = _distinct(values)
+    return np.searchsorted(distinct, values), distinct.size
 
 
 @dataclass
@@ -588,24 +630,6 @@ def _partition_bins(g, attr):
     return np.where(missing, len(col.domain), col.codes), values
 
 
-def _coordinate_step(ell, s, w, ws, wss, target, t0):
-    """One damped Newton step of min_t ``sum(w * softplus(ell + s*t)) - target*t``
-    from ``t0``; ``ws`` is ``w * s`` and ``wss`` is ``w * s * s``."""
-    x = ell + s * t0
-    p = _sigmoid(x)
-    grad = float((ws * p).sum()) - target
-    hess = max(float((wss * p * (1.0 - p)).sum()), 1e-12)
-    step = -grad / hess
-    f0 = float((w * _softplus(x)).sum()) - target * t0
-    for _ in range(60):
-        t1 = min(max(t0 + step, -LOGIT_CLAMP), LOGIT_CLAMP)
-        if (float((w * _softplus(ell + s * t1)).sum()) - target * t1
-                <= f0 + 1e-12 * max(1.0, abs(f0))):
-            return t1
-        step *= 0.5
-    return t0
-
-
 class _MaxEntProblem:
     """Joint degree/block dual for one graph; owns the working multipliers.
 
@@ -616,124 +640,213 @@ class _MaxEntProblem:
     per class and every sum over partners is a sum over classes weighted by
     class sizes.
 
-    The 1-D dual of class a's degree multiplier has the logits ``ell[b]`` of
-    a pair between one member of a and one member of b, minus that
-    multiplier, and the number ``w[b]`` of such partners per member:
-    ``sizes[b]``, one less for b == a.  On undirected graphs a pair inside
-    class a carries the multiplier at both ends, so it has slope ``s = 2``
-    and half its weight goes to each endpoint.  A block's dual has one term
-    per class pair of the block, weighted by its vertex pairs.
+    The dual's variables are one vector ``x``: the degree multipliers (the
+    row ones, then the column ones when directed), then each partition's
+    gammas, one per block (per unordered bin pair when undirected).  Cell
+    (a, b) of the class-pair grid stands for the ``W[a, b] = s_a * s_b``
+    ordered vertex pairs between classes a and b (``s_a * (s_a - 1)`` when
+    a == b), and its logit ``(M x)[a, b]`` sums a's row multiplier, b's
+    column multiplier and every partition's gamma of the cell's bin pair.
+    With ``h`` = 1/2 on undirected graphs, which see every pair twice, and 1
+    on directed ones, the fit minimizes the negated dual ``h * sum(W *
+    softplus(M x)) - t . x``.  Its gradient is ``h * M^T (W * p) - t`` and
+    its Hessian ``h * M^T Q M``, ``Q = W * p * (1 - p)``: a variable's terms
+    are sums over its cells, one ``bincount`` over a grid of variable ids
+    per partition.  Its targets ``t`` are a class's summed degrees and a
+    block's edges.
     """
 
     def __init__(self, g, partition_attrs, with_degrees):
         self.g = g
         self.directed = g.directed
+        self.half = 1.0 if self.directed else 0.5
         self.parts = []
         for attr in partition_attrs:
             bins, values = _partition_bins(g, attr)
             self.parts.append(PartitionGammas(attr, bins, values,
                                               np.zeros((len(values), len(values)))))
         if not with_degrees:
-            degrees = []
+            degrees, self.degree_names = [], []
         elif self.directed:
-            degrees = [g.out_degrees(), g.in_degrees()]
+            degrees, self.degree_names = [g.out_degrees(), g.in_degrees()], ["out-degree",
+                                                                             "in-degree"]
         else:
-            degrees = [g.degrees()]
+            degrees, self.degree_names = [g.degrees()], ["degree"]
         keys, self.cls = _classes(degrees + [p.bins for p in self.parts])
-        self.k = len(keys)
-        self.sizes = np.bincount(self.cls, minlength=self.k).astype(np.float64)
-        self.rep = np.empty(self.k, dtype=np.int64)
+        k = self.k = len(keys)
+        self.sizes = np.bincount(self.cls, minlength=k).astype(np.float64)
+        self.rep = np.empty(k, dtype=np.int64)
         self.rep[self.cls] = np.arange(g.n)
-        targets = keys[:, :len(degrees)].astype(np.float64).T
         self.class_bins = [keys[:, len(degrees) + j] for j in range(len(self.parts))]
-        n1 = g.n - 1
-        if not with_degrees:
-            self.lam_row = np.zeros(self.k)
-            self.lam_col = self.lam_row if not self.directed else np.zeros(self.k)
-            self.targets = []
-        elif self.directed:
-            self.lam_row = 0.5 * _logit(targets[0] / n1)
-            self.lam_col = 0.5 * _logit(targets[1] / n1)
-            self.targets = [("out-degree", True, targets[0]), ("in-degree", False, targets[1])]
-        else:
-            self.lam_row = np.clip(_logit(targets[0] / n1), -LOGIT_CLAMP, LOGIT_CLAMP)
-            self.lam_col = self.lam_row
-            self.targets = [("degree", True, targets[0])]
-        # w[a], w[a] * s[a] and w[a] * s[a] * s[a] of each class's own degree term
-        own = self.sizes - 1.0
-        if not self.directed:
-            own = own * 0.5
-        self.own_weights = ((own, own, own) if self.directed
-                            else (own, own * 2.0, own * 2.0 * 2.0))
-        self._block_terms()
-
-    def _block_terms(self):
-        """Observed edge count, the classes on each side and the weight grid
-        of every block with a vertex pair, per partition."""
-        e0, e1 = self.g.edges[:, 0], self.g.edges[:, 1]
-        self.blocks = []
-        for part, cb in zip(self.parts, self.class_bins):
+        # the degree variables: class a's row multiplier is x[a], its column
+        # multiplier x[a] too when undirected, x[k + a] when directed
+        self.row_var = self.col_var = None
+        n_deg = k * len(degrees)
+        deg = keys[:, :len(degrees)].T.ravel().astype(np.float64)
+        start = 0.5 * _logit(deg / (g.n - 1))
+        members = np.tile(self.sizes, len(degrees))  # a degree residual is per member
+        targets, scale = [deg * members], [members]
+        if degrees:
+            self.row_var = np.arange(k)
+            self.col_var = self.row_var + (n_deg - k)
+        # the gamma variables: one per block, in the order (b1, b2) of the
+        # bin pairs, b1 <= b2 when undirected; var[j] maps partition j's bin
+        # pairs to them
+        e0, e1 = g.edges[:, 0], g.edges[:, 1]
+        self.var, self.blocks = [], []
+        nvar = n_deg
+        for part in self.parts:
             nb = part.n_bins
             obs = np.bincount(part.bins[e0] * nb + part.bins[e1],
                               minlength=nb * nb).reshape(nb, nb)
+            var = np.arange(nb * nb).reshape(nb, nb)
             if not self.directed:
                 obs = np.triu(obs + obs.T) - np.diag(np.diag(obs))
-            blocks = []
-            for b1 in range(nb):
-                for b2 in (range(nb) if self.directed else range(b1, nb)):
-                    A, B = np.flatnonzero(cb == b1), np.flatnonzero(cb == b2)
-                    w = np.outer(self.sizes[A], self.sizes[B])
-                    if b1 == b2:
-                        w -= np.diag(self.sizes[A])  # u == v
-                        if not self.directed:
-                            w *= 0.5  # each unordered pair appears as (a, b) and (b, a)
-                    if w.any():  # an empty block keeps its gamma pinned at 0
-                        blocks.append(((b1, b2), float(obs[b1, b2]), A[:, None], B, w.ravel()))
-            self.blocks.append(blocks)
+                var = np.triu(var) + np.triu(var, 1).T
+            ids = _distinct(var.ravel())  # each variable's block, as b1 * nb + b2
+            b1, b2 = np.divmod(ids, nb)
+            self.var.append(np.searchsorted(ids, var) + nvar)
+            self.blocks += [(part, (int(i), int(j))) for i, j in zip(b1, b2)]
+            targets.append(obs[b1, b2].astype(np.float64))
+            scale.append(np.ones(ids.size))
+            nvar += ids.size
+        self.n_var = nvar
+        self.t, self.scale = np.concatenate(targets), np.concatenate(scale)
+        # a grid held whole is built once; a larger one is rebuilt per pass
+        self._whole = list(self._build_grid()) if k * k <= _TABLE_CELLS else None
+        # a constraint over no pairs keeps its multiplier at 0; one that
+        # asks for no edge, or for every pair, starts and stays at a clamp
+        pairs = sum(self._gather(W, a, var) for a, W, var in self._grid())
+        self.fixed = pairs == 0
+        x = np.concatenate([start, np.zeros(nvar - n_deg)])
+        x[(self.t <= 0) & ~self.fixed] = -LOGIT_CLAMP
+        x[(self.t >= pairs) & ~self.fixed] = LOGIT_CLAMP
+        x[self.fixed] = 0.0
+        self._move_to(x, *self._evaluate(x))
 
-    def _block_logits(self, part_i, A, B):
-        """Logits of a block's class pairs ``A x B``, excluding the block's
-        own partition, flattened."""
-        L = self.lam_row[A] + self.lam_col[B]
-        for j, (part, cb) in enumerate(zip(self.parts, self.class_bins)):
-            if j != part_i:
-                L = L + part.gammas[cb[A], cb[B]]
-        return L.ravel()
+    def _build_grid(self):
+        """The class-pair grid in row chunks of at most ``_TABLE_CELLS``
+        cells, each as ``(a, W, var)``: the chunk's classes ``a``, the pair
+        counts ``W`` of its cells and, per partition, the gamma variable of
+        every cell."""
+        k = self.k
+        step = max(1, _TABLE_CELLS // k)
+        for a0 in range(0, k, step):
+            a = np.arange(a0, min(k, a0 + step))
+            W = np.outer(self.sizes[a], self.sizes)
+            W[np.arange(a.size), a] -= self.sizes[a]  # u == v
+            yield a, W, [v[cb[a][:, None], cb[None, :]]
+                         for v, cb in zip(self.var, self.class_bins)]
 
-    def _degree_chunks(self, use_row):
-        """The classes in row chunks of at most ``_TABLE_CELLS`` class pairs,
-        each as ``(a, G)``: ``G[i, b]`` sums every partition's gamma over a
-        pair between class ``a[i]`` (the row end if ``use_row``) and class b."""
-        step = max(1, _TABLE_CELLS // self.k)
-        for a0 in range(0, self.k, step):
-            a = np.arange(a0, min(self.k, a0 + step))
-            G = np.zeros((a.size, self.k))
-            for part, cb in zip(self.parts, self.class_bins):
-                G += (part.gammas if use_row else part.gammas.T)[cb[a]][:, cb]
-            yield a, G
+    def _grid(self):
+        return self._build_grid() if self._whole is None else self._whole
 
-    def sweep(self):
-        """One cyclic pass of coordinate steps: every degree multiplier, then
-        every block's gamma, each step seeing all earlier ones."""
-        for _, use_row, target in self.targets:
-            lam, other = (self.lam_row, self.lam_col) if use_row else (self.lam_col, self.lam_row)
-            for rows, G in self._degree_chunks(use_row):
-                for a, g_a in zip(rows.tolist(), G):
-                    ell = other + g_a
-                    w, ws, wss = (self.sizes.copy() for _ in self.own_weights)
-                    w[a], ws[a], wss[a] = (v[a] for v in self.own_weights)
-                    s = 1.0
-                    if not self.directed:
-                        ell[a] = g_a[a]
-                        s = np.ones(self.k)
-                        s[a] = 2.0
-                    lam[a] = _coordinate_step(ell, s, w, ws, wss, float(target[a]), lam[a])
-        for part_i, (part, blocks) in enumerate(zip(self.parts, self.blocks)):
-            for i, target, A, B, w in blocks:
-                ell = self._block_logits(part_i, A, B)
-                part.gammas[i] = _coordinate_step(ell, 1.0, w, w, w, target, part.gammas[i])
-                if not self.directed:
-                    part.gammas[i[::-1]] = part.gammas[i]  # gammas stay symmetric
+    def _spread(self, x, a, var):
+        """``M x`` on the chunk rows ``a``: every cell's sum of its variables."""
+        L = np.zeros((a.size, self.k))
+        if self.row_var is not None:
+            L += x[self.row_var[a]][:, None]
+            L += x[self.col_var]
+        for v in var:
+            L += x[v]
+        return L
+
+    def _gather(self, Z, a, var):
+        """``h * M^T Z`` of the values ``Z`` on the chunk rows ``a``: every
+        variable's sum over its cells."""
+        out = np.zeros(self.n_var)
+        if self.row_var is not None:
+            out[self.row_var[a]] += Z.sum(axis=1)
+            out[self.col_var] += Z.sum(axis=0)
+        for v in var:
+            out += np.bincount(v.ravel(), Z.ravel(), minlength=self.n_var)
+        return out * self.half
+
+    def _evaluate(self, x):
+        """The dual at ``x``, its gradient and its Hessian's diagonal, and the
+        curvature ``Q`` of each chunk when the grid is held whole."""
+        f, grad, diag, held = 0.0, np.zeros(self.n_var), np.zeros(self.n_var), []
+        for a, W, var in self._grid():
+            L = self._spread(x, a, var)
+            p = _sigmoid(L)
+            f += float((W * _softplus(L)).sum())
+            Q = W * p
+            grad += self._gather(Q, a, var)
+            Q *= 1.0 - p
+            diag += self._gather(Q, a, var)
+            if not self.directed and self.row_var is not None:
+                # a pair inside class a carries its multiplier at both ends
+                diag[self.row_var[a]] += Q[np.arange(a.size), a]
+            if self._whole is not None:
+                held.append((a, var, Q))
+        return self.half * f - _dot(self.t, x), grad - self.t, diag, held or None
+
+    def _move_to(self, x, f, grad, diag, held):
+        self.x, self.f, self.grad, self.diag, self._held = x, f, grad, diag, held
+
+    def _curvature(self):
+        """``(a, var, Q)`` of each chunk at the current multipliers."""
+        if self._held is not None:
+            return self._held
+        return ((a, var, W * p * (1.0 - p)) for a, W, var in self._grid()
+                for p in [_sigmoid(self._spread(self.x, a, var))])
+
+    def _hessian_times(self, v):
+        return sum(self._gather(Q * self._spread(v, a, var), a, var)
+                   for a, var, Q in self._curvature())
+
+    def _direction(self, free):
+        """The Newton step on the ``free`` variables: ``H d = -grad`` by
+        conjugate gradients on Hessian-vector products, Jacobi
+        preconditioned, to a relative residual of ``_CG_TOL``.  ``H`` is
+        singular along the dual's null directions, but the system is
+        consistent, which CG needs, and no ridge is added."""
+        d = np.zeros(self.n_var)
+        r = np.where(free, -self.grad, 0.0)
+        m = np.divide(1.0, self.diag, out=np.zeros(self.n_var), where=free & (self.diag > 0))
+        z = m * r
+        s, rz = z, _dot(r, z)
+        stop = rz * _CG_TOL ** 2
+        for _ in range(int(free.sum())):
+            Hs = np.where(free, self._hessian_times(s), 0.0)
+            curv = _dot(s, Hs)
+            if curv <= 0.0:
+                break
+            alpha = rz / curv
+            d += alpha * s
+            r -= alpha * Hs
+            z = m * r
+            rz, rz0 = _dot(r, z), rz
+            if rz <= stop:
+                break
+            s = z + (rz / rz0) * s
+        return d
+
+    def _saturated(self):
+        """The multipliers at a clamp whose gradient points further out."""
+        x, grad, eps = self.x, self.grad, 1e-9
+        return ((grad > 0) & (x <= -LOGIT_CLAMP + eps)) | ((grad < 0) & (x >= LOGIT_CLAMP - eps))
+
+    def newton_step(self):
+        """One projected Newton step with Armijo backtracking.
+
+        A multiplier at a clamp whose gradient points further out stays
+        there and leaves the system, as does one over no pairs.  Returns
+        False when no step along the direction raises the dual."""
+        x, grad = self.x, self.grad
+        d = self._direction(~(self.fixed | self._saturated()))
+        if not d.any():
+            return False
+        slack = 1e-12 * max(1.0, abs(self.f))  # the dual's rounding
+        step = 1.0
+        for _ in range(60):
+            x1 = np.clip(x + step * d, -LOGIT_CLAMP, LOGIT_CLAMP)
+            state = self._evaluate(x1)
+            if state[0] <= self.f + 1e-4 * _dot(grad, x1 - x) + slack:
+                self._move_to(x1, *state)
+                return True
+            step *= 0.5
+        return False
 
     def residuals(self):
         """Worst unwaived constraint plus the worst saturated residual.
@@ -742,57 +855,37 @@ class _MaxEntProblem:
         convergence, ``waived_worst`` is reported for saturated constraints
         (degree 0 / degree n-1 vertices, zero-edge blocks): those whose
         multiplier is pinned at a clamp bound with the gradient pointing
-        further outward, so the residual is irreducible.  The first of
-        equally worst constraints in sweep order is named.  Each degree
-        multiplier's residual is its row of the class-pair grid, whose rows
-        are summed as whole-array passes, a chunk of rows at a time.
+        further outward, so the residual is irreducible.  A degree
+        constraint's residual is per member of its class.  The first of
+        equally worst constraints in variable order is named.
         """
-        groups = []  # (label, residuals, multipliers, constraint ids) in sweep order
-        for name, use_row, target in self.targets:
-            lam, other = (self.lam_row, self.lam_col) if use_row else (self.lam_col, self.lam_row)
-            r = np.empty(self.k)
-            for a, X in self._degree_chunks(use_row):
-                # the logits and the weighted probabilities overwrite the gamma
-                # sums in place, in the order of one constraint's terms
-                i = np.arange(a.size)
-                g_own = X[i, a]
-                X += other
-                X += lam[a][:, None]
-                if not self.directed:
-                    X[i, a] = g_own + 2.0 * lam[a]
-                X = _sigmoid(X)
-                p_own = X[i, a]
-                X *= self.sizes
-                X[i, a] = self.own_weights[1][a] * p_own
-                r[a] = X.sum(axis=1) - target[a]
-            groups.append((name, r, lam, range(self.k)))
-        for part_i, (part, blocks) in enumerate(zip(self.parts, self.blocks)):
-            if blocks:
-                mult = np.array([part.gammas[i] for i, *_ in blocks])
-                r = np.array([float((w * _sigmoid(self._block_logits(part_i, A, B) + t)).sum())
-                              - target for t, (_, target, A, B, w) in zip(mult, blocks)])
-                groups.append((part, r, mult, [i for i, *_ in blocks]))
-        eps = 1e-9
-        worst_at, worst, waived = None, 0.0, 0.0
-        for label, r, mult, ids in groups:
-            saturated = (((r > 0) & (mult <= -LOGIT_CLAMP + eps))
-                         | ((r < 0) & (mult >= LOGIT_CLAMP - eps)))
-            size = np.abs(r)
-            if saturated.any():
-                waived = max(waived, float(size[saturated].max()))
-                size[saturated] = 0.0
-            j = int(np.argmax(size))
-            if size[j] > worst:
-                worst_at, worst = (label, ids[j]), float(size[j])
-        name = ""
-        if worst_at is not None:
-            label, i = worst_at
-            if isinstance(label, str):
-                name = f"{label} of vertex {self.g.vertex_label(int(self.rep[i]))!r}"
-            else:
-                values = label.bin_values
-                name = f"block ({label.attribute}: {values[i[0]]} x {values[i[1]]})"
-        return name, worst, waived
+        r = self.grad / self.scale
+        saturated = self._saturated()
+        size = np.abs(r)
+        size[self.fixed] = 0.0
+        waived = float(size[saturated].max()) if saturated.any() else 0.0
+        size[saturated] = 0.0
+        i = int(np.argmax(size))
+        if size[i] == 0.0:
+            return "", 0.0, waived
+        if i < self.k * len(self.degree_names):
+            kind, a = divmod(i, self.k)
+            label = self.g.vertex_label(int(self.rep[a]))
+            return f"{self.degree_names[kind]} of vertex {label!r}", float(size[i]), waived
+        part, (b1, b2) = self.blocks[i - self.k * len(self.degree_names)]
+        values = part.bin_values
+        return f"block ({part.attribute}: {values[b1]} x {values[b2]})", float(size[i]), waived
+
+    def model_arrays(self):
+        """The fitted ``(lam_row, lam_col, partitions)``."""
+        x = self.x
+        if self.row_var is None:
+            lam_row = lam_col = np.zeros(self.k)
+        else:
+            lam_row, lam_col = x[self.row_var], x[self.col_var]
+        for part, var in zip(self.parts, self.var):
+            part.gammas = x[var]
+        return lam_row, lam_col, self.parts
 
 
 def _fit_max_ent(g, partitions, with_degrees, tol, max_iter, prior):
@@ -806,29 +899,29 @@ def _fit_max_ent(g, partitions, with_degrees, tol, max_iter, prior):
         raise ValueError("cannot fit a max-entropy prior on a graph with no edges")
     prob = _MaxEntProblem(g, partitions, with_degrees)
     worst_name, worst, waived = prob.residuals()
-    sweeps = 0
+    steps = 0
     while worst > tol:
-        if sweeps >= max_iter:
+        if steps >= max_iter or not prob.newton_step():
             raise FitError(
-                f"no convergence after {max_iter} sweeps; worst constraint: "
+                f"no convergence after {steps} Newton steps; worst constraint: "
                 f"{worst_name} (residual {worst:.3g} > tol {tol:g})")
-        prob.sweep()
-        sweeps += 1
+        steps += 1
         worst_name, worst, waived = prob.residuals()
 
-    pinned = (np.abs(prob.lam_row) >= LOGIT_CLAMP) | (np.abs(prob.lam_col) >= LOGIT_CLAMP)
+    lam_row, lam_col, parts = prob.model_arrays()
+    pinned = (np.abs(lam_row) >= LOGIT_CLAMP) | (np.abs(lam_col) >= LOGIT_CLAMP)
     clamped = [g.vertex_label(int(u)) for u in np.flatnonzero(pinned[prob.cls])]
     if clamped and with_degrees:
         log.warning("multipliers clamped at +/-%g for %d extremal-degree vertex(es): %s",
                     LOGIT_CLAMP, len(clamped), ", ".join(clamped[:5]))
     if waived > tol:
         log.warning("saturated constraints left an irreducible residual of %.3g", waived)
-    info = {"prior": prior, "iterations": sweeps, "max_residual": worst,
+    info = {"prior": prior, "iterations": steps, "max_residual": worst,
             "saturated_residual": waived, "worst_constraint": worst_name,
             "tol": tol, "clamped": clamped, "classes": prob.k}
-    return BackgroundModel(g.n, g.directed, 0.0, prob.cls, prob.lam_row,
-                           prob.lam_col if g.directed else None,
-                           prob.parts, prior=prior, fit_info=info,
+    return BackgroundModel(g.n, g.directed, 0.0, prob.cls, lam_row,
+                           lam_col if g.directed else None,
+                           parts, prior=prior, fit_info=info,
                            graph_fingerprint=g.fingerprint(partitions))
 
 

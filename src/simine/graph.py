@@ -8,7 +8,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -334,6 +334,17 @@ class AttributedGraph:
 # -- file ingestion ----------------------------------------------------------
 
 
+def _row_line(path, options: LoadOptions, index):
+    """The physical line, counted from 1, on which the attribute table's
+    ``index``-th non-blank row (the header is row 0) ends: the ``csv``
+    reader's ``line_num``, which counts blank lines and the line breaks
+    inside quoted fields too."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=options.delimiter)
+        ends = (reader.line_num for row in reader if "".join(row).strip())
+        return next(islice(ends, index, None))
+
+
 def _parse_attr_table(path, options: LoadOptions):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=options.delimiter)
@@ -359,8 +370,8 @@ def _parse_attr_table(path, options: LoadOptions):
 
     bad = next((k for k, row in enumerate(body) if len(row) != len(header)), None)
     if bad is not None:
-        raise GraphFormatError(f"{path}:{bad + 2}: ragged row has {len(body[bad])} fields, "
-                               f"expected {len(header)}")
+        raise GraphFormatError(f"{path}:{_row_line(path, options, bad + 1)}: ragged row has "
+                               f"{len(body[bad])} fields, expected {len(header)}")
     cells = [list(map(str.strip, column)) for column in zip(*body)]
     labels = cells[id_idx]
     # the edge file reads a line starting with "#" as a comment

@@ -14,7 +14,7 @@ from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Descrip
                     EqualsSelector, GraphFormatError, LoadOptions, ScoreConstants, extension,
                     search, update_with_pattern)
 from simine.background import (LOGIT_CLAMP, BackgroundModel, FitError, PartitionGammas,
-                               _classes, _logit, _partition_bins)
+                               _logit, _partition_bins)
 from simine.graph import NOMINAL, NUMERIC
 from simine.scores import _score_masks, pair_counts
 from simine.search import _screen_si
@@ -73,10 +73,12 @@ def random_graph(seed, n=None, p=None, attrs=(("a", 2), ("b", 2), ("c", 2), ("d"
     return AttributedGraph(n, edges, directed=directed, columns=cols)
 
 
-def dense_probabilities(model, rows, cols):
+def dense_probabilities(model, rows, cols, clip=True):
     """Reference edge probabilities for the rows x cols grid (diagonal
     included), built per vertex from the model's raw multipliers, partition
-    bins and update ledger rather than from its class table."""
+    bins and update ledger rather than from its class table.  They are
+    clipped to [1e-12, 1 - 1e-12] as the table's are, unless ``clip`` is
+    False: the fit's constraints are on the sigmoid itself."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     L = (model.offset + model.class_lam_row[model.cls[rows]][:, None]
@@ -90,7 +92,8 @@ def dense_probabilities(model, rows, cols):
         if not model.directed:
             member |= np.isin(rows, upd.cols)[:, None] & np.isin(cols, upd.rows)[None, :]
         L = L + upd.lam * member
-    return np.clip(1.0 / (1.0 + np.exp(-L)), 1e-12, 1.0 - 1e-12)
+    P = 1.0 / (1.0 + np.exp(-L))
+    return np.clip(P, 1e-12, 1.0 - 1e-12) if clip else P
 
 
 def table_probabilities(model, rows, cols):
@@ -618,10 +621,12 @@ def reference_parse_attr_table(path, options):
     """``graph._parse_attr_table`` row by row and cell by cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=options.delimiter)
-        rows = [row for row in reader if row and any(tok.strip() for tok in row)]
+        # each non-blank row with the physical line it ends on
+        rows = [(reader.line_num, row) for row in reader
+                if row and any(tok.strip() for tok in row)]
     if not rows:
         raise GraphFormatError(f"attribute file {path} is empty")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     body = rows[1:]
     if not body:
         raise GraphFormatError(f"attribute file {path} has a header but no rows")
@@ -637,7 +642,7 @@ def reference_parse_attr_table(path, options):
     if not (0 <= id_idx < len(header)):
         raise GraphFormatError(f"id column index {id_idx} out of range")
     cells = [[] for _ in header]
-    for lineno, row in enumerate(body, start=2):
+    for lineno, row in body:
         if len(row) != len(header):
             raise GraphFormatError(
                 f"{path}:{lineno}: ragged row has {len(row)} fields, expected {len(header)}")
@@ -774,6 +779,13 @@ def reference_sigmoid(x):
     return out
 
 
+def reference_classes(columns):
+    """``background._classes`` by ``np.unique`` over the rows of the stacked
+    columns: the distinct rows in lexicographic order, and each vertex's."""
+    keys, cls = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
+    return keys, cls.ravel()
+
+
 def _reference_dual(ell, w, s, target, t):
     return float((w * np.logaddexp(0.0, ell + s * t)).sum()) - target * t
 
@@ -810,7 +822,7 @@ class _ReferenceMaxEnt:
             degrees = [g.out_degrees(), g.in_degrees()]
         else:
             degrees = [g.degrees()]
-        keys, self.cls = _classes(degrees + [p.bins for p in self.parts])
+        keys, self.cls = reference_classes(degrees + [p.bins for p in self.parts])
         self.k = len(keys)
         self.sizes = np.bincount(self.cls, minlength=self.k).astype(np.float64)
         self.rep = np.empty(self.k, dtype=np.int64)
@@ -912,9 +924,10 @@ class _ReferenceMaxEnt:
 
 def reference_fit(g, partitions, with_degrees, tol, max_iter, prior):
     """The degree/block max-ent fit by cyclic coordinate Newton, one
-    constraint at a time: the plainly correct reference for
-    ``background._fit_max_ent`` (without its warnings).  Returns the fitted
-    model or raises ``FitError``."""
+    constraint at a time: a slow, plainly correct reference whose
+    class-pair probabilities ``background._fit_max_ent``'s Newton solve must
+    match within the fit's tolerance.  ``max_iter`` counts its sweeps.
+    Returns the fitted model or raises ``FitError``."""
     prob = _ReferenceMaxEnt(g, partitions, with_degrees)
     worst_name, worst, waived = prob.residuals()
     sweeps = 0

@@ -224,8 +224,8 @@ class TestMine:
             assert again.edges == rec["k_w"]
 
     def test_readme_demo_reports_unchanged(self, tmp_path):
-        # the expected file holds the reports of the per-constraint fit; a
-        # deliberate change to rankings rewrites it from readme_demo_reports
+        # the expected file holds the reports of the Newton fit; a deliberate
+        # change to rankings or SIs rewrites it from readme_demo_reports
         got = readme_demo_reports(tmp_path)
         want = json.loads(README_DEMO.read_text(encoding="utf-8"))
         assert list(got) == list(want)

@@ -67,6 +67,22 @@ class TestLoad:
         with pytest.raises(GraphFormatError, match="ragged"):
             load_graph(e, a)
 
+    @pytest.mark.parametrize("lines, line", [
+        (["id,b", "x,1", "y,0,3"], 3),
+        (["id,b", "", "x,1", "y,0,3"], 4),
+        (["", "id,b", " , ", "x,1", "", "y,0,3"], 6),
+        (["id,b", '"x', 'z",1', "y,0,3"], 4),  # a quoted field over two lines
+        (["id,b", 'x,"1', '2",3'], 3),  # a ragged row ends on its second line
+    ])
+    def test_ragged_row_reports_its_physical_line(self, tmp_path, lines, line):
+        # blank lines and line breaks inside quoted fields count, as the csv
+        # reader's line_num counts them
+        e, a = write_dataset(tmp_path, ["x y"], lines)
+        message = rf"^{re.escape(a)}:{line}: ragged row has 3 fields, expected 2$"
+        for load in (load_graph, reference_load_graph):
+            with pytest.raises(GraphFormatError, match=message):
+                load(e, a)
+
     def test_kind_override_and_missing(self, tmp_path):
         e, a = write_dataset(tmp_path, ["1 2"], ["id,b,x", "1,0,", "2,1,3.5", "3,0,NA"])
         g = load_graph(e, a, LoadOptions(kinds={"b": "nominal"}))
