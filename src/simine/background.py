@@ -371,7 +371,7 @@ class BackgroundModel:
     # seed-41 workloads, ``pair_mass`` takes 3-10x as long, or +18% to +29%
     # of each workload's ``mine_s`` (``scripts/pair_mass_cost.py``, 2-vCPU
     # Xeon).  ``search._mass_rounding`` bounds what the batch may change.
-    def pair_sums_many(self, H_r, H_c, H_o, work=None):
+    def pair_sums_many(self, H_r, H_c, H_o):
         """The screens' ``pair_sums`` of many grids from class histograms
         (int64 counts or floats), one row per grid: ``H_r`` of the rows,
         ``H_c`` of the columns and ``H_o`` of their intersection, as
@@ -382,29 +382,19 @@ class BackgroundModel:
         h_r*h_c - h_o pairs inside one class from its diagonal entry.  All
         terms are non-negative, so nothing cancels.  Without a full table the
         sub-table of the classes present is built in row chunks of at most
-        ``_TABLE_CELLS`` cells.  ``H_o is H_r`` marks rows equal to the
-        column set, whose overlap is the whole grid.
-
-        ``work`` holds four float64 arrays of at least ``H_r.size`` cells
-        that the call may overwrite (by default fresh ones): every
-        grid-sized temporary is written in place on the first, and the float
-        copies of integer histograms on the others, the one of ``H_r``,
-        ``H_c`` and ``H_o`` each.  Each takes the layout numpy gives the
-        expression's fresh array (``_shaped_like``), so each BLAS product
-        and sum reads the operands and layouts it reads on fresh arrays, and
-        the result is the same bit for bit whatever ``work`` held.
+        ``_TABLE_CELLS`` cells.  Integer counts are cast to float64, and a
+        histogram passed twice (the single screen's ``(H, H, H)``) is cast
+        once.  ``H_o is H_r`` marks rows equal to the column set, whose
+        overlap is the whole grid.
         """
-        work = [None] * 4 if work is None else work
-        front = np.empty(H_r.size) if work[0] is None else work[0].reshape(-1)[:H_r.size]
         same_c, same_o = H_c is H_r, H_o is H_r
-        H_r = _float_copy(H_r, work[1])
-        H_c = H_r if same_c else _float_copy(H_c, work[2])
-        H_o = H_r if same_o else _float_copy(H_o, work[3])
+        H_r = H_r.astype(np.float64, copy=False)
+        H_c = H_r if same_c else H_c.astype(np.float64, copy=False)
+        H_o = H_r if same_o else H_o.astype(np.float64, copy=False)
         if self._P_off is not None:
             diag = self._P_diag
-            T = front.reshape(H_r.shape)  # a product with the table is C-ordered
-            np.matmul(H_r, self._P_off, out=T)  # each row's mass towards each column class
-            np.multiply(H_c, T, out=T)
+            ic = slice(None)
+            to_cols = H_r @ self._P_off  # each row's mass towards each column class
         else:
             ic = _present(H_c)
             diag = np.zeros(self.n_classes)
@@ -412,27 +402,16 @@ class BackgroundModel:
             for a, P, dc, dp in self._sub_tables(_present(H_r), ic):
                 diag[dc] = dp
                 to_cols += H_r[:, a] @ P
-            T = H_c[:, ic] * to_cols
-        ordered = T.sum(axis=-1)
-        T = _shaped_like(front, H_c, H_r, H_o)
-        np.multiply(H_c, H_r, out=T)
-        np.subtract(T, H_o, out=T)
-        ordered += T @ diag
+        ordered = (H_c[:, ic] * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ diag
         if self.directed or H_o is H_r:  # no overlap mass, or the overlap is the whole grid
             return ordered, ordered * 0.0 if self.directed else ordered
-        T = _shaped_like(front, H_o)
-        np.multiply(H_o, H_o, out=T)
-        np.subtract(T, H_o, out=T)
-        overlap = T @ diag
+        overlap = (H_o * H_o - H_o) @ diag
         if self._P_off is not None:
-            T = front.reshape(H_o.shape)
-            np.matmul(H_o, self._P_off, out=T)
-            np.multiply(T, H_o, out=T)
-            overlap += T.sum(axis=-1)
-        else:  # the intersections' classes are among the rows' and the columns'
-            io = _present(H_o)
-            for a, P, _, _ in self._sub_tables(io, io):
-                overlap += ((H_o[:, a] @ P) * H_o[:, io]).sum(axis=-1)
+            return ordered, overlap + ((H_o @ self._P_off) * H_o).sum(axis=-1)
+        # the intersections' classes are among the rows' and the columns'
+        io = _present(H_o)
+        for a, P, _, _ in self._sub_tables(io, io):
+            overlap += ((H_o[:, a] @ P) * H_o[:, io]).sum(axis=-1)
         return ordered, overlap
 
     def copy_with_update(self, upd: PatternUpdate) -> "BackgroundModel":
@@ -524,32 +503,6 @@ class BackgroundModel:
     def load(cls, path) -> "BackgroundModel":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _float_copy(H, space):
-    """The class histograms ``H`` as float64: ``H`` itself when it is, else
-    a copy of its counts, fresh (``H.astype``) when ``space`` is None, else
-    on the front of ``space`` in the fresh copy's layout."""
-    if H.dtype == np.float64:
-        return H
-    if space is None:
-        return H.astype(np.float64)
-    out = _shaped_like(space.reshape(-1)[:H.size], H)
-    np.copyto(out, H)
-    return out
-
-
-def _shaped_like(front, *like):
-    """The flat array ``front`` as an array of the shape of the same-shaped
-    contiguous arrays ``like``, in the order numpy lays out an elementwise
-    result of them: Fortran order when each is Fortran- and not
-    C-contiguous, else C order.  A BLAS product or a sum takes its path by
-    the layout it reads, so a temporary in another layout may round
-    otherwise."""
-    shape = like[0].shape
-    if all(a.flags.f_contiguous and not a.flags.c_contiguous for a in like):
-        return front.reshape(shape[::-1]).T
-    return front.reshape(shape)
 
 
 def _present(H):

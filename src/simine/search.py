@@ -527,19 +527,6 @@ class _BiScreen:
         # budget keeps small graphs' peak flat
         self.w1_step = max(1, self.floats // (2 * g.n))
         self.rho = _mass_rounding(self.model)
-        self._work = {}  # name -> the search's buffer of one block temporary
-
-    def _buffer(self, name, shape, dtype):
-        """A C-ordered array of ``shape`` on the front of the search's buffer
-        ``name``: half the ``floats`` budget, or more for a block of one
-        pair wider than that.  Every block reuses it, so its pages are
-        mapped once per search, not handed back to the system and faulted in
-        again block by block; a block writes every cell it reads."""
-        cells = math.prod(shape)
-        buf = self._work.get(name)
-        if buf is None or buf.size < cells:
-            buf = self._work[name] = np.empty(max(cells, self.floats // 2), dtype)
-        return buf[:cells].reshape(shape)
 
     def w1_rows(self, rows):
         """The screen's view of a chunk of at most ``w1_step`` W1s with
@@ -601,9 +588,6 @@ class _BiScreen:
         # arrays K wide at once, so a block takes half the budget
         cells = max(w1[1][0].size, w2[0].shape[1], self.model.n_classes + 1)
         step = max(1, self.floats // (2 * cells))
-        if self.directed:  # blocks read the members only, gathered from one copy
-            w1, w2 = ((np.ascontiguousarray(w[0][:, :self.refiner.words]),) + w[1:]
-                      for w in (w1, w2))
         for lo in range(0, len(pi), step):
             sel = slice(lo, lo + step)
             for column, values in zip(out, self._block(w1, w2, pi[sel], pj[sel],
@@ -621,30 +605,22 @@ class _BiScreen:
         return self.refiner.class_counts(over)
 
     def _block(self, w1, w2, i, j, lengths):
-        """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block,
-        its temporaries gathered, cast and computed in the search's buffers."""
+        """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block."""
         R1, P1, H1, a = w1
         R2, H2, b = w2
-        words, p = self.refiner.words, i.size
-        # W1 & W2: its members, and on undirected graphs its inner edges;
-        # take's "clip" mode writes straight into ``out`` ("raise" buffers)
-        B2 = np.take(R2, j, axis=0, mode="clip",
-                     out=self._buffer("w2", (p, R2.shape[1]), R2.dtype))
-        over = np.take(R1, i, axis=0, mode="clip",
-                       out=self._buffer("over", (p, R1.shape[1]), R1.dtype))
+        words = self.refiner.words
+        # W1 & W2: its members, and on undirected graphs its inner edges
+        width = words if self.directed else R1.shape[1]
+        B2 = R2[j, :width]
+        over = R1[i, :width]
         over &= B2
         H_o = self.refiner.class_counts(over)
         o = H_o.sum(axis=1)
         a, b = a[i], b[j]
-        h1 = np.take(H1, i, axis=0, mode="clip", out=self._buffer("h1", H_o.shape, H1.dtype))
-        h2 = np.take(H2, j, axis=0, mode="clip", out=self._buffer("h2", H_o.shape, H2.dtype))
-        ordered, overlap = self.model.pair_sums_many(
-            h1, h2, H_o, work=[self._buffer(name, H_o.shape, np.float64)
-                               for name in ("mass", "f1", "f2", "fo")])
+        ordered, overlap = self.model.pair_sums_many(H1[i], H2[j], H_o)
         # edge orientations (u in W1, v in W2), ordered edges when directed;
         # an undirected edge inside W1 and W2 has both orientations counted
-        X = np.take(P1, i, axis=0, mode="clip",
-                    out=self._buffer("planes", (p,) + P1.shape[1:], P1.dtype))
+        X = P1[i]
         X &= B2[:, None, :words]
         weights = np.left_shift(1, np.arange(X.shape[1], dtype=np.int64))
         orient = np.bitwise_count(X).sum(axis=-1, dtype=np.int64) @ weights

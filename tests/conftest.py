@@ -16,8 +16,7 @@ from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Descrip
 from simine.background import (LOGIT_CLAMP, BackgroundModel, FitError, PartitionGammas,
                                _logit, _partition_bins)
 from simine.graph import NOMINAL, NUMERIC
-from simine.scores import _score_masks, pair_counts
-from simine.search import _screen_si
+from simine.scores import _score_masks
 
 # 11-vertex example: one numeric attribute plus three binary ones.  The edge
 # set is an arbitrary 18-edge layout; tests only rely on the attribute table.
@@ -722,50 +721,6 @@ def reference_load_graph(edge_path, attr_path, options=None):
     e0, e1 = reference_edge_arrays(len(labels), edges, options.directed)
     return AttributedGraph(len(labels), np.stack([e0, e1], axis=1),
                            directed=options.directed, columns=columns, labels=labels)
-
-
-def reference_pair_sums_many(model, H_r, H_c, H_o):
-    """``BackgroundModel.pair_sums_many`` with the full class table, each
-    step a fresh array."""
-    to_cols = H_r @ model._P_off
-    ordered = (H_c * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ model._P_diag
-    if model.directed or H_o is H_r:
-        return ordered, ordered * 0.0 if model.directed else ordered
-    overlap = (H_o * H_o - H_o) @ model._P_diag
-    return ordered, overlap + ((H_o @ model._P_off) * H_o).sum(axis=-1)
-
-
-def reference_block(screen, w1, w2, i, j, lengths):
-    """``search._BiScreen._block`` with every temporary a fresh array, and
-    the mass by ``reference_pair_sums_many`` (by ``pair_sums_many`` without
-    a full class table)."""
-    R1, P1, H1, a = w1
-    R2, H2, b = w2
-    words = screen.refiner.words
-    width = words if screen.directed else R1.shape[1]
-    B2 = R2[j, :width]
-    over = R1[i, :width]
-    over &= B2
-    H_o = screen.refiner.class_counts(over)
-    o = H_o.sum(axis=1)
-    a, b = a[i], b[j]
-    mass = (reference_pair_sums_many if screen.model._P_off is not None
-            else type(screen.model).pair_sums_many)
-    ordered, overlap = mass(screen.model, *(h.astype(np.float64) for h in (H1[i], H2[j], H_o)))
-    X = P1[i]
-    X &= B2[:, None, :words]
-    weights = np.left_shift(1, np.arange(X.shape[1], dtype=np.int64))
-    orient = np.bitwise_count(X).sum(axis=-1, dtype=np.int64) @ weights
-    inside = np.zeros_like(o) if screen.directed else screen.refiner.edges_inside(over)
-    edges = orient - inside
-    n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered, overlap,
-                                        screen.conv, screen.directed)
-    valid = slots > 0
-    if screen.require_disjoint:
-        valid &= o == 0
-    si, bound = _screen_si(n_w, k_w, mass, screen.c.alpha * lengths + screen.c.beta,
-                           screen.rho, valid)
-    return si, bound, edges, inside
 
 
 def reference_sigmoid(x):

@@ -78,10 +78,14 @@ def test_counts_match_enumeration(seed, n, directed, counting, relation):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(), small_table=st.booleans(),
-       updates=st.integers(0, 2))
-def test_one_row_mass_matches_batched_row(seed, directed, small_table, updates):
+       updates=st.integers(0, 2),
+       layouts=st.lists(st.sampled_from("CF"), min_size=3, max_size=3),
+       counts=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_one_row_mass_matches_batched_row(seed, directed, small_table, updates, layouts, counts):
     # a table budget of 3 cells leaves any model with K > 1 without a class
-    # table, so the sums come from sub-tables built one class row at a time
+    # table, so the sums come from sub-tables built one class row at a time;
+    # the screens pass int64 counts, in C or Fortran order, and the single
+    # screen one array as all three histograms
     with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 30))
@@ -107,6 +111,16 @@ def test_one_row_mass_matches_batched_row(seed, directed, small_table, updates):
         H_r = np.tile(h_r, (len(cols), 1))
         ordered, overlap = model.pair_sums_many(H_r, H_c, H_o)
         exact = model.pair_mass(H_r, H_c, H_o)
+        H = [np.array(h, np.int64 if c else np.float64, order=o)
+             for h, c, o in zip((H_r, H_c, H_o), counts, layouts)]
+        before = [h.copy() for h in H]
+        got = model.pair_sums_many(*H)
+        if layouts == ["C"] * 3:  # counts are cast to the floats' bits
+            assert [x.tobytes() for x in got] == [ordered.tobytes(), overlap.tobytes()]
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
+        single = model.pair_sums_many(H[1], H[1], H[1])
+        np.testing.assert_allclose(single, model.pair_mass(H_c, H_c, H_c), rtol=1e-12, atol=0)
+        assert all(np.array_equal(h, b) for h, b in zip(H, before))
         # one row set per column set, paired with it: the rows of each pair
         # are the next column set
         H_n = np.roll(H_c, -1, axis=0)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from simine import (FitError, ScoreConstants, SearchConfig, SelectorConfig, background,
                     beam_search_single, extension, fit_degree_prior, generate_selectors,
-                    iterate, nested_beam_search, search, update_with_pattern)
+                    iterate, search, update_with_pattern)
 from simine.scores import _score_masks
 from simine.search import _BiScreen, _Refiner, _SingleScreen
 
-from conftest import (random_graph, reference_beam_search_single, reference_block,
-                      reference_iterate, reference_pair_sums_many, rendered, screen_pairs)
+from conftest import (random_graph, reference_beam_search_single, reference_iterate, rendered,
+                      screen_pairs)
 
 
 def _levels(g, model, sels, min_size):
@@ -175,113 +175,3 @@ def test_single_screen_matches_score_single_and_reference(seed, n, directed, cou
         want = reference_beam_search_single(g, model, sels, cfg)
         assert rendered(got) == rendered(want)
         _assert_extensions(g, got)
-
-
-def _poisoned(block):
-    """``block`` run after every buffer of the screen's workspace is filled
-    with all-ones bytes (NaN floats, -1 integers), so a cell a block reads
-    but did not write shows."""
-    def run(screen, *args):
-        for buf in screen._work.values():
-            buf.view(np.uint8).fill(0xFF)
-        return block(screen, *args)
-    return run
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 100_000), n=st.integers(12, 40), directed=st.booleans(),
-       counting=st.sampled_from(["auto", "ordered", "unordered"]), disjoint=st.booleans(),
-       table_cells=st.sampled_from([None, 1, 12]), screen_cells=st.sampled_from([1, 64, 4096]),
-       x1=st.integers(1, 4), x2=st.integers(1, 4), depth=st.integers(1, 3),
-       rounds=st.integers(1, 3))
-def test_screen_workspace_matches_fresh_allocation(seed, n, directed, counting, disjoint,
-                                                   table_cells, screen_cells, x1, x2, depth,
-                                                   rounds):
-    """``_BiScreen.scores``, whose blocks gather, cast and compute in the
-    search's reused buffers, returns the ``si``, ``bound``, ``edges`` and
-    ``inside`` of the fresh-allocation reference block, bit for bit, in
-    every screen call of ``iterate``: blocks of different pair counts share
-    the buffers within a search (a small ``_SCREEN_CELLS``), K grows between
-    rounds, the model may lack a full class table (a small ``_TABLE_CELLS``),
-    and every buffer holds garbage when a block starts."""
-    cells = background._TABLE_CELLS if table_cells is None else table_cells
-    scores = _BiScreen.scores
-    calls = []
-
-    def checked(screen, w1, w2, pi, pj, lengths):
-        got = scores(screen, w1, w2, pi, pj, lengths)
-        with patch.object(_BiScreen, "_block", reference_block):
-            want = scores(screen, w1, w2, pi, pj, lengths)
-        for x, y in zip(got, want):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        calls.append(screen.model.n_classes)
-        return got
-
-    with patch.object(background, "_TABLE_CELLS", cells), \
-            patch.object(search, "_SCREEN_CELLS", screen_cells), \
-            patch.object(_BiScreen, "scores", checked), \
-            patch.object(_BiScreen, "_block", _poisoned(_BiScreen._block)):
-        g = random_graph(seed, n=n, attrs=(("a", 2), ("b", 3), ("c", 2)),
-                         directed=directed, numeric=("x",))
-        try:
-            model = fit_degree_prior(g)
-        except FitError:
-            assume(False)
-        sels = generate_selectors(g, SelectorConfig(numeric_bins=3))
-        cfg = SearchConfig(x1=x1, x2=x2, depth=depth, require_disjoint_extensions=disjoint,
-                           constants=ScoreConstants(pair_counting=counting))
-        iterate(g, model, sels, cfg, rounds=rounds)
-    assert calls
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 100_000), n=st.integers(6, 30), directed=st.booleans(),
-       rows=st.integers(1, 12), layouts=st.lists(st.sampled_from("CF"), min_size=3, max_size=3),
-       counts=st.lists(st.booleans(), min_size=3, max_size=3), same=st.booleans(),
-       work=st.booleans())
-def test_pair_sums_many_in_place_matches_expressions(seed, n, directed, rows, layouts, counts,
-                                                     same, work):
-    """``pair_sums_many``, its float copies and temporaries written in place
-    on ``work`` or on fresh arrays, gives the reference's fresh-array
-    expressions on the histograms cast by ``astype`` bit for bit, whatever
-    the histograms' layouts (the screens pass C- and Fortran-ordered ones),
-    int64 counts or floats, and with the single screen's ``(H, H, H)``."""
-    g = random_graph(seed, n=n, directed=directed)
-    try:
-        model = fit_degree_prior(g)
-    except FitError:
-        assume(False)
-    rng = np.random.default_rng(seed)
-    H = [np.array(rng.integers(0, 4, size=(rows, model.n_classes)),
-                  np.int64 if as_counts else np.float64, order=o)
-         for o, as_counts in zip(layouts, counts)]
-    if same:
-        H = [H[0]] * 3
-    before = [h.copy() for h in H]
-    space = [np.full(H[0].size + 3, np.nan) for _ in range(4)] if work else None
-    got = model.pair_sums_many(*H, work=space)
-    floats = {id(h): h.astype(np.float64) for h in H}
-    want = reference_pair_sums_many(model, *(floats[id(h)] for h in H))
-    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-    assert all(np.array_equal(h, b) for h, b in zip(H, before))
-
-
-def test_screen_blocks_reuse_one_set_of_buffers_per_search():
-    """With a small screen budget one search screens many blocks of
-    different pair counts, and all of them use the same buffers."""
-    block, seen = _BiScreen._block, []
-
-    def spy(screen, w1, w2, i, j, lengths):
-        out = block(screen, w1, w2, i, j, lengths)
-        seen.append((screen, dict(screen._work), i.size))
-        return out
-
-    with patch.object(search, "_SCREEN_CELLS", 1), patch.object(_BiScreen, "_block", spy):
-        g = random_graph(7, n=40, attrs=(("a", 2), ("b", 3), ("c", 2)), numeric=("x",))
-        nested_beam_search(g, fit_degree_prior(g), generate_selectors(g),
-                           SearchConfig(x1=3, x2=3))
-    assert len({screen for screen, _, _ in seen}) == 1
-    assert len({pairs for _, _, pairs in seen}) > 1
-    first = seen[0][1]
-    assert first and all(work.keys() == first.keys()
-                         and all(work[k] is first[k] for k in first) for _, work, _ in seen)
