@@ -138,6 +138,36 @@ def test_one_row_mass_matches_batched_row(seed, directed, small_table, updates, 
             np.testing.assert_allclose(got, (paired[0][i], paired[1][i]), rtol=1e-12, atol=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(), small_table=st.booleans(),
+       rows=st.integers(1, 12))
+def test_pair_sums_many_casts_a_shared_histogram_once(seed, directed, small_table, rows):
+    """The single screen's ``(H, H, H)`` of int64 counts gives the bits of
+    the same call on one float array, and its ``H_o is H_r`` shortcut (the
+    overlap is the whole grid) the sums of three separate equal arrays."""
+    with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
+        g = random_graph(seed, n=int(np.random.default_rng(seed).integers(6, 30)),
+                         directed=directed)
+        try:
+            model = fit_degree_prior(g)
+        except FitError:
+            assume(False)
+        H = np.random.default_rng(seed).integers(0, 4, size=(rows, model.n_classes))
+        before = H.copy()
+        got = model.pair_sums_many(H, H, H)
+        F = H.astype(np.float64)
+        want = model.pair_sums_many(F, F, F)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        np.testing.assert_array_equal(H, before)
+        if directed:
+            np.testing.assert_array_equal(got[1], np.zeros(rows))
+        else:
+            assert got[0].tobytes() == got[1].tobytes()
+        separate = model.pair_sums_many(F, F.copy(), F.copy())
+        np.testing.assert_allclose(got, separate, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, model.pair_mass(F, F, F), rtol=1e-12, atol=0)
+
+
 def _bits(pat):
     """Every field of a pattern, floats by their bits."""
     return {f: (v.hex() if isinstance(v, float) else

@@ -5,12 +5,13 @@ reference searches in ``conftest``."""
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simine import (FitError, ScoreConstants, SearchConfig, SelectorConfig, background,
                     beam_search_single, extension, fit_degree_prior, generate_selectors,
-                    iterate, search, update_with_pattern)
+                    iterate, nested_beam_search, search, update_with_pattern)
 from simine.scores import _score_masks
 from simine.search import _BiScreen, _Refiner, _SingleScreen
 
@@ -175,3 +176,26 @@ def test_single_screen_matches_score_single_and_reference(seed, n, directed, cou
         want = reference_beam_search_single(g, model, sels, cfg)
         assert rendered(got) == rendered(want)
         _assert_extensions(g, got)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_screen_blocks_leave_the_levels_unchanged(directed):
+    """A block ANDs and counts the rows it gathers from the chunk's and the
+    level's arrays in place; with a small screen budget one search screens
+    many blocks, and none of them writes to the arrays it read."""
+    block, seen = _BiScreen._block, []
+
+    def checked(screen, w1, w2, i, j, lengths):
+        before = [x.copy() for x in (*w1, *w2)]
+        out = block(screen, w1, w2, i, j, lengths)
+        for x, y in zip((*w1, *w2), before):
+            np.testing.assert_array_equal(x, y)
+        seen.append(i.size)
+        return out
+
+    with patch.object(search, "_SCREEN_CELLS", 1), patch.object(_BiScreen, "_block", checked):
+        g = random_graph(7, n=40, attrs=(("a", 2), ("b", 3), ("c", 2)), directed=directed,
+                         numeric=("x",))
+        nested_beam_search(g, fit_degree_prior(g), generate_selectors(g),
+                           SearchConfig(x1=3, x2=3))
+    assert len(set(seen)) > 1
