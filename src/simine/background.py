@@ -38,7 +38,9 @@ classes:
 * pair sums are weighted sums of the table over the class histograms of the
   two vertex sets (O(|R| + |C| + K_R * K_C)), for a batch of grids at once:
   exact, whatever the batch (``pair_mass``, with ``pair_sums`` as its
-  one-grid case), or through BLAS for the screens (``pair_sums_many``);
+  one-grid case), or through BLAS for the screens: ``self_mass`` of sets
+  paired with themselves, and ``row_mass``, one O(K^2) mass row per set,
+  whose dot product with another set's histogram is a grid's mass in O(K);
 * a pattern multiplier comes from bisection over the clamp range on the
   monotone calibration residual over class-pair weights; the updated model
   splits classes by membership in the pattern's rows and columns.
@@ -196,6 +198,8 @@ class BackgroundModel:
     graph the model was fitted on, over its partition attributes (None when
     unknown).  ``update_with_pattern`` returns a new model; probability reads
     are safe for concurrent use.
+    Expected masses come from class histograms: ``pair_mass`` is exact and
+    batch-invariant, ``self_mass`` and ``row_mass`` serve the screens.
     """
 
     def __init__(self, n, directed, offset=0.0, cls=None, lam_row=None, lam_col=None,
@@ -307,14 +311,16 @@ class BackgroundModel:
         return float(ordered[0]), float(overlap[0])
 
     def pair_mass(self, H_r, H_c, H_o):
-        """Exact ``pair_sums`` of many grids, one row each (or 1-D for one),
-        as in ``pair_sums_many``.  A grid's sums are bit for bit the same
-        whatever else is in the batch and wherever it sits: they add its own
-        terms, copied in C order, in a fixed order (``einsum`` and sums over
-        the last axis, or without a full table ``pair_sums_many`` on the grid
-        alone), never through a BLAS product over the batch.  A set paired
-        with itself takes the same steps as any other grid, and undirected
-        grids are put in a canonical order first, so mirrored grids tie.
+        """Exact ``pair_sums`` of many grids from class histograms, one row
+        each (or 1-D for one): ``H_r`` of the rows, ``H_c`` of the columns
+        and ``H_o`` of their intersection.  A grid's sums are bit for bit
+        the same whatever else is in the batch and wherever it sits: they
+        add its own terms, copied in C order, in a fixed order (``einsum``
+        and sums over the last axis, or without a full table ``_grid_mass``
+        on the grid alone), never through a BLAS product over the batch.  A
+        set paired with itself takes the same steps as any other grid, and
+        undirected grids are put in a canonical order first, so mirrored
+        grids tie.
         """
         H_r, H_c, H_o = (np.array(h, np.float64, order="C", ndmin=2) for h in (H_r, H_c, H_o))
         if not self.directed:
@@ -324,7 +330,10 @@ class BackgroundModel:
         if self._P_off is None:
             out = np.zeros((2, len(H_r)))
             for i in range(len(H_r)):
-                out[:, i] = np.ravel(self.pair_sums_many(H_r[i:i + 1], H_c[i:i + 1], H_o[i:i + 1]))
+                r, c, o = H_r[i:i + 1], H_c[i:i + 1], H_o[i:i + 1]
+                out[0, i] = self._grid_mass(r, c, o)[0]
+                if not self.directed:
+                    out[1, i] = self.self_mass(o)[0]
             return out[0], out[1]
         # h @ P_off of the rows and, on undirected models, of the intersections
         T = [np.einsum("ia,ab->ib", h, self._P_off) for h in (H_r, H_o)[:2 - self.directed]]
@@ -365,54 +374,46 @@ class BackgroundModel:
         order = np.argsort(self.cls, kind="stable")
         return order, np.searchsorted(self.cls[order], np.arange(self.n_classes))
 
-    # Both mass paths stay.  Reports need ``pair_mass``, whose rows do not
-    # depend on the batch around them; the screens need this BLAS path's
-    # speed.  On the batches the screens pass here in the benchmark's
-    # seed-41 workloads, ``pair_mass`` takes 3-10x as long, or +18% to +29%
-    # of each workload's ``mine_s`` (``scripts/pair_mass_cost.py``, 2-vCPU
-    # Xeon).  ``search._mass_rounding`` bounds what the batch may change.
-    def pair_sums_many(self, H_r, H_c, H_o):
-        """The screens' ``pair_sums`` of many grids from class histograms
-        (int64 counts or floats), one row per grid: ``H_r`` of the rows,
-        ``H_c`` of the columns and ``H_o`` of their intersection, as
-        ``(ordered_sum, overlap_sum)`` arrays.  Its BLAS products may round a
-        grid differently with the batch around it; ``pair_mass`` does not.
-
-        Pairs between distinct classes come from the off-diagonal table; the
-        h_r*h_c - h_o pairs inside one class from its diagonal entry.  All
-        terms are non-negative, so nothing cancels.  Without a full table the
-        sub-table of the classes present is built in row chunks of at most
-        ``_TABLE_CELLS`` cells.  Integer counts are cast to float64, and a
-        histogram passed twice (the single screen's ``(H, H, H)``) is cast
-        once.  ``H_o is H_r`` marks rows equal to the column set, whose
-        overlap is the whole grid.
-        """
-        same_c, same_o = H_c is H_r, H_o is H_r
-        H_r = H_r.astype(np.float64, copy=False)
-        H_c = H_r if same_c else H_c.astype(np.float64, copy=False)
-        H_o = H_r if same_o else H_o.astype(np.float64, copy=False)
+    def row_mass(self, H):
+        """The nested screen's mass rows of the sets of class histograms
+        ``H`` (int64 or float, one row each): ``(T, d)``, ``T = H P`` over
+        the class table P with its diagonal, and ``d`` that diagonal on the
+        classes in ``H`` (0 elsewhere).  Set i by a set of histogram ``h``
+        sharing ``h_o`` with it has ordered mass ``T[i] . h - h_o . d``.
+        Without a full table, P's rows come in ``_sub_tables`` chunks."""
+        H = H.astype(np.float64, copy=False)
         if self._P_off is not None:
-            diag = self._P_diag
-            ic = slice(None)
-            to_cols = H_r @ self._P_off  # each row's mass towards each column class
+            d, T = self._P_diag, H @ self._P_off
+        else:
+            d, T = np.zeros(self.n_classes), np.zeros(H.shape)
+            for a, P, dc, dp in self._sub_tables(_present(H), np.arange(self.n_classes)):
+                d[dc] = dp
+                T += H[:, a] @ P
+        T += H * d
+        return T, d
+
+    def self_mass(self, H):
+        """The screens' mass of the ordered pairs u != v inside each set of
+        class histogram ``H`` (int64 or float, one row each), through BLAS
+        products that may round a set differently with the batch around it."""
+        H = H.astype(np.float64, copy=False)
+        return self._grid_mass(H, H, H)
+
+    def _grid_mass(self, H_r, H_c, H_o):
+        """The ordered mass of float grids (``pair_mass``'s histograms, one
+        row each): pairs between distinct classes from the off-diagonal
+        table, the h_r*h_c - h_o pairs inside one class from its diagonal
+        entry, so nothing cancels.  Without a full table, the sub-table of
+        the classes present comes in ``_sub_tables`` chunks."""
+        if self._P_off is not None:
+            diag, ic, to_cols = self._P_diag, slice(None), H_r @ self._P_off
         else:
             ic = _present(H_c)
-            diag = np.zeros(self.n_classes)
-            to_cols = np.zeros((len(H_r), ic.size))
+            diag, to_cols = np.zeros(self.n_classes), np.zeros((len(H_r), ic.size))
             for a, P, dc, dp in self._sub_tables(_present(H_r), ic):
                 diag[dc] = dp
                 to_cols += H_r[:, a] @ P
-        ordered = (H_c[:, ic] * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ diag
-        if self.directed or H_o is H_r:  # no overlap mass, or the overlap is the whole grid
-            return ordered, ordered * 0.0 if self.directed else ordered
-        overlap = (H_o * H_o - H_o) @ diag
-        if self._P_off is not None:
-            return ordered, overlap + ((H_o @ self._P_off) * H_o).sum(axis=-1)
-        # the intersections' classes are among the rows' and the columns'
-        io = _present(H_o)
-        for a, P, _, _ in self._sub_tables(io, io):
-            overlap += ((H_o[:, a] @ P) * H_o[:, io]).sum(axis=-1)
-        return ordered, overlap
+        return (H_c[:, ic] * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ diag
 
     def copy_with_update(self, upd: PatternUpdate) -> "BackgroundModel":
         """The model plus one absorbed pattern; classes split by membership in

@@ -417,9 +417,12 @@ def _single_engine(refiner, screen, cfg, scorer, value):
 
 
 def _mass_rounding(model):
-    """Relative rounding of a screen's expected mass: the screen and
-    ``pair_sums`` each sum O(K) non-negative terms per dot product, in
-    different orders."""
+    """Relative rounding of a screen's expected mass: the screens and
+    ``pair_mass`` sum O(K) non-negative terms per dot product, in different
+    orders, and the nested screen's product of a W1's mass row and a W2's
+    histogram nests two such sums (about 2K eps).  ``_BiScreen._block``
+    scales it by that product over the mass left once the overlap's
+    self-pairs are taken off."""
     return 8.0 * (model.n_classes + 8) * np.finfo(np.float64).eps
 
 
@@ -458,11 +461,11 @@ def _contenders(si, bound, beam, kept, kept_beam, width):
 class _SingleScreen:
     """Screening scores of single-subgroup candidates, a level in one call.
 
-    The class histograms of the candidates' rows (``_Refiner.class_counts``),
-    each paired with itself, give the expected mass through
-    ``pair_sums_many``, and ``pair_counts`` the rest.  The exact core takes
-    the same histograms and edge counts; its SI differs only by the rounding
-    of the mass, and ``scores`` returns a bound on that difference with it.
+    The class histograms of the candidates' rows (``_Refiner.class_counts``)
+    give the expected mass through ``self_mass``, and ``pair_counts`` the
+    rest.  The exact core takes the same histograms and edge counts; its SI
+    differs only by the rounding of the mass, and ``scores`` returns a bound
+    on that difference with it.
     """
 
     def __init__(self, g, refiner, c):
@@ -475,9 +478,10 @@ class _SingleScreen:
         """``(si, bound)`` per set of class histogram ``hists[i]``, of size
         ``sizes[i]`` with ``edges[i]`` edges inside, described by ``length``
         selectors."""
-        ordered, overlap = self.model.pair_sums_many(hists, hists, hists)
+        ordered = self.model.self_mass(hists)
         n_w, k_w, mass, slots = pair_counts(sizes, sizes, sizes, edges, edges, ordered,
-                                            overlap, self.conv, self.directed)
+                                            0.0 if self.directed else ordered, self.conv,
+                                            self.directed)
         return _screen_si(n_w, k_w, mass, self.c.alpha * length + self.c.beta, self.rho,
                           slots > 0)
 
@@ -489,15 +493,20 @@ class _BiScreen:
     """Screening scores of (W1, W2) pairs: the pairs of one inner-search
     level of a chunk of W1s, in one call.
 
-    It reads the refiner's rows as they are.  Per pair, the popcounts of
-    W1 & W2 give the overlap's class histogram and, on undirected graphs,
-    the edges inside the overlap; those of W2's members and the bit planes
-    of W1's neighbour counts, packed once per chunk in class order, give the
-    edge orientations, sum_b 2^b popcount(plane_b & W2).  All are exact
-    integers.  ``pair_sums_many`` gives the expected mass and
-    ``pair_counts`` the rest.  The exact core takes the same counts; its SI
-    differs only by the rounding of the mass, and ``scores`` returns a bound
-    on that difference with it.
+    It reads the refiner's rows as they are.  Per pair, the popcount of the
+    members of W1 & W2 gives the overlap's size o, and only where o > 0 its
+    class histogram and, on undirected graphs, its inner edges; those of
+    W2's members and the bit planes of W1's neighbour counts, packed once
+    per chunk in class order, give the edge orientations, sum_b 2^b
+    popcount(plane_b & W2).  All are exact integers.  The expected mass
+    takes O(K^2) work per W1 and none K wide for a pair with o = 0: each
+    W1's mass row ``T1 = H1 P`` (``row_mass``) comes once per chunk, one
+    product of them with a level's W2 histograms gives each pair's
+    ``T1 . H2``, and the overlap's ``H_o . diag`` and inner mass
+    (``self_mass``) are taken off where o > 0.  ``pair_counts`` gives the
+    rest.  The exact core takes the same counts; its SI differs only by the
+    rounding of the mass, and ``scores`` returns a bound on that difference
+    with it.
 
     The neighbour counts come from the W1s' members' adjacency, in
     O(vol(W1)): one ``bincount`` of their neighbours' class positions per
@@ -533,7 +542,9 @@ class _BiScreen:
         refiner rows ``rows``: the rows, the bit planes of each W1's
         neighbour counts in class order (in-neighbours in the W1 when
         directed: the W1's members' out-neighbours, counted), its class
-        histogram (int64) and its size.  Returns ``(rows, planes, H, sizes)``."""
+        histogram (int64), its size, and its mass row with the class table's
+        diagonal (``BackgroundModel.row_mass``).  Returns
+        ``(rows, planes, H, sizes, T, diag)``."""
         bits = self.refiner.unpack(rows)
         n, words = self.refiner.n, self.refiner.words
         D = np.zeros(bits.shape, dtype=np.int64)
@@ -572,7 +583,7 @@ class _BiScreen:
         for b in range(planes.shape[1]):
             planes[:, b] = _pack(D & (1 << b) != 0, words)
         H = self.refiner.class_counts(rows)
-        return rows, planes, H, H.sum(axis=1)
+        return (rows, planes, H, H.sum(axis=1), *self.model.row_mass(H))
 
     def scores(self, w1, w2, pi, pj, lengths):
         """``(si, bound, edges, inside)`` per pair of W1 ``pi[i]`` of the
@@ -582,6 +593,7 @@ class _BiScreen:
         ``si`` is -inf where the pair has no pair u != v or breaks
         disjointness; ``edges`` and ``inside`` are the counts of ``score_bi``.
         The pairs go in blocks whose arrays hold at most ``floats`` cells."""
+        gross = self._products(w1[4], w2[1], pi, pj)
         out = (np.empty(len(pi)), np.empty(len(pi)),
                np.empty(len(pi), dtype=np.int64), np.empty(len(pi), dtype=np.int64))
         # cells per pair of a block's widest array; the mass core holds a few
@@ -591,8 +603,24 @@ class _BiScreen:
         for lo in range(0, len(pi), step):
             sel = slice(lo, lo + step)
             for column, values in zip(out, self._block(w1, w2, pi[sel], pj[sel],
-                                                       lengths[sel])):
+                                                       lengths[sel], gross[sel])):
                 column[sel] = values
+        return out
+
+    def _products(self, T1, H2, pi, pj):
+        """``T1[pi[k]] . H2[pj[k]]`` per pair k, of W1 mass rows ``T1`` and W2
+        class histograms ``H2``, from their products in tiles of at most
+        ``floats`` cells (one row by one column at least), as are the tiles'
+        float histograms; a tile that no pair reads is not multiplied."""
+        out = np.empty(len(pi))
+        cols = max(1, self.floats // H2.shape[1])
+        rows = max(1, self.floats // max(1, min(cols, len(H2))))
+        for c0 in range(0, len(H2), cols):
+            right = H2[c0:c0 + cols].astype(np.float64).T
+            for r0 in range(0, len(T1), rows):
+                k = np.flatnonzero((pi >= r0) & (pi < r0 + rows) & (pj >= c0) & (pj < c0 + cols))
+                if k.size:
+                    out[k] = (T1[r0:r0 + rows] @ right)[pi[k] - r0, pj[k] - c0]
         return out
 
     def overlaps(self, w1, rows2, pi, pj):
@@ -604,27 +632,40 @@ class _BiScreen:
         over &= rows2[pj, :words]
         return self.refiner.class_counts(over)
 
-    def _block(self, w1, w2, i, j, lengths):
-        """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block."""
-        R1, P1, H1, a = w1
-        R2, H2, b = w2
+    def _block(self, w1, w2, i, j, lengths, gross):
+        """``scores`` of the pairs (W1 ``i[k]``, W2 ``j[k]``) of one block,
+        whose products of W1's mass row and W2's histogram are ``gross``."""
+        R1, P1, _, a, _, diag = w1
+        R2, _, b = w2
         words = self.refiner.words
-        # W1 & W2: its members, and on undirected graphs its inner edges
-        width = words if self.directed else R1.shape[1]
-        B2 = R2[j, :width]
-        over = R1[i, :width]
+        # the members of W1 & W2 and their number
+        B2 = R2[j, :words]
+        over = R1[i, :words]
         over &= B2
-        H_o = self.refiner.class_counts(over)
-        o = H_o.sum(axis=1)
+        o = np.bitwise_count(over).sum(axis=1, dtype=np.int64)
         a, b = a[i], b[j]
-        ordered, overlap = self.model.pair_sums_many(H1[i], H2[j], H_o)
+        # the overlaps that hold a vertex, whole rows on undirected graphs:
+        # their class histograms, and the vertex pairs and edges inside them
+        hit = np.flatnonzero(o)
+        both = over[hit] if self.directed else R1[i[hit]] & R2[j[hit]]
+        H_o = self.refiner.class_counts(both)
+        ordered = gross.copy()
+        ordered[hit] -= H_o @ diag
+        inside, overlap = np.zeros_like(o), np.zeros(o.size)
+        if not self.directed:
+            inside[hit] = self.refiner.edges_inside(both)
+            overlap[hit] = self.model.self_mass(H_o)
+        # the product also pairs each shared vertex with itself, which the
+        # ordered mass then leaves out: its rounding, relative to that mass,
+        # grows by their ratio (1 where o = 0).  Every pair u != v carries at
+        # least PROB_EPS
+        rho = self.rho * gross / np.maximum(ordered, PROB_EPS * np.maximum(a * b - o, 1))
         # edge orientations (u in W1, v in W2), ordered edges when directed;
         # an undirected edge inside W1 and W2 has both orientations counted
         X = P1[i]
-        X &= B2[:, None, :words]
+        X &= B2[:, None, :]
         weights = np.left_shift(1, np.arange(X.shape[1], dtype=np.int64))
         orient = np.bitwise_count(X).sum(axis=-1, dtype=np.int64) @ weights
-        inside = np.zeros_like(o) if self.directed else self.refiner.edges_inside(over)
         edges = orient - inside
         n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered, overlap,
                                             self.conv, self.directed)
@@ -632,7 +673,7 @@ class _BiScreen:
         if self.require_disjoint:
             valid &= o == 0
         si, bound = _screen_si(n_w, k_w, mass, self.c.alpha * lengths + self.c.beta,
-                               self.rho, valid)
+                               rho, valid)
         return si, bound, edges, inside
 
 

@@ -148,8 +148,9 @@ def screen_pairs(screen, rows1, rows2, pi, pj, lengths):
         sel = np.flatnonzero((pi >= i0) & (pi < i0 + screen.w1_step))
         if sel.size:
             chunk = screen.w1_rows(rows1[i0:i0 + screen.w1_step])
+            _, _, H1, _, _, _ = chunk  # rows, planes, H, sizes, mass rows, diagonal
             parts.append(screen.scores(chunk, w2, pi[sel] - i0, pj[sel], lengths[sel])
-                         + (chunk[2][pi[sel] - i0], H2[pj[sel]],
+                         + (H1[pi[sel] - i0], H2[pj[sel]],
                             screen.overlaps(chunk, rows2, pi[sel] - i0, pj[sel])))
             at.append(sel)
     at = np.concatenate(at)

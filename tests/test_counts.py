@@ -1,5 +1,5 @@
 """Pair and edge counts of scored patterns against plain enumeration, the
-batched mass core of the background model against its one-row case, and the
+screens' masses against the exact batched mass and the dense grid, and the
 searches' packed rows and the nested screen's counts against bool rows."""
 
 from unittest.mock import patch
@@ -14,8 +14,8 @@ from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelecto
 from simine.scores import _score_masks, _with_extensions
 from simine.search import _BiScreen
 
-from conftest import (brute_force_counts, class_histograms, random_graph, reference_w1_planes,
-                      refiner_rows, screen_pairs)
+from conftest import (brute_force_counts, class_histograms, dense_pair_sums, random_graph,
+                      reference_w1_planes, refiner_rows, screen_pairs)
 
 W1 = Description((EqualsSelector("a", "v0"),))
 W2 = Description((EqualsSelector("b", "v1"),))
@@ -76,96 +76,82 @@ def test_counts_match_enumeration(seed, n, directed, counting, relation):
         assert {f: getattr(pat, f) for f in FIELDS} == want
 
 
+def _self_mass_as_before(model, F):
+    """The single screen's mass of each set of float class histogram ``F``
+    paired with itself, as the three-histogram call of earlier versions
+    summed it: each row's product with the off-diagonal table (a sub-table
+    of the classes present, a chunk at a time, without a full table) times
+    the row, then the h*h - h pairs inside each class on the diagonal."""
+    if model._P_off is not None:
+        return ((F @ model._P_off) * F).sum(axis=-1) + (F * F - F) @ model._P_diag
+    ic = np.flatnonzero(F.any(axis=0))
+    diag, to_cols = np.zeros(model.n_classes), np.zeros((len(F), ic.size))
+    for a, P, dc, dp in model._sub_tables(ic, ic):
+        diag[dc] = dp
+        to_cols += F[:, a] @ P
+    return (F[:, ic] * to_cols).sum(axis=-1) + (F * F - F) @ diag
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(), small_table=st.booleans(),
-       updates=st.integers(0, 2),
-       layouts=st.lists(st.sampled_from("CF"), min_size=3, max_size=3),
-       counts=st.lists(st.booleans(), min_size=3, max_size=3))
-def test_one_row_mass_matches_batched_row(seed, directed, small_table, updates, layouts, counts):
-    # a table budget of 3 cells leaves any model with K > 1 without a class
-    # table, so the sums come from sub-tables built one class row at a time;
-    # the screens pass int64 counts, in C or Fortran order, and the single
-    # screen one array as all three histograms
-    with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
+@given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(),
+       table_cells=st.sampled_from([None, 1, 12]), updates=st.integers(0, 2))
+def test_screen_masses_match_pair_mass(seed, directed, table_cells, updates):
+    """The nested screen's mass of a pair (W1, W2), ``T1 . h2 - h_o . d``
+    from W1's ``row_mass`` and ``self_mass`` of the overlap, against
+    ``pair_mass`` (whose rows sum alike alone and in a batch) and the dense
+    grid, for W2 disjoint from W1, inside it, around it and crossing it;
+    and the single screen's ``self_mass`` against the bits of its earlier
+    three-histogram call.  A table budget
+    of 1 or 12 cells leaves a model of more classes without a class table,
+    so the sums come from sub-tables of one or a few class rows."""
+    cells = background._TABLE_CELLS if table_cells is None else table_cells
+    with patch.object(background, "_TABLE_CELLS", cells):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 30))
         g = random_graph(seed, n=n, directed=directed)
         try:
-            model = fit_degree_prior(g)
+            model = _absorb_random(g, fit_degree_prior(g), rng, updates)
         except FitError:
             assume(False)
-        for _ in range(updates):
-            ext1, ext2 = _extensions(rng, n, "overlap")
-            if ext1.any() and ext2.any():
-                pat = _score_masks(g, model, W1, ext1, W2, ext2, ScoreConstants())
-                if pat is not None:
-                    model = update_with_pattern(model, pat)
-        assert (model._P_off is None) == (small_table and model.n_classes > 1)
-        rows = rng.random(n) < 0.5
-        cols = rng.random((8, n)) < 0.5
-        cols[0] = rows  # a column set equal to the rows
-        cols[1] = False  # an empty one
-        h_r = class_histograms(model, rows[None, :])[0]
-        H_c = class_histograms(model, cols)
-        H_o = class_histograms(model, cols & rows)
-        H_r = np.tile(h_r, (len(cols), 1))
-        ordered, overlap = model.pair_sums_many(H_r, H_c, H_o)
-        exact = model.pair_mass(H_r, H_c, H_o)
-        H = [np.array(h, np.int64 if c else np.float64, order=o)
-             for h, c, o in zip((H_r, H_c, H_o), counts, layouts)]
-        before = [h.copy() for h in H]
-        got = model.pair_sums_many(*H)
-        if layouts == ["C"] * 3:  # counts are cast to the floats' bits
-            assert [x.tobytes() for x in got] == [ordered.tobytes(), overlap.tobytes()]
-        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
-        single = model.pair_sums_many(H[1], H[1], H[1])
-        np.testing.assert_allclose(single, model.pair_mass(H_c, H_c, H_c), rtol=1e-12, atol=0)
-        assert all(np.array_equal(h, b) for h, b in zip(H, before))
-        # one row set per column set, paired with it: the rows of each pair
-        # are the next column set
-        H_n = np.roll(H_c, -1, axis=0)
-        H_p = class_histograms(model, cols & np.roll(cols, -1, axis=0))
-        paired = model.pair_sums_many(H_n, H_c, H_p)
-        for i in range(len(cols)):
-            one = model.pair_mass(h_r, H_c[i], H_o[i])
-            assert [x.tolist() for x in one] == [[exact[0][i]], [exact[1][i]]]
-            np.testing.assert_allclose(np.ravel(one), (ordered[i], overlap[i]), rtol=1e-12,
-                                       atol=0)
-            got = model.pair_sums(np.flatnonzero(rows), np.flatnonzero(cols[i]))
-            assert got == (exact[0][i], exact[1][i])
-            nxt = cols[(i + 1) % len(cols)]
-            got = model.pair_sums(np.flatnonzero(nxt), np.flatnonzero(cols[i]))
-            np.testing.assert_allclose(got, (paired[0][i], paired[1][i]), rtol=1e-12, atol=0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(), small_table=st.booleans(),
-       rows=st.integers(1, 12))
-def test_pair_sums_many_casts_a_shared_histogram_once(seed, directed, small_table, rows):
-    """The single screen's ``(H, H, H)`` of int64 counts gives the bits of
-    the same call on one float array, and its ``H_o is H_r`` shortcut (the
-    overlap is the whole grid) the sums of three separate equal arrays."""
-    with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
-        g = random_graph(seed, n=int(np.random.default_rng(seed).integers(6, 30)),
-                         directed=directed)
-        try:
-            model = fit_degree_prior(g)
-        except FitError:
-            assume(False)
-        H = np.random.default_rng(seed).integers(0, 4, size=(rows, model.n_classes))
-        before = H.copy()
-        got = model.pair_sums_many(H, H, H)
-        F = H.astype(np.float64)
-        want = model.pair_sums_many(F, F, F)
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        np.testing.assert_array_equal(H, before)
-        if directed:
-            np.testing.assert_array_equal(got[1], np.zeros(rows))
-        else:
-            assert got[0].tobytes() == got[1].tobytes()
-        separate = model.pair_sums_many(F, F.copy(), F.copy())
-        np.testing.assert_allclose(got, separate, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got, model.pair_mass(F, F, F), rtol=1e-12, atol=0)
+        assert (model._P_off is None) == (model.n_classes ** 2 > cells)
+        masks1 = rng.random((5, n)) < rng.uniform(0.1, 0.9)
+        masks1[0] = True
+        some = rng.random((4, 5, n)) < 0.5
+        # per W1: a W2 that shares no vertex, one inside it, one around it,
+        # one crossing it
+        masks2 = np.concatenate([some[0] & ~masks1, some[1] & masks1, some[2] | masks1,
+                                 some[3]])
+        pi, pj = np.tile(np.arange(5), 4), np.arange(20)
+        H1, H2 = (class_histograms(model, m).astype(np.int64) for m in (masks1, masks2))
+        H_o = class_histograms(model, masks1[pi] & masks2[pj]).astype(np.int64)
+        before = [h.copy() for h in (H1, H2, H_o)]
+        T, d = model.row_mass(H1)
+        gross = (T[pi] * H2[pj]).sum(axis=1)
+        ordered = gross - H_o @ d
+        overlap = np.zeros(pi.size) if directed else model.self_mass(H_o)
+        exact = model.pair_mass(H1[pi], H2[pj], H_o)
+        # the product's rounding is relative to it, and the diagonal it
+        # leaves out may be most of it; the overlap's mass cancels nothing
+        assert np.all(np.abs(ordered - exact[0]) <= 1e-12 * gross)
+        np.testing.assert_allclose(overlap, exact[1], rtol=1e-12, atol=0)
+        for k in range(pi.size):
+            rows, cols = np.flatnonzero(masks1[pi[k]]), np.flatnonzero(masks2[pj[k]])
+            want = dense_pair_sums(model, rows, cols)
+            assert abs(ordered[k] - want[0]) <= 1e-9 * gross[k]
+            np.testing.assert_allclose(overlap[k], want[1], rtol=1e-9, atol=0)
+            # a grid alone sums as it does in the batch
+            one = model.pair_mass(H1[pi[k]], H2[pj[k]], H_o[k])
+            assert [x.tolist() for x in one] == [[exact[0][k]], [exact[1][k]]]
+            assert model.pair_sums(rows, cols) == (exact[0][k], exact[1][k])
+        assert all(np.array_equal(h, b) for h, b in zip((H1, H2, H_o), before))
+        # the single screen's sets, each paired with itself, as int64 counts
+        F = class_histograms(model, np.concatenate([masks1, masks2]))
+        H = F.astype(np.int64)
+        single = model.self_mass(H)
+        assert single.tobytes() == _self_mass_as_before(model, F).tobytes()
+        assert single.tobytes() == model.self_mass(F).tobytes()
+        np.testing.assert_array_equal(H, F)
+        np.testing.assert_allclose(single, model.pair_mass(F, F, F)[0], rtol=1e-12, atol=0)
 
 
 def _bits(pat):
@@ -356,8 +342,10 @@ def test_packed_class_counts_match_bool_rows(seed, n, m, layout, directed, scree
     block = search._SCREEN_CELLS if screen_cells is None else screen_cells
     with patch.object(search, "_SCREEN_CELLS", block):
         screen = _BiScreen(g, refiner, ScoreConstants(), False)
-        _, _, H, sizes = screen.w1_rows(rows1[:screen.w1_step])
+        _, _, H, sizes, T, _ = screen.w1_rows(rows1[:screen.w1_step])
         np.testing.assert_array_equal(H, class_histograms(model, masks1[:screen.w1_step]))
+        table = model._class_probs(np.arange(k), np.arange(k))
+        np.testing.assert_allclose(T, H @ table, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(sizes, np.count_nonzero(masks1[:screen.w1_step], axis=1))
         _, _, edges, inside, h1, h2, h_o = screen_pairs(screen, rows1, rows2, pi, pj,
                                                         np.full(pi.size, 2))
@@ -397,6 +385,6 @@ def test_w1_neighbour_counts_match_dense_adjacency(seed, n, directed, isolated, 
     with patch.object(search, "_SCREEN_CELLS", block):
         screen = _BiScreen(g, refiner, ScoreConstants(), False)
         for lo in range(0, len(masks), screen.w1_step):
-            _, planes, _, _ = screen.w1_rows(rows[lo:lo + screen.w1_step])
+            _, planes, _, _, _, _ = screen.w1_rows(rows[lo:lo + screen.w1_step])
             np.testing.assert_array_equal(
                 planes, reference_w1_planes(g, refiner, masks[lo:lo + screen.w1_step]))

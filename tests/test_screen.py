@@ -9,14 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from simine import (FitError, ScoreConstants, SearchConfig, SelectorConfig, background,
-                    beam_search_single, extension, fit_degree_prior, generate_selectors,
-                    iterate, nested_beam_search, search, update_with_pattern)
+from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelector, FitError,
+                    ScoreConstants, SearchConfig, SelectorConfig, background, beam_search_single,
+                    extension, fit_degree_prior, generate_selectors, iterate, nested_beam_search,
+                    search, update_with_pattern)
 from simine.scores import _score_masks
 from simine.search import _BiScreen, _Refiner, _SingleScreen
 
-from conftest import (random_graph, reference_beam_search_single, reference_iterate, rendered,
-                      screen_pairs)
+from conftest import (random_graph, reference_beam_search_single, reference_iterate, refiner_rows,
+                      rendered, screen_pairs)
 
 
 def _levels(g, model, sels, min_size):
@@ -181,14 +182,17 @@ def test_single_screen_matches_score_single_and_reference(seed, n, directed, cou
 @pytest.mark.parametrize("directed", [False, True])
 def test_screen_blocks_leave_the_levels_unchanged(directed):
     """A block ANDs and counts the rows it gathers from the chunk's and the
-    level's arrays in place; with a small screen budget one search screens
-    many blocks, and none of them writes to the arrays it read."""
+    level's arrays in place, and takes its ordered masses from the chunk's
+    products; with a small screen budget one search screens many blocks,
+    and none of them writes to the arrays it read: the rows, planes,
+    histograms, sizes and mass rows of the W1s, the W2s' arrays, or the
+    products."""
     block, seen = _BiScreen._block, []
 
-    def checked(screen, w1, w2, i, j, lengths):
-        before = [x.copy() for x in (*w1, *w2)]
-        out = block(screen, w1, w2, i, j, lengths)
-        for x, y in zip((*w1, *w2), before):
+    def checked(screen, w1, w2, i, j, lengths, gross):
+        before = [x.copy() for x in (*w1, *w2, gross)]
+        out = block(screen, w1, w2, i, j, lengths, gross)
+        for x, y in zip((*w1, *w2, gross), before):
             np.testing.assert_array_equal(x, y)
         seen.append(i.size)
         return out
@@ -199,3 +203,68 @@ def test_screen_blocks_leave_the_levels_unchanged(directed):
         nested_beam_search(g, fit_degree_prior(g), generate_selectors(g),
                            SearchConfig(x1=3, x2=3))
     assert len(set(seen)) > 1
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("table_cells", [None, 1000])
+def test_screen_bound_holds_for_many_classes(directed, table_cells):
+    """At K = 240 classes (single vertices with spread multipliers), where
+    the nested screen's product nests two 240-term sums, every screened
+    pair's SI lies within its bound and within 1e-12 of the exact one; with
+    a budget of 1,000 table cells the model has no table and the mass rows
+    come from sub-tables of four class rows.  About half the pairs
+    overlap."""
+    n = 240
+    rng = np.random.default_rng(5)
+    with patch.object(background, "_TABLE_CELLS", background._TABLE_CELLS
+                      if table_cells is None else table_cells):
+        model = BackgroundModel(n, directed, cls=rng.permutation(n),
+                                lam_row=rng.normal(-2.0, 3.0, size=n),
+                                lam_col=rng.normal(-2.0, 3.0, size=n) if directed else None)
+        assert model.n_classes == n and (model._P_off is None) == (table_cells is not None)
+        g = random_graph(5, n=n, p=0.05, attrs=(("a", 3), ("b", 4), ("c", 5)),
+                         directed=directed)
+        sels = generate_selectors(g)
+        c = ScoreConstants()
+        refiner, (level1, level2) = _levels(g, model, sels, 1)
+        nodes = level1 + level2[::5]
+        rows = np.array([nd.row for nd in nodes])
+        masks = refiner.masks(rows)
+        lengths = np.array([len(nd.sels) for nd in nodes])
+        pi, pj = (x.ravel() for x in np.indices((len(nodes), len(nodes))))
+        si, bound, edges, inside = screen_pairs(_BiScreen(g, refiner, c, False), rows, rows,
+                                                pi, pj, lengths[pi] + lengths[pj])[:4]
+        descs = [refiner.description(nd) for nd in nodes]
+        for k, (i, j) in enumerate(zip(pi.tolist(), pj.tolist())):
+            pat = _score_masks(g, model, descs[i], masks[i], descs[j], masks[j], c)
+            if pat is None:
+                assert si[k] == -np.inf
+                continue
+            err = abs(si[k] - pat.si)
+            assert err <= bound[k]
+            assert err <= 1e-12 * abs(pat.si) + 1e-13 * pat.n_w / pat.dl
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("lam", [(10.0, -33.0), (12.0, -35.0), (8.0, -29.0)])
+def test_screen_bound_covers_self_pairs_that_outweigh_the_mass(directed, lam):
+    """A pair (W, W) with W = {u, v} and an edge u-v, where u's multiplier
+    is high and v's low: the nested screen's product pairs u with itself at
+    a probability near 1, while u and v meet at one near 1e-10.  Taking the
+    self-pairs off leaves a mass some 1e10 times smaller than the product,
+    with the product's rounding, and the bound must grow with that ratio to
+    hold the exact SI."""
+    g = AttributedGraph(4, [(0, 1), (2, 3)], directed=directed)
+    multipliers = np.array([*lam, 0.0, 0.0])
+    model = BackgroundModel(4, directed, cls=np.arange(4), lam_row=multipliers,
+                            lam_col=multipliers if directed else None)
+    masks = np.array([[1, 1, 0, 0], [1, 1, 1, 0]], dtype=bool)
+    refiner, rows = refiner_rows(g, model, masks)
+    c = ScoreConstants()
+    pi, pj = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    si, bound = screen_pairs(_BiScreen(g, refiner, c, False), rows, rows, pi, pj,
+                             np.full(pi.size, 2))[:2]
+    w = Description((EqualsSelector("s0", "in"),))
+    for k, (i, j) in enumerate(zip(pi.tolist(), pj.tolist())):
+        pat = _score_masks(g, model, w, masks[i], w, masks[j], c)
+        assert abs(si[k] - pat.si) <= bound[k]

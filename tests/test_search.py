@@ -492,8 +492,9 @@ class TestScorerPath:
 
     def test_class_histograms_counted_once(self, monkeypatch):
         # each chunk counts its W1 rows once and each inner level its W2 rows
-        # once; the screen counts one overlap row per screened pair, and the
-        # exact inner scores one more per contender
+        # once; the screen counts one overlap row per screened pair whose
+        # sides share a vertex, and the exact inner scores one more per
+        # contender
         g = random_graph(47, n=40)
         model = fit_degree_prior(g)
         sels = generate_selectors(g)
@@ -521,8 +522,13 @@ class TestScorerPath:
         monkeypatch.setattr(search._Refiner, "class_counts", counting)
         monkeypatch.setattr(Screen, "w1_rows",
                             in_phase("w1", Screen.w1_rows, lambda _, rows: len(rows)))
-        monkeypatch.setattr(Screen, "scores", in_phase(
-            "screen", Screen.scores, lambda _, w1, w2, pi, pj, lengths: (len(w2[0]), len(pi))))
+
+        def sharing(screen, w1, w2, pi, pj, lengths):
+            words = screen.refiner.words
+            o = np.bitwise_count(w1[0][pi, :words] & w2[0][pj, :words]).sum(axis=1)
+            return len(w2[0]), int(np.count_nonzero(o)), len(pi)
+
+        monkeypatch.setattr(Screen, "scores", in_phase("screen", Screen.scores, sharing))
         monkeypatch.setattr(Screen, "overlaps", in_phase(
             "overlaps", Screen.overlaps, lambda _, w1, rows2, pi, pj: len(pi)))
         monkeypatch.setattr(search, "score_bi", scoring)
@@ -539,6 +545,7 @@ class TestScorerPath:
         assert [r for n, r in counted if n is None] == rows("screen", lambda r: r[0])
         assert counts("w1") == sum(rows("w1")) > 0
         assert counts("screen") == sum(rows("screen", lambda r: r[1]))
+        assert 0 < counts("screen") < sum(rows("screen", lambda r: r[2]))
         assert counts("overlaps") == sum(rows("overlaps")) >= len(scored) > 0
         # the reported patterns are scored from the counts kept with them
         assert len(scored) == len(pats)
