@@ -981,10 +981,10 @@ def block_mean_probability(model: BackgroundModel, a, b):
     """
     rows = _vertex_set(a, model.n, "first vertex set")
     cols = _vertex_set(b, model.n, "second vertex set")
-    overlap = rows.size + cols.size - _distinct(np.concatenate([rows, cols])).size
-    n_w = pair_universe(rows.size, cols.size, overlap,
+    hists = model._histograms(rows, cols)
+    n_w = pair_universe(rows.size, cols.size, int(hists[2].sum()),
                         "ordered" if model.directed else "unordered")
     if n_w <= 0:
         raise ValueError("pair universe is empty for the given sets")
-    ordered, over = model.pair_sums(rows, cols)
-    return (ordered - over / 2.0) / n_w, n_w
+    ordered, over = model.pair_mass(*hists)
+    return float(ordered[0] - over[0] / 2.0) / n_w, n_w

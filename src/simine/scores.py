@@ -24,15 +24,18 @@ convention.  For undirected graphs the default ("auto") scores
 single-subgroup patterns in the ordered convention and bi-subgroup patterns
 in the unordered one; ``ScoreConstants.pair_counting`` can force either.
 
-Scoring reads counts only, a batch at a time: ``score_single`` and
-``score_bi`` take descriptions, class histograms and edge counts, a list of
-each for a batch or one of each for one row, and return patterns without
-extension ids.  Both wrap one core over arrays (``_columns``), which the
-nested search's inner levels call directly, with description lengths as
-integers, to rank candidates without building patterns.  A row scores bit
-for bit the same in any batch and at any place in it, so every reported SI
-is the SI its pattern was ranked by, and equals ``rescore``'s, which counts
-decoded extensions.
+Scoring reads counts only, and a batch at a time: ``score_single`` and
+``score_bi`` take lists of descriptions with one row of class histograms and
+edge counts per description, and return a list of patterns without
+extension ids; there is no graph argument and no one-row form.  Both wrap
+one core over arrays (``_columns``: the histograms' sizes and masses, mapped
+to scores by ``_mass_columns``), which the nested search's inner levels call
+directly, with description lengths as integers, to rank candidates without
+building patterns; ``score_single_counts`` feeds the same mapping a printed
+expected edge count.  A row scores bit for bit the same in any batch and at
+any place in it, so every reported SI is the SI its pattern was ranked by,
+and equals ``rescore``'s, which counts decoded extensions and scores them as
+a batch of one.
 """
 
 from __future__ import annotations
@@ -209,22 +212,21 @@ def score_single_counts(size: int, edges: int, expected_edges: float,
     """Score a single-subgroup pattern from its printed counts alone.
 
     ``expected_edges`` is the background expectation in the same units as
-    ``edges`` (distinct edge slots).  Returns the full score breakdown.
+    ``edges`` (distinct edge slots).  Returns the full score breakdown, from
+    the scoring core's columns of this one row.
     """
     c = c or ScoreConstants()
     if size < 2:
         raise ValueError("single-subgroup patterns need at least 2 vertices")
-    conv = c.convention(single=True, directed=directed)
     # W1 = W2: every edge lies in the overlap, and the ordered mass of an
     # undirected set is twice its distinct mass
     ordered = expected_edges if directed else 2.0 * expected_edges
-    n_w, k_w, mass, slots = pair_counts(size, size, size, edges, edges, ordered,
-                                        0.0 if directed else ordered, conv, directed)
-    p = mass / n_w
-    ic = information_content(n_w, k_w, p)
-    dl = description_length(description_size, None, c)
-    return {"n_w": n_w, "k_w": k_w, "p_w": p, "ic": ic, "dl": dl, "si": ic / dl,
-            "i": 0 if edges / slots >= p else 1, "convention": conv}
+    conv, _, cols = _mass_columns(c, directed, ([description_size], None),
+                                  *([np.array([size], np.int64)] * 3), [edges], [edges],
+                                  np.array([ordered]), np.array([0.0 if directed else ordered]))
+    return {"n_w": int(cols.n_w[0]), "k_w": int(cols.k_w[0]), "p_w": float(cols.p_w[0]),
+            "ic": float(cols.ic[0]), "dl": float(cols.dl[0]), "si": float(cols.si[0]),
+            "i": int(cols.direction[0]), "convention": conv}
 
 
 # -- pattern construction --------------------------------------------------------
@@ -253,21 +255,29 @@ def _columns(model, c, lengths, hists, edges, inside):
     patterns (W1, W2), one row each, from the counts ``score_bi`` takes
     (``(H, H, H)`` for single subgroups) and ``lengths``, the selector counts
     ``(len1, len2)`` of the descriptions (``len2 is None`` for single
-    subgroups).  Each quantity is elementwise or sums the row's own terms
-    (``pair_mass``), so a row scores bit for bit the same in any batch;
-    ``edges``/``pair_slots``/``expected_edges`` count distinct pairs (ordered
-    when directed), the rest is in the scoring convention.  ``valid`` is
-    false where the row has no pair u != v."""
-    single, directed = lengths[1] is None, model.directed
-    conv = c.convention(single, directed)
+    subgroups): the sizes and ``pair_mass`` of the histograms, mapped to
+    columns by ``_mass_columns``.  ``pair_mass`` sums the row's own terms, so
+    a row scores bit for bit the same in any batch."""
     H = [np.asarray(h).reshape(-1, model.n_classes) for h in hists]
     a, b, o = (h.sum(axis=1).astype(np.int64) for h in H)
     if np.any((o < 0) | (o > np.minimum(a, b))):
         raise ValueError("overlap cannot exceed either subgroup size")
-    edges, inside = (np.asarray(x, dtype=np.int64) for x in (edges, inside))
     step = max(1, _MASS_CELLS // model.n_classes)
     ordered, overlap = (np.concatenate(x) for x in zip(*[
         model.pair_mass(*(h[lo:lo + step] for h in H)) for lo in range(0, max(1, len(a)), step)]))
+    return _mass_columns(c, model.directed, lengths, a, b, o, edges, inside, ordered, overlap)
+
+
+def _mass_columns(c, directed, lengths, a, b, o, edges, inside, ordered, overlap):
+    """``_columns`` of patterns from their int64 sizes ``a``, ``b`` and
+    overlaps ``o`` (``0 <= o <= min(a, b)``) and their ``pair_sums`` masses
+    ``ordered``/``overlap``, one row each.  Each quantity is elementwise;
+    ``edges``/``pair_slots``/``expected_edges`` count distinct pairs
+    (ordered when directed), the rest is in the scoring convention.
+    ``valid`` is false where the row has no pair u != v."""
+    single = lengths[1] is None
+    conv = c.convention(single, directed)
+    edges, inside = (np.asarray(x, dtype=np.int64) for x in (edges, inside))
     n_w, k_w, mass, slots = pair_counts(a, b, o, edges, inside, ordered, overlap, conv, directed)
     valid = pair_universe(a, b, o, "ordered") > 0  # a pair u != v, in either convention
     n_w = np.where(valid, n_w, 1)
@@ -293,32 +303,27 @@ def _score(model, c, w1s, w2s, hists, edges, inside) -> list:
             zip(w1s, w2s or [None] * len(w1s), valid.tolist(), zip(*(x.tolist() for x in cols)))]
 
 
-def score_single(g: AttributedGraph, model: BackgroundModel, desc: Description,
-                 hist: np.ndarray, edges: int, c: ScoreConstants) -> Pattern | None:
-    """Score the single-subgroup pattern of a description from its
-    extension's class histogram ``hist`` under ``model`` (integer or float)
-    and its number of inner ``edges``; given a list of descriptions, score a
-    batch, one row each, into a list.  Patterns carry no extension ids; None
-    when the extension has under 2 vertices."""
-    if isinstance(desc, Description):
-        return score_single(g, model, [desc], hist, [edges], c)[0]
-    return _score(model, c, desc, None, (hist,) * 3, edges, edges)
+def score_single(model: BackgroundModel, descs: list, hists: np.ndarray, edges,
+                 c: ScoreConstants) -> list:
+    """Score the single-subgroup patterns of a batch of descriptions, one
+    row each, from their extensions' class histograms ``hists`` under
+    ``model`` (integer or float, one row per description) and their numbers
+    of inner ``edges``.  Patterns carry no extension ids; None where an
+    extension has under 2 vertices."""
+    return _score(model, c, descs, None, (hists,) * 3, edges, edges)
 
 
-def score_bi(g: AttributedGraph, model: BackgroundModel, w1: Description,
-             w2: Description, hists: tuple, edges: int, inside: int,
-             c: ScoreConstants) -> Pattern | None:
-    """Score a bi-subgroup pattern from the counts of its extensions.
-    ``hists`` is ``(h1, h2, h_o)``, the class histograms under ``model``
-    (integer or float) of W1, W2 and W1 ∩ W2; ``edges`` the number of
-    distinct edges between the extensions (ordered edges W1 -> W2 when
-    directed) and ``inside`` the number of edges inside their intersection,
-    read only in the ordered convention of an undirected graph.  Given lists
-    of descriptions, score a batch, one row each, into a list.  Patterns
-    carry no extension ids; None when the pair universe is empty."""
-    if isinstance(w1, Description):
-        return score_bi(g, model, [w1], [w2], hists, [edges], [inside], c)[0]
-    return _score(model, c, w1, w2, hists, edges, inside)
+def score_bi(model: BackgroundModel, w1s: list, w2s: list, hists: tuple, edges, inside,
+             c: ScoreConstants) -> list:
+    """Score a batch of bi-subgroup patterns (``w1s[k]``, ``w2s[k]``), one
+    row each, from the counts of their extensions.  ``hists`` is ``(H1, H2,
+    H_o)``, the class histograms under ``model`` (integer or float, one row
+    per pattern) of W1, W2 and W1 ∩ W2; ``edges`` the numbers of distinct
+    edges between the extensions (ordered edges W1 -> W2 when directed) and
+    ``inside`` the numbers of edges inside their intersections, read only in
+    the ordered convention of an undirected graph.  Patterns carry no
+    extension ids; None where the pair universe is empty."""
+    return _score(model, c, w1s, w2s, hists, edges, inside)
 
 
 def _with_extensions(pat: Pattern, g: AttributedGraph, mask1, mask2) -> Pattern:
@@ -334,26 +339,18 @@ def _with_extensions(pat: Pattern, g: AttributedGraph, mask1, mask2) -> Pattern:
     return pat
 
 
-def _score_masks(g: AttributedGraph, model: BackgroundModel, w1: Description, mask1,
-                 w2: Description | None, mask2, c: ScoreConstants) -> Pattern | None:
-    """The pattern (W1, W2) of the bool masks ``mask1``, ``mask2`` (not read
-    when ``w2 is None``): their counts scored as a batch of one, with the
-    extensions' ids attached."""
-    mask2 = mask1 if w2 is None else mask2
-    hists = model._histograms(np.flatnonzero(mask1), np.flatnonzero(mask2))
-    edges, over = g.count_edges_between(mask1, mask2), mask1 & mask2
-    inside = edges if w2 is None else g.count_edges_between(over, over)
-    pat = _score(model, c, [w1], None if w2 is None else [w2], hists, [edges], [inside])[0]
-    return None if pat is None else _with_extensions(pat, g, mask1, mask2)
-
-
 def rescore(g: AttributedGraph, model: BackgroundModel, w1: Description,
             w2: Description | None, c: ScoreConstants) -> Pattern | None:
     """Score a pattern from its descriptions against a (possibly updated)
     model: the one path from vertex sets.  The extensions are decoded and
     counted, scored as a batch of one, and the pattern carries their ids."""
-    m1 = extension(w1, g)
-    return _score_masks(g, model, w1, m1, w2, m1 if w2 is None else extension(w2, g), c)
+    mask1 = extension(w1, g)
+    mask2 = mask1 if w2 is None else extension(w2, g)
+    hists = model._histograms(np.flatnonzero(mask1), np.flatnonzero(mask2))
+    edges, over = g.count_edges_between(mask1, mask2), mask1 & mask2
+    inside = edges if w2 is None else g.count_edges_between(over, over)
+    pat = _score(model, c, [w1], None if w2 is None else [w2], hists, [edges], [inside])[0]
+    return None if pat is None else _with_extensions(pat, g, mask1, mask2)
 
 
 # -- objective baselines -----------------------------------------------------------

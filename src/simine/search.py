@@ -316,7 +316,7 @@ def beam_search_single(g: AttributedGraph, model: BackgroundModel, selectors,
     refiner = _Refiner(g, model, selectors, max(2, cfg.min_extension_size))
 
     def scorer(descs, nodes, edges, hists):
-        return score_single(g, model, descs, hists, edges, cfg.constants)
+        return score_single(model, descs, hists, edges, cfg.constants)
 
     found = _single_engine(refiner, _SingleScreen(g, refiner, cfg.constants), cfg, scorer,
                            lambda pat: pat.si)
@@ -806,7 +806,7 @@ def nested_beam_search(g: AttributedGraph, model: BackgroundModel, selectors,
     # the reported patterns, scored in one batch, and their extensions, one
     # batch per side; each row scores as it did when ranked
     k, C = model.n_classes, outer.counts
-    pats = score_bi(g, model, [refiner.description(w) for w in outer.node1],
+    pats = score_bi(model, [refiner.description(w) for w in outer.node1],
                     [refiner.description(w) for w in outer.node2],
                     (C[:, :k], C[:, k:2 * k], C[:, 2 * k:3 * k]), C[:, 3 * k], C[:, 3 * k + 1],
                     cfg.constants)

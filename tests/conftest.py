@@ -12,11 +12,10 @@ import pytest
 
 from simine import (EMPTY_DESCRIPTION, AttributeColumn, AttributedGraph, Description,
                     EqualsSelector, GraphFormatError, LoadOptions, ScoreConstants, extension,
-                    search, update_with_pattern)
+                    score_bi, score_single, search, update_with_pattern)
 from simine.background import (LOGIT_CLAMP, BackgroundModel, FitError, PartitionGammas,
                                _logit, _partition_bins)
 from simine.graph import NOMINAL, NUMERIC
-from simine.scores import _score_masks
 
 # 11-vertex example: one numeric attribute plus three binary ones.  The edge
 # set is an arbitrary 18-edge layout; tests only rely on the attribute table.
@@ -202,28 +201,68 @@ def enumerate_descriptions(g, selectors, max_len, min_size):
     return out
 
 
+def score_masks(g, model, w1s, masks1, w2s, masks2, c):
+    """The patterns (``w1s[k]``, ``w2s[k]``) whose extensions are the bool
+    masks ``masks1[k]`` and ``masks2[k]``, scored in one call of
+    ``score_bi`` (of ``score_single`` when ``w2s is None``; ``masks2`` is
+    then not read) from counts taken here: class histograms by ``bincount``
+    and edge counts by ``count_edges_between``.  Each pattern carries its
+    extensions' ids, and a single one its number of crossing edges; None
+    where the pair universe is empty."""
+    if not len(w1s):
+        return []
+    masks1 = np.asarray(masks1, dtype=bool).reshape(-1, g.n)
+    masks2 = masks1 if w2s is None else np.asarray(masks2, dtype=bool).reshape(-1, g.n)
+    k = model.n_classes
+
+    def hists(masks):
+        return np.array([np.bincount(model.cls[m], minlength=k) for m in masks],
+                        dtype=np.int64).reshape(-1, k)
+
+    edges = [g.count_edges_between(m1, m2) for m1, m2 in zip(masks1, masks2)]
+    if w2s is None:
+        pats = score_single(model, list(w1s), hists(masks1), edges, c)
+    else:
+        over = masks1 & masks2
+        inside = [g.count_edges_between(m, m) for m in over]
+        pats = score_bi(model, list(w1s), list(w2s), (hists(masks1), hists(masks2), hists(over)),
+                        edges, inside, c)
+    for pat, m1, m2 in zip(pats, masks1, masks2):
+        if pat is not None:
+            pat.ext1_ids = np.flatnonzero(m1)
+            if w2s is None:
+                pat.inter_edges = g.inter_edge_count(m1)
+            else:
+                pat.ext2_ids = np.flatnonzero(m2)
+    return pats
+
+
+def score_mask(g, model, w1, mask1, w2, mask2, c):
+    """``score_masks`` of one pattern (``w2 is None``: a single subgroup)."""
+    return score_masks(g, model, [w1], [mask1], None if w2 is None else [w2], [mask2], c)[0]
+
+
+def _best(pats):
+    """The first of ``pats`` by ``Pattern.sort_key``, Nones skipped."""
+    return min((p for p in pats if p is not None), key=lambda p: p.sort_key(), default=None)
+
+
 def exhaustive_best_single(g, model, selectors, depth, constants=None):
-    """Brute-force SI argmax over all single-subgroup candidates."""
-    c = constants or ScoreConstants()
-    best = None
-    for d, m in enumerate_descriptions(g, selectors, depth, 2):
-        pat = _score_masks(g, model, d, m, None, m, c)
-        if pat is not None and (best is None or pat.sort_key() < best.sort_key()):
-            best = pat
-    return best
+    """Brute-force SI argmax over all single-subgroup candidates, scored in
+    one batch."""
+    descs = enumerate_descriptions(g, selectors, depth, 2)
+    return _best(score_masks(g, model, [d for d, _ in descs], [m for _, m in descs], None, None,
+                             constants or ScoreConstants()))
 
 
 def exhaustive_best_bi(g, model, selectors, depth, constants=None):
-    """Brute-force SI argmax over all bi-subgroup candidate pairs."""
-    c = constants or ScoreConstants()
+    """Brute-force SI argmax over all bi-subgroup candidate pairs, scored in
+    one batch."""
     descs = enumerate_descriptions(g, selectors, depth, 1)
-    best = None
-    for d1, m1 in descs:
-        for d2, m2 in descs:
-            pat = _score_masks(g, model, d1, m1, d2, m2, c)
-            if pat is not None and (best is None or pat.sort_key() < best.sort_key()):
-                best = pat
-    return best
+    pairs = list(itertools.product(descs, repeat=2))
+    return _best(score_masks(g, model, [d1 for (d1, _), _ in pairs], [m1 for (_, m1), _ in pairs],
+                             [d2 for _, (d2, _) in pairs], [m2 for _, (_, m2) in pairs],
+                             constants or ScoreConstants()))
 
 
 def _reference_constraints_ok(z1, z2, mask1, mask2, cfg):
@@ -445,20 +484,23 @@ def outer_selection(chunks, floor, width):
 
 
 def reference_beam_search_single(g, model, selectors, cfg):
-    """The single-subgroup beam search with every candidate scored from
-    its extension (``scores._score_masks``) and offered to the beam, one at
-    a time: the plainly correct reference for the screened search."""
+    """The single-subgroup beam search with every candidate of a level
+    scored from its extension, all in one ``score_masks`` batch, and offered
+    to the beam one at a time: the plainly correct reference for the
+    screened search."""
     min_size = max(2, cfg.min_extension_size)
     rows = [(EMPTY_DESCRIPTION, np.ones(g.n, dtype=bool), g.n)]
     collected = {}
     for _ in range(cfg.depth):
         beam, seen = Beam(cfg.beam_width), set()
-        for row in rows:
-            for w, m, s in _reference_refinements(g, selectors, min_size, *row, seen):
-                pat = _score_masks(g, model, w, m, None, m, cfg.constants)
-                if pat is not None:
-                    beam.try_add(BeamEntry(pat.sort_key(), str(w), group=str(w),
-                                           payload=(pat, m, s)))
+        cands = [cand for row in rows
+                 for cand in _reference_refinements(g, selectors, min_size, *row, seen)]
+        pats = score_masks(g, model, [w for w, _, _ in cands], [m for _, m, _ in cands], None,
+                           None, cfg.constants)
+        for (w, m, s), pat in zip(cands, pats):
+            if pat is not None:
+                beam.try_add(BeamEntry(pat.sort_key(), str(w), group=str(w),
+                                       payload=(pat, m, s)))
         if not len(beam):
             break
         rows = [(e.payload[0].w1, e.payload[1], e.payload[2]) for e in beam]
@@ -468,10 +510,10 @@ def reference_beam_search_single(g, model, selectors, cfg):
 
 
 def reference_nested_beam_search(g, model, selectors, cfg):
-    """The nested bi-subgroup beam search with every inner candidate scored
-    from its extensions (``scores._score_masks``) and offered to the inner
-    beam, one at a time: the plainly correct reference for the screened
-    search."""
+    """The nested bi-subgroup beam search with every admissible inner
+    candidate of a W1's level scored from its extensions, all in one
+    ``score_masks`` batch, and offered to the inner beam one at a time: the
+    plainly correct reference for the screened search."""
     def expand(desc, mask, size, seen):
         return _reference_refinements(g, selectors, min_size, desc, mask, size, seen)
 
@@ -480,11 +522,12 @@ def reference_nested_beam_search(g, model, selectors, cfg):
         rows = [(EMPTY_DESCRIPTION, full, g.n)]
         for _ in range(cfg.depth):
             seen = set()
-            cands = [c for row in rows for c in expand(*row, seen)]
-            for z2, m2, s2 in cands:
-                if not _reference_constraints_ok(z1, z2, m1, m2, cfg):
-                    continue
-                pat = _score_masks(g, model, z1, m1, z2, m2, cfg.constants)
+            cands = [c for row in rows for c in expand(*row, seen)
+                     if _reference_constraints_ok(z1, c[0], m1, c[1], cfg)]
+            pats = score_masks(g, model, [z1] * len(cands), [m1] * len(cands),
+                               [z2 for z2, _, _ in cands], [m2 for _, m2, _ in cands],
+                               cfg.constants)
+            for (z2, m2, s2), pat in zip(cands, pats):
                 if pat is not None:
                     inner.try_add(BeamEntry(pat.sort_key(), str(z2), group=str(z2),
                                             payload=(pat, m2, s2)))

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelector, FitError,
                     ScoreConstants, background, fit_degree_prior, score_bi, score_single,
                     search, update_with_pattern)
-from simine.scores import _score_masks, _with_extensions
+from simine.scores import _with_extensions
 from simine.search import _BiScreen
 
 from conftest import (brute_force_counts, class_histograms, dense_pair_sums, random_graph,
-                      reference_w1_planes, refiner_rows, screen_pairs)
+                      reference_w1_planes, refiner_rows, score_mask, screen_pairs)
 
 W1 = Description((EqualsSelector("a", "v0"),))
 W2 = Description((EqualsSelector("b", "v1"),))
@@ -54,7 +54,7 @@ def test_counts_match_enumeration(seed, n, directed, counting, relation):
     c = ScoreConstants(pair_counting=counting)
     mask1, mask2 = _extensions(rng, n, relation)
 
-    pat = _score_masks(g, model, W1, mask1, W2, mask2, c)
+    pat = score_mask(g, model, W1, mask1, W2, mask2, c)
     conv = _convention(counting, False, directed)
     want = brute_force_counts(g, mask1, mask2, conv)
     if want["pair_slots"] == 0:
@@ -63,10 +63,10 @@ def test_counts_match_enumeration(seed, n, directed, counting, relation):
         assert pat.convention == conv
         assert {f: getattr(pat, f) for f in FIELDS} == want
         if not directed:  # the mirrored pattern ties exactly
-            mirror = _score_masks(g, model, W2, mask2, W1, mask1, c)
+            mirror = score_mask(g, model, W2, mask2, W1, mask1, c)
             assert (mirror.si, mirror.k_w, mirror.n_w) == (pat.si, pat.k_w, pat.n_w)
 
-    pat = _score_masks(g, model, W1, mask1, None, mask1, c)
+    pat = score_mask(g, model, W1, mask1, None, mask1, c)
     conv = _convention(counting, True, directed)
     want = brute_force_counts(g, mask1, mask1, conv)
     if want["pair_slots"] == 0:
@@ -186,12 +186,11 @@ def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, rel
         screen = _BiScreen(g, refiner, c, False)
         for (z1, m1, r1), (z2, m2, r2) in [((W1, mask1, 0), (W2, mask2, 1)),
                                            ((W2, mask2, 1), (W1, mask1, 0))]:
-            counted = _score_masks(g, model, z1, m1, z2, m2, c)
+            counted = score_mask(g, model, z1, m1, z2, m2, c)
             _, _, edges, inside, h1, h2, h_o = screen_pairs(
                 screen, rows[r1:r1 + 1], rows, np.zeros(1, np.int64), np.full(1, r2),
                 np.full(1, 2))
-            given_counts = score_bi(g, model, z1, z2, (h1[0], h2[0], h_o[0]), int(edges[0]),
-                                    int(inside[0]), c)
+            given_counts = score_bi(model, [z1], [z2], (h1, h2, h_o), edges, inside, c)[0]
             assert (counted is None) == (given_counts is None)
             if counted is not None:
                 assert given_counts.ext1_ids is None and given_counts.ext2_ids is None
@@ -200,8 +199,8 @@ def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, rel
         # of the refiner's row, three times over
         hists, edges = refiner.class_counts(rows), refiner.edges_inside(rows)
         for z, m, r in [(W1, mask1, 0), (W2, mask2, 1)]:
-            counted = _score_masks(g, model, z, m, None, m, c)
-            given_counts = score_single(g, model, z, hists[r], int(edges[r]), c)
+            counted = score_mask(g, model, z, m, None, m, c)
+            given_counts = score_single(model, [z], hists[r:r + 1], edges[r:r + 1], c)[0]
             assert (counted is None) == (given_counts is None)
             if counted is not None:
                 assert given_counts.ext1_ids is None and given_counts.inter_edges is None
@@ -214,7 +213,7 @@ def _absorb_random(g, model, rng, updates):
     for _ in range(updates):
         ext1, ext2 = _extensions(rng, g.n, "overlap")
         if ext1.any() and ext2.any():
-            pat = _score_masks(g, model, W1, ext1, W2, ext2, ScoreConstants())
+            pat = score_mask(g, model, W1, ext1, W2, ext2, ScoreConstants())
             if pat is not None:
                 model = update_with_pattern(model, pat)
     return model
@@ -265,9 +264,9 @@ def test_batched_core_is_row_invariant(seed, n, directed, counting, single, smal
         def scored(rows):
             w1s = [cases[i][0] for i in rows]
             if single:
-                pats = score_single(g, model, w1s, at(H[0], rows), edges[rows], c)
+                pats = score_single(model, w1s, at(H[0], rows), edges[rows], c)
             else:
-                pats = score_bi(g, model, w1s, [cases[i][2] for i in rows],
+                pats = score_bi(model, w1s, [cases[i][2] for i in rows],
                                 tuple(at(h, rows) for h in H), edges[rows], inside[rows], c)
             return [None if p is None else _bits(p) for p in pats]
 
@@ -277,7 +276,7 @@ def test_batched_core_is_row_invariant(seed, n, directed, counting, single, smal
         order = rng.permutation(len(cases))
         assert scored(order) == [whole[i] for i in order]
         for got, (z1, m1, z2, m2) in zip(whole, cases):
-            counted = _score_masks(g, model, z1, m1, z2, m2, c)
+            counted = score_mask(g, model, z1, m1, z2, m2, c)
             assert (got is None) == (counted is None)
             if counted is not None:
                 ids = ("ext1_ids", "ext2_ids", "inter_edges")  # the mask path attaches them

@@ -1,3 +1,5 @@
+import inspect
+
 import simine
 
 
@@ -26,3 +28,15 @@ def test_removed_members_are_gone():
     assert not hasattr(simine.AttributedGraph, "degree")
     for name in ("sort_key", "total_length"):
         assert not hasattr(simine.BaselineResult, name), name
+
+
+def test_scorers_take_no_graph():
+    # score_single and score_bi score counts only, a batch at a time; the
+    # one-pattern mask path folded into rescore
+    from simine import scores
+
+    for fn in (simine.score_single, simine.score_bi):
+        params = inspect.signature(fn).parameters
+        assert "g" not in params, fn.__name__
+        assert all("AttributedGraph" not in str(p.annotation) for p in params.values()), fn
+    assert not hasattr(scores, "_score_masks")

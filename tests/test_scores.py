@@ -10,9 +10,8 @@ from simine import (EMPTY_DESCRIPTION, AttributedGraph, Description, ScoreConsta
                     fit_density_prior, fit_degree_prior, generate_selectors,
                     information_content, kl_bernoulli, pair_universe, parse_description,
                     rescore, score_bi, score_single, score_single_counts)
-from simine.scores import _score_masks
 
-from conftest import brute_force_tail, exact_tail_probability, random_graph
+from conftest import brute_force_tail, exact_tail_probability, random_graph, score_mask
 
 
 class TestPairCounting:
@@ -74,8 +73,8 @@ class TestPairCounting:
         for s in generate_selectors(g):
             w = Description((s,))
             m = extension(w, g)
-            single = _score_masks(g, model, w, m, None, m, c)
-            bi = _score_masks(g, model, w, m, w, m, c)
+            single = score_mask(g, model, w, m, None, m, c)
+            bi = score_mask(g, model, w, m, w, m, c)
             if single is None:
                 assert bi is None
                 continue
@@ -221,8 +220,9 @@ class TestHistogramLayout:
             assert not layouts[2][0].flags.c_contiguous
             over = x1 & x2
             edges, inside = g.count_edges_between(x1, x2), g.count_edges_between(over, over)
-            sis = [(score_single(g, model, w1, h[0], edges, c) if w2 is None
-                    else score_bi(g, model, w1, w2, h, edges, inside, c)).si for h in layouts]
+            rows = [tuple(x[None] for x in h) for h in layouts]  # a batch of one
+            sis = [(score_single(model, [w1], h[0], [edges], c) if w2 is None
+                    else score_bi(model, [w1], [w2], h, [edges], [inside], c))[0].si for h in rows]
             assert sis == [rescore(g, model, w1, w2, c).si] * 3, (str(w1), str(w2))
 
 
@@ -245,18 +245,18 @@ class TestScorerInputs:
                 rescore(g, model, w1, w2, c)
         h = model._histograms(np.flatnonzero(extension(d1, g)), np.flatnonzero(extension(d1, g)))
         with pytest.raises(ValueError, match="description lengths must be >= 1"):
-            score_single(g, model, [d1, EMPTY_DESCRIPTION], np.stack([h[0]] * 2), [0, 0], c)
+            score_single(model, [d1, EMPTY_DESCRIPTION], np.stack([h[0]] * 2), [0, 0], c)
 
     def test_overlap_larger_than_a_side_rejected(self):
         g, model, d1, d2, m1, m2 = self._setup()
-        h1, h2, h_o = model._histograms(np.flatnonzero(m1), np.flatnonzero(m2))
+        h1, h2, h_o = (h[None] for h in model._histograms(np.flatnonzero(m1), np.flatnonzero(m2)))
         c = ScoreConstants()
-        assert score_bi(g, model, d1, d2, (h1, h2, h_o), 0, 0, c) is not None
+        assert score_bi(model, [d1], [d2], (h1, h2, h_o), [0], [0], c)[0] is not None
         with pytest.raises(ValueError, match="overlap cannot exceed"):
-            score_bi(g, model, d1, d2, (h1, h2, h1 + h2), 0, 0, c)
+            score_bi(model, [d1], [d2], (h1, h2, h1 + h2), [0], [0], c)
         with pytest.raises(ValueError, match="overlap cannot exceed"):
-            score_bi(g, model, [d1, d1], [d2, d2], (np.stack([h1, h1]), np.stack([h2, h2]),
-                                                    np.stack([h_o, h1 + h2])), [0, 0], [0, 0], c)
+            score_bi(model, [d1, d1], [d2, d2], (np.vstack([h1, h1]), np.vstack([h2, h2]),
+                                                 np.vstack([h_o, h1 + h2])), [0, 0], [0, 0], c)
 
 
 class TestExactTail:
@@ -378,8 +378,8 @@ class TestScaleBehavior:
             m = extension(d, g)
             if m.sum() < 2:
                 continue
-            pats_base.append(_score_masks(g, model, d, m, None, m, base))
-            pats_scaled.append(_score_masks(g, model, d, m, None, m, scaled))
+            pats_base.append(score_mask(g, model, d, m, None, m, base))
+            pats_scaled.append(score_mask(g, model, d, m, None, m, scaled))
         for p1, p2 in zip(pats_base, pats_scaled):
             assert p2.si == pytest.approx(p1.si / 2, rel=1e-12)
         best1 = min(pats_base, key=lambda p: p.sort_key())

@@ -13,11 +13,10 @@ from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelecto
                     ScoreConstants, SearchConfig, SelectorConfig, background, beam_search_single,
                     extension, fit_degree_prior, generate_selectors, iterate, nested_beam_search,
                     search, update_with_pattern)
-from simine.scores import _score_masks
 from simine.search import _BiScreen, _Refiner, _SingleScreen
 
 from conftest import (random_graph, reference_beam_search_single, reference_iterate, refiner_rows,
-                      rendered, screen_pairs)
+                      rendered, score_mask, score_masks, screen_pairs)
 
 
 def _levels(g, model, sels, min_size):
@@ -43,8 +42,8 @@ def _absorb_random(g, model, sels, c, seed, updates, min_size):
     masks = refiner.masks(np.array([nd.row for nd in nodes]))
     for _ in range(updates):
         i, j = rng.integers(0, len(nodes), size=2)
-        pat = _score_masks(g, model, refiner.description(nodes[i]), masks[i],
-                           refiner.description(nodes[j]), masks[j], c)
+        pat = score_mask(g, model, refiner.description(nodes[i]), masks[i],
+                         refiner.description(nodes[j]), masks[j], c)
         if pat is not None:
             model = update_with_pattern(model, pat)
     return model
@@ -103,11 +102,20 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
                                               for nd in nodes])
         lengths = np.array([len(nd.sels) for nd in nodes])
         pi, pj = np.nonzero(np.add.outer(np.arange(len(nodes)), np.arange(len(nodes))) % 7 == 0)
-        si, bound, edges, inside = screen_pairs(_BiScreen(g, refiner, c, disjoint), rows, rows,
-                                                pi, pj, lengths[pi] + lengths[pj])[:4]
+        si, bound, edges, inside, h1, h2, h_o = screen_pairs(
+            _BiScreen(g, refiner, c, disjoint), rows, rows, pi, pj, lengths[pi] + lengths[pj])
         descs = [refiner.description(nd) for nd in nodes]
-        for k, (i, j) in enumerate(zip(pi.tolist(), pj.tolist())):
-            pat = _score_masks(g, model, descs[i], masks[i], descs[j], masks[j], c)
+        pats = score_masks(g, model, [descs[i] for i in pi], masks[pi], [descs[j] for j in pj],
+                           masks[pj], c)
+        # the screen's product also pairs each shared vertex with itself: its
+        # rounding, relative to the pair's ordered mass, grows by their ratio
+        # (exactly 1 where the sides share no vertex; the mass is floored at
+        # PROB_EPS, the least a pair u != v carries)
+        T1, diag = model.row_mass(h1)
+        product = (T1 * h2).sum(axis=1)
+        ratio = product / np.maximum(product - h_o @ diag, background.PROB_EPS)
+        assert np.all(ratio[h_o.sum(axis=1) == 0] == 1.0)
+        for k, (i, j, pat) in enumerate(zip(pi.tolist(), pj.tolist(), pats)):
             # the screen's counts are the ones the mask path counts
             assert edges[k] == g.count_edges_between(masks[i], masks[j])
             if not directed:
@@ -119,8 +127,9 @@ def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shar
             assert pat.edges == edges[k]
             err = abs(si[k] - pat.si)
             assert err <= bound[k]
-            # 1e-12 relative, or rounding of a near-zero KL divergence
-            assert err <= 1e-12 * abs(pat.si) + 1e-13 * pat.n_w / pat.dl
+            # 1e-12 relative (times the product-over-mass ratio), or rounding
+            # of a near-zero KL divergence
+            assert err <= 1e-12 * ratio[k] * abs(pat.si) + 1e-13 * pat.n_w / pat.dl
 
         cfg = SearchConfig(x1=x1, x2=x2, depth=depth, require_shared_attribute=shared,
                            require_disjoint_extensions=disjoint, constants=c)
@@ -163,9 +172,9 @@ def test_single_screen_matches_score_single_and_reference(seed, n, directed, cou
             sizes = masks.sum(axis=1)
             edges = np.array([g.count_edges_between(m, m) for m in masks])
             si, bound = screen.scores(refiner.class_counts(rows), sizes, edges, length)
-            for k, nd in enumerate(level):
-                pat = _score_masks(g, model, refiner.description(nd), masks[k], None, masks[k],
-                                   c)
+            pats = score_masks(g, model, [refiner.description(nd) for nd in level], masks, None,
+                               None, c)
+            for k, pat in enumerate(pats):
                 err = abs(si[k] - pat.si)
                 assert err <= bound[k]
                 # 1e-12 relative, or rounding of a near-zero KL divergence
@@ -235,8 +244,9 @@ def test_screen_bound_holds_for_many_classes(directed, table_cells):
         si, bound, edges, inside = screen_pairs(_BiScreen(g, refiner, c, False), rows, rows,
                                                 pi, pj, lengths[pi] + lengths[pj])[:4]
         descs = [refiner.description(nd) for nd in nodes]
-        for k, (i, j) in enumerate(zip(pi.tolist(), pj.tolist())):
-            pat = _score_masks(g, model, descs[i], masks[i], descs[j], masks[j], c)
+        pats = score_masks(g, model, [descs[i] for i in pi], masks[pi], [descs[j] for j in pj],
+                           masks[pj], c)
+        for k, pat in enumerate(pats):
             if pat is None:
                 assert si[k] == -np.inf
                 continue
@@ -266,5 +276,5 @@ def test_screen_bound_covers_self_pairs_that_outweigh_the_mass(directed, lam):
                              np.full(pi.size, 2))[:2]
     w = Description((EqualsSelector("s0", "in"),))
     for k, (i, j) in enumerate(zip(pi.tolist(), pj.tolist())):
-        pat = _score_masks(g, model, w, masks[i], w, masks[j], c)
+        pat = score_mask(g, model, w, masks[i], w, masks[j], c)
         assert abs(si[k] - pat.si) <= bound[k]

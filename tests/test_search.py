@@ -9,11 +9,10 @@ from simine import (MEASURE_NAMES, AttributeColumn, AttributedGraph, Description
                     extension, fit_degree_prior, fit_density_prior, generate_selectors,
                     iterate, nested_beam_search, rescore, score_bi, score_single, search,
                     update_with_pattern)
-from simine.scores import _score_masks
 
 from conftest import (exhaustive_best_bi, exhaustive_best_single, outer_selection,
                       random_graph, reference_beam_search_single, reference_iterate,
-                      reference_nested_beam_search, rendered)
+                      reference_nested_beam_search, rendered, score_mask)
 
 
 def entry(si, ident, group=None):
@@ -117,7 +116,7 @@ class TestSingleSearch:
             d = Description((s,))
             m = extension(d, g)
             if 2 <= m.sum() < g.n:
-                expect.append(_score_masks(g, model, d, m, None, m, c))
+                expect.append(score_mask(g, model, d, m, None, m, c))
         expect.sort(key=lambda p: p.sort_key())
         assert [str(p.w1) for p in pats] == [str(p.w1) for p in expect]
         assert [p.si for p in pats] == pytest.approx([p.si for p in expect])
@@ -516,7 +515,7 @@ class TestScorerPath:
             return wrapper
 
         def scoring(*args):
-            scored.extend(args[2])
+            scored.extend(args[1])
             return score_bi(*args)
 
         monkeypatch.setattr(search._Refiner, "class_counts", counting)
