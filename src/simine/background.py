@@ -37,10 +37,11 @@ classes:
   ``fit_info["iterations"]`` counts the Newton steps;
 * pair sums are weighted sums of the table over the class histograms of the
   two vertex sets (O(|R| + |C| + K_R * K_C)), for a batch of grids at once:
-  exact, whatever the batch (``pair_mass``, with ``pair_sums`` as its
-  one-grid case), or through BLAS for the screens: ``self_mass`` of sets
-  paired with themselves, and ``row_mass``, one O(K^2) mass row per set,
-  whose dot product with another set's histogram is a grid's mass in O(K);
+  exact, whatever the batch (``pair_mass``), or through BLAS for the
+  screens: ``self_mass`` of sets paired with themselves, and ``row_mass``,
+  one O(K^2) mass row per set, whose dot product with another set's
+  histogram is a grid's mass in O(K).  Each reads the table in
+  ``_sub_tables`` chunks, of which a held table is the one;
 * a pattern multiplier comes from bisection over the clamp range on the
   monotone calibration residual over class-pair weights; the updated model
   splits classes by membership in the pattern's rows and columns.
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,17 +174,11 @@ class PatternUpdate:
     lam: float
     observed: int
     n_pairs: int
-    row_mask: np.ndarray = field(repr=False, default=None)
-    col_mask: np.ndarray = field(repr=False, default=None)
 
     def masks(self, n):
-        if self.row_mask is None:
-            rm = np.zeros(n, dtype=bool)
-            rm[self.rows] = True
-            cm = np.zeros(n, dtype=bool)
-            cm[self.cols] = True
-            self.row_mask, self.col_mask = rm, cm
-        return self.row_mask, self.col_mask
+        rm, cm = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        rm[self.rows] = cm[self.cols] = True
+        return rm, cm
 
 
 class BackgroundModel:
@@ -227,11 +222,10 @@ class BackgroundModel:
         self.graph_fingerprint = graph_fingerprint
         self._check_and_index()
         k = self.n_classes
-        self._P_off = self._P_diag = None  # class-pair table, diagonal split off
-        if k * k <= _TABLE_CELLS:
-            self._P_off = self._class_probs(np.arange(k), np.arange(k))
-            self._P_diag = np.diag(self._P_off).copy()
-            np.fill_diagonal(self._P_off, 0.0)
+        self._table = None  # the class-pair table as ``_sub_tables``' one chunk
+        if k * k <= _TABLE_CELLS:  # the sub-table of every class, by slices
+            _, _, P, _, diag = next(self._sub_tables(np.ones(k)))
+            self._table = (slice(None), slice(None), P, slice(None), diag)
 
     def _check_and_index(self):
         """Validate shapes, ranges and finiteness; derive per-class bins and
@@ -297,37 +291,27 @@ class BackgroundModel:
         """Clamped edge probabilities for the class grid a x b (diagonal included)."""
         return np.clip(_sigmoid(self._class_logits(a, b)), PROB_EPS, 1.0 - PROB_EPS)
 
-    def pair_sums(self, rows, cols):
-        """Probability mass over the rows x cols grid, diagonal excluded.
-
-        ``rows`` and ``cols`` are sets of distinct vertex ids.  Returns
-        ``(ordered_sum, overlap_sum)`` where ``ordered_sum`` ranges over all
-        ordered grid pairs u != v and ``overlap_sum`` over ordered pairs
-        inside the row/column intersection (0 for directed models).  The
-        distinct (unordered) pair total is ``ordered_sum - overlap_sum / 2``.
-        This is the one-row case of ``pair_mass``.
-        """
-        ordered, overlap = self.pair_mass(*self._histograms(rows, cols))
-        return float(ordered[0]), float(overlap[0])
-
     def pair_mass(self, H_r, H_c, H_o):
-        """Exact ``pair_sums`` of many grids from class histograms, one row
-        each (or 1-D for one): ``H_r`` of the rows, ``H_c`` of the columns
-        and ``H_o`` of their intersection.  A grid's sums are bit for bit
-        the same whatever else is in the batch and wherever it sits: they
-        add its own terms, copied in C order, in a fixed order (``einsum``
-        and sums over the last axis, or without a full table ``_grid_mass``
-        on the grid alone), never through a BLAS product over the batch.  A
-        set paired with itself takes the same steps as any other grid, and
-        undirected grids are put in a canonical order first, so mirrored
-        grids tie.
-        """
+        """``(ordered, overlap)`` of many rows x cols grids from class
+        histograms, one row each (or 1-D for one), ``H_r`` of the rows,
+        ``H_c`` of the columns and ``H_o`` of their intersection: the mass of
+        the ordered pairs u != v and of those inside the intersection (0 on
+        directed models), so ``ordered - overlap / 2`` on distinct pairs.
+        A grid's sums are bit for bit the same whatever else is in the batch
+        and wherever it sits: they add its own terms, copied in C order, in a
+        fixed order (``einsum`` and sums over the last axis, or without a
+        held table ``_grid_mass`` on the grid alone), never through a BLAS
+        product over the batch.  A set paired with itself takes the same
+        steps as any other grid, and undirected grids are put in a canonical
+        order first, so mirrored grids tie."""
         H_r, H_c, H_o = (np.array(h, np.float64, order="C", ndmin=2) for h in (H_r, H_c, H_o))
         if not self.directed:
             d = H_r - H_c
             swap = d[np.arange(len(d)), np.argmax(d != 0, axis=1)] < 0
             H_r[swap], H_c[swap] = H_c[swap], H_r[swap]
-        if self._P_off is None:
+        if self._table is None:
+            # row by row: a sub-table shared by the batch, summed by einsum, is
+            # as exact but 2-8 times slower at K > 1,414 unless rows are few
             out = np.zeros((2, len(H_r)))
             for i in range(len(H_r)):
                 r, c, o = H_r[i:i + 1], H_c[i:i + 1], H_o[i:i + 1]
@@ -335,11 +319,12 @@ class BackgroundModel:
                 if not self.directed:
                     out[1, i] = self.self_mass(o)[0]
             return out[0], out[1]
-        # h @ P_off of the rows and, on undirected models, of the intersections
-        T = [np.einsum("ia,ab->ib", h, self._P_off) for h in (H_r, H_o)[:2 - self.directed]]
-        ordered = (H_c * T[0]).sum(axis=-1) + ((H_r * H_c - H_o) * self._P_diag).sum(axis=-1)
+        _, _, P, _, diag = self._table
+        # h P of the rows and, on undirected models, of the intersections
+        T = [np.einsum("ia,ab->ib", h, P) for h in (H_r, H_o)[:2 - self.directed]]
+        ordered = (H_c * T[0]).sum(axis=-1) + ((H_r * H_c - H_o) * diag).sum(axis=-1)
         return ordered, (np.zeros_like(ordered) if self.directed else (H_o * T[1]).sum(axis=-1)
-                         + ((H_o * H_o - H_o) * self._P_diag).sum(axis=-1))
+                         + ((H_o * H_o - H_o) * diag).sum(axis=-1))
 
     def _histograms(self, rows, cols):
         """Class histograms (float) of ``rows``, ``cols`` and their intersection."""
@@ -355,18 +340,25 @@ class BackgroundModel:
         h_o = np.bincount(self.cls[cols[in_rows[cols]]], minlength=k).astype(np.float64)
         return h_r, h_c, h_o
 
-    def _sub_tables(self, ia, ib):
-        """The class-pair table on the classes ``ia`` x ``ib`` in row chunks
-        of at most ``_TABLE_CELLS`` cells: ``(rows, off-diagonal block,
-        classes of the diagonal entries, their probabilities)`` per chunk."""
+    def _sub_tables(self, H_r, H_c=None):
+        """The class-pair table in chunks ``(rows, columns, off-diagonal
+        block, classes of the diagonal entries, their probabilities)``: the
+        held table as one chunk, by slices; without it, at least one chunk
+        of at most ``_TABLE_CELLS`` cells over the classes present in the
+        histograms ``H_r`` by those in ``H_c`` (every class when None)."""
+        if self._table is not None:
+            yield self._table
+            return
+        ia, ib = (np.arange(self.n_classes) if H is None else
+                  np.flatnonzero(H.reshape(-1, H.shape[-1]).any(axis=0)) for H in (H_r, H_c))
         step = max(1, _TABLE_CELLS // max(1, ib.size))
-        for i in range(0, ia.size, step):
+        for i in range(0, max(1, ia.size), step):
             a = ia[i:i + step]
             P = self._class_probs(a, ib)
             r, c = np.nonzero(a[:, None] == ib[None, :])
             diag = P[r, c]
             P[r, c] = 0.0
-            yield a, P, a[r], diag
+            yield a, ib, P, a[r], diag
 
     def class_order(self):
         """``(order, starts)``: the vertices sorted by class (stable), and the
@@ -377,18 +369,14 @@ class BackgroundModel:
     def row_mass(self, H):
         """The nested screen's mass rows of the sets of class histograms
         ``H`` (int64 or float, one row each): ``(T, d)``, ``T = H P`` over
-        the class table P with its diagonal, and ``d`` that diagonal on the
-        classes in ``H`` (0 elsewhere).  Set i by a set of histogram ``h``
-        sharing ``h_o`` with it has ordered mass ``T[i] . h - h_o . d``.
-        Without a full table, P's rows come in ``_sub_tables`` chunks."""
+        the class table P with its diagonal, and ``d`` that diagonal, on the
+        classes in ``H`` at least.  Set i by a set of histogram ``h``
+        sharing ``h_o`` with it has ordered mass ``T[i] . h - h_o . d``."""
         H = H.astype(np.float64, copy=False)
-        if self._P_off is not None:
-            d, T = self._P_diag, H @ self._P_off
-        else:
-            d, T = np.zeros(self.n_classes), np.zeros(H.shape)
-            for a, P, dc, dp in self._sub_tables(_present(H), np.arange(self.n_classes)):
-                d[dc] = dp
-                T += H[:, a] @ P
+        d, T = np.zeros(self.n_classes), np.zeros(H.shape)
+        for a, _, P, dc, dp in self._sub_tables(H):
+            d[dc] = dp
+            T += H[:, a] @ P
         T += H * d
         return T, d
 
@@ -403,16 +391,12 @@ class BackgroundModel:
         """The ordered mass of float grids (``pair_mass``'s histograms, one
         row each): pairs between distinct classes from the off-diagonal
         table, the h_r*h_c - h_o pairs inside one class from its diagonal
-        entry, so nothing cancels.  Without a full table, the sub-table of
-        the classes present comes in ``_sub_tables`` chunks."""
-        if self._P_off is not None:
-            diag, ic, to_cols = self._P_diag, slice(None), H_r @ self._P_off
-        else:
-            ic = _present(H_c)
-            diag, to_cols = np.zeros(self.n_classes), np.zeros((len(H_r), ic.size))
-            for a, P, dc, dp in self._sub_tables(_present(H_r), ic):
-                diag[dc] = dp
-                to_cols += H_r[:, a] @ P
+        entry, so nothing cancels.  The table comes in ``_sub_tables``
+        chunks, which share their columns ``ic``."""
+        diag, to_cols = np.zeros(self.n_classes), 0.0
+        for a, ic, P, dc, dp in self._sub_tables(H_r, H_c):
+            diag[dc] = dp
+            to_cols = to_cols + H_r[:, a] @ P
         return (H_c[:, ic] * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ diag
 
     def copy_with_update(self, upd: PatternUpdate) -> "BackgroundModel":
@@ -504,11 +488,6 @@ class BackgroundModel:
     def load(cls, path) -> "BackgroundModel":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _present(H):
-    """Classes with a member in any of the histograms ``H`` (one or many rows)."""
-    return np.flatnonzero(H.reshape(-1, H.shape[-1]).any(axis=0))
 
 
 def _ints(values, what):
@@ -922,7 +901,8 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
         return float((w * _sigmoid(ell + lam)).sum()) - observed
 
     lam = 0.0
-    if abs(resid(0.0)) > 1e-9 * max(1, n_pairs):
+    # a count met to 1e-9 of it, or to a bisection's rounding, keeps lam = 0
+    if abs(resid(0.0)) > max(1e-9 * max(1, observed), 1e-13 * n_pairs):
         lo, hi = -LOGIT_CLAMP, LOGIT_CLAMP
         if resid(lo) >= 0 or resid(hi) <= 0:
             lam = lo if resid(lo) >= 0 else hi
@@ -950,8 +930,8 @@ def pair_universe(a, b, overlap, convention: str):
     A single set of size s is the case a == b == overlap == s.  "ordered"
     counts ordered pairs, a*b - overlap; "unordered" counts each unordered
     pair once, a*b - overlap*(overlap+1)/2.  Over the same pairs,
-    ``pair_sums`` gives the probability mass as ``ordered_sum`` and
-    ``ordered_sum - overlap_sum / 2`` respectively.
+    ``pair_mass`` gives the probability mass as ``ordered`` and
+    ``ordered - overlap / 2`` respectively.
     """
     if not isinstance(overlap, np.ndarray) and not (0 <= overlap <= a and overlap <= b):
         raise ValueError("overlap cannot exceed either subgroup size")

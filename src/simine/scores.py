@@ -192,7 +192,7 @@ def pair_counts(a, b, o, edges, edges_in_overlap, ordered_mass, overlap_mass,
 
     ``edges`` counts the distinct edges between the extensions (ordered
     edges W1 -> W2 when directed), ``edges_in_overlap`` those with both ends
-    in W1 ∩ W2, and ``ordered_mass``/``overlap_mass`` are ``pair_sums``.
+    in W1 ∩ W2, and ``ordered_mass``/``overlap_mass`` are ``pair_mass``'s.
     ``slots`` is the number of distinct pairs.  In the ordered convention of
     an undirected graph, ``k_w`` counts edge orientations (u in W1, v in W2):
     the distinct edges plus the edges inside the overlap, which hold both
@@ -270,7 +270,7 @@ def _columns(model, c, lengths, hists, edges, inside):
 
 def _mass_columns(c, directed, lengths, a, b, o, edges, inside, ordered, overlap):
     """``_columns`` of patterns from their int64 sizes ``a``, ``b`` and
-    overlaps ``o`` (``0 <= o <= min(a, b)``) and their ``pair_sums`` masses
+    overlaps ``o`` (``0 <= o <= min(a, b)``) and their ``pair_mass`` masses
     ``ordered``/``overlap``, one row each.  Each quantity is elementwise;
     ``edges``/``pair_slots``/``expected_edges`` count distinct pairs
     (ordered when directed), the rest is in the scoring convention.

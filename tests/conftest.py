@@ -101,8 +101,15 @@ def table_probabilities(model, rows, cols):
                               model.cls[np.asarray(cols, dtype=np.int64)])
 
 
+def pair_sums(model, rows, cols):
+    """``BackgroundModel.pair_mass`` of the one rows x cols grid of vertex
+    ids, as floats ``(ordered, overlap)``."""
+    ordered, overlap = model.pair_mass(*model._histograms(rows, cols))
+    return float(ordered[0]), float(overlap[0])
+
+
 def dense_pair_sums(model, rows, cols):
-    """Reference for ``BackgroundModel.pair_sums`` by summing the dense grid."""
+    """Reference for ``pair_sums`` by summing the dense grid."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     P = dense_probabilities(model, rows, cols)

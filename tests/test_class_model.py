@@ -3,14 +3,14 @@
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simine import (FitError, block_mean_probability, fit_block_prior,
                     fit_degree_prior, update_with_pattern)
 from simine import background
 
-from conftest import (dense_pair_sums, dense_probabilities, distinct_pairs,
+from conftest import (dense_pair_sums, dense_probabilities, distinct_pairs, pair_sums,
                       random_graph, table_probabilities)
 
 RTOL = 1e-9
@@ -71,10 +71,10 @@ def _check_reads(model, rng):
     for _ in range(4):
         rows = _vertex_set(rng, n)
         cols = rows if rng.random() < 0.3 else _vertex_set(rng, n, base=rows)
-        got, ref = model.pair_sums(rows, cols), dense_pair_sums(model, rows, cols)
+        got, ref = pair_sums(model, rows, cols), dense_pair_sums(model, rows, cols)
         assert _close(got[0], ref[0]) and _close(got[1], ref[1]), (got, ref)
         if not model.directed:
-            assert model.pair_sums(cols, rows) == got  # mirrored patterns tie exactly
+            assert pair_sums(model, cols, rows) == got  # mirrored patterns tie exactly
         pairs = distinct_pairs(rows, cols, model.directed)
         if not pairs:
             continue
@@ -124,6 +124,9 @@ def _absorb_and_check(model, rng):
 @given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(),
        prior=st.sampled_from(["degree", "blocks", "blocks+degree"]),
        n_updates=st.integers(0, 3), small_table=st.booleans())
+# an absorption of 6 pairs whose count of 2 the model meets to 1.8e-9
+# relative: it must calibrate, not keep lam = 0 by a tolerance of n_pairs
+@example(seed=413, directed=False, prior="blocks", n_updates=3, small_table=False)
 def test_class_model_matches_dense_reference(seed, directed, prior, n_updates, small_table):
     """Fit, pair sums, block means and stacked absorptions agree with the
     dense per-vertex grid, with the full class table and with chunked

@@ -14,8 +14,9 @@ from simine import (AttributedGraph, BackgroundModel, Description, EqualsSelecto
 from simine.scores import _with_extensions
 from simine.search import _BiScreen
 
-from conftest import (brute_force_counts, class_histograms, dense_pair_sums, random_graph,
-                      reference_w1_planes, refiner_rows, score_mask, screen_pairs)
+from conftest import (brute_force_counts, class_histograms, dense_pair_sums, pair_sums,
+                      random_graph, reference_w1_planes, refiner_rows, score_mask,
+                      screen_pairs)
 
 W1 = Description((EqualsSelector("a", "v0"),))
 W2 = Description((EqualsSelector("b", "v1"),))
@@ -82,14 +83,36 @@ def _self_mass_as_before(model, F):
     summed it: each row's product with the off-diagonal table (a sub-table
     of the classes present, a chunk at a time, without a full table) times
     the row, then the h*h - h pairs inside each class on the diagonal."""
-    if model._P_off is not None:
-        return ((F @ model._P_off) * F).sum(axis=-1) + (F * F - F) @ model._P_diag
+    if model._table is not None:
+        _, _, P_off, _, P_diag = model._table
+        return ((F @ P_off) * F).sum(axis=-1) + (F * F - F) @ P_diag
     ic = np.flatnonzero(F.any(axis=0))
     diag, to_cols = np.zeros(model.n_classes), np.zeros((len(F), ic.size))
-    for a, P, dc, dp in model._sub_tables(ic, ic):
+    for a, cols, P, dc, dp in model._sub_tables(F, F):
+        assert np.array_equal(cols, ic)
         diag[dc] = dp
         to_cols += F[:, a] @ P
     return (F[:, ic] * to_cols).sum(axis=-1) + (F * F - F) @ diag
+
+
+def _held_masses_as_before(model, H1, H_r, H_c, H_o):
+    """With a held class table, ``row_mass(H1)`` and ``pair_mass(H_r, H_c,
+    H_o)`` as earlier versions summed them from the off-diagonal table and
+    the diagonal: ``H1 P_off + H1 * diag``, and ``pair_mass``'s einsum
+    expressions on its canonical (undirected) or given (directed) order."""
+    _, _, P_off, _, P_diag = model._table
+    F1 = H1.astype(np.float64)
+    H_r, H_c, H_o = (h.astype(np.float64) for h in (H_r, H_c, H_o))
+    if not model.directed:
+        d = H_r - H_c
+        swap = d[np.arange(len(d)), np.argmax(d != 0, axis=1)] < 0
+        H_r[swap], H_c[swap] = H_c[swap], H_r[swap]
+    ordered = ((H_c * np.einsum("ia,ab->ib", H_r, P_off)).sum(axis=-1)
+               + ((H_r * H_c - H_o) * P_diag).sum(axis=-1))
+    overlap = (np.zeros_like(ordered) if model.directed else
+               (H_o * np.einsum("ia,ab->ib", H_o, P_off)).sum(axis=-1)
+               + ((H_o * H_o - H_o) * P_diag).sum(axis=-1))
+    return (F1 @ P_off + F1 * P_diag, P_diag), (ordered, overlap)
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,7 +124,8 @@ def test_screen_masses_match_pair_mass(seed, directed, table_cells, updates):
     ``pair_mass`` (whose rows sum alike alone and in a batch) and the dense
     grid, for W2 disjoint from W1, inside it, around it and crossing it;
     and the single screen's ``self_mass`` against the bits of its earlier
-    three-histogram call.  A table budget
+    three-histogram call; with a held class table, ``row_mass`` and
+    ``pair_mass`` against the bits of their earlier expressions.  A table budget
     of 1 or 12 cells leaves a model of more classes without a class table,
     so the sums come from sub-tables of one or a few class rows."""
     cells = background._TABLE_CELLS if table_cells is None else table_cells
@@ -113,7 +137,7 @@ def test_screen_masses_match_pair_mass(seed, directed, table_cells, updates):
             model = _absorb_random(g, fit_degree_prior(g), rng, updates)
         except FitError:
             assume(False)
-        assert (model._P_off is None) == (model.n_classes ** 2 > cells)
+        assert (model._table is None) == (model.n_classes ** 2 > cells)
         masks1 = rng.random((5, n)) < rng.uniform(0.1, 0.9)
         masks1[0] = True
         some = rng.random((4, 5, n)) < 0.5
@@ -130,6 +154,10 @@ def test_screen_masses_match_pair_mass(seed, directed, table_cells, updates):
         ordered = gross - H_o @ d
         overlap = np.zeros(pi.size) if directed else model.self_mass(H_o)
         exact = model.pair_mass(H1[pi], H2[pj], H_o)
+        if model._table is not None:  # a held table's masses keep their bytes
+            rows_before, exact_before = _held_masses_as_before(model, H1, H1[pi], H2[pj], H_o)
+            assert all(x.tobytes() == y.tobytes()
+                       for x, y in zip((T, d) + exact, rows_before + exact_before))
         # the product's rounding is relative to it, and the diagonal it
         # leaves out may be most of it; the overlap's mass cancels nothing
         assert np.all(np.abs(ordered - exact[0]) <= 1e-12 * gross)
@@ -142,7 +170,7 @@ def test_screen_masses_match_pair_mass(seed, directed, table_cells, updates):
             # a grid alone sums as it does in the batch
             one = model.pair_mass(H1[pi[k]], H2[pj[k]], H_o[k])
             assert [x.tolist() for x in one] == [[exact[0][k]], [exact[1][k]]]
-            assert model.pair_sums(rows, cols) == (exact[0][k], exact[1][k])
+            assert pair_sums(model, rows, cols) == (exact[0][k], exact[1][k])
         assert all(np.array_equal(h, b) for h, b in zip((H1, H2, H_o), before))
         # the single screen's sets, each paired with itself, as int64 counts
         F = class_histograms(model, np.concatenate([masks1, masks2]))

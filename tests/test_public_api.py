@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import simine
@@ -23,7 +24,7 @@ def test_removed_members_are_gone():
 
     for name in ("exact_tail_probability", "subjective_interestingness"):
         assert not hasattr(scores, name), name
-    for name in ("probabilities", "edge_probability", "lam_row", "lam_col"):
+    for name in ("probabilities", "edge_probability", "lam_row", "lam_col", "pair_sums"):
         assert not hasattr(simine.BackgroundModel, name), name
     assert not hasattr(simine.AttributedGraph, "degree")
     for name in ("sort_key", "total_length"):
@@ -40,3 +41,10 @@ def test_scorers_take_no_graph():
         assert "g" not in params, fn.__name__
         assert all("AttributedGraph" not in str(p.annotation) for p in params.values()), fn
     assert not hasattr(scores, "_score_masks")
+
+
+def test_pattern_update_fields():
+    # an absorbed pattern is its block, multiplier and counts; its membership
+    # masks are computed by masks(n), not cached on the record
+    fields = [f.name for f in dataclasses.fields(simine.PatternUpdate)]
+    assert fields == ["rows", "cols", "lam", "observed", "n_pairs"]

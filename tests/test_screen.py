@@ -230,7 +230,7 @@ def test_screen_bound_holds_for_many_classes(directed, table_cells):
         model = BackgroundModel(n, directed, cls=rng.permutation(n),
                                 lam_row=rng.normal(-2.0, 3.0, size=n),
                                 lam_col=rng.normal(-2.0, 3.0, size=n) if directed else None)
-        assert model.n_classes == n and (model._P_off is None) == (table_cells is not None)
+        assert model.n_classes == n and (model._table is None) == (table_cells is not None)
         g = random_graph(5, n=n, p=0.05, attrs=(("a", 3), ("b", 4), ("c", 5)),
                          directed=directed)
         sels = generate_selectors(g)
