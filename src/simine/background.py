@@ -42,9 +42,11 @@ classes:
   one O(K^2) mass row per set, whose dot product with another set's
   histogram is a grid's mass in O(K).  Each reads the table in
   ``_sub_tables`` chunks, of which a held table is the one;
-* a pattern multiplier comes from bisection over the clamp range on the
-  monotone calibration residual over class-pair weights; the updated model
-  splits classes by membership in the pattern's rows and columns.
+* absorbing a pattern solves the same dual (``_Dual``, the fit's Newton
+  step) on the pattern's own pair grid, the classes of its rows by those of
+  its columns in ``_TABLE_CELLS`` chunks, with one multiplier on every cell
+  added to the model's logits; the updated model splits classes by
+  membership in the pattern's rows and columns.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ PROB_EPS = 1e-12
 MODEL_VERSION = 2
 _TABLE_CELLS = 2_000_000  # max class-pair cells held in a table or built at once
 _CG_TOL = 1e-3  # relative residual at which a Newton step's CG solve stops
+# an update's unit logits by class key 2 * in_rows + in_cols: 1 on its block
+_IN_BLOCK = np.outer(np.arange(4) >= 2, np.arange(4) % 2 == 1)
+_MEMBER = {True: _IN_BLOCK, False: _IN_BLOCK | _IN_BLOCK.T}
 
 __all__ = [
     "FitError",
@@ -93,10 +98,6 @@ def _sigmoid(x):
     p = e / d  # the value where x < 0
     np.copyto(p, np.divide(1.0, d, out=d), where=x >= 0)
     return p
-
-
-def _softplus(x):
-    return np.logaddexp(0.0, x)
 
 
 def _logit(p):
@@ -139,6 +140,16 @@ def _classes(columns):
     rep = np.empty(k, dtype=np.int64)
     rep[cls] = np.arange(cls.size)  # any member represents its class
     return table[rep], cls
+
+
+def _logits(offset, row, col, cells):
+    """Class-pair logits ``offset + row[:, None] + col[None, :]`` plus each
+    of ``cells``, added in that order: the one rule of the model and of the
+    dual, so a fitted model's logits are the fit's bit for bit."""
+    L = offset + row[:, None] + col[None, :]
+    for cell in cells:
+        L += cell
+    return L
 
 
 def _ranks(values):
@@ -228,8 +239,8 @@ class BackgroundModel:
             self._table = (slice(None), slice(None), P, slice(None), diag)
 
     def _check_and_index(self):
-        """Validate shapes, ranges and finiteness; derive per-class bins and
-        memberships and check that they are constant within every class."""
+        """Validate shapes, ranges and finiteness; derive ``_terms``, checking
+        that bins and memberships are constant within every class."""
         n, k = self.n, self.class_lam_row.size
         if self.cls.shape != (n,):
             raise ValueError(f"class id array has {self.cls.size} entries, expected n={n}")
@@ -252,22 +263,21 @@ class BackgroundModel:
                 raise ValueError(f"{what} differ within a vertex class")
             return out
 
-        self._class_bins = []
+        self._terms = []  # (class keys, logit table) of each partition and update
         for p in self.partitions:
             nb = p.n_bins
             if p.bins.shape != (n,) or (n and (p.bins.min() < 0 or p.bins.max() >= nb)):
                 raise ValueError(f"partition {p.attribute!r}: need n bins in [0, {nb})")
             if p.gammas.shape != (nb, nb):
                 raise ValueError(f"partition {p.attribute!r}: gammas must be {nb}x{nb}")
-            self._class_bins.append(per_class(p.bins, f"bins of {p.attribute!r}"))
-        self._class_members = []
+            self._terms.append((per_class(p.bins, f"bins of {p.attribute!r}"), p.gammas))
         for u in self.updates:
             for ids in (u.rows, u.cols):
                 if ids.size == 0 or ids.min() < 0 or ids.max() >= n:
                     raise ValueError(f"update vertex ids must be non-empty and in [0, {n})")
             rm, cm = u.masks(n)
-            self._class_members.append((per_class(rm, "update rows"),
-                                        per_class(cm, "update columns")))
+            keys = 2 * per_class(rm, "update rows") + per_class(cm, "update columns")
+            self._terms.append((keys, u.lam * _MEMBER[self.directed]))
 
     @property
     def n_classes(self) -> int:
@@ -277,15 +287,8 @@ class BackgroundModel:
 
     def _class_logits(self, a, b):
         """Raw logit matrix for the class grid a x b (class ids)."""
-        L = self.offset + self.class_lam_row[a][:, None] + self.class_lam_col[b][None, :]
-        for part, cb in zip(self.partitions, self._class_bins):
-            L = L + part.gammas[cb[a][:, None], cb[b][None, :]]
-        for upd, (rm, cm) in zip(self.updates, self._class_members):
-            member = rm[a][:, None] & cm[b][None, :]
-            if not self.directed:
-                member = member | (cm[a][:, None] & rm[b][None, :])
-            L = L + upd.lam * member
-        return L
+        return _logits(self.offset, self.class_lam_row[a], self.class_lam_col[b],
+                       (table[keys[a][:, None], keys[b][None, :]] for keys, table in self._terms))
 
     def _class_probs(self, a, b):
         """Clamped edge probabilities for the class grid a x b (diagonal included)."""
@@ -563,156 +566,96 @@ def _partition_bins(g, attr):
     return np.where(missing, len(col.domain), col.codes), values
 
 
-class _MaxEntProblem:
-    """Joint degree/block dual for one graph; owns the working multipliers.
+class _Dual:
+    """The Lagrangian dual of expected-count constraints on the class-pair
+    grid of class histograms ``(h_r, h_c, h_o)`` (two vertex sets and their
+    intersection); owns the working multipliers ``x``, with targets ``t``.
 
-    A class is the set of vertices sharing their degree (the (out, in) pair
-    when directed, because excluding the (u, u) pair makes a row multiplier
-    depend on u's in-degree too) and their bin in every partition.  Members
-    of a class face identical constraints, so the dual has one multiplier
-    per class and every sum over partners is a sum over classes weighted by
-    class sizes.
-
-    The dual's variables are one vector ``x``: the degree multipliers (the
-    row ones, then the column ones when directed), then each partition's
-    gammas, one per block (per unordered bin pair when undirected).  Cell
-    (a, b) of the class-pair grid stands for the ``W[a, b] = s_a * s_b``
-    ordered vertex pairs between classes a and b (``s_a * (s_a - 1)`` when
-    a == b), and its logit ``(M x)[a, b]`` sums a's row multiplier, b's
-    column multiplier and every partition's gamma of the cell's bin pair.
-    With ``h`` = 1/2 on undirected graphs, which see every pair twice, and 1
-    on directed ones, the fit minimizes the negated dual ``h * sum(W *
-    softplus(M x)) - t . x``.  Its gradient is ``h * M^T (W * p) - t`` and
-    its Hessian ``h * M^T Q M``, ``Q = W * p * (1 - p)``: a variable's terms
-    are sums over its cells, one ``bincount`` over a grid of variable ids
-    per partition.  Its targets ``t`` are a class's summed degrees and a
-    block's edges.
+    Rows are the classes with ``h_r > 0``, columns those with ``h_c > 0``.
+    Cell (a, b) stands for ``W[a, b]`` distinct pairs: ``h_r[a] * h_c[b]``,
+    less ``h_o[a]`` if a == b, and when undirected less half of the same
+    over ``h_o``: ``pair_mass``'s ``ordered - overlap / 2``.  Its logit
+    ``base(a, b)`` (0 without ``base``) + ``(M x)[a, b]`` adds the variables
+    ``row_var[a]`` and ``col_var[b]`` (none when None; every class must be a
+    column) and ``table[keys[a], keys[b]]`` per ``(keys, table)`` in
+    ``cells``.  The negated dual is ``sum(W * softplus(L)) - t . x``, its
+    gradient ``M^T (W * p) - t``, its Hessian ``M^T Q M``, ``Q = W p (1-p)``.
     """
 
-    def __init__(self, g, partition_attrs, with_degrees):
-        self.g = g
-        self.directed = g.directed
-        self.half = 1.0 if self.directed else 0.5
-        self.parts = []
-        for attr in partition_attrs:
-            bins, values = _partition_bins(g, attr)
-            self.parts.append(PartitionGammas(attr, bins, values,
-                                              np.zeros((len(values), len(values)))))
-        if not with_degrees:
-            degrees, self.degree_names = [], []
-        elif self.directed:
-            degrees, self.degree_names = [g.out_degrees(), g.in_degrees()], ["out-degree",
-                                                                             "in-degree"]
-        else:
-            degrees, self.degree_names = [g.degrees()], ["degree"]
-        keys, self.cls = _classes(degrees + [p.bins for p in self.parts])
-        k = self.k = len(keys)
-        self.sizes = np.bincount(self.cls, minlength=k).astype(np.float64)
-        self.rep = np.empty(k, dtype=np.int64)
-        self.rep[self.cls] = np.arange(g.n)
-        self.class_bins = [keys[:, len(degrees) + j] for j in range(len(self.parts))]
-        # the degree variables: class a's row multiplier is x[a], its column
-        # multiplier x[a] too when undirected, x[k + a] when directed
-        self.row_var = self.col_var = None
-        n_deg = k * len(degrees)
-        deg = keys[:, :len(degrees)].T.ravel().astype(np.float64)
-        start = 0.5 * _logit(deg / (g.n - 1))
-        members = np.tile(self.sizes, len(degrees))  # a degree residual is per member
-        targets, scale = [deg * members], [members]
-        if degrees:
-            self.row_var = np.arange(k)
-            self.col_var = self.row_var + (n_deg - k)
-        # the gamma variables: one per block, in the order (b1, b2) of the
-        # bin pairs, b1 <= b2 when undirected; var[j] maps partition j's bin
-        # pairs to them
-        e0, e1 = g.edges[:, 0], g.edges[:, 1]
-        self.var, self.blocks = [], []
-        nvar = n_deg
-        for part in self.parts:
-            nb = part.n_bins
-            obs = np.bincount(part.bins[e0] * nb + part.bins[e1],
-                              minlength=nb * nb).reshape(nb, nb)
-            var = np.arange(nb * nb).reshape(nb, nb)
-            if not self.directed:
-                obs = np.triu(obs + obs.T) - np.diag(np.diag(obs))
-                var = np.triu(var) + np.triu(var, 1).T
-            ids = _distinct(var.ravel())  # each variable's block, as b1 * nb + b2
-            b1, b2 = np.divmod(ids, nb)
-            self.var.append(np.searchsorted(ids, var) + nvar)
-            self.blocks += [(part, (int(i), int(j))) for i, j in zip(b1, b2)]
-            targets.append(obs[b1, b2].astype(np.float64))
-            scale.append(np.ones(ids.size))
-            nvar += ids.size
-        self.n_var = nvar
-        self.t, self.scale = np.concatenate(targets), np.concatenate(scale)
+    def __init__(self, directed, hists, row_var, col_var, cells, t, x, base=None):
+        self.directed, self.hists, self.cells, self.t, self.base = directed, hists, cells, t, base
+        self.rows, self.cols = (np.flatnonzero(h) for h in hists[:2])
+        self.row_var, self.col_var = row_var, col_var
+        self.n_var = t.size
         # a grid held whole is built once; a larger one is rebuilt per pass
-        self._whole = list(self._build_grid()) if k * k <= _TABLE_CELLS else None
-        # a constraint over no pairs keeps its multiplier at 0; one that
-        # asks for no edge, or for every pair, starts and stays at a clamp
-        pairs = sum(self._gather(W, a, var) for a, W, var in self._grid())
+        whole = self.rows.size * self.cols.size <= _TABLE_CELLS
+        self._whole = list(self._build_grid()) if whole else None
+        # a constraint over no pairs keeps its start (0); one that asks for
+        # no edge, or for every pair, starts and stays at a clamp
+        pairs = sum(self._gather(W, a, var) for a, W, var, _, _ in self._grid())
         self.fixed = pairs == 0
-        x = np.concatenate([start, np.zeros(nvar - n_deg)])
-        x[(self.t <= 0) & ~self.fixed] = -LOGIT_CLAMP
-        x[(self.t >= pairs) & ~self.fixed] = LOGIT_CLAMP
-        x[self.fixed] = 0.0
+        x[(t <= 0) & ~self.fixed] = -LOGIT_CLAMP
+        x[(t >= pairs) & ~self.fixed] = LOGIT_CLAMP
         self._move_to(x, *self._evaluate(x))
 
     def _build_grid(self):
-        """The class-pair grid in row chunks of at most ``_TABLE_CELLS``
-        cells, each as ``(a, W, var)``: the chunk's classes ``a``, the pair
-        counts ``W`` of its cells and, per partition, the gamma variable of
-        every cell."""
-        k = self.k
-        step = max(1, _TABLE_CELLS // k)
-        for a0 in range(0, k, step):
-            a = np.arange(a0, min(k, a0 + step))
-            W = np.outer(self.sizes[a], self.sizes)
-            W[np.arange(a.size), a] -= self.sizes[a]  # u == v
-            yield a, W, [v[cb[a][:, None], cb[None, :]]
-                         for v, cb in zip(self.var, self.class_bins)]
+        """The grid in row chunks of at most ``_TABLE_CELLS`` cells, each as
+        ``(a, W, var, base, (r, c))``: row classes, pair counts, a variable
+        grid per ``cells`` entry, base logits and the cells with a == b."""
+        h_r, h_c, h_o = self.hists
+        ib = self.cols
+        step = max(1, _TABLE_CELLS // ib.size)
+        for i in range(0, self.rows.size, step):
+            a = self.rows[i:i + step]
+            r, c = np.nonzero(a[:, None] == ib[None, :])
+            W = np.outer(h_r[a], h_c[ib])
+            W[r, c] -= h_o[a[r]]
+            if not self.directed:
+                O = np.outer(h_o[a], h_o[ib])
+                O[r, c] -= h_o[a[r]]
+                W -= 0.5 * O
+            yield (a, W, [t[keys[a][:, None], keys[ib][None, :]] for keys, t in self.cells],
+                   0.0 if self.base is None else self.base(a, ib), (r, c))
 
     def _grid(self):
         return self._build_grid() if self._whole is None else self._whole
 
-    def _spread(self, x, a, var):
-        """``M x`` on the chunk rows ``a``: every cell's sum of its variables."""
-        L = np.zeros((a.size, self.k))
-        if self.row_var is not None:
-            L += x[self.row_var[a]][:, None]
-            L += x[self.col_var]
-        for v in var:
-            L += x[v]
-        return L
+    def _spread(self, x, a, var, base=0.0):
+        """``base + M x`` on the chunk rows ``a``: every cell's logit."""
+        if self.row_var is None:
+            row, col = np.zeros(a.size), np.zeros(self.cols.size)
+        else:
+            row, col = x[self.row_var[a]], x[self.col_var]
+        return _logits(base, row, col, (x[v] for v in var))
 
     def _gather(self, Z, a, var):
-        """``h * M^T Z`` of the values ``Z`` on the chunk rows ``a``: every
-        variable's sum over its cells."""
+        """``M^T Z`` of ``Z`` on the chunk rows ``a``: each variable's sum over its cells."""
         out = np.zeros(self.n_var)
         if self.row_var is not None:
             out[self.row_var[a]] += Z.sum(axis=1)
             out[self.col_var] += Z.sum(axis=0)
         for v in var:
             out += np.bincount(v.ravel(), Z.ravel(), minlength=self.n_var)
-        return out * self.half
+        return out
 
     def _evaluate(self, x):
         """The dual at ``x``, its gradient and its Hessian's diagonal, and the
         curvature ``Q`` of each chunk when the grid is held whole."""
         f, grad, diag, held = 0.0, np.zeros(self.n_var), np.zeros(self.n_var), []
-        for a, W, var in self._grid():
-            L = self._spread(x, a, var)
+        for a, W, var, base, (r, c) in self._grid():
+            L = self._spread(x, a, var, base)
             p = _sigmoid(L)
-            f += float((W * _softplus(L)).sum())
+            f += float((W * np.logaddexp(0.0, L)).sum())
             Q = W * p
             grad += self._gather(Q, a, var)
             Q *= 1.0 - p
             diag += self._gather(Q, a, var)
             if not self.directed and self.row_var is not None:
                 # a pair inside class a carries its multiplier at both ends
-                diag[self.row_var[a]] += Q[np.arange(a.size), a]
+                diag[self.row_var[a[r]]] += 2.0 * Q[r, c]
             if self._whole is not None:
                 held.append((a, var, Q))
-        return self.half * f - _dot(self.t, x), grad - self.t, diag, held or None
+        return f - _dot(self.t, x), grad - self.t, diag, held or None
 
     def _move_to(self, x, f, grad, diag, held):
         self.x, self.f, self.grad, self.diag, self._held = x, f, grad, diag, held
@@ -721,8 +664,8 @@ class _MaxEntProblem:
         """``(a, var, Q)`` of each chunk at the current multipliers."""
         if self._held is not None:
             return self._held
-        return ((a, var, W * p * (1.0 - p)) for a, W, var in self._grid()
-                for p in [_sigmoid(self._spread(self.x, a, var))])
+        return ((a, var, W * p * (1.0 - p)) for a, W, var, base, _ in self._grid()
+                for p in [_sigmoid(self._spread(self.x, a, var, base))])
 
     def _hessian_times(self, v):
         return sum(self._gather(Q * self._spread(v, a, var), a, var)
@@ -781,6 +724,83 @@ class _MaxEntProblem:
             step *= 0.5
         return False
 
+    def solve(self, done, max_steps):
+        """Newton steps until ``done()``, at most ``max_steps`` and while one
+        raises the dual; returns how many were taken."""
+        steps = 0
+        while not done() and steps < max_steps and self.newton_step():
+            steps += 1
+        return steps
+
+
+class _MaxEntProblem(_Dual):
+    """Joint degree/block dual for one graph, on every class by every class.
+
+    A class is the set of vertices sharing their degree (the (out, in) pair
+    when directed, because excluding the (u, u) pair makes a row multiplier
+    depend on u's in-degree too) and their bin in every partition.  The
+    variables are the degree multipliers (row, then column when directed)
+    and each partition's gammas, one per block (per unordered bin pair when
+    undirected); the targets a class's summed degrees and a block's edges.
+    """
+
+    def __init__(self, g, partition_attrs, with_degrees):
+        self.g = g
+        self.parts = []
+        for attr in partition_attrs:
+            bins, values = _partition_bins(g, attr)
+            self.parts.append(PartitionGammas(attr, bins, values,
+                                              np.zeros((len(values), len(values)))))
+        if not with_degrees:
+            degrees, self.degree_names = [], []
+        elif g.directed:
+            degrees, self.degree_names = [g.out_degrees(), g.in_degrees()], ["out-degree",
+                                                                             "in-degree"]
+        else:
+            degrees, self.degree_names = [g.degrees()], ["degree"]
+        keys, self.cls = _classes(degrees + [p.bins for p in self.parts])
+        k = self.k = len(keys)
+        sizes = np.bincount(self.cls, minlength=k).astype(np.float64)
+        self.rep = np.empty(k, dtype=np.int64)
+        self.rep[self.cls] = np.arange(g.n)
+        # the degree variables: class a's row multiplier is x[a], its column
+        # multiplier x[a] too when undirected, x[k + a] when directed
+        row_var = col_var = None
+        n_deg = k * len(degrees)
+        deg = keys[:, :len(degrees)].T.ravel().astype(np.float64)
+        start = 0.5 * _logit(deg / (g.n - 1))
+        members = np.tile(sizes, len(degrees))  # a degree residual is per member
+        targets, scale = [deg * members], [members]
+        if degrees:
+            row_var = np.arange(k)
+            col_var = row_var + (n_deg - k)
+        # the gamma variables: one per block, in the order (b1, b2) of the
+        # bin pairs, b1 <= b2 when undirected; var[j] maps partition j's bin
+        # pairs to them
+        e0, e1 = g.edges[:, 0], g.edges[:, 1]
+        self.var, self.blocks = [], []
+        nvar = n_deg
+        for part in self.parts:
+            nb = part.n_bins
+            obs = np.bincount(part.bins[e0] * nb + part.bins[e1],
+                              minlength=nb * nb).reshape(nb, nb)
+            var = np.arange(nb * nb).reshape(nb, nb)
+            if not g.directed:
+                obs = np.triu(obs + obs.T) - np.diag(np.diag(obs))
+                var = np.triu(var) + np.triu(var, 1).T
+            ids = _distinct(var.ravel())  # each variable's block, as b1 * nb + b2
+            b1, b2 = np.divmod(ids, nb)
+            self.var.append(np.searchsorted(ids, var) + nvar)
+            self.blocks += [(part, (int(i), int(j))) for i, j in zip(b1, b2)]
+            targets.append(obs[b1, b2].astype(np.float64))
+            scale.append(np.ones(ids.size))
+            nvar += ids.size
+        self.scale = np.concatenate(scale)
+        super().__init__(g.directed, (sizes,) * 3, row_var, col_var,
+                         [(keys[:, len(degrees) + j], v) for j, v in enumerate(self.var)],
+                         np.concatenate(targets),
+                         np.concatenate([start, np.zeros(nvar - n_deg)]))
+
     def residuals(self):
         """Worst unwaived constraint plus the worst saturated residual.
 
@@ -831,15 +851,11 @@ def _fit_max_ent(g, partitions, with_degrees, tol, max_iter, prior):
     if g.m == 0:
         raise ValueError("cannot fit a max-entropy prior on a graph with no edges")
     prob = _MaxEntProblem(g, partitions, with_degrees)
+    steps = prob.solve(lambda: prob.residuals()[1] <= tol, max_iter)
     worst_name, worst, waived = prob.residuals()
-    steps = 0
-    while worst > tol:
-        if steps >= max_iter or not prob.newton_step():
-            raise FitError(
-                f"no convergence after {steps} Newton steps; worst constraint: "
-                f"{worst_name} (residual {worst:.3g} > tol {tol:g})")
-        steps += 1
-        worst_name, worst, waived = prob.residuals()
+    if worst > tol:
+        raise FitError(f"no convergence after {steps} Newton steps; worst constraint: "
+                       f"{worst_name} (residual {worst:.3g} > tol {tol:g})")
 
     lam_row, lam_col, parts = prob.model_arrays()
     pinned = (np.abs(lam_row) >= LOGIT_CLAMP) | (np.abs(lam_col) >= LOGIT_CLAMP)
@@ -865,8 +881,11 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
     """Absorb a presented pattern: calibrate one multiplier on its pair block.
 
     ``pattern`` must expose ``ext1_ids``, ``ext2_ids`` (vertex id arrays;
-    equal for single-subgroup patterns) and the observed count ``edges``;
-    ids out of range, repeated or missing raise ValueError.  The returned
+    equal for single-subgroup patterns) and the observed count ``edges``, an
+    integer from 0 to the number of pairs; ids out of range, repeated or
+    missing, or another count, raise ValueError.  The multiplier solves the
+    fit's dual (``_Dual``, Newton) on the pattern's chunked pair grid with
+    one variable on every cell over the model's logits.  The returned
     model's expected count over the pattern's pairs equals the observed
     count; every other pair keeps its exact probability.
     """
@@ -875,49 +894,30 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
     rows = _vertex_set(pattern.ext1_ids, model.n, "pattern extension 1")
     cols = (rows if pattern.ext2_ids is None
             else _vertex_set(pattern.ext2_ids, model.n, "pattern extension 2"))
-    observed = int(pattern.edges)
-    if rows.size == 0 or cols.size == 0:
-        raise ValueError("pattern update needs non-empty extensions")
-    h_r, h_c, h_o = model._histograms(rows, cols)
-    n_pairs = pair_universe(rows.size, cols.size, int(h_o.sum()),
+    hists = model._histograms(rows, cols)
+    n_pairs = pair_universe(rows.size, cols.size, int(hists[2].sum()),
                             "ordered" if model.directed else "unordered")
     if n_pairs == 0:
         raise ValueError("pattern update has an empty pair set")
-    # the same pairs per class pair: ordered pairs u != v, and on undirected
-    # graphs one orientation less of each pair inside the overlap
-    ia, ib = np.flatnonzero(h_r), np.flatnonzero(h_c)
-    w = np.outer(h_r[ia], h_c[ib])
-    r, c = np.nonzero(ia[:, None] == ib[None, :])
-    if model.directed:
-        w[r, c] -= h_o[ia[r]]
-    else:
-        w -= 0.5 * np.outer(h_o[ia], h_o[ib])
-        w[r, c] -= 0.5 * h_o[ia[r]]
-    keep = w > 0
-    ell = model._class_logits(ia, ib)[keep]
-    w = w[keep]
-
-    def resid(lam):
-        return float((w * _sigmoid(ell + lam)).sum()) - observed
-
+    observed = pattern.edges
+    if isinstance(observed, bool) or not isinstance(observed, (int, np.integer)) \
+            or not 0 <= observed <= n_pairs:
+        raise ValueError(f"pattern edge count must be an integer in [0, {n_pairs}]: {observed!r}")
+    observed = int(observed)
+    dual = _Dual(model.directed, hists, None, None,
+                 [(np.zeros(model.n_classes, np.int64), np.zeros((1, 1), np.int64))],
+                 np.array([float(observed)]), np.zeros(1), model._class_logits)
+    # a count met at lam = 0 (not the clamp start of a count of no pair or
+    # every pair) to 1e-9 of it, or to a solve's rounding, keeps lam = 0
+    resid = dual.grad[0] if dual.x[0] == 0.0 else dual._evaluate(np.zeros(1))[1][0]
     lam = 0.0
-    # a count met to 1e-9 of it, or to a bisection's rounding, keeps lam = 0
-    if abs(resid(0.0)) > max(1e-9 * max(1, observed), 1e-13 * n_pairs):
-        lo, hi = -LOGIT_CLAMP, LOGIT_CLAMP
-        if resid(lo) >= 0 or resid(hi) <= 0:
-            lam = lo if resid(lo) >= 0 else hi
+    if abs(resid) > max(1e-9 * max(1, observed), 1e-13 * n_pairs):
+        dual.solve(lambda: abs(dual.grad[0]) <= 1e-14 * n_pairs, 100)
+        lam, resid = float(dual.x[0]), dual.grad[0]
+        if abs(lam) >= LOGIT_CLAMP:
             log.warning("pattern multiplier clamped at %g", lam)
-        else:
-            while hi - lo > 1e-13:  # float spacing near 30 is 3.6e-15, so this ends
-                mid = 0.5 * (lo + hi)
-                if resid(mid) > 0:
-                    hi = mid
-                else:
-                    lo = mid
-            lam = 0.5 * (lo + hi)
-
-    if abs(lam) < LOGIT_CLAMP and abs(resid(lam)) > 1e-6 * max(1, n_pairs):
-        raise FitError(f"pattern multiplier failed to calibrate (residual {resid(lam):.3g})")
+        elif abs(resid) > 1e-6 * max(1, n_pairs):
+            raise FitError(f"pattern multiplier failed to calibrate (residual {resid:.3g})")
     upd = PatternUpdate(np.sort(rows), np.sort(cols), float(lam), observed, n_pairs)
     return model.copy_with_update(upd)
 

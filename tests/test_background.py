@@ -404,11 +404,27 @@ class TestPatternUpdate:
             elif k < base_exp * n_w:
                 assert lam < 0
 
-    def test_extreme_counts_clamped(self, fig_graph):
+    def test_extreme_counts_clamped(self, fig_graph, caplog):
         m = fit_density_prior(fig_graph, 0.5)
-        lo = update_with_pattern(m, FakePattern([0, 1], [2, 3], edges=0))
-        hi = update_with_pattern(m, FakePattern([0, 1], [2, 3], edges=4))
+        with caplog.at_level("WARNING", logger="simine.background"):
+            lo = update_with_pattern(m, FakePattern([0, 1], [2, 3], edges=0))
+            hi = update_with_pattern(m, FakePattern([0, 1], [2, 3], edges=4))
         assert lo.updates[-1].lam == -30.0 and hi.updates[-1].lam == 30.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "pattern multiplier clamped at -30", "pattern multiplier clamped at 30"]
+
+    @pytest.mark.parametrize("edges", [7, -3, 2.7, True, np.float64(2.0), "2"])
+    def test_count_outside_pairs_rejected(self, fig_graph, edges):
+        # 4 pairs: a count must be an integer (not a bool) from 0 to 4; 7 once
+        # stored observed > n_pairs at lam = 30, -3 gave lam = -30, 2.7 became 2
+        m = fit_density_prior(fig_graph, 0.5)
+        with pytest.raises(ValueError, match=r"edge count must be an integer in \[0, 4\]"):
+            update_with_pattern(m, FakePattern([0, 1], [2, 3], edges=edges))
+
+    def test_numpy_integer_count_accepted(self, fig_graph):
+        m = fit_density_prior(fig_graph, 0.5)
+        upd = update_with_pattern(m, FakePattern([0, 1], [2, 3], edges=np.int64(3))).updates[-1]
+        assert type(upd.observed) is int and upd.observed == 3
 
     def test_empty_extension_rejected(self, fig_graph):
         m = fit_density_prior(fig_graph, 0.5)

@@ -152,3 +152,65 @@ def test_class_model_matches_dense_reference(seed, directed, prior, n_updates, s
         for _ in range(n_updates):
             model = _absorb_and_check(model, rng)
             _check_reads(model, rng)
+
+
+def _grid_logits(dual, x):
+    """The dual's logits ``base + M x`` over its whole grid, chunk by chunk."""
+    return np.concatenate([dual._spread(x, a, var, base)
+                           for a, _, var, base, _ in dual._grid()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(),
+       prior=st.sampled_from(["degree", "blocks", "blocks+degree"]), small_table=st.booleans())
+def test_one_logit_rule(seed, directed, prior, small_table):
+    """The fit's logits at its final multipliers are the fitted model's class
+    logits byte for byte, and an absorption's at its multiplier are the
+    absorbed model's on the pattern's pairs: model, fit and absorption share
+    ``background._logits``, in whole grids and in chunks."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(seed, n=int(rng.integers(8, 26)), directed=directed,
+                     attrs=(("a", 3), ("b", 2)))
+    problems, duals = [], []
+
+    class FitSpy(background._MaxEntProblem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            problems.append(self)
+
+    class DualSpy(background._Dual):
+        def __init__(self, *args):
+            super().__init__(*args)
+            duals.append(self)
+
+    with mock.patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000), \
+            mock.patch.object(background, "_MaxEntProblem", FitSpy):
+        try:
+            if prior == "degree":
+                model = fit_degree_prior(g, tol=1e-6)
+            else:
+                model = fit_block_prior(g, ["a", "b"], with_degrees=prior.endswith("degree"),
+                                        tol=1e-6)
+        except FitError:
+            assume(False)
+        prob, = problems
+        every = np.arange(model.n_classes)
+        assert np.array_equal(prob.cls, model.cls)
+        assert (_grid_logits(prob, prob.x).tobytes()
+                == model._class_logits(every, every).tobytes())
+        with mock.patch.object(background, "_Dual", DualSpy):
+            for _ in range(2):
+                rows = _vertex_set(rng, g.n)
+                cols = None if rng.random() < 0.3 else _vertex_set(rng, g.n, base=rows)
+                c = rows if cols is None else cols
+                pairs = distinct_pairs(rows, c, directed)
+                if not pairs:
+                    continue
+                old, observed = model, int(rng.integers(0, len(pairs) + 1))
+                model = update_with_pattern(old, _Pat(rows, cols, observed))
+                dual = duals[-1]
+                want = _grid_logits(dual, np.array([model.updates[-1].lam]))
+                want = want[np.searchsorted(dual.rows, old.cls[rows])][
+                    :, np.searchsorted(dual.cols, old.cls[c])]
+                got = model._class_logits(model.cls[rows], model.cls[c])
+                assert got.tobytes() == want.tobytes()
