@@ -1,10 +1,9 @@
 """What fitting a prior and absorbing patterns cost on a large heavy-tailed graph.
 
-    python3 scripts/scale_probe.py [--n 100000] [--seed 41]
-                                   [--prior blocks:noise0+degree] [--tiny]
+    python3 scripts/scale_probe.py [--prior blocks:noise0+degree] [--tiny]
 
 This builds an undirected graph directly as an ``AttributedGraph``, with
-O(m) numpy work and no dense array: ``--n`` vertices, each with a
+O(m) numpy work and no dense array: 100,000 vertices, each with a
 Pareto(1.5) weight, and about 5n edges whose ends are drawn by weight (loops
 and repeats dropped), plus two noise attributes, ``noise0`` and ``noise1``,
 with 8 values each drawn uniformly.  It fits ``--prior`` (the grammar of
@@ -17,8 +16,9 @@ with its observed edge count:
 
 For the fit and each absorption it prints the class count K, the multiplier
 (the Newton steps for the fit), the CPU seconds of that step and the peak
-RSS of the process so far.  ``--tiny`` sets n = 2,000.  Run it pinned to one
-CPU (``taskset -c 0``) to compare two checkouts.
+RSS of the process so far.  ``--tiny`` builds 2,000 vertices instead; the
+graph's seed is 41 either way.  Run it pinned to one CPU (``taskset -c 0``)
+to compare two checkouts.
 
 It only reports; nothing is gated.
 """
@@ -66,13 +66,10 @@ def _peak_mb():
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--n", type=int, default=100_000)
-    ap.add_argument("--seed", type=int, default=41)
     ap.add_argument("--prior", default="blocks:noise0+degree")
     ap.add_argument("--tiny", action="store_true", help="n = 2,000")
     args = ap.parse_args(argv)
-    n = 2_000 if args.tiny else args.n
-    g = heavy_graph(n, args.seed)
+    g = heavy_graph(2_000 if args.tiny else 100_000, 41)
     print(f"graph: n {g.n}, m {g.m}, peak RSS {_peak_mb():.0f} MB")
 
     t = time.process_time()

@@ -604,16 +604,14 @@ class _Dual:
         grid per ``cells`` entry, base logits and the cells with a == b."""
         h_r, h_c, h_o = self.hists
         ib = self.cols
+        s = 0.0 if self.directed else -0.5  # the weight of h_o (x) h_o in W
         step = max(1, _TABLE_CELLS // ib.size)
         for i in range(0, self.rows.size, step):
             a = self.rows[i:i + step]
-            r, c = np.nonzero(a[:, None] == ib[None, :])
-            W = np.outer(h_r[a], h_c[ib])
-            W[r, c] -= h_o[a[r]]
-            if not self.directed:
-                O = np.outer(h_o[a], h_o[ib])
-                O[r, c] -= h_o[a[r]]
-                W -= 0.5 * O
+            _, r, c = np.intersect1d(a, ib, assume_unique=True, return_indices=True)
+            # one product for h_r (x) h_c + s h_o (x) h_o; counts below 2^52 make it exact
+            W = np.stack([h_r[a], s * h_o[a]], axis=1) @ np.stack([h_c[ib], h_o[ib]])
+            W[r, c] -= (1.0 + s) * h_o[a[r]]
             yield (a, W, [t[keys[a][:, None], keys[ib][None, :]] for keys, t in self.cells],
                    0.0 if self.base is None else self.base(a, ib), (r, c))
 
@@ -908,7 +906,7 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
                  [(np.zeros(model.n_classes, np.int64), np.zeros((1, 1), np.int64))],
                  np.array([float(observed)]), np.zeros(1), model._class_logits)
     # a count met at lam = 0 (not the clamp start of a count of no pair or
-    # every pair) to 1e-9 of it, or to a solve's rounding, keeps lam = 0
+    # every pair) to 1e-9 of it, or to 1e-13 per pair, keeps lam = 0
     resid = dual.grad[0] if dual.x[0] == 0.0 else dual._evaluate(np.zeros(1))[1][0]
     lam = 0.0
     if abs(resid) > max(1e-9 * max(1, observed), 1e-13 * n_pairs):
@@ -918,6 +916,8 @@ def update_with_pattern(model: BackgroundModel, pattern) -> BackgroundModel:
             log.warning("pattern multiplier clamped at %g", lam)
         elif abs(resid) > 1e-6 * max(1, n_pairs):
             raise FitError(f"pattern multiplier failed to calibrate (residual {resid:.3g})")
+        elif abs(resid) > 1e-13 * n_pairs:  # absorbing the block again would move lam
+            log.warning("pattern multiplier calibrated only to a residual of %.3g", resid)
     upd = PatternUpdate(np.sort(rows), np.sort(cols), float(lam), observed, n_pairs)
     return model.copy_with_update(upd)
 

@@ -413,6 +413,17 @@ class TestPatternUpdate:
         assert [r.getMessage() for r in caplog.records] == [
             "pattern multiplier clamped at -30", "pattern multiplier clamped at 30"]
 
+    def test_short_solve_warns(self, caplog):
+        # a solve that stops above 1e-13 per pair (here after 3 steps, at
+        # 1.1e-9) would move on re-absorption
+        m = fit_density_prior(random_graph(29, n=35), 0.5)
+        solve = background._Dual.solve
+        with patch.object(background._Dual, "solve", lambda self, done, _: solve(self, done, 3)), \
+                caplog.at_level("WARNING", logger="simine.background"):
+            update_with_pattern(m, FakePattern(np.arange(0, 9), np.arange(9, 21), edges=40))
+        assert [r.getMessage().split(" of ")[0] for r in caplog.records] == [
+            "pattern multiplier calibrated only to a residual"]
+
     @pytest.mark.parametrize("edges", [7, -3, 2.7, True, np.float64(2.0), "2"])
     def test_count_outside_pairs_rejected(self, fig_graph, edges):
         # 4 pairs: a count must be an integer (not a bool) from 0 to 4; 7 once

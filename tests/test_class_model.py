@@ -113,6 +113,10 @@ def _absorb_and_check(model, rng):
         assert expected <= observed, (expected, observed)
     elif 0 < observed < len(pairs):
         assert _close(expected, observed), (expected, observed)
+        # the solve ends within the lam = 0 rule's margin: absorbing the
+        # pattern again, in whole grids or in chunks, adds nothing
+        again = update_with_pattern(updated, _Pat(rows, cols, observed))
+        assert again.updates[-1].lam == 0.0
     else:
         # an end count is only reached at a clamp, or already within the
         # calibration tolerance with no shift at all
