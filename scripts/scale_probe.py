@@ -1,14 +1,16 @@
-"""What fitting a prior and absorbing patterns cost on a large heavy-tailed graph.
+"""What fitting a prior, a nested search and absorbing patterns cost on a
+large heavy-tailed graph.
 
     python3 scripts/scale_probe.py [--prior blocks:noise0+degree] [--tiny]
 
 This builds an undirected graph directly as an ``AttributedGraph``, with
 O(m) numpy work and no dense array: 100,000 vertices, each with a
 Pareto(1.5) weight, and about 5n edges whose ends are drawn by weight (loops
-and repeats dropped), plus two noise attributes, ``noise0`` and ``noise1``,
-with 8 values each drawn uniformly.  It fits ``--prior`` (the grammar of
-``simine fit --prior``), then absorbs three fixed patterns in turn, each
-with its observed edge count:
+and repeats dropped), plus six noise attributes, ``noise0`` to ``noise5``,
+with 8 values each drawn uniformly, in that order.  It fits ``--prior`` (the
+grammar of ``simine fit --prior``) and runs one nested search on the fitted
+model over every selector (x1 = 4, x2 = 3, depth 2), then absorbs three
+fixed patterns in turn, each with its observed edge count:
 
 * ``noise0=v0 || noise1=v1`` (overlapping extensions);
 * ``noise0=v2`` (a single subgroup);
@@ -16,7 +18,8 @@ with its observed edge count:
 
 For the fit and each absorption it prints the class count K, the multiplier
 (the Newton steps for the fit), the CPU seconds of that step and the peak
-RSS of the process so far.  ``--tiny`` builds 2,000 vertices instead; the
+RSS of the process so far; for the search, the patterns it reports, its CPU
+seconds and the peak RSS.  ``--tiny`` builds 2,000 vertices instead; the
 graph's seed is 41 either way.  Run it pinned to one CPU (``taskset -c 0``)
 to compare two checkouts.
 
@@ -37,14 +40,15 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
 
-from simine import AttributeColumn, AttributedGraph, cli, update_with_pattern  # noqa: E402
+from simine import (AttributeColumn, AttributedGraph, SearchConfig, cli,  # noqa: E402
+                    generate_selectors, nested_beam_search, update_with_pattern)
 
 PATTERNS = [(("noise0", "v0"), ("noise1", "v1")), (("noise0", "v2"), None),
             (("noise1", "v3"), ("noise1", "v4"))]
 
 
 def heavy_graph(n, seed):
-    """The probe's graph: Pareto(1.5) endpoint weights, m about 5n, two
+    """The probe's graph: Pareto(1.5) endpoint weights, m about 5n, six
     8-value noise attributes."""
     rng = np.random.default_rng(seed)
     weight = rng.pareto(1.5, n) + 1.0
@@ -56,7 +60,7 @@ def heavy_graph(n, seed):
     edges = np.stack([u[keep], v[keep]], axis=1)[np.sort(first)]
     cols = [AttributeColumn(f"noise{j}", "nominal",
                             np.array([f"v{x}" for x in range(8)])[rng.integers(0, 8, n)])
-            for j in range(2)]
+            for j in range(6)]
     return AttributedGraph(n, edges, columns=cols)
 
 
@@ -76,6 +80,10 @@ def main(argv=None):
     model = cli._fit_model(argparse.Namespace(prior=args.prior, tol=1e-4, max_iter=500), g)
     print(f"fit {args.prior}: K {model.n_classes}, {model.fit_info['iterations']} Newton "
           f"steps, {time.process_time() - t:.3f} s, peak RSS {_peak_mb():.0f} MB")
+    t = time.process_time()
+    found = nested_beam_search(g, model, generate_selectors(g), SearchConfig(x1=4, x2=3, depth=2))
+    print(f"nested search: {len(found)} patterns, {time.process_time() - t:.3f} s, "
+          f"peak RSS {_peak_mb():.0f} MB")
     for sides in PATTERNS:
         masks = [g.column(attr).values == value for attr, value in filter(None, sides)]
         ext1, ext2 = (np.flatnonzero(m) for m in (masks[0], masks[-1]))

@@ -18,7 +18,9 @@ keys are interchangeable and the max-ent solution gives them equal
 multipliers (the tile-model argument of De Bie, DMKD 2011).  So the model is
 stored as a class id per vertex, one multiplier per class and a K x K table
 of class-pair probabilities, and fitting, scoring and absorption all work on
-classes:
+classes.  Every model holds its table, whatever K: K^2 * 8 bytes (16 MB at
+K = 1,414, 163 MB at K = 4,514).  Each absorption builds its new model's
+table, and ``search.iterate`` keeps every round's model, so tables add up.
 
 * fitting maximizes the Lagrangian dual, whose K + B variables are one
   multiplier per class (per class and direction when directed) and one
@@ -36,12 +38,12 @@ classes:
   multiplier at a clamp whose gradient points outward leaves the system.
   ``fit_info["iterations"]`` counts the Newton steps;
 * pair sums are weighted sums of the table over the class histograms of the
-  two vertex sets (O(|R| + |C| + K_R * K_C)), for a batch of grids at once:
-  exact, whatever the batch (``pair_mass``), or through BLAS for the
-  screens: ``self_mass`` of sets paired with themselves, and ``row_mass``,
-  one O(K^2) mass row per set, whose dot product with another set's
-  histogram is a grid's mass in O(K).  Each reads the table in
-  ``_sub_tables`` chunks, of which a held table is the one;
+  two vertex sets (O(|R| + |C| + K_R * K)), for a batch of grids at once:
+  exact, whatever the batch (``pair_mass``, over the table rows of the
+  classes present in the batch), or through BLAS for the screens:
+  ``self_mass`` of sets paired with themselves (over the rows and columns
+  of their classes), and ``row_mass``, one O(K^2) mass row per set, whose
+  dot product with another set's histogram is a grid's mass in O(K);
 * absorbing a pattern solves the same dual (``_Dual``, the fit's Newton
   step) on the pattern's own pair grid, the classes of its rows by those of
   its columns in ``_TABLE_CELLS`` chunks, with one multiplier on every cell
@@ -64,7 +66,7 @@ log = logging.getLogger(__name__)
 LOGIT_CLAMP = 30.0
 PROB_EPS = 1e-12
 MODEL_VERSION = 2
-_TABLE_CELLS = 2_000_000  # max class-pair cells held in a table or built at once
+_TABLE_CELLS = 2_000_000  # max class-pair cells in a row chunk of a model table or dual grid
 _CG_TOL = 1e-3  # relative residual at which a Newton step's CG solve stops
 # an update's unit logits by class key 2 * in_rows + in_cols: 1 on its block
 _IN_BLOCK = np.outer(np.arange(4) >= 2, np.arange(4) % 2 == 1)
@@ -204,8 +206,10 @@ class BackgroundModel:
     graph the model was fitted on, over its partition attributes (None when
     unknown).  ``update_with_pattern`` returns a new model; probability reads
     are safe for concurrent use.
-    Expected masses come from class histograms: ``pair_mass`` is exact and
-    batch-invariant, ``self_mass`` and ``row_mass`` serve the screens.
+    The constructor computes every class-pair probability once, into a
+    table of K^2 * 8 bytes in ``_TABLE_CELLS`` row chunks; masses read it
+    through class histograms: ``pair_mass`` is exact and batch-invariant,
+    ``self_mass`` and ``row_mass`` serve the screens.
     """
 
     def __init__(self, n, directed, offset=0.0, cls=None, lam_row=None, lam_col=None,
@@ -232,11 +236,7 @@ class BackgroundModel:
         self.fit_info = dict(fit_info or {})
         self.graph_fingerprint = graph_fingerprint
         self._check_and_index()
-        k = self.n_classes
-        self._table = None  # the class-pair table as ``_sub_tables``' one chunk
-        if k * k <= _TABLE_CELLS:  # the sub-table of every class, by slices
-            _, _, P, _, diag = next(self._sub_tables(np.ones(k)))
-            self._table = (slice(None), slice(None), P, slice(None), diag)
+        self._chunks, self._diag = self._build_table()
 
     def _check_and_index(self):
         """Validate shapes, ranges and finiteness; derive ``_terms``, checking
@@ -294,6 +294,32 @@ class BackgroundModel:
         """Clamped edge probabilities for the class grid a x b (diagonal included)."""
         return np.clip(_sigmoid(self._class_logits(a, b)), PROB_EPS, 1.0 - PROB_EPS)
 
+    def _build_table(self):
+        """The class-pair table: row chunks of at most ``_TABLE_CELLS`` cells,
+        each ``(rows, P)``, a slice of classes and their probabilities with
+        every class, the diagonal set to 0; and the diagonal, read-only."""
+        every = np.arange(self.n_classes)
+        step = max(1, _TABLE_CELLS // max(1, every.size))
+        chunks, diag = [], np.empty(every.size)
+        for lo in range(0, every.size, step):
+            rows = slice(lo, min(lo + step, every.size))
+            P = self._class_probs(every[rows], every)
+            diag[rows] = P[:, rows].diagonal()
+            np.fill_diagonal(P[:, rows], 0.0)
+            chunks.append((rows, P))
+        diag.flags.writeable = False
+        return chunks, diag
+
+    def _present_chunks(self, ic):
+        """``(s, i, P)`` per table chunk ``P`` that holds some of the sorted
+        class ids ``ic``: they are ``ic[s]``, and ``i`` their rows in ``P``."""
+        lo = 0
+        for rows, P in self._chunks:
+            hi = ic.searchsorted(rows.stop)
+            if hi > lo:
+                yield slice(lo, hi), ic[lo:hi] - rows.start, P
+            lo = hi
+
     def pair_mass(self, H_r, H_c, H_o):
         """``(ordered, overlap)`` of many rows x cols grids from class
         histograms, one row each (or 1-D for one), ``H_r`` of the rows,
@@ -302,8 +328,9 @@ class BackgroundModel:
         directed models), so ``ordered - overlap / 2`` on distinct pairs.
         A grid's sums are bit for bit the same whatever else is in the batch
         and wherever it sits: they add its own terms, copied in C order, in a
-        fixed order (``einsum`` and sums over the last axis, or without a
-        held table ``_grid_mass`` on the grid alone), never through a BLAS
+        fixed order (``einsum``, which adds the table rows of the classes
+        present in the batch one at a time, so the others' zero terms would
+        change no bit, and sums over the last axis), never through a BLAS
         product over the batch.  A set paired with itself takes the same
         steps as any other grid, and undirected grids are put in a canonical
         order first, so mirrored grids tie."""
@@ -312,22 +339,18 @@ class BackgroundModel:
             d = H_r - H_c
             swap = d[np.arange(len(d)), np.argmax(d != 0, axis=1)] < 0
             H_r[swap], H_c[swap] = H_c[swap], H_r[swap]
-        if self._table is None:
-            # row by row: a sub-table shared by the batch, summed by einsum, is
-            # as exact but 2-8 times slower at K > 1,414 unless rows are few
-            out = np.zeros((2, len(H_r)))
-            for i in range(len(H_r)):
-                r, c, o = H_r[i:i + 1], H_c[i:i + 1], H_o[i:i + 1]
-                out[0, i] = self._grid_mass(r, c, o)[0]
-                if not self.directed:
-                    out[1, i] = self.self_mass(o)[0]
-            return out[0], out[1]
-        _, _, P, _, diag = self._table
         # h P of the rows and, on undirected models, of the intersections
-        T = [np.einsum("ia,ab->ib", h, P) for h in (H_r, H_o)[:2 - self.directed]]
-        ordered = (H_c * T[0]).sum(axis=-1) + ((H_r * H_c - H_o) * diag).sum(axis=-1)
+        # (whose classes are the rows' too)
+        sides = (H_r, H_o)[:2 - self.directed]
+        T = [np.zeros(H_r.shape) for _ in sides]
+        ic = np.flatnonzero(H_r.any(axis=0))
+        for s, i, P in self._present_chunks(ic):
+            P = P if i.size == len(P) else P[i]
+            for t, h in zip(T, sides):
+                t += np.einsum("ia,ab->ib", h[:, ic[s]], P)
+        ordered = (H_c * T[0]).sum(axis=-1) + ((H_r * H_c - H_o) * self._diag).sum(axis=-1)
         return ordered, (np.zeros_like(ordered) if self.directed else (H_o * T[1]).sum(axis=-1)
-                         + ((H_o * H_o - H_o) * diag).sum(axis=-1))
+                         + ((H_o * H_o - H_o) * self._diag).sum(axis=-1))
 
     def _histograms(self, rows, cols):
         """Class histograms (float) of ``rows``, ``cols`` and their intersection."""
@@ -343,26 +366,6 @@ class BackgroundModel:
         h_o = np.bincount(self.cls[cols[in_rows[cols]]], minlength=k).astype(np.float64)
         return h_r, h_c, h_o
 
-    def _sub_tables(self, H_r, H_c=None):
-        """The class-pair table in chunks ``(rows, columns, off-diagonal
-        block, classes of the diagonal entries, their probabilities)``: the
-        held table as one chunk, by slices; without it, at least one chunk
-        of at most ``_TABLE_CELLS`` cells over the classes present in the
-        histograms ``H_r`` by those in ``H_c`` (every class when None)."""
-        if self._table is not None:
-            yield self._table
-            return
-        ia, ib = (np.arange(self.n_classes) if H is None else
-                  np.flatnonzero(H.reshape(-1, H.shape[-1]).any(axis=0)) for H in (H_r, H_c))
-        step = max(1, _TABLE_CELLS // max(1, ib.size))
-        for i in range(0, max(1, ia.size), step):
-            a = ia[i:i + step]
-            P = self._class_probs(a, ib)
-            r, c = np.nonzero(a[:, None] == ib[None, :])
-            diag = P[r, c]
-            P[r, c] = 0.0
-            yield a, ib, P, a[r], diag
-
     def class_order(self):
         """``(order, starts)``: the vertices sorted by class (stable), and the
         position in ``order`` where each class starts."""
@@ -372,35 +375,29 @@ class BackgroundModel:
     def row_mass(self, H):
         """The nested screen's mass rows of the sets of class histograms
         ``H`` (int64 or float, one row each): ``(T, d)``, ``T = H P`` over
-        the class table P with its diagonal, and ``d`` that diagonal, on the
-        classes in ``H`` at least.  Set i by a set of histogram ``h``
-        sharing ``h_o`` with it has ordered mass ``T[i] . h - h_o . d``."""
+        the class table P with its diagonal, and ``d`` that diagonal.  Set i
+        by a set of histogram ``h`` sharing ``h_o`` with it has ordered mass
+        ``T[i] . h - h_o . d``."""
         H = H.astype(np.float64, copy=False)
-        d, T = np.zeros(self.n_classes), np.zeros(H.shape)
-        for a, _, P, dc, dp in self._sub_tables(H):
-            d[dc] = dp
-            T += H[:, a] @ P
-        T += H * d
-        return T, d
+        T = np.zeros(H.shape)
+        for rows, P in self._chunks:
+            T += H[:, rows] @ P
+        T += H * self._diag
+        return T, self._diag
 
     def self_mass(self, H):
         """The screens' mass of the ordered pairs u != v inside each set of
-        class histogram ``H`` (int64 or float, one row each), through BLAS
-        products that may round a set differently with the batch around it."""
+        class histogram ``H`` (int64 or float, one row each), from the table
+        rows and columns of the classes present in ``H``: pairs between
+        distinct classes from the off-diagonal table, the h*h - h pairs
+        inside one class from its diagonal entry, so nothing cancels.  Its
+        BLAS products may round a set differently with the batch around it."""
         H = H.astype(np.float64, copy=False)
-        return self._grid_mass(H, H, H)
-
-    def _grid_mass(self, H_r, H_c, H_o):
-        """The ordered mass of float grids (``pair_mass``'s histograms, one
-        row each): pairs between distinct classes from the off-diagonal
-        table, the h_r*h_c - h_o pairs inside one class from its diagonal
-        entry, so nothing cancels.  The table comes in ``_sub_tables``
-        chunks, which share their columns ``ic``."""
-        diag, to_cols = np.zeros(self.n_classes), 0.0
-        for a, ic, P, dc, dp in self._sub_tables(H_r, H_c):
-            diag[dc] = dp
-            to_cols = to_cols + H_r[:, a] @ P
-        return (H_c[:, ic] * to_cols).sum(axis=-1) + (H_c * H_r - H_o) @ diag
+        ic = np.flatnonzero(H.any(axis=0))
+        h, to_cols = H[:, ic], 0.0
+        for s, i, P in self._present_chunks(ic):
+            to_cols = to_cols + h[:, s] @ P.take(i, 0).take(ic, 1)
+        return (h * to_cols).sum(axis=-1) + (h * h - h) @ self._diag[ic]
 
     def copy_with_update(self, upd: PatternUpdate) -> "BackgroundModel":
         """The model plus one absorbed pattern; classes split by membership in

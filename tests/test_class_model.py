@@ -133,8 +133,8 @@ def _absorb_and_check(model, rng):
 @example(seed=413, directed=False, prior="blocks", n_updates=3, small_table=False)
 def test_class_model_matches_dense_reference(seed, directed, prior, n_updates, small_table):
     """Fit, pair sums, block means and stacked absorptions agree with the
-    dense per-vertex grid, with the full class table and with chunked
-    sub-tables (a table budget too small for any K > 1)."""
+    dense per-vertex grid, with the class table in one chunk and in
+    one-row chunks (a table budget too small for any K > 1)."""
     rng = np.random.default_rng(seed)
     g = random_graph(seed, n=int(rng.integers(8, 26)), directed=directed,
                      attrs=(("a", 3), ("b", 2)))

@@ -77,30 +77,52 @@ def test_counts_match_enumeration(seed, n, directed, counting, relation):
         assert {f: getattr(pat, f) for f in FIELDS} == want
 
 
-def _self_mass_as_before(model, F):
+def _chunk_rows(model):
+    """The model's table chunks' class rows, as ``background._TABLE_CELLS``
+    bounds them: ``_TABLE_CELLS // K`` classes each, at least one."""
+    k = model.n_classes
+    step = max(1, background._TABLE_CELLS // k)
+    return [np.arange(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
+def _off_diagonal(model, a, b):
+    """``_class_probs`` of the class grid a x b with its entries a == b set to 0."""
+    P = model._class_probs(a, b)
+    P[a[:, None] == b[None, :]] = 0.0
+    return P
+
+
+def _diagonal(model, a):
+    """``_class_probs`` of the classes a with themselves, contiguous as the
+    model holds its diagonal: a product with a strided vector takes
+    matmul's loop instead of BLAS, and rounds differently."""
+    return model._class_probs(a, a).diagonal().copy()
+
+
+def _self_mass_reference(model, F):
     """The single screen's mass of each set of float class histogram ``F``
-    paired with itself, as the three-histogram call of earlier versions
-    summed it: each row's product with the off-diagonal table (a sub-table
-    of the classes present, a chunk at a time, without a full table) times
-    the row, then the h*h - h pairs inside each class on the diagonal."""
-    if model._table is not None:
-        _, _, P_off, _, P_diag = model._table
-        return ((F @ P_off) * F).sum(axis=-1) + (F * F - F) @ P_diag
+    paired with itself, from ``_class_probs`` of the classes present in F:
+    each chunk's product with its present rows of the off-diagonal table,
+    restricted to the present columns, summed chunk by chunk, times the row;
+    then the h*h - h pairs inside each class on the diagonal."""
     ic = np.flatnonzero(F.any(axis=0))
-    diag, to_cols = np.zeros(model.n_classes), np.zeros((len(F), ic.size))
-    for a, cols, P, dc, dp in model._sub_tables(F, F):
-        assert np.array_equal(cols, ic)
-        diag[dc] = dp
-        to_cols += F[:, a] @ P
-    return (F[:, ic] * to_cols).sum(axis=-1) + (F * F - F) @ diag
+    to_cols = 0.0
+    for rows in _chunk_rows(model):
+        a = rows[F[:, rows].any(axis=0)]
+        if a.size:
+            to_cols = to_cols + F[:, a] @ _off_diagonal(model, a, ic)
+    h = F[:, ic]
+    return (h * to_cols).sum(axis=-1) + (h * h - h) @ _diagonal(model, ic)
 
 
-def _held_masses_as_before(model, H1, H_r, H_c, H_o):
-    """With a held class table, ``row_mass(H1)`` and ``pair_mass(H_r, H_c,
-    H_o)`` as earlier versions summed them from the off-diagonal table and
-    the diagonal: ``H1 P_off + H1 * diag``, and ``pair_mass``'s einsum
-    expressions on its canonical (undirected) or given (directed) order."""
-    _, _, P_off, _, P_diag = model._table
+def _one_chunk_masses(model, H1, H_r, H_c, H_o):
+    """With a table of one chunk, ``row_mass(H1)`` and ``pair_mass(H_r,
+    H_c, H_o)`` from the whole table of ``_class_probs``, off-diagonal and
+    diagonal: ``H1 P_off + H1 * diag``, and ``pair_mass``'s einsum
+    expressions over every class on its canonical (undirected) or given
+    (directed) order."""
+    every = np.arange(model.n_classes)
+    P_off, P_diag = _off_diagonal(model, every, every), _diagonal(model, every)
     F1 = H1.astype(np.float64)
     H_r, H_c, H_o = (h.astype(np.float64) for h in (H_r, H_c, H_o))
     if not model.directed:
@@ -115,6 +137,31 @@ def _held_masses_as_before(model, H1, H_r, H_c, H_o):
     return (F1 @ P_off + F1 * P_diag, P_diag), (ordered, overlap)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(),
+       table_cells=st.sampled_from([None, 1, 12]), updates=st.integers(0, 2))
+def test_held_chunks_are_class_probs(seed, directed, table_cells, updates):
+    """The model's table chunks, whose diagonal entries are 0, with the
+    diagonal put back, are ``_class_probs`` over every class pair byte for
+    byte, in ``_TABLE_CELLS // K``-row chunks: one chunk under the default
+    budget, one (1) or a few (12) class rows each under a small one."""
+    cells = background._TABLE_CELLS if table_cells is None else table_cells
+    with patch.object(background, "_TABLE_CELLS", cells):
+        rng = np.random.default_rng(seed)
+        g = random_graph(seed, n=int(rng.integers(6, 30)), directed=directed)
+        try:
+            model = _absorb_random(g, fit_degree_prior(g), rng, updates)
+        except FitError:
+            assume(False)
+        every = np.arange(model.n_classes)
+        assert ([(rows.start, len(P)) for rows, P in model._chunks]
+                == [(r[0], r.size) for r in _chunk_rows(model)])
+        table = np.concatenate([P for _, P in model._chunks])
+        assert not table[every, every].any()
+        table[every, every] = model._diag
+        assert table.tobytes() == model._class_probs(every, every).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 31 - 1), directed=st.booleans(),
        table_cells=st.sampled_from([None, 1, 12]), updates=st.integers(0, 2))
@@ -123,11 +170,11 @@ def test_screen_masses_match_pair_mass(seed, directed, table_cells, updates):
     from W1's ``row_mass`` and ``self_mass`` of the overlap, against
     ``pair_mass`` (whose rows sum alike alone and in a batch) and the dense
     grid, for W2 disjoint from W1, inside it, around it and crossing it;
-    and the single screen's ``self_mass`` against the bits of its earlier
-    three-histogram call; with a held class table, ``row_mass`` and
-    ``pair_mass`` against the bits of their earlier expressions.  A table budget
-    of 1 or 12 cells leaves a model of more classes without a class table,
-    so the sums come from sub-tables of one or a few class rows."""
+    and the single screen's ``self_mass`` against the bits of its expression
+    from ``_class_probs``; with a table of one chunk, ``row_mass`` and
+    ``pair_mass`` against the bits of their expressions over the whole
+    table.  A table budget of 1 or 12 cells splits the table of a model of
+    more classes into chunks of one or a few class rows."""
     cells = background._TABLE_CELLS if table_cells is None else table_cells
     with patch.object(background, "_TABLE_CELLS", cells):
         rng = np.random.default_rng(seed)
@@ -137,7 +184,7 @@ def test_screen_masses_match_pair_mass(seed, directed, table_cells, updates):
             model = _absorb_random(g, fit_degree_prior(g), rng, updates)
         except FitError:
             assume(False)
-        assert (model._table is None) == (model.n_classes ** 2 > cells)
+        assert (len(model._chunks) > 1) == (model.n_classes ** 2 > cells)
         masks1 = rng.random((5, n)) < rng.uniform(0.1, 0.9)
         masks1[0] = True
         some = rng.random((4, 5, n)) < 0.5
@@ -154,8 +201,8 @@ def test_screen_masses_match_pair_mass(seed, directed, table_cells, updates):
         ordered = gross - H_o @ d
         overlap = np.zeros(pi.size) if directed else model.self_mass(H_o)
         exact = model.pair_mass(H1[pi], H2[pj], H_o)
-        if model._table is not None:  # a held table's masses keep their bytes
-            rows_before, exact_before = _held_masses_as_before(model, H1, H1[pi], H2[pj], H_o)
+        if len(model._chunks) == 1:  # a one-chunk table's masses keep their bytes
+            rows_before, exact_before = _one_chunk_masses(model, H1, H1[pi], H2[pj], H_o)
             assert all(x.tobytes() == y.tobytes()
                        for x, y in zip((T, d) + exact, rows_before + exact_before))
         # the product's rounding is relative to it, and the diagonal it
@@ -176,7 +223,7 @@ def test_screen_masses_match_pair_mass(seed, directed, table_cells, updates):
         F = class_histograms(model, np.concatenate([masks1, masks2]))
         H = F.astype(np.int64)
         single = model.self_mass(H)
-        assert single.tobytes() == _self_mass_as_before(model, F).tobytes()
+        assert single.tobytes() == _self_mass_reference(model, F).tobytes()
         assert single.tobytes() == model.self_mass(F).tobytes()
         np.testing.assert_array_equal(H, F)
         np.testing.assert_allclose(single, model.pair_mass(F, F, F)[0], rtol=1e-12, atol=0)
@@ -198,8 +245,8 @@ def test_score_bi_given_counts_is_bit_identical(seed, n, directed, counting, rel
     # score_bi and score_single fed the counts a search's screens hand over,
     # with the extensions' ids attached as a search attaches them to what it
     # reports, are bit for bit the mask path that counts them itself.  A
-    # table budget of 3 cells leaves any model with K > 1 without a class
-    # table; both orientations of each pair are scored, so the canonical swap
+    # table budget of 3 cells splits the table of any model with K > 1 into
+    # one-row chunks; both orientations of each pair are scored, so the canonical swap
     # of undirected pair sums applies to one of them
     with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
         rng = np.random.default_rng(seed)
@@ -261,8 +308,8 @@ def test_batched_core_is_row_invariant(seed, n, directed, counting, single, smal
     # every row the same pattern, bit for bit, as the mask path does; on
     # undirected graphs each bi pair is followed by its mirror, which ties
     # exactly.  The histograms come as int64 or float, in C or Fortran
-    # order.  A table budget of 3 cells leaves any model with K > 1 without
-    # a class table
+    # order.  A table budget of 3 cells splits the table of any model with
+    # K > 1 into one-row chunks
     with patch.object(background, "_TABLE_CELLS", 3 if small_table else 2_000_000):
         rng = np.random.default_rng(seed)
         g = random_graph(seed, n=n, p=float(rng.uniform(0.1, 0.9)), directed=directed)

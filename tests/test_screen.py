@@ -73,8 +73,8 @@ def _assert_extensions(g, patterns):
 def test_screen_matches_score_bi_and_reference(seed, n, directed, counting, shared, disjoint,
                                                updates, table_cells, screen_cells, x1, x2,
                                                depth):
-    # a small table budget leaves the model without a class table, so pair
-    # sums come from sub-tables in chunks of one (1) or a few (12) class rows;
+    # a small table budget splits the model's class table, so pair sums
+    # come from chunks of one (1) or a few (12) class rows;
     # a small screen budget screens W1s and W2s one (1) or a few (64 cells'
     # worth) at a time
     cells = background._TABLE_CELLS if table_cells is None else table_cells
@@ -220,9 +220,8 @@ def test_screen_bound_holds_for_many_classes(directed, table_cells):
     """At K = 240 classes (single vertices with spread multipliers), where
     the nested screen's product nests two 240-term sums, every screened
     pair's SI lies within its bound and within 1e-12 of the exact one; with
-    a budget of 1,000 table cells the model has no table and the mass rows
-    come from sub-tables of four class rows.  About half the pairs
-    overlap."""
+    a budget of 1,000 table cells the model holds its table in 60 chunks of
+    four class rows.  About half the pairs overlap."""
     n = 240
     rng = np.random.default_rng(5)
     with patch.object(background, "_TABLE_CELLS", background._TABLE_CELLS
@@ -230,7 +229,7 @@ def test_screen_bound_holds_for_many_classes(directed, table_cells):
         model = BackgroundModel(n, directed, cls=rng.permutation(n),
                                 lam_row=rng.normal(-2.0, 3.0, size=n),
                                 lam_col=rng.normal(-2.0, 3.0, size=n) if directed else None)
-        assert model.n_classes == n and (model._table is None) == (table_cells is not None)
+        assert model.n_classes == n and len(model._chunks) == (1 if table_cells is None else 60)
         g = random_graph(5, n=n, p=0.05, attrs=(("a", 3), ("b", 4), ("c", 5)),
                          directed=directed)
         sels = generate_selectors(g)
