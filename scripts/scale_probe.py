@@ -18,10 +18,11 @@ fixed patterns in turn, each with its observed edge count:
 
 For the fit and each absorption it prints the class count K, the multiplier
 (the Newton steps for the fit), the CPU seconds of that step and the peak
-RSS of the process so far; for the search, the patterns it reports, its CPU
-seconds and the peak RSS.  ``--tiny`` builds 2,000 vertices instead; the
-graph's seed is 41 either way.  Run it pinned to one CPU (``taskset -c 0``)
-to compare two checkouts.
+RSS of the process so far; for the search, the patterns it reports, the
+W1 chunks and pair blocks its screen took (calls of ``_BiScreen.w1_rows``
+and ``_BiScreen._block``), its CPU seconds and the peak RSS.  ``--tiny``
+builds 2,000 vertices instead; the graph's seed is 41 either way.  Run it
+pinned to one CPU (``taskset -c 0``) to compare two checkouts.
 
 It only reports; nothing is gated.
 """
@@ -34,6 +35,7 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 
@@ -42,6 +44,7 @@ sys.path[:0] = [str(ROOT / "src")]
 
 from simine import (AttributeColumn, AttributedGraph, SearchConfig, cli,  # noqa: E402
                     generate_selectors, nested_beam_search, update_with_pattern)
+from simine.search import _BiScreen  # noqa: E402
 
 PATTERNS = [(("noise0", "v0"), ("noise1", "v1")), (("noise0", "v2"), None),
             (("noise1", "v3"), ("noise1", "v4"))]
@@ -64,6 +67,16 @@ def heavy_graph(n, seed):
     return AttributedGraph(n, edges, columns=cols)
 
 
+def _counted(calls, name):
+    """``_BiScreen``'s method ``name``, counting its calls in ``calls``."""
+    fn = getattr(_BiScreen, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
 def _peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -80,10 +93,14 @@ def main(argv=None):
     model = cli._fit_model(argparse.Namespace(prior=args.prior, tol=1e-4, max_iter=500), g)
     print(f"fit {args.prior}: K {model.n_classes}, {model.fit_info['iterations']} Newton "
           f"steps, {time.process_time() - t:.3f} s, peak RSS {_peak_mb():.0f} MB")
-    t = time.process_time()
-    found = nested_beam_search(g, model, generate_selectors(g), SearchConfig(x1=4, x2=3, depth=2))
-    print(f"nested search: {len(found)} patterns, {time.process_time() - t:.3f} s, "
-          f"peak RSS {_peak_mb():.0f} MB")
+    calls = dict.fromkeys(["w1_rows", "_block"], 0)
+    with patch.multiple(_BiScreen, **{name: _counted(calls, name) for name in calls}):
+        t = time.process_time()
+        found = nested_beam_search(g, model, generate_selectors(g),
+                                   SearchConfig(x1=4, x2=3, depth=2))
+        t = time.process_time() - t
+    print(f"nested search: {len(found)} patterns, {calls['w1_rows']} W1 chunks, "
+          f"{calls['_block']} pair blocks, {t:.3f} s, peak RSS {_peak_mb():.0f} MB")
     for sides in PATTERNS:
         masks = [g.column(attr).values == value for attr, value in filter(None, sides)]
         ext1, ext2 = (np.flatnonzero(m) for m in (masks[0], masks[-1]))

@@ -527,13 +527,16 @@ class _BiScreen:
         self.adj = dst[np.argsort(src, kind="stable")]
         self.degree = np.bincount(src, minlength=g.n)
         self.adj_starts = np.concatenate([[0], np.cumsum(self.degree)])
-        # cells of an array of a block of pairs: few enough to keep small
-        # graphs' peak memory flat, and at least eight vertex rows, so that
-        # large graphs still screen in few blocks
-        self.floats = max(1, _SCREEN_CELLS // 64, 8 * g.n)
-        # W1s per chunk: each holds its neighbour counts as n integers,
-        # besides its inner search's candidates and beam; half the float
-        # budget keeps small graphs' peak flat
+        # cells of an array of a block of pairs, and the one budget every
+        # size of the screen derives from: at least 2^16 (512 KB of floats),
+        # the measured knee below which a call's fixed NumPy work outweighs
+        # its pairs' on small graphs and above which peak memory grows
+        # faster than the nested searches gain; and at least eight vertex
+        # rows, so that large graphs still screen in few blocks
+        self.floats = max(1, _SCREEN_CELLS // 16, 8 * g.n)
+        # W1s per chunk: each holds its neighbour counts as n integers, half
+        # the float budget in all, besides its inner search's candidates and
+        # beam, whose W2 rows and histograms the chunk's W1s mostly share
         self.w1_step = max(1, self.floats // (2 * g.n))
         self.rho = _mass_rounding(self.model)
 
@@ -551,15 +554,14 @@ class _BiScreen:
         # every member's neighbours counted into its W1's row, one bincount
         # per slice of members: a slice holds the members whose neighbours
         # start within one multiple of ``step``, so fewer than step + n
-        # neighbours, which bounds the int64 temporaries: two of them at a
-        # time, a quarter of ``floats`` each on large graphs (n <= floats / 8),
-        # and no fewer than the floor of ``floats`` on small ones.  A member
+        # neighbours, at most 3/8 of ``floats`` (n <= floats / 8), which
+        # bounds the int64 temporaries: two of them at a time.  A member
         # is its flat position w * n + u in ``bits``, and ``end`` the running
         # count of neighbours up to its own last one
         flat = np.flatnonzero(bits)
         end = self.degree[flat % n]
         np.cumsum(end, out=end)
-        step = max(_SCREEN_CELLS // 64, self.floats // 4)
+        step = max(1, self.floats // 4)
         total = int(end[-1]) if end.size else 0
         cuts = (np.searchsorted(end, np.arange(step, total, step)) + 1).tolist()
         for a, b in zip([0, *cuts], [*cuts, flat.size]):

@@ -214,6 +214,90 @@ def test_screen_blocks_leave_the_levels_unchanged(directed):
     assert len(set(seen)) > 1
 
 
+def _screen_calls(calls):
+    """``_BiScreen.w1_rows`` and ``_block`` patched to count their calls in
+    ``calls`` (keys "w1_rows" and "_block")."""
+    w1_rows, block = _BiScreen.w1_rows, _BiScreen._block
+
+    def counted_rows(screen, rows):
+        calls["w1_rows"] += 1
+        return w1_rows(screen, rows)
+
+    def counted_block(screen, *args):
+        calls["_block"] += 1
+        return block(screen, *args)
+
+    return patch.multiple(_BiScreen, w1_rows=counted_rows, _block=counted_block)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("shared,disjoint", [(False, False), (True, False), (False, True),
+                                             (True, True)])
+def test_nested_reports_do_not_depend_on_the_screen_budget(directed, shared, disjoint):
+    """The screen budget sets how many W1s a chunk holds and how many pairs
+    a block screens, never what is reported: the nested search and two
+    rounds of iterative mining print the same reports, SIs bit for bit,
+    under screen budgets from one cell (chunks of a few W1s, blocks of a few
+    pairs) to 2^30 (a depth's W1s in one chunk, a level in one block), which
+    take different numbers of chunks and blocks."""
+    g = random_graph(11, n=90, p=0.08, attrs=(("a", 3), ("b", 4), ("c", 3)),
+                     directed=directed, numeric=("x",))
+    model = fit_degree_prior(g)
+    sels = generate_selectors(g, SelectorConfig(numeric_bins=3))
+    cfg = SearchConfig(x1=4, x2=3, depth=2, require_shared_attribute=shared,
+                       require_disjoint_extensions=disjoint)
+
+    def bits(pats):
+        return [float(p.si).hex() for p in pats]
+
+    reports, calls = [], []
+    for cells in (1, 64, search._SCREEN_CELLS, 1 << 30):
+        counted = dict.fromkeys(["w1_rows", "_block"], 0)
+        with patch.object(search, "_SCREEN_CELLS", cells), _screen_calls(counted):
+            found = nested_beam_search(g, model, sels, cfg)
+            rounds = iterate(g, model, sels, cfg, rounds=2, absorb=1).rounds
+        assert found and len(rounds) == 2
+        reports.append([(rendered(r), bits(r)) for r in [found, *rounds]])
+        calls.append((counted["w1_rows"], counted["_block"]))
+    assert all(r == reports[0] for r in reports[1:])
+    # no more chunks or blocks as the budget grows, and fewer under the largest
+    for counts in zip(*calls):
+        assert list(counts) == sorted(counts, reverse=True) and counts[0] > counts[-1]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("screen_cells", [None, 1])
+def test_screen_chunks_and_blocks_stay_within_the_budget(directed, screen_cells):
+    """The memory the screen promises: a chunk holds at most ``w1_step``
+    W1s, and a block's pairs times its widest row (the W1s' neighbour-count
+    planes, the W2s' rows, or a class histogram with its boundary) hold at
+    most half of ``floats`` cells, under the default budget and a small
+    one."""
+    w1_rows, block = _BiScreen.w1_rows, _BiScreen._block
+    chunks, blocks = [], []
+
+    def checked_rows(screen, rows):
+        chunks.append((len(rows), screen.w1_step))
+        return w1_rows(screen, rows)
+
+    def checked_block(screen, w1, w2, i, j, lengths, gross):
+        widest = max(w1[1][0].size, w2[0].shape[1], screen.model.n_classes + 1)
+        blocks.append((i.size * widest, screen.floats))
+        return block(screen, w1, w2, i, j, lengths, gross)
+
+    cells = search._SCREEN_CELLS if screen_cells is None else screen_cells
+    with patch.object(search, "_SCREEN_CELLS", cells), \
+            patch.multiple(_BiScreen, w1_rows=checked_rows, _block=checked_block):
+        g = random_graph(3, n=120, p=0.06, attrs=(("a", 3), ("b", 4), ("c", 3)),
+                         directed=directed, numeric=("x",))
+        assert nested_beam_search(g, fit_degree_prior(g), generate_selectors(g),
+                                  SearchConfig(x1=4, x2=3, depth=2))
+    assert chunks and all(0 < w1s <= step for w1s, step in chunks)
+    assert blocks and all(used <= floats // 2 for used, floats in blocks)
+    if screen_cells == 1:
+        assert len(chunks) > 1 and len(blocks) > len(chunks)
+
+
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("table_cells", [None, 1000])
 def test_screen_bound_holds_for_many_classes(directed, table_cells):
